@@ -11,9 +11,42 @@
 //! and capacities.
 
 use core::fmt;
+use core::hash::{BuildHasherDefault, Hasher};
+use std::collections::HashMap;
 
 /// A storage extent or capacity, in words.
 pub type Words = u64;
+
+/// One widening multiply and a fold per key: the hasher for maps keyed
+/// by the id newtypes below. Ids are small dense integers chosen by the
+/// simulator itself, so the flood resistance of std's SipHash buys
+/// nothing, and a fixed function keeps runs identical from a seed.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        // Folding the 128-bit product brings the key's high bits down
+        // into the bucket index and its low bits up into the tag.
+        let m = u128::from(self.0 ^ v) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` keyed by an id newtype, hashed by [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// A name in a program's name space.
 ///
@@ -213,6 +246,51 @@ mod tests {
         assert_eq!(FrameNo::from(3).index(), 3);
         assert_eq!(SegId::from(3), SegId(3));
         assert_eq!(JobId::from(9), JobId(9));
+    }
+
+    #[test]
+    fn id_maps_behave_as_maps_on_dense_and_strided_keys() {
+        // Dense ids, and ids that differ only in their high bits (the
+        // case a bare multiply would send to one bucket chain).
+        for stride in [1u64, 1 << 20, 1 << 40] {
+            let mut m: IdMap<PageNo, FrameNo> = IdMap::default();
+            for i in 0..2000 {
+                assert_eq!(m.insert(PageNo(i * stride), FrameNo(i)), None);
+            }
+            assert_eq!(m.len(), 2000);
+            for i in 0..2000 {
+                assert_eq!(m.get(&PageNo(i * stride)), Some(&FrameNo(i)));
+            }
+            assert_eq!(m.remove(&PageNo(7 * stride)), Some(FrameNo(7)));
+            assert_eq!(m.get(&PageNo(7 * stride)), None);
+        }
+        let mut by_seg: IdMap<SegId, u32> = IdMap::default();
+        by_seg.insert(SegId(3), 30);
+        assert_eq!(by_seg.get(&SegId(3)), Some(&30));
+    }
+
+    #[test]
+    fn id_hasher_spreads_dense_and_strided_keys() {
+        use core::hash::Hash;
+        let hash = |p: PageNo| {
+            let mut h = IdHasher::default();
+            p.hash(&mut h);
+            h.finish()
+        };
+        // hashbrown indexes buckets by the low bits and tags entries by
+        // the top seven: both must vary whichever bits the keys vary in.
+        for stride in [1u64, 1 << 20, 1 << 40] {
+            let (mut low, mut top) = ([false; 128], [false; 128]);
+            for i in 0..1024 {
+                let h = hash(PageNo(i * stride));
+                low[(h & 0x7f) as usize] = true;
+                top[(h >> 57) as usize] = true;
+            }
+            for seen in [low, top] {
+                let hit = seen.iter().filter(|&&s| s).count();
+                assert!(hit > 100, "stride {stride}: {hit} of 128 values");
+            }
+        }
     }
 
     #[test]

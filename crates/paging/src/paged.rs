@@ -14,13 +14,13 @@
 //! replacement strategy ... is used to ensure that one page frame is
 //! kept vacant, ready for the next page demand").
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use dsa_core::access::{Access, AccessKind};
 use dsa_core::advice::{Advice, AdviceUnit};
 use dsa_core::clock::VirtualTime;
 use dsa_core::error::{AllocError, CoreError};
-use dsa_core::ids::{FrameNo, PageNo, Words};
+use dsa_core::ids::{FrameNo, IdMap, PageNo, Words};
 use dsa_probe::{EventKind, NullProbe, Probe, Stamp};
 
 use crate::replacement::Replacer;
@@ -106,7 +106,7 @@ pub struct AdviceOutcome {
 /// A fixed pool of page frames under a replacement strategy.
 pub struct PagedMemory {
     frames: Vec<Option<PageNo>>,
-    page_table: HashMap<PageNo, FrameNo>,
+    page_table: IdMap<PageNo, FrameNo>,
     free: Vec<FrameNo>,
     sensors: Sensors,
     replacer: Box<dyn Replacer>,
@@ -123,6 +123,9 @@ pub struct PagedMemory {
     /// this to their page size so traced transfer sizes are real).
     words_per_page: Words,
     stats: PagingStats,
+    /// The eviction candidates of the fault being served; kept only to
+    /// reuse its allocation.
+    eligible: Vec<FrameNo>,
 }
 
 impl PagedMemory {
@@ -136,7 +139,7 @@ impl PagedMemory {
         assert!(n_frames > 0, "need at least one frame");
         PagedMemory {
             frames: vec![None; n_frames],
-            page_table: HashMap::new(),
+            page_table: IdMap::default(),
             free: (0..n_frames as u64).rev().map(FrameNo).collect(),
             sensors: Sensors::new(n_frames),
             replacer,
@@ -147,6 +150,7 @@ impl PagedMemory {
             lookahead: false,
             words_per_page: 1,
             stats: PagingStats::default(),
+            eligible: Vec::with_capacity(n_frames),
         }
     }
 
@@ -266,34 +270,32 @@ impl PagedMemory {
         self.replacer.name()
     }
 
-    /// Frames eligible for eviction: resident and not pinned.
-    fn eligible(&self) -> Vec<FrameNo> {
-        self.frames
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| match p {
-                Some(page) if !self.pinned.contains(page) => Some(FrameNo(i as u64)),
-                _ => None,
-            })
-            .collect()
-    }
-
     fn evict_one_probed<P: Probe + ?Sized>(
         &mut self,
         at: Stamp,
         probe: &mut P,
     ) -> Result<EvictedPage, CoreError> {
         let now = at.vtime;
-        let eligible = self.eligible();
-        if eligible.is_empty() {
+        // Frames eligible for eviction: resident and not pinned, in
+        // ascending frame order (policies break ties by position).
+        let pinned = &self.pinned;
+        self.eligible.clear();
+        self.eligible
+            .extend(self.frames.iter().enumerate().filter_map(|(i, p)| match p {
+                Some(page) if pinned.is_empty() || !pinned.contains(page) => {
+                    Some(FrameNo(i as u64))
+                }
+                _ => None,
+            }));
+        if self.eligible.is_empty() {
             return Err(CoreError::Alloc(AllocError::OutOfStorage {
                 requested: 1,
                 largest_free: 0,
             }));
         }
-        let frame = self.replacer.victim(&eligible, &mut self.sensors, now);
+        let frame = self.replacer.victim(&self.eligible, &mut self.sensors, now);
         debug_assert!(
-            eligible.contains(&frame),
+            self.eligible.contains(&frame),
             "policy returned ineligible frame"
         );
         // Internal invariant, not a user-reachable failure: the policy
@@ -367,7 +369,7 @@ impl PagedMemory {
         let now = at.vtime;
         self.stats.references += 1;
         if let Some(frame) = self.page_table.get(&page).copied() {
-            if self.prefetched.remove(&page) {
+            if !self.prefetched.is_empty() && self.prefetched.remove(&page) {
                 self.stats.useful_prefetches += 1;
             }
             self.sensors.touch(frame, write);
@@ -383,7 +385,9 @@ impl PagedMemory {
         }
         let frame = self.load_into_free(page, now);
         self.sensors.touch(frame, write);
-        self.prefetched.remove(&page);
+        if !self.prefetched.is_empty() {
+            self.prefetched.remove(&page);
+        }
         // One-block lookahead rides the advice path (and is therefore
         // also counted in the prefetch statistics).
         if self.lookahead {

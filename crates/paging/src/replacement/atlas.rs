@@ -25,28 +25,50 @@
 //! and on cyclic sweeps; on irregular references the learned periods
 //! mislead it, exactly the trade Belady's study reported.
 
-use std::collections::HashMap;
-
 use dsa_core::clock::VirtualTime;
-use dsa_core::ids::{FrameNo, PageNo};
+use dsa_core::ids::{FrameNo, IdMap, PageNo};
 
-use crate::replacement::Replacer;
+use crate::replacement::{slot, Replacer};
 use crate::sensors::Sensors;
 
 /// Per-page learning state.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct PageHistory {
     last_use: VirtualTime,
     prev_gap: VirtualTime,
 }
 
+impl PageHistory {
+    /// The history after a use at `now`, given what was known before.
+    fn used(prior: Option<PageHistory>, now: VirtualTime) -> PageHistory {
+        let mut h = prior.unwrap_or(PageHistory {
+            last_use: now,
+            prev_gap: 0,
+        });
+        let gap = now.saturating_sub(h.last_use);
+        if gap > 0 {
+            h.prev_gap = gap;
+        }
+        h.last_use = now;
+        h
+    }
+}
+
 /// The ATLAS learning replacement strategy.
+///
+/// The learning data is split as on the machine: the history of the
+/// page in each frame is kept with the frame (a frame-indexed table,
+/// updated on every reference), and is copied out to the page-keyed
+/// `drum` map only when the page is evicted, to be copied back in when
+/// it is next loaded.
 #[derive(Clone, Debug)]
 pub struct AtlasLearning {
-    /// Per-page history, persistent across residencies.
-    history: HashMap<PageNo, PageHistory>,
-    /// Which page each frame currently holds.
-    resident: HashMap<FrameNo, PageNo>,
+    /// The drum copy: each page's history as of its last eviction. Stale
+    /// while the page is resident.
+    drum: IdMap<PageNo, PageHistory>,
+    /// Indexed by frame number, grown on demand: the page each frame
+    /// holds, with its live history.
+    resident: Vec<Option<(PageNo, PageHistory)>>,
     /// Tolerance before a page is deemed out of use (Kilburn used one
     /// drum-revolution worth of time; in reference time a small slack).
     slack: VirtualTime,
@@ -63,30 +85,9 @@ impl AtlasLearning {
     #[must_use]
     pub fn with_slack(slack: VirtualTime) -> AtlasLearning {
         AtlasLearning {
-            history: HashMap::new(),
-            resident: HashMap::new(),
+            drum: IdMap::default(),
+            resident: Vec::new(),
             slack,
-        }
-    }
-
-    fn note_use(&mut self, page: PageNo, now: VirtualTime) {
-        match self.history.get_mut(&page) {
-            Some(h) => {
-                let gap = now.saturating_sub(h.last_use);
-                if gap > 0 {
-                    h.prev_gap = gap;
-                }
-                h.last_use = now;
-            }
-            None => {
-                self.history.insert(
-                    page,
-                    PageHistory {
-                        last_use: now,
-                        prev_gap: 0,
-                    },
-                );
-            }
         }
     }
 }
@@ -99,14 +100,22 @@ impl Default for AtlasLearning {
 
 impl Replacer for AtlasLearning {
     fn loaded(&mut self, frame: FrameNo, page: PageNo, now: VirtualTime) {
-        self.resident.insert(frame, page);
+        self.evicted(frame);
         // The load is caused by a use; the gap since the previous use is
         // precisely the "previous duration of inactivity".
-        self.note_use(page, now);
+        let h = PageHistory::used(self.drum.get(&page).copied(), now);
+        *slot(&mut self.resident, frame) = Some((page, h));
     }
 
-    fn touched(&mut self, _frame: FrameNo, page: PageNo, now: VirtualTime, _write: bool) {
-        self.note_use(page, now);
+    fn touched(&mut self, frame: FrameNo, page: PageNo, now: VirtualTime, _write: bool) {
+        match self.resident.get_mut(frame.index()) {
+            Some(Some((p, h))) if *p == page => *h = PageHistory::used(Some(*h), now),
+            // Not the page this frame was loaded with: learn on the drum.
+            _ => {
+                let h = PageHistory::used(self.drum.get(&page).copied(), now);
+                self.drum.insert(page, h);
+            }
+        }
     }
 
     // Invariant: the trait contract guarantees `eligible` is never
@@ -118,47 +127,41 @@ impl Replacer for AtlasLearning {
         _sensors: &mut Sensors,
         now: VirtualTime,
     ) -> FrameNo {
-        let state = |f: FrameNo| -> (VirtualTime, VirtualTime) {
-            let page = self.resident.get(&f);
-            let h = page
-                .and_then(|p| self.history.get(p))
-                .copied()
-                .unwrap_or(PageHistory {
-                    last_use: 0,
-                    prev_gap: 0,
-                });
-            (now.saturating_sub(h.last_use), h.prev_gap)
-        };
-        // Case 1: pages that appear out of use (t exceeds the learned
-        // period by more than the slack).
-        let out_of_use = eligible
-            .iter()
-            .copied()
-            .filter(|&f| {
-                let (t, period) = state(f);
-                t > period + self.slack
-            })
-            .max_by_key(|&f| {
-                let (t, period) = state(f);
-                t - period
-            });
-        if let Some(f) = out_of_use {
-            return f;
+        // One pass for both cases; `>=` keeps the *last* of equal
+        // candidates, as `Iterator::max_by_key` does.
+        let mut out_of_use: Option<(VirtualTime, FrameNo)> = None;
+        let mut last_required: Option<(VirtualTime, FrameNo)> = None;
+        for &f in eligible {
+            let held = self.resident.get(f.index()).copied().flatten();
+            let (_, h) = held.unwrap_or_default();
+            let (t, period) = (now.saturating_sub(h.last_use), h.prev_gap);
+            if t > period + self.slack {
+                // Case 1: pages that appear out of use (t exceeds the
+                // learned period by more than the slack); the one
+                // furthest past its period goes.
+                if out_of_use.is_none_or(|(best, _)| t - period >= best) {
+                    out_of_use = Some((t - period, f));
+                }
+            } else if out_of_use.is_none() {
+                // Case 2: all in current use; the one last to be
+                // required if the pattern holds has the largest T - t.
+                let wait = period.saturating_sub(t);
+                if last_required.is_none_or(|(best, _)| wait >= best) {
+                    last_required = Some((wait, f));
+                }
+            }
         }
-        // Case 2: all in current use; the one last to be required if the
-        // pattern holds is the one with the largest T - t.
-        *eligible
-            .iter()
-            .max_by_key(|&&f| {
-                let (t, period) = state(f);
-                period.saturating_sub(t)
-            })
-            .expect("eligible is never empty")
+        let (_, frame) = out_of_use
+            .or(last_required)
+            .expect("eligible is never empty");
+        frame
     }
 
     fn evicted(&mut self, frame: FrameNo) {
-        // The frame empties, but the page's learned history is kept.
-        self.resident.remove(&frame);
+        // The frame empties; the page's learned history goes to the drum.
+        if let Some((page, h)) = slot(&mut self.resident, frame).take() {
+            self.drum.insert(page, h);
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -277,8 +280,8 @@ mod tests {
     fn eviction_clears_residency_but_keeps_history() {
         let (mut r, _) = trained();
         r.evicted(FrameNo(2));
-        assert!(!r.resident.contains_key(&FrameNo(2)));
-        assert!(r.history.contains_key(&PageNo(2)));
+        assert!(r.resident[2].is_none());
+        assert!(r.drum.contains_key(&PageNo(2)));
     }
 
     #[test]

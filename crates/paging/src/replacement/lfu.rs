@@ -6,18 +6,18 @@
 //! classic pathology — a page heavily used long ago is never evicted —
 //! is tamed by an optional periodic halving of all counts (aging).
 
-use std::collections::HashMap;
-
 use dsa_core::clock::VirtualTime;
 use dsa_core::ids::{FrameNo, PageNo};
 
-use crate::replacement::Replacer;
+use crate::replacement::{slot, Replacer};
 use crate::sensors::Sensors;
 
 /// Evicts the least-frequently-used page, with optional count aging.
 #[derive(Clone, Debug)]
 pub struct LfuRepl {
-    counts: HashMap<FrameNo, u64>,
+    /// Use counts indexed by frame number, grown on demand; `None` =
+    /// no page tracked in the frame.
+    counts: Vec<Option<u64>>,
     /// Halve all counts every this many victim selections (0 = never).
     age_every: u32,
     decisions: u32,
@@ -34,10 +34,14 @@ impl LfuRepl {
     #[must_use]
     pub fn with_aging(age_every: u32) -> LfuRepl {
         LfuRepl {
-            counts: HashMap::new(),
+            counts: Vec::new(),
             age_every,
             decisions: 0,
         }
+    }
+
+    fn count(&self, frame: FrameNo) -> Option<u64> {
+        self.counts.get(frame.index()).copied().flatten()
     }
 }
 
@@ -49,11 +53,11 @@ impl Default for LfuRepl {
 
 impl Replacer for LfuRepl {
     fn loaded(&mut self, frame: FrameNo, _page: PageNo, _now: VirtualTime) {
-        self.counts.insert(frame, 1);
+        *slot(&mut self.counts, frame) = Some(1);
     }
 
     fn touched(&mut self, frame: FrameNo, _page: PageNo, _now: VirtualTime, _write: bool) {
-        *self.counts.entry(frame).or_insert(0) += 1;
+        *slot(&mut self.counts, frame).get_or_insert(0) += 1;
     }
 
     // Invariant: the trait contract guarantees `eligible` is never
@@ -67,12 +71,12 @@ impl Replacer for LfuRepl {
     ) -> FrameNo {
         let victim = *eligible
             .iter()
-            .min_by_key(|f| self.counts.get(f).copied().unwrap_or(0))
+            .min_by_key(|&&f| self.count(f).unwrap_or(0))
             .expect("eligible is never empty");
         self.decisions += 1;
         if self.age_every > 0 && self.decisions >= self.age_every {
             self.decisions = 0;
-            for c in self.counts.values_mut() {
+            for c in self.counts.iter_mut().flatten() {
                 *c /= 2;
             }
         }
@@ -80,12 +84,12 @@ impl Replacer for LfuRepl {
     }
 
     fn evicted(&mut self, frame: FrameNo) {
-        self.counts.remove(&frame);
+        *slot(&mut self.counts, frame) = None;
     }
 
     fn hint_idle(&mut self, frame: FrameNo) {
         // Advisory demotion: forget the accumulated frequency.
-        self.counts.insert(frame, 0);
+        *slot(&mut self.counts, frame) = Some(0);
     }
 
     fn name(&self) -> &'static str {
@@ -140,7 +144,10 @@ mod tests {
         for t in 0..7 {
             let _ = r.victim(&[FrameNo(0)], &mut s, t);
         }
-        assert!(r.counts[&FrameNo(0)] <= 1, "aging must erode old counts");
+        assert!(
+            r.count(FrameNo(0)).unwrap() <= 1,
+            "aging must erode old counts"
+        );
     }
 
     #[test]
@@ -162,6 +169,6 @@ mod tests {
         let mut r = LfuRepl::new();
         r.loaded(FrameNo(0), PageNo(0), 0);
         r.evicted(FrameNo(0));
-        assert!(r.counts.is_empty());
+        assert_eq!(r.count(FrameNo(0)), None);
     }
 }

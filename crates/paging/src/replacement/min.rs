@@ -8,12 +8,12 @@
 //! E12. A property test in this crate checks the defining bound: no
 //! policy faults less than MIN on any trace.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use dsa_core::clock::VirtualTime;
-use dsa_core::ids::{FrameNo, PageNo};
+use dsa_core::ids::{FrameNo, IdMap, PageNo};
 
-use crate::replacement::Replacer;
+use crate::replacement::{slot, Replacer};
 use crate::sensors::Sensors;
 
 /// The per-position next-use table MIN reasons from, as a standalone
@@ -28,7 +28,7 @@ use crate::sensors::Sensors;
 #[must_use]
 pub fn next_use_times(trace: &[PageNo]) -> Vec<VirtualTime> {
     let mut next = vec![VirtualTime::MAX; trace.len()];
-    let mut seen: HashMap<PageNo, VirtualTime> = HashMap::new();
+    let mut seen: IdMap<PageNo, VirtualTime> = IdMap::default();
     for (i, &p) in trace.iter().enumerate().rev() {
         if let Some(&later) = seen.get(&p) {
             next[i] = later;
@@ -50,12 +50,11 @@ pub fn next_use_times(trace: &[PageNo]) -> Vec<VirtualTime> {
 #[derive(Clone, Debug)]
 pub struct MinRepl {
     /// For each page, the sorted positions at which it is referenced.
-    uses: HashMap<PageNo, Vec<VirtualTime>>,
-    /// Page currently in each frame.
-    resident: HashMap<FrameNo, PageNo>,
-    /// Cached next use per resident frame (`VirtualTime::MAX` = never
-    /// referenced again). Mirrors `by_next` exactly.
-    cached: HashMap<FrameNo, VirtualTime>,
+    uses: IdMap<PageNo, Vec<VirtualTime>>,
+    /// Indexed by frame number, grown on demand: the page in each
+    /// resident frame and its cached next use (`VirtualTime::MAX` =
+    /// never referenced again). Mirrors `by_next` exactly.
+    resident: Vec<Option<(PageNo, VirtualTime)>>,
     /// Farthest-next-use index: `(next use, frame)`, farthest last.
     by_next: BTreeSet<(VirtualTime, FrameNo)>,
 }
@@ -66,14 +65,13 @@ impl MinRepl {
     /// `now == i`.
     #[must_use]
     pub fn new(trace: &[PageNo]) -> MinRepl {
-        let mut uses: HashMap<PageNo, Vec<VirtualTime>> = HashMap::new();
+        let mut uses: IdMap<PageNo, Vec<VirtualTime>> = IdMap::default();
         for (i, &p) in trace.iter().enumerate() {
             uses.entry(p).or_default().push(i as VirtualTime);
         }
         MinRepl {
             uses,
-            resident: HashMap::new(),
-            cached: HashMap::new(),
+            resident: Vec::new(),
             by_next: BTreeSet::new(),
         }
     }
@@ -88,16 +86,14 @@ impl MinRepl {
     /// Re-caches `frame`'s next use as of `now`.
     fn recache(&mut self, frame: FrameNo, page: PageNo, now: VirtualTime) {
         let nu = self.next_use(page, now).unwrap_or(VirtualTime::MAX);
-        if let Some(old) = self.cached.insert(frame, nu) {
-            self.by_next.remove(&(old, frame));
-        }
+        self.evicted(frame);
+        *slot(&mut self.resident, frame) = Some((page, nu));
         self.by_next.insert((nu, frame));
     }
 }
 
 impl Replacer for MinRepl {
     fn loaded(&mut self, frame: FrameNo, page: PageNo, now: VirtualTime) {
-        self.resident.insert(frame, page);
         self.recache(frame, page, now);
     }
 
@@ -120,7 +116,7 @@ impl Replacer for MinRepl {
         // since any finite position references exactly one page — it is
         // the highest frame, matching the ascending scan's last-maximum
         // rule below.
-        if eligible.len() == self.cached.len() {
+        if eligible.len() == self.by_next.len() {
             if let Some(&(_, frame)) = self.by_next.last() {
                 return frame;
             }
@@ -129,16 +125,16 @@ impl Replacer for MinRepl {
         *eligible
             .iter()
             .max_by_key(|f| {
-                let page = self.resident.get(f).copied().unwrap_or(PageNo(u64::MAX));
+                let held = self.resident.get(f.index()).copied().flatten();
                 // Never-used-again sorts above everything.
-                self.next_use(page, now).unwrap_or(VirtualTime::MAX)
+                held.and_then(|(page, _)| self.next_use(page, now))
+                    .unwrap_or(VirtualTime::MAX)
             })
             .expect("eligible is never empty")
     }
 
     fn evicted(&mut self, frame: FrameNo) {
-        self.resident.remove(&frame);
-        if let Some(old) = self.cached.remove(&frame) {
+        if let Some((_, old)) = slot(&mut self.resident, frame).take() {
             self.by_next.remove(&(old, frame));
         }
     }
@@ -219,6 +215,6 @@ mod tests {
         let mut r = MinRepl::new(&trace);
         r.loaded(FrameNo(0), PageNo(1), 0);
         r.evicted(FrameNo(0));
-        assert!(r.resident.is_empty());
+        assert!(r.resident[0].is_none() && r.by_next.is_empty());
     }
 }

@@ -82,6 +82,15 @@ pub trait Replacer: Send {
     fn name(&self) -> &'static str;
 }
 
+/// `table[frame]` of a frame-indexed table of per-frame policy state,
+/// grown with `None` (nothing tracked) to reach it.
+pub(crate) fn slot<T: Clone>(table: &mut Vec<Option<T>>, frame: FrameNo) -> &mut Option<T> {
+    if frame.index() >= table.len() {
+        table.resize(frame.index() + 1, None);
+    }
+    &mut table[frame.index()]
+}
+
 /// A tiny deterministic xorshift generator used by the randomized
 /// policies, kept local so `dsa-paging` needs no workload-crate
 /// dependency.

@@ -21,7 +21,7 @@
 //!   per-page fixed periods, the regime the ATLAS "learning program" was
 //!   built for (Appendix A.1, experiment E12).
 
-use dsa_core::access::{Access, AccessKind, ReferenceString};
+use dsa_core::access::ReferenceString;
 use dsa_core::ids::PageNo;
 
 use crate::rng::Rng64;
@@ -106,111 +106,19 @@ impl RefStringCfg {
     /// `write_fraction`.
     ///
     /// The returned accesses use the *page number as the name*; callers
-    /// that want word-granular names can scale by a page size.
+    /// that want word-granular names can scale by a page size. The
+    /// models themselves live in [`crate::stream`]: this drains `len`
+    /// references from a stream over the caller's generator and hands
+    /// the generator back advanced past exactly those draws.
     ///
     /// # Panics
     ///
     /// Panics if the configuration has an empty page universe.
     #[must_use]
     pub fn generate(&self, len: usize, write_fraction: f64, rng: &mut Rng64) -> ReferenceString {
-        assert!(self.page_universe() > 0, "empty page universe");
-        let mut out = Vec::with_capacity(len);
-        let push = |page: u64, rng: &mut Rng64, out: &mut ReferenceString| {
-            let kind = if rng.chance(write_fraction) {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            out.push(Access {
-                name: dsa_core::ids::Name(page),
-                kind,
-            });
-        };
-        match *self {
-            RefStringCfg::Uniform { pages } => {
-                for _ in 0..len {
-                    let p = rng.below(pages);
-                    push(p, rng, &mut out);
-                }
-            }
-            RefStringCfg::LruStack { pages, theta } => {
-                // The stack starts in a random permutation so early
-                // references are not biased toward low page numbers.
-                let mut stack: Vec<u64> = (0..pages).collect();
-                rng.shuffle(&mut stack);
-                for _ in 0..len {
-                    let depth = rng.zipf(pages, theta) as usize;
-                    let page = stack.remove(depth);
-                    stack.insert(0, page);
-                    push(page, rng, &mut out);
-                }
-            }
-            RefStringCfg::WorkingSetPhases {
-                pages,
-                set,
-                phase_len,
-            } => {
-                let set = set.min(pages).max(1);
-                let mut all: Vec<u64> = (0..pages).collect();
-                let mut remaining = 0u64;
-                let mut current: Vec<u64> = Vec::new();
-                for _ in 0..len {
-                    if remaining == 0 {
-                        rng.shuffle(&mut all);
-                        current = all[..set as usize].to_vec();
-                        remaining = phase_len.max(1);
-                    }
-                    remaining -= 1;
-                    let p = *rng.pick(&current);
-                    push(p, rng, &mut out);
-                }
-            }
-            RefStringCfg::SequentialSweep { pages } => {
-                for i in 0..len as u64 {
-                    push(i % pages, rng, &mut out);
-                }
-            }
-            RefStringCfg::LoopNest {
-                inner,
-                outer,
-                period,
-            } => {
-                let period = period.max(1);
-                let mut iter = 0u64;
-                'outer: loop {
-                    for p in 0..inner {
-                        if out.len() >= len {
-                            break 'outer;
-                        }
-                        push(p, rng, &mut out);
-                    }
-                    // Outer pages are staggered so exactly outer/period of
-                    // them (rounded) fire per iteration.
-                    for q in 0..outer {
-                        if q % period == iter % period {
-                            if out.len() >= len {
-                                break 'outer;
-                            }
-                            push(inner + q, rng, &mut out);
-                        }
-                    }
-                    if out.len() >= len {
-                        break;
-                    }
-                    iter += 1;
-                }
-            }
-            RefStringCfg::HotCold { hot, cold, p_hot } => {
-                for _ in 0..len {
-                    let p = if rng.chance(p_hot) {
-                        rng.below(hot)
-                    } else {
-                        hot + rng.below(cold.max(1))
-                    };
-                    push(p, rng, &mut out);
-                }
-            }
-        }
+        let mut stream = self.stream_with_rng(write_fraction, rng.clone());
+        let out = stream.by_ref().take(len).collect();
+        *rng = stream.rng;
         out
     }
 
@@ -285,6 +193,18 @@ mod tests {
                 inner: 3,
                 outer: 4,
                 period: 2,
+            },
+            // Degenerate mixtures: every reference goes to the one
+            // non-empty set, whatever `p_hot` says.
+            RefStringCfg::HotCold {
+                hot: 0,
+                cold: 5,
+                p_hot: 0.7,
+            },
+            RefStringCfg::HotCold {
+                hot: 5,
+                cold: 0,
+                p_hot: 0.3,
             },
         ] {
             let universe = cfg.page_universe();

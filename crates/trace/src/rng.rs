@@ -31,6 +31,35 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The top 53 bits of a raw draw as a uniform `f64` in `[0, 1)`.
+fn unit_f64(raw: u64) -> f64 {
+    (raw >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// The Zipf rank in `[0, n)` that the uniform draw `u` selects (see
+/// [`Rng64::zipf`]).
+fn zipf_rank(u: f64, n: u64, theta: f64) -> u64 {
+    debug_assert!(n > 0 && theta > 0.0);
+    let e = 1.0 - theta;
+    let log = (theta - 1.0).abs() < 1e-9;
+    let h = |x: f64| if log { x.ln() } else { (x.powf(e) - 1.0) / e };
+    let h0 = h(0.5);
+    let target = u * (h(n as f64 + 0.5) - h0);
+    let (mut lo, mut hi) = (0.5f64, n as f64 + 0.5);
+    for _ in 0..64 {
+        if hi <= lo.round() + 0.5 {
+            break;
+        }
+        let mid = 0.5 * (lo + hi);
+        if h(mid) - h0 < target {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    (lo.round() as u64).clamp(1, n) - 1
+}
+
 impl Rng64 {
     /// Creates a generator from a seed. Any seed (including 0) is valid.
     #[must_use]
@@ -92,8 +121,7 @@ impl Rng64 {
 
     /// Uniform `f64` in `[0, 1)`.
     pub fn f64(&mut self) -> f64 {
-        // 53 random mantissa bits.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64())
     }
 
     /// Bernoulli trial with success probability `p` (clamped to `[0,1]`).
@@ -120,33 +148,17 @@ impl Rng64 {
 
     /// Zipf-distributed rank in `[0, n)` with exponent `theta` (> 0).
     ///
-    /// Uses the rejection-inversion sampler of Hörmann & Derflinger; for
-    /// the modest `n` of our workloads a simple inverse-CDF over a
-    /// precomputed table would also do, but this keeps the generator
-    /// allocation-free.
+    /// Inverse CDF by bisection over the continuous approximation
+    /// `H(x) = ∫ t^-theta dt` of the harmonic sum (one uniform draw, no
+    /// table, no allocation): the rank is the rounding cell of
+    /// `[0.5, n + 0.5]` in which `H(x) - H(0.5)` crosses the draw.
+    ///
+    /// The bisection is capped at 64 halvings but stops as soon as `lo`
+    /// and `hi` share a rounding cell. That exit is exact: `lo` only
+    /// rises, stays below `hi`, and `hi <= lo.round() + 0.5`, so no
+    /// further step can move `lo.round()`.
     pub fn zipf(&mut self, n: u64, theta: f64) -> u64 {
-        debug_assert!(n > 0 && theta > 0.0);
-        // Inverse-CDF by bisection over the harmonic CDF approximation:
-        // cheap, deterministic, and accurate enough for workload shaping.
-        let h = |x: f64| -> f64 {
-            if (theta - 1.0).abs() < 1e-9 {
-                x.ln()
-            } else {
-                (x.powf(1.0 - theta) - 1.0) / (1.0 - theta)
-            }
-        };
-        let total = h(n as f64 + 0.5) - h(0.5);
-        let target = self.f64() * total;
-        let (mut lo, mut hi) = (0.5f64, n as f64 + 0.5);
-        for _ in 0..64 {
-            let mid = 0.5 * (lo + hi);
-            if h(mid) - h(0.5) < target {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        (lo.round() as u64).clamp(1, n) - 1
+        zipf_rank(self.f64(), n, theta)
     }
 
     /// Fisher–Yates shuffle.
@@ -177,6 +189,7 @@ impl Rng64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn deterministic_streams() {
@@ -276,6 +289,67 @@ mod tests {
         // Rank 0 must dominate rank 9 roughly 10:1 under theta=1.
         let ratio = counts[0] as f64 / counts[9].max(1) as f64;
         assert!(ratio > 5.0 && ratio < 20.0, "zipf ratio {ratio}");
+    }
+
+    /// The bisection as first written — all 64 halvings, `h(0.5)`
+    /// recomputed inside the loop — retained as the oracle for the
+    /// early exit.
+    fn zipf_rank_64_steps(u: f64, n: u64, theta: f64) -> u64 {
+        let h = |x: f64| -> f64 {
+            if (theta - 1.0).abs() < 1e-9 {
+                x.ln()
+            } else {
+                (x.powf(1.0 - theta) - 1.0) / (1.0 - theta)
+            }
+        };
+        let total = h(n as f64 + 0.5) - h(0.5);
+        let target = u * total;
+        let (mut lo, mut hi) = (0.5f64, n as f64 + 0.5);
+        for _ in 0..64 {
+            let mid = 0.5 * (lo + hi);
+            if h(mid) - h(0.5) < target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo.round() as u64).clamp(1, n) - 1
+    }
+
+    proptest! {
+        /// Leaving the bisection once `lo` and `hi` share a rounding
+        /// cell never changes the rank, at either end of the unit
+        /// interval and on both sides of the `theta == 1` switch.
+        #[test]
+        fn early_exit_zipf_equals_the_64_step_bisection(
+            n in 1u64..4097,
+            theta in prop_oneof![
+                0.05f64..3.0,
+                0.999f64..1.001,
+                (0usize..5).prop_map(|i| [1.0, 1.0 - 1e-9, 1.0 + 1e-9, 1.0 - 2e-9, 1.0 + 2e-9][i]),
+            ],
+            raws in prop::collection::vec(any::<u64>(), 64..65),
+        ) {
+            // Raw draws at and next to both ends, and at every cell
+            // boundary scale, besides the random ones.
+            let edges = [0, 1, 1 << 11, (1 << 11) - 1, u64::MAX, u64::MAX - (1 << 11), 1 << 63];
+            for raw in edges.into_iter().chain(raws) {
+                let u = unit_f64(raw);
+                prop_assert_eq!(
+                    zipf_rank(u, n, theta),
+                    zipf_rank_64_steps(u, n, theta),
+                    "n={} theta={} raw={:#x}", n, theta, raw
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_draws_exactly_one_value() {
+        let (mut a, mut b) = (Rng64::new(12), Rng64::new(12));
+        let rank = a.zipf(600, 0.9);
+        assert_eq!(rank, zipf_rank_64_steps(b.f64(), 600, 0.9));
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

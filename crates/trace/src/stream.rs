@@ -11,10 +11,13 @@
 //!
 //! 1. **Prefix equality.** For every configuration, seed and length,
 //!    `cfg.stream(wf, seed).take(len)` yields byte-for-byte the sequence
-//!    `cfg.generate(len, wf, &mut Rng64::new(seed))` materializes. The
-//!    legacy generators are untouched (golden outputs cannot drift); the
-//!    property tests in `tests/properties_trace_stream.rs` pin the two
-//!    paths together across every [`RefStringCfg`] regime.
+//!    `cfg.generate(len, wf, &mut Rng64::new(seed))` materializes. For
+//!    reference strings that holds by construction — the models exist
+//!    once, here, and [`RefStringCfg::generate`] drains a stream — so
+//!    `tests/properties_trace_stream.rs` pins every regime's first
+//!    references as literal vectors instead (golden outputs cannot
+//!    drift); allocation streams still have two paths, pinned together
+//!    by property tests.
 //! 2. **Checkpoint/resume.** Streams are `Clone`: a clone is an O(state)
 //!    checkpoint, and continuing the original and the clone produces
 //!    identical suffixes. [`RefStringCfg::stream_at`] /
@@ -56,9 +59,8 @@ pub trait AllocStream: Iterator<Item = AllocEvent> + Clone {
     fn position(&self) -> u64;
 }
 
-/// Per-regime generator state. Each variant holds exactly the state the
-/// corresponding arm of [`RefStringCfg::generate`] carries across loop
-/// iterations, so the draw order (and hence the output) is identical.
+/// Per-regime generator state: what each reference model carries from
+/// one reference to the next.
 #[derive(Clone, Debug)]
 enum Regime {
     Uniform {
@@ -67,8 +69,9 @@ enum Regime {
     LruStack {
         pages: u64,
         theta: f64,
-        /// The LRU stack, most recent first — shuffled once at
-        /// construction, exactly as `generate` shuffles before its loop.
+        /// The LRU stack, most recent first. It starts as a random
+        /// permutation (shuffled once at construction) so early
+        /// references are not biased toward low page numbers.
         stack: Vec<u64>,
     },
     WorkingSetPhases {
@@ -85,7 +88,7 @@ enum Regime {
         inner: u64,
         outer: u64,
         period: u64,
-        /// Iteration counter (the legacy `iter`).
+        /// Iteration counter.
         iter: u64,
         /// Cursor within the iteration: `p < inner` walks the inner
         /// pages, `inner + q` (q < outer) walks the outer candidates.
@@ -120,14 +123,15 @@ enum Regime {
 pub struct RefStringStream {
     regime: Regime,
     write_fraction: f64,
-    rng: Rng64,
+    /// Crate-visible so that `generate` can hand the caller's generator
+    /// back, advanced past every draw made.
+    pub(crate) rng: Rng64,
     pos: u64,
 }
 
 impl RefStringCfg {
-    /// A streaming equivalent of [`RefStringCfg::generate`], seeded by
-    /// `seed` (the stream draws from `Rng64::new(seed)` in exactly the
-    /// order `generate` would).
+    /// The reference model as an endless stream drawing from
+    /// `Rng64::new(seed)`; [`RefStringCfg::generate`] is its prefix.
     ///
     /// # Panics
     ///
@@ -239,9 +243,8 @@ impl Iterator for RefStringStream {
     type Item = Access;
 
     fn next(&mut self) -> Option<Access> {
-        // Select the page exactly as the corresponding `generate` arm
-        // does, *then* roll the write fraction (the draw order is part
-        // of the replay contract).
+        // Select the page, *then* roll the write fraction (the draw
+        // order is part of the replay contract).
         let page = match self.regime {
             Regime::Uniform { pages } => self.rng.below(pages),
             Regime::LruStack {
@@ -250,9 +253,8 @@ impl Iterator for RefStringStream {
                 ref mut stack,
             } => {
                 let depth = self.rng.zipf(pages, theta) as usize;
-                let page = stack.remove(depth);
-                stack.insert(0, page);
-                page
+                stack[..=depth].rotate_right(1);
+                stack[0]
             }
             Regime::WorkingSetPhases {
                 set,
@@ -279,8 +281,9 @@ impl Iterator for RefStringStream {
             } => loop {
                 // `cursor < inner`: the inner pages, touched every
                 // iteration. `inner <= cursor < inner + outer`: the
-                // staggered outer candidates, of which only those with
-                // q % period == iter % period fire.
+                // outer candidates, staggered so that only those with
+                // q % period == iter % period fire (outer/period of
+                // them, rounded, per iteration).
                 if *cursor < inner {
                     let p = *cursor;
                     *cursor += 1;
@@ -298,14 +301,22 @@ impl Iterator for RefStringStream {
                 }
             },
             Regime::HotCold { hot, cold, p_hot } => {
-                if self.rng.chance(p_hot) {
+                // An empty set takes no references, whatever the roll
+                // says (the roll is still drawn: draw order is fixed).
+                let roll_hot = self.rng.chance(p_hot);
+                if cold == 0 || (roll_hot && hot > 0) {
                     self.rng.below(hot)
                 } else {
-                    hot + self.rng.below(cold.max(1))
+                    hot + self.rng.below(cold)
                 }
             }
         };
         Some(self.emit(page))
+    }
+
+    /// The stream never ends, so `take(len)` knows its exact length.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (usize::MAX, None)
     }
 }
 

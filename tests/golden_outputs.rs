@@ -15,10 +15,10 @@
 //! file (`./target/debug/<bin> --jobs 1 <extra args from GAUNTLET> >
 //! tests/golden/<bin>.txt`) and commit it so the diff is reviewable.
 //!
-//! The binaries live in `dsa-bench`, a different package, so
-//! `CARGO_BIN_EXE_*` is not available here; we locate them in the
-//! build tree relative to this test executable and fail loudly (not
-//! skip) if they are missing — CI builds them first.
+//! The binaries live in `dsa-bench`, a different package; `common`
+//! builds them on first use and fails loudly (not skips) if that fails.
+
+mod common;
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -37,24 +37,8 @@ const GAUNTLET: [(&str, &[&str]); 7] = [
     ("exp_22_tenant_sweep", &["--tenants", "1000"]),
 ];
 
-/// `target/<profile>/` for the build running this test: the test
-/// executable sits in `target/<profile>/deps/`, one level down.
-fn bin_dir() -> PathBuf {
-    let mut dir = std::env::current_exe().expect("test has a path");
-    dir.pop(); // the test executable itself
-    if dir.ends_with("deps") {
-        dir.pop();
-    }
-    dir
-}
-
 fn run(bin: &str, jobs: &str, extra: &[&str]) -> String {
-    let path = bin_dir().join(bin);
-    assert!(
-        path.exists(),
-        "{} not built — run `cargo build -p dsa-bench --bins` first (CI's golden job does)",
-        path.display()
-    );
+    let path = common::bin_path(bin);
     let out = Command::new(&path)
         .args(["--jobs", jobs])
         .args(extra)

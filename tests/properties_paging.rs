@@ -4,7 +4,8 @@ use dsa::core::ids::PageNo;
 use dsa::paging::paged::PagedMemory;
 use dsa::paging::replacement::ws::working_set_sim;
 use dsa::paging::{
-    AtlasLearning, ClassRandomRepl, ClockRepl, FifoRepl, LruRepl, MinRepl, RandomRepl, Replacer,
+    AtlasLearning, ClassRandomRepl, ClockRepl, FifoRepl, LfuRepl, LruRepl, MinRepl, RandomRepl,
+    Replacer,
 };
 use proptest::prelude::*;
 
@@ -129,6 +130,7 @@ proptest! {
 
 mod victim_parity {
     use super::*;
+    use dsa::core::advice::{Advice, AdviceUnit};
     use dsa::core::clock::VirtualTime;
     use dsa::core::ids::FrameNo;
     use dsa::paging::sensors::Sensors;
@@ -285,7 +287,255 @@ mod victim_parity {
         (stats.faults, seq)
     }
 
+    /// The pre-table LFU: counts in a `HashMap` keyed by frame (first
+    /// minimum wins).
+    struct MapLfu {
+        counts: HashMap<FrameNo, u64>,
+        age_every: u32,
+        decisions: u32,
+    }
+
+    impl Replacer for MapLfu {
+        fn loaded(&mut self, frame: FrameNo, _page: PageNo, _now: VirtualTime) {
+            self.counts.insert(frame, 1);
+        }
+
+        fn touched(&mut self, frame: FrameNo, _page: PageNo, _now: VirtualTime, _write: bool) {
+            *self.counts.entry(frame).or_insert(0) += 1;
+        }
+
+        fn victim(
+            &mut self,
+            eligible: &[FrameNo],
+            _sensors: &mut Sensors,
+            _now: VirtualTime,
+        ) -> FrameNo {
+            let victim = *eligible
+                .iter()
+                .min_by_key(|f| self.counts.get(f).copied().unwrap_or(0))
+                .expect("eligible is never empty");
+            self.decisions += 1;
+            if self.age_every > 0 && self.decisions >= self.age_every {
+                self.decisions = 0;
+                self.counts.values_mut().for_each(|c| *c /= 2);
+            }
+            victim
+        }
+
+        fn evicted(&mut self, frame: FrameNo) {
+            self.counts.remove(&frame);
+        }
+
+        fn hint_idle(&mut self, frame: FrameNo) {
+            self.counts.insert(frame, 0);
+        }
+
+        fn name(&self) -> &'static str {
+            "map-LFU"
+        }
+    }
+
+    /// The pre-table ATLAS learning program: one history map keyed by
+    /// page and updated on every use, a frame-keyed residency map, and
+    /// the two cases as two passes (last maximum wins in each).
+    struct MapAtlas {
+        history: HashMap<PageNo, (VirtualTime, VirtualTime)>,
+        resident: HashMap<FrameNo, PageNo>,
+        slack: VirtualTime,
+    }
+
+    impl MapAtlas {
+        fn note_use(&mut self, page: PageNo, now: VirtualTime) {
+            let (last_use, prev_gap) = self.history.entry(page).or_insert((now, 0));
+            let gap = now.saturating_sub(*last_use);
+            if gap > 0 {
+                *prev_gap = gap;
+            }
+            *last_use = now;
+        }
+    }
+
+    impl Replacer for MapAtlas {
+        fn loaded(&mut self, frame: FrameNo, page: PageNo, now: VirtualTime) {
+            self.resident.insert(frame, page);
+            self.note_use(page, now);
+        }
+
+        fn touched(&mut self, _frame: FrameNo, page: PageNo, now: VirtualTime, _write: bool) {
+            self.note_use(page, now);
+        }
+
+        fn victim(
+            &mut self,
+            eligible: &[FrameNo],
+            _sensors: &mut Sensors,
+            now: VirtualTime,
+        ) -> FrameNo {
+            let state = |f: &FrameNo| {
+                let page = self.resident.get(f);
+                let (last_use, prev_gap) = page
+                    .and_then(|p| self.history.get(p))
+                    .copied()
+                    .unwrap_or((0, 0));
+                (now.saturating_sub(last_use), prev_gap)
+            };
+            let out_of_use = eligible
+                .iter()
+                .filter(|f| {
+                    let (t, period) = state(f);
+                    t > period + self.slack
+                })
+                .max_by_key(|f| {
+                    let (t, period) = state(f);
+                    t - period
+                });
+            let last_required = eligible.iter().max_by_key(|f| {
+                let (t, period) = state(f);
+                period.saturating_sub(t)
+            });
+            *out_of_use
+                .or(last_required)
+                .expect("eligible is never empty")
+        }
+
+        fn evicted(&mut self, frame: FrameNo) {
+            self.resident.remove(&frame);
+        }
+
+        fn name(&self) -> &'static str {
+            "map-ATLAS"
+        }
+    }
+
+    /// One step of a scripted run: `(kind, page, flag, tick)`. Most
+    /// kinds are touches (`flag` = write); the rest are the five advice
+    /// directives and `retire_frame`. Reference time advances by `tick`
+    /// — 0 or 1 — so stamps repeat.
+    type Step = (u8, u64, bool, bool);
+
+    fn arb_script() -> impl Strategy<Value = Vec<Step>> {
+        prop::collection::vec((0u8..20, 0u64..24, any::<bool>(), any::<bool>()), 1..500)
+    }
+
+    /// Everything observable about a scripted run.
+    struct Observed {
+        /// Per step: what a touch returned (`None` = refused, all
+        /// pinned), what advice loaded and evicted, whether a frame
+        /// retired.
+        steps: Vec<String>,
+        victims: Vec<FrameNo>,
+        /// Faults, evictions, dirty evictions, prefetches, useful
+        /// prefetches, advised evictions.
+        stats: [u64; 6],
+    }
+
+    fn scripted_run(
+        frames: usize,
+        reserve: bool,
+        lookahead: bool,
+        script: &[Step],
+        policy: Box<dyn Replacer>,
+    ) -> Observed {
+        let victims = Arc::new(Mutex::new(Vec::new()));
+        let recorder = Recording {
+            inner: policy,
+            victims: Arc::clone(&victims),
+        };
+        let mut mem = PagedMemory::new(frames, Box::new(recorder));
+        if reserve {
+            mem = mem.with_vacant_reserve();
+        }
+        if lookahead {
+            mem = mem.with_lookahead();
+        }
+        let mut now = 0;
+        let mut steps = Vec::new();
+        for &(kind, page, flag, tick) in script {
+            let unit = AdviceUnit::Page(PageNo(page));
+            let advice = match kind {
+                0..=12 => {
+                    steps.push(format!("{:?}", mem.touch(PageNo(page), flag, now).ok()));
+                    None
+                }
+                13 => Some(Advice::Pin(unit)),
+                14 => Some(Advice::Unpin(unit)),
+                15 | 16 => Some(Advice::WontNeed(unit)),
+                17 => Some(Advice::WillNeed(unit)),
+                18 => Some(Advice::Release(unit)),
+                _ => {
+                    let frame = FrameNo(page % frames as u64);
+                    steps.push(format!("retired {}", mem.retire_frame(frame)));
+                    None
+                }
+            };
+            if let Some(advice) = advice {
+                let out = mem.advise(advice, now);
+                steps.push(format!("{:?} {:?}", out.loaded, out.evicted));
+            }
+            mem.check_invariants();
+            now += u64::from(tick);
+        }
+        let seq = victims.lock().unwrap().clone();
+        let s = mem.stats();
+        Observed {
+            steps,
+            victims: seq,
+            stats: [
+                s.faults,
+                s.evictions,
+                s.dirty_evictions,
+                s.prefetches,
+                s.useful_prefetches,
+                s.advised_evictions,
+            ],
+        }
+    }
+
     proptest! {
+        /// The list-threaded LRU, the table-backed LFU and the
+        /// resident/drum ATLAS each choose victim for victim what the
+        /// hashed model they replaced chooses, under repeated stamps,
+        /// pins, `hint_idle`, retired frames, the vacant reserve and
+        /// lookahead — and so every touch, load and eviction agrees.
+        #[test]
+        fn dense_policies_match_their_hashed_models(
+            script in arb_script(),
+            frames in 1usize..12,
+            reserve in any::<bool>(),
+            lookahead in any::<bool>(),
+            age_every in 0u32..6,
+            slack in 0u64..4,
+        ) {
+            let pairs: [(Box<dyn Replacer>, Box<dyn Replacer>); 3] = [
+                (Box::new(LruRepl::new()), Box::new(ScanLru::default())),
+                (
+                    Box::new(LfuRepl::with_aging(age_every)),
+                    Box::new(MapLfu { counts: HashMap::new(), age_every, decisions: 0 }),
+                ),
+                (
+                    Box::new(AtlasLearning::with_slack(slack)),
+                    Box::new(MapAtlas {
+                        history: HashMap::new(),
+                        resident: HashMap::new(),
+                        slack,
+                    }),
+                ),
+            ];
+            for (dense, hashed) in pairs {
+                let name = dense.name();
+                let got = scripted_run(frames, reserve, lookahead, &script, dense);
+                let want = scripted_run(frames, reserve, lookahead, &script, hashed);
+                let agree = got.steps.iter().zip(&want.steps).take_while(|(g, w)| g == w).count();
+                prop_assert!(
+                    agree == script.len(),
+                    "{}: step {} {:?} gave {}, the hashed model {}",
+                    name, agree, script[agree], got.steps[agree], want.steps[agree]
+                );
+                prop_assert_eq!(&got.victims, &want.victims, "{}: victims", name);
+                prop_assert_eq!(got.stats, want.stats, "{}: statistics", name);
+            }
+        }
+
         /// The indexed LRU chooses the same victim at every eviction as
         /// the plain scan it replaced.
         #[test]

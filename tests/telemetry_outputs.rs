@@ -18,12 +18,15 @@
 //!   `dsa_exec::cli::standard_flags` is only honest if every binary
 //!   actually routes through it.
 //!
-//! Like the golden-output gauntlet, binaries are located in the build
-//! tree relative to this test executable and missing ones fail loudly —
-//! CI builds `-p dsa-bench --bins` first.
+//! Like the golden-output gauntlet, the binaries come from `common`,
+//! which builds them on first use and fails loudly if that fails.
+
+mod common;
 
 use std::path::PathBuf;
 use std::process::Command;
+
+use common::{bin_dir, bin_path};
 
 /// Every experiment binary in `dsa-bench` — kept in sync by the loud
 /// failure below if one is missing, and by code review if one is added
@@ -50,27 +53,6 @@ const ALL_BINARIES: [&str; 20] = [
     "exp_18_concurrency",
     "exp_19_overload",
 ];
-
-/// `target/<profile>/` for the build running this test: the test
-/// executable sits in `target/<profile>/deps/`, one level down.
-fn bin_dir() -> PathBuf {
-    let mut dir = std::env::current_exe().expect("test has a path");
-    dir.pop(); // the test executable itself
-    if dir.ends_with("deps") {
-        dir.pop();
-    }
-    dir
-}
-
-fn bin_path(bin: &str) -> PathBuf {
-    let path = bin_dir().join(bin);
-    assert!(
-        path.exists(),
-        "{} not built — run `cargo build -p dsa-bench --bins` first (CI's golden job does)",
-        path.display()
-    );
-    path
-}
 
 /// Runs `bin` with `args`, asserts success, returns nothing — the
 /// interesting output is whatever `--metrics-out` wrote.

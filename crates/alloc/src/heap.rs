@@ -178,7 +178,7 @@ struct Counters {
     bad_frees: AtomicU64,
 }
 
-/// The three-layer heap. See the [module docs](self) for the layout.
+/// The three-layer heap. See the [crate docs](crate) for the layout.
 ///
 /// All methods take `&self`; the slab layer is lock-free, the large
 /// path locks one arena shard plus one side-table stripe, and the

@@ -689,7 +689,7 @@ impl ShardedArena {
         let mut owned_total = 0usize;
         for g in &guards {
             g.alloc.check_invariants();
-            owned_total += g.alloc.allocations_by_address().len();
+            owned_total += g.alloc.snapshot().live_allocs;
         }
         let mut homed_total = 0usize;
         for g in &guards {

@@ -82,13 +82,13 @@ fn alloc_churn(c: &mut Criterion) {
 
 /// The first-fit *search* isolated: an alloc/free pair against a field
 /// of ~1024 small splinter holes that the request does not fit, so the
-/// linear scan walks all of them and the segregated bins jump straight
-/// to the first adequate class. `TwoEnds {threshold: u64::MAX}` routes
-/// every request through its bottom-up scan — operationally identical
-/// to first-fit's linear scan and still in the tree — so the baseline
-/// and the indexed path can be raced in one binary on the same
-/// workload (the pair's placement, and the heap it leaves behind, are
-/// identical under both).
+/// linear scan walks all of them and first-fit skips every block of the
+/// hole table whose largest hole is too small. `TwoEnds {threshold:
+/// u64::MAX}` routes every request through its bottom-up scan —
+/// operationally identical to first-fit's linear scan and still in the
+/// tree — so the baseline and the block-skipping path can be raced in
+/// one binary on the same workload (the pair's placement, and the heap
+/// it leaves behind, are identical under both).
 fn first_fit_search(c: &mut Criterion) {
     fn fragmented(policy: Placement) -> FreeListAllocator {
         let mut a = FreeListAllocator::new(CAPACITY, policy);
@@ -113,7 +113,7 @@ fn first_fit_search(c: &mut Criterion) {
             addr
         })
     });
-    g.bench_function("segregated_bins", |b| {
+    g.bench_function("block_maxes", |b| {
         let mut a = fragmented(Placement::FirstFit);
         let mut id = 1u64 << 32;
         b.iter(|| {

@@ -1,18 +1,14 @@
 //! Size-class geometry, shared by every allocator that segregates by
 //! size.
 //!
-//! Three allocators in this workspace round requests into size classes:
-//! the segregated-fit simulator (`dsa-freelist`'s `SegregatedAllocator`),
-//! the first-fit hole bins behind the freelist's host-speed index, and
-//! the real slab heap (`dsa-alloc`). Before this module each carried its
-//! own copy of the class math; now the geometry lives here, once, and
-//! the parity property tests exercise a single definition.
+//! Two allocators in this workspace round requests into size classes:
+//! the segregated-fit simulator (`dsa-freelist`'s `SegregatedAllocator`)
+//! and the real slab heap (`dsa-alloc`). Before this module each carried
+//! its own copy of the class math; now the geometry lives here, once,
+//! and the parity property tests exercise a single definition.
 //!
-//! Three geometries are provided:
+//! Two geometries are provided:
 //!
-//! * [`log2_class`] — `floor(log2(size))`: the coarse bin used to
-//!   *index holes* (a hole of size `s` lands in bin `log2(s)`, so every
-//!   hole in bin `c+1` and above satisfies any request in bin `c`);
 //! * [`power_of_two_classes`] — the doubling ladder the segregated-fit
 //!   simulator rounds requests into;
 //! * [`SizeClasses`] — a jemalloc-style ladder with four classes per
@@ -20,24 +16,6 @@
 //!   fragmentation at ~20% while keeping the class count small.
 
 use crate::ids::Words;
-
-/// The segregated *bin* of a block: `floor(log2(size))`.
-///
-/// This is the indexing geometry, not a rounding geometry: a hole is
-/// filed under the power-of-two range it falls in, so a search for
-/// `size` words must inspect bin `log2_class(size)` (whose holes may be
-/// smaller than the request) and may take the first hole from any
-/// higher bin.
-///
-/// # Panics
-///
-/// Debug-asserts that `size` is positive (a zero-sized hole cannot
-/// exist).
-#[must_use]
-pub fn log2_class(size: Words) -> usize {
-    debug_assert!(size > 0);
-    size.ilog2() as usize
-}
 
 /// The doubling ladder `min, 2·min, 4·min, …` up to and including the
 /// first class `>= max` — the rounding geometry of the segregated-fit
@@ -226,16 +204,6 @@ impl SizeClasses {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn log2_class_is_floor_log2() {
-        assert_eq!(log2_class(1), 0);
-        assert_eq!(log2_class(2), 1);
-        assert_eq!(log2_class(3), 1);
-        assert_eq!(log2_class(4), 2);
-        assert_eq!(log2_class(1023), 9);
-        assert_eq!(log2_class(1024), 10);
-    }
 
     #[test]
     fn power_of_two_ladder_doubles_to_max() {

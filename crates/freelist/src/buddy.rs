@@ -7,10 +7,10 @@
 //! the next power of two). It serves as an ablation baseline between
 //! the pure free list and pure paging in experiments E5–E6.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use dsa_core::error::AllocError;
-use dsa_core::ids::{PhysAddr, Words};
+use dsa_core::ids::{IdMap, PhysAddr, Words};
 use dsa_probe::{EventKind, Probe, Stamp};
 
 /// Statistics for the buddy allocator.
@@ -38,7 +38,7 @@ pub struct BuddyAllocator {
     /// blocks of `1 << k` words.
     free: Vec<BTreeSet<u64>>,
     /// Live allocations: id -> (addr, order, requested size).
-    allocated: HashMap<u64, (u64, u32, Words)>,
+    allocated: IdMap<u64, (u64, u32, Words)>,
     stats: BuddyStats,
 }
 
@@ -57,7 +57,7 @@ impl BuddyAllocator {
         BuddyAllocator {
             capacity_log2,
             free,
-            allocated: HashMap::new(),
+            allocated: IdMap::default(),
             stats: BuddyStats::default(),
         }
     }

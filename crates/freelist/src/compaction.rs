@@ -51,18 +51,13 @@ impl CompactionReport {
 /// (safe for overlapping `memmove`-style slides).
 pub fn compact(
     a: &mut FreeListAllocator,
-    mut on_move: impl FnMut(u64, PhysAddr, PhysAddr, Words),
+    on_move: impl FnMut(u64, PhysAddr, PhysAddr, Words),
 ) -> CompactionReport {
     let largest_free_before = a.largest_free();
     let holes_before = a.hole_count() as u64;
-    let moves = a.pack_down();
-    let mut words_moved = 0;
-    for &(id, old, new, size) in &moves {
-        on_move(id, PhysAddr(old), PhysAddr(new), size);
-        words_moved += size;
-    }
+    let (blocks_moved, words_moved) = a.pack_down(on_move);
     CompactionReport {
-        blocks_moved: moves.len() as u64,
+        blocks_moved,
         words_moved,
         largest_free_before,
         largest_free_after: a.largest_free(),

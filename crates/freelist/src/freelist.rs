@@ -1,10 +1,9 @@
 //! The address-ordered free list and its placement strategies.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use dsa_core::error::AllocError;
-use dsa_core::ids::{PhysAddr, Words};
+use dsa_core::ids::{IdMap, PhysAddr, Words};
 use dsa_probe::{EventKind, Probe, Stamp};
 
 /// A placement strategy for variable-unit allocation.
@@ -125,54 +124,216 @@ pub struct AllocSnapshot {
 pub struct FreeListAllocator {
     capacity: Words,
     policy: Placement,
-    /// Free holes, keyed by start address.
-    free: BTreeMap<u64, Words>,
-    /// Free holes indexed by `(size, start address)`. A mirror of
-    /// `free` that lets best-fit and worst-fit *choose* a hole in
-    /// O(log n) host time; the modeled linear-scan search length the
-    /// paper's bookkeeping argument is about is still charged to
-    /// `stats.probes` (see `choose_hole`). Maintained only when the
-    /// policy consults it — the scanning policies must not pay for an
+    /// Free holes in address order: the one hole list every policy
+    /// searches, coalesces into and charges its modeled probes from.
+    holes: HoleTable,
+    /// Free holes indexed by `(size, start address)`, best-fit only. A
+    /// mirror of `holes` that lets it *choose* a hole in O(log n) host
+    /// time; the modeled linear-scan search length the paper's
+    /// bookkeeping argument is about is still charged to `stats.probes`
+    /// (see `choose_hole`). The other policies must not pay for an
     /// index they never read.
     by_size: BTreeSet<(Words, u64)>,
-    /// Hole start addresses in ascending order, best-fit and first-fit:
-    /// answers "how many holes precede this one" — the modeled probe
-    /// count at the point the scan would have stopped. A sorted-block
-    /// structure rather than one flat `Vec`: first-fit churns the low
-    /// end of the address space, and a flat vector would memmove nearly
-    /// every element on each of those inserts and removals.
-    hole_addrs: AddrRank,
-    /// Segregated size-class bins, first-fit only: `bins[c]` maps the
-    /// start address to the size of each hole whose size `s` satisfies
-    /// `s.ilog2() == c`. Finding the lowest-addressed adequate hole
-    /// inspects at most one bin per size class instead of the whole
-    /// hole list; the modeled linear-scan search length is still
-    /// charged via `hole_addrs` (see `choose_hole`).
-    bins: Vec<BTreeMap<u64, Words>>,
-    /// `bin_min[c]` is the lowest address in `bins[c]` (`u64::MAX` when
-    /// empty) — a flat mirror of each bin's `first()`, so the
-    /// higher-class walk in `choose_hole` reads an array instead of
-    /// descending a B-tree per populated class.
-    bin_min: Vec<u64>,
-    /// Bit `c` set iff `bins[c]` is nonempty — the bitmap-of-free-
-    /// classes word walked with `trailing_zeros` in `choose_hole`.
-    class_bitmap: u64,
     /// Opt-in exact-size quick lists (deferred coalescing): `None`
     /// unless [`FreeListAllocator::enable_quick_lists`] was called.
     quick: Option<QuickLists>,
-    /// Cached largest hole for the policies without the size index;
-    /// `None` after a removal that may have retired the maximum.
-    largest_cache: Cell<Option<Words>>,
     /// Live allocations: id -> (address, size).
-    allocated: HashMap<u64, (u64, Words)>,
-    /// Live allocations in address order, `(id, address, size)` —
-    /// rebuilt lazily (`None` after any mutation) and reused verbatim
-    /// across repeated queries, so back-to-back sorted views cost one
-    /// sort, not one per call, and the mutation hot path pays nothing.
-    sorted_allocs: RefCell<Option<Vec<(u64, u64, Words)>>>,
+    allocated: IdMap<u64, (u64, Words)>,
     /// Roving pointer for next-fit.
     rover: u64,
     stats: FreeListStats,
+}
+
+/// The hole list: `(start, size)` entries in ascending address order
+/// and their running word total. Entries live in sorted blocks of at
+/// most `2 * RANK_BLOCK`, so a structural edit memmoves one small
+/// block instead of the whole list, one binary search lands between a
+/// freed block's predecessor and successor, and `rank_le` — the
+/// modeled probe charge — sums whole-block counts up to the block
+/// holding the query. A split or a one-sided coalesce slides a hole's
+/// start or end within its own extent, which cannot change its rank:
+/// those are [`HoleTable::set`], an overwrite of one entry.
+#[derive(Clone, Debug, Default)]
+struct HoleTable {
+    /// Sorted, non-empty blocks; block `i+1`'s first hole starts after
+    /// block `i`'s last.
+    blocks: Vec<Vec<Hole>>,
+    /// `maxes[i]` is the size of the largest hole in `blocks[i]`:
+    /// first-fit skips the blocks that cannot hold a request, and the
+    /// largest hole of all is the largest of these.
+    maxes: Vec<Words>,
+    /// Number of holes.
+    len: usize,
+    /// Sum of the hole sizes.
+    words: Words,
+}
+
+/// A free hole: `(start address, size)`.
+type Hole = (u64, Words);
+
+/// Target block size for [`HoleTable`]; blocks split at twice this.
+const RANK_BLOCK: usize = 128;
+
+impl HoleTable {
+    /// `(block, index)` of the first hole starting at or after `addr`:
+    /// where a hole at `addr` is, or would be inserted. The block is
+    /// the last one starting at or below `addr`, so the index is past
+    /// its end when every hole in it starts below `addr`, and zero
+    /// only when no hole at all does.
+    fn seek(&self, addr: u64) -> (usize, usize) {
+        let i = self
+            .blocks
+            .partition_point(|b| b[0].0 <= addr)
+            .saturating_sub(1);
+        let j = self
+            .blocks
+            .get(i)
+            .map_or(0, |b| b.partition_point(|h| h.0 < addr));
+        (i, j)
+    }
+
+    /// Inserts `hole` at a position [`HoleTable::seek`] gave for its
+    /// start.
+    fn insert(&mut self, (i, j): (usize, usize), hole: Hole) {
+        if self.blocks.is_empty() {
+            self.blocks.push(Vec::new());
+            self.maxes.push(0);
+        }
+        let b = &mut self.blocks[i];
+        b.insert(j, hole);
+        self.maxes[i] = self.maxes[i].max(hole.1);
+        if b.len() > 2 * RANK_BLOCK {
+            let tail = b.split_off(b.len() / 2);
+            self.maxes[i] = Self::max_of(b);
+            self.maxes.insert(i + 1, Self::max_of(&tail));
+            self.blocks.insert(i + 1, tail);
+        }
+        self.len += 1;
+        self.words += hole.1;
+    }
+
+    /// Removes and returns the hole at `(i, j)`.
+    fn remove(&mut self, (i, j): (usize, usize)) -> Hole {
+        let hole = self.blocks[i].remove(j);
+        if self.blocks[i].is_empty() {
+            self.blocks.remove(i);
+            self.maxes.remove(i);
+        } else if hole.1 == self.maxes[i] {
+            self.maxes[i] = Self::max_of(&self.blocks[i]);
+        }
+        self.len -= 1;
+        self.words -= hole.1;
+        hole
+    }
+
+    /// Overwrites the hole at `(i, j)` in place. Only legal when no
+    /// other hole starts between the old start and the new one, so the
+    /// rank is unchanged — a hole sliding within its own extent.
+    fn set(&mut self, (i, j): (usize, usize), hole: Hole) {
+        let old = std::mem::replace(&mut self.blocks[i][j], hole);
+        self.words = self.words - old.1 + hole.1;
+        if hole.1 >= self.maxes[i] {
+            self.maxes[i] = hole.1;
+        } else if old.1 == self.maxes[i] {
+            self.maxes[i] = Self::max_of(&self.blocks[i]);
+        }
+    }
+
+    /// The size of the largest hole in `block`.
+    fn max_of(block: &[Hole]) -> Words {
+        block.iter().map(|h| h.1).max().unwrap_or(0)
+    }
+
+    /// The size of the largest hole, or 0 with none.
+    fn largest(&self) -> Words {
+        self.maxes.iter().copied().max().unwrap_or(0)
+    }
+
+    /// The lowest-addressed hole of at least `size` words and its rank
+    /// (holes starting at or below it), skipping the blocks whose
+    /// largest hole is too small.
+    fn first_fit(&self, size: Words) -> Option<(Hole, u64)> {
+        let mut before = 0;
+        for (b, &max) in self.blocks.iter().zip(&self.maxes) {
+            if max >= size {
+                let j = b.iter().position(|h| h.1 >= size)?;
+                return Some((b[j], (before + j + 1) as u64));
+            }
+            before += b.len();
+        }
+        None
+    }
+
+    /// Adds the hole `[addr, addr + size)`, merged with a predecessor
+    /// that ends at `addr` and a successor that starts at its end, and
+    /// returns the neighbours merged away. A one-sided merge overwrites
+    /// the neighbour's entry; only an isolated hole is a structural
+    /// insert, and only a two-sided merge a structural remove.
+    fn coalesce(&mut self, addr: u64, size: Words) -> (Option<Hole>, Option<Hole>) {
+        let (i, j) = self.seek(addr);
+        // Past this block's last hole, the successor heads the next.
+        let at = match self.blocks.get(i) {
+            Some(b) if j == b.len() && i + 1 < self.blocks.len() => (i + 1, 0),
+            _ => (i, j),
+        };
+        let pred = j.checked_sub(1).map(|p| self.blocks[i][p]);
+        let succ = self.blocks.get(at.0).and_then(|b| b.get(at.1)).copied();
+        debug_assert!(
+            pred.is_none_or(|p| p.0 + p.1 <= addr),
+            "overlapping free blocks"
+        );
+        let pred = pred.filter(|p| p.0 + p.1 == addr);
+        let succ = succ.filter(|s| s.0 == addr + size);
+        let merged = (
+            pred.map_or(addr, |p| p.0),
+            size + pred.map_or(0, |p| p.1) + succ.map_or(0, |s| s.1),
+        );
+        match (pred, succ) {
+            (None, None) => self.insert((i, j), merged),
+            (None, Some(_)) => self.set(at, merged),
+            (Some(_), None) => self.set((i, j - 1), merged),
+            (Some(_), Some(_)) => {
+                self.set((i, j - 1), merged);
+                self.remove(at);
+            }
+        }
+        (pred, succ)
+    }
+
+    /// How many holes start at or below `addr` — the rank of the hole
+    /// the scan stopped at, counting the holes scanned past plus
+    /// itself.
+    fn rank_le(&self, addr: u64) -> u64 {
+        let (i, j) = self.seek(addr);
+        let Some(b) = self.blocks.get(i) else {
+            return 0;
+        };
+        let before: usize = self.blocks[..i].iter().map(Vec::len).sum();
+        (before + j + usize::from(b.get(j).is_some_and(|h| h.0 == addr))) as u64
+    }
+
+    /// All holes in ascending address order.
+    fn iter(&self) -> impl DoubleEndedIterator<Item = Hole> + '_ {
+        self.blocks.iter().flatten().copied()
+    }
+
+    /// All holes, starting from the first at or after `addr` and
+    /// wrapping round to the ones below it — the roving scan.
+    fn iter_from(&self, addr: u64) -> impl Iterator<Item = Hole> + '_ {
+        let (i, j) = self.seek(addr);
+        let (below, above) = self
+            .blocks
+            .get(i)
+            .map_or((&[][..], &[][..]), |b| b.split_at(j));
+        let later = self.blocks.get(i + 1..).unwrap_or_default();
+        let earlier = &self.blocks[..i];
+        above
+            .iter()
+            .chain(later.iter().flatten())
+            .chain(earlier.iter().flatten())
+            .chain(below)
+            .copied()
+    }
 }
 
 /// Exact-size LIFO free lists in front of the coalescing hole list —
@@ -187,123 +348,6 @@ pub struct FreeListAllocator {
 /// This trades the paper's immediate-coalescing discipline for host
 /// speed, so it is strictly opt-in and never enabled in the modeled
 /// (golden) experiments; see DESIGN.md "Simulated cost vs host cost".
-/// An ordered multiset of hole start addresses supporting O(√n)
-/// insert, remove, and rank — the structure behind the modeled probe
-/// charge. Addresses live in sorted blocks of at most `2 * RANK_BLOCK`
-/// elements, so a mutation memmoves one small block instead of the
-/// whole address list, and `rank_le` sums whole-block counts until the
-/// block containing the query.
-#[derive(Clone, Debug, Default)]
-struct AddrRank {
-    /// Sorted, non-empty blocks; block `i+1`'s first element is greater
-    /// than block `i`'s last.
-    blocks: Vec<Vec<u64>>,
-}
-
-/// Target block size for [`AddrRank`]; blocks split at twice this.
-const RANK_BLOCK: usize = 128;
-
-impl AddrRank {
-    /// Index of the block that does (or would) contain `addr`.
-    fn block_for(&self, addr: u64) -> usize {
-        self.blocks
-            .partition_point(|b| b[0] <= addr)
-            .saturating_sub(1)
-    }
-
-    /// Inserts `addr` (addresses are unique: one hole per start).
-    fn insert(&mut self, addr: u64) {
-        if self.blocks.is_empty() {
-            self.blocks.push(vec![addr]);
-            return;
-        }
-        let i = self.block_for(addr);
-        let b = &mut self.blocks[i];
-        let j = b.partition_point(|&a| a < addr);
-        b.insert(j, addr);
-        if b.len() > 2 * RANK_BLOCK {
-            let tail = b.split_off(b.len() / 2);
-            self.blocks.insert(i + 1, tail);
-        }
-    }
-
-    /// Replaces `old` with `new` in place. Only legal when no stored
-    /// address lies between them, so the rank position is unchanged —
-    /// the hole-split and coalesce paths, where a hole's start slides
-    /// within its own extent. O(√n) search, zero memmove.
-    fn replace(&mut self, old: u64, new: u64) {
-        let i = self.block_for(old);
-        // Internal invariant: callers only replace an address they hold
-        // in the structure (the hole being split or merged).
-        #[allow(clippy::expect_used)]
-        let j = self.blocks[i]
-            .binary_search(&old)
-            .expect("replaced address is present");
-        #[cfg(debug_assertions)]
-        {
-            let b = &self.blocks[i];
-            #[allow(clippy::expect_used)] // blocks are never empty
-            let lo_ok = if j > 0 {
-                b[j - 1] < new
-            } else {
-                i == 0 || *self.blocks[i - 1].last().expect("blocks are non-empty") < new
-            };
-            let hi_ok = if j + 1 < b.len() {
-                new < b[j + 1]
-            } else {
-                i + 1 >= self.blocks.len() || new < self.blocks[i + 1][0]
-            };
-            debug_assert!(lo_ok && hi_ok, "replace would reorder");
-        }
-        self.blocks[i][j] = new;
-    }
-
-    /// Removes `addr` if present.
-    fn remove(&mut self, addr: u64) {
-        if self.blocks.is_empty() {
-            return;
-        }
-        let i = self.block_for(addr);
-        let b = &mut self.blocks[i];
-        if let Ok(j) = b.binary_search(&addr) {
-            b.remove(j);
-            if b.is_empty() {
-                self.blocks.remove(i);
-            }
-        }
-    }
-
-    /// How many stored addresses are `<= addr` — the rank of the hole
-    /// the scan stopped at, counting the holes scanned past plus
-    /// itself.
-    fn rank_le(&self, addr: u64) -> u64 {
-        let mut rank = 0u64;
-        for b in &self.blocks {
-            if b[0] > addr {
-                break;
-            }
-            // Internal invariant: empty blocks are removed on the spot.
-            #[allow(clippy::expect_used)]
-            if *b.last().expect("blocks are non-empty") <= addr {
-                rank += b.len() as u64;
-            } else {
-                rank += b.partition_point(|&a| a <= addr) as u64;
-                break;
-            }
-        }
-        rank
-    }
-
-    /// All addresses in ascending order.
-    fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.blocks.iter().flatten().copied()
-    }
-
-    fn clear(&mut self) {
-        self.blocks.clear();
-    }
-}
-
 #[derive(Clone, Debug)]
 struct QuickLists {
     /// Largest size eligible for parking.
@@ -329,109 +373,37 @@ impl FreeListAllocator {
         let mut a = FreeListAllocator {
             capacity,
             policy,
-            free: BTreeMap::new(),
+            holes: HoleTable::default(),
             by_size: BTreeSet::new(),
-            hole_addrs: AddrRank::default(),
-            bins: vec![BTreeMap::new(); 64],
-            bin_min: vec![u64::MAX; 64],
-            class_bitmap: 0,
             quick: None,
-            largest_cache: Cell::new(Some(0)),
-            allocated: HashMap::new(),
-            sorted_allocs: RefCell::new(None),
+            allocated: IdMap::default(),
             rover: 0,
             stats: FreeListStats::default(),
         };
-        a.free.insert(0, capacity);
+        a.holes.insert((0, 0), (0, capacity));
         a.index_insert(0, capacity);
         a
     }
 
-    /// The segregated size class of a hole: floor(log2(size)), the
-    /// shared indexing geometry from [`dsa_core::sizeclass`].
-    fn class_of(size: Words) -> usize {
-        dsa_core::sizeclass::log2_class(size)
+    /// Whether the policy keeps the `by_size` index.
+    fn indexes_sizes(&self) -> bool {
+        self.policy == Placement::BestFit
     }
 
-    /// Whether the policy maintains the `hole_addrs` rank structure
-    /// (the policies whose modeled probe charge is computed from it).
-    fn tracks_ranks(&self) -> bool {
-        matches!(self.policy, Placement::BestFit | Placement::FirstFit)
-    }
-
-    /// Records a hole in the policy's size-keyed structures (`by_size`,
-    /// the segregated bins, the largest-hole cache) — everything except
-    /// the rank structure, which the callers manage so the split and
-    /// coalesce paths can slide an address in place instead of paying a
-    /// remove + insert.
-    fn size_index_insert(&mut self, addr: u64, size: Words) {
-        match self.policy {
-            Placement::BestFit | Placement::WorstFit => {
-                self.by_size.insert((size, addr));
-            }
-            Placement::FirstFit => {
-                let c = Self::class_of(size);
-                self.bins[c].insert(addr, size);
-                self.bin_min[c] = self.bin_min[c].min(addr);
-                self.class_bitmap |= 1 << c;
-                if let Some(m) = self.largest_cache.get() {
-                    self.largest_cache.set(Some(m.max(size)));
-                }
-            }
-            _ => {
-                if let Some(m) = self.largest_cache.get() {
-                    self.largest_cache.set(Some(m.max(size)));
-                }
-            }
-        }
-    }
-
-    /// Drops a hole from the policy's size-keyed structures; see
-    /// [`FreeListAllocator::size_index_insert`].
-    fn size_index_remove(&mut self, addr: u64, size: Words) {
-        match self.policy {
-            Placement::BestFit | Placement::WorstFit => {
-                self.by_size.remove(&(size, addr));
-            }
-            Placement::FirstFit => {
-                let c = Self::class_of(size);
-                self.bins[c].remove(&addr);
-                if self.bins[c].is_empty() {
-                    self.class_bitmap &= !(1 << c);
-                    self.bin_min[c] = u64::MAX;
-                } else if self.bin_min[c] == addr {
-                    // Internal invariant: the branch above handles the
-                    // bin going empty.
-                    #[allow(clippy::expect_used)]
-                    {
-                        self.bin_min[c] = *self.bins[c].keys().next().expect("non-empty bin");
-                    }
-                }
-                if self.largest_cache.get() == Some(size) {
-                    self.largest_cache.set(None);
-                }
-            }
-            _ => {
-                if self.largest_cache.get() == Some(size) {
-                    self.largest_cache.set(None);
-                }
-            }
-        }
-    }
-
-    /// Records a hole in whatever secondary structure the policy needs.
+    /// Records a hole in the size index, for the policies that keep
+    /// one. The hole table itself is the callers' business, so the
+    /// split and coalesce paths can overwrite an entry in place.
     fn index_insert(&mut self, addr: u64, size: Words) {
-        self.size_index_insert(addr, size);
-        if self.tracks_ranks() {
-            self.hole_addrs.insert(addr);
+        if self.indexes_sizes() {
+            self.by_size.insert((size, addr));
         }
     }
 
-    /// Drops a hole from the policy's secondary structure.
+    /// Drops a hole from the size index; see
+    /// [`FreeListAllocator::index_insert`].
     fn index_remove(&mut self, addr: u64, size: Words) {
-        self.size_index_remove(addr, size);
-        if self.tracks_ranks() {
-            self.hole_addrs.remove(addr);
+        if self.indexes_sizes() {
+            self.by_size.remove(&(size, addr));
         }
     }
 
@@ -451,7 +423,7 @@ impl FreeListAllocator {
     /// lists — parked storage is free storage, merely uncoalesced).
     #[must_use]
     pub fn free_words(&self) -> Words {
-        self.free.values().sum::<Words>() + self.quick.as_ref().map_or(0, |q| q.words)
+        self.holes.words + self.quick_parked_words()
     }
 
     /// Words currently allocated.
@@ -466,55 +438,34 @@ impl FreeListAllocator {
         self.allocated_words() as f64 / self.capacity as f64
     }
 
-    /// The largest free hole, or 0 when storage is exhausted. Best-fit
-    /// and worst-fit answer from the size index; the scanning policies
-    /// answer from an incrementally maintained cache that a removal of
-    /// the maximal hole invalidates (next query rescans once).
+    /// The largest free hole, or 0 when storage is exhausted: the
+    /// largest of the hole table's per-block maxima.
     #[must_use]
     pub fn largest_free(&self) -> Words {
-        match self.policy {
-            Placement::BestFit | Placement::WorstFit => {
-                self.by_size.last().map_or(0, |&(size, _)| size)
-            }
-            _ => {
-                if let Some(m) = self.largest_cache.get() {
-                    m
-                } else {
-                    let m = self.free.values().copied().max().unwrap_or(0);
-                    self.largest_cache.set(Some(m));
-                    m
-                }
-            }
-        }
+        self.holes.largest()
     }
 
     /// Number of free holes.
     #[must_use]
     pub fn hole_count(&self) -> usize {
-        self.free.len()
+        self.holes.len
     }
 
     /// Iterates `(address, size)` over free holes in address order.
     pub fn holes(&self) -> impl Iterator<Item = (u64, Words)> + '_ {
-        self.free.iter().map(|(&a, &s)| (a, s))
+        self.holes.iter()
     }
 
-    /// Iterates `(id, address, size)` over live allocations in address
-    /// order. The sorted view is cached: only the first query after a
-    /// mutation sorts; repeated queries reuse it.
+    /// `(id, address, size)` of every live allocation, in address
+    /// order.
     #[must_use]
     pub fn allocations_by_address(&self) -> Vec<(u64, u64, Words)> {
-        let mut cache = self.sorted_allocs.borrow_mut();
-        if let Some(sorted) = cache.as_ref() {
-            return sorted.clone();
-        }
         let mut sorted: Vec<(u64, u64, Words)> = self
             .allocated
             .iter()
             .map(|(&id, &(addr, size))| (id, addr, size))
             .collect();
         sorted.sort_unstable_by_key(|&(_, addr, _)| addr);
-        *cache = Some(sorted.clone());
         sorted
     }
 
@@ -572,7 +523,6 @@ impl FreeListAllocator {
                     q.words -= size;
                     self.rover = addr + size;
                     self.allocated.insert(id, (addr, size));
-                    self.sorted_allocs.replace(None);
                     self.stats.allocs += 1;
                     return Ok(PhysAddr(addr));
                 }
@@ -593,37 +543,24 @@ impl FreeListAllocator {
                 largest_free: self.largest_free(),
             });
         };
-        self.free.remove(&hole_addr);
-        self.size_index_remove(hole_addr, hole_size);
-        let addr = if place_high {
-            // Two-ends large request: take the top of the hole; the
-            // remainder keeps its start address, so the rank structure
-            // (were it maintained for this policy) would be untouched.
-            let addr = hole_addr + hole_size - size;
-            if hole_size > size {
-                self.free.insert(hole_addr, hole_size - size);
-                self.size_index_insert(hole_addr, hole_size - size);
-            } else if self.tracks_ranks() {
-                self.hole_addrs.remove(hole_addr);
-            }
-            addr
+        self.index_remove(hole_addr, hole_size);
+        let at = self.holes.seek(hole_addr);
+        // Two-ends large requests take the top of the hole, everything
+        // else the bottom. Either way the remainder lies within the old
+        // hole's extent: same rank, one entry overwritten.
+        let (addr, rest) = if place_high {
+            (hole_addr + hole_size - size, hole_addr)
         } else {
-            if hole_size > size {
-                // The remainder's start slides within the old hole's
-                // extent: same rank, no remove + insert.
-                self.free.insert(hole_addr + size, hole_size - size);
-                self.size_index_insert(hole_addr + size, hole_size - size);
-                if self.tracks_ranks() {
-                    self.hole_addrs.replace(hole_addr, hole_addr + size);
-                }
-            } else if self.tracks_ranks() {
-                self.hole_addrs.remove(hole_addr);
-            }
-            hole_addr
+            (hole_addr, hole_addr + size)
         };
+        if hole_size > size {
+            self.holes.set(at, (rest, hole_size - size));
+            self.index_insert(rest, hole_size - size);
+        } else {
+            self.holes.remove(at);
+        }
         self.rover = addr + size;
         self.allocated.insert(id, (addr, size));
-        self.sorted_allocs.replace(None);
         self.stats.allocs += 1;
         Ok(PhysAddr(addr))
     }
@@ -664,8 +601,12 @@ impl FreeListAllocator {
     ///
     /// Returns [`AllocError::UnknownUnit`] if `id` is not live.
     pub fn free(&mut self, id: u64) -> Result<(), AllocError> {
+        self.release(id).map(drop)
+    }
+
+    /// [`FreeListAllocator::free`], returning the words released.
+    fn release(&mut self, id: u64) -> Result<Words, AllocError> {
         let (addr, size) = self.allocated.remove(&id).ok_or(AllocError::UnknownUnit)?;
-        self.sorted_allocs.replace(None);
         self.stats.frees += 1;
         // Quick-fit fast path: park small blocks uncoalesced, up to the
         // per-size depth cap.
@@ -673,11 +614,11 @@ impl FreeListAllocator {
             if size <= q.max_size && q.lists[size as usize].len() < q.depth {
                 q.lists[size as usize].push(addr);
                 q.words += size;
-                return Ok(());
+                return Ok(size);
             }
         }
         self.insert_free(addr, size);
-        Ok(())
+        Ok(size)
     }
 
     /// [`FreeListAllocator::free`] with event emission: a successful
@@ -692,62 +633,21 @@ impl FreeListAllocator {
         at: Stamp,
         probe: &mut P,
     ) -> Result<(), AllocError> {
-        let size = self.allocated.get(&id).map(|&(_, s)| s);
-        let r = self.free(id);
-        if r.is_ok() {
-            probe.emit(
-                EventKind::Free {
-                    words: size.unwrap_or(0),
-                },
-                at,
-            );
-        }
-        r
+        let words = self.release(id)?;
+        probe.emit(EventKind::Free { words }, at);
+        Ok(())
     }
 
     /// Inserts a free hole, merging with adjacent holes.
-    fn insert_free(&mut self, mut addr: u64, mut size: Words) {
-        // Whether the final hole's start address is already present in
-        // the rank structure (true after a predecessor merge: the
-        // merged hole keeps the predecessor's start).
-        let mut rank_present = false;
-        // Merge with predecessor.
-        if let Some((&paddr, &psize)) = self.free.range(..addr).next_back() {
-            debug_assert!(paddr + psize <= addr, "overlapping free blocks");
-            if paddr + psize == addr {
-                self.free.remove(&paddr);
-                self.size_index_remove(paddr, psize);
-                addr = paddr;
-                size += psize;
-                rank_present = true;
-                self.stats.coalesces += 1;
-            }
+    fn insert_free(&mut self, addr: u64, size: Words) {
+        let (pred, succ) = self.holes.coalesce(addr, size);
+        let mut merged = (addr, size);
+        for (haddr, hsize) in pred.into_iter().chain(succ) {
+            self.index_remove(haddr, hsize);
+            merged = (merged.0.min(haddr), merged.1 + hsize);
+            self.stats.coalesces += 1;
         }
-        // Merge with successor.
-        if let Some((&saddr, &ssize)) = self.free.range(addr + size..).next() {
-            if addr + size == saddr {
-                self.free.remove(&saddr);
-                self.size_index_remove(saddr, ssize);
-                size += ssize;
-                self.stats.coalesces += 1;
-                if self.tracks_ranks() {
-                    if rank_present {
-                        self.hole_addrs.remove(saddr);
-                    } else {
-                        // The merged hole inherits the successor's rank
-                        // slot: its start slides down within the merged
-                        // extent.
-                        self.hole_addrs.replace(saddr, addr);
-                        rank_present = true;
-                    }
-                }
-            }
-        }
-        self.free.insert(addr, size);
-        self.size_index_insert(addr, size);
-        if self.tracks_ranks() && !rank_present {
-            self.hole_addrs.insert(addr);
-        }
+        self.index_insert(merged.0, merged.1);
     }
 
     /// Chooses a hole per the placement policy. Returns
@@ -755,64 +655,21 @@ impl FreeListAllocator {
     fn choose_hole(&mut self, size: Words) -> Option<(u64, Words, bool)> {
         match self.policy {
             Placement::FirstFit => {
-                // Segregated-bin lookup: first-fit wants the lowest-
-                // addressed adequate hole. In the request's own (floor)
-                // class, holes may be smaller than the request, so that
-                // bin is scanned in address order for the first that
-                // fits; in any strictly higher class every hole fits
-                // (its size is at least 2^(c+1) > size), so only each
-                // such bin's minimum address competes. The candidate
-                // with the lowest address overall is exactly the hole
-                // the address-ordered scan finds.
-                let c = Self::class_of(size);
-                // Higher classes first: their minimum addresses are one
-                // `first()` away and need no size check, and the best of
-                // them caps the floor-bin scan below.
-                let mask = if c + 1 >= 64 { 0 } else { !0u64 << (c + 1) };
-                let mut higher = self.class_bitmap & mask;
-                let mut cap = u64::MAX;
-                while higher != 0 {
-                    let k = higher.trailing_zeros() as usize;
-                    higher &= higher - 1;
-                    cap = cap.min(self.bin_min[k]);
-                }
-                // Floor bin, address order: the first fitting hole wins
-                // — but once addresses pass `cap`, the higher-class
-                // candidate is the lower-addressed adequate hole no
-                // matter what the rest of this bin holds.
-                let mut chosen: Option<(u64, Words)> = None;
-                for (&addr, &hsize) in &self.bins[c] {
-                    if cap < addr {
-                        break;
-                    }
-                    if hsize >= size {
-                        chosen = Some((addr, hsize));
-                        break;
-                    }
-                }
-                if chosen.is_none() && cap != u64::MAX {
-                    let hsize = self.free.get(&cap).copied().unwrap_or(0);
-                    chosen = Some((cap, hsize));
-                }
-                // The *modeled* cost stays the address-ordered scan's:
+                // The lowest-addressed adequate hole, found by skipping
+                // every block whose largest hole is too small. The
+                // *modeled* cost stays the address-ordered scan's:
                 // every hole up to and including the chosen one, or the
                 // whole list on failure.
-                self.stats.probes += match chosen {
-                    Some((addr, _)) => self.hole_addrs.rank_le(addr),
-                    None => self.free.len() as u64,
-                };
-                chosen.map(|(a, s)| (a, s, false))
+                let found = self.holes.first_fit(size);
+                self.stats.probes += found.map_or(self.holes.len as u64, |(_, rank)| rank);
+                found.map(|((addr, hsize), _)| (addr, hsize, false))
             }
-            Placement::NextFit => {
-                let rover = self.rover;
-                for (&addr, &hsize) in self.free.range(rover..).chain(self.free.range(..rover)) {
-                    self.stats.probes += 1;
-                    if hsize >= size {
-                        return Some((addr, hsize, false));
-                    }
-                }
-                None
-            }
+            Placement::NextFit => Self::scan(
+                &mut self.stats,
+                self.holes.iter_from(self.rover),
+                size,
+                false,
+            ),
             Placement::BestFit => {
                 // Index lookup: the smallest adequate size class, lowest
                 // address within it — exactly the hole the address-order
@@ -826,45 +683,46 @@ impl FreeListAllocator {
                 // hole when the exact-fit exit would have fired there,
                 // the whole list otherwise (including on failure).
                 self.stats.probes += match chosen {
-                    Some((addr, hsize)) if hsize == size => self.hole_addrs.rank_le(addr),
-                    _ => self.free.len() as u64,
+                    Some((addr, hsize)) if hsize == size => self.holes.rank_le(addr),
+                    _ => self.holes.len as u64,
                 };
                 chosen.map(|(a, s)| (a, s, false))
             }
             Placement::WorstFit => {
-                // Index lookup: the largest size class, lowest address
-                // within it — the hole the full scan's first-strict-
-                // maximum rule chooses. The scan has no early exit, so
-                // the modeled cost is always the whole list.
-                self.stats.probes += self.free.len() as u64;
-                let largest = self.by_size.last().map(|&(hsize, _)| hsize);
-                largest.filter(|&hsize| hsize >= size).and_then(|hsize| {
-                    self.by_size
-                        .range((hsize, 0)..)
-                        .next()
-                        .map(|&(_, addr)| (addr, hsize, false))
-                })
+                // The largest hole, lowest address among equals — the
+                // hole the full scan's first-strict-maximum rule
+                // chooses — is the first fit for its own size. The scan
+                // has no early exit, so the modeled cost is always the
+                // whole list.
+                self.stats.probes += self.holes.len as u64;
+                let largest = self.largest_free();
+                let found = self.holes.first_fit(largest.max(size));
+                found.map(|((addr, hsize), _)| (addr, hsize, false))
             }
             Placement::TwoEnds { threshold } => {
                 if size < threshold {
-                    for (&addr, &hsize) in &self.free {
-                        self.stats.probes += 1;
-                        if hsize >= size {
-                            return Some((addr, hsize, false));
-                        }
-                    }
-                    None
+                    Self::scan(&mut self.stats, self.holes.iter(), size, false)
                 } else {
-                    for (&addr, &hsize) in self.free.iter().rev() {
-                        self.stats.probes += 1;
-                        if hsize >= size {
-                            return Some((addr, hsize, true));
-                        }
-                    }
-                    None
+                    Self::scan(&mut self.stats, self.holes.iter().rev(), size, true)
                 }
             }
         }
+    }
+
+    /// The linear scan itself: walks `holes` to the first that fits,
+    /// charging one probe per hole examined.
+    fn scan(
+        stats: &mut FreeListStats,
+        mut holes: impl Iterator<Item = Hole>,
+        size: Words,
+        place_high: bool,
+    ) -> Option<(u64, Words, bool)> {
+        holes
+            .find(|&(_, hsize)| {
+                stats.probes += 1;
+                hsize >= size
+            })
+            .map(|(addr, hsize)| (addr, hsize, place_high))
     }
 
     /// Enables exact-size quick lists (deferred coalescing) for sizes
@@ -938,43 +796,50 @@ impl FreeListAllocator {
         }
     }
 
+    /// Empties the hole table and everything derived from it — the
+    /// first step of rebuilding the free store from the live book.
+    fn clear_holes(&mut self) {
+        self.holes = HoleTable::default();
+        self.by_size.clear();
+        self.clear_quick_lists();
+    }
+
     /// Slides every allocation toward address zero, preserving address
-    /// order, leaving a single hole at the top of storage. Returns
-    /// `(id, old address, new address, size)` for each block that moved,
-    /// in the order the moves must be performed (ascending addresses, so
-    /// overlapping slides are safe).
-    pub(crate) fn pack_down(&mut self) -> Vec<(u64, u64, u64, Words)> {
-        let blocks = self.allocations_by_address();
-        let mut moves = Vec::new();
-        let mut cursor = 0u64;
-        let mut packed = Vec::with_capacity(blocks.len());
-        for (id, addr, size) in blocks {
+    /// order, leaving a single hole at the top of storage. Reports each
+    /// block that moved to `on_move` as `(id, old address, new address,
+    /// size)`, in the order the moves must be performed (ascending
+    /// addresses, so overlapping slides are safe), and returns
+    /// `(blocks moved, words moved)`.
+    pub(crate) fn pack_down(
+        &mut self,
+        mut on_move: impl FnMut(u64, PhysAddr, PhysAddr, Words),
+    ) -> (u64, Words) {
+        // One sort over the book's own slots: the new addresses are
+        // written through them, nothing is cloned or re-inserted.
+        let mut slots: Vec<(u64, u64, &mut (u64, Words))> = self
+            .allocated
+            .iter_mut()
+            .map(|(&id, block)| (block.0, id, block))
+            .collect();
+        slots.sort_unstable_by_key(|slot| slot.0);
+        let (mut cursor, mut blocks_moved, mut words_moved) = (0u64, 0u64, 0);
+        for (addr, id, block) in slots {
+            let size = block.1;
             if addr != cursor {
                 debug_assert!(cursor < addr, "pack_down must slide downwards");
-                self.allocated.insert(id, (cursor, size));
-                moves.push((id, addr, cursor, size));
+                block.0 = cursor;
+                on_move(id, PhysAddr(addr), PhysAddr(cursor), size);
+                blocks_moved += 1;
+                words_moved += size;
             }
-            packed.push((id, cursor, size));
             cursor += size;
         }
-        // The packed layout *is* the new sorted view.
-        self.sorted_allocs.replace(Some(packed));
-        self.free.clear();
-        self.by_size.clear();
-        self.hole_addrs.clear();
-        for bin in &mut self.bins {
-            bin.clear();
-        }
-        self.bin_min.fill(u64::MAX);
-        self.class_bitmap = 0;
-        self.clear_quick_lists();
-        self.largest_cache.set(Some(0));
+        self.clear_holes();
         if cursor < self.capacity {
-            self.free.insert(cursor, self.capacity - cursor);
-            self.index_insert(cursor, self.capacity - cursor);
+            self.insert_free(cursor, self.capacity - cursor);
         }
         self.rover = cursor;
-        moves
+        (blocks_moved, words_moved)
     }
 
     /// Verifies internal invariants; used by tests and property tests.
@@ -1003,7 +868,10 @@ impl FreeListAllocator {
     pub fn audit(&self) -> Result<(), String> {
         // Free holes: in-bounds, disjoint, non-adjacent.
         let mut prev_end: Option<u64> = None;
-        for (&addr, &size) in &self.free {
+        let (mut hole_count, mut hole_words) = (0usize, 0);
+        for (addr, size) in self.holes.iter() {
+            hole_count += 1;
+            hole_words += size;
             if size == 0 {
                 return Err(format!("zero-size hole at {addr}"));
             }
@@ -1016,6 +884,16 @@ impl FreeListAllocator {
                 }
             }
             prev_end = Some(addr + size);
+        }
+        // The table's running totals, recomputed from its entries.
+        if (hole_count, hole_words) != (self.holes.len, self.holes.words) {
+            return Err(format!(
+                "hole table totals out of step: {hole_count} holes of {hole_words} words counted, {} of {} recorded",
+                self.holes.len, self.holes.words
+            ));
+        }
+        if self.holes.blocks.iter().any(Vec::is_empty) {
+            return Err("empty block in the hole table".to_string());
         }
         // Quick lists: parked blocks sized by their list, words
         // accounted exactly, every block in bounds.
@@ -1051,9 +929,9 @@ impl FreeListAllocator {
                 .collect()
         });
         let mut regions: Vec<(u64, u64)> = self
-            .free
+            .holes
             .iter()
-            .map(|(&a, &s)| (a, a + s))
+            .map(|(a, s)| (a, a + s))
             .chain(self.allocated.values().map(|&(a, s)| (a, a + s)))
             .chain(quick_regions)
             .collect();
@@ -1072,82 +950,25 @@ impl FreeListAllocator {
                 self.capacity
             ));
         }
-        // The secondary structures mirror the hole list exactly.
-        match self.policy {
-            Placement::BestFit | Placement::WorstFit => {
-                if self.by_size.len() != self.free.len() {
-                    return Err("size index out of step".to_string());
-                }
-                for (&addr, &size) in &self.free {
-                    if !self.by_size.contains(&(size, addr)) {
-                        return Err(format!("hole at {addr} missing from size index"));
-                    }
-                }
-                if self.policy == Placement::BestFit
-                    && !self.hole_addrs.iter().eq(self.free.keys().copied())
-                {
-                    return Err("rank structure out of step with the hole list".to_string());
-                }
-            }
-            Placement::FirstFit => {
-                if let Some(m) = self.largest_cache.get() {
-                    let actual = self.free.values().copied().max().unwrap_or(0);
-                    if m != actual {
-                        return Err(format!("stale largest-hole cache: {m} vs {actual}"));
-                    }
-                }
-                if !self.hole_addrs.iter().eq(self.free.keys().copied()) {
-                    return Err("rank structure out of step with the hole list".to_string());
-                }
-                let binned: usize = self.bins.iter().map(BTreeMap::len).sum();
-                if binned != self.free.len() {
-                    return Err(format!(
-                        "segregated bins out of step: {binned} binned, {} holes",
-                        self.free.len()
-                    ));
-                }
-                for (&addr, &size) in &self.free {
-                    if self.bins[Self::class_of(size)].get(&addr) != Some(&size) {
-                        return Err(format!("hole at {addr} missing from its size-class bin"));
-                    }
-                }
-                for (c, bin) in self.bins.iter().enumerate() {
-                    if (self.class_bitmap & (1 << c) != 0) == bin.is_empty() {
-                        return Err(format!("class bitmap out of step at class {c}"));
-                    }
-                    let min = bin.keys().next().copied().unwrap_or(u64::MAX);
-                    if self.bin_min[c] != min {
-                        return Err(format!("stale bin-min cache at class {c}"));
-                    }
-                }
-            }
-            _ => {
-                if let Some(m) = self.largest_cache.get() {
-                    let actual = self.free.values().copied().max().unwrap_or(0);
-                    if m != actual {
-                        return Err(format!("stale largest-hole cache: {m} vs {actual}"));
-                    }
-                }
-            }
+        let maxes = self.holes.blocks.iter().map(|b| HoleTable::max_of(b));
+        if !maxes.eq(self.holes.maxes.iter().copied()) {
+            return Err("stale per-block largest-hole summary".to_string());
         }
-        // A cached sorted view, when present, mirrors the id map.
-        if let Some(sorted) = self.sorted_allocs.borrow().as_ref() {
-            if sorted.len() != self.allocated.len() {
-                return Err("stale sorted view".to_string());
+        // The size index mirrors the hole list exactly.
+        if self.indexes_sizes() {
+            if self.by_size.len() != hole_count {
+                return Err("size index out of step".to_string());
             }
-            for &(id, addr, size) in sorted {
-                if self.allocated.get(&id) != Some(&(addr, size)) {
-                    return Err(format!("allocation {id} stale in sorted view"));
+            for (addr, size) in self.holes.iter() {
+                if !self.by_size.contains(&(size, addr)) {
+                    return Err(format!("hole at {addr} missing from size index"));
                 }
-            }
-            if !sorted.windows(2).all(|w| w[0].1 < w[1].1) {
-                return Err("sorted view out of order".to_string());
             }
         }
         Ok(())
     }
 
-    /// Rebuilds the hole list, the policy indexes, and every cache from
+    /// Rebuilds the hole list and everything derived from it from
     /// the live-allocation book alone, discarding whatever (possibly
     /// corrupt) free-list state was there. Returns the free words after
     /// the rebuild.
@@ -1162,28 +983,16 @@ impl FreeListAllocator {
     pub fn rebuild_from_live(&mut self) -> Words {
         let mut blocks: Vec<(u64, Words)> = self.allocated.values().copied().collect();
         blocks.sort_unstable_by_key(|&(addr, _)| addr);
-        self.free.clear();
-        self.by_size.clear();
-        self.hole_addrs.clear();
-        for bin in &mut self.bins {
-            bin.clear();
-        }
-        self.bin_min.fill(u64::MAX);
-        self.class_bitmap = 0;
-        self.clear_quick_lists();
-        self.largest_cache.set(Some(0));
-        self.sorted_allocs.replace(None);
+        self.clear_holes();
         let mut cursor = 0u64;
         for &(addr, size) in &blocks {
             if addr > cursor {
-                self.free.insert(cursor, addr - cursor);
-                self.index_insert(cursor, addr - cursor);
+                self.insert_free(cursor, addr - cursor);
             }
             cursor = addr + size;
         }
         if cursor < self.capacity {
-            self.free.insert(cursor, self.capacity - cursor);
-            self.index_insert(cursor, self.capacity - cursor);
+            self.insert_free(cursor, self.capacity - cursor);
         }
         self.rover = 0;
         self.free_words()
@@ -1197,19 +1006,21 @@ impl FreeListAllocator {
     /// allocated storage.
     #[doc(hidden)]
     pub fn corrupt_free_list_for_chaos(&mut self) {
-        if let Some((&addr, &size)) = self.free.iter().next() {
+        let first = self.holes.iter().next();
+        if let Some((addr, size)) = first {
             self.index_remove(addr, size);
-            self.free.remove(&addr);
             if size > 1 {
                 // Shrink the hole by one word: conservation now fails.
-                self.free.insert(addr, size - 1);
+                self.holes.set((0, 0), (addr, size - 1));
                 self.index_insert(addr, size - 1);
+            } else {
+                // The hole vanishes entirely — also a leak.
+                self.holes.remove((0, 0));
             }
-            // size == 1: the hole vanishes entirely — also a leak.
         } else {
             // Saturated shard: fabricate a hole overlapping an
             // allocation.
-            self.free.insert(0, 1);
+            self.holes.insert((0, 0), (0, 1));
             self.index_insert(0, 1);
         }
     }
@@ -1241,6 +1052,7 @@ mod tests {
             Placement::BestFit,
             Placement::WorstFit,
             Placement::NextFit,
+            Placement::TwoEnds { threshold: 64 },
         ] {
             let mut a = FreeListAllocator::new(400, policy);
             a.alloc(1, 50).unwrap();
@@ -1256,6 +1068,32 @@ mod tests {
             // The healed allocator still places and frees correctly.
             a.alloc(4, 60).unwrap();
             a.free(1).unwrap();
+            a.check_invariants();
+        }
+    }
+
+    /// Seeded mutants of the hole table's running totals and per-block
+    /// maxima: `audit` recomputes each from the entries, and a rebuild
+    /// from the live book resets them.
+    #[test]
+    fn audit_rejects_stale_table_totals() {
+        type Mutant = fn(&mut HoleTable);
+        let mutants: [(Mutant, &str); 3] = [
+            (|t| t.words += 1, "totals out of step"),
+            (|t| t.len += 1, "totals out of step"),
+            (|t| t.maxes[0] += 1, "largest-hole summary"),
+        ];
+        for (mutate, why) in mutants {
+            let mut a = FreeListAllocator::new(400, Placement::NextFit);
+            a.alloc(1, 50).unwrap();
+            a.alloc(2, 60).unwrap();
+            a.alloc(3, 70).unwrap();
+            a.free(2).unwrap();
+            assert!(a.audit().is_ok());
+            mutate(&mut a.holes);
+            let err = a.audit().unwrap_err();
+            assert!(err.contains(why), "{err}");
+            assert_eq!(a.rebuild_from_live(), 400 - 50 - 70);
             a.check_invariants();
         }
     }
@@ -1479,7 +1317,7 @@ mod probe_tests {
     }
 
     /// A first-fit scan over the hole list, straight from the paper:
-    /// the reference the segregated bins must agree with.
+    /// the reference the block-skipping search must agree with.
     fn first_fit_reference(a: &FreeListAllocator, size: Words) -> (Option<u64>, u64) {
         let holes: Vec<(u64, Words)> = a.holes().collect();
         for (i, &(addr, hsize)) in holes.iter().enumerate() {
@@ -1491,7 +1329,7 @@ mod probe_tests {
     }
 
     #[test]
-    fn segregated_first_fit_matches_linear_scan_under_churn() {
+    fn first_fit_matches_linear_scan_under_churn() {
         let mut a = FreeListAllocator::new(8192, Placement::FirstFit);
         let mut x = 0x9e3779b97f4a7c15u64;
         let mut step = move || {
@@ -1511,7 +1349,7 @@ mod probe_tests {
                         assert_eq!(Some(addr.value()), want_addr, "placement diverged");
                         live.push(id);
                     }
-                    Err(_) => assert!(want_addr.is_none(), "scan found a hole the bins missed"),
+                    Err(_) => assert!(want_addr.is_none(), "scan found a hole the search missed"),
                 }
                 assert_eq!(
                     a.stats().probes - before,
@@ -1609,8 +1447,212 @@ mod probe_tests {
         a.check_invariants();
         a.free(5).unwrap();
         assert!(a.quick_parked_words() > 0);
-        let _ = a.pack_down();
+        let _ = a.pack_down(|_, _, _, _| {});
         assert_eq!(a.quick_parked_words(), 0);
         a.check_invariants();
+    }
+}
+
+/// The hole table against a `BTreeMap` of the same holes.
+#[cfg(test)]
+mod hole_table_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Addresses the random phase draws from.
+    const SPACE: u64 = 4096;
+    /// One-word holes the fill phase plants, three words apart so none
+    /// coalesce: more than `2 * RANK_BLOCK`, so blocks must split.
+    const PLANTED: u64 = 701;
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        /// Release `[addr, addr + size)`, unless it overlaps a hole.
+        Release(u64, Words),
+        /// Release up to `size` words of the gap that ends at the `nth`
+        /// hole's start, or of the one that starts at its end: a merge
+        /// on that side, and on both when the gap is filled.
+        Beside {
+            nth: usize,
+            size: Words,
+            after: bool,
+        },
+        /// Carve `amount` words off the `nth` hole, from its low end or
+        /// its high end: an in-place slide, or a removal when nothing
+        /// is left.
+        Carve {
+            nth: usize,
+            amount: Words,
+            high: bool,
+        },
+    }
+
+    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+        prop::collection::vec(
+            prop_oneof![
+                (0..SPACE, 1u64..24).prop_map(|(addr, size)| Op::Release(addr, size)),
+                (0usize..1024, 1u64..4, any::<bool>()).prop_map(|(nth, size, after)| Op::Beside {
+                    nth,
+                    size,
+                    after
+                }),
+                (0usize..1024, 1u64..24, any::<bool>()).prop_map(|(nth, amount, high)| Op::Carve {
+                    nth,
+                    amount,
+                    high
+                }),
+            ],
+            1..300,
+        )
+    }
+
+    /// The coalescing release on the model; returns the neighbours
+    /// merged away, as [`HoleTable::coalesce`] does.
+    fn model_release(
+        model: &mut BTreeMap<u64, Words>,
+        addr: u64,
+        size: Words,
+    ) -> (Option<Hole>, Option<Hole>) {
+        let pred = model.range(..addr).next_back().map(|(&a, &s)| (a, s));
+        let pred = pred.filter(|p| p.0 + p.1 == addr);
+        let succ = model.get(&(addr + size)).map(|&s| (addr + size, s));
+        let mut merged = (addr, size);
+        for hole in pred.iter().chain(&succ) {
+            model.remove(&hole.0);
+            merged = (merged.0.min(hole.0), merged.1 + hole.1);
+        }
+        model.insert(merged.0, merged.1);
+        (pred, succ)
+    }
+
+    /// Every answer the table gives, against the model's; `q` seeds the
+    /// rank query, the rover and the first-fit request.
+    fn check(table: &HoleTable, model: &BTreeMap<u64, Words>, q: u64) -> Result<(), String> {
+        let holes: Vec<Hole> = model.iter().map(|(&a, &s)| (a, s)).collect();
+        prop_assert_eq!(table.iter().collect::<Vec<_>>(), holes.clone());
+        let backwards: Vec<Hole> = holes.iter().rev().copied().collect();
+        prop_assert_eq!(table.iter().rev().collect::<Vec<_>>(), backwards);
+        prop_assert_eq!(table.len, holes.len());
+        prop_assert_eq!(table.words, holes.iter().map(|h| h.1).sum::<Words>());
+        prop_assert_eq!(
+            table.largest(),
+            holes.iter().map(|h| h.1).max().unwrap_or(0)
+        );
+        prop_assert!(table
+            .blocks
+            .iter()
+            .all(|b| !b.is_empty() && b.len() <= 2 * RANK_BLOCK));
+        let maxes: Vec<Words> = table.blocks.iter().map(|b| HoleTable::max_of(b)).collect();
+        prop_assert_eq!(&table.maxes, &maxes);
+        prop_assert_eq!(table.rank_le(q), model.range(..=q).count() as u64);
+        let wrapped: Vec<Hole> = model
+            .range(q..)
+            .chain(model.range(..q))
+            .map(|(&a, &s)| (a, s))
+            .collect();
+        prop_assert_eq!(table.iter_from(q).collect::<Vec<_>>(), wrapped);
+        let size = q % 32 + 1;
+        let first = holes.iter().position(|h| h.1 >= size);
+        prop_assert_eq!(
+            table.first_fit(size),
+            first.map(|j| (holes[j], j as u64 + 1))
+        );
+        Ok(())
+    }
+
+    proptest! {
+        /// Insert, coalescing with the predecessor and
+        /// successor, in-place slide, remove, `rank_le`, `first_fit`,
+        /// wrap-around iteration from a rover and the running totals
+        /// all agree with a `BTreeMap`, on a table that grows past two
+        /// full blocks, is churned, and is then drained from one end
+        /// until its blocks empty and vanish.
+        #[test]
+        fn hole_table_matches_btreemap_model(
+            stride in 1..PLANTED,
+            ops in arb_ops(),
+            drain_high in any::<bool>(),
+        ) {
+            let mut table = HoleTable::default();
+            let mut model: BTreeMap<u64, Words> = BTreeMap::new();
+            // PLANTED is prime, so k * stride visits every slot once, in
+            // an order that lands inserts all over the table.
+            for k in 0..PLANTED {
+                let addr = 3 * ((k * stride) % PLANTED);
+                prop_assert_eq!(table.coalesce(addr, 1), model_release(&mut model, addr, 1));
+                if k % 64 == 0 {
+                    check(&table, &model, addr)?;
+                }
+            }
+            check(&table, &model, SPACE / 2)?;
+            prop_assert!(table.blocks.len() >= 3, "the fill must split blocks");
+            for op in &ops {
+                match *op {
+                    Op::Release(addr, size) => {
+                        let size = size.min(SPACE - addr);
+                        let clear = model
+                            .range(..addr + size)
+                            .next_back()
+                            .is_none_or(|(&a, &s)| a + s <= addr);
+                        if clear {
+                            prop_assert_eq!(
+                                table.coalesce(addr, size),
+                                model_release(&mut model, addr, size)
+                            );
+                        }
+                        check(&table, &model, addr)?;
+                    }
+                    Op::Beside { nth, size, after } => {
+                        let Some((&addr, &hsize)) = model.iter().nth(nth % model.len().max(1))
+                        else {
+                            continue;
+                        };
+                        let (at, size) = if after {
+                            let next = model.range(addr + 1..).next().map_or(SPACE, |(&a, _)| a);
+                            (addr + hsize, size.min(next - (addr + hsize)))
+                        } else {
+                            let prev = model.range(..addr).next_back().map_or(0, |(&a, &s)| a + s);
+                            let size = size.min(addr - prev);
+                            (addr - size, size)
+                        };
+                        if size > 0 {
+                            prop_assert_eq!(
+                                table.coalesce(at, size),
+                                model_release(&mut model, at, size)
+                            );
+                        }
+                        check(&table, &model, at)?;
+                    }
+                    Op::Carve { nth, amount, high } => {
+                        let Some((&addr, &size)) = model.iter().nth(nth % model.len().max(1))
+                        else {
+                            continue;
+                        };
+                        let at = table.seek(addr);
+                        model.remove(&addr);
+                        if amount >= size {
+                            prop_assert_eq!(table.remove(at), (addr, size));
+                        } else {
+                            let rest = (if high { addr } else { addr + amount }, size - amount);
+                            table.set(at, rest);
+                            model.insert(rest.0, rest.1);
+                        }
+                        check(&table, &model, addr)?;
+                    }
+                }
+            }
+            while let Some((&addr, &size)) =
+                if drain_high { model.iter().next_back() } else { model.iter().next() }
+            {
+                prop_assert_eq!(table.remove(table.seek(addr)), (addr, size));
+                model.remove(&addr);
+                if model.len() % 32 == 0 {
+                    check(&table, &model, addr)?;
+                }
+            }
+            prop_assert!(table.blocks.is_empty() && table.maxes.is_empty());
+            prop_assert_eq!((table.len, table.words), (0, 0));
+        }
     }
 }

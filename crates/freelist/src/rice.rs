@@ -21,10 +21,8 @@
 //!   until a block of sufficient size is released" — eviction is the
 //!   caller's job (see `dsa-seg`); the allocator reports failure.
 
-use std::collections::HashMap;
-
 use dsa_core::error::AllocError;
-use dsa_core::ids::{PhysAddr, Words};
+use dsa_core::ids::{IdMap, PhysAddr, Words};
 use dsa_probe::{EventKind, Probe, Stamp};
 
 /// Words of overhead per active block (the back-reference word).
@@ -60,7 +58,7 @@ pub struct RiceAllocator {
     /// The chain of inactive blocks, in chain order (newest first).
     chain: Vec<(u64, Words)>,
     /// Live blocks: id -> (addr, gross size incl. back-ref, owner).
-    active: HashMap<u64, (u64, Words, u64)>,
+    active: IdMap<u64, (u64, Words, u64)>,
     stats: RiceStats,
 }
 
@@ -77,7 +75,7 @@ impl RiceAllocator {
             capacity,
             frontier: 0,
             chain: Vec::new(),
-            active: HashMap::new(),
+            active: IdMap::default(),
             stats: RiceStats::default(),
         }
     }

@@ -18,10 +18,8 @@
 //! the wrong class ("external" fragmentation across classes), which the
 //! E5 harness measures against the search-based policies.
 
-use std::collections::HashMap;
-
 use dsa_core::error::AllocError;
-use dsa_core::ids::{PhysAddr, Words};
+use dsa_core::ids::{IdMap, PhysAddr, Words};
 
 /// Statistics for the segregated allocator.
 #[derive(Clone, Copy, Debug, Default)]
@@ -50,7 +48,7 @@ pub struct SegregatedAllocator {
     /// First never-used address.
     tail: u64,
     /// Live allocations: id -> (addr, class index, requested size).
-    allocated: HashMap<u64, (u64, usize, Words)>,
+    allocated: IdMap<u64, (u64, usize, Words)>,
     stats: SegregatedStats,
 }
 
@@ -75,7 +73,7 @@ impl SegregatedAllocator {
             classes: classes.to_vec(),
             free: vec![Vec::new(); classes.len()],
             tail: 0,
-            allocated: HashMap::new(),
+            allocated: IdMap::default(),
             stats: SegregatedStats::default(),
         }
     }

@@ -7,7 +7,7 @@
 //! string by *recipe* ([`TraceSpec::Stream`]: a seedable
 //! [`RefStringCfg`] plus a length, drawn one reference at a time in
 //! constant memory through `dsa-trace`'s exact-replay streams), and the
-//! running state ([`TraceCursor`] plus a
+//! running state (a `TraceCursor` plus a
 //! [`dsa_paging::compact::CompactLru`] resident-set summary) is a few
 //! hundred bytes. Backlogged tenants hold only the spec; the cursor is
 //! built at first activation.

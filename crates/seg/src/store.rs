@@ -25,12 +25,6 @@ use dsa_freelist::rice::RiceAllocator;
 use dsa_probe::{DegradationStep, EventKind, NullProbe, Probe, Stamp};
 
 /// Which variable-unit allocator places segments.
-//
-// The free-list variant carries its segregated size-class bins inline,
-// which dwarfs the Rice variant. There is exactly one `StoreBackend`
-// per store and it never moves, so boxing would add a pointer chase to
-// every placement for no footprint win.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum StoreBackend {
     /// An address-ordered free list with the given placement policy.

@@ -7,7 +7,7 @@
 //!
 //! * [`alloc`] — a *real* allocator built from the same primitives: a
 //!   size-class slab heap, Bonwick-style per-thread magazine caches,
-//!   and a [`core::alloc::GlobalAlloc`] backend installable with
+//!   and a [`std::alloc::GlobalAlloc`] backend installable with
 //!   `#[global_allocator]`, benchmarked against the system allocator;
 //! * [`arena`] — the concurrent allocation service: lock-free
 //!   fixed-size slabs (uniform units) and a sharded variable-size

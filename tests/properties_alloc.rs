@@ -297,11 +297,222 @@ fn first_fit_scan(holes: &[(u64, u64)], size: u64) -> (Option<u64>, u64) {
     (None, holes.len() as u64)
 }
 
+/// Reference next fit: first fit resuming at the first hole at or
+/// after the roving pointer and wrapping round to the holes below it.
+fn next_fit_scan(holes: &[(u64, u64)], size: u64, rover: u64) -> (Option<u64>, u64) {
+    let start = holes.partition_point(|&(addr, _)| addr < rover);
+    let wrapped = holes[start..].iter().chain(&holes[..start]);
+    for (i, &(addr, hsize)) in wrapped.enumerate() {
+        if hsize >= size {
+            return (Some(addr), i as u64 + 1);
+        }
+    }
+    (None, holes.len() as u64)
+}
+
+/// Reference two-ends: small requests first fit bottom-up, large ones
+/// first fit top-down.
+fn two_ends_scan(holes: &[(u64, u64)], size: u64, threshold: u64) -> (Option<u64>, u64) {
+    if size < threshold {
+        return first_fit_scan(holes, size);
+    }
+    for (i, &(addr, hsize)) in holes.iter().rev().enumerate() {
+        if hsize >= size {
+            return (Some(addr), i as u64 + 1);
+        }
+    }
+    (None, holes.len() as u64)
+}
+
+/// The 1967 free list taken literally: the holes in one flat
+/// address-ordered vector, every search one of the linear scans above,
+/// every count kept by hand. What `FreeListAllocator` must agree with,
+/// placement for placement and count for count.
+struct LinearList {
+    capacity: u64,
+    policy: Placement,
+    holes: Vec<(u64, u64)>,
+    /// Live blocks as `(id, address, size)`.
+    live: Vec<(u64, u64, u64)>,
+    rover: u64,
+    probes: u64,
+    coalesces: u64,
+    failures: u64,
+}
+
+impl LinearList {
+    fn new(capacity: u64, policy: Placement) -> LinearList {
+        LinearList {
+            capacity,
+            policy,
+            holes: vec![(0, capacity)],
+            live: Vec::new(),
+            rover: 0,
+            probes: 0,
+            coalesces: 0,
+            failures: 0,
+        }
+    }
+
+    fn alloc(&mut self, id: u64, size: u64) -> Option<u64> {
+        let (chosen, probes) = match self.policy {
+            Placement::FirstFit => first_fit_scan(&self.holes, size),
+            Placement::NextFit => next_fit_scan(&self.holes, size, self.rover),
+            Placement::BestFit => best_fit_scan(&self.holes, size),
+            Placement::WorstFit => worst_fit_scan(&self.holes, size),
+            Placement::TwoEnds { threshold } => two_ends_scan(&self.holes, size, threshold),
+        };
+        self.probes += probes;
+        let Some(hole_addr) = chosen else {
+            self.failures += 1;
+            return None;
+        };
+        let i = self.holes.partition_point(|&(addr, _)| addr < hole_addr);
+        let hole_size = self.holes[i].1;
+        let high = matches!(self.policy, Placement::TwoEnds { threshold } if size >= threshold);
+        let (addr, rest) = if high {
+            (hole_addr + hole_size - size, hole_addr)
+        } else {
+            (hole_addr, hole_addr + size)
+        };
+        if hole_size > size {
+            self.holes[i] = (rest, hole_size - size);
+        } else {
+            self.holes.remove(i);
+        }
+        self.rover = addr + size;
+        self.live.push((id, addr, size));
+        Some(addr)
+    }
+
+    fn free(&mut self, id: u64) {
+        let at = self
+            .live
+            .iter()
+            .position(|&(lid, _, _)| lid == id)
+            .expect("live id");
+        let (_, mut addr, mut size) = self.live.swap_remove(at);
+        let mut i = self.holes.partition_point(|&(haddr, _)| haddr < addr);
+        if i > 0 && self.holes[i - 1].0 + self.holes[i - 1].1 == addr {
+            i -= 1;
+            let (paddr, psize) = self.holes.remove(i);
+            (addr, size) = (paddr, psize + size);
+            self.coalesces += 1;
+        }
+        if i < self.holes.len() && self.holes[i].0 == addr + size {
+            size += self.holes.remove(i).1;
+            self.coalesces += 1;
+        }
+        self.holes.insert(i, (addr, size));
+    }
+
+    /// Slides the live blocks down in address order; the roving pointer
+    /// follows the top of the packed region.
+    fn compact(&mut self) {
+        self.live.sort_unstable_by_key(|&(_, addr, _)| addr);
+        let mut cursor = 0;
+        for block in &mut self.live {
+            block.1 = cursor;
+            cursor += block.2;
+        }
+        self.holes.clear();
+        if cursor < self.capacity {
+            self.holes.push((cursor, self.capacity - cursor));
+        }
+        self.rover = cursor;
+    }
+}
+
+/// Alloc/free streams with the two repairs mixed in.
+#[derive(Clone, Debug)]
+enum Step {
+    Alloc(u64),
+    FreeNth(usize),
+    Compact,
+    /// Corrupt the free list, then `rebuild_from_live`.
+    Heal,
+}
+
+fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    // Two allocs and two frees for each repair.
+    prop::collection::vec(
+        (0u32..6, 1u64..200, 0usize..64).prop_map(|(kind, size, i)| match kind {
+            0 | 1 => Step::Alloc(size),
+            2 | 3 => Step::FreeNth(i),
+            4 => Step::Compact,
+            _ => Step::Heal,
+        }),
+        1..200,
+    )
+}
+
 proptest! {
-    /// The size-indexed best-fit/worst-fit lookups and the segregated
-    /// first-fit bins pick the same hole and report the same modeled
-    /// search length as the linear scans they replaced, under any op
-    /// stream.
+    /// Every placement agrees with the literal linear list on the
+    /// address of each block, the probes charged to each request, the
+    /// coalesces, the failures and the hole list itself — next-fit's
+    /// rover and wrap and two-ends' two directions included — through
+    /// `compact` (rover to the top of the packed region) and
+    /// `rebuild_from_live` (rover to zero).
+    #[test]
+    fn placements_match_the_linear_list_through_repairs(steps in arb_steps()) {
+        for policy in placements() {
+            let mut a = FreeListAllocator::new(4096, policy);
+            let mut list = LinearList::new(4096, policy);
+            let mut next = 0u64;
+            for step in &steps {
+                match *step {
+                    Step::Alloc(size) => {
+                        let before = a.stats().probes;
+                        let charged = list.probes;
+                        let want = list.alloc(next, size);
+                        let got = a.alloc(next, size).ok().map(|p| p.value());
+                        prop_assert_eq!(got, want, "{:?}: placement diverged", policy);
+                        prop_assert_eq!(
+                            a.stats().probes - before,
+                            list.probes - charged,
+                            "{:?}: per-request probes diverged",
+                            policy
+                        );
+                        next += 1;
+                    }
+                    Step::FreeNth(i) => {
+                        if !list.live.is_empty() {
+                            let id = list.live[i % list.live.len()].0;
+                            list.free(id);
+                            a.free(id).expect("live id");
+                        }
+                    }
+                    Step::Compact => {
+                        compact(&mut a, |_, _, _, _| {});
+                        list.compact();
+                        for &(id, addr, size) in &list.live {
+                            let (got, got_size) = a.lookup(id).expect("live");
+                            prop_assert_eq!((got.value(), got_size), (addr, size));
+                        }
+                    }
+                    Step::Heal => {
+                        a.corrupt_free_list_for_chaos();
+                        a.rebuild_from_live();
+                        list.rover = 0;
+                    }
+                }
+                a.check_invariants();
+                prop_assert_eq!(a.holes().collect::<Vec<_>>(), list.holes.clone());
+                let stats = a.stats();
+                prop_assert_eq!(
+                    (stats.probes, stats.coalesces, stats.failures),
+                    (list.probes, list.coalesces, list.failures),
+                    "{:?}: probes, coalesces, failures",
+                    policy
+                );
+            }
+        }
+    }
+
+    /// The size-indexed best-fit lookup and the block-skipping
+    /// first-fit and worst-fit searches pick the same hole and report
+    /// the same modeled search length as the linear scans they
+    /// replaced, under any op stream.
     #[test]
     fn size_index_matches_linear_scan(ops in arb_ops()) {
         for (policy, scan) in [
@@ -406,11 +617,11 @@ proptest! {
         prop_assert_eq!(quick.hole_count(), 1);
     }
 
-    /// The incrementally maintained `largest_free` and the lazily
-    /// rebuilt sorted-allocations view agree with recomputation from
-    /// scratch at every step, for every placement policy.
+    /// `largest_free` agrees with a scan of the holes, and the
+    /// allocations view is sorted by address and equals the book, at
+    /// every step, for every placement policy.
     #[test]
-    fn cached_views_match_recomputation(ops in arb_ops()) {
+    fn largest_free_and_sorted_view_match_the_book(ops in arb_ops()) {
         for policy in placements() {
             let mut a = FreeListAllocator::new(4096, policy);
             let mut live: Vec<u64> = Vec::new();
@@ -433,7 +644,6 @@ proptest! {
                 let holes: Vec<(u64, u64)> = a.holes().collect();
                 let largest = holes.iter().map(|&(_, s)| s).max().unwrap_or(0);
                 prop_assert_eq!(a.largest_free(), largest);
-                // Query twice: the second hits the cache and must agree.
                 let view = a.allocations_by_address();
                 let mut expect: Vec<(u64, u64)> = live
                     .iter()
@@ -446,7 +656,7 @@ proptest! {
                 let got: Vec<(u64, u64)> =
                     view.iter().map(|&(_, addr, size)| (addr, size)).collect();
                 prop_assert_eq!(&got, &expect);
-                prop_assert_eq!(a.allocations_by_address(), view);
+                prop_assert_eq!(view.len(), a.snapshot().live_allocs);
             }
         }
     }

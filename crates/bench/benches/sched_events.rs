@@ -3,14 +3,14 @@
 //!
 //! The reference [`MultiprogramSim`] carries a materialized trace and a
 //! full paging engine per job, so its cost (and footprint) grows with
-//! the population even while everyone is blocked. [`EventSim`] keys
-//! blocked time through a binary heap and keeps tenants compact, so the
-//! same mix costs what its *executed references* cost. This group
-//! measures whole runs — build plus simulate — at 1k/10k/100k tenants
-//! with working-set admission on, and the stepper at 1k as the
-//! "before" point. `BENCH_08.json` records the medians; the CI bench
-//! guard reruns the group in smoke mode and fails on a >3x regression
-//! of the guarded medians.
+//! the population even while everyone is blocked. [`EventSim`] parks
+//! blocked tenants in a wake-ordered FIFO (wakes arrive already sorted)
+//! and keeps tenants compact, so the same mix costs what its *executed
+//! references* cost. This group measures whole runs — build plus
+//! simulate — at 1k/10k/100k tenants with working-set admission on, and
+//! the stepper at 1k as the "before" point. `BENCH_08.json` records the
+//! medians; the CI bench guard reruns the group in smoke mode and fails
+//! on a >3x regression of the guarded medians.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dsa_core::clock::Cycles;

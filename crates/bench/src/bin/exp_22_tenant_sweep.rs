@@ -5,7 +5,7 @@
 //! actually runs: not four jobs over one drum but a *population* of
 //! tenants over a shared frame pool. The event-driven simulator
 //! (`dsa_sched::EventSim`) makes the experiment affordable — blocked
-//! time is jumped through a binary-heap event queue and per-tenant
+//! time is jumped through a wake-ordered event queue and per-tenant
 //! state is a stream recipe plus a compact LRU summary, so the default
 //! run puts 100 000 tenants through the machine.
 //!

@@ -56,16 +56,25 @@ impl CompactLru {
     /// resident), evicting the least recently used page if the set is
     /// full.
     pub fn touch(&mut self, page: PageNo) -> bool {
+        self.touch_depth(page).is_none()
+    }
+
+    /// [`CompactLru::touch`], reporting where a hit was found: the
+    /// page's LRU stack depth (1 = most recently used), `None` on a
+    /// fault. The set is the top `capacity` entries of Mattson's LRU
+    /// stack, so depth `d` is a hit at every capacity from `d` up and a
+    /// fault below — one pass answers for every size up to this one.
+    pub fn touch_depth(&mut self, page: PageNo) -> Option<usize> {
         if let Some(i) = self.pages.iter().position(|&p| p == page) {
             // Hit: rotate to most-recent position.
             self.pages[..=i].rotate_right(1);
-            return false;
+            return Some(i + 1);
         }
         if self.pages.len() == self.capacity {
             self.pages.pop();
         }
         self.pages.insert(0, page);
-        true
+        None
     }
 
     /// Shrinks (or grows) the capacity to `capacity` frames, evicting

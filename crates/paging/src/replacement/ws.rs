@@ -11,10 +11,8 @@
 //! the policy trades one against the other (the space-time product
 //! again).
 
-use std::collections::{HashMap, VecDeque};
-
 use dsa_core::clock::VirtualTime;
-use dsa_core::ids::PageNo;
+use dsa_core::ids::{IdMap, PageNo};
 
 /// Results of a working-set simulation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -53,39 +51,29 @@ impl WsReport {
 #[must_use]
 pub fn working_set_sim(trace: &[PageNo], tau: VirtualTime) -> WsReport {
     assert!(tau > 0, "window must be positive");
-    let mut last_use: HashMap<PageNo, VirtualTime> = HashMap::new();
-    // Sliding-window distinct count: (time, page) queue + multiplicity.
-    let mut window: VecDeque<(VirtualTime, PageNo)> = VecDeque::new();
-    let mut in_window: HashMap<PageNo, u32> = HashMap::new();
+    let mut last_use: IdMap<PageNo, VirtualTime> = IdMap::default();
+    // The window is `trace[now - tau + 1..=now]` itself; `size` counts
+    // its distinct pages, i.e. those whose last use lies inside it.
+    let mut size = 0usize;
     let mut faults = 0u64;
     let mut resident_sum = 0u64;
     let mut peak = 0usize;
     for (i, &page) in trace.iter().enumerate() {
         let now = i as VirtualTime;
-        let resident = matches!(last_use.get(&page), Some(&t) if now - t <= tau);
-        if !resident {
+        // A page joins the set exactly when its reference faults: a
+        // last use at most `tau` back was still inside the window the
+        // previous reference left behind.
+        if !matches!(last_use.insert(page, now), Some(t) if now - t <= tau) {
             faults += 1;
+            size += 1;
         }
-        last_use.insert(page, now);
-        window.push_back((now, page));
-        *in_window.entry(page).or_insert(0) += 1;
-        // Expire references older than the window.
-        while let Some(&(t, p)) = window.front() {
-            if now - t >= tau {
-                window.pop_front();
-                // Invariant: every queued reference incremented its
-                // page's multiplicity when pushed.
-                #[allow(clippy::expect_used)]
-                let c = in_window.get_mut(&p).expect("queued page is counted");
-                *c -= 1;
-                if *c == 0 {
-                    in_window.remove(&p);
-                }
-            } else {
-                break;
+        // One reference leaves per step, and takes its page with it
+        // iff nothing has touched the page since.
+        if let Some(old) = now.checked_sub(tau) {
+            if last_use.get(&trace[old as usize]) == Some(&old) {
+                size -= 1;
             }
         }
-        let size = in_window.len();
         resident_sum += size as u64;
         peak = peak.max(size);
     }

@@ -11,19 +11,18 @@
 //! * [`estimate_ws`] — the windowed working-set size (mean resident set
 //!   under a window of `tau` references, via
 //!   [`dsa_paging::replacement::ws::working_set_sim`]);
-//! * [`pick_allotment`] — the frame allotment actually granted, chosen
-//!   online from the one-pass LRU success function
-//!   ([`dsa_stackdist::lru::lru_success`]): the smallest frame count
-//!   whose predicted fault rate meets the target, capped by the
-//!   working-set estimate and the tenant's quota.
+//! * [`pick_allotment`] — the frame allotment actually granted: the
+//!   smallest frame count whose LRU fault rate over the sample meets
+//!   the target, capped by the working-set estimate and the tenant's
+//!   quota, read off one [`CompactLru`] cut at that cap.
 //!
 //! Both are pure functions of the sample, so admission decisions are a
 //! deterministic function of the tenant population — the property the
 //! parallel sweep's byte-identity rests on.
 
 use dsa_core::ids::PageNo;
+use dsa_paging::compact::CompactLru;
 use dsa_paging::replacement::ws::working_set_sim;
-use dsa_stackdist::lru::lru_success;
 
 /// How tenants are activated against the shared frame pool.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -53,8 +52,7 @@ pub struct LoadControlCfg {
     pub ws_window: u64,
     /// References sampled from the head of each trace for estimation.
     pub ws_sample: u64,
-    /// Target fault rate the allotment picker aims for on the sampled
-    /// success curve.
+    /// Target fault rate the allotment picker aims for on the sample.
     pub target_fault_rate: f64,
     /// References between thrash checks on an active tenant.
     pub thrash_refs: u32,
@@ -95,13 +93,16 @@ pub fn estimate_ws(sample: &[PageNo], tau: u64) -> usize {
 }
 
 /// The frame allotment granted to a tenant: the smallest frame count
-/// whose fault rate on the sampled LRU success curve is at or below
+/// whose LRU fault rate over `sample` is at or below
 /// `target_fault_rate`, capped by the working-set estimate `est_ws` and
 /// by `quota`, floor 1.
 ///
-/// The success function comes from one Mattson pass over the sample, so
-/// the whole curve costs one traversal — the reason the controller can
-/// afford a per-tenant curve at population scale.
+/// LRU is a stack algorithm: a reference found at depth `d` of the
+/// recency stack hits in every memory of at least `d` frames and faults
+/// in every smaller one. No answer exceeds `cap` frames, and at every
+/// size up to `cap` a re-reference from deeper than `cap` faults just
+/// as a first touch does — so a stack `cap` deep, counting hits per
+/// depth, holds the whole answer in one short scan per reference.
 #[must_use]
 pub fn pick_allotment(
     sample: &[PageNo],
@@ -110,14 +111,22 @@ pub fn pick_allotment(
     target_fault_rate: f64,
 ) -> usize {
     let cap = est_ws.max(1).min(quota.max(1));
-    if sample.is_empty() {
-        return cap;
+    // No stack grows deeper than the sample's distinct pages.
+    let depth = cap.min(sample.len());
+    let mut stack = CompactLru::new(depth);
+    // hits_at[d - 1]: references found at stack depth `d`.
+    let mut hits_at = vec![0u64; depth];
+    for &page in sample {
+        if let Some(d) = stack.touch_depth(page) {
+            hits_at[d - 1] += 1;
+        }
     }
-    let success = lru_success(sample);
-    let limit = cap.min(success.saturation_frames().max(1));
-    for frames in 1..=limit {
-        if success.fault_rate(frames) <= target_fault_rate {
-            return frames;
+    let references = sample.len() as u64;
+    let mut faults = references;
+    for (below, hits) in hits_at.iter().enumerate() {
+        faults -= hits;
+        if faults as f64 / references as f64 <= target_fault_rate {
+            return below + 1;
         }
     }
     cap
@@ -126,6 +135,8 @@ pub fn pick_allotment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsa_stackdist::lru::lru_success;
+    use dsa_trace::rng::Rng64;
 
     fn p(xs: &[u64]) -> Vec<PageNo> {
         xs.iter().map(|&x| PageNo(x)).collect()
@@ -164,5 +175,41 @@ mod tests {
         let sample = p(&[9; 100]);
         assert_eq!(estimate_ws(&sample, 32), 2);
         assert_eq!(pick_allotment(&sample, 2, 8, 0.05), 1);
+    }
+
+    /// What `pick_allotment` was before it stopped building the curve.
+    fn walk_the_whole_curve(sample: &[PageNo], est_ws: usize, quota: usize, target: f64) -> usize {
+        let cap = est_ws.max(1).min(quota.max(1));
+        if sample.is_empty() {
+            return cap;
+        }
+        let success = lru_success(sample);
+        let limit = cap.min(success.saturation_frames().max(1));
+        (1..=limit)
+            .find(|&frames| success.fault_rate(frames) <= target)
+            .unwrap_or(cap)
+    }
+
+    #[test]
+    fn allotment_matches_the_walk_up_the_whole_curve() {
+        let mut rng = Rng64::new(1967);
+        for _ in 0..2_000 {
+            // Universe 1 is the single-page tenant, length 0 the empty
+            // sample; estimates and quotas fall on both sides of the
+            // distinct-page count.
+            let universe = 1 + rng.below(24);
+            let sample: Vec<PageNo> = (0..rng.below(300))
+                .map(|_| PageNo(rng.below(universe)))
+                .collect();
+            let (est_ws, quota) = (1 + rng.below(32) as usize, 1 + rng.below(32) as usize);
+            for target in [0.0, 0.05, 1.0] {
+                assert_eq!(
+                    pick_allotment(&sample, est_ws, quota, target),
+                    walk_the_whole_curve(&sample, est_ws, quota, target),
+                    "{} refs over {universe} pages, est {est_ws}, quota {quota}, target {target}",
+                    sample.len()
+                );
+            }
+        }
     }
 }

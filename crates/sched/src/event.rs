@@ -6,13 +6,16 @@
 //! the bottleneck. [`EventSim`] keeps the *semantics* of the reference
 //! stepper — round-robin quanta, demand faults that re-execute the
 //! faulting reference, fetches overlapped with execution, finite
-//! transfer channels that queue — but reorganizes the run around a
-//! [`BinaryHeap`] event queue keyed by virtual time:
+//! transfer channels that queue — but reorganizes the run around an
+//! event queue keyed by virtual time:
 //!
 //! * blocked time is never stepped through: a fault schedules one
 //!   `FetchDone` event at its completion instant (queueing delay
 //!   included), and an idle processor jumps the clock straight to the
 //!   next event;
+//! * the queue is a FIFO, not a heap: with one fetch time per run and
+//!   a clock and channel slots that only move forward, every wake is at
+//!   or after the one before it and joins the back (`wake::WakeQueue`);
 //! * per-tenant state is compact ([`crate::tenant::TenantSpec`] recipes
 //!   and stream cursors instead of materialized traces,
 //!   [`dsa_paging::compact::CompactLru`] summaries instead of the full
@@ -26,8 +29,8 @@
 //!
 //! On top sits the load-control layer of [`crate::admission`]: working-set
 //! admission gates activation, per-tenant allotments are picked online
-//! from one-pass success-function curves, and a thrashing tenant is
-//! walked down PR 2's degradation ladder
+//! from one truncated LRU-stack pass over a trace sample, and a
+//! thrashing tenant is walked down PR 2's degradation ladder
 //! (coalesce → compact → evict-victims → shed-load), the final rung
 //! being deactivation — the swap-out that converts a thrashing
 //! population into one that runs in shifts.
@@ -39,7 +42,7 @@
 //! reference stepper stays in-tree as the oracle.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use dsa_core::clock::{Cycles, VirtualTime};
 use dsa_core::error::CoreError;
@@ -54,6 +57,7 @@ use crate::admission::{estimate_ws, pick_allotment, AdmissionPolicy, LoadControl
 use crate::sim::SimConfig;
 use crate::tenant::{TenantSpec, TraceCursor, TraceSpec};
 use crate::vclock::VClock;
+use crate::wake::WakeQueue;
 
 /// A tenant's resident-set representation.
 enum Memory {
@@ -105,11 +109,10 @@ struct TenantState {
     finished_at: Option<Cycles>,
     /// Cached working-set estimate (pages) from the admission sample.
     est_ws: Option<u32>,
-    /// The allotment granted at (re-)admission.
+    /// The allotment working-set admission grants, fixed with `est_ws`.
     allot_base: u32,
     /// The current allotment (the ladder may have shrunk it).
     allot: u32,
-    active: bool,
     rejected_once: bool,
     ladder_pos: u8,
     recent_refs: u32,
@@ -258,7 +261,6 @@ impl EventSim {
                     est_ws: None,
                     allot_base: 0,
                     allot: 0,
-                    active: false,
                     rejected_once: false,
                     ladder_pos: 0,
                     recent_refs: 0,
@@ -284,21 +286,14 @@ impl EventSim {
     /// without pinning); compact resident sets cannot fail.
     #[allow(clippy::too_many_lines)]
     pub fn run<P: Probe>(mut self, probe: &mut P) -> Result<EventReport, CoreError> {
-        let cfg = self.cfg;
-        let lc = self.lc;
-        let policy = self.policy;
-        let frames = self.frames;
+        let (cfg, lc, policy, frames) = (self.cfg, self.lc, self.policy, self.frames);
 
         let mut clock = VClock::new();
         let mut cpu_busy = Cycles::ZERO;
         // Global reference time: executed references across tenants.
         let mut gvt: VirtualTime = 0;
         let mut ready: VecDeque<u32> = VecDeque::new();
-        // THE event queue: `FetchDone` completions keyed by (virtual
-        // time in nanoseconds, tenant) — the only future the simulator
-        // ever has to wait for, so idle time is one heap pop, not a
-        // step loop.
-        let mut events: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+        let mut events = WakeQueue::default();
         // Next-free instants of the transfer channels (empty = ample).
         let mut channels: Vec<u64> = vec![0; cfg.fetch_channels.unwrap_or(0)];
         let mut shed = ShedBudget::new(u32::try_from(lc.shed_budget).unwrap_or(u32::MAX));
@@ -310,8 +305,6 @@ impl EventSim {
         let mut rejects: u64 = 0;
         let mut deactivations: u64 = 0;
         let mut ladder_steps: u64 = 0;
-        let mut ws_est_sum: u64 = 0;
-        let mut ws_est_count: u64 = 0;
 
         for t in self.tenants.iter_mut().filter(|t| t.len == 0) {
             t.finished_at = Some(Cycles::ZERO);
@@ -354,65 +347,28 @@ impl EventSim {
                     }
                 };
                 backlog.pop_front();
-                let t = &mut self.tenants[ci];
-                if let Some(est) = t.est_ws {
-                    if !t.active && t.allot == 0 {
-                        // First activation of a sampled tenant:
-                        // account its estimate in the report mean.
-                        ws_est_sum += u64::from(est);
-                        ws_est_count += 1;
-                    }
-                }
-                activate(t, allot, probe, clock.stamp(gvt));
-                pool_used += allot;
-                active_count += 1;
-                admissions += 1;
-                peak_active = peak_active.max(active_count);
-                ready.push_back(cand);
-            }
-
-            if ready.is_empty() {
-                if let Some(&Reverse((wake, _))) = events.peek() {
-                    // Idle processor: jump straight to the next event.
-                    clock.advance_to(Cycles::from_nanos(wake));
-                    while let Some(&Reverse((w, j))) = events.peek() {
-                        if w <= clock.nanos() {
-                            events.pop();
-                            ready.push_back(j);
-                        } else {
-                            break;
-                        }
-                    }
-                    continue;
-                }
-                if backlog.is_empty() {
-                    break; // population drained
-                }
-                // Admission refused everything while nothing runs:
-                // force the front tenant in to preserve progress.
-                // Invariant: the surrounding branch checked non-empty.
-                #[allow(clippy::expect_used)]
-                let cand = backlog.pop_front().expect("non-empty backlog");
-                let ci = cand as usize;
-                let allot = match policy {
-                    AdmissionPolicy::Fixed => self.tenants[ci].quota as usize,
-                    AdmissionPolicy::Open => equi.min(self.tenants[ci].quota as usize),
-                    AdmissionPolicy::WorkingSet => {
-                        grant(&mut self.tenants[ci], &lc, probe, clock.stamp(gvt))
-                    }
-                };
                 activate(&mut self.tenants[ci], allot, probe, clock.stamp(gvt));
                 pool_used += allot;
                 active_count += 1;
                 admissions += 1;
                 peak_active = peak_active.max(active_count);
                 ready.push_back(cand);
-                continue;
             }
 
-            // Invariant: the empty-ready case continued above.
-            #[allow(clippy::expect_used)]
-            let i = ready.pop_front().expect("checked non-empty");
+            let Some(i) = ready.pop_front() else {
+                let Some(wake) = events.next_wake() else {
+                    // Nothing runs and no fetch is in flight, so the
+                    // pool is empty, and the gate above refuses only
+                    // while `pool_used > 0` (which is what lets an
+                    // oversized tenant in): the population has drained.
+                    debug_assert!(backlog.is_empty(), "an idle pool admits its backlog");
+                    break;
+                };
+                // Idle processor: jump straight to the next event.
+                clock.advance_to(Cycles::from_nanos(wake));
+                events.deliver(clock.nanos(), &mut ready);
+                continue;
+            };
             let ii = i as usize;
 
             // Load control: a tenant whose recent fault rate says it is
@@ -459,7 +415,6 @@ impl EventSim {
                                 deactivations += 1;
                                 pool_used -= t.allot as usize;
                                 t.allot = 0;
-                                t.active = false;
                                 t.ladder_pos = 0;
                                 active_count -= 1;
                                 backlog.push_back(i);
@@ -477,17 +432,11 @@ impl EventSim {
             let mut blocked_now = false;
             for _ in 0..cfg.quantum_refs {
                 let t = &mut self.tenants[ii];
-                let page = match t.pending {
-                    Some(p) => p,
-                    None => {
-                        if t.executed >= t.len {
-                            break;
-                        }
-                        match t.cursor.as_mut().and_then(TraceCursor::next_page) {
-                            Some(p) => p,
-                            None => break,
-                        }
-                    }
+                // A faulted reference re-executes; otherwise the cursor
+                // draws the next one, and runs dry with the trace.
+                let draw = || t.cursor.as_mut().and_then(TraceCursor::next_page);
+                let Some(page) = t.pending.or_else(draw) else {
+                    break;
                 };
                 let vt = t.executed;
                 let fault = t.memory.touch(page, vt)?;
@@ -522,7 +471,8 @@ impl EventSim {
                         },
                         clock.stamp_at(wake, gvt),
                     );
-                    events.push(Reverse((wake.as_nanos(), i)));
+                    let in_order = events.push(wake.as_nanos(), i);
+                    debug_assert!(in_order, "wakes never go back");
                     blocked_now = true;
                     break;
                 }
@@ -536,14 +486,7 @@ impl EventSim {
 
             // Deliver any fetch completions that arrived while this
             // tenant's quantum ran.
-            while let Some(&Reverse((w, j))) = events.peek() {
-                if w <= clock.nanos() {
-                    events.pop();
-                    ready.push_back(j);
-                } else {
-                    break;
-                }
-            }
+            events.deliver(clock.nanos(), &mut ready);
             if blocked_now {
                 continue;
             }
@@ -553,7 +496,6 @@ impl EventSim {
                 // Release the tenant's state and its pool share.
                 t.memory = Memory::Idle;
                 t.cursor = None;
-                t.active = false;
                 pool_used -= t.allot as usize;
                 t.allot = 0;
                 active_count -= 1;
@@ -565,12 +507,19 @@ impl EventSim {
         let makespan = clock.now();
         let mut references = 0u64;
         let mut faults = 0u64;
+        // Each sampled tenant weighs once, however often it re-admits.
+        let mut ws_est_sum = 0u64;
+        let mut ws_est_count = 0u64;
         let tenants = self
             .tenants
             .iter()
             .map(|t| {
                 references += t.executed;
                 faults += t.faults;
+                if let Some(est) = t.est_ws {
+                    ws_est_sum += u64::from(est);
+                    ws_est_count += 1;
+                }
                 TenantReport {
                     id: t.id,
                     references: t.executed,
@@ -611,12 +560,13 @@ fn grant<P: Probe>(t: &mut TenantState, lc: &LoadControlCfg, probe: &mut P, at: 
             .unwrap_or_default();
         let est = estimate_ws(&sample, lc.ws_window);
         let allot = pick_allotment(&sample, est, t.quota as usize, lc.target_fault_rate);
-        t.est_ws = Some(u32::try_from(est).unwrap_or(u32::MAX));
+        let pages = u32::try_from(est).unwrap_or(u32::MAX);
+        t.est_ws = Some(pages);
         t.allot_base = u32::try_from(allot).unwrap_or(u32::MAX);
         probe.emit(
             EventKind::WsEstimate {
                 tenant: t.id,
-                pages: u32::try_from(est).unwrap_or(u32::MAX),
+                pages,
             },
             at,
         );
@@ -630,13 +580,8 @@ fn grant<P: Probe>(t: &mut TenantState, lc: &LoadControlCfg, probe: &mut P, at: 
 fn activate<P: Probe>(t: &mut TenantState, allot: usize, probe: &mut P, at: Stamp) {
     let allot = allot.max(1);
     t.allot = u32::try_from(allot).unwrap_or(u32::MAX);
-    if t.allot_base == 0 {
-        t.allot_base = t.allot;
-    }
-    if t.cursor.is_none() {
-        if let Some(spec) = t.spec.take() {
-            t.cursor = Some(spec.into_cursor());
-        }
+    if let Some(spec) = t.spec.take() {
+        t.cursor = Some(spec.into_cursor());
     }
     match t.memory {
         Memory::Idle => {
@@ -650,7 +595,6 @@ fn activate<P: Probe>(t: &mut TenantState, allot: usize, probe: &mut P, at: Stam
         }
         Memory::Full(_) => {}
     }
-    t.active = true;
     t.ladder_pos = 0;
     t.recent_refs = 0;
     t.recent_faults = 0;
@@ -824,11 +768,11 @@ mod tests {
 
     #[test]
     fn quota_capped_thrashers_walk_the_ladder_to_swap_out() {
-        // Quota 1 pins every allotment below the ~7-page working set,
-        // so admitted tenants thrash no matter what admission decided;
-        // with a standing backlog the dispatcher must climb the ladder
-        // and reach the shed-load rung (swap-out), and the swapped
-        // tenants must still finish after re-admission.
+        // Quota 1 pins every allotment below the 2- to 11-page working
+        // sets, so admitted tenants thrash no matter what admission
+        // decided; with a standing backlog the dispatcher must climb
+        // the ladder and reach the shed-load rung (swap-out), and the
+        // swapped tenants must still finish after re-admission.
         let specs: Vec<TenantSpec> = (0..10)
             .map(|i| {
                 TenantSpec::new(
@@ -836,7 +780,7 @@ mod tests {
                     TraceSpec::Stream {
                         cfg: RefStringCfg::WorkingSetPhases {
                             pages: 16,
-                            set: 6,
+                            set: 2 + u64::from(i),
                             phase_len: 200,
                         },
                         write_fraction: 0.0,
@@ -847,16 +791,15 @@ mod tests {
                 )
             })
             .collect();
+        let lc = LoadControlCfg::default();
+        let estimates: u64 = specs
+            .iter()
+            .map(|s| estimate_ws(&s.trace.sample(lc.ws_sample), lc.ws_window) as u64)
+            .sum();
         let mut probe = CountingProbe::new();
-        let r = EventSim::new(
-            cfg(Some(2)),
-            4,
-            AdmissionPolicy::WorkingSet,
-            LoadControlCfg::default(),
-            specs,
-        )
-        .run(&mut probe)
-        .expect("compact sets cannot fail");
+        let r = EventSim::new(cfg(Some(2)), 4, AdmissionPolicy::WorkingSet, lc, specs)
+            .run(&mut probe)
+            .expect("compact sets cannot fail");
         assert!(
             r.ladder_steps > 0,
             "thrashing tenants must climb the ladder"
@@ -871,6 +814,13 @@ mod tests {
         for t in &r.tenants {
             assert_eq!(t.references, 600, "tenant {} must finish", t.id);
         }
+        // The mean weighs each sampled tenant once, not each admission:
+        // the sets differ, so counting re-admissions would move it.
+        assert_eq!(probe.ws_estimates, 10);
+        assert_eq!(
+            r.mean_ws_estimate.to_bits(),
+            (estimates as f64 / 10.0).to_bits()
+        );
     }
 
     #[test]
@@ -894,5 +844,37 @@ mod tests {
             r.tenants[1].finished_at,
             r.tenants[0].finished_at
         );
+    }
+
+    #[test]
+    fn reversed_priorities_share_one_wake_without_going_quadratic() {
+        // Ample channels and a clock that has not moved: every tenant's
+        // first fault wakes at the same instant, and priorities that
+        // run against tenant order push those wakes tenant-descending.
+        let n = 20_000u32;
+        let population = |reversed: bool| {
+            let mut specs = stream_tenants(n, 40);
+            if reversed {
+                for s in &mut specs {
+                    s.priority = u8::try_from(s.id * 256 / n).expect("below 256");
+                }
+            }
+            EventSim::new(
+                cfg(None),
+                2 * n as usize,
+                AdmissionPolicy::Open,
+                LoadControlCfg::default(),
+                specs,
+            )
+            .run(&mut NullProbe)
+            .expect("compact sets cannot fail")
+        };
+        let plain = population(false);
+        let reversed = population(true);
+        for (r, p) in reversed.tenants.iter().zip(&plain.tenants) {
+            assert_eq!(r.references, 40, "tenant {} runs its whole trace", r.id);
+            // A tenant's faults depend on its trace and allotment only.
+            assert_eq!(r.faults, p.faults, "tenant {}", r.id);
+        }
     }
 }

@@ -27,11 +27,11 @@
 //!
 //! [`event::EventSim`] is the population-scale version of the same
 //! story: an event-driven rebuild that jumps blocked time through a
-//! binary-heap event queue, keeps per-tenant state compact (stream
+//! wake-ordered event queue, keeps per-tenant state compact (stream
 //! recipes and LRU summaries instead of materialized traces and full
 //! paging engines), and layers load control on top — working-set
-//! admission ([`admission`]), online allotments from one-pass success
-//! curves, and the degradation ladder's swap-out as the final rung. It
+//! admission ([`admission`]), online allotments from a truncated LRU
+//! stack, and the degradation ladder's swap-out as the final rung. It
 //! scales to 100k+ tenants (experiment E22) while staying
 //! report-identical to [`sim::MultiprogramSim`] in
 //! [`admission::AdmissionPolicy::Fixed`] mode.
@@ -43,6 +43,7 @@ pub mod sim;
 pub mod sweep;
 pub mod tenant;
 pub mod vclock;
+mod wake;
 
 pub use admission::{estimate_ws, pick_allotment, AdmissionPolicy, LoadControlCfg};
 pub use event::{EventReport, EventSim, TenantReport};

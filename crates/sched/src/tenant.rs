@@ -55,8 +55,8 @@ impl TraceSpec {
     }
 
     /// The first `n` references, materialized — the sample the load
-    /// controller feeds to the working-set estimator and the success
-    /// curve. Cheap: `n` is a few hundred, not the trace length.
+    /// controller feeds to the working-set estimator and the allotment
+    /// picker. Cheap: `n` is a few hundred, not the trace length.
     #[must_use]
     pub fn sample(&self, n: u64) -> Vec<PageNo> {
         match self {

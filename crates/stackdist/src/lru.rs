@@ -9,9 +9,7 @@
 //! previous and the current reference of *p*, which the
 //! [`Fenwick`] order-statistics tree counts in O(log n).
 
-use std::collections::HashMap;
-
-use dsa_core::ids::PageNo;
+use dsa_core::ids::{IdMap, PageNo};
 
 use crate::fenwick::Fenwick;
 use crate::success::{StackDistances, SuccessFunction, INFINITE};
@@ -20,7 +18,7 @@ use crate::success::{StackDistances, SuccessFunction, INFINITE};
 #[must_use]
 pub fn lru_distances(trace: &[PageNo]) -> StackDistances {
     let mut marks = Fenwick::new(trace.len());
-    let mut last: HashMap<PageNo, usize> = HashMap::new();
+    let mut last: IdMap<PageNo, usize> = IdMap::default();
     let mut dist = Vec::with_capacity(trace.len());
     for (i, &p) in trace.iter().enumerate() {
         match last.insert(p, i) {

@@ -23,9 +23,7 @@
 //! *use* time, which only a backward pass over a materialized trace
 //! can know.
 
-use std::collections::HashMap;
-
-use dsa_core::ids::PageNo;
+use dsa_core::ids::{IdMap, PageNo};
 
 use crate::fenwick::Fenwick;
 use crate::success::{SuccessFunction, INFINITE};
@@ -56,7 +54,7 @@ pub struct StreamingLru {
     /// Marks over *stamps*: bit set at a page's most recent stamp.
     marks: Fenwick,
     /// Most recent stamp of each page seen so far.
-    last: HashMap<PageNo, usize>,
+    last: IdMap<PageNo, usize>,
     /// Next stamp to assign (== stamps consumed since last compaction).
     cursor: usize,
     /// `hist[d]` = references at finite distance `d`.
@@ -82,7 +80,7 @@ impl StreamingLru {
     pub fn new() -> StreamingLru {
         StreamingLru {
             marks: Fenwick::new(MIN_CAPACITY),
-            last: HashMap::new(),
+            last: IdMap::default(),
             cursor: 0,
             hist: Vec::new(),
             compulsory: 0,

@@ -1,5 +1,7 @@
 //! Property-based tests on the paging engine and replacement policies.
 
+use std::collections::{HashMap, VecDeque};
+
 use dsa::core::ids::PageNo;
 use dsa::paging::paged::PagedMemory;
 use dsa::paging::replacement::ws::working_set_sim;
@@ -110,6 +112,58 @@ proptest! {
         prop_assert!(large.faults <= small.faults);
         prop_assert!(small.references == trace.len() as u64);
         prop_assert!(small.mean_resident <= small.peak_resident as f64 + 1e-9);
+    }
+
+    /// The working-set simulator equals the window written out
+    /// literally: a queue of the last `tau` references and a
+    /// multiplicity per page, the set being the pages the queue holds.
+    /// `tau` is shorter than the trace, so references do expire, and
+    /// universes this small bring pages back exactly `tau` and
+    /// `tau ± 1` references after their last use — the edges where
+    /// "faults", "joins the set" and "leaves the set" must agree.
+    #[test]
+    fn working_set_sim_matches_the_window_model(
+        draws in prop::collection::vec(0u64..60, 2..200),
+        universe in 2u64..6,
+        tau_draw in 0u64..200,
+    ) {
+        let trace: Vec<PageNo> = draws.iter().map(|d| PageNo(d % universe)).collect();
+        let tau = 1 + tau_draw % (trace.len() as u64 - 1);
+        let mut last_use: HashMap<PageNo, u64> = HashMap::new();
+        let mut window: VecDeque<(u64, PageNo)> = VecDeque::new();
+        let mut in_window: HashMap<PageNo, u32> = HashMap::new();
+        let (mut faults, mut resident_sum, mut peak) = (0u64, 0u64, 0usize);
+        for (i, &page) in trace.iter().enumerate() {
+            let now = i as u64;
+            let resident = matches!(last_use.get(&page), Some(&t) if now - t <= tau);
+            if !resident {
+                faults += 1;
+            }
+            last_use.insert(page, now);
+            window.push_back((now, page));
+            *in_window.entry(page).or_insert(0) += 1;
+            while let Some(&(t, p)) = window.front() {
+                if now - t < tau {
+                    break;
+                }
+                window.pop_front();
+                let count = in_window.get_mut(&p).expect("queued page is counted");
+                *count -= 1;
+                if *count == 0 {
+                    in_window.remove(&p);
+                }
+            }
+            resident_sum += in_window.len() as u64;
+            peak = peak.max(in_window.len());
+        }
+        let report = working_set_sim(&trace, tau);
+        prop_assert_eq!(report.references, trace.len() as u64);
+        prop_assert_eq!(report.faults, faults);
+        prop_assert_eq!(report.peak_resident, peak);
+        prop_assert_eq!(
+            report.mean_resident.to_bits(),
+            (resident_sum as f64 / trace.len() as f64).to_bits()
+        );
     }
 
     /// The vacant-reserve variant keeps a frame free after every touch

@@ -12,7 +12,9 @@
 //!   different machine.
 //! * [`dsa::paging::CompactLru`] (the compact resident-set summary the
 //!   population mode runs on) faults exactly like
-//!   [`dsa::paging::paged::PagedMemory`] under [`dsa::paging::LruRepl`].
+//!   [`dsa::paging::paged::PagedMemory`] under [`dsa::paging::LruRepl`],
+//!   and the depth it reports for a hit is the reference's LRU stack
+//!   distance.
 //! * [`dsa::sched::sweep::tenant_sweep`] — admission decisions
 //!   included — is a pure function of its grid: byte-identical reports
 //!   at any worker count.
@@ -28,6 +30,7 @@ use dsa::sched::{
     AdmissionPolicy, EventSim, JobSpec, LoadControlCfg, MultiprogramSim, SimConfig, TenantSpec,
     TraceSpec,
 };
+use dsa::stackdist::lru_distances;
 use dsa::trace::refstring::RefStringCfg;
 use proptest::prelude::*;
 
@@ -144,22 +147,31 @@ proptest! {
     }
 
     /// The compact LRU resident-set summary faults exactly like the
-    /// full paging engine under LRU replacement.
+    /// full paging engine under LRU replacement, and a hit's reported
+    /// depth is its stack distance (a fault's distance is past the
+    /// capacity).
     #[test]
     fn compact_lru_matches_paged_memory(
         trace in prop::collection::vec(0u64..24, 0..400),
         capacity in 1usize..12,
     ) {
         let trace: Vec<PageNo> = trace.into_iter().map(PageNo).collect();
+        let distances = lru_distances(&trace);
         let mut compact = CompactLru::new(capacity);
         let mut full = PagedMemory::new(capacity, Box::new(LruRepl::new()));
         for (vt, &p) in trace.iter().enumerate() {
-            let cf = compact.touch(p);
+            let depth = compact.touch_depth(p);
             let ff = full
                 .touch(p, false, vt as u64)
                 .expect("no pinning")
                 .is_fault();
-            prop_assert_eq!(cf, ff, "fault disagreement at reference {}", vt);
+            prop_assert_eq!(depth.is_none(), ff, "fault disagreement at reference {}", vt);
+            let distance = distances.distances()[vt];
+            prop_assert_eq!(
+                depth.map(|d| d as u64),
+                Some(distance).filter(|&d| d <= capacity as u64),
+                "depth disagreement at reference {}", vt
+            );
             prop_assert_eq!(compact.resident_count(), full.resident_count());
         }
     }

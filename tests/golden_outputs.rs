@@ -1,4 +1,4 @@
-//! The golden-output gauntlet: six fast experiment binaries, pinned
+//! The golden-output gauntlet: nine fast experiment binaries, pinned
 //! stdout, byte-for-byte.
 //!
 //! Two invariants at once:
@@ -27,11 +27,13 @@ use std::process::Command;
 /// deterministic, including every printed column. Each entry carries
 /// the extra arguments its golden file was generated with (most need
 /// none; `exp_22` pins a small population so the gauntlet stays fast).
-const GAUNTLET: [(&str, &[&str]); 7] = [
+const GAUNTLET: [(&str, &[&str]); 9] = [
     ("exp_01_artificial_contiguity", &[]),
+    ("exp_02_space_time", &[]),
     ("exp_06_faults", &[]),
     ("exp_11_multics_dual", &[]),
     ("exp_14_promotion", &[]),
+    ("exp_16_load_control", &[]),
     ("exp_17_drum_queueing", &[]),
     ("exp_19_overload", &[]),
     ("exp_22_tenant_sweep", &["--tenants", "1000"]),

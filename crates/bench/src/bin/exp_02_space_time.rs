@@ -11,13 +11,17 @@
 //! sufficient reserve of programs can be kept in working storage").
 
 use dsa_core::clock::Cycles;
-use dsa_core::ids::JobId;
 use dsa_exec::{jobs_from_env, SimGrid};
 use dsa_metrics::table::Table;
-use dsa_paging::replacement::lru::LruRepl;
-use dsa_sched::sim::{JobSpec, MultiprogramSim, SimConfig};
+use dsa_probe::NullProbe;
+use dsa_sched::{
+    AdmissionPolicy, EventReport, EventSim, LoadControlCfg, SimConfig, TenantSpec, TraceSpec,
+};
 use dsa_trace::refstring::RefStringCfg;
 use dsa_trace::rng::Rng64;
+
+/// Frames per job.
+const FRAMES: usize = 32;
 
 fn job_trace(seed: u64) -> Vec<dsa_core::ids::PageNo> {
     let cfg = RefStringCfg::LruStack {
@@ -27,7 +31,9 @@ fn job_trace(seed: u64) -> Vec<dsa_core::ids::PageNo> {
     cfg.generate_pages(20_000, &mut Rng64::new(seed))
 }
 
-fn sim_for(fetch: Cycles, jobs: usize, channels: Option<usize>) -> MultiprogramSim {
+/// Runs the mix: `jobs` programs, each under LRU in its own `FRAMES`
+/// frames.
+fn run(fetch: Cycles, jobs: usize, channels: Option<usize>) -> EventReport {
     let cfg = SimConfig {
         instr_time: Cycles::from_micros(10),
         fetch_time: fetch,
@@ -36,21 +42,15 @@ fn sim_for(fetch: Cycles, jobs: usize, channels: Option<usize>) -> MultiprogramS
         fetch_channels: channels,
     };
     let specs = (0..jobs)
-        .map(|i| JobSpec {
-            id: JobId(i as u32),
-            trace: job_trace(100 + i as u64),
-            frames: 32,
-            replacer: Box::new(LruRepl::new()),
+        .map(|i| {
+            let trace = TraceSpec::Pages(job_trace(100 + i as u64));
+            TenantSpec::new(i as u32, trace, FRAMES)
         })
         .collect();
-    MultiprogramSim::new(cfg, specs)
-}
-
-fn run_with_channels(fetch: Cycles, jobs: usize, channels: Option<usize>) -> (f64, f64, f64) {
-    let r = sim_for(fetch, jobs, channels).run().expect("no pinning");
-    let st = r.total_space_time();
-    let per_job = st.total_word_millis() / jobs as f64;
-    (r.cpu_utilization(), st.waiting_fraction(), per_job)
+    let lc = LoadControlCfg::default();
+    EventSim::new(cfg, FRAMES * jobs, AdmissionPolicy::Fixed, lc, specs)
+        .run(&mut NullProbe)
+        .expect("compact sets cannot fail")
 }
 
 fn main() {
@@ -72,16 +72,13 @@ fn main() {
         "space-time/job (word-ms)",
     ])
     .with_title("64-page program, 32 frames, LRU, 10 us/ref");
-    // One multiprogramming-level sweep per backing store, on the sched
-    // crate's parallel sweep entry point.
+    // One multiprogramming-level sweep per backing store; every level
+    // is an independent simulation.
     let levels = [1usize, 2, 4, 8];
     for (name, fetch) in devices {
-        let reports = dsa_sched::sweep::level_sweep(workers, levels.to_vec(), |jobs| {
-            sim_for(fetch, jobs, None)
-        });
+        let reports = SimGrid::new(levels.to_vec()).run(workers, |_, &jobs| run(fetch, jobs, None));
         for (&jobs, r) in levels.iter().zip(reports) {
-            let r = r.expect("no pinning");
-            let st = r.total_space_time();
+            let st = r.space_time;
             t.row_owned(vec![
                 name.to_owned(),
                 jobs.to_string(),
@@ -106,11 +103,11 @@ fn main() {
         ("ample", None),
     ]);
     for row in grid.run(workers, |_, &(label, channels)| {
-        let (util, wait, _) = run_with_channels(Cycles::from_millis(8), 8, channels);
+        let r = run(Cycles::from_millis(8), 8, channels);
         vec![
             label.to_owned(),
-            format!("{:.1}%", util * 100.0),
-            format!("{:.1}%", wait * 100.0),
+            format!("{:.1}%", r.cpu_utilization() * 100.0),
+            format!("{:.1}%", r.space_time.waiting_fraction() * 100.0),
         ]
     }) {
         t.row_owned(row);

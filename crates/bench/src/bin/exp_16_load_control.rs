@@ -13,20 +13,18 @@
 //! integrated one runs in shifts.
 
 use dsa_core::clock::Cycles;
-use dsa_core::ids::JobId;
-use dsa_exec::{jobs_from_env, product2};
+use dsa_exec::{jobs_from_env, product2, SimGrid};
 use dsa_metrics::table::Table;
-use dsa_paging::replacement::lru::LruRepl;
 use dsa_paging::replacement::ws::working_set_sim;
-use dsa_sched::load_control::{Admission, GlobalJobSpec, GlobalMultiprogramSim};
-use dsa_sched::sim::SimConfig;
+use dsa_probe::NullProbe;
+use dsa_sched::{AdmissionPolicy, EventSim, LoadControlCfg, SimConfig, TenantSpec, TraceSpec};
 use dsa_trace::refstring::RefStringCfg;
 use dsa_trace::rng::Rng64;
 
 const FRAMES: usize = 32;
 const REFS: usize = 6_000;
 
-fn job_specs(n: usize) -> Vec<GlobalJobSpec> {
+fn job_specs(n: usize) -> Vec<TenantSpec> {
     (0..n)
         .map(|i| {
             let trace = RefStringCfg::WorkingSetPhases {
@@ -38,11 +36,9 @@ fn job_specs(n: usize) -> Vec<GlobalJobSpec> {
             // The integration: measure the job's appetite with the
             // working-set simulator and hand it to the scheduler.
             let ws = working_set_sim(&trace, 400).mean_resident.ceil() as usize + 2;
-            GlobalJobSpec {
-                id: JobId(i as u32),
-                trace,
-                est_working_set: ws,
-            }
+            let mut spec = TenantSpec::new(i as u32, TraceSpec::Pages(trace), FRAMES);
+            spec.ws_estimate = Some(ws);
+            spec
         })
         .collect()
 }
@@ -74,39 +70,35 @@ fn main() {
         "{FRAMES} shared frames, one drum channel, ~10-page working sets"
     ));
     // Every (batch size, admission policy) pair simulates its own job
-    // mix from fixed seeds — an independent point of the sched crate's
-    // parallel admission sweep.
+    // mix from fixed seeds — an independent point of the grid. The
+    // estimates come with the jobs, so the load controller never
+    // samples, and its thrash detector is off: admission alone is the
+    // integration under test.
     let policies = [
-        ("independent", Admission::All),
-        ("integrated", Admission::WorkingSet),
+        ("independent", AdmissionPolicy::Open),
+        ("integrated", AdmissionPolicy::WorkingSet),
     ];
-    let points: Vec<(usize, Admission)> = product2(&[2usize, 4, 8, 16], &policies)
-        .into_iter()
-        .map(|(n, (_, admission))| (n, admission))
-        .collect();
-    let reports = dsa_sched::sweep::admission_sweep(jobs_from_env(), points, |n, admission| {
-        GlobalMultiprogramSim::new(
-            cfg(),
-            FRAMES,
-            Box::new(LruRepl::new()),
-            admission,
-            job_specs(n),
-        )
-    });
-    for ((n, (label, _)), r) in product2(&[2usize, 4, 8, 16], &policies)
-        .into_iter()
-        .zip(reports)
-    {
-        let r = r.expect("no pinning");
-        t.row_owned(vec![
+    let lc = LoadControlCfg {
+        thrash_refs: u32::MAX,
+        ..LoadControlCfg::default()
+    };
+    let grid = SimGrid::new(product2(&[2usize, 4, 8, 16], &policies));
+    for row in grid.run(jobs_from_env(), |_, &(n, (label, policy))| {
+        let r = EventSim::with_shared_pool(cfg(), FRAMES, policy, lc, job_specs(n))
+            .run(&mut NullProbe)
+            .expect("no pinning");
+        let jobs_per_second = n as f64 / (r.makespan.as_nanos() as f64 / 1e9);
+        vec![
             n.to_string(),
             label.to_owned(),
-            r.peak_admitted.to_string(),
+            r.peak_active.to_string(),
             r.faults.to_string(),
             format!("{:.1}%", r.cpu_utilization() * 100.0),
             r.makespan.to_string(),
-            format!("{:.2}", r.throughput_per_second()),
-        ]);
+            format!("{jobs_per_second:.2}"),
+        ]
+    }) {
+        t.row_owned(row);
     }
     println!("{t}");
     metrics.table("load_control", &t);

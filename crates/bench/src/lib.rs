@@ -6,6 +6,5 @@
 //! `benches/` time the underlying mechanisms. Shared workload builders
 //! live here.
 
-pub mod guard;
 pub mod metrics;
 pub mod workloads;

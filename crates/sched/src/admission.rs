@@ -4,9 +4,10 @@
 //! (i): a tenant should be activated only if its *working set* fits in
 //! the frames the pool still has free, because a tenant running with
 //! less than its working set faults continuously and converts processor
-//! time into drum queueing for everyone. The controller therefore
-//! estimates each tenant's appetite from a short trace sample before
-//! activation:
+//! time into drum queueing for everyone. Unless the caller measured a
+//! tenant's working set beforehand
+//! ([`crate::tenant::TenantSpec::ws_estimate`]), the controller
+//! estimates its appetite from a short trace sample before activation:
 //!
 //! * [`estimate_ws`] — the windowed working-set size (mean resident set
 //!   under a window of `tau` references, via
@@ -27,21 +28,21 @@ use dsa_paging::replacement::ws::working_set_sim;
 /// How tenants are activated against the shared frame pool.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AdmissionPolicy {
-    /// Admit every tenant at time zero; the pool is equipartitioned
-    /// (each tenant gets `frames / population`, floor one). The
-    /// "entirely independent decisions" case: past saturation the
-    /// population thrashes.
+    /// Admit every tenant at time zero; private allotments
+    /// equipartition the pool (each tenant gets `frames / population`,
+    /// floor one), a shared pool is fought over. The "entirely
+    /// independent decisions" case: past saturation the population
+    /// thrashes.
     Open,
     /// Admit a tenant only while the granted allotments fit the pool;
     /// the rest wait in a priority-ordered backlog and enter as earlier
     /// tenants finish or are swapped out. Allotments come from
     /// [`pick_allotment`].
     WorkingSet,
-    /// Admit every tenant at time zero with its full quota as the
-    /// allotment and no pool accounting. This reproduces
-    /// [`crate::sim::MultiprogramSim`]'s private-allotment semantics
-    /// exactly — the parity mode the property tests compare against
-    /// the reference stepper.
+    /// Private quotas: admit every tenant at time zero with its full
+    /// quota as the allotment and no pool accounting — a fixed mix of
+    /// programs, each with local replacement in its own frames
+    /// (experiment E2).
     Fixed,
 }
 

@@ -1,13 +1,10 @@
-//! The event-driven population-scale multiprogramming simulator.
+//! The multiprogramming simulator.
 //!
-//! [`crate::sim::MultiprogramSim`] steps one reference at a time and
-//! carries a full paging engine and a space-time meter per job; at a
-//! handful of jobs that is the right fidelity, at 100k+ tenants it is
-//! the bottleneck. [`EventSim`] keeps the *semantics* of the reference
-//! stepper — round-robin quanta, demand faults that re-execute the
-//! faulting reference, fetches overlapped with execution, finite
-//! transfer channels that queue — but reorganizes the run around an
-//! event queue keyed by virtual time:
+//! [`EventSim`] models the paper's one multiprogramming setting —
+//! round-robin quanta, demand faults that re-execute the faulting
+//! reference, fetches overlapped with other programs' execution, finite
+//! transfer channels that queue — organized around an event queue keyed
+//! by virtual time:
 //!
 //! * blocked time is never stepped through: a fault schedules one
 //!   `FetchDone` event at its completion instant (queueing delay
@@ -25,7 +22,10 @@
 //!   — fetch-channel queueing and degradation-ladder interventions
 //!   read the same clock the event queue is keyed by, so
 //!   `LatencyProbe` percentiles reconcile with the queue's chronology
-//!   by construction.
+//!   by construction;
+//! * the space-time product of Figure 3 is integrated where a tenant
+//!   changes phase (dispatch, fault, wake, quantum end, finish), never
+//!   per reference.
 //!
 //! On top sits the load-control layer of [`crate::admission`]: working-set
 //! admission gates activation, per-tenant allotments are picked online
@@ -35,21 +35,24 @@
 //! being deactivation — the swap-out that converts a thrashing
 //! population into one that runs in shifts.
 //!
-//! In [`AdmissionPolicy::Fixed`] mode the simulator reproduces
-//! [`crate::sim::MultiprogramSim`] report-for-report (the property
-//! tests in `tests/properties_sched.rs` pin the two together across
-//! every registry replacement policy and channel configuration); the
-//! reference stepper stays in-tree as the oracle.
+//! Tenants page in private allotments ([`EventSim::new`]) or steal from
+//! each other in one global-LRU pool ([`EventSim::with_shared_pool`]).
+//! A per-reference stepper of the same machine survives as the test
+//! oracle (`tests/common/stepper.rs`); `tests/properties_sched.rs` pins
+//! the two report-identical across every registry replacement policy
+//! and channel configuration through [`EventSim::with_full_memory`].
 
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 
 use dsa_core::clock::{Cycles, VirtualTime};
 use dsa_core::error::CoreError;
-use dsa_core::ids::PageNo;
+use dsa_core::ids::{PageNo, Words};
 use dsa_faults::ladder::{DegradationStep, ShedBudget, MACHINE_LADDER};
+use dsa_metrics::spacetime::{Phase, SpaceTimeReport};
 use dsa_paging::compact::CompactLru;
-use dsa_paging::paged::PagedMemory;
+use dsa_paging::paged::{PagedMemory, TouchOutcome};
+use dsa_paging::replacement::lru::LruRepl;
 use dsa_paging::replacement::Replacer;
 use dsa_probe::{EventKind, Probe, Stamp};
 
@@ -59,9 +62,10 @@ use crate::tenant::{TenantSpec, TraceCursor, TraceSpec};
 use crate::vclock::VClock;
 use crate::wake::WakeQueue;
 
-/// A tenant's resident-set representation.
+/// A tenant's private resident-set representation.
 enum Memory {
-    /// Not yet activated, or already finished (state released).
+    /// Not yet activated, already finished (state released), or paging
+    /// in the shared pool.
     Idle,
     /// The compact LRU summary — the population-scale default.
     Compact(CompactLru),
@@ -89,6 +93,95 @@ impl Memory {
     }
 }
 
+/// Tenant-namespaced page numbers in the shared pool: the tenant's
+/// index above, the low 40 bits of its own page number beneath.
+const TENANT_SHIFT: u32 = 40;
+
+/// The one pool every tenant pages against in shared-pool mode, under
+/// global LRU: tenants steal each other's frames.
+struct SharedPool {
+    memory: PagedMemory,
+    /// References made to the pool — the recency clock of its LRU.
+    touches: VirtualTime,
+    /// Pages each tenant holds in the pool, by tenant index.
+    resident: Vec<u32>,
+}
+
+impl SharedPool {
+    /// References `page` of tenant `tenant`; `Ok(true)` on a fault.
+    fn touch(&mut self, tenant: u32, page: PageNo) -> Result<bool, CoreError> {
+        self.touches += 1;
+        let own = page.0 & ((1 << TENANT_SHIFT) - 1);
+        let global = PageNo((u64::from(tenant) << TENANT_SHIFT) | own);
+        let TouchOutcome::Fault { evicted, .. } = self.memory.touch(global, false, self.touches)?
+        else {
+            return Ok(false);
+        };
+        if let Some(victim) = evicted {
+            self.resident[(victim.page.0 >> TENANT_SHIFT) as usize] -= 1;
+        }
+        self.resident[tenant as usize] += 1;
+        Ok(true)
+    }
+}
+
+/// The population's space-time product, split by phase. A tenant's
+/// occupancy moves only where its phase does (a fault both loads the
+/// page and blocks the tenant), so charging each interval as it closes
+/// integrates Figure 3 exactly with no per-reference work. In the
+/// shared pool other tenants' faults move a tenant's occupancy too;
+/// there an interval is charged at the occupancy it opened with, and
+/// occupancy is read afresh at the tenant's own dispatches and faults.
+struct SpaceTime {
+    page_size: Words,
+    total: SpaceTimeReport,
+    /// Each tenant's open interval, by tenant index — apart from the
+    /// tenant's bulkier state, so a wake touches only this.
+    open: Vec<Interval>,
+}
+
+/// When an interval began, the pages held through it, and the phase it
+/// is charged to. A tenant outside storage (backlogged, swapped out,
+/// finished) holds none.
+#[derive(Clone, Copy)]
+struct Interval {
+    since: Cycles,
+    pages: u32,
+    phase: Phase,
+}
+
+impl SpaceTime {
+    /// Charges `tenant`'s interval since its last phase change at the
+    /// phase and occupancy it held, and opens one in `phase` holding
+    /// `pages`.
+    fn enter(&mut self, tenant: usize, phase: Phase, pages: usize, now: Cycles) {
+        let open = &mut self.open[tenant];
+        let words = u64::from(open.pages) * self.page_size;
+        let word_nanos = u128::from((now - open.since).as_nanos()) * u128::from(words);
+        match open.phase {
+            Phase::Active => self.total.active_word_nanos += word_nanos,
+            Phase::AwaitingFetch => self.total.waiting_word_nanos += word_nanos,
+            Phase::ReadyIdle => self.total.ready_idle_word_nanos += word_nanos,
+        }
+        let pages = u32::try_from(pages).unwrap_or(u32::MAX);
+        *open = Interval {
+            since: now,
+            pages,
+            phase,
+        };
+    }
+
+    /// Fetch completions: `woken` stop waiting at `now`, when the
+    /// processor looks, not when their pages landed. A wake moves no
+    /// pages.
+    fn wake<'a>(&mut self, woken: impl Iterator<Item = &'a u32>, now: Cycles) {
+        for &w in woken {
+            let pages = self.open[w as usize].pages as usize;
+            self.enter(w as usize, Phase::ReadyIdle, pages, now);
+        }
+    }
+}
+
 /// Live state of one tenant: a few hundred bytes, streams included.
 struct TenantState {
     id: u32,
@@ -107,7 +200,8 @@ struct TenantState {
     executed: u64,
     faults: u64,
     finished_at: Option<Cycles>,
-    /// Cached working-set estimate (pages) from the admission sample.
+    /// Working-set estimate (pages): the caller's measurement if the
+    /// spec carried one, else cached from the admission sample.
     est_ws: Option<u32>,
     /// The allotment working-set admission grants, fixed with `est_ws`.
     allot_base: u32,
@@ -155,9 +249,13 @@ pub struct EventReport {
     pub deactivations: u64,
     /// Degradation-ladder rungs climbed in total.
     pub ladder_steps: u64,
-    /// Mean working-set estimate over the tenants the controller
-    /// sampled (0 when no estimates were taken).
+    /// Mean working-set estimate over the tenants that have one,
+    /// measured by the caller or sampled by the controller (0 when
+    /// there are none).
     pub mean_ws_estimate: f64,
+    /// The population's space-time product (occupied words × time),
+    /// split into executing, awaiting a fetch, and ready but preempted.
+    pub space_time: SpaceTimeReport,
 }
 
 impl EventReport {
@@ -200,6 +298,8 @@ pub struct EventSim {
     lc: LoadControlCfg,
     frames: usize,
     tenants: Vec<TenantState>,
+    /// Shared-pool mode: where every tenant's pages live.
+    pool: Option<SharedPool>,
 }
 
 impl EventSim {
@@ -216,10 +316,36 @@ impl EventSim {
         Self::build(cfg, frames, policy, lc, specs, None::<fn(&TenantSpec) -> _>)
     }
 
-    /// Parity-mode constructor: every tenant pages through a full
-    /// [`PagedMemory`] whose replacement policy `build` supplies —
-    /// the configuration the property tests run against
-    /// [`crate::sim::MultiprogramSim`] under [`AdmissionPolicy::Fixed`].
+    /// Shared-pool constructor: every admitted tenant pages against one
+    /// pool of `frames` frames under global LRU (pages are namespaced
+    /// per tenant, so tenants share frames, never pages), and tenants
+    /// steal frames from each other — the setting of the paper's
+    /// conclusion (i). An allotment is then a claim the admission gate
+    /// counts, not a partition: [`AdmissionPolicy::Open`] lets everyone
+    /// in to thrash, [`AdmissionPolicy::WorkingSet`] admits while the
+    /// claims fit the pool. A swapped-out tenant's pages are not
+    /// flushed; they age out of the pool.
+    #[must_use]
+    pub fn with_shared_pool(
+        cfg: SimConfig,
+        frames: usize,
+        policy: AdmissionPolicy,
+        lc: LoadControlCfg,
+        specs: Vec<TenantSpec>,
+    ) -> EventSim {
+        let mut sim = Self::new(cfg, frames, policy, lc, specs);
+        sim.pool = Some(SharedPool {
+            memory: PagedMemory::new(sim.frames, Box::new(LruRepl::new())),
+            touches: 0,
+            resident: vec![0; sim.tenants.len()],
+        });
+        sim
+    }
+
+    /// Every tenant pages through a full [`PagedMemory`] whose
+    /// replacement policy `build` supplies — how the property tests
+    /// compare the simulator with the reference stepper under every
+    /// policy, in [`AdmissionPolicy::Fixed`] mode.
     #[must_use]
     pub fn with_full_memory(
         cfg: SimConfig,
@@ -245,9 +371,11 @@ impl EventSim {
             .map(|s| {
                 let replacer = replacers.as_ref().map(|f| f(&s));
                 let len = s.trace.len();
+                let quota = s.quota.max(1) as u32;
+                let measured = s.ws_estimate.map(|p| u32::try_from(p).unwrap_or(u32::MAX));
                 TenantState {
                     id: s.id,
-                    quota: s.quota.max(1) as u32,
+                    quota,
                     priority: s.priority,
                     spec: Some(s.trace),
                     cursor: None,
@@ -258,8 +386,8 @@ impl EventSim {
                     executed: 0,
                     faults: 0,
                     finished_at: None,
-                    est_ws: None,
-                    allot_base: 0,
+                    est_ws: measured,
+                    allot_base: measured.map_or(0, |pages| pages.min(quota)),
                     allot: 0,
                     rejected_once: false,
                     ladder_pos: 0,
@@ -274,6 +402,7 @@ impl EventSim {
             lc,
             frames: frames.max(1),
             tenants,
+            pool: None,
         }
     }
 
@@ -282,11 +411,13 @@ impl EventSim {
     ///
     /// # Errors
     ///
-    /// Propagates paging errors from full-memory tenants (impossible
-    /// without pinning); compact resident sets cannot fail.
+    /// Propagates paging errors from full-memory tenants and the shared
+    /// pool (impossible without pinning); compact resident sets cannot
+    /// fail.
     #[allow(clippy::too_many_lines)]
     pub fn run<P: Probe>(mut self, probe: &mut P) -> Result<EventReport, CoreError> {
         let (cfg, lc, policy, frames) = (self.cfg, self.lc, self.policy, self.frames);
+        let pooled = self.pool.is_some();
 
         let mut clock = VClock::new();
         let mut cpu_busy = Cycles::ZERO;
@@ -297,6 +428,16 @@ impl EventSim {
         // Next-free instants of the transfer channels (empty = ample).
         let mut channels: Vec<u64> = vec![0; cfg.fetch_channels.unwrap_or(0)];
         let mut shed = ShedBudget::new(u32::try_from(lc.shed_budget).unwrap_or(u32::MAX));
+        let idle = Interval {
+            since: Cycles::ZERO,
+            pages: 0,
+            phase: Phase::ReadyIdle,
+        };
+        let mut space_time = SpaceTime {
+            page_size: cfg.page_size,
+            total: SpaceTimeReport::default(),
+            open: vec![idle; self.tenants.len()],
+        };
 
         let mut pool_used: usize = 0;
         let mut active_count: usize = 0;
@@ -325,6 +466,13 @@ impl EventSim {
             // Admission review: move backlog tenants in while the
             // policy allows.
             while let Some(&cand) = backlog.front() {
+                // A faulted tenant's page must outlast the other
+                // tenants' faults until its reference re-executes; in
+                // fewer shared frames than active tenants they can
+                // steal each other's forever, so no policy goes there.
+                if pooled && active_count >= frames {
+                    break;
+                }
                 let ci = cand as usize;
                 let allot = match policy {
                     AdmissionPolicy::Fixed => self.tenants[ci].quota as usize,
@@ -347,7 +495,13 @@ impl EventSim {
                     }
                 };
                 backlog.pop_front();
-                activate(&mut self.tenants[ci], allot, probe, clock.stamp(gvt));
+                activate(
+                    &mut self.tenants[ci],
+                    allot,
+                    pooled,
+                    probe,
+                    clock.stamp(gvt),
+                );
                 pool_used += allot;
                 active_count += 1;
                 admissions += 1;
@@ -358,7 +512,7 @@ impl EventSim {
             let Some(i) = ready.pop_front() else {
                 let Some(wake) = events.next_wake() else {
                     // Nothing runs and no fetch is in flight, so the
-                    // pool is empty, and the gate above refuses only
+                    // pool is empty, and the gates above refuse only
                     // while `pool_used > 0` (which is what lets an
                     // oversized tenant in): the population has drained.
                     debug_assert!(backlog.is_empty(), "an idle pool admits its backlog");
@@ -366,7 +520,9 @@ impl EventSim {
                 };
                 // Idle processor: jump straight to the next event.
                 clock.advance_to(Cycles::from_nanos(wake));
+                let queued = ready.len();
                 events.deliver(clock.nanos(), &mut ready);
+                space_time.wake(ready.range(queued..), clock.now());
                 continue;
             };
             let ii = i as usize;
@@ -401,10 +557,11 @@ impl EventSim {
                         DegradationStep::ShedLoad => {
                             if shed.try_shed() {
                                 // Swap the tenant out entirely.
-                                let resident = t.memory.resident_count() as u32;
+                                let resident = resident_pages(&self.pool, t, ii) as u32;
                                 if let Memory::Compact(ref mut m) = t.memory {
                                     m.clear();
                                 }
+                                space_time.enter(ii, Phase::ReadyIdle, 0, clock.now());
                                 probe.emit(
                                     EventKind::TenantDeactivated {
                                         tenant: t.id,
@@ -429,23 +586,30 @@ impl EventSim {
             }
 
             // One round-robin quantum.
+            let t = &mut self.tenants[ii];
+            let resident = resident_pages(&self.pool, t, ii);
+            space_time.enter(ii, Phase::Active, resident, clock.now());
             let mut blocked_now = false;
             for _ in 0..cfg.quantum_refs {
-                let t = &mut self.tenants[ii];
                 // A faulted reference re-executes; otherwise the cursor
                 // draws the next one, and runs dry with the trace.
                 let draw = || t.cursor.as_mut().and_then(TraceCursor::next_page);
                 let Some(page) = t.pending.or_else(draw) else {
                     break;
                 };
-                let vt = t.executed;
-                let fault = t.memory.touch(page, vt)?;
+                let fault = match self.pool.as_mut() {
+                    Some(pool) => pool.touch(i, page)?,
+                    None => t.memory.touch(page, t.executed)?,
+                };
                 if fault {
                     t.faults += 1;
                     t.recent_faults += 1;
                     // The faulting reference re-executes once the page
-                    // arrives; the page is already installed.
+                    // arrives; the page is already installed, and the
+                    // tenant occupies its frame while it waits.
                     t.pending = Some(page);
+                    let resident = resident_pages(&self.pool, t, ii);
+                    space_time.enter(ii, Phase::AwaitingFetch, resident, clock.now());
                     probe.emit(EventKind::Fault, clock.stamp(gvt));
                     // Queue for a transfer channel if capacity is
                     // limited: the fetch starts when the least-loaded
@@ -486,7 +650,9 @@ impl EventSim {
 
             // Deliver any fetch completions that arrived while this
             // tenant's quantum ran.
+            let queued = ready.len();
             events.deliver(clock.nanos(), &mut ready);
+            space_time.wake(ready.range(queued..), clock.now());
             if blocked_now {
                 continue;
             }
@@ -499,7 +665,10 @@ impl EventSim {
                 pool_used -= t.allot as usize;
                 t.allot = 0;
                 active_count -= 1;
+                space_time.enter(ii, Phase::ReadyIdle, 0, clock.now());
             } else {
+                let resident = resident_pages(&self.pool, t, ii);
+                space_time.enter(ii, Phase::ReadyIdle, resident, clock.now());
                 ready.push_back(i);
             }
         }
@@ -544,13 +713,23 @@ impl EventSim {
             } else {
                 ws_est_sum as f64 / ws_est_count as f64
             },
+            space_time: space_time.total,
         })
     }
 }
 
-/// Computes (once) and returns the tenant's granted allotment under
-/// working-set admission, emitting the `WsEstimate` probe event at
-/// first computation.
+/// Pages tenant `t` (at index `i`) holds in working storage.
+fn resident_pages(pool: &Option<SharedPool>, t: &TenantState, i: usize) -> usize {
+    match pool {
+        Some(pool) => pool.resident[i] as usize,
+        None => t.memory.resident_count(),
+    }
+}
+
+/// Returns the tenant's granted allotment under working-set admission:
+/// the measured working set its spec carried, or else an estimate
+/// computed (once) from a trace sample, the `WsEstimate` probe event
+/// marking the computation.
 fn grant<P: Probe>(t: &mut TenantState, lc: &LoadControlCfg, probe: &mut P, at: Stamp) -> usize {
     if t.est_ws.is_none() {
         let sample = t
@@ -574,16 +753,18 @@ fn grant<P: Probe>(t: &mut TenantState, lc: &LoadControlCfg, probe: &mut P, at: 
     (t.allot_base as usize).max(1)
 }
 
-/// Activates a tenant with `allot` frames: builds its cursor and
-/// resident set on first activation, resizes them on re-admission, and
-/// emits the `TenantAdmitted` probe event.
-fn activate<P: Probe>(t: &mut TenantState, allot: usize, probe: &mut P, at: Stamp) {
+/// Activates a tenant with `allot` frames: builds its cursor and (unless
+/// it is `pooled`, paging in the shared pool) its resident set on first
+/// activation, resizes them on re-admission, and emits the
+/// `TenantAdmitted` probe event.
+fn activate<P: Probe>(t: &mut TenantState, allot: usize, pooled: bool, probe: &mut P, at: Stamp) {
     let allot = allot.max(1);
     t.allot = u32::try_from(allot).unwrap_or(u32::MAX);
     if let Some(spec) = t.spec.take() {
         t.cursor = Some(spec.into_cursor());
     }
     match t.memory {
+        Memory::Idle if pooled => {}
         Memory::Idle => {
             t.memory = match t.replacer.take() {
                 Some(r) => Memory::Full(Box::new(PagedMemory::new(allot, r))),
@@ -654,6 +835,189 @@ mod tests {
         )
         .run(&mut NullProbe)
         .expect("compact sets cannot fail")
+    }
+
+    /// Three pages cycled through one frame: every reference faults.
+    const STORM: [u64; 12] = [1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3];
+
+    /// A fixed mix of `(trace, frames)` jobs in private quotas, at 10 us
+    /// per reference and quanta of four.
+    fn mix(fetch: Cycles, channels: Option<usize>, jobs: &[(&[u64], usize)]) -> EventReport {
+        let cfg = SimConfig {
+            fetch_time: fetch,
+            quantum_refs: 4,
+            ..cfg(channels)
+        };
+        let specs = jobs.iter().enumerate().map(|(i, &(trace, frames))| {
+            let trace = TraceSpec::Pages(trace.iter().map(|&p| PageNo(p)).collect());
+            TenantSpec::new(i as u32, trace, frames)
+        });
+        let lc = LoadControlCfg::default();
+        EventSim::new(cfg, 64, AdmissionPolicy::Fixed, lc, specs.collect())
+            .run(&mut NullProbe)
+            .expect("compact sets cannot fail")
+    }
+
+    const MS: Cycles = Cycles::from_millis(1);
+
+    #[test]
+    fn cold_start_faults_once_and_every_reference_costs_one_instruction() {
+        let r = mix(MS, None, &[(&[1; 10], 2)]);
+        assert_eq!((r.tenants[0].faults, r.tenants[0].references), (1, 10));
+        // The faulting reference re-executes: 10 refs x 10 us.
+        assert_eq!(r.cpu_busy, Cycles::from_micros(100));
+        assert!(r.makespan >= MS, "the fetch time elapses");
+    }
+
+    #[test]
+    fn space_time_is_wait_dominated_unless_the_fetch_is_fast() {
+        let slow = mix(MS, None, &[(&STORM, 1)]);
+        let wait = slow.space_time.waiting_fraction();
+        assert!(wait > 0.9, "waiting fraction {wait}");
+        let fast = mix(Cycles::from_micros(20), None, &[(&STORM, 1)]);
+        assert!(fast.space_time.waiting_fraction() < wait);
+        assert!(fast.makespan < slow.makespan);
+    }
+
+    #[test]
+    fn multiprogramming_overlaps_fetch_with_execution() {
+        // Tenant 0 faults on every reference; tenant 1 never does after
+        // its cold start. Together they must keep the processor busier
+        // than tenant 0 alone, whose faults the company does not change.
+        let alone = mix(MS, None, &[(&STORM, 1)]);
+        let mixed = mix(MS, None, &[(&STORM, 1), (&[7; 2000], 2)]);
+        assert!(
+            mixed.cpu_utilization() > 2.0 * alone.cpu_utilization(),
+            "mixed {} vs alone {}",
+            mixed.cpu_utilization(),
+            alone.cpu_utilization()
+        );
+        assert_eq!(mixed.tenants[0].faults, alone.tenants[0].faults);
+    }
+
+    #[test]
+    fn round_robin_shares_the_processor() {
+        // Two identical tenants that stop faulting after the cold start
+        // finish near each other, not serially.
+        let r = mix(MS, None, &[(&[1; 400], 1), (&[1; 400], 1)]);
+        let f0 = r.tenants[0].finished_at.as_nanos() as f64;
+        let f1 = r.tenants[1].finished_at.as_nanos() as f64;
+        assert!((f0 - f1).abs() / f0.max(f1) < 0.05, "{f0} vs {f1}");
+    }
+
+    #[test]
+    fn one_channel_serializes_fetches_and_enough_channels_are_ample() {
+        let storms = [(&STORM[..9], 1); 4];
+        let ample = mix(MS, None, &storms);
+        let narrow = mix(MS, Some(1), &storms);
+        assert!(
+            narrow.makespan.as_nanos() > 2 * ample.makespan.as_nanos(),
+            "queueing at one channel must stretch the run: {} vs {}",
+            narrow.makespan,
+            ample.makespan
+        );
+        // Fault counts are untouched by channel capacity.
+        for (a, b) in ample.tenants.iter().zip(&narrow.tenants) {
+            assert_eq!(a.faults, b.faults);
+        }
+        // A channel per tenant never queues.
+        let wide = mix(MS, Some(4), &storms);
+        assert_eq!(
+            (wide.makespan, wide.cpu_busy),
+            (ample.makespan, ample.cpu_busy)
+        );
+    }
+
+    #[test]
+    fn channel_queueing_lowers_utilization() {
+        // Three faulting tenants beside a compute-heavy one: one channel
+        // keeps the faulting ones blocked longer and the processor's
+        // work is the same, so utilization (busy / makespan) falls.
+        let jobs = [
+            (&STORM[..9], 1),
+            (&STORM[..9], 1),
+            (&STORM[..9], 1),
+            (&[7; 500][..], 2),
+        ];
+        let ample = mix(MS, None, &jobs);
+        let narrow = mix(MS, Some(1), &jobs);
+        assert_eq!(narrow.cpu_busy, ample.cpu_busy);
+        assert!(narrow.makespan > ample.makespan);
+        assert!(narrow.cpu_utilization() < ample.cpu_utilization());
+    }
+
+    /// `n` tenants of ~7-page working sets in one pool of `frames`, each
+    /// spec carrying `estimate` as its measured working set.
+    fn run_shared(policy: AdmissionPolicy, n: u32, frames: usize, estimate: usize) -> EventReport {
+        let mut specs = stream_tenants(n, 1500);
+        for s in &mut specs {
+            s.ws_estimate = Some(estimate);
+        }
+        // One drum channel: fetches queue, so thrash costs wall clock.
+        EventSim::with_shared_pool(
+            cfg(Some(1)),
+            frames,
+            policy,
+            LoadControlCfg::default(),
+            specs,
+        )
+        .run(&mut NullProbe)
+        .expect("no pinning")
+    }
+
+    #[test]
+    fn over_admission_thrashes_a_shared_pool_and_the_gate_does_not() {
+        // Eight working sets over 24 frames: admitting everyone floods
+        // the pool; claims of 8 frames run three at a time.
+        let open = run_shared(AdmissionPolicy::Open, 8, 24, 8);
+        let ws = run_shared(AdmissionPolicy::WorkingSet, 8, 24, 8);
+        assert_eq!((open.peak_active, ws.peak_active), (8, 3));
+        assert!(
+            ws.faults * 2 < open.faults,
+            "load control must cut faults sharply: {} vs {}",
+            ws.faults,
+            open.faults
+        );
+        assert!(
+            ws.makespan < open.makespan,
+            "finishing in shifts beats thrashing: {} vs {}",
+            ws.makespan,
+            open.makespan
+        );
+    }
+
+    #[test]
+    fn ample_shared_storage_makes_the_policies_agree_on_faults() {
+        let open = run_shared(AdmissionPolicy::Open, 4, 200, 8);
+        let ws = run_shared(AdmissionPolicy::WorkingSet, 4, 200, 8);
+        assert_eq!(open.faults, ws.faults, "no pressure, no difference");
+    }
+
+    #[test]
+    fn shared_pool_survives_page_numbers_past_its_namespace() {
+        let lc = LoadControlCfg::default();
+        let wild = TraceSpec::Pages(vec![PageNo(u64::MAX), PageNo(1 << TENANT_SHIFT), PageNo(0)]);
+        let specs = vec![
+            TenantSpec::new(0, wild.clone(), 4),
+            TenantSpec::new(1, wild, 4),
+        ];
+        let r = EventSim::with_shared_pool(cfg(None), 2, AdmissionPolicy::Open, lc, specs)
+            .run(&mut NullProbe)
+            .expect("no pinning");
+        assert_eq!(r.references, 6);
+    }
+
+    #[test]
+    fn shared_pool_runs_every_reference_on_degenerate_input() {
+        // No frames, an estimate of nothing, an estimate past the pool:
+        // none may panic or wedge the backlog.
+        for (frames, estimate) in [(0, 8), (24, 0), (24, 1000)] {
+            for policy in [AdmissionPolicy::Open, AdmissionPolicy::WorkingSet] {
+                let r = run_shared(policy, 3, frames, estimate);
+                assert_eq!(r.references, 3 * 1500, "{policy:?} {frames} {estimate}");
+                assert!(r.tenants.iter().all(|t| t.references == 1500));
+            }
+        }
     }
 
     #[test]

@@ -1,26 +1,7 @@
-//! The discrete-event multiprogramming simulator.
+//! The parameters of the simulated machine.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-
-use dsa_core::clock::{Cycles, VirtualTime};
-use dsa_core::error::CoreError;
-use dsa_core::ids::{JobId, PageNo, Words};
-use dsa_metrics::spacetime::{Phase, SpaceTimeMeter, SpaceTimeReport};
-use dsa_paging::paged::PagedMemory;
-use dsa_paging::replacement::Replacer;
-
-/// One job of the multiprogrammed mix.
-pub struct JobSpec {
-    /// Identifier used in the report.
-    pub id: JobId,
-    /// Page-granular reference string.
-    pub trace: Vec<PageNo>,
-    /// Page frames allotted to this job (local replacement).
-    pub frames: usize,
-    /// The replacement strategy for this job's frames.
-    pub replacer: Box<dyn Replacer>,
-}
+use dsa_core::clock::Cycles;
+use dsa_core::ids::Words;
 
 /// Simulator parameters.
 #[derive(Clone, Copy, Debug)]
@@ -52,449 +33,5 @@ impl Default for SimConfig {
             quantum_refs: 50,
             fetch_channels: None,
         }
-    }
-}
-
-/// Per-job results.
-#[derive(Clone, Debug)]
-pub struct JobReport {
-    /// The job.
-    pub id: JobId,
-    /// References executed.
-    pub references: u64,
-    /// Page faults taken.
-    pub faults: u64,
-    /// Completion time.
-    pub finished_at: Cycles,
-    /// The space-time integral, split by phase.
-    pub space_time: SpaceTimeReport,
-}
-
-/// Whole-run results.
-#[derive(Clone, Debug)]
-pub struct SimReport {
-    /// Per-job reports, in job order.
-    pub jobs: Vec<JobReport>,
-    /// Total time the processor executed references.
-    pub cpu_busy: Cycles,
-    /// Time the last job finished.
-    pub makespan: Cycles,
-}
-
-impl SimReport {
-    /// Fraction of the makespan the processor was executing.
-    #[must_use]
-    pub fn cpu_utilization(&self) -> f64 {
-        if self.makespan == Cycles::ZERO {
-            0.0
-        } else {
-            self.cpu_busy.as_nanos() as f64 / self.makespan.as_nanos() as f64
-        }
-    }
-
-    /// Sum of all jobs' space-time products.
-    #[must_use]
-    pub fn total_space_time(&self) -> SpaceTimeReport {
-        let mut total = SpaceTimeReport::default();
-        for j in &self.jobs {
-            total.active_word_nanos += j.space_time.active_word_nanos;
-            total.waiting_word_nanos += j.space_time.waiting_word_nanos;
-            total.ready_idle_word_nanos += j.space_time.ready_idle_word_nanos;
-        }
-        total
-    }
-}
-
-struct JobState {
-    spec_id: JobId,
-    trace: Vec<PageNo>,
-    pos: usize,
-    memory: PagedMemory,
-    meter: SpaceTimeMeter,
-    faults_seen: u64,
-    finished_at: Option<Cycles>,
-}
-
-impl JobState {
-    fn resident_words(&self, page_size: Words) -> Words {
-        self.memory.resident_count() as Words * page_size
-    }
-}
-
-/// One processor, a round-robin ready queue, and overlapped page
-/// fetches.
-pub struct MultiprogramSim {
-    cfg: SimConfig,
-    jobs: Vec<JobState>,
-}
-
-impl MultiprogramSim {
-    /// Builds the simulator.
-    #[must_use]
-    pub fn new(cfg: SimConfig, specs: Vec<JobSpec>) -> MultiprogramSim {
-        let jobs = specs
-            .into_iter()
-            .map(|s| JobState {
-                spec_id: s.id,
-                trace: s.trace,
-                pos: 0,
-                memory: PagedMemory::new(s.frames.max(1), s.replacer),
-                meter: SpaceTimeMeter::new(),
-                faults_seen: 0,
-                finished_at: None,
-            })
-            .collect();
-        MultiprogramSim { cfg, jobs }
-    }
-
-    /// Runs all jobs to completion.
-    ///
-    /// # Errors
-    ///
-    /// Propagates paging errors (impossible without pinning).
-    pub fn run(mut self) -> Result<SimReport, CoreError> {
-        let cfg = self.cfg;
-        let mut clock = Cycles::ZERO;
-        let mut cpu_busy = Cycles::ZERO;
-        let mut ready: VecDeque<usize> = (0..self.jobs.len())
-            .filter(|&i| !self.jobs[i].trace.is_empty())
-            .collect();
-        // Jobs whose page fetch completes at the keyed instant.
-        let mut blocked: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        // Next-free instants of the transfer channels (empty = ample).
-        let mut channels: Vec<u64> = vec![0; cfg.fetch_channels.unwrap_or(0)];
-        // Finished-empty jobs complete at time zero.
-        for job in self.jobs.iter_mut().filter(|j| j.trace.is_empty()) {
-            job.finished_at = Some(Cycles::ZERO);
-        }
-        for &i in &ready {
-            let words = self.jobs[i].resident_words(cfg.page_size);
-            self.jobs[i].meter.record(clock, words, Phase::ReadyIdle);
-        }
-
-        loop {
-            // If nothing is ready, advance to the next fetch completion.
-            if ready.is_empty() {
-                let Some(&Reverse((wake, _))) = blocked.peek() else {
-                    break; // all jobs finished
-                };
-                clock = Cycles::from_nanos(wake);
-                while let Some(&Reverse((w, j))) = blocked.peek() {
-                    if w <= clock.as_nanos() {
-                        blocked.pop();
-                        let words = self.jobs[j].resident_words(cfg.page_size);
-                        self.jobs[j].meter.record(clock, words, Phase::ReadyIdle);
-                        ready.push_back(j);
-                    } else {
-                        break;
-                    }
-                }
-                continue;
-            }
-            // Invariant: the empty-ready case continued above.
-            #[allow(clippy::expect_used)]
-            let i = ready.pop_front().expect("checked non-empty");
-            {
-                let words = self.jobs[i].resident_words(cfg.page_size);
-                self.jobs[i].meter.record(clock, words, Phase::Active);
-            }
-            let mut blocked_now = false;
-            for _ in 0..cfg.quantum_refs {
-                let job = &mut self.jobs[i];
-                let Some(&page) = job.trace.get(job.pos) else {
-                    break;
-                };
-                let now = job.pos as VirtualTime;
-                let outcome = job.memory.touch(page, false, now)?;
-                if outcome.is_fault() {
-                    job.faults_seen += 1;
-                    // The faulting instruction is re-executed once the
-                    // page arrives (pos is not advanced); occupancy
-                    // already includes the incoming page's frame.
-                    let words = job.resident_words(cfg.page_size);
-                    job.meter.record(clock, words, Phase::AwaitingFetch);
-                    // Queue for a transfer channel if capacity is
-                    // limited: the fetch starts when the least-loaded
-                    // channel frees.
-                    let start = match channels.iter_mut().min() {
-                        Some(slot) => {
-                            let start = (*slot).max(clock.as_nanos());
-                            *slot = start + cfg.fetch_time.as_nanos();
-                            Cycles::from_nanos(start)
-                        }
-                        None => clock,
-                    };
-                    let wake = start + cfg.fetch_time;
-                    blocked.push(Reverse((wake.as_nanos(), i)));
-                    blocked_now = true;
-                    break;
-                }
-                clock += cfg.instr_time;
-                cpu_busy += cfg.instr_time;
-                job.pos += 1;
-            }
-            // Wake any fetches that completed while this job ran.
-            while let Some(&Reverse((w, j))) = blocked.peek() {
-                if w <= clock.as_nanos() {
-                    blocked.pop();
-                    let words = self.jobs[j].resident_words(cfg.page_size);
-                    self.jobs[j].meter.record(clock, words, Phase::ReadyIdle);
-                    ready.push_back(j);
-                } else {
-                    break;
-                }
-            }
-            let job = &mut self.jobs[i];
-            if blocked_now {
-                continue;
-            }
-            if job.pos >= job.trace.len() {
-                job.finished_at = Some(clock);
-                job.meter.finish(clock);
-            } else {
-                let words = job.resident_words(cfg.page_size);
-                job.meter.record(clock, words, Phase::ReadyIdle);
-                ready.push_back(i);
-            }
-        }
-
-        let makespan = clock;
-        let jobs = self
-            .jobs
-            .into_iter()
-            .map(|mut j| {
-                j.meter.finish(makespan);
-                JobReport {
-                    id: j.spec_id,
-                    references: j.pos as u64,
-                    faults: j.faults_seen,
-                    finished_at: j.finished_at.unwrap_or(makespan),
-                    space_time: j.meter.report(),
-                }
-            })
-            .collect();
-        Ok(SimReport {
-            jobs,
-            cpu_busy,
-            makespan,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dsa_paging::replacement::lru::LruRepl;
-
-    fn pages(xs: &[u64]) -> Vec<PageNo> {
-        xs.iter().map(|&x| PageNo(x)).collect()
-    }
-
-    fn job(id: u32, trace: Vec<PageNo>, frames: usize) -> JobSpec {
-        JobSpec {
-            id: JobId(id),
-            trace,
-            frames,
-            replacer: Box::new(LruRepl::new()),
-        }
-    }
-
-    fn cfg() -> SimConfig {
-        SimConfig {
-            instr_time: Cycles::from_micros(10),
-            fetch_time: Cycles::from_millis(1),
-            page_size: 512,
-            quantum_refs: 4,
-            fetch_channels: None,
-        }
-    }
-
-    #[test]
-    fn single_job_all_hits_after_cold_start() {
-        // One page referenced 10 times: 1 fault, 9 executed references.
-        let trace = pages(&[1; 10]);
-        let sim = MultiprogramSim::new(cfg(), vec![job(0, trace, 2)]);
-        let r = sim.run().unwrap();
-        assert_eq!(r.jobs[0].faults, 1);
-        assert_eq!(r.jobs[0].references, 10);
-        // CPU busy = 10 refs x 10us (the faulting one re-executes).
-        assert_eq!(r.cpu_busy, Cycles::from_micros(100));
-        assert!(r.makespan >= Cycles::from_millis(1), "fetch time elapses");
-    }
-
-    #[test]
-    fn space_time_is_wait_dominated_when_fetch_is_slow() {
-        // Alternate between 3 pages with only 1 frame: fault storm.
-        let trace = pages(&[1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3]);
-        let sim = MultiprogramSim::new(cfg(), vec![job(0, trace, 1)]);
-        let r = sim.run().unwrap();
-        let st = &r.jobs[0].space_time;
-        assert!(
-            st.waiting_fraction() > 0.9,
-            "waiting fraction {}",
-            st.waiting_fraction()
-        );
-    }
-
-    #[test]
-    fn fast_fetch_shrinks_waiting_share() {
-        let trace = pages(&[1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3]);
-        let slow = MultiprogramSim::new(cfg(), vec![job(0, trace.clone(), 1)])
-            .run()
-            .unwrap();
-        let mut fast_cfg = cfg();
-        fast_cfg.fetch_time = Cycles::from_micros(20);
-        let fast = MultiprogramSim::new(fast_cfg, vec![job(0, trace, 1)])
-            .run()
-            .unwrap();
-        assert!(
-            fast.jobs[0].space_time.waiting_fraction() < slow.jobs[0].space_time.waiting_fraction()
-        );
-        assert!(fast.makespan < slow.makespan);
-    }
-
-    #[test]
-    fn multiprogramming_overlaps_fetch_with_execution() {
-        // Job 0 faults a lot; job 1 never faults after its cold start
-        // (single page). With both running, CPU utilization must beat
-        // job 0 alone.
-        let faulty = pages(&[1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3]);
-        let steady = pages(&[7; 2000]);
-        let alone = MultiprogramSim::new(cfg(), vec![job(0, faulty.clone(), 1)])
-            .run()
-            .unwrap();
-        let mixed = MultiprogramSim::new(cfg(), vec![job(0, faulty, 1), job(1, steady, 2)])
-            .run()
-            .unwrap();
-        assert!(
-            mixed.cpu_utilization() > 2.0 * alone.cpu_utilization(),
-            "mixed {} vs alone {}",
-            mixed.cpu_utilization(),
-            alone.cpu_utilization()
-        );
-        // Job 0's own fault count is unchanged by the company.
-        assert_eq!(mixed.jobs[0].faults, alone.jobs[0].faults);
-    }
-
-    #[test]
-    fn round_robin_shares_the_processor() {
-        // Two identical non-faulting jobs (after cold start) must finish
-        // near each other, not serially.
-        let t = pages(&[1; 400]);
-        let r = MultiprogramSim::new(cfg(), vec![job(0, t.clone(), 1), job(1, t, 1)])
-            .run()
-            .unwrap();
-        let f0 = r.jobs[0].finished_at.as_nanos() as f64;
-        let f1 = r.jobs[1].finished_at.as_nanos() as f64;
-        assert!((f0 - f1).abs() / f0.max(f1) < 0.05, "{f0} vs {f1}");
-    }
-
-    #[test]
-    fn empty_and_no_jobs() {
-        let r = MultiprogramSim::new(cfg(), vec![]).run().unwrap();
-        assert_eq!(r.makespan, Cycles::ZERO);
-        assert_eq!(r.cpu_utilization(), 0.0);
-        let r = MultiprogramSim::new(cfg(), vec![job(0, vec![], 1)])
-            .run()
-            .unwrap();
-        assert_eq!(r.jobs[0].references, 0);
-        assert_eq!(r.jobs[0].finished_at, Cycles::ZERO);
-    }
-
-    #[test]
-    fn total_space_time_sums_jobs() {
-        let t = pages(&[1, 2, 1, 2]);
-        let r = MultiprogramSim::new(cfg(), vec![job(0, t.clone(), 2), job(1, t, 2)])
-            .run()
-            .unwrap();
-        let total = r.total_space_time();
-        let sum: u128 = r.jobs.iter().map(|j| j.space_time.total()).sum();
-        assert_eq!(total.total(), sum);
-        assert!(total.total() > 0);
-    }
-}
-
-#[cfg(test)]
-mod channel_tests {
-    use super::*;
-    use dsa_paging::replacement::lru::LruRepl;
-
-    fn pages(xs: &[u64]) -> Vec<PageNo> {
-        xs.iter().map(|&x| PageNo(x)).collect()
-    }
-
-    fn cfg(channels: Option<usize>) -> SimConfig {
-        SimConfig {
-            instr_time: Cycles::from_micros(10),
-            fetch_time: Cycles::from_millis(1),
-            page_size: 512,
-            quantum_refs: 4,
-            fetch_channels: channels,
-        }
-    }
-
-    fn faulty_jobs(n: usize) -> Vec<JobSpec> {
-        (0..n)
-            .map(|i| JobSpec {
-                id: JobId(i as u32),
-                trace: pages(&[1, 2, 3, 1, 2, 3, 1, 2, 3]),
-                frames: 1,
-                replacer: Box::new(LruRepl::new()),
-            })
-            .collect()
-    }
-
-    #[test]
-    fn single_channel_serializes_fetches() {
-        let ample = MultiprogramSim::new(cfg(None), faulty_jobs(4))
-            .run()
-            .unwrap();
-        let narrow = MultiprogramSim::new(cfg(Some(1)), faulty_jobs(4))
-            .run()
-            .unwrap();
-        assert!(
-            narrow.makespan.as_nanos() > 2 * ample.makespan.as_nanos(),
-            "queueing at one channel must stretch the run: {} vs {}",
-            narrow.makespan,
-            ample.makespan
-        );
-        // Fault counts are untouched by channel capacity.
-        for (a, b) in ample.jobs.iter().zip(&narrow.jobs) {
-            assert_eq!(a.faults, b.faults);
-        }
-    }
-
-    #[test]
-    fn enough_channels_equal_ample_capacity() {
-        let ample = MultiprogramSim::new(cfg(None), faulty_jobs(3))
-            .run()
-            .unwrap();
-        let wide = MultiprogramSim::new(cfg(Some(3)), faulty_jobs(3))
-            .run()
-            .unwrap();
-        assert_eq!(ample.makespan, wide.makespan);
-        assert_eq!(ample.cpu_busy, wide.cpu_busy);
-    }
-
-    #[test]
-    fn channel_queueing_lowers_utilization() {
-        // A compute-heavy job plus faulty jobs: with one channel the
-        // faulty jobs stay blocked longer, but total CPU work is equal,
-        // so utilization (busy/makespan) falls.
-        let mut jobs = faulty_jobs(3);
-        jobs.push(JobSpec {
-            id: JobId(9),
-            trace: pages(&[7; 500]),
-            frames: 2,
-            replacer: Box::new(LruRepl::new()),
-        });
-        let ample = MultiprogramSim::new(cfg(None), faulty_jobs(3))
-            .run()
-            .unwrap();
-        let narrow = MultiprogramSim::new(cfg(Some(1)), faulty_jobs(3))
-            .run()
-            .unwrap();
-        assert!(narrow.cpu_utilization() <= ample.cpu_utilization() + 1e-12);
-        let _ = jobs;
     }
 }

@@ -1,44 +1,19 @@
-//! Parallel sweep entry points for the multiprogramming simulators.
+//! The parallel sweep entry point for the multiprogramming simulator.
 //!
-//! Experiment drivers sweep the simulators over grids — batch size ×
-//! admission policy for [`GlobalMultiprogramSim`], multiprogramming
-//! level for [`MultiprogramSim`] — and
-//! every point of such a grid is an independent simulation. These entry
-//! points put that independence on the [`dsa_exec`] engine: each point
-//! is built and run on a worker, and the reports come back in grid
-//! order, so a sweep's results are a pure function of its grid no
-//! matter how many workers executed it.
+//! Experiment drivers sweep [`EventSim`] over grids — population size ×
+//! frame pool × admission policy — and every point of such a grid is an
+//! independent simulation. [`tenant_sweep`] puts that independence on
+//! the [`dsa_exec`] engine: each point is built and run on a worker,
+//! and the reports come back in grid order, so a sweep's results are a
+//! pure function of its grid no matter how many workers executed it.
 
 use crate::admission::{AdmissionPolicy, LoadControlCfg};
 use crate::event::{EventReport, EventSim};
-use crate::load_control::{Admission, GlobalMultiprogramSim, GlobalReport};
-use crate::sim::{MultiprogramSim, SimConfig, SimReport};
+use crate::sim::SimConfig;
 use crate::tenant::TenantSpec;
 use dsa_core::error::CoreError;
 use dsa_exec::SimGrid;
 use dsa_probe::NullProbe;
-
-/// Runs one [`GlobalMultiprogramSim`] per `(batch size, admission)`
-/// point across `jobs` workers; `build` constructs the simulator for a
-/// point on the worker that runs it. Reports return in grid order.
-pub fn admission_sweep(
-    jobs: usize,
-    points: Vec<(usize, Admission)>,
-    build: impl Fn(usize, Admission) -> GlobalMultiprogramSim + Sync,
-) -> Vec<Result<GlobalReport, CoreError>> {
-    SimGrid::new(points).run(jobs, |_, &(n, admission)| build(n, admission).run())
-}
-
-/// Runs one [`MultiprogramSim`] per
-/// multiprogramming level across `jobs` workers. Reports return in
-/// level order.
-pub fn level_sweep(
-    jobs: usize,
-    levels: Vec<usize>,
-    build: impl Fn(usize) -> MultiprogramSim + Sync,
-) -> Vec<Result<SimReport, CoreError>> {
-    SimGrid::new(levels).run(jobs, |_, &level| build(level).run())
-}
 
 /// One point of a tenant-population sweep: a population size, a frame
 /// pool, and the admission policy that arbitrates between them.
@@ -46,7 +21,7 @@ pub fn level_sweep(
 pub struct SweepPoint {
     /// Number of tenants in the population.
     pub tenants: usize,
-    /// Page frames in the shared pool.
+    /// Page frames in the pool tenants are admitted against.
     pub frames: usize,
     /// How tenants are admitted against the pool.
     pub policy: AdmissionPolicy,

@@ -1,13 +1,12 @@
 //! Compact per-tenant state for the population-scale simulator.
 //!
-//! [`crate::sim::MultiprogramSim`] carries a materialized
-//! `Vec<PageNo>` trace, a full [`dsa_paging::paged::PagedMemory`], and
-//! a space-time meter per job — fine for a mix of ten, fatal for a
-//! population of 100k. A [`TenantSpec`] instead names its reference
-//! string by *recipe* ([`TraceSpec::Stream`]: a seedable
-//! [`RefStringCfg`] plus a length, drawn one reference at a time in
-//! constant memory through `dsa-trace`'s exact-replay streams), and the
-//! running state (a `TraceCursor` plus a
+//! A materialized `Vec<PageNo>` trace and a full
+//! [`dsa_paging::paged::PagedMemory`] per tenant are fine for a mix of
+//! ten, fatal for a population of 100k. A [`TenantSpec`] can instead
+//! name its reference string by *recipe* ([`TraceSpec::Stream`]: a
+//! seedable [`RefStringCfg`] plus a length, drawn one reference at a
+//! time in constant memory through `dsa-trace`'s exact-replay streams),
+//! and the running state (a `TraceCursor` plus a
 //! [`dsa_paging::compact::CompactLru`] resident-set summary) is a few
 //! hundred bytes. Backlogged tenants hold only the spec; the cursor is
 //! built at first activation.
@@ -103,6 +102,11 @@ pub struct TenantSpec {
     pub quota: usize,
     /// Admission priority: higher admits first (ties by id).
     pub priority: u8,
+    /// The tenant's working-set size in pages, when the caller has
+    /// measured it (the storage side talking to the scheduling side).
+    /// Working-set admission then claims this many frames, capped by
+    /// `quota`, instead of estimating from a trace sample.
+    pub ws_estimate: Option<usize>,
 }
 
 impl TenantSpec {
@@ -114,6 +118,7 @@ impl TenantSpec {
             trace,
             quota: quota.max(1),
             priority: 0,
+            ws_estimate: None,
         }
     }
 }

@@ -10,10 +10,9 @@
 //! ```
 
 use dsa::core::clock::Cycles;
-use dsa::core::ids::JobId;
 use dsa::metrics::Table;
-use dsa::paging::LruRepl;
-use dsa::sched::{JobSpec, MultiprogramSim, SimConfig};
+use dsa::probe::NullProbe;
+use dsa::sched::{AdmissionPolicy, EventSim, LoadControlCfg, SimConfig, TenantSpec, TraceSpec};
 use dsa::trace::refstring::RefStringCfg;
 use dsa::trace::Rng64;
 
@@ -35,20 +34,27 @@ fn main() {
     ])
     .with_title("drum-backed demand paging, 10 us/ref, 8 ms/fetch");
     for jobs in [1usize, 2, 3, 4, 6, 8, 12] {
-        let specs: Vec<JobSpec> = (0..jobs)
-            .map(|i| JobSpec {
-                id: JobId(i as u32),
-                trace: RefStringCfg::LruStack {
+        // Each job runs under LRU in 24 frames of its own.
+        let specs: Vec<TenantSpec> = (0..jobs)
+            .map(|i| {
+                let trace = RefStringCfg::LruStack {
                     pages: 64,
                     theta: 1.2,
                 }
-                .generate_pages(15_000, &mut Rng64::new(500 + i as u64)),
-                frames: 24,
-                replacer: Box::new(LruRepl::new()),
+                .generate_pages(15_000, &mut Rng64::new(500 + i as u64));
+                TenantSpec::new(i as u32, TraceSpec::Pages(trace), 24)
             })
             .collect();
-        let r = MultiprogramSim::new(cfg, specs).run().expect("no pinning");
-        let st = r.total_space_time();
+        let r = EventSim::new(
+            cfg,
+            24 * jobs,
+            AdmissionPolicy::Fixed,
+            LoadControlCfg::default(),
+            specs,
+        )
+        .run(&mut NullProbe)
+        .expect("compact sets cannot fail");
+        let st = r.space_time;
         let total = st.total().max(1) as f64;
         t.row_owned(vec![
             jobs.to_string(),

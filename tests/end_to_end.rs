@@ -1,12 +1,12 @@
 //! End-to-end data-integrity and accounting tests across crates.
 
 use dsa::core::clock::Cycles;
-use dsa::core::ids::{JobId, Name, PhysAddr};
+use dsa::core::ids::{Name, PhysAddr};
 use dsa::freelist::compaction::compact;
 use dsa::freelist::freelist::{FreeListAllocator, Placement};
 use dsa::mapping::{AddressMap, BlockMap, MapCosts};
-use dsa::paging::LruRepl;
-use dsa::sched::{JobSpec, MultiprogramSim, SimConfig};
+use dsa::probe::NullProbe;
+use dsa::sched::{AdmissionPolicy, EventSim, LoadControlCfg, SimConfig, TenantSpec, TraceSpec};
 use dsa::seg::store::{SegReplacement, SegmentStore, StoreBackend};
 use dsa::storage::CoreMemory;
 use dsa::trace::refstring::RefStringCfg;
@@ -97,23 +97,24 @@ fn scheduler_conserves_work() {
         fetch_channels: None,
     };
     let lens = [500usize, 1200, 333];
-    let specs: Vec<JobSpec> = lens
+    let specs: Vec<TenantSpec> = lens
         .iter()
         .enumerate()
-        .map(|(i, &len)| JobSpec {
-            id: JobId(i as u32),
-            trace: RefStringCfg::LruStack {
+        .map(|(i, &len)| {
+            let trace = RefStringCfg::LruStack {
                 pages: 20,
                 theta: 1.0,
             }
-            .generate_pages(len, &mut Rng64::new(i as u64)),
-            frames: 8,
-            replacer: Box::new(LruRepl::new()),
+            .generate_pages(len, &mut Rng64::new(i as u64));
+            TenantSpec::new(i as u32, TraceSpec::Pages(trace), 8)
         })
         .collect();
-    let r = MultiprogramSim::new(cfg, specs).run().expect("no pinning");
+    let lc = LoadControlCfg::default();
+    let r = EventSim::new(cfg, 24, AdmissionPolicy::Fixed, lc, specs)
+        .run(&mut NullProbe)
+        .expect("compact sets cannot fail");
     let total_refs: u64 = lens.iter().map(|&l| l as u64).sum();
-    for (i, job) in r.jobs.iter().enumerate() {
+    for (i, job) in r.tenants.iter().enumerate() {
         assert_eq!(
             job.references, lens[i] as u64,
             "job {i} must finish its trace"

@@ -1,15 +1,19 @@
-//! Property-based tests pinning the event-driven population simulator
-//! to its reference implementations.
+//! Property-based tests pinning the event-driven multiprogramming
+//! simulator to its reference implementations.
 //!
-//! Three contracts:
+//! Four contracts:
 //!
 //! * [`dsa::sched::EventSim`] in `AdmissionPolicy::Fixed` mode with
-//!   full per-tenant paging engines is *report-identical* to
-//!   [`dsa::sched::MultiprogramSim`] — same references, faults,
-//!   completion times, CPU busy time, and makespan — across every
-//!   registry replacement policy and every fetch-channel configuration.
-//!   The event queue is an optimization of the stepper, not a
-//!   different machine.
+//!   full per-tenant paging engines is *report-identical* to the
+//!   per-reference stepper in `common/stepper.rs` — same references,
+//!   faults, completion times, CPU busy time, makespan, and space-time
+//!   split — across every registry replacement policy and every
+//!   fetch-channel configuration. The event queue is an optimization
+//!   of the stepper, not a different machine.
+//! * The shared pool ([`dsa::sched::EventSim::with_shared_pool`]) needs
+//!   no second oracle: with room for every page it faults exactly the
+//!   distinct pages, with one tenant it is that tenant's private
+//!   quota, and its probe events reconcile with its report.
 //! * [`dsa::paging::CompactLru`] (the compact resident-set summary the
 //!   population mode runs on) faults exactly like
 //!   [`dsa::paging::paged::PagedMemory`] under [`dsa::paging::LruRepl`],
@@ -19,16 +23,21 @@
 //!   included — is a pure function of its grid: byte-identical reports
 //!   at any worker count.
 
+#[path = "common/stepper.rs"]
+mod stepper;
+
+use std::collections::HashSet;
+
 use dsa::core::clock::Cycles;
-use dsa::core::ids::{JobId, PageNo};
+use dsa::core::ids::PageNo;
+use dsa::metrics::SpaceTimeReport;
 use dsa::paging::paged::PagedMemory;
 use dsa::paging::replacement::registry::{policy_by_index, policy_count, policy_label};
 use dsa::paging::{CompactLru, LruRepl};
-use dsa::probe::NullProbe;
+use dsa::probe::{CountingProbe, NullProbe};
 use dsa::sched::sweep::{tenant_sweep, SweepCell, SweepPoint};
 use dsa::sched::{
-    AdmissionPolicy, EventSim, JobSpec, LoadControlCfg, MultiprogramSim, SimConfig, TenantSpec,
-    TraceSpec,
+    AdmissionPolicy, EventReport, EventSim, LoadControlCfg, SimConfig, TenantSpec, TraceSpec,
 };
 use dsa::stackdist::lru_distances;
 use dsa::trace::refstring::RefStringCfg;
@@ -61,29 +70,22 @@ fn assert_parity(
     channels: Option<usize>,
 ) -> Result<(), String> {
     let cfg = sim_cfg(quantum, channels);
-    let specs: Vec<JobSpec> = traces
+    let jobs = traces
         .iter()
-        .enumerate()
-        .map(|(i, t)| JobSpec {
-            id: JobId(i as u32),
+        .map(|t| stepper::Job {
             trace: t.clone(),
             frames,
             replacer: policy_by_index(policy, frames, t),
         })
         .collect();
-    let reference = MultiprogramSim::new(cfg, specs).run().expect("no pinning");
+    let reference = stepper::run(cfg, jobs);
 
-    let tenants: Vec<TenantSpec> = traces
-        .iter()
-        .enumerate()
-        .map(|(i, t)| TenantSpec::new(i as u32, TraceSpec::Pages(t.clone()), frames))
-        .collect();
     let event = EventSim::with_full_memory(
         cfg,
         frames * traces.len().max(1),
         AdmissionPolicy::Fixed,
         LoadControlCfg::default(),
-        tenants,
+        page_tenants(traces, frames),
         |spec| match &spec.trace {
             TraceSpec::Pages(t) => policy_by_index(policy, frames, t),
             TraceSpec::Stream { .. } => unreachable!("parity mixes are materialized"),
@@ -112,7 +114,36 @@ fn assert_parity(
         "{} total faults",
         label
     );
+    let mut space_time = SpaceTimeReport::default();
+    for j in &reference.jobs {
+        space_time.active_word_nanos += j.space_time.active_word_nanos;
+        space_time.waiting_word_nanos += j.space_time.waiting_word_nanos;
+        space_time.ready_idle_word_nanos += j.space_time.ready_idle_word_nanos;
+    }
+    prop_assert_eq!(event.space_time, space_time, "{} space-time", label);
     Ok(())
+}
+
+fn page_tenants(traces: &[Vec<PageNo>], quota: usize) -> Vec<TenantSpec> {
+    traces
+        .iter()
+        .enumerate()
+        .map(|(i, t)| TenantSpec::new(i as u32, TraceSpec::Pages(t.clone()), quota))
+        .collect()
+}
+
+fn run_shared(
+    traces: &[Vec<PageNo>],
+    frames: usize,
+    policy: AdmissionPolicy,
+    cfg: SimConfig,
+) -> (EventReport, CountingProbe) {
+    let mut probe = CountingProbe::new();
+    let lc = LoadControlCfg::default();
+    let report = EventSim::with_shared_pool(cfg, frames, policy, lc, page_tenants(traces, frames))
+        .run(&mut probe)
+        .expect("no pinning");
+    (report, probe)
 }
 
 proptest! {
@@ -143,6 +174,68 @@ proptest! {
         let quantum = [1u32, 13, 50][qi];
         for policy in [0usize, 1, 3] {
             assert_parity(&traces, frames, policy, quantum, Some(channels))?;
+        }
+    }
+
+    /// A shared pool with a frame for every page of the population has
+    /// nothing to steal: under either policy each tenant faults once per
+    /// distinct page, and the probe saw what the report says.
+    #[test]
+    fn roomy_shared_pool_faults_once_per_distinct_page(
+        traces in arb_traces(),
+        spare in 0usize..4,
+        channels in 0usize..3,
+    ) {
+        let distinct: Vec<u64> = traces
+            .iter()
+            .map(|t| t.iter().collect::<HashSet<_>>().len() as u64)
+            .collect();
+        let frames = distinct.iter().sum::<u64>() as usize + spare;
+        let cfg = sim_cfg(7, Some(channels).filter(|&c| c > 0));
+        for policy in [AdmissionPolicy::Open, AdmissionPolicy::WorkingSet] {
+            let (r, probe) = run_shared(&traces, frames, policy, cfg);
+            for ((t, trace), &pages) in r.tenants.iter().zip(&traces).zip(&distinct) {
+                prop_assert_eq!(t.references, trace.len() as u64, "{:?}", policy);
+                prop_assert_eq!(t.faults, pages, "{:?} tenant {}", policy, t.id);
+            }
+            prop_assert_eq!(probe.faults, r.faults);
+            prop_assert_eq!(probe.fetch_starts, r.faults);
+            prop_assert_eq!(probe.fetches, r.faults);
+            prop_assert_eq!(probe.tenants_admitted, r.admissions);
+            prop_assert_eq!(probe.tenants_deactivated, r.deactivations);
+            prop_assert_eq!(probe.degradation_steps, r.ladder_steps);
+        }
+    }
+
+    /// A lone tenant has no one to steal from: the shared pool reports
+    /// what a private quota of the same frames reports, space-time
+    /// included.
+    #[test]
+    fn one_tenant_shared_pool_is_a_private_quota(
+        trace in prop::collection::vec(0u64..16, 0..200),
+        frames in 1usize..8,
+        channels in 0usize..3,
+    ) {
+        let traces = [trace.into_iter().map(PageNo).collect::<Vec<_>>()];
+        let cfg = sim_cfg(13, Some(channels).filter(|&c| c > 0));
+        let private = EventSim::new(
+            cfg,
+            frames,
+            AdmissionPolicy::Fixed,
+            LoadControlCfg::default(),
+            page_tenants(&traces, frames),
+        )
+        .run(&mut NullProbe)
+        .expect("compact sets cannot fail");
+        for policy in [AdmissionPolicy::Open, AdmissionPolicy::WorkingSet] {
+            let (shared, probe) = run_shared(&traces, frames, policy, cfg);
+            prop_assert_eq!(shared.faults, private.faults, "{:?}", policy);
+            prop_assert_eq!(shared.references, private.references);
+            prop_assert_eq!(shared.cpu_busy, private.cpu_busy);
+            prop_assert_eq!(shared.makespan, private.makespan);
+            prop_assert_eq!(shared.space_time, private.space_time);
+            prop_assert_eq!(probe.faults, shared.faults);
+            prop_assert_eq!(probe.tenants_admitted, shared.admissions);
         }
     }
 

@@ -1,4 +1,4 @@
-//! The golden-output gauntlet: nine fast experiment binaries, pinned
+//! The golden-output gauntlet: eleven experiment binaries, pinned
 //! stdout, byte-for-byte.
 //!
 //! Two invariants at once:
@@ -23,15 +23,19 @@ mod common;
 use std::path::PathBuf;
 use std::process::Command;
 
-/// The gauntlet: fast (all under ~1 s in a debug build) and fully
-/// deterministic, including every printed column. Each entry carries
-/// the extra arguments its golden file was generated with (most need
-/// none; `exp_22` pins a small population so the gauntlet stays fast).
-const GAUNTLET: [(&str, &[&str]); 9] = [
+/// The gauntlet: fast (under ~1 s each in a debug build, except
+/// `exp_04` at several seconds — it replays every policy at every
+/// size) and fully deterministic, including every printed column. Each
+/// entry carries the extra arguments its golden file was generated with
+/// (most need none; `exp_22` pins a small population so the gauntlet
+/// stays fast).
+const GAUNTLET: [(&str, &[&str]); 11] = [
     ("exp_01_artificial_contiguity", &[]),
     ("exp_02_space_time", &[]),
+    ("exp_04_replacement", &[]),
     ("exp_06_faults", &[]),
     ("exp_11_multics_dual", &[]),
+    ("exp_12_atlas_learning", &[]),
     ("exp_14_promotion", &[]),
     ("exp_16_load_control", &[]),
     ("exp_17_drum_queueing", &[]),

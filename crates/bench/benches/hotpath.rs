@@ -6,13 +6,13 @@
 //! * variable-unit placement — best-fit/worst-fit must *choose* a hole
 //!   on every allocation (the modeled search length the paper cares
 //!   about is reported separately by `FreeListStats`);
-//! * victim selection — LRU and MIN must pick a frame on every
-//!   eviction;
 //! * whole fault-rate *curves* — the experiments want faults at every
 //!   core size, and replaying the machine once per size multiplies the
 //!   victim-selection cost by the number of sizes. The `belady_curve`
 //!   group races that replay loop against one `dsa-stackdist` pass
-//!   (exact same fault counts, property-tested).
+//!   (exact same fault counts, property-tested). Victim selection on
+//!   its own is priced by the `benchmark/` package
+//!   (`paging.replay_ns_per_ref.*`, `paging.streamed_ns_per_ref`).
 //!
 //! The workloads here are sized so the structures being searched are
 //! large (thousands of holes, hundreds of frames): the regime the
@@ -126,30 +126,6 @@ fn first_fit_search(c: &mut Criterion) {
     g.finish();
 }
 
-/// LRU and MIN victim selection with a large frame pool and a miss-heavy
-/// uniform trace: nearly every reference evicts, so victim choice
-/// dominates.
-fn victim_select(c: &mut Criterion) {
-    const FRAMES: usize = 512;
-    const REFS: usize = 60_000;
-    let trace: Vec<PageNo> =
-        RefStringCfg::Uniform { pages: 4096 }.generate_pages(REFS, &mut Rng64::new(11));
-    let mut g = c.benchmark_group("victim_select");
-    g.bench_function("lru_512f", |b| {
-        b.iter(|| {
-            let mut m = PagedMemory::new(FRAMES, Box::new(LruRepl::new()));
-            m.run_pages(&trace).expect("no pinning").faults
-        })
-    });
-    g.bench_function("min_512f", |b| {
-        b.iter(|| {
-            let mut m = PagedMemory::new(FRAMES, Box::new(MinRepl::new(&trace)));
-            m.run_pages(&trace).expect("no pinning").faults
-        })
-    });
-    g.finish();
-}
-
 /// The whole faults-vs-size curve, the E4 way: one replay per frame
 /// count versus one stack-distance traversal. The workload mirrors E4's
 /// first trace (60 000 LRU-stack references over 64 pages) and the
@@ -212,6 +188,6 @@ criterion_group!(
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(200))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = alloc_churn, first_fit_search, victim_select, belady_curve
+    targets = alloc_churn, first_fit_search, belady_curve
 );
 criterion_main!(hotpath);

@@ -1,21 +1,11 @@
-//! Criterion benches for the replacement policies (E4 substrate).
+//! Criterion bench for the working-set simulator. Per-policy replay cost
+//! is the `benchmark/` package's `paging.replay_ns_per_ref.*`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use dsa_core::ids::PageNo;
-use dsa_paging::paged::PagedMemory;
-use dsa_paging::replacement::atlas::AtlasLearning;
-use dsa_paging::replacement::clock::ClockRepl;
-use dsa_paging::replacement::fifo::FifoRepl;
-use dsa_paging::replacement::lru::LruRepl;
-use dsa_paging::replacement::min::MinRepl;
-use dsa_paging::replacement::nru::ClassRandomRepl;
-use dsa_paging::replacement::random::RandomRepl;
 use dsa_paging::replacement::ws::working_set_sim;
-use dsa_paging::replacement::Replacer;
 use dsa_trace::refstring::RefStringCfg;
 use dsa_trace::rng::Rng64;
-
-const FRAMES: usize = 24;
 
 fn trace() -> Vec<PageNo> {
     RefStringCfg::LruStack {
@@ -23,43 +13,6 @@ fn trace() -> Vec<PageNo> {
         theta: 0.9,
     }
     .generate_pages(30_000, &mut Rng64::new(2))
-}
-
-fn bench_policies(c: &mut Criterion) {
-    let trace = trace();
-    let mut g = c.benchmark_group("paging_30k_refs");
-    type Factory = Box<dyn Fn() -> Box<dyn Replacer>>;
-    let make: Vec<(&str, Factory)> = vec![
-        ("lru", Box::new(|| Box::new(LruRepl::new()))),
-        ("fifo", Box::new(|| Box::new(FifoRepl::new()))),
-        ("clock", Box::new(move || Box::new(ClockRepl::new(FRAMES)))),
-        ("random", Box::new(|| Box::new(RandomRepl::new(7)))),
-        (
-            "class-random",
-            Box::new(|| Box::new(ClassRandomRepl::new(7, 8))),
-        ),
-        ("atlas", Box::new(|| Box::new(AtlasLearning::new()))),
-    ];
-    for (name, factory) in &make {
-        g.bench_with_input(BenchmarkId::from_parameter(*name), &trace, |b, tr| {
-            b.iter(|| {
-                let mut mem = PagedMemory::new(FRAMES, factory());
-                mem.run_pages(tr).expect("no pinning").faults
-            });
-        });
-    }
-    // MIN includes oracle construction, measured separately.
-    g.bench_with_input(
-        BenchmarkId::from_parameter("min+oracle"),
-        &trace,
-        |b, tr| {
-            b.iter(|| {
-                let mut mem = PagedMemory::new(FRAMES, Box::new(MinRepl::new(tr)));
-                mem.run_pages(tr).expect("no pinning").faults
-            });
-        },
-    );
-    g.finish();
 }
 
 fn bench_working_set(c: &mut Criterion) {
@@ -75,6 +28,6 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(1));
-    targets = bench_policies, bench_working_set
+    targets = bench_working_set
 }
 criterion_main!(benches);

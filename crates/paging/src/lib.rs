@@ -27,6 +27,7 @@ pub use compact::CompactLru;
 pub use paged::{AdviceOutcome, PagedMemory, PagingStats, TouchOutcome};
 pub use replacement::{
     atlas::AtlasLearning, clock::ClockRepl, fifo::FifoRepl, lfu::LfuRepl, lru::LruRepl,
-    min::MinRepl, nru::ClassRandomRepl, random::RandomRepl, ws::working_set_sim, Replacer,
+    min::MinRepl, nru::ClassRandomRepl, random::RandomRepl, ws::working_set_sim, Eligible,
+    Replacer,
 };
 pub use sensors::Sensors;

@@ -23,7 +23,7 @@ use dsa_core::error::{AllocError, CoreError};
 use dsa_core::ids::{FrameNo, IdMap, PageNo, Words};
 use dsa_probe::{EventKind, NullProbe, Probe, Stamp};
 
-use crate::replacement::Replacer;
+use crate::replacement::{Eligible, Replacer};
 use crate::sensors::Sensors;
 
 /// A page pushed out of working storage.
@@ -111,6 +111,10 @@ pub struct PagedMemory {
     sensors: Sensors,
     replacer: Box<dyn Replacer>,
     pinned: HashSet<PageNo>,
+    /// How many of `pinned` are resident. Pins may name absent pages,
+    /// so this is kept as pages come, go and change pin state; the
+    /// frames eligible for eviction number `resident - pinned_resident`.
+    pinned_resident: usize,
     prefetched: HashSet<PageNo>,
     /// Frames retired from service after a bad-frame fault; never free,
     /// never loaded into again.
@@ -123,9 +127,6 @@ pub struct PagedMemory {
     /// this to their page size so traced transfer sizes are real).
     words_per_page: Words,
     stats: PagingStats,
-    /// The eviction candidates of the fault being served; kept only to
-    /// reuse its allocation.
-    eligible: Vec<FrameNo>,
 }
 
 impl PagedMemory {
@@ -144,13 +145,13 @@ impl PagedMemory {
             sensors: Sensors::new(n_frames),
             replacer,
             pinned: HashSet::new(),
+            pinned_resident: 0,
             prefetched: HashSet::new(),
             quarantined: HashSet::new(),
             reserve_vacant: false,
             lookahead: false,
             words_per_page: 1,
             stats: PagingStats::default(),
-            eligible: Vec::with_capacity(n_frames),
         }
     }
 
@@ -231,8 +232,8 @@ impl PagedMemory {
             return false;
         }
         if let Some(page) = self.frames[frame.index()].take() {
+            self.unpin(page);
             self.page_table.remove(&page);
-            self.pinned.remove(&page);
             self.prefetched.remove(&page);
             self.sensors.clear(frame);
             self.replacer.evicted(frame);
@@ -249,7 +250,14 @@ impl PagedMemory {
     pub fn unpin_all(&mut self) -> usize {
         let n = self.pinned.len();
         self.pinned.clear();
+        self.pinned_resident = 0;
         n
+    }
+
+    fn unpin(&mut self, page: PageNo) {
+        if self.pinned.remove(&page) && self.page_table.contains_key(&page) {
+            self.pinned_resident -= 1;
+        }
     }
 
     /// The frame holding `page`, if resident.
@@ -276,32 +284,35 @@ impl PagedMemory {
         probe: &mut P,
     ) -> Result<EvictedPage, CoreError> {
         let now = at.vtime;
-        // Frames eligible for eviction: resident and not pinned, in
-        // ascending frame order (policies break ties by position).
-        let pinned = &self.pinned;
-        self.eligible.clear();
-        self.eligible
-            .extend(self.frames.iter().enumerate().filter_map(|(i, p)| match p {
-                Some(page) if pinned.is_empty() || !pinned.contains(page) => {
-                    Some(FrameNo(i as u64))
-                }
-                _ => None,
-            }));
-        if self.eligible.is_empty() {
+        let eligible = Eligible {
+            frames: &self.frames,
+            pinned: &self.pinned,
+            len: self.page_table.len() - self.pinned_resident,
+        };
+        if eligible.is_empty() {
             return Err(CoreError::Alloc(AllocError::OutOfStorage {
                 requested: 1,
                 largest_free: 0,
             }));
         }
-        let frame = self.replacer.victim(&self.eligible, &mut self.sensors, now);
-        debug_assert!(
-            self.eligible.contains(&frame),
-            "policy returned ineligible frame"
-        );
+        let frame = self.replacer.victim(eligible, &mut self.sensors, now);
+        debug_assert!(eligible.contains(frame), "policy returned ineligible frame");
         // Internal invariant, not a user-reachable failure: the policy
-        // chose from `eligible`, which only lists resident frames.
+        // chose from `eligible`, which only admits resident frames.
         #[allow(clippy::expect_used)]
         let page = self.frames[frame.index()].expect("victim frame must be resident");
+        Ok(self.push_out(page, frame, at, probe))
+    }
+
+    /// Empties `frame` of `page` into the free pool, counting and
+    /// tracing the eviction.
+    fn push_out<P: Probe + ?Sized>(
+        &mut self,
+        page: PageNo,
+        frame: FrameNo,
+        at: Stamp,
+        probe: &mut P,
+    ) -> EvictedPage {
         let dirty = self.sensors.modified(frame);
         self.frames[frame.index()] = None;
         self.page_table.remove(&page);
@@ -319,7 +330,7 @@ impl PagedMemory {
             },
             at,
         );
-        Ok(EvictedPage { page, frame, dirty })
+        EvictedPage { page, frame, dirty }
     }
 
     fn load_into_free(&mut self, page: PageNo, now: VirtualTime) -> FrameNo {
@@ -329,6 +340,9 @@ impl PagedMemory {
         let frame = self.free.pop().expect("caller ensured a free frame");
         self.frames[frame.index()] = Some(page);
         self.page_table.insert(page, frame);
+        if !self.pinned.is_empty() && self.pinned.contains(&page) {
+            self.pinned_resident += 1;
+        }
         self.sensors.clear(frame);
         self.replacer.loaded(frame, page, now);
         frame
@@ -469,33 +483,16 @@ impl PagedMemory {
                 }
             }
             Advice::Pin(_) => {
-                self.pinned.insert(page);
+                if self.pinned.insert(page) && self.page_table.contains_key(&page) {
+                    self.pinned_resident += 1;
+                }
             }
-            Advice::Unpin(_) => {
-                self.pinned.remove(&page);
-            }
+            Advice::Unpin(_) => self.unpin(page),
             Advice::Release(_) => {
-                self.pinned.remove(&page);
+                self.unpin(page);
                 if let Some(frame) = self.page_table.get(&page).copied() {
-                    let dirty = self.sensors.modified(frame);
-                    self.frames[frame.index()] = None;
-                    self.page_table.remove(&page);
-                    self.sensors.clear(frame);
-                    self.replacer.evicted(frame);
-                    self.free.push(frame);
-                    self.stats.evictions += 1;
                     self.stats.advised_evictions += 1;
-                    if dirty {
-                        self.stats.dirty_evictions += 1;
-                    }
-                    probe.emit(
-                        EventKind::Evict {
-                            dirty,
-                            words: self.words_per_page,
-                        },
-                        at,
-                    );
-                    out.evicted = Some(EvictedPage { page, frame, dirty });
+                    out.evicted = Some(self.push_out(page, frame, at, probe));
                 }
             }
         }
@@ -571,8 +568,9 @@ impl PagedMemory {
     ///
     /// # Panics
     ///
-    /// Panics if the page table and frame array disagree or frames are
-    /// double-booked.
+    /// Panics if the page table and frame array disagree, frames are
+    /// double-booked, the free pool lists a frame that is not free, or
+    /// the pinned-resident count is not what a recount gives.
     pub fn check_invariants(&self) {
         let mut seen = HashSet::new();
         for (i, slot) in self.frames.iter().enumerate() {
@@ -601,11 +599,24 @@ impl PagedMemory {
                 self.frames[frame.index()].is_none(),
                 "quarantined frame holds a page"
             );
+        }
+        let mut free = HashSet::new();
+        for &frame in &self.free {
+            assert!(free.insert(frame), "frame {frame} in the free pool twice");
             assert!(
-                !self.free.contains(&frame),
+                self.frames[frame.index()].is_none(),
+                "free frame holds a page"
+            );
+            assert!(
+                !self.quarantined.contains(&frame),
                 "quarantined frame in free pool"
             );
         }
+        let pinned_resident = seen.iter().filter(|p| self.pinned.contains(p)).count();
+        assert_eq!(
+            pinned_resident, self.pinned_resident,
+            "pinned-resident count drifted"
+        );
     }
 }
 
@@ -736,6 +747,47 @@ mod tests {
             err,
             CoreError::Alloc(AllocError::OutOfStorage { .. })
         ));
+    }
+
+    #[test]
+    fn all_pinned_fault_never_consults_the_policy() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        /// Counts every callback; refuses to choose.
+        struct Untouchable(Arc<AtomicUsize>);
+        impl Replacer for Untouchable {
+            fn loaded(&mut self, _: FrameNo, _: PageNo, _: VirtualTime) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+            fn victim(&mut self, _: Eligible<'_>, _: &mut Sensors, _: VirtualTime) -> FrameNo {
+                panic!("victim called with nothing eligible");
+            }
+            fn evicted(&mut self, _: FrameNo) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+            fn name(&self) -> &'static str {
+                "untouchable"
+            }
+        }
+
+        let calls = Arc::new(AtomicUsize::new(0));
+        let mut m = PagedMemory::new(2, Box::new(Untouchable(Arc::clone(&calls))));
+        for p in [1, 2] {
+            m.touch(PageNo(p), false, p).unwrap();
+            m.advise(Advice::Pin(AdviceUnit::Page(PageNo(p))), p);
+        }
+        // A pin on an absent page counts for nothing.
+        m.advise(Advice::Pin(AdviceUnit::Page(PageNo(9))), 2);
+        assert_eq!((m.pinned_resident, calls.load(Ordering::Relaxed)), (2, 2));
+        let err = m.touch(PageNo(3), false, 3).unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::Alloc(AllocError::OutOfStorage { .. })
+        ));
+        assert_eq!((m.pinned_resident, calls.load(Ordering::Relaxed)), (2, 2));
+        assert_eq!(m.resident_count(), 2);
+        m.check_invariants();
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use dsa_core::clock::VirtualTime;
 use dsa_core::ids::{FrameNo, IdMap, PageNo};
 
-use crate::replacement::{slot, Replacer};
+use crate::replacement::{slot, Eligible, Replacer};
 use crate::sensors::Sensors;
 
 /// Per-page learning state.
@@ -123,7 +123,7 @@ impl Replacer for AtlasLearning {
     #[allow(clippy::expect_used)]
     fn victim(
         &mut self,
-        eligible: &[FrameNo],
+        eligible: Eligible<'_>,
         _sensors: &mut Sensors,
         now: VirtualTime,
     ) -> FrameNo {
@@ -131,7 +131,7 @@ impl Replacer for AtlasLearning {
         // candidates, as `Iterator::max_by_key` does.
         let mut out_of_use: Option<(VirtualTime, FrameNo)> = None;
         let mut last_required: Option<(VirtualTime, FrameNo)> = None;
-        for &f in eligible {
+        for f in eligible.iter() {
             let held = self.resident.get(f.index()).copied().flatten();
             let (_, h) = held.unwrap_or_default();
             let (t, period) = (now.saturating_sub(h.last_use), h.prev_gap);
@@ -172,6 +172,7 @@ impl Replacer for AtlasLearning {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replacement::testing::Frames;
 
     /// Builds a policy with three frames touched periodically:
     /// frame 0 with period 4, frame 1 with period 8, frame 2 abandoned.
@@ -200,9 +201,9 @@ mod tests {
     fn abandoned_page_is_detected_out_of_use() {
         let (mut r, now) = trained();
         let mut s = Sensors::new(3);
-        let all = [FrameNo(0), FrameNo(1), FrameNo(2)];
+        let all = Frames::all(3);
         // Page 2: last used at 8, learned gap 1 -> t=32 >> T+1.
-        assert_eq!(r.victim(&all, &mut s, now), FrameNo(2));
+        assert_eq!(r.victim(all.view(), &mut s, now), FrameNo(2));
     }
 
     #[test]
@@ -211,7 +212,7 @@ mod tests {
         let mut s = Sensors::new(3);
         // Only the two periodic frames eligible; both just used at 40.
         // Page 0 returns in 4, page 1 in 8: evict frame 1.
-        let v = r.victim(&[FrameNo(0), FrameNo(1)], &mut s, now);
+        let v = r.victim(Frames::only(3, &[0, 1]).view(), &mut s, now);
         assert_eq!(v, FrameNo(1));
     }
 
@@ -230,7 +231,7 @@ mod tests {
         let mut s = Sensors::new(2);
         // At t=23: page 0 expected back at 30 (T-t = 7), page 1 at 26
         // (T-t = 3): evict frame 0.
-        assert_eq!(r.victim(&[FrameNo(0), FrameNo(1)], &mut s, 23), FrameNo(0));
+        assert_eq!(r.victim(Frames::all(2).view(), &mut s, 23), FrameNo(0));
     }
 
     #[test]
@@ -239,7 +240,7 @@ mod tests {
         r.loaded(FrameNo(0), PageNo(0), 100);
         let mut s = Sensors::new(1);
         // t=1, T=0: not out of use (1 <= 0+slack), falls to case 2.
-        assert_eq!(r.victim(&[FrameNo(0)], &mut s, 101), FrameNo(0));
+        assert_eq!(r.victim(Frames::all(1).view(), &mut s, 101), FrameNo(0));
     }
 
     #[test]
@@ -253,7 +254,7 @@ mod tests {
         // Page 8 is new (T=0); page 7 has T=90, t=0 -> T-t=90: page 7 is
         // "last to be required" and must be the victim.
         let mut s = Sensors::new(2);
-        assert_eq!(r.victim(&[FrameNo(0), FrameNo(1)], &mut s, 100), FrameNo(0));
+        assert_eq!(r.victim(Frames::all(2).view(), &mut s, 100), FrameNo(0));
     }
 
     #[test]
@@ -273,7 +274,7 @@ mod tests {
         // At t=51 both were just touched; LRU would evict page 0 (used
         // at 50, tie) or keep both equal. ATLAS evicts page 1: its next
         // use is ~49 away while page 0 returns in ~4.
-        assert_eq!(r.victim(&[FrameNo(0), FrameNo(1)], &mut s, 51), FrameNo(1));
+        assert_eq!(r.victim(Frames::all(2).view(), &mut s, 51), FrameNo(1));
     }
 
     #[test]
@@ -300,12 +301,12 @@ mod tests {
             }
         }
         let mut s = Sensors::new(2);
-        let all = [FrameNo(0), FrameNo(1)];
+        let all = Frames::all(2);
         // At t=27: page 0 t=7 > T=5 (out of use under slack 0).
-        assert_eq!(strict.victim(&all, &mut s, 27), FrameNo(0));
+        assert_eq!(strict.victim(all.view(), &mut s, 27), FrameNo(0));
         // Under huge slack nothing is out of use; the victim is still an
         // eligible frame.
-        let v = lax.victim(&all, &mut s, 27);
-        assert!(all.contains(&v));
+        let v = lax.victim(all.view(), &mut s, 27);
+        assert!(all.view().contains(v));
     }
 }

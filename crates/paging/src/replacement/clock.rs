@@ -9,13 +9,14 @@
 use dsa_core::clock::VirtualTime;
 use dsa_core::ids::{FrameNo, PageNo};
 
-use crate::replacement::Replacer;
+use crate::replacement::{Eligible, Replacer};
 use crate::sensors::Sensors;
 
-/// The clock hand over a fixed set of frames.
-#[derive(Clone, Debug)]
+/// The clock hand. It sweeps every frame of the memory it serves: the
+/// turn length is read from the view at each decision, not told at
+/// construction.
+#[derive(Clone, Debug, Default)]
 pub struct ClockRepl {
-    frames: usize,
     hand: usize,
     /// When true, the use bit is ignored and the policy degenerates to
     /// pure cyclic replacement (the original B5000 form).
@@ -23,22 +24,17 @@ pub struct ClockRepl {
 }
 
 impl ClockRepl {
-    /// Second-chance clock over `frames` frames.
+    /// Second-chance clock.
     #[must_use]
-    pub fn new(frames: usize) -> ClockRepl {
-        ClockRepl {
-            frames,
-            hand: 0,
-            pure_cyclic: false,
-        }
+    pub fn new() -> ClockRepl {
+        ClockRepl::default()
     }
 
     /// Pure cyclic replacement (no use-bit consultation) — the B5000
     /// variant, useful as an ablation.
     #[must_use]
-    pub fn cyclic(frames: usize) -> ClockRepl {
+    pub fn cyclic() -> ClockRepl {
         ClockRepl {
-            frames,
             hand: 0,
             pure_cyclic: true,
         }
@@ -50,16 +46,17 @@ impl Replacer for ClockRepl {
 
     fn victim(
         &mut self,
-        eligible: &[FrameNo],
+        eligible: Eligible<'_>,
         sensors: &mut Sensors,
         _now: VirtualTime,
     ) -> FrameNo {
+        let frames = eligible.frame_count();
         // Sweep at most two full turns: one may be spent clearing use
         // bits, after which some eligible frame must show clear.
-        for _ in 0..2 * self.frames {
+        for _ in 0..2 * frames {
             let f = FrameNo(self.hand as u64);
-            self.hand = (self.hand + 1) % self.frames;
-            if !eligible.contains(&f) {
+            self.hand = (self.hand + 1) % frames;
+            if !eligible.contains(f) {
                 continue;
             }
             if self.pure_cyclic {
@@ -73,10 +70,8 @@ impl Replacer for ClockRepl {
         }
         // All eligible frames were re-used during the sweep; take the
         // one now under the hand.
-        *eligible
-            .iter()
-            .find(|f| f.index() >= self.hand)
-            .unwrap_or(&eligible[0])
+        let under_hand = eligible.iter().find(|f| f.index() >= self.hand);
+        under_hand.unwrap_or_else(|| eligible.nth(0))
     }
 
     fn name(&self) -> &'static str {
@@ -91,50 +86,51 @@ impl Replacer for ClockRepl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replacement::testing::Frames;
 
     #[test]
     fn clock_gives_second_chance() {
-        let mut r = ClockRepl::new(3);
+        let mut r = ClockRepl::new();
         let mut s = Sensors::new(3);
-        let all = [FrameNo(0), FrameNo(1), FrameNo(2)];
+        let all = Frames::all(3);
         s.touch(FrameNo(0), false);
         s.touch(FrameNo(1), false);
         // Frame 2 unused: hand clears 0 and 1, evicts 2.
-        assert_eq!(r.victim(&all, &mut s, 0), FrameNo(2));
+        assert_eq!(r.victim(all.view(), &mut s, 0), FrameNo(2));
         assert!(!s.used(FrameNo(0)), "use bit cleared in passing");
         assert!(!s.used(FrameNo(1)));
     }
 
     #[test]
     fn clock_advances_hand_between_victims() {
-        let mut r = ClockRepl::new(3);
+        let mut r = ClockRepl::new();
         let mut s = Sensors::new(3);
-        let all = [FrameNo(0), FrameNo(1), FrameNo(2)];
-        assert_eq!(r.victim(&all, &mut s, 0), FrameNo(0));
-        assert_eq!(r.victim(&all, &mut s, 1), FrameNo(1));
-        assert_eq!(r.victim(&all, &mut s, 2), FrameNo(2));
-        assert_eq!(r.victim(&all, &mut s, 3), FrameNo(0));
+        let all = Frames::all(3);
+        assert_eq!(r.victim(all.view(), &mut s, 0), FrameNo(0));
+        assert_eq!(r.victim(all.view(), &mut s, 1), FrameNo(1));
+        assert_eq!(r.victim(all.view(), &mut s, 2), FrameNo(2));
+        assert_eq!(r.victim(all.view(), &mut s, 3), FrameNo(0));
     }
 
     #[test]
     fn all_used_frames_still_yield_a_victim() {
-        let mut r = ClockRepl::new(2);
+        let mut r = ClockRepl::new();
         let mut s = Sensors::new(2);
-        let all = [FrameNo(0), FrameNo(1)];
+        let all = Frames::all(2);
         s.touch(FrameNo(0), false);
         s.touch(FrameNo(1), false);
-        let v = r.victim(&all, &mut s, 0);
-        assert!(all.contains(&v));
+        let v = r.victim(all.view(), &mut s, 0);
+        assert!(all.view().contains(v));
     }
 
     #[test]
     fn cyclic_ignores_use_bits() {
-        let mut r = ClockRepl::cyclic(2);
+        let mut r = ClockRepl::cyclic();
         let mut s = Sensors::new(2);
         s.touch(FrameNo(0), false);
-        let all = [FrameNo(0), FrameNo(1)];
+        let all = Frames::all(2);
         assert_eq!(
-            r.victim(&all, &mut s, 0),
+            r.victim(all.view(), &mut s, 0),
             FrameNo(0),
             "cyclic takes the hand's frame"
         );
@@ -143,10 +139,35 @@ mod tests {
     }
 
     #[test]
+    fn hand_sweeps_the_memory_it_serves_whatever_size_it_was_built_for() {
+        use crate::paged::{PagedMemory, TouchOutcome};
+        use crate::replacement::registry::{policy_by_index, CLOCK};
+        // Built for two frames (as a scheduler does before it knows the
+        // allotment), serving four: a hand that wrapped at two would
+        // never reach frames 2 and 3.
+        let mut m = PagedMemory::new(4, policy_by_index(CLOCK, 2, &[]));
+        for p in 0..4 {
+            m.touch(PageNo(p), false, p).unwrap();
+        }
+        let victims: Vec<FrameNo> = (4..8)
+            .map(|p| match m.touch(PageNo(p), false, p).unwrap() {
+                TouchOutcome::Fault {
+                    evicted: Some(e), ..
+                } => e.frame,
+                other => panic!("expected an eviction, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(victims, [FrameNo(0), FrameNo(1), FrameNo(2), FrameNo(3)]);
+    }
+
+    #[test]
     fn skips_ineligible_frames() {
-        let mut r = ClockRepl::new(3);
+        let mut r = ClockRepl::new();
         let mut s = Sensors::new(3);
         // Only frame 2 eligible.
-        assert_eq!(r.victim(&[FrameNo(2)], &mut s, 0), FrameNo(2));
+        assert_eq!(
+            r.victim(Frames::only(3, &[2]).view(), &mut s, 0),
+            FrameNo(2)
+        );
     }
 }

@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use dsa_core::clock::VirtualTime;
 use dsa_core::ids::{FrameNo, PageNo};
 
-use crate::replacement::Replacer;
+use crate::replacement::{Eligible, Replacer};
 use crate::sensors::Sensors;
 
 /// Evicts the page that has been resident longest, regardless of use.
@@ -32,17 +32,15 @@ impl Replacer for FifoRepl {
     #[allow(clippy::expect_used)]
     fn victim(
         &mut self,
-        eligible: &[FrameNo],
+        eligible: Eligible<'_>,
         _sensors: &mut Sensors,
         _now: VirtualTime,
     ) -> FrameNo {
         // The oldest-loaded eligible frame.
-        let pos = self
-            .queue
-            .iter()
-            .position(|f| eligible.contains(f))
-            .expect("some eligible frame must be in the load queue");
-        self.queue[pos]
+        let mut oldest_first = self.queue.iter().copied();
+        oldest_first
+            .find(|&f| eligible.contains(f))
+            .expect("some eligible frame must be in the load queue")
     }
 
     fn evicted(&mut self, frame: FrameNo) {
@@ -59,6 +57,7 @@ impl Replacer for FifoRepl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replacement::testing::Frames;
 
     #[test]
     fn evicts_in_load_order() {
@@ -69,10 +68,10 @@ mod tests {
         r.loaded(FrameNo(2), PageNo(12), 2);
         // Touching must not matter.
         r.touched(FrameNo(0), PageNo(10), 3, false);
-        let all = [FrameNo(0), FrameNo(1), FrameNo(2)];
-        assert_eq!(r.victim(&all, &mut s, 4), FrameNo(0));
+        assert_eq!(r.victim(Frames::all(3).view(), &mut s, 4), FrameNo(0));
         r.evicted(FrameNo(0));
-        assert_eq!(r.victim(&all[1..], &mut s, 5), FrameNo(1));
+        let frames = Frames::all(3).vacate(0);
+        assert_eq!(r.victim(frames.view(), &mut s, 5), FrameNo(1));
     }
 
     #[test]
@@ -82,7 +81,10 @@ mod tests {
         r.loaded(FrameNo(0), PageNo(10), 0);
         r.loaded(FrameNo(1), PageNo(11), 1);
         // Frame 0 pinned (not eligible): the next oldest is chosen.
-        assert_eq!(r.victim(&[FrameNo(1)], &mut s, 2), FrameNo(1));
+        assert_eq!(
+            r.victim(Frames::only(2, &[1]).view(), &mut s, 2),
+            FrameNo(1)
+        );
     }
 
     #[test]
@@ -93,7 +95,6 @@ mod tests {
         r.loaded(FrameNo(1), PageNo(11), 1);
         r.evicted(FrameNo(0));
         r.loaded(FrameNo(0), PageNo(12), 2); // reused frame, new page
-        let all = [FrameNo(0), FrameNo(1)];
-        assert_eq!(r.victim(&all, &mut s, 3), FrameNo(1));
+        assert_eq!(r.victim(Frames::all(2).view(), &mut s, 3), FrameNo(1));
     }
 }

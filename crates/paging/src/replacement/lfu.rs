@@ -9,7 +9,7 @@
 use dsa_core::clock::VirtualTime;
 use dsa_core::ids::{FrameNo, PageNo};
 
-use crate::replacement::{slot, Replacer};
+use crate::replacement::{slot, Eligible, Replacer};
 use crate::sensors::Sensors;
 
 /// Evicts the least-frequently-used page, with optional count aging.
@@ -65,13 +65,13 @@ impl Replacer for LfuRepl {
     #[allow(clippy::expect_used)]
     fn victim(
         &mut self,
-        eligible: &[FrameNo],
+        eligible: Eligible<'_>,
         _sensors: &mut Sensors,
         _now: VirtualTime,
     ) -> FrameNo {
-        let victim = *eligible
+        let victim = eligible
             .iter()
-            .min_by_key(|&&f| self.count(f).unwrap_or(0))
+            .min_by_key(|&f| self.count(f).unwrap_or(0))
             .expect("eligible is never empty");
         self.decisions += 1;
         if self.age_every > 0 && self.decisions >= self.age_every {
@@ -100,6 +100,7 @@ impl Replacer for LfuRepl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replacement::testing::Frames;
 
     #[test]
     fn evicts_least_used() {
@@ -112,8 +113,7 @@ mod tests {
             r.touched(FrameNo(0), PageNo(0), 1, false);
         }
         r.touched(FrameNo(2), PageNo(2), 1, false);
-        let all = [FrameNo(0), FrameNo(1), FrameNo(2)];
-        assert_eq!(r.victim(&all, &mut s, 2), FrameNo(1));
+        assert_eq!(r.victim(Frames::all(3).view(), &mut s, 2), FrameNo(1));
     }
 
     #[test]
@@ -128,7 +128,7 @@ mod tests {
         // prefers to evict it over the long-dead hot page.
         r.loaded(FrameNo(1), PageNo(1), 50);
         r.touched(FrameNo(1), PageNo(1), 51, false);
-        assert_eq!(r.victim(&[FrameNo(0), FrameNo(1)], &mut s, 99), FrameNo(1));
+        assert_eq!(r.victim(Frames::all(2).view(), &mut s, 99), FrameNo(1));
     }
 
     #[test]
@@ -142,7 +142,7 @@ mod tests {
         r.loaded(FrameNo(1), PageNo(1), 50);
         // Several decisions halve frame 0's count toward frame 1's.
         for t in 0..7 {
-            let _ = r.victim(&[FrameNo(0)], &mut s, t);
+            let _ = r.victim(Frames::only(2, &[0]).view(), &mut s, t);
         }
         assert!(
             r.count(FrameNo(0)).unwrap() <= 1,
@@ -161,7 +161,7 @@ mod tests {
         }
         r.touched(FrameNo(1), PageNo(1), 1, false);
         r.hint_idle(FrameNo(0));
-        assert_eq!(r.victim(&[FrameNo(0), FrameNo(1)], &mut s, 2), FrameNo(0));
+        assert_eq!(r.victim(Frames::all(2).view(), &mut s, 2), FrameNo(0));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use dsa_core::clock::VirtualTime;
 use dsa_core::ids::{FrameNo, PageNo};
 
-use crate::replacement::Replacer;
+use crate::replacement::{Eligible, Replacer};
 use crate::sensors::Sensors;
 
 /// One place in the recency order. Place 0 is the list's own head —
@@ -33,16 +33,13 @@ struct Link {
 /// walking back from the recent end; reference time never runs
 /// backwards, so the walk passes only frames with the *same* stamp and
 /// a higher number (a lookahead load shares its fault's stamp) and is
-/// O(1). The oldest is the victim whenever every tracked frame is
-/// eligible — the common, nothing-pinned case; when pinning shrinks the
-/// eligible set the policy falls back to the plain scan over
-/// `eligible`.
+/// O(1). The victim is the first eligible frame from the old end: the
+/// oldest itself unless it is pinned, and the walk passes only pinned
+/// frames.
 #[derive(Clone, Debug, Default)]
 pub struct LruRepl {
     /// Grown on demand; see [`Link`] for the indexing.
     links: Vec<Link>,
-    /// Frames in the order.
-    tracked: usize,
 }
 
 impl LruRepl {
@@ -52,18 +49,12 @@ impl LruRepl {
         LruRepl::default()
     }
 
-    fn stamp_of(&self, frame: FrameNo) -> Option<VirtualTime> {
-        let link = self.links.get(frame.index() + 1)?;
-        (link.older != frame.index() + 1).then_some(link.stamp)
-    }
-
     /// Takes place `at` out of the order (a no-op on a self-link).
     fn unlink(&mut self, at: usize) {
         let Link { older, newer, .. } = self.links[at];
         self.links[older].newer = newer;
         self.links[newer].older = older;
         (self.links[at].older, self.links[at].newer) = (at, at);
-        self.tracked -= usize::from(older != at);
     }
 
     fn stamp(&mut self, frame: FrameNo, now: VirtualTime) {
@@ -88,7 +79,6 @@ impl LruRepl {
         };
         self.links[older].newer = at;
         self.links[newer].older = at;
-        self.tracked += 1;
     }
 }
 
@@ -101,27 +91,24 @@ impl Replacer for LruRepl {
         self.stamp(frame, now);
     }
 
-    // Invariant: the trait contract guarantees `eligible` is never
-    // empty, so the selection below always yields a frame.
+    // Invariant: `eligible` is never empty and every eligible frame is
+    // in the order (residency implies a `loaded` call), so the walk
+    // below always meets one.
     #[allow(clippy::expect_used)]
     fn victim(
         &mut self,
-        eligible: &[FrameNo],
+        eligible: Eligible<'_>,
         _sensors: &mut Sensors,
         _now: VirtualTime,
     ) -> FrameNo {
-        // Every eligible frame is tracked (residency implies a `loaded`
-        // call), so equal lengths mean the sets coincide and the list
-        // head — oldest stamp, lowest frame among equal stamps — is
-        // exactly what the ascending scan's first-minimum rule picks.
-        if eligible.len() == self.tracked {
-            return FrameNo(self.links[0].newer as u64 - 1);
-        }
-        // Pinned frames shrink `eligible` below the tracked set: scan.
-        *eligible
-            .iter()
-            .min_by_key(|&&f| self.stamp_of(f).unwrap_or(0))
-            .expect("eligible is never empty")
+        // The order is sorted by `(stamp, frame)`, so its first eligible
+        // place is the oldest stamp and, among equal stamps, the lowest
+        // frame: an ascending scan's first minimum.
+        std::iter::successors(Some(self.links[0].newer), |&at| Some(self.links[at].newer))
+            .take_while(|&at| at != 0)
+            .map(|at| FrameNo(at as u64 - 1))
+            .find(|&f| eligible.contains(f))
+            .expect("an eligible frame is in the recency order")
     }
 
     fn evicted(&mut self, frame: FrameNo) {
@@ -138,6 +125,7 @@ impl Replacer for LruRepl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replacement::testing::Frames;
 
     #[test]
     fn evicts_least_recently_used() {
@@ -147,8 +135,7 @@ mod tests {
         r.loaded(FrameNo(1), PageNo(11), 1);
         r.loaded(FrameNo(2), PageNo(12), 2);
         r.touched(FrameNo(0), PageNo(10), 3, false); // 0 is now recent
-        let all = [FrameNo(0), FrameNo(1), FrameNo(2)];
-        assert_eq!(r.victim(&all, &mut s, 4), FrameNo(1));
+        assert_eq!(r.victim(Frames::all(3).view(), &mut s, 4), FrameNo(1));
     }
 
     #[test]
@@ -157,7 +144,7 @@ mod tests {
         let mut s = Sensors::new(2);
         r.loaded(FrameNo(0), PageNo(1), 5);
         r.loaded(FrameNo(1), PageNo(2), 6);
-        assert_eq!(r.victim(&[FrameNo(0), FrameNo(1)], &mut s, 7), FrameNo(0));
+        assert_eq!(r.victim(Frames::all(2).view(), &mut s, 7), FrameNo(0));
     }
 
     #[test]
@@ -166,9 +153,9 @@ mod tests {
         let mut s = Sensors::new(2);
         r.loaded(FrameNo(0), PageNo(1), 10);
         r.evicted(FrameNo(0));
-        // Reused frame with no recorded use sorts as oldest.
         r.loaded(FrameNo(1), PageNo(2), 11);
-        assert_eq!(r.stamp_of(FrameNo(0)), None);
-        assert_eq!(r.victim(&[FrameNo(1)], &mut s, 12), FrameNo(1));
+        assert_eq!(r.links[1].older, 1, "frame 0 left the order");
+        let frames = Frames::all(2).vacate(0);
+        assert_eq!(r.victim(frames.view(), &mut s, 12), FrameNo(1));
     }
 }

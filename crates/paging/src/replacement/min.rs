@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 use dsa_core::clock::VirtualTime;
 use dsa_core::ids::{FrameNo, IdMap, PageNo};
 
-use crate::replacement::{slot, Replacer};
+use crate::replacement::{slot, Eligible, Replacer};
 use crate::sensors::Sensors;
 
 /// The per-position next-use table MIN reasons from, as a standalone
@@ -45,8 +45,8 @@ pub fn next_use_times(trace: &[PageNo]) -> Vec<VirtualTime> {
 /// between touches: under the replay contract (reference *i* at
 /// `now == i`) a resident page's next use can only pass without a
 /// `touched` callback if the page was not referenced — impossible, since
-/// that position *is* a reference to it. Pinning falls back to the plain
-/// scan over `eligible`.
+/// that position *is* a reference to it. Pinning falls back to ranking
+/// the eligible frames one by one.
 #[derive(Clone, Debug)]
 pub struct MinRepl {
     /// For each page, the sorted positions at which it is referenced.
@@ -106,7 +106,7 @@ impl Replacer for MinRepl {
     #[allow(clippy::expect_used)]
     fn victim(
         &mut self,
-        eligible: &[FrameNo],
+        eligible: Eligible<'_>,
         _sensors: &mut Sensors,
         now: VirtualTime,
     ) -> FrameNo {
@@ -122,7 +122,7 @@ impl Replacer for MinRepl {
             }
         }
         // Pinned frames shrink `eligible` below the resident set: scan.
-        *eligible
+        eligible
             .iter()
             .max_by_key(|f| {
                 let held = self.resident.get(f.index()).copied().flatten();
@@ -147,6 +147,7 @@ impl Replacer for MinRepl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replacement::testing::Frames;
 
     fn pages(xs: &[u64]) -> Vec<PageNo> {
         xs.iter().map(|&x| PageNo(x)).collect()
@@ -192,8 +193,7 @@ mod tests {
         r.loaded(FrameNo(0), PageNo(1), 0);
         r.loaded(FrameNo(1), PageNo(2), 1);
         r.loaded(FrameNo(2), PageNo(3), 2);
-        let all = [FrameNo(0), FrameNo(1), FrameNo(2)];
-        assert_eq!(r.victim(&all, &mut s, 3), FrameNo(1));
+        assert_eq!(r.victim(Frames::all(3).view(), &mut s, 3), FrameNo(1));
     }
 
     #[test]
@@ -205,8 +205,7 @@ mod tests {
         r.loaded(FrameNo(1), PageNo(2), 1);
         r.loaded(FrameNo(2), PageNo(3), 2);
         // Page 3 never recurs after t=2: its frame must go.
-        let all = [FrameNo(0), FrameNo(1), FrameNo(2)];
-        assert_eq!(r.victim(&all, &mut s, 3), FrameNo(2));
+        assert_eq!(r.victim(Frames::all(3).view(), &mut s, 3), FrameNo(2));
     }
 
     #[test]

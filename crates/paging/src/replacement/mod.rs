@@ -40,18 +40,96 @@ pub mod random;
 pub mod registry;
 pub mod ws;
 
+use std::collections::HashSet;
+
 use dsa_core::clock::VirtualTime;
 use dsa_core::ids::{FrameNo, PageNo};
 
 use crate::sensors::Sensors;
 
+/// The frames a victim may be chosen from: those whose page is resident
+/// and not pinned (vacant and quarantined frames hold no page). A `Copy`
+/// view borrowed from the engine's frame table and pin set — nothing is
+/// built per fault — with an exact O(1) `len`, an O(1) `contains`, and
+/// `iter`/`nth` in ascending frame order, the order ties are broken by.
+#[derive(Clone, Copy, Debug)]
+pub struct Eligible<'a> {
+    pub(crate) frames: &'a [Option<PageNo>],
+    pub(crate) pinned: &'a HashSet<PageNo>,
+    /// The number of frames [`Eligible::contains`] accepts.
+    pub(crate) len: usize,
+}
+
+impl<'a> Eligible<'a> {
+    /// Number of eligible frames.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no frame is eligible. The engine never asks for a victim
+    /// then.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Number of frames in the memory being served, eligible or not.
+    #[must_use]
+    pub fn frame_count(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// Whether a frame whose table entry is `slot` is eligible.
+    fn admits(&self, slot: &Option<PageNo>) -> bool {
+        matches!(slot, Some(page) if self.pinned.is_empty() || !self.pinned.contains(page))
+    }
+
+    /// Whether `frame` is eligible.
+    #[must_use]
+    pub fn contains(&self, frame: FrameNo) -> bool {
+        self.frames
+            .get(frame.index())
+            .is_some_and(|slot| self.admits(slot))
+    }
+
+    /// The eligible frames in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = FrameNo> + 'a {
+        let view = *self;
+        let slots = self.frames.iter().enumerate();
+        slots.filter_map(move |(i, slot)| view.admits(slot).then_some(FrameNo(i as u64)))
+    }
+
+    /// The `k`-th eligible frame in ascending order — `FrameNo(k)`
+    /// itself whenever every frame is eligible.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= self.len()`.
+    #[must_use]
+    pub fn nth(&self, k: usize) -> FrameNo {
+        assert!(k < self.len, "nth({k}) of {} eligible frames", self.len);
+        if self.len == self.frames.len() {
+            return FrameNo(k as u64);
+        }
+        // Internal invariant: `len` counts what `iter` yields.
+        #[allow(clippy::expect_used)]
+        self.iter().nth(k).expect("len counts the eligible frames")
+    }
+}
+
 /// A fixed-allocation replacement strategy.
 ///
 /// The engine calls [`Replacer::loaded`] when a page is placed in a
 /// frame, [`Replacer::touched`] on every reference to a resident page,
-/// and [`Replacer::victim`] when a frame must be vacated.
-/// [`Replacer::victim`] must return one of `eligible` (frames holding
-/// unpinned resident pages).
+/// [`Replacer::evicted`] when a frame is vacated and
+/// [`Replacer::victim`] when one must be. A frame is [`Eligible`] only
+/// between its `loaded` and its `evicted`, so a policy with an order of
+/// its own (recency list, load queue, clock hand) walks that order and
+/// tests frames against the view; one that ranks the whole set iterates
+/// the view, whose ascending order makes a tie broken by position a tie
+/// broken by frame. `victim` must return a frame the view contains and
+/// must not allocate.
 ///
 /// `Send` is a supertrait so boxed policies (and the machines holding
 /// them) can be dispatched to the parallel simulation engine's workers.
@@ -65,7 +143,12 @@ pub trait Replacer: Send {
     }
 
     /// Chooses a frame to vacate among `eligible` (never empty).
-    fn victim(&mut self, eligible: &[FrameNo], sensors: &mut Sensors, now: VirtualTime) -> FrameNo;
+    fn victim(
+        &mut self,
+        eligible: Eligible<'_>,
+        sensors: &mut Sensors,
+        now: VirtualTime,
+    ) -> FrameNo;
 
     /// The page in `frame` was evicted.
     fn evicted(&mut self, frame: FrameNo) {
@@ -116,9 +199,87 @@ impl TinyRng {
     }
 }
 
+/// Test support: the tables an [`Eligible`] borrows, without an engine.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+
+    /// Frame `i` holds page `i`.
+    pub(crate) struct Frames {
+        frames: Vec<Option<PageNo>>,
+        pinned: HashSet<PageNo>,
+    }
+
+    impl Frames {
+        /// `frames` resident frames, nothing pinned.
+        pub(crate) fn all(frames: u64) -> Frames {
+            Frames::only(frames, &(0..frames).collect::<Vec<_>>())
+        }
+
+        /// `frames` resident frames, every page pinned but those in the
+        /// frames `eligible` lists.
+        pub(crate) fn only(frames: u64, eligible: &[u64]) -> Frames {
+            Frames {
+                frames: (0..frames).map(|f| Some(PageNo(f))).collect(),
+                pinned: (0..frames)
+                    .filter(|f| !eligible.contains(f))
+                    .map(PageNo)
+                    .collect(),
+            }
+        }
+
+        /// Empties `frame` (its pin, if any, stays behind).
+        pub(crate) fn vacate(mut self, frame: u64) -> Frames {
+            self.frames[frame as usize] = None;
+            self
+        }
+
+        pub(crate) fn view(&self) -> Eligible<'_> {
+            let unpinned = |p: &&PageNo| !self.pinned.contains(p);
+            Eligible {
+                frames: &self.frames,
+                pinned: &self.pinned,
+                len: self.frames.iter().flatten().filter(unpinned).count(),
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testing::Frames;
     use super::*;
+
+    #[test]
+    fn view_enumerates_unpinned_resident_frames_ascending() {
+        let frames = Frames::only(6, &[1, 2, 4, 5]).vacate(0).vacate(4);
+        let view = frames.view();
+        let listed: Vec<FrameNo> = view.iter().collect();
+        assert_eq!(listed, [FrameNo(1), FrameNo(2), FrameNo(5)]);
+        assert_eq!((view.len(), view.is_empty()), (3, false));
+        assert_eq!(view.frame_count(), 6);
+        for f in 0..8 {
+            assert_eq!(view.contains(FrameNo(f)), listed.contains(&FrameNo(f)));
+        }
+        for (k, &f) in listed.iter().enumerate() {
+            assert_eq!(view.nth(k), f, "nth({k}) under a pin");
+        }
+        assert!(Frames::only(2, &[]).view().is_empty());
+    }
+
+    #[test]
+    fn nth_is_the_frame_number_when_every_frame_is_eligible() {
+        let frames = Frames::all(5);
+        let view = frames.view();
+        assert_eq!(view.len(), 5);
+        assert!((0..5).all(|k| view.nth(k) == FrameNo(k as u64)));
+    }
+
+    #[test]
+    #[should_panic(expected = "nth(1) of 1 eligible")]
+    fn nth_past_the_end_panics() {
+        let _ = Frames::only(3, &[1]).view().nth(1);
+    }
 
     #[test]
     fn tiny_rng_is_deterministic_and_in_range() {
@@ -165,7 +326,7 @@ mod probe_tests {
         let policies: Vec<Box<dyn Replacer>> = vec![
             Box::new(LruRepl::new()),
             Box::new(FifoRepl::new()),
-            Box::new(ClockRepl::new(frames)),
+            Box::new(ClockRepl::new()),
             Box::new(RandomRepl::new(5)),
             Box::new(ClassRandomRepl::new(5, 8)),
             Box::new(AtlasLearning::new()),

@@ -22,7 +22,7 @@
 use dsa_core::clock::VirtualTime;
 use dsa_core::ids::{FrameNo, PageNo};
 
-use crate::replacement::{Replacer, TinyRng};
+use crate::replacement::{Eligible, Replacer, TinyRng};
 use crate::sensors::Sensors;
 
 /// Random-within-lowest-class replacement (NRU with random
@@ -57,24 +57,24 @@ impl Replacer for ClassRandomRepl {
     #[allow(clippy::expect_used)]
     fn victim(
         &mut self,
-        eligible: &[FrameNo],
+        eligible: Eligible<'_>,
         sensors: &mut Sensors,
         _now: VirtualTime,
     ) -> FrameNo {
-        let class_of = |s: &Sensors, f: FrameNo| -> u8 {
-            (u8::from(s.used(f)) << 1) | u8::from(s.modified(f))
+        let class_of = |s: &Sensors, f: FrameNo| -> usize {
+            (usize::from(s.used(f)) << 1) | usize::from(s.modified(f))
         };
-        let best = eligible
+        let mut members = [0usize; 4];
+        for f in eligible.iter() {
+            members[class_of(sensors, f)] += 1;
+        }
+        let best = members
             .iter()
-            .map(|&f| class_of(sensors, f))
-            .min()
+            .position(|&n| n > 0)
             .expect("eligible is never empty");
-        let candidates: Vec<FrameNo> = eligible
-            .iter()
-            .copied()
-            .filter(|&f| class_of(sensors, f) == best)
-            .collect();
-        let victim = candidates[self.rng.below(candidates.len())];
+        let k = self.rng.below(members[best]);
+        let mut candidates = eligible.iter().filter(|&f| class_of(sensors, f) == best);
+        let victim = candidates.nth(k).expect("k is below the class's count");
         self.decisions += 1;
         if self.decisions >= self.decisions_per_sweep {
             self.decisions = 0;
@@ -91,19 +91,20 @@ impl Replacer for ClassRandomRepl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replacement::testing::Frames;
 
     #[test]
     fn prefers_unused_clean_frames() {
         let mut r = ClassRandomRepl::new(1, 1000);
         let mut s = Sensors::new(4);
-        let all = [FrameNo(0), FrameNo(1), FrameNo(2), FrameNo(3)];
+        let all = Frames::all(4);
         s.touch(FrameNo(0), true); // used+dirty
         s.touch(FrameNo(1), false); // used
         s.touch(FrameNo(2), true);
         s.reset_use(FrameNo(2)); // dirty only
                                  // Frame 3: untouched -> class 0, must always win.
         for t in 0..20 {
-            assert_eq!(r.victim(&all, &mut s, t), FrameNo(3));
+            assert_eq!(r.victim(all.view(), &mut s, t), FrameNo(3));
         }
     }
 
@@ -114,17 +115,17 @@ mod tests {
         s.touch(FrameNo(0), true);
         s.reset_use(FrameNo(0)); // idle, dirty: class 1
         s.touch(FrameNo(1), false); // active, clean: class 2
-        assert_eq!(r.victim(&[FrameNo(0), FrameNo(1)], &mut s, 0), FrameNo(0));
+        assert_eq!(r.victim(Frames::all(2).view(), &mut s, 0), FrameNo(0));
     }
 
     #[test]
     fn random_among_equal_candidates() {
         let mut r = ClassRandomRepl::new(3, 1000);
         let mut s = Sensors::new(4);
-        let all = [FrameNo(0), FrameNo(1), FrameNo(2), FrameNo(3)];
+        let all = Frames::all(4);
         let mut seen = [false; 4];
         for t in 0..200 {
-            seen[r.victim(&all, &mut s, t).index()] = true;
+            seen[r.victim(all.view(), &mut s, t).index()] = true;
         }
         assert!(
             seen.iter().all(|&x| x),
@@ -138,7 +139,7 @@ mod tests {
         let mut s = Sensors::new(2);
         s.touch(FrameNo(0), false);
         s.touch(FrameNo(1), false);
-        let _ = r.victim(&[FrameNo(0), FrameNo(1)], &mut s, 0);
+        let _ = r.victim(Frames::all(2).view(), &mut s, 0);
         assert!(
             !s.used(FrameNo(0)) && !s.used(FrameNo(1)),
             "sweep after decision"

@@ -3,7 +3,7 @@
 use dsa_core::clock::VirtualTime;
 use dsa_core::ids::{FrameNo, PageNo};
 
-use crate::replacement::{Replacer, TinyRng};
+use crate::replacement::{Eligible, Replacer, TinyRng};
 use crate::sensors::Sensors;
 
 /// Evicts a uniformly random eligible frame.
@@ -27,11 +27,11 @@ impl Replacer for RandomRepl {
 
     fn victim(
         &mut self,
-        eligible: &[FrameNo],
+        eligible: Eligible<'_>,
         _sensors: &mut Sensors,
         _now: VirtualTime,
     ) -> FrameNo {
-        eligible[self.rng.below(eligible.len())]
+        eligible.nth(self.rng.below(eligible.len()))
     }
 
     fn name(&self) -> &'static str {
@@ -42,18 +42,19 @@ impl Replacer for RandomRepl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replacement::testing::Frames;
 
     #[test]
     fn victims_are_eligible_and_deterministic() {
         let mut a = RandomRepl::new(7);
         let mut b = RandomRepl::new(7);
         let mut s = Sensors::new(4);
-        let all = [FrameNo(0), FrameNo(1), FrameNo(2), FrameNo(3)];
+        let all = Frames::all(4);
         for t in 0..100 {
-            let va = a.victim(&all, &mut s, t);
-            let vb = b.victim(&all, &mut s, t);
+            let va = a.victim(all.view(), &mut s, t);
+            let vb = b.victim(all.view(), &mut s, t);
             assert_eq!(va, vb);
-            assert!(all.contains(&va));
+            assert!(all.view().contains(va));
         }
     }
 
@@ -61,10 +62,10 @@ mod tests {
     fn covers_all_frames_eventually() {
         let mut r = RandomRepl::new(3);
         let mut s = Sensors::new(3);
-        let all = [FrameNo(0), FrameNo(1), FrameNo(2)];
+        let all = Frames::all(3);
         let mut seen = [false; 3];
         for t in 0..200 {
-            seen[r.victim(&all, &mut s, t).index()] = true;
+            seen[r.victim(all.view(), &mut s, t).index()] = true;
         }
         assert!(seen.iter().all(|&x| x));
     }

@@ -42,20 +42,21 @@ pub const fn policy_count() -> usize {
     8
 }
 
-/// Constructs policy `index` for a memory of `frames` frames replaying
-/// `trace` (MIN needs the future; Clock needs the frame count; the
-/// rest ignore both). Lets a parallel sweep build each worker's policy
-/// on the worker itself.
+/// Constructs policy `index` for a memory replaying `trace` (MIN needs
+/// the future; the rest ignore it). No policy is told a size — Clock
+/// reads the frame count from the memory it serves — so `_frames` is
+/// ignored. Lets a parallel sweep build each worker's policy on the
+/// worker itself.
 ///
 /// # Panics
 ///
 /// Panics if `index >= policy_count()`.
 #[must_use]
-pub fn policy_by_index(index: usize, frames: usize, trace: &[PageNo]) -> Box<dyn Replacer> {
+pub fn policy_by_index(index: usize, _frames: usize, trace: &[PageNo]) -> Box<dyn Replacer> {
     match index {
         MIN => Box::new(MinRepl::new(trace)),
         LRU => Box::new(LruRepl::new()),
-        CLOCK => Box::new(ClockRepl::new(frames)),
+        CLOCK => Box::new(ClockRepl::new()),
         FIFO => Box::new(FifoRepl::new()),
         CLASS_RANDOM => Box::new(ClassRandomRepl::new(4, 8)),
         RANDOM => Box::new(RandomRepl::new(4)),

@@ -33,7 +33,7 @@ fn main() {
         let policies: Vec<Box<dyn Replacer>> = vec![
             Box::new(MinRepl::new(&trace)),
             Box::new(LruRepl::new()),
-            Box::new(ClockRepl::new(frames)),
+            Box::new(ClockRepl::new()),
             Box::new(FifoRepl::new()),
             Box::new(AtlasLearning::new()),
         ];

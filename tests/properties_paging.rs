@@ -6,8 +6,8 @@ use dsa::core::ids::PageNo;
 use dsa::paging::paged::PagedMemory;
 use dsa::paging::replacement::ws::working_set_sim;
 use dsa::paging::{
-    AtlasLearning, ClassRandomRepl, ClockRepl, FifoRepl, LfuRepl, LruRepl, MinRepl, RandomRepl,
-    Replacer,
+    AtlasLearning, ClassRandomRepl, ClockRepl, Eligible, FifoRepl, LfuRepl, LruRepl, MinRepl,
+    RandomRepl, Replacer,
 };
 use proptest::prelude::*;
 
@@ -15,12 +15,12 @@ fn arb_trace() -> impl Strategy<Value = Vec<PageNo>> {
     prop::collection::vec(0u64..24, 1..600).prop_map(|v| v.into_iter().map(PageNo).collect())
 }
 
-fn all_policies(frames: usize, trace: &[PageNo]) -> Vec<Box<dyn Replacer>> {
+fn all_policies(trace: &[PageNo]) -> Vec<Box<dyn Replacer>> {
     vec![
         Box::new(LruRepl::new()),
         Box::new(FifoRepl::new()),
-        Box::new(ClockRepl::new(frames)),
-        Box::new(ClockRepl::cyclic(frames)),
+        Box::new(ClockRepl::new()),
+        Box::new(ClockRepl::cyclic()),
         Box::new(RandomRepl::new(9)),
         Box::new(ClassRandomRepl::new(9, 4)),
         Box::new(AtlasLearning::new()),
@@ -48,7 +48,7 @@ proptest! {
     #[test]
     fn min_is_optimal(trace in arb_trace(), frames in 1usize..16) {
         let min_faults = faults(frames, &trace, Box::new(MinRepl::new(&trace)));
-        for policy in all_policies(frames, &trace) {
+        for policy in all_policies(&trace) {
             if policy.name() == "MIN (Belady)" {
                 continue;
             }
@@ -66,7 +66,7 @@ proptest! {
     #[test]
     fn fault_counts_are_bounded(trace in arb_trace(), frames in 1usize..16) {
         let d = distinct(&trace);
-        for policy in all_policies(frames, &trace) {
+        for policy in all_policies(&trace) {
             let name = policy.name();
             let f = faults(frames, &trace, policy);
             prop_assert!(f >= d, "{name}: {f} faults < {d} distinct pages");
@@ -96,7 +96,7 @@ proptest! {
     #[test]
     fn ample_storage_means_cold_misses_only(trace in arb_trace()) {
         let d = distinct(&trace);
-        for policy in all_policies(24, &trace) {
+        for policy in all_policies(&trace) {
             let name = policy.name();
             let f = faults(24, &trace, policy);
             prop_assert_eq!(f, d, "{} with ample frames", name);
@@ -191,6 +191,13 @@ mod victim_parity {
     use std::collections::HashMap;
     use std::sync::{Arc, Mutex};
 
+    /// What `victim` was handed before the view: every eligible frame,
+    /// ascending, in a list built for the fault. The models below
+    /// choose from it with the policy bodies of that time, verbatim.
+    fn listed(eligible: Eligible<'_>) -> Vec<FrameNo> {
+        eligible.iter().collect()
+    }
+
     /// Wraps a policy and records every victim it chooses, so two
     /// policies' full eviction sequences can be compared.
     struct Recording {
@@ -209,7 +216,7 @@ mod victim_parity {
 
         fn victim(
             &mut self,
-            eligible: &[FrameNo],
+            eligible: Eligible<'_>,
             sensors: &mut Sensors,
             now: VirtualTime,
         ) -> FrameNo {
@@ -249,11 +256,11 @@ mod victim_parity {
 
         fn victim(
             &mut self,
-            eligible: &[FrameNo],
+            eligible: Eligible<'_>,
             _sensors: &mut Sensors,
             _now: VirtualTime,
         ) -> FrameNo {
-            *eligible
+            *listed(eligible)
                 .iter()
                 .min_by_key(|f| self.last_use.get(f).copied().unwrap_or(0))
                 .expect("eligible is never empty")
@@ -301,11 +308,11 @@ mod victim_parity {
 
         fn victim(
             &mut self,
-            eligible: &[FrameNo],
+            eligible: Eligible<'_>,
             _sensors: &mut Sensors,
             now: VirtualTime,
         ) -> FrameNo {
-            *eligible
+            *listed(eligible)
                 .iter()
                 .max_by_key(|f| {
                     let page = self.resident.get(f).copied().unwrap_or(PageNo(u64::MAX));
@@ -360,11 +367,11 @@ mod victim_parity {
 
         fn victim(
             &mut self,
-            eligible: &[FrameNo],
+            eligible: Eligible<'_>,
             _sensors: &mut Sensors,
             _now: VirtualTime,
         ) -> FrameNo {
-            let victim = *eligible
+            let victim = *listed(eligible)
                 .iter()
                 .min_by_key(|f| self.counts.get(f).copied().unwrap_or(0))
                 .expect("eligible is never empty");
@@ -421,10 +428,11 @@ mod victim_parity {
 
         fn victim(
             &mut self,
-            eligible: &[FrameNo],
+            eligible: Eligible<'_>,
             _sensors: &mut Sensors,
             now: VirtualTime,
         ) -> FrameNo {
+            let eligible = listed(eligible);
             let state = |f: &FrameNo| {
                 let page = self.resident.get(f);
                 let (last_use, prev_gap) = page
@@ -458,6 +466,219 @@ mod victim_parity {
 
         fn name(&self) -> &'static str {
             "map-ATLAS"
+        }
+    }
+
+    /// MIN as shipped before the view: next uses cached at every load
+    /// and touch, the farthest `(next use, frame)` taken while every
+    /// cached frame is eligible, the recomputing scan otherwise. (Off
+    /// the replay contract a cached next use can be stale, so the scan
+    /// alone is not the model here.)
+    struct CachedMin {
+        scan: ScanMin,
+        cached: HashMap<FrameNo, VirtualTime>,
+    }
+
+    impl CachedMin {
+        fn recache(&mut self, frame: FrameNo, page: PageNo, now: VirtualTime) {
+            let next = self.scan.next_use(page, now).unwrap_or(VirtualTime::MAX);
+            self.cached.insert(frame, next);
+        }
+    }
+
+    impl Replacer for CachedMin {
+        fn loaded(&mut self, frame: FrameNo, page: PageNo, now: VirtualTime) {
+            self.scan.loaded(frame, page, now);
+            self.recache(frame, page, now);
+        }
+
+        fn touched(&mut self, frame: FrameNo, page: PageNo, now: VirtualTime, _write: bool) {
+            self.recache(frame, page, now);
+        }
+
+        fn victim(
+            &mut self,
+            eligible: Eligible<'_>,
+            sensors: &mut Sensors,
+            now: VirtualTime,
+        ) -> FrameNo {
+            if eligible.len() == self.cached.len() {
+                let farthest = self.cached.iter().map(|(&f, &next)| (next, f)).max();
+                return farthest.expect("eligible is never empty").1;
+            }
+            self.scan.victim(eligible, sensors, now)
+        }
+
+        fn evicted(&mut self, frame: FrameNo) {
+            self.scan.evicted(frame);
+            self.cached.remove(&frame);
+        }
+
+        fn name(&self) -> &'static str {
+            "cached-MIN"
+        }
+    }
+
+    /// FIFO over the list: the queue is searched for the first entry the
+    /// list holds.
+    #[derive(Default)]
+    struct ListFifo {
+        queue: VecDeque<FrameNo>,
+    }
+
+    impl Replacer for ListFifo {
+        fn loaded(&mut self, frame: FrameNo, _page: PageNo, _now: VirtualTime) {
+            self.queue.push_back(frame);
+        }
+
+        fn victim(
+            &mut self,
+            eligible: Eligible<'_>,
+            _sensors: &mut Sensors,
+            _now: VirtualTime,
+        ) -> FrameNo {
+            let eligible = listed(eligible);
+            let pos = self
+                .queue
+                .iter()
+                .position(|f| eligible.contains(f))
+                .expect("some eligible frame must be in the load queue");
+            self.queue[pos]
+        }
+
+        fn evicted(&mut self, frame: FrameNo) {
+            if let Some(pos) = self.queue.iter().position(|&f| f == frame) {
+                self.queue.remove(pos);
+            }
+        }
+
+        fn name(&self) -> &'static str {
+            "list-FIFO"
+        }
+    }
+
+    /// Clock over the list, told its frame count at construction.
+    struct ListClock {
+        frames: usize,
+        hand: usize,
+        pure_cyclic: bool,
+    }
+
+    impl Replacer for ListClock {
+        fn loaded(&mut self, _frame: FrameNo, _page: PageNo, _now: VirtualTime) {}
+
+        fn victim(
+            &mut self,
+            eligible: Eligible<'_>,
+            sensors: &mut Sensors,
+            _now: VirtualTime,
+        ) -> FrameNo {
+            let eligible = listed(eligible);
+            for _ in 0..2 * self.frames {
+                let f = FrameNo(self.hand as u64);
+                self.hand = (self.hand + 1) % self.frames;
+                if !eligible.contains(&f) {
+                    continue;
+                }
+                if self.pure_cyclic {
+                    return f;
+                }
+                if sensors.used(f) {
+                    sensors.reset_use(f);
+                } else {
+                    return f;
+                }
+            }
+            *eligible
+                .iter()
+                .find(|f| f.index() >= self.hand)
+                .unwrap_or(&eligible[0])
+        }
+
+        fn name(&self) -> &'static str {
+            "list-Clock"
+        }
+    }
+
+    /// The crate-private xorshift the randomized policies draw from.
+    struct TinyRng(u64);
+
+    impl TinyRng {
+        fn below(&mut self, n: usize) -> usize {
+            let mut x = self.0;
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            self.0 = x;
+            (x % n as u64) as usize
+        }
+    }
+
+    /// Random over the list: one draw indexes it.
+    struct ListRandom {
+        rng: TinyRng,
+    }
+
+    impl Replacer for ListRandom {
+        fn loaded(&mut self, _frame: FrameNo, _page: PageNo, _now: VirtualTime) {}
+
+        fn victim(
+            &mut self,
+            eligible: Eligible<'_>,
+            _sensors: &mut Sensors,
+            _now: VirtualTime,
+        ) -> FrameNo {
+            let eligible = listed(eligible);
+            eligible[self.rng.below(eligible.len())]
+        }
+
+        fn name(&self) -> &'static str {
+            "list-Random"
+        }
+    }
+
+    /// Class-random over the list: the best class is found in one pass
+    /// and collected in a second, and one draw indexes the collection.
+    struct ListClassRandom {
+        rng: TinyRng,
+        decisions_per_sweep: u32,
+        decisions: u32,
+    }
+
+    impl Replacer for ListClassRandom {
+        fn loaded(&mut self, _frame: FrameNo, _page: PageNo, _now: VirtualTime) {}
+
+        fn victim(
+            &mut self,
+            eligible: Eligible<'_>,
+            sensors: &mut Sensors,
+            _now: VirtualTime,
+        ) -> FrameNo {
+            let eligible = listed(eligible);
+            let class_of = |s: &Sensors, f: FrameNo| -> u8 {
+                (u8::from(s.used(f)) << 1) | u8::from(s.modified(f))
+            };
+            let best = eligible
+                .iter()
+                .map(|&f| class_of(sensors, f))
+                .min()
+                .expect("eligible is never empty");
+            let candidates: Vec<FrameNo> = eligible
+                .iter()
+                .copied()
+                .filter(|&f| class_of(sensors, f) == best)
+                .collect();
+            let victim = candidates[self.rng.below(candidates.len())];
+            self.decisions += 1;
+            if self.decisions >= self.decisions_per_sweep {
+                self.decisions = 0;
+                sensors.reset_all_use();
+            }
+            victim
+        }
+
+        fn name(&self) -> &'static str {
+            "list-class-random"
         }
     }
 
@@ -546,11 +767,13 @@ mod victim_parity {
     }
 
     proptest! {
-        /// The list-threaded LRU, the table-backed LFU and the
-        /// resident/drum ATLAS each choose victim for victim what the
-        /// hashed model they replaced chooses, under repeated stamps,
-        /// pins, `hint_idle`, retired frames, the vacant reserve and
-        /// lookahead — and so every touch, load and eviction agrees.
+        /// Every policy, answering from its own order against the
+        /// engine's view, chooses victim for victim what its model
+        /// chooses from the materialized list — hashed state for LRU,
+        /// LFU and ATLAS, the policy's previous `victim` body for the
+        /// rest — under repeated stamps, pins, `hint_idle`, releases,
+        /// retired frames, the vacant reserve and lookahead; and so
+        /// every touch, load, eviction and statistic agrees.
         #[test]
         fn dense_policies_match_their_hashed_models(
             script in arb_script(),
@@ -559,8 +782,11 @@ mod victim_parity {
             lookahead in any::<bool>(),
             age_every in 0u32..6,
             slack in 0u64..4,
+            seed in 0u64..64,
+            sweep in 1u32..6,
         ) {
-            let pairs: [(Box<dyn Replacer>, Box<dyn Replacer>); 3] = [
+            let future: Vec<PageNo> = script.iter().map(|step| PageNo(step.1)).collect();
+            let pairs: [(Box<dyn Replacer>, Box<dyn Replacer>); 9] = [
                 (Box::new(LruRepl::new()), Box::new(ScanLru::default())),
                 (
                     Box::new(LfuRepl::with_aging(age_every)),
@@ -574,6 +800,31 @@ mod victim_parity {
                         slack,
                     }),
                 ),
+                (
+                    Box::new(MinRepl::new(&future)),
+                    Box::new(CachedMin { scan: ScanMin::new(&future), cached: HashMap::new() }),
+                ),
+                (Box::new(FifoRepl::new()), Box::new(ListFifo::default())),
+                (
+                    Box::new(ClockRepl::new()),
+                    Box::new(ListClock { frames, hand: 0, pure_cyclic: false }),
+                ),
+                (
+                    Box::new(ClockRepl::cyclic()),
+                    Box::new(ListClock { frames, hand: 0, pure_cyclic: true }),
+                ),
+                (
+                    Box::new(RandomRepl::new(seed)),
+                    Box::new(ListRandom { rng: TinyRng(seed | 1) }),
+                ),
+                (
+                    Box::new(ClassRandomRepl::new(seed, sweep)),
+                    Box::new(ListClassRandom {
+                        rng: TinyRng(seed | 1),
+                        decisions_per_sweep: sweep,
+                        decisions: 0,
+                    }),
+                ),
             ];
             for (dense, hashed) in pairs {
                 let name = dense.name();
@@ -582,7 +833,7 @@ mod victim_parity {
                 let agree = got.steps.iter().zip(&want.steps).take_while(|(g, w)| g == w).count();
                 prop_assert!(
                     agree == script.len(),
-                    "{}: step {} {:?} gave {}, the hashed model {}",
+                    "{}: step {} {:?} gave {}, the model {}",
                     name, agree, script[agree], got.steps[agree], want.steps[agree]
                 );
                 prop_assert_eq!(&got.victims, &want.victims, "{}: victims", name);

@@ -21,10 +21,10 @@ use dsa_mapping::associative::FrameAssociativeMap;
 use dsa_mapping::block_map::BlockMap;
 use dsa_mapping::{AddressMap, Translation};
 use dsa_paging::paged::{PagedMemory, TouchOutcome};
-use dsa_probe::{EventKind, NullProbe, Probe, Stamp};
+use dsa_probe::{EventKind, Probe, Stamp};
 
 use crate::faults_rt::{self, FaultState};
-use crate::report::{Machine, MachineReport};
+use crate::report::MachineReport;
 
 /// Which mapping hardware performs the name-to-address step.
 pub enum LinearMapDevice {
@@ -231,6 +231,8 @@ impl LinearPagedMachine {
     /// # Errors
     ///
     /// As [`Machine::run`].
+    ///
+    /// [`Machine::run`]: crate::Machine::run
     pub fn run_with<P: Probe + ?Sized>(
         &mut self,
         ops: &[ProgramOp],
@@ -462,31 +464,12 @@ impl LinearPagedMachine {
     }
 }
 
-impl Machine for LinearPagedMachine {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn characteristics(&self) -> SystemCharacteristics {
-        self.chars.clone()
-    }
-
-    fn run(&mut self, ops: &[ProgramOp]) -> Result<MachineReport, CoreError> {
-        self.run_with(ops, &mut NullProbe)
-    }
-
-    fn run_probed(
-        &mut self,
-        ops: &[ProgramOp],
-        probe: &mut dyn Probe,
-    ) -> Result<MachineReport, CoreError> {
-        self.run_with(ops, probe)
-    }
-}
+crate::report::impl_machine!(LinearPagedMachine);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Machine;
     use dsa_core::access::AccessKind;
     use dsa_core::taxonomy::{AllocationUnit, Contiguity, NameSpaceKind, PredictiveInfo};
     use dsa_mapping::cost::MapCosts;

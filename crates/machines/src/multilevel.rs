@@ -26,10 +26,10 @@ use dsa_core::taxonomy::SystemCharacteristics;
 use dsa_faults::FaultConfig;
 use dsa_mapping::two_level::TwoLevelMap;
 use dsa_paging::paged::{PagedMemory, TouchOutcome};
-use dsa_probe::{EventKind, NullProbe, Probe, Stamp};
+use dsa_probe::{EventKind, Probe, Stamp};
 
 use crate::faults_rt::{self, FaultState};
-use crate::report::{Machine, MachineReport};
+use crate::report::MachineReport;
 
 /// How user segments map onto machine segments.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -248,6 +248,8 @@ impl PagedSegmentedMachine {
     /// # Errors
     ///
     /// As [`Machine::run`].
+    ///
+    /// [`Machine::run`]: crate::Machine::run
     pub fn run_with<P: Probe + ?Sized>(
         &mut self,
         ops: &[ProgramOp],
@@ -513,31 +515,12 @@ impl PagedSegmentedMachine {
     }
 }
 
-impl Machine for PagedSegmentedMachine {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn characteristics(&self) -> SystemCharacteristics {
-        self.chars.clone()
-    }
-
-    fn run(&mut self, ops: &[ProgramOp]) -> Result<MachineReport, CoreError> {
-        self.run_with(ops, &mut NullProbe)
-    }
-
-    fn run_probed(
-        &mut self,
-        ops: &[ProgramOp],
-        probe: &mut dyn Probe,
-    ) -> Result<MachineReport, CoreError> {
-        self.run_with(ops, probe)
-    }
-}
+crate::report::impl_machine!(PagedSegmentedMachine);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Machine;
     use dsa_core::access::AccessKind;
     use dsa_core::taxonomy::{AllocationUnit, Contiguity, NameSpaceKind, PredictiveInfo};
     use dsa_mapping::associative::AssocPolicy;

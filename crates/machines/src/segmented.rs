@@ -19,11 +19,11 @@ use dsa_core::taxonomy::SystemCharacteristics;
 use dsa_faults::FaultConfig;
 use dsa_mapping::associative::{AssocMemory, AssocPolicy};
 use dsa_mapping::cost::MapCosts;
-use dsa_probe::{EventKind, NullProbe, Probe, Stamp};
+use dsa_probe::{EventKind, Probe, Stamp};
 use dsa_seg::store::SegmentStore;
 
 use crate::faults_rt::{self, FaultState};
-use crate::report::{Machine, MachineReport};
+use crate::report::MachineReport;
 
 /// A segment-allocated machine.
 pub struct SegmentedMachine {
@@ -196,6 +196,8 @@ impl SegmentedMachine {
     /// # Errors
     ///
     /// As [`Machine::run`].
+    ///
+    /// [`Machine::run`]: crate::Machine::run
     pub fn run_with<P: Probe + ?Sized>(
         &mut self,
         ops: &[ProgramOp],
@@ -441,24 +443,4 @@ impl SegmentedMachine {
     }
 }
 
-impl Machine for SegmentedMachine {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn characteristics(&self) -> SystemCharacteristics {
-        self.chars.clone()
-    }
-
-    fn run(&mut self, ops: &[ProgramOp]) -> Result<MachineReport, CoreError> {
-        self.run_with(ops, &mut NullProbe)
-    }
-
-    fn run_probed(
-        &mut self,
-        ops: &[ProgramOp],
-        probe: &mut dyn Probe,
-    ) -> Result<MachineReport, CoreError> {
-        self.run_with(ops, probe)
-    }
-}
+crate::report::impl_machine!(SegmentedMachine);

@@ -1,62 +1,189 @@
-//! Per-event-kind counters that reconcile with `MachineReport`.
+//! The counter vocabulary, declared once, and the two counting sinks
+//! generated from it.
+//!
+//! Each row of the table at the bottom of this file names an
+//! [`EventKind`] variant and the counters it feeds: `count` (one per
+//! event), `sum` (a payload quantity) or `flag` (one per event whose
+//! condition holds). From the rows `counters!` generates
+//! [`CountingProbe`] (plain `u64` cells, one owner), [`SharedProbe`]
+//! (the same cells as atomics), the snapshot/delta/total arithmetic over
+//! them, and the one `record` body all three ways of reaching a cell
+//! share. The generated `match` has no `_ =>` arm, so an `EventKind`
+//! variant without a row does not compile.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::{DegradationStep, Event, EventKind, InjectedFault, Probe};
-use dsa_core::ids::Words;
 
-/// Counts every event kind (and the word quantities events carry).
-///
-/// The integration tests assert that, for every appendix-machine
-/// preset, these totals equal the corresponding `MachineReport` fields:
-/// the probe stream and the report are two views of one execution and
-/// must never disagree.
-#[derive(Clone, Debug, Default)]
-pub struct CountingProbe {
-    pub touches: u64,
-    pub writes: u64,
-    pub faults: u64,
-    pub fetch_starts: u64,
-    pub fetches: u64,
-    pub fetched_words: Words,
-    pub evictions: u64,
-    pub dirty_evictions: u64,
-    pub evicted_words: Words,
-    pub writebacks: u64,
-    pub writeback_words: Words,
-    pub allocs: u64,
-    pub alloc_words: Words,
-    pub alloc_searched: u64,
-    pub frees: u64,
-    pub freed_words: Words,
-    pub compactions: u64,
-    pub compaction_moved_words: Words,
-    pub advice: u64,
-    pub prefetches: u64,
-    pub prefetched_words: Words,
-    pub bounds_traps: u64,
-    pub map_lookups: u64,
-    pub map_hits: u64,
-    pub map_misses: u64,
-    pub faults_injected: u64,
-    pub transfer_errors_injected: u64,
-    pub bad_frames_injected: u64,
-    pub channel_delays_injected: u64,
-    pub alloc_failures_injected: u64,
-    pub shard_corruptions_injected: u64,
-    pub retry_attempts: u64,
-    pub frames_quarantined: u64,
-    pub degradation_steps: u64,
-    pub shed_loads: u64,
-    pub quota_denials: u64,
-    pub admission_rejects: u64,
-    pub tenants_shed: u64,
-    pub tenant_shed_words: Words,
-    pub shards_quarantined: u64,
-    pub shards_restored: u64,
-    pub tenants_admitted: u64,
-    pub tenants_deactivated: u64,
-    pub deactivated_resident_pages: u64,
-    pub ws_estimates: u64,
-    pub ws_estimate_pages: u64,
+macro_rules! counters {
+    // The one `record` body, instantiated per `$mode`: how a cell is
+    // reached, and therefore how it is bumped.
+    (@record $mode:ident $self:ident, $event:ident;
+        $($variant:ident $({ $($bind:tt)* })? => $($op:ident $field:ident $(($arg:expr))?),*;)*
+    ) => {
+        match $event.kind {
+            $(EventKind::$variant $({ $($bind)* })? => {
+                $(counters!(@$op $mode $self.$field $(, $arg)?);)*
+            })*
+        }
+    };
+    (@count $mode:ident $cell:expr) => { counters!(@sum $mode $cell, 1) };
+    // A flag that is down must not cost a shared sink a locked
+    // instruction. An exclusive sink adds 0 or 1 instead of branching on
+    // data: 30 % random writes mispredict.
+    (@flag shared $cell:expr, $on:expr) => {
+        if $on {
+            counters!(@sum shared $cell, 1);
+        }
+    };
+    (@flag $mode:ident $cell:expr, $on:expr) => { counters!(@sum $mode $cell, u64::from($on)) };
+    // `plain`: a `u64`. `owned`: an atomic its sink holds by `&mut` —
+    // `get_mut` is no locked instruction, and the borrow checker is the
+    // proof of exclusivity; it wraps, as `fetch_add` does. `shared`: an
+    // atomic behind `&` — a relaxed read-modify-write (counters commute;
+    // no ordering is needed beyond the final join).
+    (@sum plain $cell:expr, $n:expr) => { $cell += $n };
+    (@sum owned $cell:expr, $n:expr) => {{
+        let cell = $cell.get_mut();
+        *cell = cell.wrapping_add($n);
+    }};
+    (@sum shared $cell:expr, $n:expr) => { $cell.fetch_add($n, Ordering::Relaxed) };
+
+    // What a cell contributes to the number of events seen.
+    (@events count $cell:expr) => { $cell };
+    (@events $op:ident $cell:expr) => { 0 };
+
+    ($($variant:ident $({ $($bind:tt)* })? => $($op:ident $field:ident $(($arg:expr))?),*;)*) => {
+        /// Counts every event kind (and the word quantities events carry).
+        ///
+        /// The integration tests assert that, for every appendix-machine
+        /// preset, these totals equal the corresponding `MachineReport`
+        /// fields: the probe stream and the report are two views of one
+        /// execution and must never disagree.
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct CountingProbe {
+            $($(pub $field: u64,)*)*
+        }
+
+        impl CountingProbe {
+            /// Every counter with its name, in declaration order.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$($((stringify!($field), self.$field),)*)*].into_iter()
+            }
+
+            /// Total number of events seen: the `count` cells, plus one
+            /// `CompactionStart` (which has no cell of its own) per
+            /// completed compaction.
+            #[must_use]
+            pub fn total_events(&self) -> u64 {
+                self.compactions $($(+ counters!(@events $op self.$field))*)*
+            }
+
+            /// Field-wise difference `self - earlier`: what happened in
+            /// the interval between two snapshots of one counting sink.
+            ///
+            /// End-of-run totals hide phases; periodic deltas are how a
+            /// live service reports *rates* (allocs/interval,
+            /// faults/interval) without resetting its counters.
+            /// Subtraction saturates, so a mismatched pair degrades to
+            /// zeros instead of wrapping.
+            #[must_use]
+            pub fn delta(&self, earlier: &CountingProbe) -> CountingProbe {
+                CountingProbe {
+                    $($($field: self.$field.saturating_sub(earlier.$field),)*)*
+                }
+            }
+        }
+
+        impl Probe for CountingProbe {
+            fn record(&mut self, event: &Event) {
+                counters!(@record plain self, event;
+                    $($variant $({ $($bind)* })? => $($op $field $(($arg))?),*;)*);
+            }
+        }
+
+        /// An atomic [`CountingProbe`]: one counter per event kind and
+        /// payload quantity, safe to share across any number of emitting
+        /// threads.
+        #[derive(Debug, Default)]
+        pub struct SharedProbe {
+            $($($field: AtomicU64,)*)*
+        }
+
+        impl SharedProbe {
+            /// Freezes the atomics into an ordinary [`CountingProbe`],
+            /// so reconciliation code compares one struct against
+            /// another rather than forty-odd atomic loads.
+            ///
+            /// Relaxed loads: call this after the emitting threads have
+            /// joined (the join is the synchronization point).
+            #[must_use]
+            pub fn snapshot(&self) -> CountingProbe {
+                CountingProbe {
+                    $($($field: self.$field.load(Ordering::Relaxed),)*)*
+                }
+            }
+        }
+
+        /// The exclusive form: a sink held by `&mut` bumps its atomics
+        /// with plain adds (`get_mut`) and its flags branch-free.
+        impl Probe for SharedProbe {
+            fn record(&mut self, event: &Event) {
+                counters!(@record owned self, event;
+                    $($variant $({ $($bind)* })? => $($op $field $(($arg))?),*;)*);
+            }
+        }
+
+        /// The shared-reference form workers actually hold: each thread
+        /// keeps its own `&SharedProbe` and emits through it, one relaxed
+        /// `fetch_add` per cell an event feeds.
+        impl Probe for &SharedProbe {
+            fn record(&mut self, event: &Event) {
+                counters!(@record shared self, event;
+                    $($variant $({ $($bind)* })? => $($op $field $(($arg))?),*;)*);
+            }
+        }
+    };
+}
+
+counters! {
+    Touch { write } => count touches, flag writes(write);
+    Fault => count faults;
+    FetchStart { .. } => count fetch_starts;
+    FetchDone { words } => count fetches, sum fetched_words(words);
+    Evict { dirty, words } =>
+        count evictions, flag dirty_evictions(dirty), sum evicted_words(words);
+    Writeback { words } => count writebacks, sum writeback_words(words);
+    Alloc { words, searched } =>
+        count allocs, sum alloc_words(words), sum alloc_searched(searched);
+    Free { words } => count frees, sum freed_words(words);
+    CompactionStart => ;
+    CompactionDone { moved_words } =>
+        count compactions, sum compaction_moved_words(moved_words);
+    Advice => count advice;
+    Prefetch { words } => count prefetches, sum prefetched_words(words);
+    BoundsTrap => count bounds_traps;
+    MapLookup { hit } => count map_lookups, flag map_hits(hit), flag map_misses(!hit);
+    FaultInjected { fault } =>
+        count faults_injected,
+        flag transfer_errors_injected(fault == InjectedFault::TransferError),
+        flag bad_frames_injected(fault == InjectedFault::BadFrame),
+        flag channel_delays_injected(fault == InjectedFault::ChannelDelay),
+        flag alloc_failures_injected(fault == InjectedFault::AllocFailure),
+        flag shard_corruptions_injected(fault == InjectedFault::ShardCorruption);
+    RetryAttempt { .. } => count retry_attempts;
+    FrameQuarantined => count frames_quarantined;
+    DegradationStep { step } =>
+        count degradation_steps, flag shed_loads(step == DegradationStep::ShedLoad);
+    QuotaDenied { .. } => count quota_denials;
+    AdmissionReject { .. } => count admission_rejects;
+    TenantShed { words, .. } => count tenants_shed, sum tenant_shed_words(words);
+    ShardQuarantined { .. } => count shards_quarantined;
+    ShardRestored { .. } => count shards_restored;
+    TenantAdmitted { .. } => count tenants_admitted;
+    TenantDeactivated { resident, .. } =>
+        count tenants_deactivated, sum deactivated_resident_pages(u64::from(resident));
+    WsEstimate { pages, .. } => count ws_estimates, sum ws_estimate_pages(u64::from(pages));
 }
 
 impl CountingProbe {
@@ -64,196 +191,77 @@ impl CountingProbe {
     pub fn new() -> CountingProbe {
         CountingProbe::default()
     }
-
-    /// Total number of events seen.
-    #[must_use]
-    pub fn total_events(&self) -> u64 {
-        self.touches
-            + self.faults
-            + self.fetch_starts
-            + self.fetches
-            + self.evictions
-            + self.writebacks
-            + self.allocs
-            + self.frees
-            + 2 * self.compactions
-            + self.advice
-            + self.prefetches
-            + self.bounds_traps
-            + self.map_lookups
-            + self.faults_injected
-            + self.retry_attempts
-            + self.frames_quarantined
-            + self.degradation_steps
-            + self.quota_denials
-            + self.admission_rejects
-            + self.tenants_shed
-            + self.shards_quarantined
-            + self.shards_restored
-            + self.tenants_admitted
-            + self.tenants_deactivated
-            + self.ws_estimates
-    }
-
-    /// Field-wise difference `self - earlier`: what happened in the
-    /// interval between two snapshots of one counting sink.
-    ///
-    /// End-of-run totals hide phases; periodic deltas are how a live
-    /// service reports *rates* (allocs/interval, faults/interval)
-    /// without resetting its counters. Subtraction saturates, so a
-    /// mismatched pair degrades to zeros instead of wrapping.
-    #[must_use]
-    pub fn delta(&self, earlier: &CountingProbe) -> CountingProbe {
-        // A struct literal naming every field: adding a counter without
-        // extending the delta fails to compile instead of silently
-        // reporting stale intervals.
-        macro_rules! sub_fields {
-            ($($f:ident),* $(,)?) => {
-                CountingProbe { $($f: self.$f.saturating_sub(earlier.$f)),* }
-            };
-        }
-        sub_fields!(
-            touches,
-            writes,
-            faults,
-            fetch_starts,
-            fetches,
-            fetched_words,
-            evictions,
-            dirty_evictions,
-            evicted_words,
-            writebacks,
-            writeback_words,
-            allocs,
-            alloc_words,
-            alloc_searched,
-            frees,
-            freed_words,
-            compactions,
-            compaction_moved_words,
-            advice,
-            prefetches,
-            prefetched_words,
-            bounds_traps,
-            map_lookups,
-            map_hits,
-            map_misses,
-            faults_injected,
-            transfer_errors_injected,
-            bad_frames_injected,
-            channel_delays_injected,
-            alloc_failures_injected,
-            shard_corruptions_injected,
-            retry_attempts,
-            frames_quarantined,
-            degradation_steps,
-            shed_loads,
-            quota_denials,
-            admission_rejects,
-            tenants_shed,
-            tenant_shed_words,
-            shards_quarantined,
-            shards_restored,
-            tenants_admitted,
-            tenants_deactivated,
-            deactivated_resident_pages,
-            ws_estimates,
-            ws_estimate_pages,
-        )
-    }
 }
 
-impl Probe for CountingProbe {
-    fn record(&mut self, event: &Event) {
-        match event.kind {
-            EventKind::Touch { write } => {
-                self.touches += 1;
-                if write {
-                    self.writes += 1;
-                }
-            }
-            EventKind::Fault => self.faults += 1,
-            EventKind::FetchStart { .. } => self.fetch_starts += 1,
-            EventKind::FetchDone { words } => {
-                self.fetches += 1;
-                self.fetched_words += words;
-            }
-            EventKind::Evict { dirty, words } => {
-                self.evictions += 1;
-                if dirty {
-                    self.dirty_evictions += 1;
-                }
-                self.evicted_words += words;
-            }
-            EventKind::Writeback { words } => {
-                self.writebacks += 1;
-                self.writeback_words += words;
-            }
-            EventKind::Alloc { words, searched } => {
-                self.allocs += 1;
-                self.alloc_words += words;
-                self.alloc_searched += searched;
-            }
-            EventKind::Free { words } => {
-                self.frees += 1;
-                self.freed_words += words;
-            }
-            EventKind::CompactionStart => {}
-            EventKind::CompactionDone { moved_words } => {
-                self.compactions += 1;
-                self.compaction_moved_words += moved_words;
-            }
-            EventKind::Advice => self.advice += 1,
-            EventKind::Prefetch { words } => {
-                self.prefetches += 1;
-                self.prefetched_words += words;
-            }
-            EventKind::BoundsTrap => self.bounds_traps += 1,
-            EventKind::MapLookup { hit } => {
-                self.map_lookups += 1;
-                if hit {
-                    self.map_hits += 1;
-                } else {
-                    self.map_misses += 1;
-                }
-            }
-            EventKind::FaultInjected { fault } => {
-                self.faults_injected += 1;
-                match fault {
-                    InjectedFault::TransferError => self.transfer_errors_injected += 1,
-                    InjectedFault::BadFrame => self.bad_frames_injected += 1,
-                    InjectedFault::ChannelDelay => self.channel_delays_injected += 1,
-                    InjectedFault::AllocFailure => self.alloc_failures_injected += 1,
-                    InjectedFault::ShardCorruption => self.shard_corruptions_injected += 1,
-                }
-            }
-            EventKind::RetryAttempt { .. } => self.retry_attempts += 1,
-            EventKind::FrameQuarantined => self.frames_quarantined += 1,
-            EventKind::DegradationStep { step } => {
-                self.degradation_steps += 1;
-                if step == DegradationStep::ShedLoad {
-                    self.shed_loads += 1;
-                }
-            }
-            EventKind::QuotaDenied { .. } => self.quota_denials += 1,
-            EventKind::AdmissionReject { .. } => self.admission_rejects += 1,
-            EventKind::TenantShed { words, .. } => {
-                self.tenants_shed += 1;
-                self.tenant_shed_words += words;
-            }
-            EventKind::ShardQuarantined { .. } => self.shards_quarantined += 1,
-            EventKind::ShardRestored { .. } => self.shards_restored += 1,
-            EventKind::TenantAdmitted { .. } => self.tenants_admitted += 1,
-            EventKind::TenantDeactivated { resident, .. } => {
-                self.tenants_deactivated += 1;
-                self.deactivated_resident_pages += u64::from(resident);
-            }
-            EventKind::WsEstimate { pages, .. } => {
-                self.ws_estimates += 1;
-                self.ws_estimate_pages += u64::from(pages);
-            }
-        }
-    }
+/// One event of every kind, every flag both ways and every injected
+/// fault mode: what the table-driven tests of both sinks replay.
+#[cfg(test)]
+pub(crate) fn every_kind() -> Vec<EventKind> {
+    let mut kinds = vec![
+        EventKind::Touch { write: true },
+        EventKind::Touch { write: false },
+        EventKind::Fault,
+        EventKind::FetchStart { words: 512 },
+        EventKind::FetchDone { words: 512 },
+        EventKind::Evict {
+            dirty: true,
+            words: 512,
+        },
+        EventKind::Evict {
+            dirty: false,
+            words: 64,
+        },
+        EventKind::Writeback { words: 512 },
+        EventKind::Alloc {
+            words: 40,
+            searched: 3,
+        },
+        EventKind::Free { words: 40 },
+        EventKind::CompactionStart,
+        EventKind::CompactionDone { moved_words: 99 },
+        EventKind::Advice,
+        EventKind::Prefetch { words: 512 },
+        EventKind::BoundsTrap,
+        EventKind::MapLookup { hit: true },
+        EventKind::MapLookup { hit: false },
+        EventKind::RetryAttempt { attempt: 1 },
+        EventKind::FrameQuarantined,
+        EventKind::QuotaDenied { tenant: 3 },
+        EventKind::AdmissionReject { tenant: 4 },
+        EventKind::TenantShed {
+            tenant: 5,
+            words: 256,
+        },
+        EventKind::ShardQuarantined { shard: 1 },
+        EventKind::ShardRestored { shard: 1 },
+        EventKind::TenantAdmitted {
+            tenant: 6,
+            frames: 12,
+        },
+        EventKind::TenantDeactivated {
+            tenant: 6,
+            resident: 7,
+        },
+        EventKind::WsEstimate {
+            tenant: 6,
+            pages: 9,
+        },
+    ];
+    kinds.extend(
+        [
+            InjectedFault::TransferError,
+            InjectedFault::BadFrame,
+            InjectedFault::ChannelDelay,
+            InjectedFault::AllocFailure,
+            InjectedFault::ShardCorruption,
+        ]
+        .map(|fault| EventKind::FaultInjected { fault }),
+    );
+    kinds.extend(
+        [DegradationStep::Compact, DegradationStep::ShedLoad]
+            .map(|step| EventKind::DegradationStep { step }),
+    );
+    kinds
 }
 
 #[cfg(test)]
@@ -263,147 +271,50 @@ mod tests {
 
     #[test]
     fn every_kind_lands_in_its_counter() {
-        let mut c = CountingProbe::new();
-        let s = Stamp::vtime(0);
-        c.emit(EventKind::Touch { write: true }, s);
-        c.emit(EventKind::Touch { write: false }, s);
-        c.emit(EventKind::Fault, s);
-        c.emit(EventKind::FetchStart { words: 512 }, s);
-        c.emit(EventKind::FetchDone { words: 512 }, s);
-        c.emit(
-            EventKind::Evict {
-                dirty: true,
-                words: 512,
-            },
-            s,
+        let kinds = every_kind();
+        let mut whole = CountingProbe::new();
+        for &kind in &kinds {
+            let mut one = CountingProbe::new();
+            one.emit(kind, Stamp::vtime(0));
+            whole.emit(kind, Stamp::vtime(0));
+            // A compaction is counted once it is done, for both its events.
+            let events = match kind {
+                EventKind::CompactionStart => 0,
+                EventKind::CompactionDone { .. } => 2,
+                _ => 1,
+            };
+            assert_eq!(one.total_events(), events, "{kind:?}");
+            let moved = one.fields().any(|(_, value)| value != 0);
+            assert_eq!(moved, kind != EventKind::CompactionStart, "{kind:?}");
+        }
+        // No cell of the table is dead, and the per-kind cells add up.
+        for (name, value) in whole.fields() {
+            assert!(value > 0, "{name} is fed by no event kind");
+        }
+        assert_eq!(whole.total_events(), kinds.len() as u64);
+        // Spot values the table's three row kinds must produce.
+        assert_eq!((whole.touches, whole.writes), (2, 1));
+        assert_eq!((whole.evictions, whole.dirty_evictions), (2, 1));
+        assert_eq!(whole.evicted_words, 512 + 64);
+        assert_eq!(
+            (whole.map_lookups, whole.map_hits, whole.map_misses),
+            (2, 1, 1)
         );
-        c.emit(EventKind::Writeback { words: 512 }, s);
-        c.emit(
-            EventKind::Alloc {
-                words: 40,
-                searched: 3,
-            },
-            s,
-        );
-        c.emit(EventKind::Free { words: 40 }, s);
-        c.emit(EventKind::CompactionStart, s);
-        c.emit(EventKind::CompactionDone { moved_words: 99 }, s);
-        c.emit(EventKind::Advice, s);
-        c.emit(EventKind::Prefetch { words: 512 }, s);
-        c.emit(EventKind::BoundsTrap, s);
-        c.emit(EventKind::MapLookup { hit: true }, s);
-        c.emit(EventKind::MapLookup { hit: false }, s);
-        c.emit(
-            EventKind::FaultInjected {
-                fault: InjectedFault::TransferError,
-            },
-            s,
-        );
-        c.emit(
-            EventKind::FaultInjected {
-                fault: InjectedFault::BadFrame,
-            },
-            s,
-        );
-        c.emit(EventKind::RetryAttempt { attempt: 1 }, s);
-        c.emit(EventKind::FrameQuarantined, s);
-        c.emit(
-            EventKind::DegradationStep {
-                step: DegradationStep::Compact,
-            },
-            s,
-        );
-        c.emit(
-            EventKind::DegradationStep {
-                step: DegradationStep::ShedLoad,
-            },
-            s,
-        );
-        c.emit(EventKind::QuotaDenied { tenant: 3 }, s);
-        c.emit(EventKind::AdmissionReject { tenant: 4 }, s);
-        c.emit(
-            EventKind::TenantShed {
-                tenant: 5,
-                words: 256,
-            },
-            s,
-        );
-        c.emit(EventKind::ShardQuarantined { shard: 1 }, s);
-        c.emit(EventKind::ShardRestored { shard: 1 }, s);
-        c.emit(
-            EventKind::TenantAdmitted {
-                tenant: 6,
-                frames: 12,
-            },
-            s,
-        );
-        c.emit(
-            EventKind::TenantDeactivated {
-                tenant: 6,
-                resident: 7,
-            },
-            s,
-        );
-        c.emit(
-            EventKind::WsEstimate {
-                tenant: 6,
-                pages: 9,
-            },
-            s,
-        );
-        c.emit(
-            EventKind::FaultInjected {
-                fault: InjectedFault::ShardCorruption,
-            },
-            s,
-        );
+        assert_eq!((whole.faults_injected, whole.bad_frames_injected), (5, 1));
+        assert_eq!((whole.degradation_steps, whole.shed_loads), (2, 1));
+        assert_eq!(whole.deactivated_resident_pages, 7);
+    }
 
-        assert_eq!(c.touches, 2);
-        assert_eq!(c.writes, 1);
-        assert_eq!(c.faults, 1);
-        assert_eq!(c.fetch_starts, 1);
-        assert_eq!(c.fetches, 1);
-        assert_eq!(c.fetched_words, 512);
-        assert_eq!(c.evictions, 1);
-        assert_eq!(c.dirty_evictions, 1);
-        assert_eq!(c.evicted_words, 512);
-        assert_eq!(c.writebacks, 1);
-        assert_eq!(c.writeback_words, 512);
-        assert_eq!(c.allocs, 1);
-        assert_eq!(c.alloc_words, 40);
-        assert_eq!(c.alloc_searched, 3);
-        assert_eq!(c.frees, 1);
-        assert_eq!(c.freed_words, 40);
-        assert_eq!(c.compactions, 1);
-        assert_eq!(c.compaction_moved_words, 99);
-        assert_eq!(c.advice, 1);
-        assert_eq!(c.prefetches, 1);
-        assert_eq!(c.prefetched_words, 512);
-        assert_eq!(c.bounds_traps, 1);
-        assert_eq!(c.map_lookups, 2);
-        assert_eq!(c.map_hits, 1);
-        assert_eq!(c.map_misses, 1);
-        assert_eq!(c.faults_injected, 3);
-        assert_eq!(c.transfer_errors_injected, 1);
-        assert_eq!(c.bad_frames_injected, 1);
-        assert_eq!(c.channel_delays_injected, 0);
-        assert_eq!(c.alloc_failures_injected, 0);
-        assert_eq!(c.shard_corruptions_injected, 1);
-        assert_eq!(c.retry_attempts, 1);
-        assert_eq!(c.frames_quarantined, 1);
-        assert_eq!(c.degradation_steps, 2);
-        assert_eq!(c.shed_loads, 1);
-        assert_eq!(c.quota_denials, 1);
-        assert_eq!(c.admission_rejects, 1);
-        assert_eq!(c.tenants_shed, 1);
-        assert_eq!(c.tenant_shed_words, 256);
-        assert_eq!(c.shards_quarantined, 1);
-        assert_eq!(c.shards_restored, 1);
-        assert_eq!(c.tenants_admitted, 1);
-        assert_eq!(c.tenants_deactivated, 1);
-        assert_eq!(c.deactivated_resident_pages, 7);
-        assert_eq!(c.ws_estimates, 1);
-        assert_eq!(c.ws_estimate_pages, 9);
-        assert_eq!(c.total_events(), 31);
+    #[test]
+    fn delta_subtracts_every_field_and_saturates() {
+        let mut early = CountingProbe::new();
+        let mut late = CountingProbe::new();
+        for kind in every_kind() {
+            early.emit(kind, Stamp::vtime(0));
+            late.emit(kind, Stamp::vtime(0));
+            late.emit(kind, Stamp::vtime(1));
+        }
+        assert_eq!(late.delta(&early), early);
+        assert_eq!(early.delta(&late), CountingProbe::new());
     }
 }

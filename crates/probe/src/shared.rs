@@ -2,240 +2,31 @@
 //!
 //! [`CountingProbe`] is the reconciliation workhorse of the workspace,
 //! but it is `&mut self` all the way down — one owner, one thread. A
-//! concurrent allocation service ([`dsa-arena`]) has many worker
-//! threads emitting into *one* sink, and the reports must still
-//! reconcile exactly: the total observed by the shared sink has to
-//! equal the sum of the per-worker outcomes no matter how the threads
-//! interleaved. [`SharedProbe`] is that sink — every counter of
-//! [`CountingProbe`], each an [`AtomicU64`] bumped with relaxed
-//! fetch-adds (counters are commutative; no ordering is needed beyond
-//! the final join).
+//! concurrent allocation service (the workspace's `dsa-arena` crate)
+//! has many worker threads emitting into *one* sink, and the reports
+//! must still reconcile exactly: the total observed by the shared sink
+//! has to equal the sum of the per-worker outcomes no matter how the
+//! threads interleaved. [`SharedProbe`] is that sink — every counter of
+//! [`CountingProbe`], each an `AtomicU64`, generated from the same
+//! table (`counting.rs`) so the two cannot drift.
 //!
 //! Emission sites take `P: Probe` by `&mut` reference, so the shared
 //! sink is used *by shared reference through a mutable one*: `&SharedProbe`
-//! itself implements [`Probe`], and each worker holds its own
-//! `&SharedProbe` copy. After the workers join, [`SharedProbe::snapshot`]
-//! freezes the atomics into an ordinary [`CountingProbe`] for
-//! comparison against per-worker tallies.
-//!
-//! [`dsa-arena`]: https://docs.rs/dsa-arena
+//! itself implements [`Probe`](crate::Probe) with relaxed fetch-adds,
+//! and each worker holds its own `&SharedProbe` copy. A sink nobody
+//! shares — held by `&mut SharedProbe` — records with plain adds
+//! instead: the same cells, no locked instruction. After the workers
+//! join, [`SharedProbe::snapshot`] freezes the atomics into an ordinary
+//! [`CountingProbe`] for comparison against per-worker tallies.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::CountingProbe;
 
-use crate::{CountingProbe, DegradationStep, Event, EventKind, InjectedFault, Probe};
-
-/// An atomic [`CountingProbe`]: one counter per event kind and payload
-/// quantity, safe to share across any number of emitting threads.
-#[derive(Debug, Default)]
-pub struct SharedProbe {
-    touches: AtomicU64,
-    writes: AtomicU64,
-    faults: AtomicU64,
-    fetch_starts: AtomicU64,
-    fetches: AtomicU64,
-    fetched_words: AtomicU64,
-    evictions: AtomicU64,
-    dirty_evictions: AtomicU64,
-    evicted_words: AtomicU64,
-    writebacks: AtomicU64,
-    writeback_words: AtomicU64,
-    allocs: AtomicU64,
-    alloc_words: AtomicU64,
-    alloc_searched: AtomicU64,
-    frees: AtomicU64,
-    freed_words: AtomicU64,
-    compactions: AtomicU64,
-    compaction_moved_words: AtomicU64,
-    advice: AtomicU64,
-    prefetches: AtomicU64,
-    prefetched_words: AtomicU64,
-    bounds_traps: AtomicU64,
-    map_lookups: AtomicU64,
-    map_hits: AtomicU64,
-    map_misses: AtomicU64,
-    faults_injected: AtomicU64,
-    transfer_errors_injected: AtomicU64,
-    bad_frames_injected: AtomicU64,
-    channel_delays_injected: AtomicU64,
-    alloc_failures_injected: AtomicU64,
-    shard_corruptions_injected: AtomicU64,
-    retry_attempts: AtomicU64,
-    frames_quarantined: AtomicU64,
-    degradation_steps: AtomicU64,
-    shed_loads: AtomicU64,
-    quota_denials: AtomicU64,
-    admission_rejects: AtomicU64,
-    tenants_shed: AtomicU64,
-    tenant_shed_words: AtomicU64,
-    shards_quarantined: AtomicU64,
-    shards_restored: AtomicU64,
-    tenants_admitted: AtomicU64,
-    tenants_deactivated: AtomicU64,
-    deactivated_resident_pages: AtomicU64,
-    ws_estimates: AtomicU64,
-    ws_estimate_pages: AtomicU64,
-}
+pub use crate::counting::SharedProbe;
 
 impl SharedProbe {
     #[must_use]
     pub fn new() -> SharedProbe {
         SharedProbe::default()
-    }
-
-    fn record_shared(&self, event: &Event) {
-        let add = |c: &AtomicU64| {
-            c.fetch_add(1, Ordering::Relaxed);
-        };
-        let add_n = |c: &AtomicU64, n: u64| {
-            c.fetch_add(n, Ordering::Relaxed);
-        };
-        match event.kind {
-            EventKind::Touch { write } => {
-                add(&self.touches);
-                if write {
-                    add(&self.writes);
-                }
-            }
-            EventKind::Fault => add(&self.faults),
-            EventKind::FetchStart { .. } => add(&self.fetch_starts),
-            EventKind::FetchDone { words } => {
-                add(&self.fetches);
-                add_n(&self.fetched_words, words);
-            }
-            EventKind::Evict { dirty, words } => {
-                add(&self.evictions);
-                if dirty {
-                    add(&self.dirty_evictions);
-                }
-                add_n(&self.evicted_words, words);
-            }
-            EventKind::Writeback { words } => {
-                add(&self.writebacks);
-                add_n(&self.writeback_words, words);
-            }
-            EventKind::Alloc { words, searched } => {
-                add(&self.allocs);
-                add_n(&self.alloc_words, words);
-                add_n(&self.alloc_searched, searched);
-            }
-            EventKind::Free { words } => {
-                add(&self.frees);
-                add_n(&self.freed_words, words);
-            }
-            EventKind::CompactionStart => {}
-            EventKind::CompactionDone { moved_words } => {
-                add(&self.compactions);
-                add_n(&self.compaction_moved_words, moved_words);
-            }
-            EventKind::Advice => add(&self.advice),
-            EventKind::Prefetch { words } => {
-                add(&self.prefetches);
-                add_n(&self.prefetched_words, words);
-            }
-            EventKind::BoundsTrap => add(&self.bounds_traps),
-            EventKind::MapLookup { hit } => {
-                add(&self.map_lookups);
-                if hit {
-                    add(&self.map_hits);
-                } else {
-                    add(&self.map_misses);
-                }
-            }
-            EventKind::FaultInjected { fault } => {
-                add(&self.faults_injected);
-                match fault {
-                    InjectedFault::TransferError => add(&self.transfer_errors_injected),
-                    InjectedFault::BadFrame => add(&self.bad_frames_injected),
-                    InjectedFault::ChannelDelay => add(&self.channel_delays_injected),
-                    InjectedFault::AllocFailure => add(&self.alloc_failures_injected),
-                    InjectedFault::ShardCorruption => add(&self.shard_corruptions_injected),
-                }
-            }
-            EventKind::RetryAttempt { .. } => add(&self.retry_attempts),
-            EventKind::FrameQuarantined => add(&self.frames_quarantined),
-            EventKind::DegradationStep { step } => {
-                add(&self.degradation_steps);
-                if step == DegradationStep::ShedLoad {
-                    add(&self.shed_loads);
-                }
-            }
-            EventKind::QuotaDenied { .. } => add(&self.quota_denials),
-            EventKind::AdmissionReject { .. } => add(&self.admission_rejects),
-            EventKind::TenantShed { words, .. } => {
-                add(&self.tenants_shed);
-                add_n(&self.tenant_shed_words, words);
-            }
-            EventKind::ShardQuarantined { .. } => add(&self.shards_quarantined),
-            EventKind::ShardRestored { .. } => add(&self.shards_restored),
-            EventKind::TenantAdmitted { .. } => add(&self.tenants_admitted),
-            EventKind::TenantDeactivated { resident, .. } => {
-                add(&self.tenants_deactivated);
-                add_n(&self.deactivated_resident_pages, u64::from(resident));
-            }
-            EventKind::WsEstimate { pages, .. } => {
-                add(&self.ws_estimates);
-                add_n(&self.ws_estimate_pages, u64::from(pages));
-            }
-        }
-    }
-
-    /// Freezes the atomics into an ordinary [`CountingProbe`], so
-    /// reconciliation code compares one struct against another rather
-    /// than thirty-odd atomic loads.
-    ///
-    /// Relaxed loads: call this after the emitting threads have joined
-    /// (the join is the synchronization point).
-    #[must_use]
-    pub fn snapshot(&self) -> CountingProbe {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        CountingProbe {
-            touches: get(&self.touches),
-            writes: get(&self.writes),
-            faults: get(&self.faults),
-            fetch_starts: get(&self.fetch_starts),
-            fetches: get(&self.fetches),
-            fetched_words: get(&self.fetched_words),
-            evictions: get(&self.evictions),
-            dirty_evictions: get(&self.dirty_evictions),
-            evicted_words: get(&self.evicted_words),
-            writebacks: get(&self.writebacks),
-            writeback_words: get(&self.writeback_words),
-            allocs: get(&self.allocs),
-            alloc_words: get(&self.alloc_words),
-            alloc_searched: get(&self.alloc_searched),
-            frees: get(&self.frees),
-            freed_words: get(&self.freed_words),
-            compactions: get(&self.compactions),
-            compaction_moved_words: get(&self.compaction_moved_words),
-            advice: get(&self.advice),
-            prefetches: get(&self.prefetches),
-            prefetched_words: get(&self.prefetched_words),
-            bounds_traps: get(&self.bounds_traps),
-            map_lookups: get(&self.map_lookups),
-            map_hits: get(&self.map_hits),
-            map_misses: get(&self.map_misses),
-            faults_injected: get(&self.faults_injected),
-            transfer_errors_injected: get(&self.transfer_errors_injected),
-            bad_frames_injected: get(&self.bad_frames_injected),
-            channel_delays_injected: get(&self.channel_delays_injected),
-            alloc_failures_injected: get(&self.alloc_failures_injected),
-            shard_corruptions_injected: get(&self.shard_corruptions_injected),
-            retry_attempts: get(&self.retry_attempts),
-            frames_quarantined: get(&self.frames_quarantined),
-            degradation_steps: get(&self.degradation_steps),
-            shed_loads: get(&self.shed_loads),
-            quota_denials: get(&self.quota_denials),
-            admission_rejects: get(&self.admission_rejects),
-            tenants_shed: get(&self.tenants_shed),
-            tenant_shed_words: get(&self.tenant_shed_words),
-            shards_quarantined: get(&self.shards_quarantined),
-            shards_restored: get(&self.shards_restored),
-            tenants_admitted: get(&self.tenants_admitted),
-            tenants_deactivated: get(&self.tenants_deactivated),
-            deactivated_resident_pages: get(&self.deactivated_resident_pages),
-            ws_estimates: get(&self.ws_estimates),
-            ws_estimate_pages: get(&self.ws_estimate_pages),
-        }
     }
 
     /// What happened since `earlier`: a fresh snapshot minus the one
@@ -253,54 +44,29 @@ impl SharedProbe {
     }
 }
 
-impl Probe for SharedProbe {
-    fn record(&mut self, event: &Event) {
-        self.record_shared(event);
-    }
-}
-
-/// The shared-reference form workers actually hold: each thread keeps
-/// its own `&SharedProbe` and emits through it.
-impl Probe for &SharedProbe {
-    fn record(&mut self, event: &Event) {
-        self.record_shared(event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Stamp;
+    use crate::counting::every_kind;
+    use crate::{EventKind, Probe, Stamp};
 
     #[test]
     fn snapshot_matches_a_sequential_counting_probe() {
         let shared = SharedProbe::new();
+        let mut exclusive = SharedProbe::new();
         let mut plain = CountingProbe::new();
-        let s = Stamp::vtime(3);
-        let events = [
-            EventKind::Alloc {
-                words: 64,
-                searched: 2,
-            },
-            EventKind::Free { words: 64 },
-            EventKind::Fault,
-            EventKind::Touch { write: true },
-            EventKind::MapLookup { hit: false },
-        ];
-        for kind in events {
-            (&shared).emit(kind, s);
-            plain.emit(kind, s);
+        for (t, kind) in every_kind().into_iter().enumerate() {
+            let at = Stamp::vtime(t as u64);
+            (&shared).emit(kind, at);
+            exclusive.emit(kind, at);
+            plain.emit(kind, at);
         }
-        let snap = shared.snapshot();
-        assert_eq!(snap.allocs, plain.allocs);
-        assert_eq!(snap.alloc_words, plain.alloc_words);
-        assert_eq!(snap.alloc_searched, plain.alloc_searched);
-        assert_eq!(snap.frees, plain.frees);
-        assert_eq!(snap.freed_words, plain.freed_words);
-        assert_eq!(snap.faults, plain.faults);
-        assert_eq!(snap.touches, plain.touches);
-        assert_eq!(snap.map_misses, plain.map_misses);
-        assert_eq!(snap.total_events(), plain.total_events());
+        for snap in [shared.snapshot(), exclusive.snapshot()] {
+            for ((name, got), (_, want)) in snap.fields().zip(plain.fields()) {
+                assert_eq!(got, want, "{name}");
+            }
+            assert_eq!(snap.total_events(), plain.total_events());
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! are commutative — no thread ever reads another's increment on the
 //! hot path — so relaxed ordering loses nothing; the join (or any
 //! happens-before edge to the reader) is the only synchronization
-//! needed, exactly as for `SharedProbe`'s counters.
+//! needed, exactly as for `SharedProbe`'s counters. And exactly as
+//! there, a histogram nobody shares is recorded into through `&mut`
+//! with plain adds: the same cells, no locked instruction.
 //!
 //! Reading back goes through [`AtomicHistogram::snapshot`], which
 //! freezes the buckets into an ordinary [`dsa_metrics::Histogram`] via
@@ -21,8 +23,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use dsa_metrics::{BucketSpec, Histogram};
 
-/// A fixed-geometry histogram whose `record` takes `&self`: one relaxed
-/// `fetch_add` per sample, shareable across any number of threads.
+/// A fixed-geometry histogram whose `record` takes `&self`, shareable
+/// across any number of threads: a sample costs three relaxed
+/// read-modify-writes (a `fetch_add` on its bucket, a `fetch_add` on
+/// the running sum, a `fetch_max` on the maximum). The exclusive path
+/// the owning sink takes when it is held by `&mut` does the same three
+/// updates through `AtomicU64::get_mut`, as plain loads and stores, and
+/// leaves the histogram in the identical state.
 ///
 /// `sum` is kept in a `u64` (the sequential histogram uses `u128`):
 /// with nanosecond samples that is ~584 years of accumulated latency
@@ -93,6 +100,22 @@ impl AtomicHistogram {
         };
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// [`AtomicHistogram::record`] for an exclusive holder: the same
+    /// three updates with no locked instruction (the borrow checker is
+    /// the proof that no other thread can see the cells). The sum
+    /// wraps, as `fetch_add` does.
+    pub(crate) fn record_mut(&mut self, v: u64) {
+        let bucket = match self.spec.index_of(v) {
+            Some(i) => &mut self.buckets[i],
+            None => &mut self.overflow,
+        };
+        *bucket.get_mut() += 1;
+        let sum = self.sum.get_mut();
+        *sum = sum.wrapping_add(v);
+        let max = self.max.get_mut();
+        *max = (*max).max(v);
     }
 
     /// Total samples recorded so far (relaxed; exact once the emitting
@@ -171,6 +194,24 @@ mod tests {
         assert_eq!(snap.overflow(), plain.overflow());
         for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
             assert_eq!(snap.quantile(q), plain.quantile(q), "q={q}");
+        }
+    }
+
+    #[test]
+    fn exclusive_recording_leaves_the_same_state() {
+        let shared = AtomicHistogram::new(geometry::SEARCH_LEN);
+        let mut exclusive = AtomicHistogram::new(geometry::SEARCH_LEN);
+        for v in [0u64, 1, 7, 64, 900, 1 << 20, u64::MAX, 3] {
+            shared.record(v);
+            exclusive.record_mut(v);
+        }
+        let (a, b) = (exclusive.snapshot(), shared.snapshot());
+        assert_eq!(a.count(), b.count());
+        assert_eq!(a.sum(), b.sum());
+        assert_eq!(a.max(), b.max());
+        assert_eq!(a.overflow(), b.overflow());
+        for i in 0..geometry::SEARCH_LEN.bucket_count() {
+            assert_eq!(a.bucket_count(i), b.bucket_count(i), "bucket {i}");
         }
     }
 

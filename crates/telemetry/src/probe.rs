@@ -15,7 +15,13 @@
 //!
 //! Like `SharedProbe`, the sink is used by shared reference:
 //! `&TelemetryProbe` implements [`Probe`], so each worker holds its own
-//! copy of the reference and the emission sites stay `P: Probe`.
+//! copy of the reference and the emission sites stay `P: Probe`. And
+//! like `SharedProbe`, a sink nobody shares — a `TelemetryProbe` held
+//! by `&mut`, as a machine's `run_probed` holds it — records through
+//! `AtomicU64::get_mut`: the same cells left in the same state, with no
+//! locked instruction and no data-dependent branch. Watching a
+//! single-threaded run should cost what the paper's sensors cost the
+//! program: next to nothing.
 //!
 //! The two stateful distributions (inter-fault gap, fetch latency) pair
 //! consecutive events through a single atomic cell with a `u64::MAX`
@@ -35,6 +41,46 @@ use crate::AtomicHistogram;
 /// `u64::MAX` marks "no earlier event to pair with" in the stateful
 /// cells (a nanosecond timestamp of `u64::MAX` is ~584 years).
 const NONE: u64 = u64::MAX;
+
+/// What the distributions take from one event: the body both `record`s
+/// share, instantiated per `$mode`. `owned`: the sink is held by `&mut`,
+/// so every cell is reached through `get_mut` — plain loads and stores.
+/// `shared`: relaxed atomics.
+macro_rules! observe {
+    (@sample owned $hist:expr, $v:expr) => { $hist.record_mut($v) };
+    (@sample shared $hist:expr, $v:expr) => { $hist.record($v) };
+    (@swap owned $cell:expr, $v:expr) => { std::mem::replace($cell.get_mut(), $v) };
+    (@swap shared $cell:expr, $v:expr) => { $cell.swap($v, Ordering::Relaxed) };
+    (@set owned $cell:expr, $v:expr) => { *$cell.get_mut() = $v };
+    (@set shared $cell:expr, $v:expr) => { $cell.store($v, Ordering::Relaxed) };
+    ($mode:ident $self:ident, $event:ident) => {
+        match $event.kind {
+            EventKind::Alloc { words, searched } => {
+                observe!(@sample $mode $self.alloc_words, words);
+                observe!(@sample $mode $self.search_len, searched);
+            }
+            EventKind::Fault => {
+                let prev = observe!(@swap $mode $self.last_fault_vtime, $event.vtime);
+                if prev != NONE {
+                    observe!(@sample $mode $self.inter_fault, $event.vtime.saturating_sub(prev));
+                }
+            }
+            EventKind::FetchStart { .. } => {
+                observe!(@set $mode $self.pending_fetch_ns, $event.cycles.as_nanos());
+            }
+            EventKind::FetchDone { .. } => {
+                // Claim the pending start (swap in the sentinel) so a
+                // racing FetchDone can't count the same start twice.
+                let started = observe!(@swap $mode $self.pending_fetch_ns, NONE);
+                if started != NONE {
+                    let took = $event.cycles.as_nanos().saturating_sub(started);
+                    observe!(@sample $mode $self.fetch_ns, took);
+                }
+            }
+            _ => {}
+        }
+    };
+}
 
 /// Counters and distributions in one always-on, thread-safe sink.
 ///
@@ -74,35 +120,6 @@ impl TelemetryProbe {
             fetch_ns: AtomicHistogram::new(geometry::FAULT_SERVICE_NS),
             last_fault_vtime: AtomicU64::new(NONE),
             pending_fetch_ns: AtomicU64::new(NONE),
-        }
-    }
-
-    fn observe(&self, event: &Event) {
-        match event.kind {
-            EventKind::Alloc { words, searched } => {
-                self.alloc_words.record(words);
-                self.search_len.record(searched);
-            }
-            EventKind::Fault => {
-                let prev = self.last_fault_vtime.swap(event.vtime, Ordering::Relaxed);
-                if prev != NONE {
-                    self.inter_fault.record(event.vtime.saturating_sub(prev));
-                }
-            }
-            EventKind::FetchStart { .. } => {
-                self.pending_fetch_ns
-                    .store(event.cycles.as_nanos(), Ordering::Relaxed);
-            }
-            EventKind::FetchDone { .. } => {
-                // Claim the pending start (swap in the sentinel) so a
-                // racing FetchDone can't count the same start twice.
-                let started = self.pending_fetch_ns.swap(NONE, Ordering::Relaxed);
-                if started != NONE {
-                    self.fetch_ns
-                        .record(event.cycles.as_nanos().saturating_sub(started));
-                }
-            }
-            _ => {}
         }
     }
 
@@ -170,21 +187,21 @@ impl Default for TelemetryProbe {
     }
 }
 
+/// The exclusive form: no other thread can see a sink held by `&mut`,
+/// so nothing here is a locked instruction.
 impl Probe for TelemetryProbe {
     fn record(&mut self, event: &Event) {
-        self.observe(event);
-        let mut counters = &self.counters;
-        counters.record(event);
+        observe!(owned self, event);
+        self.counters.record(event);
     }
 }
 
 /// The shared-reference form workers hold, mirroring
-/// `impl Probe for &SharedProbe`.
+/// `impl Probe for &SharedProbe`: relaxed read-modify-writes.
 impl Probe for &TelemetryProbe {
     fn record(&mut self, event: &Event) {
-        self.observe(event);
-        let mut counters = &self.counters;
-        counters.record(event);
+        observe!(shared self, event);
+        (&self.counters).record(event);
     }
 }
 

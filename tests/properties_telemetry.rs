@@ -1,7 +1,7 @@
 //! Property-based tests on the `dsa-telemetry` flight recorder and
 //! atomic histograms.
 //!
-//! Three claims, each load-bearing for the always-on telemetry's
+//! Five claims, each load-bearing for the always-on telemetry's
 //! contract:
 //!
 //! * **Lossless chronology under capacity** — a single handle that
@@ -18,11 +18,25 @@
 //!   recorded through 1, 2, or 8 `AtomicHistogram`s, merged, freeze
 //!   into exactly the `Histogram` a single thread would have built:
 //!   same count, sum, max, overflow, and quantiles.
+//! * **One vocabulary, however a cell is reached** — the counting sinks
+//!   generated from `dsa-probe`'s table (`CountingProbe`, `SharedProbe`
+//!   held exclusively, `TelemetryProbe` held exclusively and by shared
+//!   reference) all tally any event stream exactly as the naive
+//!   hand-written `match` in `common/counting_model.rs` does, and the
+//!   exclusive and shared `TelemetryProbe` paths leave identical
+//!   distributions.
 
+use dsa::core::clock::Cycles;
 use dsa::metrics::{BucketSpec, Histogram};
-use dsa::probe::{EventKind, Probe, Stamp};
-use dsa::telemetry::{AtomicHistogram, FlightRecorder};
+use dsa::probe::{
+    CountingProbe, DegradationStep, Event, EventKind, InjectedFault, Probe, SharedProbe, Stamp,
+};
+use dsa::telemetry::{AtomicHistogram, FlightRecorder, TelemetryProbe};
 use proptest::prelude::*;
+
+#[path = "common/counting_model.rs"]
+mod counting_model;
+use counting_model::NaiveCounter;
 
 /// The emitted payload for index `i`: distinguishable and exact, so a
 /// drained event identifies which emission it was.
@@ -46,7 +60,168 @@ fn index_of(e: &dsa::probe::Event) -> u64 {
     }
 }
 
+const FAULT_MODES: [InjectedFault; 5] = [
+    InjectedFault::TransferError,
+    InjectedFault::BadFrame,
+    InjectedFault::ChannelDelay,
+    InjectedFault::AllocFailure,
+    InjectedFault::ShardCorruption,
+];
+
+const LADDER: [DegradationStep; 7] = [
+    DegradationStep::RetryBackoff,
+    DegradationStep::Coalesce,
+    DegradationStep::Compact,
+    DegradationStep::EvictVictims,
+    DegradationStep::StealGlobal,
+    DegradationStep::ShedLoad,
+    DegradationStep::ShedTenant,
+];
+
+/// How many `EventKind` variants [`kind_of`] can draw. A new variant
+/// breaks the build in `common/counting_model.rs` (its `match` has no
+/// wildcard); add it here in the same change.
+const KINDS: u32 = 26;
+
+/// The `pick`-th event kind, with `a` as its word payload, `b` as its
+/// other payload (and mode selector) and `flag` as its flag.
+fn kind_of(pick: u32, a: u64, b: u64, flag: bool) -> EventKind {
+    let small = b as u32;
+    match pick {
+        0 => EventKind::Touch { write: flag },
+        1 => EventKind::Fault,
+        2 => EventKind::FetchStart { words: a },
+        3 => EventKind::FetchDone { words: a },
+        4 => EventKind::Evict {
+            dirty: flag,
+            words: a,
+        },
+        5 => EventKind::Writeback { words: a },
+        6 => EventKind::Alloc {
+            words: a,
+            searched: b,
+        },
+        7 => EventKind::Free { words: a },
+        8 => EventKind::CompactionStart,
+        9 => EventKind::CompactionDone { moved_words: a },
+        10 => EventKind::Advice,
+        11 => EventKind::Prefetch { words: a },
+        12 => EventKind::BoundsTrap,
+        13 => EventKind::MapLookup { hit: flag },
+        14 => EventKind::FaultInjected {
+            fault: FAULT_MODES[b as usize % FAULT_MODES.len()],
+        },
+        15 => EventKind::RetryAttempt { attempt: small },
+        16 => EventKind::FrameQuarantined,
+        17 => EventKind::DegradationStep {
+            step: LADDER[b as usize % LADDER.len()],
+        },
+        18 => EventKind::QuotaDenied { tenant: small },
+        19 => EventKind::AdmissionReject { tenant: small },
+        20 => EventKind::TenantShed {
+            tenant: small,
+            words: a,
+        },
+        21 => EventKind::ShardQuarantined { shard: small },
+        22 => EventKind::ShardRestored { shard: small },
+        23 => EventKind::TenantAdmitted {
+            tenant: small,
+            frames: small,
+        },
+        24 => EventKind::TenantDeactivated {
+            tenant: small,
+            resident: small,
+        },
+        25 => EventKind::WsEstimate {
+            tenant: small,
+            pages: small,
+        },
+        _ => unreachable!("pick < KINDS"),
+    }
+}
+
+/// Any event: any kind, flag and payload, at stamps that go backwards
+/// as often as forwards (so the pairing cells saturate as well as
+/// subtract). Word payloads reach past every histogram's last bucket.
+fn event() -> impl Strategy<Value = Event> {
+    (
+        0u32..KINDS,
+        0u64..1 << 40,
+        0u64..1 << 20,
+        any::<bool>(),
+        (0u64..20_000, 0u64..5_000_000),
+    )
+        .prop_map(|(pick, a, b, flag, (vtime, ns))| Event {
+            kind: kind_of(pick, a, b, flag),
+            cycles: Cycles::from_nanos(ns),
+            vtime,
+        })
+}
+
+/// Count, sum, max, overflow and every bucket.
+fn same_histogram(what: &str, got: &Histogram, want: &Histogram) -> Result<(), String> {
+    prop_assert_eq!(got.count(), want.count(), "{}: count", what);
+    prop_assert_eq!(got.sum(), want.sum(), "{}: sum", what);
+    prop_assert_eq!(got.max(), want.max(), "{}: max", what);
+    prop_assert_eq!(got.overflow(), want.overflow(), "{}: overflow", what);
+    for i in 0..want.spec().bucket_count() {
+        prop_assert_eq!(
+            got.bucket_count(i),
+            want.bucket_count(i),
+            "{}: bucket {}",
+            what,
+            i
+        );
+    }
+    Ok(())
+}
+
 proptest! {
+    /// Every generated sink, by every way of reaching its cells, tallies
+    /// what the naive `match` tallies; the exclusive and the shared
+    /// `TelemetryProbe` leave the same four distributions.
+    #[test]
+    fn generated_sinks_match_the_naive_counter(
+        events in prop::collection::vec(event(), 1..400),
+    ) {
+        let mut model = NaiveCounter::default();
+        let mut counting = CountingProbe::new();
+        let mut exclusive = SharedProbe::new();
+        let mut owned = TelemetryProbe::new();
+        let shared = TelemetryProbe::new();
+        let mut by_ref = &shared;
+        for e in &events {
+            model.record(e);
+            counting.record(e);
+            exclusive.record(e);
+            owned.record(e);
+            by_ref.record(e);
+        }
+        let want = model.0;
+        // `total_events` counts both of a compaction's events at its Done.
+        let starts = events.iter().filter(|e| e.kind == EventKind::CompactionStart).count();
+        prop_assert_eq!(
+            want.total_events() + starts as u64,
+            events.len() as u64 + want.compactions
+        );
+        for (sink, got) in [
+            ("CountingProbe", counting),
+            ("&mut SharedProbe", exclusive.snapshot()),
+            ("&mut TelemetryProbe", owned.counters()),
+            ("&TelemetryProbe", shared.counters()),
+        ] {
+            for ((field, got), (_, want)) in got.fields().zip(want.fields()) {
+                prop_assert_eq!(got, want, "{}: {}", sink, field);
+            }
+        }
+        same_histogram("alloc_words", &owned.alloc_words(), &shared.alloc_words())?;
+        same_histogram("search_len", &owned.search_len(), &shared.search_len())?;
+        same_histogram("inter_fault_gap", &owned.inter_fault_gap(), &shared.inter_fault_gap())?;
+        same_histogram("fetch_latency", &owned.fetch_latency(), &shared.fetch_latency())?;
+        prop_assert_eq!(shared.alloc_words().count(), want.allocs);
+        prop_assert_eq!(shared.inter_fault_gap().count(), want.faults.saturating_sub(1));
+    }
+
     /// Emitting `n <= capacity` events through one handle drains back
     /// exactly those events, oldest first, payloads intact.
     #[test]

@@ -12,7 +12,7 @@
 
 use core::fmt;
 use core::hash::{BuildHasherDefault, Hasher};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// A storage extent or capacity, in words.
 pub type Words = u64;
@@ -47,6 +47,9 @@ impl Hasher for IdHasher {
 
 /// A `HashMap` keyed by an id newtype, hashed by [`IdHasher`].
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A `HashSet` of an id newtype, hashed by [`IdHasher`].
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// A name in a program's name space.
 ///

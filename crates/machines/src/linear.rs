@@ -8,13 +8,11 @@
 //! trap: a linear name space carries no per-array structure for the
 //! hardware to check.
 
-use std::collections::HashMap;
-
 use dsa_core::access::ProgramOp;
 use dsa_core::advice::{Advice, AdviceUnit};
 use dsa_core::clock::{Cycles, VirtualTime};
 use dsa_core::error::{AccessFault, CoreError};
-use dsa_core::ids::{PageNo, SegId, Words};
+use dsa_core::ids::{IdMap, PageNo, SegId, Words};
 use dsa_core::taxonomy::SystemCharacteristics;
 use dsa_faults::FaultConfig;
 use dsa_mapping::associative::FrameAssociativeMap;
@@ -74,7 +72,7 @@ pub struct LinearPagedMachine {
     /// Whether the M44-style advice instructions exist.
     accepts_advice: bool,
     /// Segment layout in the linear space: seg -> (base name, size).
-    layout: HashMap<SegId, (u64, Words)>,
+    layout: IdMap<SegId, (u64, Words)>,
     bump: u64,
     now: VirtualTime,
     /// Armed fault injection and its recovery state, if any.
@@ -108,7 +106,7 @@ impl LinearPagedMachine {
             memory: memory.with_words_per_page(page_size),
             page_fetch,
             accepts_advice,
-            layout: HashMap::new(),
+            layout: IdMap::default(),
             bump: 0,
             now: 0,
             faults: None,

@@ -15,13 +15,11 @@
 //!   into one machine segment, and out-of-bounds subscripts accordingly
 //!   go undetected unless they cross the big segment's limit.
 
-use std::collections::HashMap;
-
 use dsa_core::access::ProgramOp;
 use dsa_core::advice::{Advice, AdviceUnit};
 use dsa_core::clock::{Cycles, VirtualTime};
 use dsa_core::error::{AccessFault, CoreError};
-use dsa_core::ids::{PageNo, SegId, Words};
+use dsa_core::ids::{IdMap, PageNo, SegId, Words};
 use dsa_core::taxonomy::SystemCharacteristics;
 use dsa_faults::FaultConfig;
 use dsa_mapping::two_level::TwoLevelMap;
@@ -56,7 +54,7 @@ pub struct PagedSegmentedMachine {
     /// For `PackedIntoOne`: user segment -> (offset within segment 0,
     /// user size). For `PerObject`: user segment -> its declared size
     /// (machine segment id equals user id).
-    packed_layout: HashMap<SegId, (Words, Words)>,
+    packed_layout: IdMap<SegId, (Words, Words)>,
     packed_bump: Words,
     now: VirtualTime,
     /// Armed fault injection and its recovery state, if any.
@@ -98,7 +96,7 @@ impl PagedSegmentedMachine {
             page_fetch,
             seg_use,
             accepts_advice,
-            packed_layout: HashMap::new(),
+            packed_layout: IdMap::default(),
             packed_bump: 0,
             now: 0,
             faults: None,

@@ -8,13 +8,11 @@
 //! arrays" a programmer may still declare larger objects, which the
 //! compiler splits — our adapter performs the same split.
 
-use std::collections::HashMap;
-
 use dsa_core::access::ProgramOp;
 use dsa_core::clock::Cycles;
 use dsa_core::clock::VirtualTime;
 use dsa_core::error::{AccessFault, AllocError, CoreError};
-use dsa_core::ids::{SegId, Words};
+use dsa_core::ids::{IdMap, SegId, Words};
 use dsa_core::taxonomy::SystemCharacteristics;
 use dsa_faults::FaultConfig;
 use dsa_mapping::associative::{AssocMemory, AssocPolicy};
@@ -42,7 +40,7 @@ pub struct SegmentedMachine {
     /// declarations are split into chunks.
     split_at: Words,
     /// User segment -> (chunk ids, user-declared size).
-    split_map: HashMap<SegId, (Vec<SegId>, Words)>,
+    split_map: IdMap<SegId, (Vec<SegId>, Words)>,
     next_internal: u32,
     /// Whether advisory directives are honoured (the appendix machines
     /// in this family accept none; the authors' favoured design does).
@@ -76,7 +74,7 @@ impl SegmentedMachine {
             backing_latency,
             backing_word_time,
             split_at,
-            split_map: HashMap::new(),
+            split_map: IdMap::default(),
             next_internal: 0,
             accepts_advice: false,
             faults: None,

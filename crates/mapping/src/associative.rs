@@ -13,8 +13,6 @@
 //!   facility (vi): "if it were not for such mechanisms, the cost in
 //!   extra addressing time ... would often be unacceptable".
 
-use std::collections::VecDeque;
-
 use dsa_core::error::AccessFault;
 use dsa_core::ids::{FrameNo, Name, PageNo, PhysAddr, Words};
 
@@ -39,10 +37,25 @@ pub enum AssocPolicy {
 pub struct AssocMemory {
     capacity: usize,
     policy: AssocPolicy,
-    // Entries in recency/load order, most recent last.
-    entries: VecDeque<(u64, u64)>,
+    // Entries sit in slots `1..`, packed, in no particular order: a
+    // search is one pass over `keys`. Age is a circular list threaded
+    // through `slots`, rooted at slot 0 (which holds no entry): the
+    // root's `next` is the oldest entry, its `prev` the newest, so
+    // refreshing or evicting relinks a slot and nothing moves.
+    keys: Vec<u64>,
+    slots: Vec<Slot>,
+    // The key the last lookup missed, until the next insert: absent for
+    // certain, so the insert that follows a miss need not search again.
+    missed: Option<u64>,
     hits: u64,
     misses: u64,
+}
+
+#[derive(Clone, Copy, Debug, Default)]
+struct Slot {
+    value: u64,
+    prev: usize,
+    next: usize,
 }
 
 impl AssocMemory {
@@ -54,26 +67,52 @@ impl AssocMemory {
         AssocMemory {
             capacity,
             policy,
-            entries: VecDeque::new(),
+            keys: vec![0],
+            slots: vec![Slot::default()],
+            missed: None,
             hits: 0,
             misses: 0,
         }
     }
 
+    fn slot_of(&self, key: u64) -> Option<usize> {
+        // Keys are distinct, so the last match is the match: a pass
+        // with no early exit has no branch to mispredict.
+        let mut found = 0;
+        for (slot, &k) in self.keys.iter().enumerate().skip(1) {
+            found = if k == key { slot } else { found };
+        }
+        (found != 0).then_some(found)
+    }
+
+    fn unlink(&mut self, slot: usize) {
+        let Slot { prev, next, .. } = self.slots[slot];
+        self.slots[prev].next = next;
+        self.slots[next].prev = prev;
+    }
+
+    fn link_newest(&mut self, slot: usize) {
+        let newest = self.slots[0].prev;
+        self.slots[newest].next = slot;
+        self.slots[slot].prev = newest;
+        self.slots[slot].next = 0;
+        self.slots[0].prev = slot;
+    }
+
     /// Looks up `key`, updating recency under LRU.
     pub fn lookup(&mut self, key: u64) -> Option<u64> {
-        match self.entries.iter().position(|&(k, _)| k == key) {
-            Some(i) => {
+        match self.slot_of(key) {
+            Some(slot) => {
                 self.hits += 1;
-                let entry = self.entries[i];
                 if self.policy == AssocPolicy::Lru {
-                    self.entries.remove(i);
-                    self.entries.push_back(entry);
+                    self.unlink(slot);
+                    self.link_newest(slot);
                 }
-                Some(entry.1)
+                Some(self.slots[slot].value)
             }
             None => {
                 self.misses += 1;
+                self.missed = Some(key);
                 None
             }
         }
@@ -84,42 +123,84 @@ impl AssocMemory {
         if self.capacity == 0 {
             return;
         }
-        if let Some(i) = self.entries.iter().position(|&(k, _)| k == key) {
-            self.entries.remove(i);
-        } else if self.entries.len() >= self.capacity {
-            self.entries.pop_front();
+        let resident = match self.missed.take() {
+            Some(absent) if absent == key => None,
+            _ => self.slot_of(key),
+        };
+        let slot = match resident {
+            Some(slot) => {
+                self.unlink(slot);
+                slot
+            }
+            None if self.len() < self.capacity => {
+                self.keys.push(key);
+                self.slots.push(Slot::default());
+                self.len()
+            }
+            None => {
+                let oldest = self.slots[0].next;
+                self.unlink(oldest);
+                oldest
+            }
+        };
+        self.keys[slot] = key;
+        self.slots[slot].value = value;
+        self.link_newest(slot);
+    }
+
+    /// Drops the entry in `slot` and moves the last one into its place.
+    fn remove_slot(&mut self, slot: usize) {
+        self.unlink(slot);
+        self.keys.swap_remove(slot);
+        self.slots.swap_remove(slot);
+        if let Some(&Slot { prev, next, .. }) = self.slots.get(slot) {
+            self.slots[prev].next = slot;
+            self.slots[next].prev = slot;
         }
-        self.entries.push_back((key, value));
     }
 
     /// Removes `key` if present (needed when a page is replaced: a stale
     /// entry would translate to a frame now holding other information).
     pub fn invalidate(&mut self, key: u64) {
-        if let Some(i) = self.entries.iter().position(|&(k, _)| k == key) {
-            self.entries.remove(i);
+        if let Some(slot) = self.slot_of(key) {
+            self.remove_slot(slot);
+        }
+    }
+
+    /// Removes every key `stale` accepts, in one sweep.
+    pub(crate) fn invalidate_where(&mut self, stale: impl Fn(u64) -> bool) {
+        let mut slot = 1;
+        while slot < self.keys.len() {
+            if stale(self.keys[slot]) {
+                self.remove_slot(slot);
+            } else {
+                slot += 1;
+            }
         }
     }
 
     /// Clears the memory (e.g. on a program switch).
     pub fn invalidate_all(&mut self) {
-        self.entries.clear();
+        self.keys.truncate(1);
+        self.slots.truncate(1);
+        self.slots[0] = Slot::default();
     }
 
     /// Number of resident entries.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.keys.len() - 1
     }
 
     /// True if no entries are resident.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Iterates over the currently resident keys.
     pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.iter().map(|&(k, _)| k)
+        self.keys[1..].iter().copied()
     }
 
     /// Hits so far.

@@ -337,17 +337,10 @@ impl TwoLevelMap {
     }
 
     fn invalidate_segment_tlb(&mut self, seg: SegId) {
-        // Global page keys of this segment share the high 32 bits; the
-        // TLB is small, so a sweep over its entries is affordable.
+        // Global page keys of this segment share the high 32 bits.
         let prefix = u64::from(seg.0) << 32;
-        let stale: Vec<u64> = self
-            .tlb
-            .keys()
-            .filter(|k| k & 0xFFFF_FFFF_0000_0000 == prefix)
-            .collect();
-        for k in stale {
-            self.tlb.invalidate(k);
-        }
+        self.tlb
+            .invalidate_where(|k| k & 0xFFFF_FFFF_0000_0000 == prefix);
     }
 }
 

@@ -14,13 +14,11 @@
 //! replacement strategy ... is used to ensure that one page frame is
 //! kept vacant, ready for the next page demand").
 
-use std::collections::HashSet;
-
 use dsa_core::access::{Access, AccessKind};
 use dsa_core::advice::{Advice, AdviceUnit};
 use dsa_core::clock::VirtualTime;
 use dsa_core::error::{AllocError, CoreError};
-use dsa_core::ids::{FrameNo, IdMap, PageNo, Words};
+use dsa_core::ids::{FrameNo, IdMap, IdSet, PageNo, Words};
 use dsa_probe::{EventKind, NullProbe, Probe, Stamp};
 
 use crate::replacement::{Eligible, Replacer};
@@ -110,15 +108,15 @@ pub struct PagedMemory {
     free: Vec<FrameNo>,
     sensors: Sensors,
     replacer: Box<dyn Replacer>,
-    pinned: HashSet<PageNo>,
+    pinned: IdSet<PageNo>,
     /// How many of `pinned` are resident. Pins may name absent pages,
     /// so this is kept as pages come, go and change pin state; the
     /// frames eligible for eviction number `resident - pinned_resident`.
     pinned_resident: usize,
-    prefetched: HashSet<PageNo>,
+    prefetched: IdSet<PageNo>,
     /// Frames retired from service after a bad-frame fault; never free,
     /// never loaded into again.
-    quarantined: HashSet<FrameNo>,
+    quarantined: IdSet<FrameNo>,
     reserve_vacant: bool,
     /// One-block lookahead: on a demand fault for page *p*, page *p+1*
     /// is prefetched as well.
@@ -144,10 +142,10 @@ impl PagedMemory {
             free: (0..n_frames as u64).rev().map(FrameNo).collect(),
             sensors: Sensors::new(n_frames),
             replacer,
-            pinned: HashSet::new(),
+            pinned: IdSet::default(),
             pinned_resident: 0,
-            prefetched: HashSet::new(),
-            quarantined: HashSet::new(),
+            prefetched: IdSet::default(),
+            quarantined: IdSet::default(),
             reserve_vacant: false,
             lookahead: false,
             words_per_page: 1,
@@ -572,7 +570,7 @@ impl PagedMemory {
     /// double-booked, the free pool lists a frame that is not free, or
     /// the pinned-resident count is not what a recount gives.
     pub fn check_invariants(&self) {
-        let mut seen = HashSet::new();
+        let mut seen = IdSet::default();
         for (i, slot) in self.frames.iter().enumerate() {
             if let Some(page) = slot {
                 assert_eq!(
@@ -600,7 +598,7 @@ impl PagedMemory {
                 "quarantined frame holds a page"
             );
         }
-        let mut free = HashSet::new();
+        let mut free = IdSet::default();
         for &frame in &self.free {
             assert!(free.insert(frame), "frame {frame} in the free pool twice");
             assert!(

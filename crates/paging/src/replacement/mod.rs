@@ -40,10 +40,8 @@ pub mod random;
 pub mod registry;
 pub mod ws;
 
-use std::collections::HashSet;
-
 use dsa_core::clock::VirtualTime;
-use dsa_core::ids::{FrameNo, PageNo};
+use dsa_core::ids::{FrameNo, IdSet, PageNo};
 
 use crate::sensors::Sensors;
 
@@ -55,7 +53,7 @@ use crate::sensors::Sensors;
 #[derive(Clone, Copy, Debug)]
 pub struct Eligible<'a> {
     pub(crate) frames: &'a [Option<PageNo>],
-    pub(crate) pinned: &'a HashSet<PageNo>,
+    pub(crate) pinned: &'a IdSet<PageNo>,
     /// The number of frames [`Eligible::contains`] accepts.
     pub(crate) len: usize,
 }
@@ -207,7 +205,7 @@ pub(crate) mod testing {
     /// Frame `i` holds page `i`.
     pub(crate) struct Frames {
         frames: Vec<Option<PageNo>>,
-        pinned: HashSet<PageNo>,
+        pinned: IdSet<PageNo>,
     }
 
     impl Frames {

@@ -14,11 +14,9 @@
 //! placement policy, or the Rice chain), evicted by a cyclic or
 //! Rice-iterative strategy, and bounds-checked on every access.
 
-use std::collections::HashMap;
-
 use dsa_core::advice::{Advice, AdviceUnit};
 use dsa_core::error::{AccessFault, AllocError, CoreError};
-use dsa_core::ids::{PhysAddr, SegId, Words};
+use dsa_core::ids::{IdMap, PhysAddr, SegId, Words};
 use dsa_freelist::compaction;
 use dsa_freelist::freelist::FreeListAllocator;
 use dsa_freelist::rice::RiceAllocator;
@@ -144,7 +142,7 @@ pub struct TouchReport {
 pub struct SegmentStore {
     backend: StoreBackend,
     policy: SegReplacement,
-    segs: HashMap<SegId, SegState>,
+    segs: IdMap<SegId, SegState>,
     /// Rotation order for cyclic / iterative consideration.
     rotation: Vec<SegId>,
     hand: usize,
@@ -164,7 +162,7 @@ impl SegmentStore {
         SegmentStore {
             backend,
             policy,
-            segs: HashMap::new(),
+            segs: IdMap::default(),
             rotation: Vec::new(),
             hand: 0,
             max_segment,
@@ -303,8 +301,8 @@ impl SegmentStore {
     ///
     /// As for [`SegmentStore::define`], plus
     /// [`AccessFault::UnknownSegment`].
-    // Internal invariants: existence is checked before the expects run;
-    // user-visible failures return typed errors.
+    // Internal invariant: a resident segment always has a backing
+    // allocation; user-visible failures return typed errors.
     #[allow(clippy::expect_used)]
     pub fn resize(&mut self, seg: SegId, size: Words) -> Result<(), CoreError> {
         if size == 0 {
@@ -317,24 +315,20 @@ impl SegmentStore {
             }
             .into());
         }
-        let state = self
+        let st = self
             .segs
-            .get(&seg)
-            .copied()
+            .get_mut(&seg)
             .ok_or(AccessFault::UnknownSegment { seg })?;
-        if state.resident {
-            // Reallocate: free, then fetch-place at the new size.
+        st.size = size;
+        if st.resident {
+            // Reallocate: free, then fetch-place at the new size —
+            // immediately, the program is using it.
+            st.resident = false;
             self.backend
                 .free(u64::from(seg.0))
                 .expect("resident segment is allocated");
             self.rotation.retain(|&s| s != seg);
-            let st = self.segs.get_mut(&seg).expect("checked above");
-            st.resident = false;
-            st.size = size;
-            // Bring it back immediately (the program is using it).
             self.fetch(seg)?;
-        } else {
-            self.segs.get_mut(&seg).expect("checked above").size = size;
         }
         Ok(())
     }
@@ -562,22 +556,25 @@ impl SegmentStore {
         probe: &mut P,
     ) -> Result<TouchReport, CoreError> {
         self.stats.accesses += 1;
-        let state = self
+        let st = self
             .segs
-            .get(&seg)
-            .copied()
+            .get_mut(&seg)
             .ok_or(AccessFault::UnknownSegment { seg })?;
-        if offset >= state.size {
+        let size = st.size;
+        if offset >= size {
             self.stats.bounds_violations += 1;
             return Err(AccessFault::BoundsViolation {
                 seg,
                 offset,
-                limit: state.size,
+                limit: size,
             }
             .into());
         }
         let mut report = TouchReport::default();
-        if !state.resident {
+        if st.resident {
+            st.used = true;
+            st.dirty |= write;
+        } else {
             // `Fault` is recorded only once the fetch succeeds: a touch
             // that dies of capacity failure is an error, not a serviced
             // fault (its victims' `Evict` events still precede it at the
@@ -585,15 +582,13 @@ impl SegmentStore {
             let (evictions, writeback) = self.fetch_probed(seg, at, probe)?;
             probe.emit(EventKind::Fault, at);
             report.fetched = true;
-            report.fetched_words = state.size;
+            report.fetched_words = size;
             report.evictions = evictions;
             report.writeback_words = writeback;
+            // The fetch left it used and clean.
+            self.segs.get_mut(&seg).expect("declared").dirty = write;
         }
-        let st = self.segs.get_mut(&seg).expect("declared");
-        st.used = true;
-        if write {
-            st.dirty = true;
-        }
+        // Asked of the backend on every touch: compaction moves blocks.
         let (base, _) = self
             .backend
             .lookup(u64::from(seg.0))
@@ -618,8 +613,7 @@ impl SegmentStore {
         match advice {
             Advice::WillNeed(_) => {
                 // Fetch if possible; failure to prefetch is not an error.
-                if self.segs.get(&seg).is_some_and(|s| !s.resident) {
-                    let size = self.segs[&seg].size;
+                if let Some(&SegState { size, .. }) = self.segs.get(&seg).filter(|s| !s.resident) {
                     if self.fetch_probed(seg, at, probe).is_ok() {
                         probe.emit(EventKind::Prefetch { words: size }, at);
                     }
@@ -641,10 +635,8 @@ impl SegmentStore {
                 }
             }
             Advice::Release(_) => {
-                if self.segs.get(&seg).is_some_and(|s| s.resident) {
-                    if let Some(st) = self.segs.get_mut(&seg) {
-                        st.pinned = false;
-                    }
+                if let Some(st) = self.segs.get_mut(&seg).filter(|s| s.resident) {
+                    st.pinned = false;
                     self.evict_probed(seg, at, probe);
                 }
             }
@@ -721,6 +713,16 @@ mod tests {
             })
         ));
         assert_eq!(s.stats().bounds_violations, 1);
+        // The trap came before any fetch: nothing was brought in for it.
+        assert_eq!((s.stats().seg_faults, s.stats().fetched_words), (0, 0));
+        assert_eq!(s.resident_count(), 0);
+        // A segment nobody declared is an access and nothing else.
+        assert!(matches!(
+            s.touch(SegId(9), 0, true),
+            Err(CoreError::Access(AccessFault::UnknownSegment { .. }))
+        ));
+        assert_eq!(s.stats().accesses, 2);
+        assert_eq!((s.stats().bounds_violations, s.stats().seg_faults), (1, 0));
     }
 
     #[test]
@@ -927,6 +929,7 @@ mod tests {
         s.advise(Advice::Pin(AdviceUnit::Segment(SegId(0))));
         s.advise(Advice::Pin(AdviceUnit::Segment(SegId(2))));
         s.advise(Advice::Release(AdviceUnit::Segment(SegId(1))));
+        assert_eq!(s.touch(SegId(2), 5, false).unwrap().addr, PhysAddr(65));
         let evictions_before = s.stats().evictions;
         // 40 words fit only after compaction slides seg 2 down.
         s.define(SegId(3), 40).unwrap();
@@ -936,7 +939,10 @@ mod tests {
         assert_eq!(s.stats().evictions, evictions_before);
         assert_eq!(s.stats().degradation_steps, 1);
         assert!(s.touch(SegId(0), 0, false).is_ok());
-        assert!(s.touch(SegId(2), 0, false).is_ok());
+        // A resident touch reports where the block is now, not where
+        // it was fetched to.
+        let moved = s.touch(SegId(2), 5, false).unwrap();
+        assert_eq!((moved.fetched, moved.addr), (false, PhysAddr(35)));
         s.check_invariants();
     }
 

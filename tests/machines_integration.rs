@@ -2,7 +2,8 @@
 
 use dsa::core::access::{AccessKind, ProgramOp};
 use dsa::core::ids::SegId;
-use dsa::machines::{all_machines, atlas, b5000, m44_44x, multics, rice, Machine};
+use dsa::machines::{all_machines, atlas, b5000, favoured, m44_44x, multics, rice, Machine};
+use dsa::probe::CountingProbe;
 use dsa::trace::allocstream::SizeDist;
 use dsa::trace::{ProgramCfg, Rng64};
 
@@ -40,6 +41,35 @@ fn runs_are_deterministic_per_machine() {
         assert_eq!(r1.fetched_words, r2.fetched_words);
         assert_eq!(r1.map_time, r2.map_time);
         assert_eq!(r1.bounds_caught, r2.bounds_caught);
+    }
+}
+
+/// Nothing a machine reports or emits may depend on how its tables
+/// happen to be laid out in the host's memory: every preset, built
+/// twice, must tell the same story twice — on a program that resizes,
+/// subscripts wildly, advises, deletes everything and then declares
+/// the same segment numbers again.
+#[test]
+fn every_preset_repeats_exactly() {
+    let mut cfg = survey_cfg();
+    cfg.touches = 4_000;
+    cfg.wild_touch_prob = 0.01;
+    cfg.advice_accuracy = Some(0.8);
+    let mut ops = cfg.generate(&mut Rng64::new(81)).ops;
+    ops.extend(cfg.generate(&mut Rng64::new(82)).ops);
+    let presets = || {
+        let mut machines = all_machines();
+        machines.push(Box::new(favoured()));
+        machines
+    };
+    for (mut first, mut second) in presets().into_iter().zip(presets()) {
+        let (mut seen_first, mut seen_second) = (CountingProbe::new(), CountingProbe::new());
+        let a = first.run_probed(&ops, &mut seen_first).unwrap();
+        let b = second.run_probed(&ops, &mut seen_second).unwrap();
+        assert!(a.touches > 0 && a.faults > 0, "{}: {a:?}", first.name());
+        // `Debug` prints every field, the recovery report included.
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(seen_first, seen_second, "{}", first.name());
     }
 }
 

@@ -10,6 +10,9 @@ use dsa::mapping::{
 use proptest::prelude::*;
 use std::collections::HashMap;
 
+#[path = "common/assoc_model.rs"]
+mod assoc_model;
+
 fn costs() -> MapCosts {
     MapCosts::for_core_cycle(Cycles::from_micros(1))
 }
@@ -119,6 +122,35 @@ proptest! {
         }
     }
 
+    /// Invalidating a segment sweeps every one of its entries out of
+    /// the associative memory, wherever they sit, and no other's.
+    #[test]
+    fn segment_invalidation_sweeps_its_entries_and_only_those(
+        loaded in prop::collection::vec((0u32..3, 0u64..4), 1..24),
+        victim in 0u32..3,
+    ) {
+        // Twelve pages, sixteen entries: nothing is ever evicted.
+        let mut m = TwoLevelMap::new(3, 64, 4, 16, AssocPolicy::Lru, costs());
+        for s in 0..3u32 {
+            m.create_segment(SegId(s), 64).expect("fits");
+            for p in 0..4 {
+                m.map_page(SegId(s), p, FrameNo(u64::from(s) * 4 + p)).expect("page");
+            }
+        }
+        for &(seg, page) in &loaded {
+            m.translate_pair(SegId(seg), page * 16);
+        }
+        m.resize_segment(SegId(victim), 64).expect("same extent");
+        let mut distinct = loaded.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        for &(seg, page) in &distinct {
+            let hits = m.stats().assoc_hits;
+            m.translate_pair(SegId(seg), page * 16);
+            prop_assert_eq!(m.stats().assoc_hits - hits, u64::from(seg != victim), "segment {} page {}", seg, page);
+        }
+    }
+
     /// Relocation is transparent: moving the base changes every address
     /// by exactly the base delta and faults identically.
     #[test]
@@ -157,6 +189,58 @@ proptest! {
                     shadow.remove(0);
                 }
             }
+        }
+    }
+
+    /// The flat-array associative memory is the `VecDeque` one it
+    /// replaced: both policies, no capacity to a B8500's worth, every
+    /// operation including a re-insert of a resident key, and after
+    /// each step the same answer, the same counters, the same keys.
+    #[test]
+    fn assoc_memory_matches_the_deque_model(
+        (size, big) in (0usize..3, 2usize..45),
+        fifo in any::<bool>(),
+        ops in prop::collection::vec((0u8..16, any::<u64>(), any::<u64>()), 1..400),
+    ) {
+        let capacity = [0, 1, big][size];
+        let policy = if fifo { AssocPolicy::Fifo } else { AssocPolicy::Lru };
+        let mut mem = AssocMemory::new(capacity, policy);
+        let mut model = assoc_model::AssocModel::new(capacity, policy);
+        // Half again as many keys as slots: hits, misses and evictions
+        // all stay common at every capacity.
+        let universe = capacity as u64 * 3 / 2 + 2;
+        for (step, &(pick, a, value)) in ops.iter().enumerate() {
+            let key = a % universe;
+            match pick {
+                0..=6 => prop_assert_eq!(mem.lookup(key), model.lookup(key), "step {}: lookup {}", step, key),
+                7..=10 => {
+                    mem.insert(key, value);
+                    model.insert(key, value);
+                }
+                11 | 12 => {
+                    // A key that is resident for certain, when any is.
+                    let resident = model.keys();
+                    if let Some(&key) = resident.get(a as usize % resident.len().max(1)) {
+                        mem.insert(key, value);
+                        model.insert(key, value);
+                    }
+                }
+                13 | 14 => {
+                    mem.invalidate(key);
+                    model.invalidate(key);
+                }
+                _ if value % 4 == 0 => {
+                    mem.invalidate_all();
+                    model.invalidate_all();
+                }
+                _ => {}
+            }
+            let mut keys: Vec<u64> = mem.keys().collect();
+            keys.sort_unstable();
+            let want = model.keys();
+            prop_assert_eq!((mem.len(), mem.is_empty()), (want.len(), want.is_empty()), "step {}: len", step);
+            prop_assert_eq!(keys, want, "step {}: resident keys", step);
+            prop_assert_eq!((mem.hits(), mem.misses()), (model.hits, model.misses), "step {}: counters", step);
         }
     }
 }

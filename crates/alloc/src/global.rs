@@ -11,8 +11,8 @@
 //! Two problems make a self-hosted allocator interesting, and both are
 //! solved here rather than in the heap:
 //!
-//! * **Reentrancy.** The heap's own bookkeeping (shard maps, depot
-//!   vectors, the large side table) allocates. If those allocations
+//! * **Reentrancy.** The heap's own bookkeeping (shard books, hole
+//!   tables, depot vectors) allocates. If those allocations
 //!   re-entered the heap they would deadlock on the locks already
 //!   held. A thread-local depth guard routes every nested allocation
 //!   to [`System`]; on the free side pointers route by address (region

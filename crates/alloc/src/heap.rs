@@ -11,13 +11,14 @@
 //!   naturally aligned — that is how over-aligned small requests are
 //!   served without headers.
 //! * **The large path.** Everything past the ladder (or overflowing an
-//!   exhausted slab) is allocated from the arena directly, id-keyed,
-//!   with a striped side table mapping the returned pointer's word
-//!   offset back to its arena id for the free side.
+//!   exhausted slab) is allocated from the arena directly, named by the
+//!   word offset of the pointer handed out: the caller holds that
+//!   pointer until the free and the block never moves, so the arena's
+//!   own book is the only one kept.
 //!
 //! Nothing in the region carries a header: small frees recompute the
 //! class from the caller's `Layout` and the slab's span answers "is
-//! this mine"; large frees hit the side table. A pointer outside the
+//! this mine"; large frees say the address. A pointer outside the
 //! region belongs to [`System`] (the fallback of last resort, and the
 //! destination of the heap's own bookkeeping allocations when used
 //! through [`crate::GlobalDsa`]).
@@ -32,12 +33,11 @@
 //! backend-live.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use dsa_arena::{FixedSlab, ShardedArena};
-use dsa_core::ids::Words;
+use dsa_core::ids::{PhysAddr, Words};
 use dsa_core::sizeclass::SizeClasses;
 use dsa_freelist::freelist::Placement;
 use dsa_probe::{EventKind, Probe, Stamp};
@@ -55,16 +55,10 @@ const PAGE_ALIGN_WORDS: u64 = 512;
 /// Alignment of the backing region itself, in bytes.
 const REGION_ALIGN: usize = 4096;
 
-/// Stripes of the large-pointer side table.
-const LARGE_STRIPES: usize = 16;
-
-/// Arena ids at and above this are slab-span carves (one per class);
-/// ids below are large allocations, issued sequentially from 1.
+/// Arena ids at and above this are slab-span carves (one per class).
+/// Large blocks share the arena's book under their word offsets, which
+/// no region is big enough to bring this high.
 const CARVE_ID_BASE: u64 = 1 << 60;
-
-/// Full magazines a depot retains per class before overflow is flushed
-/// back to the slab.
-const DEPOT_MAX_FULL: usize = 8;
 
 /// Quick-list geometry for the large path (see `ShardedArena`): blocks
 /// up to this many words ride the per-shard LIFO caches.
@@ -139,9 +133,9 @@ struct ClassSlab {
 
 /// Operation counters, snapshotted with [`DsaHeap::stats`].
 ///
-/// Magazine counters are accumulated thread-locally and folded in when
-/// a cache flushes (depot overflow, explicit flush, thread exit), so
-/// they trail the instantaneous truth by up to one magazine.
+/// Magazine and depot-exchange counters are accumulated thread-locally
+/// and folded in when a cache flushes (explicit flush, thread exit), so
+/// they trail the instantaneous truth until then.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HeapStats {
     /// Small allocations served from a thread's magazines (no atomics).
@@ -165,25 +159,43 @@ pub struct HeapStats {
     pub bad_frees: u64,
 }
 
+/// What allocating threads write on the slow paths, on a cache line
+/// that freeing threads leave alone (and the other way round below):
+/// a producer and a consumer must not trade a line per large block.
+#[derive(Default)]
+#[repr(align(64))]
+struct AllocSide {
+    slab_exhausted: AtomicU64,
+    large_allocs: AtomicU64,
+    system_allocs: AtomicU64,
+    /// Deals large requests round the arena's shards.
+    rotor: AtomicU64,
+}
+
+#[derive(Default)]
+#[repr(align(64))]
+struct FreeSide {
+    large_frees: AtomicU64,
+    system_frees: AtomicU64,
+    bad_frees: AtomicU64,
+}
+
 #[derive(Default)]
 struct Counters {
+    alloc_side: AllocSide,
+    free_side: FreeSide,
+    /// Folded in from the thread caches when they flush.
     magazine_allocs: AtomicU64,
     magazine_frees: AtomicU64,
     depot_exchanges: AtomicU64,
-    slab_exhausted: AtomicU64,
-    large_allocs: AtomicU64,
-    large_frees: AtomicU64,
-    system_allocs: AtomicU64,
-    system_frees: AtomicU64,
-    bad_frees: AtomicU64,
 }
 
 /// The three-layer heap. See the [crate docs](crate) for the layout.
 ///
 /// All methods take `&self`; the slab layer is lock-free, the large
-/// path locks one arena shard plus one side-table stripe, and the
-/// magazine depots lock per class. [`crate::ThreadCache`] sits on top
-/// and removes even the atomics from the common path.
+/// path locks one arena shard, and the magazine depots lock per class.
+/// [`crate::ThreadCache`] sits on top and removes even the atomics from
+/// the common path.
 pub struct DsaHeap {
     config: HeapConfig,
     classes: SizeClasses,
@@ -191,18 +203,13 @@ pub struct DsaHeap {
     arena: ShardedArena,
     slabs: Vec<ClassSlab>,
     depots: Vec<Mutex<Depot>>,
-    /// Large side table: word offset of the returned pointer -> arena
-    /// id, striped by offset.
-    large: Vec<Mutex<HashMap<u64, u64>>>,
-    next_large_id: AtomicU64,
-    clock: AtomicU64,
     telemetry: TelemetryProbe,
     counters: Counters,
 }
 
 // SAFETY: the raw region pointer is owned exclusively by the heap; all
-// access to the memory behind it is mediated by the lock-free slabs,
-// the shard locks, and the side-table stripes.
+// access to the memory behind it is mediated by the lock-free slabs
+// and the shard locks.
 unsafe impl Send for DsaHeap {}
 // SAFETY: as above — `&DsaHeap` exposes only atomic/locked operations.
 unsafe impl Sync for DsaHeap {}
@@ -264,7 +271,6 @@ impl DsaHeap {
         // lifetime and are part of the probe ledger.
         let mut slabs = Vec::with_capacity(classes.count());
         let mut depots = Vec::with_capacity(classes.count());
-        let mut clock = 0u64;
         for (c, &class_bytes) in classes.classes().iter().enumerate() {
             let unit_words = class_bytes / BYTES_PER_WORD;
             let span_words = unit_words * u64::from(config.class_units);
@@ -274,13 +280,12 @@ impl DsaHeap {
                 .alloc_probed(
                     CARVE_ID_BASE + c as u64,
                     carve,
-                    Stamp::vtime(clock),
+                    Stamp::default(),
                     &mut probe,
                 )
                 .unwrap_or_else(|e| {
                     panic!("arena too small for the class-{class_bytes} slab span: {e}")
                 });
-            clock += 1;
             let base_words = addr.0.next_multiple_of(PAGE_ALIGN_WORDS);
             debug_assert!(base_words + span_words <= addr.0 + carve);
             slabs.push(ClassSlab {
@@ -298,11 +303,6 @@ impl DsaHeap {
             arena,
             slabs,
             depots,
-            large: (0..LARGE_STRIPES)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            next_large_id: AtomicU64::new(1),
-            clock: AtomicU64::new(clock),
             telemetry,
             counters: Counters::default(),
         }
@@ -338,16 +338,17 @@ impl DsaHeap {
     #[must_use]
     pub fn stats(&self) -> HeapStats {
         let c = &self.counters;
+        let (a, f) = (&c.alloc_side, &c.free_side);
         HeapStats {
             magazine_allocs: c.magazine_allocs.load(Ordering::Relaxed),
             magazine_frees: c.magazine_frees.load(Ordering::Relaxed),
             depot_exchanges: c.depot_exchanges.load(Ordering::Relaxed),
-            slab_exhausted: c.slab_exhausted.load(Ordering::Relaxed),
-            large_allocs: c.large_allocs.load(Ordering::Relaxed),
-            large_frees: c.large_frees.load(Ordering::Relaxed),
-            system_allocs: c.system_allocs.load(Ordering::Relaxed),
-            system_frees: c.system_frees.load(Ordering::Relaxed),
-            bad_frees: c.bad_frees.load(Ordering::Relaxed),
+            slab_exhausted: a.slab_exhausted.load(Ordering::Relaxed),
+            large_allocs: a.large_allocs.load(Ordering::Relaxed),
+            large_frees: f.large_frees.load(Ordering::Relaxed),
+            system_allocs: a.system_allocs.load(Ordering::Relaxed),
+            system_frees: f.system_frees.load(Ordering::Relaxed),
+            bad_frees: f.bad_frees.load(Ordering::Relaxed),
         }
     }
 
@@ -414,12 +415,13 @@ impl DsaHeap {
                         words: cs.slab.unit_words(),
                         searched: u64::from(unit.attempts),
                     },
-                    self.stamp(),
+                    Stamp::default(),
                 );
                 Some(self.ptr_at(cs.base_words + unit.addr.0))
             }
             Err(_) => {
-                self.counters.slab_exhausted.fetch_add(1, Ordering::Relaxed);
+                let side = &self.counters.alloc_side;
+                side.slab_exhausted.fetch_add(1, Ordering::Relaxed);
                 None
             }
         }
@@ -430,8 +432,9 @@ impl DsaHeap {
     /// counted, not freed.
     pub(crate) fn slab_push(&self, c: usize, ptr: *mut u8) {
         let cs = &self.slabs[c];
+        let side = &self.counters.free_side;
         let Some(off) = self.word_off_of(ptr) else {
-            self.counters.bad_frees.fetch_add(1, Ordering::Relaxed);
+            side.bad_frees.fetch_add(1, Ordering::Relaxed);
             return;
         };
         debug_assert!(off >= cs.base_words && off < cs.base_words + cs.span_words);
@@ -445,51 +448,74 @@ impl DsaHeap {
                 EventKind::Free {
                     words: cs.slab.unit_words(),
                 },
-                self.stamp(),
+                Stamp::default(),
             );
         } else {
-            self.counters.bad_frees.fetch_add(1, Ordering::Relaxed);
+            side.bad_frees.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Allocates via the arena's large path (side table keyed by the
-    /// returned pointer), falling back to [`System`] when the arena is
-    /// exhausted. Never returns null unless `System` does.
-    pub(crate) fn large_alloc(&self, layout: Layout) -> *mut u8 {
+    /// Allocates via the arena's large path, the block named by the
+    /// word offset of the pointer returned. A full arena is asked again
+    /// if `make_room` says it returned something, and only then does the
+    /// request fall to [`System`]. Never returns null unless `System`
+    /// does.
+    pub(crate) fn large_alloc(&self, layout: Layout, make_room: impl FnOnce() -> bool) -> *mut u8 {
         let bytes = layout.size().max(1) as u64;
         let align = layout.align() as u64;
         // Over-aligned blocks get `align` slack bytes so the aligned
         // pointer always fits (arena addresses are only word-aligned).
         let extra = if align > BYTES_PER_WORD { align } else { 0 };
         let words = (bytes + extra).div_ceil(BYTES_PER_WORD);
-        let id = self.next_large_id.fetch_add(1, Ordering::Relaxed);
-        let mut probe = &self.telemetry;
-        match self.arena.alloc_probed(id, words, self.stamp(), &mut probe) {
+        // The word the caller's pointer lands on: the block's first
+        // that is aligned, which the slack keeps inside the block (a
+        // word-aligned address already satisfies any smaller `align`).
+        let handed_out = |addr: PhysAddr| {
+            let raw = self.ptr_at(addr.0) as usize;
+            let aligned = (raw + (layout.align() - 1)) & !(layout.align() - 1);
+            ((aligned - self.region.base as usize) as u64) / BYTES_PER_WORD
+        };
+        let side = &self.counters.alloc_side;
+        let place = || {
+            let turn = side.rotor.fetch_add(1, Ordering::Relaxed);
+            let home = (turn % u64::from(self.config.shards)) as u32;
+            let mut probe = &self.telemetry;
+            (self.arena).alloc_at_probed(home, words, handed_out, Stamp::default(), &mut probe)
+        };
+        let mut placed = place();
+        if placed.is_err() && make_room() {
+            placed = place();
+        }
+        match placed {
             Ok(addr) => {
-                let raw = self.ptr_at(addr.0) as usize;
-                let aligned = if align > BYTES_PER_WORD {
-                    (raw + (layout.align() - 1)) & !(layout.align() - 1)
-                } else {
-                    raw
-                };
-                let key = ((aligned - self.region.base as usize) as u64) / BYTES_PER_WORD;
-                self.large_stripe(key).insert(key, id);
-                self.counters.large_allocs.fetch_add(1, Ordering::Relaxed);
-                aligned as *mut u8
+                side.large_allocs.fetch_add(1, Ordering::Relaxed);
+                self.ptr_at(handed_out(addr))
             }
             Err(_) => {
-                // Roll back the id is unnecessary — ids are only
-                // uniqueness tokens. Hand the request to the system.
-                self.counters.system_allocs.fetch_add(1, Ordering::Relaxed);
+                side.system_allocs.fetch_add(1, Ordering::Relaxed);
                 // SAFETY: the layout is padded to non-zero size.
                 unsafe { System.alloc(nonzero(layout)) }
             }
         }
     }
 
+    /// Returns large-path blocks to the arena by the names their
+    /// addresses give them, one shard lock per shard touched. An
+    /// interior, foreign or already-freed pointer names no live block
+    /// and is counted, not freed.
+    pub(crate) fn large_free(&self, names: &mut [u64]) {
+        let side = &self.counters.free_side;
+        let mut probe = &self.telemetry;
+        let freed = (self.arena).free_at_probed(names, Stamp::default(), &mut probe);
+        side.large_frees.fetch_add(freed as u64, Ordering::Relaxed);
+        if freed < names.len() {
+            let bad = (names.len() - freed) as u64;
+            side.bad_frees.fetch_add(bad, Ordering::Relaxed);
+        }
+    }
+
     /// Frees a pointer that is not a live slab unit: large-path blocks
-    /// by side-table lookup, anything outside the region via
-    /// [`System`].
+    /// by name, anything outside the region via [`System`].
     ///
     /// # Safety
     ///
@@ -497,22 +523,10 @@ impl DsaHeap {
     /// it) with the same `layout`, and not freed since.
     pub(crate) unsafe fn dealloc_outside_slab(&self, ptr: *mut u8, layout: Layout) {
         if let Some(off) = self.word_off_of(ptr) {
-            let id = self.large_stripe(off).remove(&off);
-            match id {
-                Some(id) => {
-                    let mut probe = &self.telemetry;
-                    if self.arena.free_probed(id, self.stamp(), &mut probe).is_ok() {
-                        self.counters.large_frees.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        self.counters.bad_frees.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                None => {
-                    self.counters.bad_frees.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+            self.large_free(&mut [off]);
         } else {
-            self.counters.system_frees.fetch_add(1, Ordering::Relaxed);
+            let side = &self.counters.free_side;
+            side.system_frees.fetch_add(1, Ordering::Relaxed);
             // SAFETY: outside the region means the block came from
             // `System` with this (padded) layout — the caller's
             // contract.
@@ -529,8 +543,10 @@ impl DsaHeap {
     #[must_use]
     pub fn alloc_direct(&self, layout: Layout) -> *mut u8 {
         match self.small_class(layout) {
-            Some(c) => self.slab_pop(c).unwrap_or_else(|| self.large_alloc(layout)),
-            None => self.large_alloc(layout),
+            Some(c) => self
+                .slab_pop(c)
+                .unwrap_or_else(|| self.large_alloc(layout, || false)),
+            None => self.large_alloc(layout, || false),
         }
     }
 
@@ -563,38 +579,13 @@ impl DsaHeap {
         }
     }
 
-    /// Records a depot exchange and, when the depot holds more than
-    /// [`DEPOT_MAX_FULL`] full magazines, drains the overflow back to
-    /// the slab (bounding parked memory).
-    pub(crate) fn after_depot_exchange(&self, c: usize) {
-        self.counters
-            .depot_exchanges
-            .fetch_add(1, Ordering::Relaxed);
-        loop {
-            let overflow = {
-                let mut depot = self.depot(c);
-                if depot.full.len() > DEPOT_MAX_FULL {
-                    depot.full.pop()
-                } else {
-                    None
-                }
-            };
-            let Some(mut mag) = overflow else { break };
-            while let Some(p) = mag.pop() {
-                self.slab_push(c, p);
-            }
-            self.depot(c).empty.push(mag);
-        }
-    }
-
-    /// Folds a cache's local magazine counters into the heap's.
-    pub(crate) fn fold_magazine_counters(&self, allocs: u64, frees: u64) {
-        self.counters
-            .magazine_allocs
-            .fetch_add(allocs, Ordering::Relaxed);
-        self.counters
-            .magazine_frees
-            .fetch_add(frees, Ordering::Relaxed);
+    /// Folds a cache's local magazine and depot counters into the
+    /// heap's.
+    pub(crate) fn fold_magazine_counters(&self, allocs: u64, frees: u64, exchanges: u64) {
+        let c = &self.counters;
+        c.magazine_allocs.fetch_add(allocs, Ordering::Relaxed);
+        c.magazine_frees.fetch_add(frees, Ordering::Relaxed);
+        c.depot_exchanges.fetch_add(exchanges, Ordering::Relaxed);
     }
 
     /// Drains every depot's full magazines back to the slabs. Parked
@@ -634,16 +625,21 @@ impl DsaHeap {
         // routes them to `System` so reading the books cannot move them.
         let _guard = crate::global::DepthGuard::enter();
         let c = self.telemetry.counters();
-        let arena_allocated = self.arena.snapshot().allocated_words();
+        let arena = self.arena.snapshot();
+        let arena_allocated = arena.allocated_words();
         let slab_live_words: Words = self
             .slabs
             .iter()
             .map(|s| s.slab.live_units() * s.slab.unit_words())
             .sum();
         let slab_live_units: u64 = self.slabs.iter().map(|s| s.slab.live_units()).sum();
-        let large_live: u64 = (0..LARGE_STRIPES)
-            .map(|s| self.large_stripe_by_index(s).len() as u64)
+        // The arena's book holds the class carves and the large blocks.
+        let arena_live: u64 = arena
+            .shards
+            .iter()
+            .map(|s| s.alloc.live_allocs as u64)
             .sum();
+        let large_live = arena_live - self.slabs.len() as u64;
         assert_eq!(
             c.alloc_words - c.freed_words,
             arena_allocated + slab_live_words,
@@ -661,7 +657,7 @@ impl DsaHeap {
         );
         assert_eq!(
             c.allocs - c.frees,
-            self.slabs.len() as u64 + slab_live_units + large_live,
+            arena_live + slab_live_units,
             "probe operation ledger diverged from backend-live blocks \
              (allocs {} frees {} slab_units {} large_live {})",
             c.allocs,
@@ -677,10 +673,6 @@ impl DsaHeap {
 
     // ---- internals --------------------------------------------------------
 
-    fn stamp(&self) -> Stamp {
-        Stamp::vtime(self.clock.fetch_add(1, Ordering::Relaxed))
-    }
-
     fn ptr_at(&self, word_off: u64) -> *mut u8 {
         debug_assert!(((word_off * BYTES_PER_WORD) as usize) < self.region.bytes);
         // SAFETY: word_off is inside the region by construction.
@@ -688,24 +680,13 @@ impl DsaHeap {
     }
 
     /// The word offset of `ptr` within the region, or `None` outside.
-    fn word_off_of(&self, ptr: *const u8) -> Option<u64> {
+    pub(crate) fn word_off_of(&self, ptr: *const u8) -> Option<u64> {
         let p = ptr as usize;
         let b = self.region.base as usize;
         if p >= b && p < b + self.region.bytes {
             Some(((p - b) as u64) / BYTES_PER_WORD)
         } else {
             None
-        }
-    }
-
-    fn large_stripe(&self, key: u64) -> MutexGuard<'_, HashMap<u64, u64>> {
-        self.large_stripe_by_index((key as usize) % LARGE_STRIPES)
-    }
-
-    fn large_stripe_by_index(&self, s: usize) -> MutexGuard<'_, HashMap<u64, u64>> {
-        match self.large[s].lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
         }
     }
 }
@@ -814,7 +795,73 @@ mod tests {
             unsafe { heap.dealloc_direct(p, l) };
         }
         heap.check_reconciliation();
-        assert_eq!(heap.stats().bad_frees, 0);
+        // The overflow blocks came back by address, like any large one.
+        let s = heap.stats();
+        assert_eq!(
+            (s.large_allocs, s.large_frees),
+            (s.slab_exhausted, s.slab_exhausted)
+        );
+        assert_eq!(s.bad_frees, 0);
+    }
+
+    // A producer's counters and a consumer's must not share a line.
+    const _: () = assert!(
+        std::mem::offset_of!(Counters, free_side)
+            >= std::mem::offset_of!(Counters, alloc_side) + 64
+            && std::mem::offset_of!(Counters, magazine_allocs)
+                >= std::mem::offset_of!(Counters, free_side) + 64
+    );
+
+    #[test]
+    fn over_aligned_large_blocks_are_freed_by_the_aligned_pointer() {
+        let heap = DsaHeap::new(HeapConfig::small());
+        let baseline = heap.live_words();
+        for align in [16usize, 32, 64, 128, 256, 512, 1024, 2048, 4096] {
+            // Two of each, so the second starts wherever the first ended.
+            let l = layout(5000, align);
+            assert!(heap.small_class(l).is_none());
+            let (a, b) = (heap.alloc_direct(l), heap.alloc_direct(l));
+            for p in [a, b] {
+                assert!(heap.contains(p));
+                assert_eq!(p as usize % align, 0, "align {align}");
+                unsafe { p.write_bytes(0xEE, 5000) };
+            }
+            heap.check_reconciliation();
+            unsafe {
+                heap.dealloc_direct(a, l);
+                heap.dealloc_direct(b, l);
+            }
+        }
+        heap.check_reconciliation();
+        let s = heap.stats();
+        assert_eq!((s.large_allocs, s.large_frees, s.bad_frees), (18, 18, 0));
+        assert_eq!(heap.live_words(), baseline);
+    }
+
+    #[test]
+    fn pointers_that_name_no_live_block_are_counted_not_freed() {
+        let heap = DsaHeap::new(HeapConfig::small());
+        let l = layout(8192, 8);
+        let p = heap.alloc_direct(l);
+        let live = heap.live_words();
+        // A word inside the block, the free word after it, and (below)
+        // the block itself a second time.
+        let interior = unsafe { p.add(4096) };
+        let never = unsafe { p.add(8192) };
+        assert!(heap.contains(never));
+        for (n, bad) in [interior, never].into_iter().enumerate() {
+            unsafe { heap.dealloc_direct(bad, l) };
+            assert_eq!(heap.stats().bad_frees, n as u64 + 1);
+            assert_eq!(heap.live_words(), live);
+        }
+        unsafe { heap.dealloc_direct(p, l) };
+        let freed = heap.live_words();
+        assert!(freed < live);
+        unsafe { heap.dealloc_direct(p, l) };
+        let s = heap.stats();
+        assert_eq!((s.large_allocs, s.large_frees, s.bad_frees), (1, 1, 3));
+        assert_eq!(heap.live_words(), freed);
+        heap.check_reconciliation();
     }
 
     #[test]

@@ -19,14 +19,14 @@
 //!    operations.
 //! 3. **Sharded large path** — requests past the ladder go through the
 //!    [`dsa_arena::ShardedArena`] proper (first-fit shards, overflow
-//!    stealing, quick lists), with a striped side table mapping the
-//!    returned pointer back to its arena id on free.
+//!    stealing, quick lists), each block named by the address handed
+//!    out: one shard lock each way, and no book but the shard's own.
 //!
 //! [`GlobalDsa`] packages the three layers behind
 //! [`core::alloc::GlobalAlloc`], so the whole thing can be installed
 //! with `#[global_allocator]`; the `nightly` feature additionally
 //! implements the unstable `core::alloc::Allocator` trait. The heap's
-//! own bookkeeping (shard maps, depot vectors, the large side table)
+//! own bookkeeping (shard books, hole tables, depot vectors)
 //! routes to [`std::alloc::System`] through a reentrancy guard, which
 //! is what makes self-hosting safe.
 //!

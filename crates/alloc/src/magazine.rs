@@ -15,26 +15,42 @@
 //!   and push. Otherwise hand a full magazine to the depot, take an
 //!   empty one, and push.
 //!
-//! The depot bounds its stock ([`crate::DsaHeap`] drains overflow back
+//! The depot bounds its stock (the freeing thread drains overflow back
 //! to the slab), so parked memory per class is capped at
 //! `(DEPOT_MAX_FULL + 2 × threads) × depth` objects.
 //!
-//! Accounting: magazine hits are counted in plain (non-atomic)
-//! thread-local counters and folded into the heap's [`HeapStats`] on
-//! flush and thread exit. The telemetry probe never sees a magazine
-//! hit — it tracks backend traffic, and an object parked in a magazine
-//! is still backend-live. That is what keeps
+//! Large blocks have no magazines, but a thread that frees many — the
+//! consumer end of a hand-off — sets up to [`LARGE_PARK_BLOCKS`] aside
+//! and returns them to the arena together, one shard lock per shard
+//! touched instead of one per block.
+//!
+//! Accounting: magazine hits and depot exchanges are counted in plain
+//! (non-atomic) thread-local counters and folded into the heap's
+//! [`HeapStats`] on flush and thread exit. The telemetry probe never
+//! sees a magazine hit — it tracks backend traffic, and an object
+//! parked in a magazine, like a large block set aside, is still
+//! backend-live. That is what keeps
 //! [`DsaHeap::check_reconciliation`] exact without quiescing threads.
 
 use std::alloc::Layout;
 
-use crate::heap::DsaHeap;
 #[allow(unused_imports)] // doc links
 use crate::heap::HeapStats;
+use crate::heap::{DsaHeap, BYTES_PER_WORD};
 
 /// Hard capacity of a magazine; the runtime depth
 /// ([`crate::HeapConfig::magazine_depth`]) may be anything up to this.
 pub const MAG_MAX: usize = 64;
+
+/// Full magazines a depot retains per class; one more is drained back
+/// to the slab by the thread that brought it.
+const DEPOT_MAX_FULL: usize = 8;
+
+/// Freed large blocks a thread sets aside before returning the lot to
+/// the arena, and the words they may add up to (512 KiB): storage held
+/// this way is free to nobody.
+const LARGE_PARK_BLOCKS: usize = 16;
+const LARGE_PARK_WORDS: u64 = 1 << 16;
 
 /// A fixed stack of cached object pointers for one size class.
 pub(crate) struct Magazine {
@@ -106,6 +122,12 @@ pub struct ThreadCache<'h> {
     mags: Vec<ClassMags>,
     local_allocs: u64,
     local_frees: u64,
+    local_exchanges: u64,
+    /// Names (word offsets) of the large blocks set aside, and the
+    /// words their layouts asked for.
+    large: [u64; LARGE_PARK_BLOCKS],
+    large_len: usize,
+    large_words: u64,
 }
 
 impl<'h> ThreadCache<'h> {
@@ -139,6 +161,10 @@ impl<'h> ThreadCache<'h> {
             mags,
             local_allocs: 0,
             local_frees: 0,
+            local_exchanges: 0,
+            large: [0; LARGE_PARK_BLOCKS],
+            large_len: 0,
+            large_words: 0,
         }
     }
 
@@ -164,7 +190,7 @@ impl<'h> ThreadCache<'h> {
     #[must_use]
     pub fn alloc(&mut self, layout: Layout) -> *mut u8 {
         let Some(class) = self.heap.small_class(layout) else {
-            return self.heap.large_alloc(layout);
+            return self.large_alloc(layout);
         };
         let m = &mut self.mags[class];
         if let Some(p) = m.loaded.pop() {
@@ -206,13 +232,45 @@ impl<'h> ThreadCache<'h> {
                 return;
             }
         }
-        // SAFETY: forwarded caller contract.
-        unsafe { self.heap.dealloc_outside_slab(ptr, layout) }
+        let Some(off) = self.heap.word_off_of(ptr) else {
+            // SAFETY: forwarded caller contract.
+            return unsafe { self.heap.dealloc_outside_slab(ptr, layout) };
+        };
+        self.large[self.large_len] = off;
+        self.large_len += 1;
+        self.large_words += (layout.size() as u64).div_ceil(BYTES_PER_WORD);
+        if self.large_len == LARGE_PARK_BLOCKS || self.large_words > LARGE_PARK_WORDS {
+            self.return_large();
+        }
     }
 
-    /// Returns every parked object to the heap and folds the hit
-    /// counters into [`HeapStats`]. The cache stays usable.
+    /// Returns the large blocks set aside to the arena; `false` if there
+    /// were none.
+    fn return_large(&mut self) -> bool {
+        let parked = std::mem::take(&mut self.large_len);
+        self.heap.large_free(&mut self.large[..parked]);
+        self.large_words = 0;
+        parked > 0
+    }
+
+    /// The heap's large path; a full arena first gets back what this
+    /// thread has set aside — that may be the room it lacks, and the
+    /// system must not be asked while the heap holds it.
+    fn large_alloc(&mut self, layout: Layout) -> *mut u8 {
+        let heap = self.heap;
+        heap.large_alloc(layout, || self.return_large())
+    }
+
+    /// Returns every parked object and every large block set aside to
+    /// the heap and folds the hit counters into [`HeapStats`]. The
+    /// cache stays usable.
     pub fn flush(&mut self) {
+        // Outside an allocator frame (thread exit, an explicit flush):
+        // the arena's books may grow under the shard locks taken here,
+        // and an installed `GlobalDsa` must not be asked for that
+        // memory — it would come back for the same lock.
+        let _guard = crate::global::DepthGuard::enter();
+        self.return_large();
         for class in 0..self.mags.len() {
             loop {
                 let p = {
@@ -223,10 +281,11 @@ impl<'h> ThreadCache<'h> {
                 self.heap.slab_push(class, p);
             }
         }
-        self.heap
-            .fold_magazine_counters(self.local_allocs, self.local_frees);
-        self.local_allocs = 0;
-        self.local_frees = 0;
+        self.heap.fold_magazine_counters(
+            std::mem::take(&mut self.local_allocs),
+            std::mem::take(&mut self.local_frees),
+            std::mem::take(&mut self.local_exchanges),
+        );
     }
 
     /// Cold alloc path: depot exchange, then the raw slab, then the
@@ -243,7 +302,7 @@ impl<'h> ThreadCache<'h> {
             }
         };
         if exchanged {
-            self.heap.after_depot_exchange(class);
+            self.local_exchanges += 1;
             if let Some(p) = self.mags[class].loaded.pop() {
                 self.local_allocs += 1;
                 return p;
@@ -252,21 +311,34 @@ impl<'h> ThreadCache<'h> {
         // Depot dry: serve one object straight from the slab. Magazines
         // fill on the free side — pre-filling here would just move the
         // miss cost around.
-        self.heap
-            .slab_pop(class)
-            .unwrap_or_else(|| self.heap.large_alloc(layout))
+        match self.heap.slab_pop(class) {
+            Some(p) => p,
+            None => self.large_alloc(layout),
+        }
     }
 
     /// Cold free path: trade the full loaded magazine for an empty one
-    /// at the depot, then push.
+    /// at the depot, then push. A depot already at its bound declines
+    /// the full one under the same lock, and it is drained to the slab
+    /// here instead (bounding parked memory).
     fn dealloc_slow(&mut self, class: usize, ptr: *mut u8) {
-        {
+        let surplus = {
             let mut depot = self.heap.depot(class);
             let shell = depot.empty.pop().unwrap_or(Magazine::EMPTY);
             let full = std::mem::replace(&mut self.mags[class].loaded, shell);
-            depot.full.push(full);
+            if depot.full.len() < DEPOT_MAX_FULL {
+                depot.full.push(full);
+                None
+            } else {
+                Some(full)
+            }
+        };
+        self.local_exchanges += 1;
+        if let Some(mut mag) = surplus {
+            while let Some(p) = mag.pop() {
+                self.heap.slab_push(class, p);
+            }
         }
-        self.heap.after_depot_exchange(class);
         self.mags[class].loaded.push(ptr);
         self.local_frees += 1;
     }
@@ -370,6 +442,137 @@ mod tests {
         heap.flush_depots();
         heap.check_reconciliation();
         assert_eq!(heap.stats().bad_frees, 0);
+    }
+
+    /// An 8 MiB region, so that a few hundred KiB of large blocks fit
+    /// beside the slab spans.
+    fn roomy() -> HeapConfig {
+        HeapConfig {
+            arena_words: 1 << 20,
+            ..HeapConfig::small()
+        }
+    }
+
+    #[test]
+    fn large_frees_are_gathered_up_to_a_bound_in_blocks_and_in_words() {
+        let heap = DsaHeap::new(roomy());
+        let mut cache = ThreadCache::new(&heap);
+        let l = layout(4096);
+        let ptrs: Vec<*mut u8> = (0..LARGE_PARK_BLOCKS).map(|_| cache.alloc(l)).collect();
+        let live = heap.live_words();
+        for (n, &p) in ptrs.iter().enumerate() {
+            // Set aside: still live in the arena, the books balanced
+            // with nothing flushed.
+            assert_eq!(heap.stats().large_frees, 0, "after {n} frees");
+            assert_eq!(heap.live_words(), live);
+            heap.check_reconciliation();
+            unsafe { cache.dealloc(p, l) };
+        }
+        assert_eq!(heap.stats().large_frees, LARGE_PARK_BLOCKS as u64);
+        assert_eq!(heap.live_words(), live - 512 * LARGE_PARK_BLOCKS as u64);
+        // Three blocks of 200 KiB pass the word bound at the third.
+        let big = layout(200 << 10);
+        let ptrs: Vec<*mut u8> = (0..3).map(|_| cache.alloc(big)).collect();
+        assert!(ptrs.iter().all(|&p| heap.contains(p)));
+        for (n, &p) in ptrs.iter().enumerate() {
+            assert_eq!(heap.stats().large_frees, 16, "after {n} big frees");
+            unsafe { cache.dealloc(p, big) };
+        }
+        assert_eq!(heap.stats().large_frees, 19);
+        heap.check_reconciliation();
+        assert_eq!(heap.stats().bad_frees, 0);
+    }
+
+    #[test]
+    fn flush_and_drop_return_the_large_blocks_set_aside() {
+        let heap = DsaHeap::new(roomy());
+        let baseline = heap.live_words();
+        let mut cache = ThreadCache::new(&heap);
+        let l = layout(4096);
+        let ptrs: Vec<*mut u8> = (0..5).map(|_| cache.alloc(l)).collect();
+        for &p in &ptrs[..3] {
+            unsafe { cache.dealloc(p, l) };
+        }
+        assert_eq!(heap.stats().large_frees, 0);
+        cache.flush();
+        assert_eq!(heap.stats().large_frees, 3);
+        // The second of these frees names a block already set aside:
+        // found out when the lot goes back, counted once, nothing freed.
+        for p in [ptrs[3], ptrs[3], ptrs[4]] {
+            unsafe { cache.dealloc(p, l) };
+        }
+        drop(cache);
+        let s = heap.stats();
+        assert_eq!((s.large_allocs, s.large_frees, s.bad_frees), (5, 5, 1));
+        assert_eq!(heap.live_words(), baseline);
+        heap.check_reconciliation();
+    }
+
+    #[test]
+    fn a_full_arena_gets_its_blocks_back_before_the_system_is_asked() {
+        let heap = DsaHeap::new(HeapConfig::small());
+        let mut cache = ThreadCache::new(&heap);
+        let l = layout(64 << 10);
+        // Fill the arena: the first block it cannot hold is the system's.
+        let mut held = Vec::new();
+        let foreign = loop {
+            let p = cache.alloc(l);
+            if !heap.contains(p) {
+                break p;
+            }
+            held.push(p);
+        };
+        assert_eq!(heap.stats().system_allocs, 1);
+        unsafe { cache.dealloc(foreign, l) };
+        assert_eq!(heap.stats().system_frees, 1);
+        // Set two aside; the next two requests need exactly that room.
+        for _ in 0..2 {
+            unsafe { cache.dealloc(held.pop().unwrap(), l) };
+        }
+        assert_eq!(heap.stats().large_frees, 0);
+        for _ in 0..2 {
+            let p = cache.alloc(l);
+            assert!(
+                heap.contains(p),
+                "the system was asked while the heap had room"
+            );
+            held.push(p);
+        }
+        assert_eq!(heap.stats().large_frees, 2);
+        assert_eq!(heap.stats().system_allocs, 1);
+        for p in held {
+            unsafe { cache.dealloc(p, l) };
+        }
+        drop(cache);
+        heap.check_reconciliation();
+        assert_eq!(heap.stats().bad_frees, 0);
+    }
+
+    #[test]
+    fn a_depot_keeps_no_more_than_its_bound_and_counts_every_exchange() {
+        let heap = DsaHeap::new(HeapConfig::small());
+        let depth = 4;
+        let mut cache = ThreadCache::with_depth(&heap, depth);
+        let l = layout(8);
+        // A whole slab freed through one cache: the two magazines fill,
+        // then every further magazine-full is one trip to the depot.
+        let units = heap.config().class_units as usize;
+        let ptrs: Vec<*mut u8> = (0..units).map(|_| heap.alloc_direct(l)).collect();
+        for p in ptrs {
+            unsafe { cache.dealloc(p, l) };
+        }
+        let trips = (units / depth - 2) as u64;
+        assert!(trips > DEPOT_MAX_FULL as u64);
+        assert_eq!(heap.depot_parked(), (DEPOT_MAX_FULL * depth) as u64);
+        assert_eq!(
+            heap.stats().depot_exchanges,
+            0,
+            "counted locally until a flush"
+        );
+        cache.flush();
+        assert_eq!(heap.stats().depot_exchanges, trips);
+        heap.flush_depots();
+        heap.check_reconciliation();
     }
 
     #[test]

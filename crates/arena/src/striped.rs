@@ -13,19 +13,24 @@
 //! `largest_free` — the same honesty the single-allocator
 //! [`AllocError::OutOfStorage`] carries, extended across the stripe.
 //!
+//! A caller that keeps each block's address until it frees it, and
+//! whose blocks never move, needs no id at all: the second door
+//! ([`ShardedArena::alloc_at_probed`] / [`ShardedArena::free_at_probed`])
+//! names a block by an address inside it, which says which shard owns
+//! it — one lock each way and no ownership map.
+//!
 //! A 1-shard arena degenerates to a mutex around one allocator: every
 //! id homes to shard 0, no stealing can happen, and the placement
 //! decisions (and the stats) are byte-identical to the bare
 //! [`FreeListAllocator`] — the property test that anchors the arena's
 //! semantics to the sequential taxonomy.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use dsa_core::error::AllocError;
-use dsa_core::ids::{PhysAddr, Words};
+use dsa_core::ids::{IdMap, PhysAddr, Words};
 use dsa_freelist::compaction::{compact_probed, CompactionReport};
 use dsa_freelist::freelist::{AllocSnapshot, FreeListAllocator, FreeListStats, Placement};
 use dsa_probe::{EventKind, NullProbe, Probe, Stamp};
@@ -152,7 +157,7 @@ impl From<AllocError> for ArenaError {
 struct Shard {
     alloc: FreeListAllocator,
     /// id -> owning shard, for every live id homed to this shard.
-    homed: HashMap<u64, u32>,
+    homed: IdMap<u64, u32>,
 }
 
 /// A point-in-time view of one shard.
@@ -261,7 +266,7 @@ impl ShardedArena {
             .map(|_| {
                 Mutex::new(Shard {
                     alloc: FreeListAllocator::new(shard_capacity, policy),
-                    homed: HashMap::new(),
+                    homed: IdMap::default(),
                 })
             })
             .collect();
@@ -426,7 +431,12 @@ impl ShardedArena {
         }
         // Nothing anywhere: drop the reservation and report honestly.
         self.lock(home).homed.remove(&id);
-        let per_shard = (0..n)
+        Err(self.exhausted(size))
+    }
+
+    /// The honest report of a request no shard could place.
+    fn exhausted(&self, requested: Words) -> ArenaError {
+        let per_shard = (0..self.shard_count())
             .map(|s| {
                 let g = self.lock(s);
                 ShardFullness {
@@ -436,10 +446,64 @@ impl ShardedArena {
                 }
             })
             .collect();
-        Err(ArenaError::Exhausted {
-            requested: size,
+        ArenaError::Exhausted {
+            requested,
             per_shard,
-        })
+        }
+    }
+
+    /// Allocates `size` words named by address instead of by id: the
+    /// block is filed under `name_of(global address)`, which must lie
+    /// inside the block, and leaves through
+    /// [`ShardedArena::free_at_probed`] alone. The caller picks the
+    /// `home` shard; rotation, quarantine skip, steal count and events
+    /// are those of [`ShardedArena::alloc_probed`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardedArena::alloc_probed`]; `AlreadyAllocated` means the
+    /// first shard with room has that name live.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `home` is not a shard, or (before anything is placed)
+    /// if `name_of` names a word outside the block.
+    pub fn alloc_at_probed<P: Probe + ?Sized>(
+        &self,
+        home: u32,
+        size: Words,
+        name_of: impl Fn(PhysAddr) -> u64,
+        at: Stamp,
+        probe: &mut P,
+    ) -> Result<PhysAddr, ArenaError> {
+        if size == 0 {
+            return Err(ArenaError::Alloc(AllocError::ZeroSize));
+        }
+        let n = self.shard_count();
+        assert!(home < n, "home shard {home} of {n}");
+        for s in (home..n).chain(0..home) {
+            if self.is_quarantined(s) {
+                continue;
+            }
+            let name_of = |local: PhysAddr| {
+                let addr = self.global(s, local);
+                let name = name_of(addr);
+                assert!(name.wrapping_sub(addr.0) < size, "name outside its block");
+                name
+            };
+            let placed = (self.lock(s).alloc).alloc_at_probed(size, name_of, at, probe);
+            match placed {
+                Ok(local) => {
+                    if s != home {
+                        self.steals.fetch_add(1, Ordering::Relaxed);
+                    }
+                    return Ok(self.global(s, local));
+                }
+                Err(AllocError::OutOfStorage { .. }) => {}
+                Err(e) => return Err(ArenaError::Alloc(e)),
+            }
+        }
+        Err(self.exhausted(size))
     }
 
     /// Frees the allocation `id`, wherever the steal rotation placed
@@ -494,7 +558,39 @@ impl ShardedArena {
             .map_err(ArenaError::Alloc)
     }
 
-    /// Looks up a live allocation, returning its global address.
+    /// Frees the blocks [`ShardedArena::alloc_at_probed`] filed under
+    /// `names` and returns how many there were: a name that is not live
+    /// is skipped, an id-named block's too — a block leaves by the door
+    /// it came in. The owner is the shard whose stripe holds the name;
+    /// `names` is sorted so that each owner's lock is taken once. Each
+    /// block freed emits `Free { words }`.
+    pub fn free_at_probed<P: Probe + ?Sized>(
+        &self,
+        names: &mut [u64],
+        at: Stamp,
+        probe: &mut P,
+    ) -> usize {
+        names.sort_unstable();
+        let (mut freed, mut rest) = (0, &*names);
+        while let Some(&first) = rest.first() {
+            let owner = first / self.shard_capacity;
+            if owner >= u64::from(self.shard_count()) {
+                break; // past the last stripe there is no shard to ask
+            }
+            // Sorted, so the owner's names are those below its stripe's end.
+            let end = (owner + 1) * self.shard_capacity;
+            let (run, later) = rest.split_at(rest.partition_point(|&name| name < end));
+            let mut g = self.lock(owner as u32);
+            for &name in run {
+                freed += usize::from(g.alloc.free_at_probed(name, at, probe).is_ok());
+            }
+            rest = later;
+        }
+        freed
+    }
+
+    /// Looks up a live id-named allocation, returning its global
+    /// address.
     #[must_use]
     pub fn lookup(&self, id: u64) -> Option<(PhysAddr, Words)> {
         let home = self.home_shard(id);
@@ -691,7 +787,8 @@ impl ShardedArena {
             g.alloc.check_invariants();
             owned_total += g.alloc.snapshot().live_allocs;
         }
-        let mut homed_total = 0usize;
+        // Address-named blocks have no ownership entry to be found by.
+        let mut homed_total: usize = guards.iter().map(|g| g.alloc.address_named()).sum();
         for g in &guards {
             for (&id, &owner) in &g.homed {
                 assert_ne!(owner, RESERVED, "reservation leaked for id {id}");
@@ -705,7 +802,7 @@ impl ShardedArena {
         }
         assert_eq!(
             homed_total, owned_total,
-            "ownership maps out of step with live allocations"
+            "ownership maps plus address-named blocks out of step with live allocations"
         );
     }
 }

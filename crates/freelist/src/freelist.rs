@@ -1,10 +1,11 @@
 //! The address-ordered free list and its placement strategies.
 
+use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
 
 use dsa_core::error::AllocError;
 use dsa_core::ids::{IdMap, PhysAddr, Words};
-use dsa_probe::{EventKind, Probe, Stamp};
+use dsa_probe::{EventKind, NullProbe, Probe, Stamp};
 
 /// A placement strategy for variable-unit allocation.
 ///
@@ -48,7 +49,7 @@ impl Placement {
 }
 
 /// Cumulative allocator statistics.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FreeListStats {
     /// Successful allocations.
     pub allocs: u64,
@@ -137,8 +138,8 @@ pub struct FreeListAllocator {
     /// Opt-in exact-size quick lists (deferred coalescing): `None`
     /// unless [`FreeListAllocator::enable_quick_lists`] was called.
     quick: Option<QuickLists>,
-    /// Live allocations: id -> (address, size).
-    allocated: IdMap<u64, (u64, Words)>,
+    /// Live allocations, one book for both ways of naming a block.
+    allocated: IdMap<u64, Live>,
     /// Roving pointer for next-fit.
     rover: u64,
     stats: FreeListStats,
@@ -170,6 +171,16 @@ struct HoleTable {
 
 /// A free hole: `(start address, size)`.
 type Hole = (u64, Words);
+
+/// One live block in the book, filed under its name.
+#[derive(Clone, Copy, Debug)]
+struct Live {
+    addr: u64,
+    size: Words,
+    /// Named from its address rather than by the caller's id: the door
+    /// it came in by, and the only one it leaves by.
+    by_address: bool,
+}
 
 /// Target block size for [`HoleTable`]; blocks split at twice this.
 const RANK_BLOCK: usize = 128;
@@ -463,7 +474,7 @@ impl FreeListAllocator {
         let mut sorted: Vec<(u64, u64, Words)> = self
             .allocated
             .iter()
-            .map(|(&id, &(addr, size))| (id, addr, size))
+            .map(|(&id, live)| (id, live.addr, live.size))
             .collect();
         sorted.sort_unstable_by_key(|&(_, addr, _)| addr);
         sorted
@@ -474,7 +485,13 @@ impl FreeListAllocator {
     pub fn lookup(&self, id: u64) -> Option<(PhysAddr, Words)> {
         self.allocated
             .get(&id)
-            .map(|&(addr, size)| (PhysAddr(addr), size))
+            .map(|live| (PhysAddr(live.addr), live.size))
+    }
+
+    /// Live blocks named from their address, counted by a sweep of the book.
+    #[must_use]
+    pub fn address_named(&self) -> usize {
+        self.allocated.values().filter(|b| b.by_address).count()
     }
 
     /// Cumulative statistics.
@@ -507,62 +524,7 @@ impl FreeListAllocator {
     ///   fragmentation may leave `free_words() >= size` yet no
     ///   contiguous hole).
     pub fn alloc(&mut self, id: u64, size: Words) -> Result<PhysAddr, AllocError> {
-        if size == 0 {
-            return Err(AllocError::ZeroSize);
-        }
-        if self.allocated.contains_key(&id) {
-            return Err(AllocError::AlreadyAllocated);
-        }
-        // Quick-fit fast path: an exact-size parked block satisfies the
-        // request in O(1), no search, no split. Charges zero modeled
-        // probes — quick lists are opt-in host-speed mode, never part
-        // of the modeled experiments.
-        if let Some(q) = self.quick.as_mut() {
-            if size <= q.max_size {
-                if let Some(addr) = q.lists[size as usize].pop() {
-                    q.words -= size;
-                    self.rover = addr + size;
-                    self.allocated.insert(id, (addr, size));
-                    self.stats.allocs += 1;
-                    return Ok(PhysAddr(addr));
-                }
-            }
-        }
-        let mut chosen = self.choose_hole(size);
-        if chosen.is_none() && self.quick.as_ref().is_some_and(|q| q.words > 0) {
-            // Before declaring exhaustion, return every parked block to
-            // the coalescing hole list and search once more: deferred
-            // coalescing must not manufacture failures.
-            self.flush_quick_lists();
-            chosen = self.choose_hole(size);
-        }
-        let Some((hole_addr, hole_size, place_high)) = chosen else {
-            self.stats.failures += 1;
-            return Err(AllocError::OutOfStorage {
-                requested: size,
-                largest_free: self.largest_free(),
-            });
-        };
-        self.index_remove(hole_addr, hole_size);
-        let at = self.holes.seek(hole_addr);
-        // Two-ends large requests take the top of the hole, everything
-        // else the bottom. Either way the remainder lies within the old
-        // hole's extent: same rank, one entry overwritten.
-        let (addr, rest) = if place_high {
-            (hole_addr + hole_size - size, hole_addr)
-        } else {
-            (hole_addr, hole_addr + size)
-        };
-        if hole_size > size {
-            self.holes.set(at, (rest, hole_size - size));
-            self.index_insert(rest, hole_size - size);
-        } else {
-            self.holes.remove(at);
-        }
-        self.rover = addr + size;
-        self.allocated.insert(id, (addr, size));
-        self.stats.allocs += 1;
-        Ok(PhysAddr(addr))
+        self.place(size, Some(id), |_| id, Stamp::default(), &mut NullProbe)
     }
 
     /// [`FreeListAllocator::alloc`] with event emission: a successful
@@ -581,44 +543,128 @@ impl FreeListAllocator {
         at: Stamp,
         probe: &mut P,
     ) -> Result<PhysAddr, AllocError> {
-        let before = self.stats.probes;
-        let r = self.alloc(id, size);
-        if r.is_ok() {
-            probe.emit(
-                EventKind::Alloc {
-                    words: size,
-                    searched: self.stats.probes - before,
-                },
-                at,
-            );
+        self.place(size, Some(id), |_| id, at, probe)
+    }
+
+    /// [`FreeListAllocator::alloc_probed`] for a caller with no id to
+    /// give: the block is filed under `name_of(address)` and leaves
+    /// through [`FreeListAllocator::free_at_probed`] only. The name is
+    /// fixed at placement: compaction moves the block, not the name.
+    ///
+    /// # Errors
+    ///
+    /// As [`FreeListAllocator::alloc`], except that a live name is found
+    /// after the search (its probes stay charged) and before the free
+    /// store or the book is edited.
+    pub fn alloc_at_probed<P: Probe + ?Sized>(
+        &mut self,
+        size: Words,
+        name_of: impl FnOnce(PhysAddr) -> u64,
+        at: Stamp,
+        probe: &mut P,
+    ) -> Result<PhysAddr, AllocError> {
+        self.place(size, None, name_of, at, probe)
+    }
+
+    /// The one allocation body: find the storage, settle the name —
+    /// the caller's `id`, or `name_of` the address found — and only
+    /// then edit the free store.
+    fn place<P: Probe + ?Sized>(
+        &mut self,
+        size: Words,
+        id: Option<u64>,
+        name_of: impl FnOnce(PhysAddr) -> u64,
+        at: Stamp,
+        probe: &mut P,
+    ) -> Result<PhysAddr, AllocError> {
+        if size == 0 {
+            return Err(AllocError::ZeroSize);
         }
-        r
+        if id.is_some_and(|id| self.allocated.contains_key(&id)) {
+            return Err(AllocError::AlreadyAllocated);
+        }
+        let before = self.stats.probes;
+        // Quick-fit fast path: an exact-size parked block satisfies the
+        // request in O(1), no search, no split. Charges zero modeled
+        // probes — quick lists are opt-in host-speed mode, never part
+        // of the modeled experiments.
+        let parked = self.quick.as_ref().and_then(|q| {
+            let list = q.lists.get(usize::try_from(size).ok()?)?;
+            list.last().copied()
+        });
+        let mut hole = None;
+        if parked.is_none() {
+            hole = self.choose_hole(size);
+            if hole.is_none() && self.quick_parked_words() > 0 {
+                // Before declaring exhaustion, return every parked block
+                // to the coalescing hole list and search once more:
+                // deferred coalescing must not manufacture failures.
+                self.flush_quick_lists();
+                hole = self.choose_hole(size);
+            }
+        }
+        // Two-ends large requests take the top of the hole, everything
+        // else the bottom.
+        let addr = match (parked, hole) {
+            (Some(addr), _) => addr,
+            (None, Some((hole_addr, hole_size, true))) => hole_addr + hole_size - size,
+            (None, Some((hole_addr, _, false))) => hole_addr,
+            (None, None) => {
+                self.stats.failures += 1;
+                return Err(AllocError::OutOfStorage {
+                    requested: size,
+                    largest_free: self.largest_free(),
+                });
+            }
+        };
+        // The book first: a name found live here (an id's was refused
+        // above) ends the request with the free store unedited.
+        let name = id.unwrap_or_else(|| name_of(PhysAddr(addr)));
+        match self.allocated.entry(name) {
+            Entry::Occupied(_) => return Err(AllocError::AlreadyAllocated),
+            Entry::Vacant(slot) => slot.insert(Live {
+                addr,
+                size,
+                by_address: id.is_none(),
+            }),
+        };
+        if let Some((hole_addr, hole_size, place_high)) = hole {
+            self.index_remove(hole_addr, hole_size);
+            let at = self.holes.seek(hole_addr);
+            // Either way the remainder lies within the old hole's
+            // extent: same rank, one entry overwritten.
+            if hole_size > size {
+                let rest = if place_high { hole_addr } else { addr + size };
+                self.holes.set(at, (rest, hole_size - size));
+                self.index_insert(rest, hole_size - size);
+            } else {
+                self.holes.remove(at);
+            }
+        } else if let Some(q) = self.quick.as_mut() {
+            q.lists[size as usize].pop();
+            q.words -= size;
+        }
+        self.rover = addr + size;
+        self.stats.allocs += 1;
+        let searched = self.stats.probes - before;
+        probe.emit(
+            EventKind::Alloc {
+                words: size,
+                searched,
+            },
+            at,
+        );
+        Ok(PhysAddr(addr))
     }
 
     /// Frees the allocation `id`, coalescing with free neighbours.
     ///
     /// # Errors
     ///
-    /// Returns [`AllocError::UnknownUnit`] if `id` is not live.
+    /// Returns [`AllocError::UnknownUnit`] if `id` is not live, or is a
+    /// name some block was given from its address.
     pub fn free(&mut self, id: u64) -> Result<(), AllocError> {
-        self.release(id).map(drop)
-    }
-
-    /// [`FreeListAllocator::free`], returning the words released.
-    fn release(&mut self, id: u64) -> Result<Words, AllocError> {
-        let (addr, size) = self.allocated.remove(&id).ok_or(AllocError::UnknownUnit)?;
-        self.stats.frees += 1;
-        // Quick-fit fast path: park small blocks uncoalesced, up to the
-        // per-size depth cap.
-        if let Some(q) = self.quick.as_mut() {
-            if size <= q.max_size && q.lists[size as usize].len() < q.depth {
-                q.lists[size as usize].push(addr);
-                q.words += size;
-                return Ok(size);
-            }
-        }
-        self.insert_free(addr, size);
-        Ok(size)
+        self.release(id, false, Stamp::default(), &mut NullProbe)
     }
 
     /// [`FreeListAllocator::free`] with event emission: a successful
@@ -633,8 +679,49 @@ impl FreeListAllocator {
         at: Stamp,
         probe: &mut P,
     ) -> Result<(), AllocError> {
-        let words = self.release(id)?;
-        probe.emit(EventKind::Free { words }, at);
+        self.release(id, false, at, probe)
+    }
+
+    /// [`FreeListAllocator::free_probed`] for the block that
+    /// [`FreeListAllocator::alloc_at_probed`] filed under `name`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AllocError::UnknownUnit`] if `name` is not live, or is
+    /// a caller's id.
+    pub fn free_at_probed<P: Probe + ?Sized>(
+        &mut self,
+        name: u64,
+        at: Stamp,
+        probe: &mut P,
+    ) -> Result<(), AllocError> {
+        self.release(name, true, at, probe)
+    }
+
+    /// The one release body. A block leaves by the door it came in:
+    /// a name of the other kind is unknown here.
+    fn release<P: Probe + ?Sized>(
+        &mut self,
+        name: u64,
+        by_address: bool,
+        at: Stamp,
+        probe: &mut P,
+    ) -> Result<(), AllocError> {
+        let Live { addr, size, .. } = match self.allocated.entry(name) {
+            Entry::Occupied(e) if e.get().by_address == by_address => e.remove(),
+            _ => return Err(AllocError::UnknownUnit),
+        };
+        self.stats.frees += 1;
+        // Quick-fit fast path: park small blocks uncoalesced, up to the
+        // per-size depth cap.
+        match self.quick.as_mut() {
+            Some(q) if size <= q.max_size && q.lists[size as usize].len() < q.depth => {
+                q.lists[size as usize].push(addr);
+                q.words += size;
+            }
+            _ => self.insert_free(addr, size),
+        }
+        probe.emit(EventKind::Free { words: size }, at);
         Ok(())
     }
 
@@ -816,18 +903,18 @@ impl FreeListAllocator {
     ) -> (u64, Words) {
         // One sort over the book's own slots: the new addresses are
         // written through them, nothing is cloned or re-inserted.
-        let mut slots: Vec<(u64, u64, &mut (u64, Words))> = self
+        let mut slots: Vec<(u64, u64, &mut Live)> = self
             .allocated
             .iter_mut()
-            .map(|(&id, block)| (block.0, id, block))
+            .map(|(&id, block)| (block.addr, id, block))
             .collect();
         slots.sort_unstable_by_key(|slot| slot.0);
         let (mut cursor, mut blocks_moved, mut words_moved) = (0u64, 0u64, 0);
         for (addr, id, block) in slots {
-            let size = block.1;
+            let size = block.size;
             if addr != cursor {
                 debug_assert!(cursor < addr, "pack_down must slide downwards");
-                block.0 = cursor;
+                block.addr = cursor;
                 on_move(id, PhysAddr(addr), PhysAddr(cursor), size);
                 blocks_moved += 1;
                 words_moved += size;
@@ -932,7 +1019,7 @@ impl FreeListAllocator {
             .holes
             .iter()
             .map(|(a, s)| (a, a + s))
-            .chain(self.allocated.values().map(|&(a, s)| (a, a + s)))
+            .chain(self.allocated.values().map(|b| (b.addr, b.addr + b.size)))
             .chain(quick_regions)
             .collect();
         regions.sort_unstable();
@@ -943,7 +1030,7 @@ impl FreeListAllocator {
         }
         // Accounting.
         let total: Words =
-            self.free_words() + self.allocated.values().map(|&(_, s)| s).sum::<Words>();
+            self.free_words() + self.allocated.values().map(|b| b.size).sum::<Words>();
         if total != self.capacity {
             return Err(format!(
                 "words leaked or duplicated: {total} accounted of {} capacity",
@@ -981,7 +1068,8 @@ impl FreeListAllocator {
     /// free runs become one hole — so a healed allocator passes
     /// [`FreeListAllocator::audit`] including the coalescing invariant.
     pub fn rebuild_from_live(&mut self) -> Words {
-        let mut blocks: Vec<(u64, Words)> = self.allocated.values().copied().collect();
+        let mut blocks: Vec<(u64, Words)> =
+            (self.allocated.values().map(|b| (b.addr, b.size))).collect();
         blocks.sort_unstable_by_key(|&(addr, _)| addr);
         self.clear_holes();
         let mut cursor = 0u64;
@@ -1115,6 +1203,11 @@ mod tests {
         assert_eq!(a.alloc(1, 0), Err(AllocError::ZeroSize));
         a.alloc(1, 10).unwrap();
         assert_eq!(a.alloc(1, 10), Err(AllocError::AlreadyAllocated));
+        assert_eq!(
+            a.stats().probes,
+            1,
+            "a live id is refused before any search"
+        );
         assert_eq!(a.free(99), Err(AllocError::UnknownUnit));
         let err = a.alloc(2, 1000).unwrap_err();
         assert!(matches!(

@@ -1,8 +1,11 @@
 //! Property-based tests on the variable-unit allocators.
 
+use dsa::core::error::AllocError;
+use dsa::core::ids::PhysAddr;
 use dsa::freelist::compaction::compact;
 use dsa::freelist::freelist::{FreeListAllocator, Placement};
 use dsa::freelist::{BuddyAllocator, RiceAllocator};
+use dsa::probe::{CountingProbe, NullProbe, Stamp};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -505,6 +508,142 @@ proptest! {
                     "{:?}: probes, coalesces, failures",
                     policy
                 );
+            }
+        }
+    }
+
+    /// A block named by the caller's id and one named from the address
+    /// placement chose are the same block: one allocator driven by id
+    /// and one by address through the same requests agree on every
+    /// address, every request's probes, the counters, the events, the
+    /// hole list and the audit, under every placement, with quick lists
+    /// off and on, through corruption-and-rebuild and through `compact`
+    /// — after which an address-named block sits somewhere its name no
+    /// longer says, and is still freed by that name.
+    #[test]
+    fn the_two_names_place_identically(steps in arb_steps(), quick in any::<bool>()) {
+        let at = Stamp::default();
+        for policy in placements() {
+            let mut by_id = FreeListAllocator::new(4096, policy);
+            let mut by_addr = FreeListAllocator::new(4096, policy);
+            if quick {
+                by_id.enable_quick_lists(64, 4);
+                by_addr.enable_quick_lists(64, 4);
+            }
+            let (mut seen_id, mut seen_addr) = (CountingProbe::default(), CountingProbe::default());
+            // Live blocks as (id, name). A name is the address under
+            // the number of compactions so far, so that a block placed
+            // where a moved one used to be gets a name of its own.
+            let mut live: Vec<(u64, u64)> = Vec::new();
+            let (mut next, mut epoch) = (0u64, 0u64);
+            for step in &steps {
+                match *step {
+                    Step::Alloc(size) => {
+                        let name_of = |addr: PhysAddr| epoch << 32 | addr.value();
+                        let (p_id, p_addr) = (by_id.stats().probes, by_addr.stats().probes);
+                        let want = by_id.alloc_probed(next, size, at, &mut seen_id);
+                        let got = by_addr.alloc_at_probed(size, name_of, at, &mut seen_addr);
+                        prop_assert_eq!(got, want, "{:?}: placement diverged", policy);
+                        prop_assert_eq!(
+                            by_addr.stats().probes - p_addr,
+                            by_id.stats().probes - p_id,
+                            "{:?}: per-request probes diverged",
+                            policy
+                        );
+                        if let Ok(addr) = got {
+                            live.push((next, name_of(addr)));
+                        }
+                        next += 1;
+                    }
+                    Step::FreeNth(i) => {
+                        if !live.is_empty() {
+                            let (id, name) = live.swap_remove(i % live.len());
+                            // Neither block leaves by the other's door.
+                            prop_assert_eq!(by_addr.free(name), Err(AllocError::UnknownUnit));
+                            prop_assert_eq!(
+                                by_id.free_at_probed(id, at, &mut seen_id),
+                                Err(AllocError::UnknownUnit)
+                            );
+                            by_id.free_probed(id, at, &mut seen_id).expect("live id");
+                            by_addr.free_at_probed(name, at, &mut seen_addr).expect("live name");
+                        }
+                    }
+                    Step::Compact => {
+                        let a = compact(&mut by_id, |_, _, _, _| {});
+                        let b = compact(&mut by_addr, |_, _, _, _| {});
+                        prop_assert_eq!(a, b);
+                        epoch += 1;
+                    }
+                    Step::Heal => {
+                        for a in [&mut by_id, &mut by_addr] {
+                            a.corrupt_free_list_for_chaos();
+                            a.rebuild_from_live();
+                        }
+                    }
+                }
+                prop_assert_eq!((by_addr.audit(), by_id.audit()), (Ok(()), Ok(())));
+                prop_assert_eq!(
+                    by_addr.holes().collect::<Vec<_>>(),
+                    by_id.holes().collect::<Vec<_>>()
+                );
+                prop_assert_eq!(by_addr.quick_parked_words(), by_id.quick_parked_words());
+                prop_assert_eq!(by_addr.stats(), by_id.stats(), "{:?}: counters diverged", policy);
+                for &(id, name) in &live {
+                    prop_assert_eq!(by_addr.lookup(name), by_id.lookup(id));
+                }
+                prop_assert_eq!(by_addr.address_named(), live.len());
+                prop_assert_eq!(by_id.address_named(), 0);
+            }
+            prop_assert_eq!(&seen_addr, &seen_id, "{:?}: events diverged", policy);
+        }
+    }
+
+    /// A name that is already live is refused before anything is
+    /// edited: the storage placement had found — a hole or a parked
+    /// quick block — is still free, the book is as it was, no event
+    /// went out, and the next request is placed exactly where a twin
+    /// that never saw the refused one places it.
+    #[test]
+    fn a_live_name_is_refused_before_anything_is_edited(
+        ops in arb_ops(),
+        quick in any::<bool>(),
+    ) {
+        let at = Stamp::default();
+        for policy in placements() {
+            let mut a = FreeListAllocator::new(4096, policy);
+            if quick {
+                a.enable_quick_lists(64, 4);
+            }
+            let mut seen = CountingProbe::default();
+            let mut live: Vec<u64> = Vec::new();
+            for op in &ops {
+                match *op {
+                    Op::Alloc(size) => {
+                        let mut twin = a.clone();
+                        if let Some(&taken) = live.first() {
+                            match a.alloc_at_probed(size, |_| taken, at, &mut seen) {
+                                Err(AllocError::AlreadyAllocated) => {}
+                                // No storage: the search fails first.
+                                Err(AllocError::OutOfStorage { .. }) => {}
+                                other => prop_assert!(false, "{policy:?}: {other:?}"),
+                            }
+                            prop_assert_eq!(a.audit(), Ok(()));
+                            prop_assert_eq!(a.free_words(), twin.free_words());
+                            prop_assert_eq!(a.allocations_by_address(), twin.allocations_by_address());
+                            prop_assert_eq!(seen.total_events(), 0);
+                        }
+                        let placed = a.alloc_at_probed(size, |p| p.value(), at, &mut NullProbe);
+                        let want = twin.alloc_at_probed(size, |p| p.value(), at, &mut NullProbe);
+                        prop_assert_eq!(&placed, &want, "{:?}: the refusal left a mark", policy);
+                        live.extend(placed.ok().map(|p| p.value()));
+                    }
+                    Op::FreeNth(i) => {
+                        if !live.is_empty() {
+                            let name = live.swap_remove(i % live.len());
+                            a.free_at_probed(name, at, &mut NullProbe).expect("live name");
+                        }
+                    }
+                }
             }
         }
     }

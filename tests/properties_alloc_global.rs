@@ -7,11 +7,13 @@
 //! telemetry ledger (backend ops only) must equal backend-live words
 //! exactly, with magazine- and depot-parked blocks counted as live.
 //! These tests drive that identity through randomized churn at 1, 2,
-//! and 8 threads, through cross-thread hand-offs, and through
-//! flush-on-thread-exit.
+//! and 8 threads, through cross-thread hand-offs (small blocks through
+//! the depots, large ones named to the arena by their address alone),
+//! and through flush-on-thread-exit.
 
 use std::alloc::Layout;
 use std::collections::HashSet;
+use std::sync::Barrier;
 
 use dsa::alloc::{DsaHeap, HeapConfig, ThreadCache};
 use proptest::prelude::*;
@@ -138,6 +140,77 @@ proptest! {
         heap.flush_depots();
         heap.check_reconciliation();
         prop_assert_eq!(heap.stats().bad_frees, 0);
+    }
+
+    /// A one-way hand-off: one thread only allocates, the other only
+    /// frees, one block in eight large (of varying size and alignment),
+    /// so every large block is named to the arena by a thread that
+    /// never saw it allocated. The books balance at a mid-run pause
+    /// with nothing flushed — blocks still in flight, magazines loaded
+    /// — and again once both caches are gone.
+    #[test]
+    fn one_way_handoff_reconciles_mid_run_and_after(
+        picks in prop::collection::vec((0usize..SIZES.len() - 1, 0usize..4), 16..400),
+        pause in 1usize..16,
+    ) {
+        let heap = DsaHeap::new(HeapConfig::small());
+        let baseline = heap.live_words();
+        let pause = picks.len() * pause / 16;
+        let large = picks.iter().step_by(8).count() as u64;
+        let (tx, rx) = std::sync::mpsc::channel::<Parcel>();
+        // Both threads stop here twice: once to let the books be read,
+        // once to go on.
+        let gate = Barrier::new(3);
+        std::thread::scope(|s| {
+            let (heap, gate, picks) = (&heap, &gate, &picks);
+            s.spawn(move || {
+                let mut cache = ThreadCache::new(heap);
+                for (i, &(size, align)) in picks.iter().enumerate() {
+                    if i == pause {
+                        gate.wait();
+                        gate.wait();
+                    }
+                    let l = if i % 8 == 0 {
+                        Layout::from_size_align(3000 + 977 * size, 8 << (3 * align))
+                            .expect("valid layout")
+                    } else {
+                        layout_for(size)
+                    };
+                    let p = cache.alloc(l);
+                    assert!(!p.is_null());
+                    assert_eq!(p as usize % l.align(), 0);
+                    tx.send(Parcel(p, l)).expect("receiver alive");
+                }
+            });
+            s.spawn(move || {
+                let mut cache = ThreadCache::new(heap);
+                // Leave the second half of what has arrived by the
+                // pause in flight across it.
+                for (i, Parcel(p, l)) in rx.into_iter().enumerate() {
+                    if i == pause / 2 {
+                        gate.wait();
+                        gate.wait();
+                    }
+                    // SAFETY: the parcel owns a live block with layout `l`.
+                    unsafe { cache.dealloc(p, l) };
+                }
+            });
+            gate.wait();
+            heap.check_reconciliation();
+            gate.wait();
+        });
+        heap.check_reconciliation();
+        heap.flush_depots();
+        heap.check_reconciliation();
+        // However far ahead the producer ran: what overflowed a slab
+        // went the large way too, what the arena could not hold went to
+        // the system, and all of it came back the way it went.
+        let stats = heap.stats();
+        prop_assert_eq!(stats.large_allocs + stats.system_allocs, large + stats.slab_exhausted);
+        prop_assert_eq!(stats.large_frees, stats.large_allocs);
+        prop_assert_eq!(stats.system_frees, stats.system_allocs);
+        prop_assert_eq!(stats.bad_frees, 0);
+        prop_assert_eq!(heap.live_words(), baseline);
     }
 
     /// Flush-on-thread-exit reconciles: a thread allocates, frees a

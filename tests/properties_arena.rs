@@ -10,14 +10,42 @@
 //!   observed from outside via a shared claim bitmap.
 //! * **Sequential equivalence** — a 1-shard arena is the bare
 //!   [`FreeListAllocator`]: same placement decisions, same addresses,
-//!   same failures, same modeled search counts, under any op stream.
+//!   same failures, same modeled search counts, under any op stream,
+//!   whether blocks are named by id or by address.
+//! * **Two doors** — id-named and address-named blocks share the
+//!   shards' books, and each leaves only the way it came in.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use dsa::arena::{ArenaService, Request, Response};
+use dsa::arena::{ArenaError, ArenaService, Request, Response, ShardedArena};
+use dsa::core::error::AllocError;
+use dsa::core::ids::PhysAddr;
 use dsa::freelist::freelist::{FreeListAllocator, Placement};
+use dsa::probe::{NullProbe, Stamp};
 use dsa::trace::Rng64;
 use proptest::prelude::*;
+
+/// The error both wrong doors answer with.
+const UNKNOWN: ArenaError = ArenaError::Alloc(AllocError::UnknownUnit);
+
+/// `alloc_at_probed`, the block named by its own first word, unwatched.
+fn alloc_at(arena: &ShardedArena, home: u32, words: u64) -> Result<PhysAddr, ArenaError> {
+    arena.alloc_at_probed(
+        home,
+        words,
+        PhysAddr::value,
+        Stamp::default(),
+        &mut NullProbe,
+    )
+}
+
+/// `free_at_probed` of one name, unwatched, answering as `free` does.
+fn free_at(arena: &ShardedArena, name: u64) -> Result<(), ArenaError> {
+    match arena.free_at_probed(&mut [name], Stamp::default(), &mut NullProbe) {
+        1 => Ok(()),
+        _ => Err(UNKNOWN),
+    }
+}
 
 /// A random operation stream: sizes for allocs, indices for frees.
 #[derive(Clone, Debug)]
@@ -127,6 +155,188 @@ proptest! {
             prop_assert_eq!(snap.alloc.hole_count, bare.hole_count());
         }
     }
+
+    /// The same anchor for the address-named door: a 1-shard arena
+    /// asked by address places every request where the bare allocator
+    /// asked by id does, fails when it fails, and charges the same
+    /// probes.
+    #[test]
+    fn one_shard_by_address_matches_bare_allocator(ops in arb_ops()) {
+        for policy in [Placement::FirstFit, Placement::BestFit, Placement::WorstFit] {
+            let arena = ShardedArena::new(1, 2048, policy);
+            let mut bare = FreeListAllocator::new(2048, policy);
+            // Live blocks as (bare id, arena name).
+            let mut live: Vec<(u64, u64)> = Vec::new();
+            for (id, op) in ops.iter().enumerate() {
+                match *op {
+                    Op::Alloc(words) => {
+                        let got = alloc_at(&arena, 0, words).ok();
+                        let want = bare.alloc(id as u64, words).ok();
+                        prop_assert_eq!(got, want, "{:?}: placement diverged", policy);
+                        live.extend(got.map(|addr| (id as u64, addr.value())));
+                    }
+                    Op::FreeNth(i) => {
+                        if live.is_empty() {
+                            continue;
+                        }
+                        let (id, name) = live.swap_remove(i % live.len());
+                        prop_assert_eq!(free_at(&arena, name), Ok(()));
+                        bare.free(id).expect("live id");
+                    }
+                }
+            }
+            arena.check_invariants();
+            let snap = &arena.snapshot().shards[0];
+            prop_assert_eq!(snap.alloc.stats.probes, bare.stats().probes);
+            prop_assert_eq!(snap.alloc.free_words, bare.free_words());
+            prop_assert_eq!(snap.alloc.largest_free, bare.largest_free());
+            prop_assert_eq!(snap.alloc.hole_count, bare.hole_count());
+            prop_assert_eq!(arena.steals(), 0);
+        }
+    }
+
+    /// Blocks of both kinds live side by side in the same shards, the
+    /// arena's own invariants hold at every step (ownership entries
+    /// plus address-named blocks account for every live block), and a
+    /// block offered to the wrong door is refused with the books
+    /// untouched — also when an id happens to be an address inside its
+    /// own block, which small ids in a small arena often are.
+    #[test]
+    fn each_block_leaves_by_the_door_it_came_in(
+        ops in arb_ops(),
+        doors in prop::collection::vec(any::<bool>(), 200..201),
+    ) {
+        let arena = ShardedArena::new(4, 1024, Placement::FirstFit);
+        // Live blocks as (name, named by address).
+        let mut live: Vec<(u64, bool)> = Vec::new();
+        for (i, (op, &by_address)) in ops.iter().zip(&doors).enumerate() {
+            match *op {
+                Op::Alloc(words) if by_address => {
+                    let home = i as u32 % 4;
+                    live.extend(alloc_at(&arena, home, words).ok().map(|a| (a.value(), true)));
+                }
+                Op::Alloc(words) => {
+                    // An id that is some live block's address may be
+                    // refused as a duplicate name; that is not a leak.
+                    let id = i as u64 * 7;
+                    live.extend(arena.alloc(id, words).ok().map(|_| (id, false)));
+                }
+                Op::FreeNth(n) => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let (name, by_address) = live.swap_remove(n % live.len());
+                    // The other door knows this name only if a block of
+                    // the other kind happens to share it.
+                    if !live.contains(&(name, !by_address)) {
+                        let before = (arena.hole_map(), arena.snapshot().stats().frees);
+                        let wrong = if by_address { arena.free(name) } else { free_at(&arena, name) };
+                        prop_assert_eq!(wrong, Err(UNKNOWN));
+                        prop_assert_eq!((arena.hole_map(), arena.snapshot().stats().frees), before);
+                    }
+                    let right = if by_address { free_at(&arena, name) } else { arena.free(name) };
+                    prop_assert_eq!(right, Ok(()));
+                }
+            }
+            arena.check_invariants();
+            let by_id = live.iter().filter(|&&(_, by_address)| !by_address).count();
+            let homed: usize = arena.snapshot().shards.iter().map(|s| s.homed).sum();
+            prop_assert_eq!(homed, by_id, "one ownership entry per id-named block, none other");
+        }
+        for (name, by_address) in live {
+            let freed = if by_address { free_at(&arena, name) } else { arena.free(name) };
+            prop_assert_eq!(freed, Ok(()));
+        }
+        arena.check_invariants();
+        prop_assert_eq!(arena.snapshot().free_words(), 4096);
+    }
+}
+
+/// The address-named door shares the id-named one's placement policy
+/// across shards: home first, then the rotation, quarantined shards
+/// skipped, every off-home placement counted as a steal, and a request
+/// nothing can hold reported with every shard's honest fullness. The
+/// address handed back is global — it lies in the stripe of the shard
+/// that placed the block, and is all the free side needs.
+#[test]
+fn address_named_requests_steal_skip_and_report_like_id_named_ones() {
+    let arena = ShardedArena::new(3, 100, Placement::FirstFit);
+    assert_eq!(
+        alloc_at(&arena, 1, 100),
+        Ok(PhysAddr(100)),
+        "home shard first"
+    );
+    assert_eq!(arena.steals(), 0);
+    assert_eq!(
+        alloc_at(&arena, 1, 50),
+        Ok(PhysAddr(200)),
+        "then the next in rotation"
+    );
+    assert_eq!(arena.steals(), 1);
+    assert!(arena.quarantine(2));
+    assert_eq!(
+        alloc_at(&arena, 1, 60),
+        Ok(PhysAddr(0)),
+        "quarantined shard skipped"
+    );
+    assert_eq!(arena.steals(), 2);
+    match alloc_at(&arena, 1, 45) {
+        Err(ArenaError::Exhausted {
+            requested: 45,
+            per_shard,
+        }) => {
+            let free: Vec<(u64, u64)> = per_shard
+                .iter()
+                .map(|s| (s.largest_free, s.free_words))
+                .collect();
+            assert_eq!(
+                free,
+                [(40, 40), (0, 0), (50, 50)],
+                "the quarantined shard's room too"
+            );
+        }
+        other => panic!("expected Exhausted, got {other:?}"),
+    }
+    assert_eq!(arena.steals(), 2, "a refused request stole nothing");
+    assert_eq!(
+        alloc_at(&arena, 0, 0),
+        Err(ArenaError::Alloc(AllocError::ZeroSize))
+    );
+    arena.check_invariants();
+    // Frees drain into a quarantined shard, and find a stolen block by
+    // its address alone.
+    for name in [200, 0, 100] {
+        assert_eq!(free_at(&arena, name), Ok(()));
+        assert_eq!(free_at(&arena, name), Err(UNKNOWN), "freed once");
+    }
+    assert_eq!(free_at(&arena, 300), Err(UNKNOWN), "past the last stripe");
+    assert_eq!(free_at(&arena, u64::MAX), Err(UNKNOWN));
+    arena.check_invariants();
+    assert_eq!(arena.snapshot().free_words(), 300);
+}
+
+/// A batch of names goes back under one lock per owning shard, in any
+/// order, and the count says how many named a live block: a name given
+/// twice, an id, a freed block and an address past the arena do not.
+#[test]
+fn a_batch_of_names_frees_what_is_live_and_counts_it() {
+    let arena = ShardedArena::new(4, 100, Placement::FirstFit);
+    let names: Vec<u64> = (0..12)
+        .map(|i| alloc_at(&arena, i % 4, 20).expect("room").value())
+        .collect();
+    arena.alloc(7, 5).expect("room");
+    assert_eq!(free_at(&arena, names[5]), Ok(()));
+    let mut batch: Vec<u64> = names.iter().rev().copied().collect();
+    batch.extend([names[0], 7, 400, u64::MAX]);
+    let freed = arena.free_at_probed(&mut batch, Stamp::default(), &mut NullProbe);
+    assert_eq!(freed, 11, "twelve live names less the one already freed");
+    arena.check_invariants();
+    assert_eq!(
+        arena.snapshot().allocated_words(),
+        5,
+        "the id-named block stays"
+    );
+    assert_eq!(arena.free(7), Ok(()));
 }
 
 /// Claim bitmap covering the arena's global address space: each

@@ -73,6 +73,19 @@ impl Advice {
         }
     }
 
+    /// The same directive about `unit` — how a machine lowers advice on
+    /// a user's segment onto the pages or chunks it is made of.
+    #[must_use]
+    pub fn with_unit(self, unit: AdviceUnit) -> Advice {
+        match self {
+            Advice::WillNeed(_) => Advice::WillNeed(unit),
+            Advice::WontNeed(_) => Advice::WontNeed(unit),
+            Advice::Pin(_) => Advice::Pin(unit),
+            Advice::Unpin(_) => Advice::Unpin(unit),
+            Advice::Release(_) => Advice::Release(unit),
+        }
+    }
+
     /// True if the directive asks for the unit to be (kept) resident.
     #[must_use]
     pub fn wants_resident(&self) -> bool {
@@ -107,6 +120,9 @@ mod tests {
             Advice::Release(u),
         ] {
             assert_eq!(a.unit(), u);
+            let lowered = a.with_unit(AdviceUnit::Segment(SegId(4)));
+            assert_eq!(lowered.unit(), AdviceUnit::Segment(SegId(4)));
+            assert_eq!(lowered.with_unit(u), a, "the directive itself is kept");
         }
     }
 

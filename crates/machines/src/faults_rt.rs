@@ -1,18 +1,19 @@
-//! Shared fault-injection runtime for the machine drivers.
+//! The fault-injection runtime of the machine driver.
 //!
-//! Each driver optionally carries one [`FaultState`]: the seed-driven
+//! A machine optionally carries one [`FaultState`]: the seed-driven
 //! injector, the retry policy for transfer errors, the shed-load budget,
 //! and the [`RecoveryReport`] being accumulated for the current run.
-//! The free functions here roll one hazard each against an
-//! `Option<FaultState>`, so drivers without injection pay nothing and
-//! drivers with it keep their borrow structure simple. Every recovery
-//! action both counts in the report and emits the matching probe event,
-//! one for one — that is what makes the end-of-run reconciliation exact.
+//! The run's [`Cx`] rolls one hazard per method against it, so a
+//! machine without injection pays nothing. Every recovery action both
+//! counts in the report and emits the matching probe event, one for
+//! one — that is what makes the end-of-run reconciliation exact.
 
 use dsa_core::clock::Cycles;
 use dsa_faults::ladder::ShedBudget;
 use dsa_faults::{FaultConfig, FaultInjector, RecoveryReport, RetryPolicy};
 use dsa_probe::{DegradationStep, EventKind, InjectedFault, Probe, Stamp};
+
+use crate::driver::Cx;
 
 /// Shed-load rungs a single machine may take per run before allocation
 /// failures are surfaced to the program.
@@ -45,6 +46,16 @@ impl FaultState {
         self.shedder = ShedBudget::new(SHED_BUDGET);
     }
 
+    /// Counts one injected fault of kind `fault` and traces it.
+    fn injected<P: Probe + ?Sized>(&mut self, fault: InjectedFault, at: Stamp, probe: &mut P) {
+        self.recovery.faults_injected += 1;
+        probe.emit(EventKind::FaultInjected { fault }, at);
+    }
+}
+
+/// One hazard each, rolled against the run's fault state; every one is
+/// free (and silent) when injection is off.
+impl<P: Probe + ?Sized> Cx<'_, P> {
     /// Rolls the hazards for one transfer whose base duration is
     /// `base`: a possible channel-congestion stall, then transfer
     /// errors retried with exponential backoff (each retry re-drives
@@ -52,157 +63,92 @@ impl FaultState {
     /// simulated time recovery consumed, to be added to the transfer's
     /// service time — fault-service latency is thus visible end to end
     /// in the `FetchStart`/`FetchDone` interval.
-    fn transfer_hazard<P: Probe + ?Sized>(
-        &mut self,
-        base: Cycles,
-        at: Stamp,
-        probe: &mut P,
-    ) -> Cycles {
+    pub(crate) fn transfer_extra(&mut self, base: Cycles) -> Cycles {
+        let at = self.at();
         let mut extra = Cycles::ZERO;
-        if let Some(delay) = self.injector.channel_delay() {
-            self.recovery.faults_injected += 1;
-            self.recovery.channel_delays += 1;
-            self.recovery.delay_time += delay;
-            probe.emit(
-                EventKind::FaultInjected {
-                    fault: InjectedFault::ChannelDelay,
-                },
-                at,
-            );
+        let Some(fs) = self.faults.as_mut() else {
+            return extra;
+        };
+        if let Some(delay) = fs.injector.channel_delay() {
+            fs.recovery.channel_delays += 1;
+            fs.recovery.delay_time += delay;
+            fs.injected(InjectedFault::ChannelDelay, at, self.probe);
             extra += delay;
         }
         let mut attempt = 0u32;
-        while self.injector.transfer_error() {
-            self.recovery.faults_injected += 1;
-            self.recovery.transfer_errors += 1;
-            probe.emit(
-                EventKind::FaultInjected {
-                    fault: InjectedFault::TransferError,
-                },
-                at,
-            );
-            if attempt >= self.retry.max_attempts {
+        while fs.injector.transfer_error() {
+            fs.recovery.transfer_errors += 1;
+            fs.injected(InjectedFault::TransferError, at, self.probe);
+            if attempt >= fs.retry.max_attempts {
                 // Declared permanent: complete from the duplexed backing
                 // copy (the simulation stays total), count the
                 // exhaustion, stop rolling.
-                self.recovery.retries_exhausted += 1;
+                fs.recovery.retries_exhausted += 1;
                 break;
             }
             attempt += 1;
-            self.recovery.retry_attempts += 1;
-            probe.emit(EventKind::RetryAttempt { attempt }, at);
-            let pause = self.retry.backoff(attempt) + base;
-            self.recovery.retry_time += pause;
+            fs.recovery.retry_attempts += 1;
+            self.probe.emit(EventKind::RetryAttempt { attempt }, at);
+            let pause = fs.retry.backoff(attempt) + base;
+            fs.recovery.retry_time += pause;
             extra += pause;
         }
         extra
     }
 
-    fn frame_hazard<P: Probe + ?Sized>(&mut self, at: Stamp, probe: &mut P) -> bool {
-        if self.injector.frame_bad() {
-            self.recovery.faults_injected += 1;
-            self.recovery.bad_frames += 1;
-            probe.emit(
-                EventKind::FaultInjected {
-                    fault: InjectedFault::BadFrame,
-                },
-                at,
-            );
-            true
-        } else {
-            false
+    /// Whether the frame a demand load just filled turned out bad.
+    pub(crate) fn frame_bad(&mut self) -> bool {
+        let at = self.at();
+        let Some(fs) = self.faults.as_mut() else {
+            return false;
+        };
+        let bad = fs.injector.frame_bad();
+        if bad {
+            fs.recovery.bad_frames += 1;
+            fs.injected(InjectedFault::BadFrame, at, self.probe);
+        }
+        bad
+    }
+
+    /// Whether this allocation request is refused outright by the
+    /// injector.
+    pub(crate) fn alloc_refused(&mut self) -> bool {
+        let at = self.at();
+        let Some(fs) = self.faults.as_mut() else {
+            return false;
+        };
+        let refused = fs.injector.alloc_failure();
+        if refused {
+            fs.recovery.forced_alloc_failures += 1;
+            fs.injected(InjectedFault::AllocFailure, at, self.probe);
+        }
+        refused
+    }
+
+    /// Records a successful quarantine (the caller already retired the
+    /// frame).
+    pub(crate) fn note_quarantined(&mut self) {
+        if let Some(fs) = self.faults.as_mut() {
+            fs.recovery.frames_quarantined += 1;
+            self.emit(EventKind::FrameQuarantined);
         }
     }
 
-    fn alloc_hazard<P: Probe + ?Sized>(&mut self, at: Stamp, probe: &mut P) -> bool {
-        if self.injector.alloc_failure() {
-            self.recovery.faults_injected += 1;
-            self.recovery.forced_alloc_failures += 1;
-            probe.emit(
-                EventKind::FaultInjected {
-                    fault: InjectedFault::AllocFailure,
-                },
-                at,
-            );
-            true
-        } else {
-            false
+    /// Attempts the shed-load rung of the degradation ladder. `true`
+    /// means the caller should surrender advisory claims (unpin
+    /// everything) and retry the failed demand once.
+    pub(crate) fn try_shed(&mut self) -> bool {
+        let Some(fs) = self.faults.as_mut() else {
+            return false;
+        };
+        if !fs.shedder.try_shed() {
+            return false;
         }
-    }
-}
-
-/// Extra service time for one transfer: channel stalls plus retried
-/// re-drives. Zero when injection is off.
-pub(crate) fn transfer_extra<P: Probe + ?Sized>(
-    faults: &mut Option<FaultState>,
-    base: Cycles,
-    at: Stamp,
-    probe: &mut P,
-) -> Cycles {
-    match faults.as_mut() {
-        Some(fs) => fs.transfer_hazard(base, at, probe),
-        None => Cycles::ZERO,
-    }
-}
-
-/// Whether the frame a demand load just filled turned out bad.
-pub(crate) fn frame_bad<P: Probe + ?Sized>(
-    faults: &mut Option<FaultState>,
-    at: Stamp,
-    probe: &mut P,
-) -> bool {
-    match faults.as_mut() {
-        Some(fs) => fs.frame_hazard(at, probe),
-        None => false,
-    }
-}
-
-/// Whether this allocation request is refused outright by the injector.
-pub(crate) fn alloc_refused<P: Probe + ?Sized>(
-    faults: &mut Option<FaultState>,
-    at: Stamp,
-    probe: &mut P,
-) -> bool {
-    match faults.as_mut() {
-        Some(fs) => fs.alloc_hazard(at, probe),
-        None => false,
-    }
-}
-
-/// Records a successful quarantine (the caller already retired the
-/// frame).
-pub(crate) fn note_quarantined<P: Probe + ?Sized>(
-    faults: &mut Option<FaultState>,
-    at: Stamp,
-    probe: &mut P,
-) {
-    if let Some(fs) = faults.as_mut() {
-        fs.recovery.frames_quarantined += 1;
-        probe.emit(EventKind::FrameQuarantined, at);
-    }
-}
-
-/// Attempts the shed-load rung of the degradation ladder. `true` means
-/// the caller should surrender advisory claims (unpin everything) and
-/// retry the failed demand once.
-pub(crate) fn try_shed<P: Probe + ?Sized>(
-    faults: &mut Option<FaultState>,
-    at: Stamp,
-    probe: &mut P,
-) -> bool {
-    let Some(fs) = faults.as_mut() else {
-        return false;
-    };
-    if !fs.shedder.try_shed() {
-        return false;
-    }
-    fs.recovery.degradation_steps += 1;
-    fs.recovery.shed_loads += 1;
-    probe.emit(
-        EventKind::DegradationStep {
+        fs.recovery.degradation_steps += 1;
+        fs.recovery.shed_loads += 1;
+        self.emit(EventKind::DegradationStep {
             step: DegradationStep::ShedLoad,
-        },
-        at,
-    );
-    true
+        });
+        true
+    }
 }

@@ -10,25 +10,30 @@
 //! [`dsa_core::ProgramOp`] workloads. Experiment E9 runs one workload
 //! across all seven and prints the survey as a measured table.
 //!
-//! | Preset | Name space | Mapping | Unit | Replacement |
-//! |---|---|---|---|---|
-//! | [`atlas`] | linear | frame-associative | 512-word pages | learning program, vacant reserve |
-//! | [`m44_44x`] | linear | mapping store (block map) | 1024-word pages | class-random; advice instructions |
-//! | [`b5000`] | symbolically segmented | PRT descriptors | variable (seg ≤ 1024) | cyclic |
-//! | [`rice`] | segmented (codewords) | codewords | variable (chain) | Rice iterative |
-//! | [`b8500`] | symbolically segmented | PRT + 44-word associative memory | variable | cyclic |
-//! | [`multics`] | linearly segmented (used symbolically) | two-level + associative | 64/1024-word pages | class-random |
-//! | [`model67`] | linearly segmented | two-level + 8-entry associative | 1024-word pages | class-random |
+//! Every preset is one [`Composed`] machine: the interpreter in
+//! [`driver`] is written once, and what the appendix varies is a type
+//! parameter or an axis of the preset's characteristics (advice is taken
+//! iff `predictive` is not `None`).
+//!
+//! | Preset | Name space | Backend | Name layout | Mapping device | Unit | Replacement |
+//! |---|---|---|---|---|---|---|
+//! | [`atlas`] | linear | [`Paged`](paged::Paged) | [`OneExtent`](paged::OneExtent) | `FrameAssociativeMap` | 512-word pages | learning program, vacant reserve |
+//! | [`m44_44x`] | linear | `Paged` | `OneExtent` | `BlockMap` (mapping store) | 1024-word pages | class-random; advice instructions |
+//! | [`b5000`] | symbolically segmented | [`Segments`](segments::Segments) | — | PRT descriptors | variable (seg ≤ 1024) | cyclic |
+//! | [`rice`] | segmented (codewords) | `Segments` | — | codewords | variable (chain) | Rice iterative |
+//! | [`b8500`] | symbolically segmented | `Segments` | — | PRT + 44-word associative memory | variable | cyclic |
+//! | [`multics`] | linearly segmented (used symbolically) | `Paged` | [`PerObject`](paged::PerObject) | `TwoLevelMap` + associative | 64/1024-word pages | class-random; advice |
+//! | [`model67`] | linearly segmented | `Paged` | `OneExtent` (packed) | `TwoLevelMap` + 8-entry associative | 1024-word pages | class-random |
+//! | [`favoured`] | symbolically segmented | `Segments` | — | descriptors + associative memory | variable, 4096-word chunks | Rice iterative; advice |
 
+pub mod device;
+pub mod driver;
 mod faults_rt;
-pub mod linear;
-pub mod multilevel;
+pub mod paged;
 pub mod presets;
 pub mod report;
-pub mod segmented;
+pub mod segments;
 
-pub use linear::LinearPagedMachine;
-pub use multilevel::PagedSegmentedMachine;
+pub use driver::Composed;
 pub use presets::{all_machines, atlas, b5000, b8500, favoured, m44_44x, model67, multics, rice};
 pub use report::{Machine, MachineReport};
-pub use segmented::SegmentedMachine;

@@ -7,7 +7,7 @@ use dsa_core::taxonomy::{
 };
 use dsa_freelist::freelist::{FreeListAllocator, Placement};
 use dsa_freelist::rice::RiceAllocator;
-use dsa_mapping::associative::{AssocPolicy, FrameAssociativeMap};
+use dsa_mapping::associative::{AssocMemory, AssocPolicy, FrameAssociativeMap};
 use dsa_mapping::block_map::BlockMap;
 use dsa_mapping::cost::MapCosts;
 use dsa_mapping::two_level::TwoLevelMap;
@@ -17,23 +17,22 @@ use dsa_paging::replacement::nru::ClassRandomRepl;
 use dsa_seg::store::{SegReplacement, SegmentStore, StoreBackend};
 use dsa_storage::level::presets as levels;
 
-use crate::linear::{LinearMapDevice, LinearPagedMachine};
-use crate::multilevel::{PagedSegmentedMachine, SegmentUse};
+use crate::driver::Composed;
+use crate::paged::{OneExtent, Paged, PerObject};
 use crate::report::Machine;
-use crate::segmented::SegmentedMachine;
+use crate::segments::Segments;
 
 /// Ferranti ATLAS (A.1): 16K-word core + 98K-word drum, 512-word pages,
 /// frame-associative mapping, the learning-program replacement strategy
 /// with one frame kept vacant. The first demand-paging machine.
 #[must_use]
-pub fn atlas() -> LinearPagedMachine {
+pub fn atlas() -> Composed<Paged<OneExtent, FrameAssociativeMap>> {
     let core = levels::atlas_core();
-    let drum = levels::atlas_drum();
     let page_size: Words = 512;
     let frames = (core.capacity / page_size) as usize; // 32
     let name_extent: Words = 1 << 20; // the one-level store's large linear space
     let costs = MapCosts::for_core_cycle(core.latency);
-    LinearPagedMachine::new(
+    Composed::paged(
         "Ferranti ATLAS",
         SystemCharacteristics {
             name_space: NameSpaceKind::Linear {
@@ -43,12 +42,9 @@ pub fn atlas() -> LinearPagedMachine {
             contiguity: Contiguity::Artificial,
             unit: AllocationUnit::Uniform { page_size },
         },
-        page_size,
-        name_extent,
-        LinearMapDevice::FrameAssociative(FrameAssociativeMap::new(frames, 9, name_extent, costs)),
+        FrameAssociativeMap::new(frames, 9, name_extent, costs),
         PagedMemory::new(frames, Box::new(AtlasLearning::new())).with_vacant_reserve(),
-        drum.transfer_time(page_size),
-        false,
+        levels::atlas_drum(),
     )
 }
 
@@ -56,14 +52,13 @@ pub fn atlas() -> LinearPagedMachine {
 /// 2M-word virtual name space per 44X, mapping store, class-based random
 /// replacement, and the two advice instructions.
 #[must_use]
-pub fn m44_44x() -> LinearPagedMachine {
+pub fn m44_44x() -> Composed<Paged<OneExtent, BlockMap>> {
     let core = levels::m44_core();
-    let disk = levels::ibm1301_disk();
     let page_size: Words = 1024; // "may be varied at system start-up"
     let frames = (core.capacity / page_size) as usize; // 195
     let name_extent: Words = 2 * 1024 * 1024; // "approximately two million words"
     let costs = MapCosts::for_core_cycle(core.latency);
-    LinearPagedMachine::new(
+    Composed::paged(
         "IBM M44/44X",
         SystemCharacteristics {
             name_space: NameSpaceKind::Linear {
@@ -73,12 +68,9 @@ pub fn m44_44x() -> LinearPagedMachine {
             contiguity: Contiguity::Artificial,
             unit: AllocationUnit::Uniform { page_size },
         },
-        page_size,
-        name_extent,
-        LinearMapDevice::MappingStore(BlockMap::new((name_extent / page_size) as usize, 10, costs)),
+        BlockMap::new((name_extent / page_size) as usize, 10, costs),
         PagedMemory::new(frames, Box::new(ClassRandomRepl::new(44, 8))),
-        disk.transfer_time(page_size),
-        true,
+        levels::ibm1301_disk(),
     )
 }
 
@@ -87,11 +79,10 @@ pub fn m44_44x() -> LinearPagedMachine {
 /// available block of sufficient size"), cyclic replacement, fetch on
 /// first reference.
 #[must_use]
-pub fn b5000() -> SegmentedMachine {
+pub fn b5000() -> Composed<Segments> {
     let core = levels::b5000_core();
-    let drum = levels::b5000_drum();
     let costs = MapCosts::for_core_cycle(core.latency);
-    SegmentedMachine::new(
+    Composed::segmented(
         "Burroughs B5000",
         SystemCharacteristics {
             name_space: NameSpaceKind::SymbolicallySegmented {
@@ -108,9 +99,7 @@ pub fn b5000() -> SegmentedMachine {
         ),
         costs,
         None,
-        drum.latency,
-        drum.word_time,
-        1024,
+        levels::b5000_drum(),
     )
 }
 
@@ -119,11 +108,10 @@ pub fn b5000() -> SegmentedMachine {
 /// combining, the iterative replacement algorithm — and only magnetic
 /// tape behind working storage.
 #[must_use]
-pub fn rice() -> SegmentedMachine {
+pub fn rice() -> Composed<Segments> {
     let core = levels::rice_core();
-    let tape = levels::tape();
     let costs = MapCosts::for_core_cycle(core.latency);
-    SegmentedMachine::new(
+    Composed::segmented(
         "Rice University Computer",
         SystemCharacteristics {
             name_space: NameSpaceKind::SymbolicallySegmented {
@@ -140,9 +128,7 @@ pub fn rice() -> SegmentedMachine {
         ),
         costs,
         None,
-        tape.latency,
-        tape.word_time,
-        core.capacity,
+        levels::tape(),
     )
 }
 
@@ -150,10 +136,9 @@ pub fn rice() -> SegmentedMachine {
 /// associative memory retaining recently used PRT elements, on a much
 /// faster and larger machine.
 #[must_use]
-pub fn b8500() -> SegmentedMachine {
-    let drum = levels::b5000_drum();
+pub fn b8500() -> Composed<Segments> {
     let costs = MapCosts::for_core_cycle(Cycles::from_nanos(500));
-    SegmentedMachine::new(
+    Composed::segmented(
         "Burroughs B8500",
         SystemCharacteristics {
             name_space: NameSpaceKind::SymbolicallySegmented {
@@ -169,10 +154,8 @@ pub fn b8500() -> SegmentedMachine {
             1024,
         ),
         costs,
-        Some(SegmentedMachine::b8500_cache()),
-        drum.latency,
-        drum.word_time,
-        1024,
+        Some(AssocMemory::new(44, AssocPolicy::Lru)),
+        levels::b5000_drum(),
     )
 }
 
@@ -188,17 +171,13 @@ pub fn b8500() -> SegmentedMachine {
 /// # Panics
 ///
 /// Never panics; the configuration is statically valid.
-// Invariant: the constructor's arguments are compile-time constants and
-// the tests below exercise this preset; the expect cannot fire at runtime.
-#[allow(clippy::expect_used)]
 #[must_use]
-pub fn multics() -> PagedSegmentedMachine {
+pub fn multics() -> Composed<Paged<PerObject, TwoLevelMap>> {
     let core = levels::ge645_core();
-    let drum = levels::ge645_drum();
     let page_size: Words = 1024;
     let frames = (core.capacity / page_size) as usize; // 128
     let costs = MapCosts::for_core_cycle(core.latency);
-    PagedSegmentedMachine::new(
+    Composed::paged(
         "MULTICS (GE 645)",
         SystemCharacteristics {
             name_space: NameSpaceKind::LinearlySegmented {
@@ -213,12 +192,8 @@ pub fn multics() -> PagedSegmentedMachine {
         },
         TwoLevelMap::new(4096, 262_144, 10, 16, AssocPolicy::Lru, costs),
         PagedMemory::new(frames, Box::new(ClassRandomRepl::new(645, 8))),
-        page_size,
-        drum.transfer_time(page_size),
-        SegmentUse::PerObject,
-        true,
+        levels::ge645_drum(),
     )
-    .expect("static configuration is valid")
 }
 
 /// IBM System/360 Model 67 (A.7): 24-bit addressing — 16 segments of a
@@ -229,18 +204,14 @@ pub fn multics() -> PagedSegmentedMachine {
 /// # Panics
 ///
 /// Never panics; the configuration is statically valid.
-// Invariant: the constructor's arguments are compile-time constants and
-// the tests below exercise this preset; the expect cannot fire at runtime.
-#[allow(clippy::expect_used)]
 #[must_use]
-pub fn model67() -> PagedSegmentedMachine {
+pub fn model67() -> Composed<Paged<OneExtent, TwoLevelMap>> {
     let core = levels::model67_core();
-    let drum = levels::model67_drum();
     let page_size: Words = 1024;
     let frames = (core.capacity / page_size) as usize; // 192
     let seg_extent: Words = 262_144; // 1M bytes in 32-bit words
     let costs = MapCosts::for_core_cycle(core.latency);
-    PagedSegmentedMachine::new(
+    Composed::paged(
         "IBM 360/67",
         SystemCharacteristics {
             name_space: NameSpaceKind::LinearlySegmented {
@@ -253,12 +224,8 @@ pub fn model67() -> PagedSegmentedMachine {
         },
         TwoLevelMap::new(16, seg_extent, 10, 8, AssocPolicy::Lru, costs),
         PagedMemory::new(frames, Box::new(ClassRandomRepl::new(67, 8))),
-        page_size,
-        drum.transfer_time(page_size),
-        SegmentUse::PackedIntoOne { extent: seg_extent },
-        false,
+        levels::model67_drum(),
     )
-    .expect("static configuration is valid")
 }
 
 /// All seven machines, in appendix order.
@@ -310,10 +277,9 @@ pub fn machine_by_index(index: usize) -> Box<dyn Machine> {
 /// small-segment access avoids the table walk, and the full advisory
 /// repertoire.
 #[must_use]
-pub fn favoured() -> SegmentedMachine {
-    let drum = levels::ge645_drum();
+pub fn favoured() -> Composed<Segments> {
     let costs = MapCosts::for_core_cycle(Cycles::from_micros(1));
-    SegmentedMachine::new(
+    Composed::segmented(
         "Favoured (Randell-Kuehner)",
         SystemCharacteristics {
             name_space: NameSpaceKind::SymbolicallySegmented {
@@ -329,12 +295,9 @@ pub fn favoured() -> SegmentedMachine {
             4096,
         ),
         costs,
-        Some(SegmentedMachine::b8500_cache()),
-        drum.latency,
-        drum.word_time,
-        4096,
+        Some(AssocMemory::new(44, AssocPolicy::Lru)),
+        levels::ge645_drum(),
     )
-    .with_advice()
 }
 
 #[cfg(test)]

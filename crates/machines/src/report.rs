@@ -8,7 +8,7 @@ use dsa_core::error::CoreError;
 use dsa_core::ids::Words;
 use dsa_core::taxonomy::SystemCharacteristics;
 use dsa_faults::RecoveryReport;
-use dsa_probe::{Event, Probe};
+use dsa_probe::Probe;
 
 /// What running a workload on a machine produced.
 #[derive(Clone, Debug, Default)]
@@ -126,58 +126,6 @@ pub trait Machine: Send {
         probe: &mut dyn Probe,
     ) -> Result<MachineReport, CoreError>;
 }
-
-/// What [`Machine::run_probed`] hands a driver in place of an enabled
-/// `&mut dyn Probe`. The sink was asked `is_enabled()` once, before the
-/// run; through this adapter `emit` const-folds that question to `true`
-/// and an event costs one virtual call (`record`) instead of two.
-pub(crate) struct Enabled<'a>(pub(crate) &'a mut dyn Probe);
-
-impl Probe for Enabled<'_> {
-    #[inline]
-    fn record(&mut self, event: &Event) {
-        self.0.record(event);
-    }
-}
-
-/// [`Machine`] for a driver with `name` and `chars` fields and an
-/// inherent, probe-generic `run_with`: the three drivers differ in what
-/// `run_with` does, not in how it is reached.
-macro_rules! impl_machine {
-    ($driver:ty) => {
-        impl $crate::report::Machine for $driver {
-            fn name(&self) -> &'static str {
-                self.name
-            }
-
-            fn characteristics(&self) -> dsa_core::taxonomy::SystemCharacteristics {
-                self.chars.clone()
-            }
-
-            fn run(
-                &mut self,
-                ops: &[dsa_core::access::ProgramOp],
-            ) -> Result<$crate::report::MachineReport, dsa_core::error::CoreError> {
-                self.run_with(ops, &mut dsa_probe::NullProbe)
-            }
-
-            /// Asks the sink whether it is enabled once, not once per
-            /// event: a disabled dynamic sink costs exactly `run`.
-            fn run_probed(
-                &mut self,
-                ops: &[dsa_core::access::ProgramOp],
-                probe: &mut dyn dsa_probe::Probe,
-            ) -> Result<$crate::report::MachineReport, dsa_core::error::CoreError> {
-                if probe.is_enabled() {
-                    self.run_with(ops, &mut $crate::report::Enabled(probe))
-                } else {
-                    self.run(ops)
-                }
-            }
-        }
-    };
-}
-pub(crate) use impl_machine;
 
 #[cfg(test)]
 mod tests {

@@ -371,6 +371,7 @@ impl PagedMemory {
     ///
     /// Returns [`CoreError::Alloc`] if the page is absent and every
     /// frame is pinned.
+    #[inline]
     pub fn touch_probed<P: Probe + ?Sized>(
         &mut self,
         page: PageNo,

@@ -203,6 +203,13 @@ impl SegmentStore {
         n
     }
 
+    /// The largest segment the store will hold — where a compiler in
+    /// front of it must split a larger declaration.
+    #[must_use]
+    pub fn max_segment(&self) -> Words {
+        self.max_segment
+    }
+
     /// Cumulative statistics.
     #[must_use]
     pub fn stats(&self) -> &SegStats {
@@ -547,6 +554,7 @@ impl SegmentStore {
     // successful fetch leaves the segment resident and allocated;
     // user-visible failures return typed errors above.
     #[allow(clippy::expect_used)]
+    #[inline]
     pub fn touch_probed<P: Probe + ?Sized>(
         &mut self,
         seg: SegId,

@@ -2,8 +2,22 @@
 
 use dsa::core::access::{AccessKind, ProgramOp};
 use dsa::core::ids::SegId;
-use dsa::machines::{all_machines, atlas, b5000, favoured, m44_44x, multics, rice, Machine};
-use dsa::probe::CountingProbe;
+use dsa::core::taxonomy::{AllocationUnit, NameSpaceKind, PredictiveInfo, SystemCharacteristics};
+use dsa::freelist::freelist::{FreeListAllocator, Placement};
+use dsa::machines::device::MapDevice;
+use dsa::machines::driver::Backend;
+use dsa::machines::paged::{NameLayout, OneExtent, Paged, PerObject};
+use dsa::machines::{
+    all_machines, atlas, b5000, favoured, m44_44x, multics, rice, Composed, Machine,
+};
+use dsa::mapping::{
+    AssocMemory, AssocPolicy, BlockMap, FrameAssociativeMap, MapCosts, TwoLevelMap,
+};
+use dsa::paging::paged::PagedMemory;
+use dsa::paging::replacement::lru::LruRepl;
+use dsa::probe::{CountingProbe, Event, EventKind, Probe};
+use dsa::seg::store::{SegReplacement, SegmentStore, StoreBackend};
+use dsa::storage::level::presets::atlas_drum;
 use dsa::trace::allocstream::SizeDist;
 use dsa::trace::{ProgramCfg, Rng64};
 
@@ -28,7 +42,8 @@ fn survey_cfg() -> ProgramCfg {
 #[test]
 fn runs_are_deterministic_per_machine() {
     let program = survey_cfg().generate(&mut Rng64::new(77));
-    for factory in [atlas, m44_44x] {
+    let factories: [fn() -> Box<dyn Machine>; 2] = [|| Box::new(atlas()), || Box::new(m44_44x())];
+    for factory in factories {
         let r1 = {
             let mut m = factory();
             m.run(&program.ops).unwrap()
@@ -79,20 +94,7 @@ fn every_wild_touch_is_accounted_for_exactly_once() {
     cfg.wild_touch_prob = 0.01;
     cfg.resize_prob = 0.0; // keep declared sizes stable for the count
     let program = cfg.generate(&mut Rng64::new(78));
-    // Count the wild touches in the stream itself.
-    let mut sizes = std::collections::HashMap::new();
-    let mut wild = 0u64;
-    for op in &program.ops {
-        match *op {
-            ProgramOp::Define { seg, size } => {
-                sizes.insert(seg, size);
-            }
-            ProgramOp::Touch { seg, offset, .. } if offset >= sizes[&seg] => {
-                wild += 1;
-            }
-            _ => {}
-        }
-    }
+    let wild = wild_touches(&program.ops);
     assert!(wild > 0, "workload must contain wild touches");
     for mut m in all_machines() {
         let r = m.run(&program.ops).unwrap();
@@ -249,4 +251,149 @@ fn advice_changes_m44_but_not_atlas() {
 
     let a_with = atlas().run(&advised.ops).unwrap();
     assert_eq!(a_with.advice_ops, 0, "ATLAS must ignore advice");
+}
+
+/// The touches of `ops` beyond their segment's declared size (no resizes).
+fn wild_touches(ops: &[ProgramOp]) -> u64 {
+    let mut sizes = std::collections::HashMap::new();
+    let mut wild = 0;
+    for op in ops {
+        match *op {
+            ProgramOp::Define { seg, size } => drop(sizes.insert(seg, size)),
+            ProgramOp::Touch { seg, offset, .. } => wild += u64::from(offset >= sizes[&seg]),
+            _ => {}
+        }
+    }
+    wild
+}
+
+/// The survey program with wild subscripts and advice but no resizes.
+fn wild_advised_program(seed: u64) -> Vec<ProgramOp> {
+    let mut cfg = survey_cfg();
+    cfg.wild_touch_prob = 0.01;
+    cfg.resize_prob = 0.0;
+    cfg.advice_accuracy = Some(0.8);
+    cfg.generate(&mut Rng64::new(seed)).ops
+}
+
+/// The points of layout x device the types refuse, and why:
+/// `PerObject: NameLayout<D>` holds for the two-level map alone.
+const EMPTY: [(&str, &str); 2] = [
+    ("per object / frame-associative", NO_LIMIT),
+    ("per object / mapping store", NO_LIMIT),
+];
+const NO_LIMIT: &str = "per-object names over a flat device: no per-segment limit to check";
+
+/// What must hold at every point of the design space, built in 1967 or not.
+fn exercise<B: Backend>(mut m: Composed<B>) -> &'static str {
+    let ops = wild_advised_program(83);
+    let (chars, at) = (m.characteristics(), m.name());
+    let r = m.run(&ops).unwrap_or_else(|e| panic!("{at}: {e}"));
+    m.check_invariants();
+    assert!(r.touches > 0 && r.fetched_words > 0, "{at}: {r:?}");
+    assert!(r.writeback_words <= r.fetched_words, "{at}: {r:?}");
+    assert!(r.faults <= r.touches, "{at}: {r:?}");
+    let wild = wild_touches(&ops);
+    assert_eq!(r.bounds_caught + r.wild_undetected, wild, "{at}: {r:?}");
+    let advised = chars.predictive != PredictiveInfo::None;
+    assert_eq!(r.advice_ops > 0, advised, "{at}: {r:?}");
+    at
+}
+
+/// The four axes as `like` states them, but for the predictive one.
+fn point(mut like: SystemCharacteristics, advice: bool) -> SystemCharacteristics {
+    like.predictive = [PredictiveInfo::None, PredictiveInfo::Advisory][usize::from(advice)];
+    like
+}
+
+/// A paged point: `L` lays out the M44's names if `device` is flat and
+/// MULTICS's if not, in 1024-word pages either way.
+fn paged<L: NameLayout<D>, D: MapDevice>(
+    at: &'static str,
+    device: D,
+    advice: bool,
+) -> &'static str {
+    let like = [multics().characteristics(), m44_44x().characteristics()];
+    let chars = point(like[usize::from(D::PAGES_ARE_NAMES)].clone(), advice);
+    let memory = PagedMemory::new(32, Box::new(LruRepl::new()));
+    let m = Composed::<Paged<L, D>>::paged(at, chars, device, memory, atlas_drum());
+    exercise(m)
+}
+
+fn segmented(at: &'static str, cache: Option<AssocMemory>, advice: bool) -> &'static str {
+    let words = FreeListAllocator::new(16_384, Placement::BestFit);
+    let store = SegmentStore::new(StoreBackend::FreeList(words), SegReplacement::Cyclic, 1024);
+    let chars = point(b5000().characteristics(), advice);
+    let m = Composed::segmented(at, chars, store, MapCosts::default(), cache, atlas_drum());
+    exercise(m)
+}
+
+/// The independence claim, enumerated: every combination of the axes
+/// the driver takes as parameters — name layout x mapping device and,
+/// for whole segments, descriptor cache or none, each with and without
+/// advice — runs the common workload or is in `EMPTY` with its reason.
+#[test]
+fn every_point_of_the_axes_runs_or_names_why_it_is_empty() {
+    let associative = || FrameAssociativeMap::new(32, 10, 2 << 20, MapCosts::default());
+    let store = || BlockMap::new(2048, 10, MapCosts::default());
+    let two_level =
+        || TwoLevelMap::new(4096, 262_144, 10, 8, AssocPolicy::Lru, MapCosts::default());
+    let cache = || Some(AssocMemory::new(8, AssocPolicy::Lru));
+    for advice in [false, true] {
+        let ran = [
+            paged::<OneExtent, _>("one extent / frame-associative", associative(), advice),
+            paged::<OneExtent, _>("one extent / mapping store", store(), advice),
+            paged::<OneExtent, _>("one extent / two-level", two_level(), advice),
+            paged::<PerObject, _>("per object / two-level", two_level(), advice),
+            segmented("segments / descriptors in core", None, advice),
+            segmented("segments / descriptor cache", cache(), advice),
+        ];
+        assert_eq!(ran.len() + EMPTY.len(), 2 * 3 + 2, "{ran:?} {EMPTY:?}");
+    }
+}
+
+/// The words of every fetch a run makes.
+struct Fetches(Vec<u64>);
+
+impl Probe for Fetches {
+    fn record(&mut self, event: &Event) {
+        if let EventKind::FetchDone { words } = event.kind {
+            self.0.push(words);
+        }
+    }
+}
+
+/// `characteristics()` is held to what the machine does, axis by axis.
+#[test]
+fn characteristics_say_what_the_machine_does() {
+    let ops = wild_advised_program(84);
+    let mut silent = ops.clone();
+    silent.retain(|op| !matches!(op, ProgramOp::Advise(_)));
+    let presets = || {
+        all_machines()
+            .into_iter()
+            .chain([Box::new(favoured()) as _])
+    };
+    for (mut advised, mut unadvised) in presets().zip(presets()) {
+        let (chars, name) = (advised.characteristics(), advised.name());
+        let mut fetched = Fetches(Vec::new());
+        let r = advised.run_probed(&ops, &mut fetched).unwrap();
+        let same = format!("{r:?}") == format!("{:?}", unadvised.run(&silent).unwrap());
+        assert_eq!(same, chars.predictive == PredictiveInfo::None, "{name}");
+        // Of the segmented presets only the 360/67 packs its objects into one segment.
+        let a_segment_each = chars.name_space.is_segmented() && name != "IBM 360/67";
+        assert_eq!(r.wild_undetected == 0, a_segment_each, "{name}: {r:?}");
+        // A fetch is one page of a stated size, or one object whole (cut at the ceiling).
+        let is_a_unit = |words: &u64| match (&chars.unit, &chars.name_space) {
+            (AllocationUnit::Uniform { page_size }, _) => words == page_size,
+            (AllocationUnit::MultiSize { sizes }, _) => sizes.contains(words),
+            (_, NameSpaceKind::SymbolicallySegmented { max_segment_extent }) => {
+                let max = *max_segment_extent;
+                let whole = |size: u64| [size.min(max), size % max].contains(words);
+                (ops.iter()).any(|op| matches!(*op, ProgramOp::Define { size, .. } if whole(size)))
+            }
+            other => panic!("{name}: no preset allocates {other:?}"),
+        };
+        assert!(fetched.0.iter().all(is_a_unit), "{name}: {r:?}");
+    }
 }

@@ -1,4 +1,4 @@
-//! The golden-output gauntlet: sixteen experiment binaries, pinned
+//! The golden-output gauntlet: twenty experiment binaries, pinned
 //! stdout, byte-for-byte.
 //!
 //! Two invariants at once:
@@ -29,12 +29,15 @@ use std::process::Command;
 /// entry carries the extra arguments its golden file was generated with
 /// (most need none; `exp_22` pins a small population so the gauntlet
 /// stays fast).
-const GAUNTLET: [(&str, &[&str]); 16] = [
+const GAUNTLET: [(&str, &[&str]); 20] = [
     ("exp_01_artificial_contiguity", &[]),
     ("exp_02_space_time", &[]),
     ("exp_03_mapping_overhead", &[]),
     ("exp_04_replacement", &[]),
+    ("exp_05_placement", &[]),
     ("exp_06_faults", &[]),
+    ("exp_06_page_size", &[]),
+    ("exp_07_compaction", &[]),
     ("exp_08_advice", &[]),
     ("exp_09_machine_survey", &[]),
     ("exp_10_name_spaces", &[]),
@@ -42,6 +45,7 @@ const GAUNTLET: [(&str, &[&str]); 16] = [
     ("exp_12_atlas_learning", &[]),
     ("exp_13_bounds", &[]),
     ("exp_14_promotion", &[]),
+    ("exp_15_sharing", &[]),
     ("exp_16_load_control", &[]),
     ("exp_17_drum_queueing", &[]),
     ("exp_19_overload", &[]),

@@ -133,12 +133,6 @@ impl OverloadGuard {
         self.shed_budget.sheds()
     }
 
-    /// Shed grants still available.
-    #[must_use]
-    pub fn shed_remaining(&self) -> u32 {
-        self.shed_budget.remaining()
-    }
-
     /// Requests refused at the door so far.
     #[must_use]
     pub fn admission_rejects(&self) -> u64 {
@@ -187,7 +181,6 @@ mod tests {
         assert!(g.try_shed());
         assert!(!g.try_shed());
         assert_eq!(g.sheds(), 2);
-        assert_eq!(g.shed_remaining(), 0);
     }
 
     #[test]

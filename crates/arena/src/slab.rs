@@ -133,12 +133,6 @@ impl FixedSlab {
         self.unit_words
     }
 
-    /// Number of units in the slab.
-    #[must_use]
-    pub fn capacity_units(&self) -> u32 {
-        self.units
-    }
-
     /// Total capacity in words.
     #[must_use]
     pub fn capacity_words(&self) -> Words {

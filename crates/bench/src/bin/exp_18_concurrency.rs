@@ -75,7 +75,7 @@ fn worker_stream(worker: u64, max_words: u64) -> Vec<Request> {
 /// streams. The acknowledgment goes to stderr (in `main`), never
 /// stdout, so default output is byte-identical with the flag absent.
 fn arm_quick(svc: ArenaService) -> ArenaService {
-    if cli::quick_lists_from_env() {
+    if cli::switch_from_env(cli::QUICK_LISTS) {
         svc.with_quick_lists(64, 16)
     } else {
         svc
@@ -153,7 +153,7 @@ fn reconciled(svc: &ArenaService, t: &Tally, unit: Option<u64>) -> bool {
 }
 
 fn main() {
-    cli::enforce_standard_flags("exp_18_concurrency", &[cli::SHARDS]);
+    cli::enforce_standard_flags("exp_18_concurrency", &[cli::SHARDS, cli::QUICK_LISTS]);
     let mut metrics = RunMetrics::new("exp_18_concurrency");
     // Workers are a workload parameter (clients of the service), not a
     // grid fan-out: default 4 even on narrow hosts, `--jobs` overrides.
@@ -165,7 +165,7 @@ fn main() {
         }
     };
     let max_shards = cli::shards_or(8);
-    if cli::quick_lists_from_env() {
+    if cli::switch_from_env(cli::QUICK_LISTS) {
         eprintln!("exp_18_concurrency: arena quick lists armed (max 64 words, depth 16)");
     }
     println!("E18: concurrent allocation service — scaling with shard count\n");

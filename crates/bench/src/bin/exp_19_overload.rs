@@ -95,7 +95,7 @@ struct CellOut {
 /// acknowledgment goes to stderr (in `main`), never stdout, so the
 /// golden output is byte-identical with the flag absent.
 fn arm_quick(svc: ArenaService) -> ArenaService {
-    if cli::quick_lists_from_env() {
+    if cli::switch_from_env(cli::QUICK_LISTS) {
         svc.with_quick_lists(64, 16)
     } else {
         svc
@@ -255,9 +255,12 @@ fn yes(b: bool) -> &'static str {
 }
 
 fn main() {
-    cli::enforce_standard_flags("exp_19_overload", &[cli::CHAOS, cli::SHARDS]);
+    cli::enforce_standard_flags(
+        "exp_19_overload",
+        &[cli::CHAOS, cli::SHARDS, cli::QUICK_LISTS],
+    );
     let chaos = cli::switch_from_env(cli::CHAOS);
-    if cli::quick_lists_from_env() {
+    if cli::switch_from_env(cli::QUICK_LISTS) {
         eprintln!("exp_19_overload: arena quick lists armed (max 64 words, depth 16)");
     }
     let jobs = cli::jobs_from_env();

@@ -85,12 +85,6 @@ impl Advice {
             Advice::Release(_) => Advice::Release(unit),
         }
     }
-
-    /// True if the directive asks for the unit to be (kept) resident.
-    #[must_use]
-    pub fn wants_resident(&self) -> bool {
-        matches!(self, Advice::WillNeed(_) | Advice::Pin(_))
-    }
 }
 
 impl fmt::Display for Advice {
@@ -124,16 +118,6 @@ mod tests {
             assert_eq!(lowered.unit(), AdviceUnit::Segment(SegId(4)));
             assert_eq!(lowered.with_unit(u), a, "the directive itself is kept");
         }
-    }
-
-    #[test]
-    fn residency_intent() {
-        let u = AdviceUnit::Segment(SegId(2));
-        assert!(Advice::WillNeed(u).wants_resident());
-        assert!(Advice::Pin(u).wants_resident());
-        assert!(!Advice::WontNeed(u).wants_resident());
-        assert!(!Advice::Release(u).wants_resident());
-        assert!(!Advice::Unpin(u).wants_resident());
     }
 
     #[test]

@@ -198,12 +198,6 @@ impl AllocationUnit {
             AllocationUnit::Variable => "variable",
         }
     }
-
-    /// True for uniform or multi-size paging.
-    #[must_use]
-    pub fn is_paged(&self) -> bool {
-        !matches!(self, AllocationUnit::Variable)
-    }
 }
 
 impl fmt::Display for AllocationUnit {
@@ -299,16 +293,6 @@ mod tests {
     fn segmentedness() {
         assert!(!NameSpaceKind::Linear { extent: 1 << 24 }.is_segmented());
         assert!(b5000().name_space.is_segmented());
-    }
-
-    #[test]
-    fn pagedness() {
-        assert!(AllocationUnit::Uniform { page_size: 512 }.is_paged());
-        assert!(AllocationUnit::MultiSize {
-            sizes: vec![64, 1024]
-        }
-        .is_paged());
-        assert!(!AllocationUnit::Variable.is_paged());
     }
 
     #[test]

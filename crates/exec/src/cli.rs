@@ -87,12 +87,11 @@ pub const FLIGHT_RECORDER: FlagSpec = FlagSpec {
     help: "retain the last N probe events per thread for postmortem dumps",
 };
 
-/// The `--quick-lists` switch every experiment binary accepts: arm the
-/// arena's per-shard quick lists (Knuth's exercise 2.5-6 fast LIFO
-/// caches for recurring small sizes) where the experiment builds one.
-/// Binaries that take the flag but build no arena simply ignore it;
-/// the ones that honor it say so on stderr, never stdout — golden
-/// output is byte-identical with and without the switch.
+/// The `--quick-lists` switch of the two experiments that build an
+/// arena (E18, E19): arm its per-shard quick lists (Knuth's exercise
+/// 2.5-6 fast LIFO caches for recurring small sizes). They say so on
+/// stderr, never stdout — golden output is byte-identical with and
+/// without the switch.
 pub const QUICK_LISTS: FlagSpec = FlagSpec {
     name: "--quick-lists",
     value: None,
@@ -100,18 +99,12 @@ pub const QUICK_LISTS: FlagSpec = FlagSpec {
 };
 
 /// The flags *every* experiment binary accepts: `--jobs`,
-/// `--metrics-out`, `--flight-recorder`, `--quick-lists`. One
+/// `--metrics-out`, `--flight-recorder`. One
 /// registry, so adding a universal flag is a one-line change that
 /// reaches all binaries (and the `--help` test that checks each one).
 #[must_use]
 pub fn standard_flags() -> Vec<FlagSpec> {
-    vec![JOBS, METRICS_OUT, FLIGHT_RECORDER, QUICK_LISTS]
-}
-
-/// Whether `--quick-lists` is present in the process arguments.
-#[must_use]
-pub fn quick_lists_from_env() -> bool {
-    switch_from_env(QUICK_LISTS)
+    vec![JOBS, METRICS_OUT, FLIGHT_RECORDER]
 }
 
 /// [`enforce_known_flags`] with the standard registry prepended:
@@ -569,19 +562,10 @@ mod tests {
     fn standard_flags_cover_the_universal_registry() {
         let flags = standard_flags();
         let names: Vec<&str> = flags.iter().map(|f| f.name).collect();
-        assert_eq!(
-            names,
-            vec![
-                "--jobs",
-                "--metrics-out",
-                "--flight-recorder",
-                "--quick-lists"
-            ]
-        );
+        assert_eq!(names, vec!["--jobs", "--metrics-out", "--flight-recorder"]);
         let u = usage("exp_00", &flags);
         assert!(u.contains("--metrics-out PATH"), "{u}");
         assert!(u.contains("--flight-recorder N"), "{u}");
-        assert!(u.contains("--quick-lists"), "{u}");
         // The standard set accepts its own flags in both spellings.
         assert_eq!(
             check_known(
@@ -590,11 +574,11 @@ mod tests {
             ),
             Ok(())
         );
-        // The bare switch is accepted anywhere in the argument list.
-        assert_eq!(
-            check_known(strings(&["--quick-lists", "--jobs", "2"]), &flags),
-            Ok(())
-        );
+        // A bare switch is an extra flag of the binaries that read it,
+        // accepted anywhere in their argument list and nowhere else.
+        let args = ["--quick-lists", "--jobs", "2"];
+        assert!(check_known(strings(&args), &flags).is_err());
+        assert_eq!(check_known(strings(&args), &[JOBS, QUICK_LISTS]), Ok(()));
     }
 
     #[test]

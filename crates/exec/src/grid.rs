@@ -38,12 +38,6 @@ impl<T> SimGrid<T> {
         &self.cells
     }
 
-    /// Consumes the grid, yielding its cells.
-    #[must_use]
-    pub fn into_cells(self) -> Vec<T> {
-        self.cells
-    }
-
     /// Runs `f` on every cell across `jobs` workers and returns results
     /// in grid order (see [`par_map`]).
     pub fn run<R, F>(&self, jobs: usize, f: F) -> Vec<R>
@@ -134,6 +128,5 @@ mod tests {
         }
         assert_eq!(grid.len(), 6);
         assert!(!grid.is_empty());
-        assert_eq!(grid.clone().into_cells().len(), 6);
     }
 }

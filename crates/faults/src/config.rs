@@ -94,16 +94,6 @@ impl FaultConfig {
         self.burst_len = burst_len.max(1);
         self
     }
-
-    /// True when every rate is zero (the injector will never fire).
-    #[must_use]
-    pub fn is_off(&self) -> bool {
-        self.transfer_error_rate == 0.0
-            && self.bad_frame_rate == 0.0
-            && self.channel_delay_rate == 0.0
-            && self.alloc_fail_rate == 0.0
-            && self.shard_corruption_rate == 0.0
-    }
 }
 
 impl Default for FaultConfig {
@@ -115,12 +105,6 @@ impl Default for FaultConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn off_is_off() {
-        assert!(FaultConfig::off().is_off());
-        assert!(!FaultConfig::transfer_errors(0.01).is_off());
-    }
 
     #[test]
     fn builders_compose() {
@@ -137,7 +121,6 @@ mod tests {
         assert_eq!(c.alloc_fail_rate, 0.4);
         assert_eq!(c.shard_corruption_rate, 0.05);
         assert_eq!(c.burst_len, 3);
-        assert!(!FaultConfig::off().with_shard_corruption(0.1).is_off());
     }
 
     #[test]

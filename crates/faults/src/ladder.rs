@@ -167,12 +167,6 @@ impl AtomicShedBudget {
     pub fn sheds(&self) -> u64 {
         self.sheds.load(Ordering::Relaxed)
     }
-
-    /// Rungs still available.
-    #[must_use]
-    pub fn remaining(&self) -> u32 {
-        self.remaining.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -212,6 +206,5 @@ mod tests {
         });
         assert_eq!(granted, 5);
         assert_eq!(b.sheds(), 5);
-        assert_eq!(b.remaining(), 0);
     }
 }

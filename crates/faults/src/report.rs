@@ -47,32 +47,6 @@ pub struct RecoveryReport {
     pub delay_time: Cycles,
 }
 
-impl RecoveryReport {
-    /// True when nothing was injected and no recovery ran.
-    #[must_use]
-    pub fn is_quiet(&self) -> bool {
-        *self == RecoveryReport::default()
-    }
-
-    /// Adds another report's counts into this one (used when a machine
-    /// aggregates sub-component recovery).
-    pub fn absorb(&mut self, other: &RecoveryReport) {
-        self.faults_injected += other.faults_injected;
-        self.transfer_errors += other.transfer_errors;
-        self.bad_frames += other.bad_frames;
-        self.channel_delays += other.channel_delays;
-        self.forced_alloc_failures += other.forced_alloc_failures;
-        self.shard_corruptions += other.shard_corruptions;
-        self.retry_attempts += other.retry_attempts;
-        self.retries_exhausted += other.retries_exhausted;
-        self.frames_quarantined += other.frames_quarantined;
-        self.degradation_steps += other.degradation_steps;
-        self.shed_loads += other.shed_loads;
-        self.retry_time += other.retry_time;
-        self.delay_time += other.delay_time;
-    }
-}
-
 impl fmt::Display for RecoveryReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -97,35 +71,6 @@ impl fmt::Display for RecoveryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quiet_by_default() {
-        assert!(RecoveryReport::default().is_quiet());
-    }
-
-    #[test]
-    fn absorb_sums_fields() {
-        let mut a = RecoveryReport {
-            faults_injected: 2,
-            transfer_errors: 1,
-            retry_attempts: 3,
-            retry_time: Cycles::from_micros(10),
-            ..RecoveryReport::default()
-        };
-        let b = RecoveryReport {
-            faults_injected: 1,
-            bad_frames: 1,
-            frames_quarantined: 1,
-            retry_time: Cycles::from_micros(5),
-            ..RecoveryReport::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.faults_injected, 3);
-        assert_eq!(a.bad_frames, 1);
-        assert_eq!(a.frames_quarantined, 1);
-        assert_eq!(a.retry_time, Cycles::from_micros(15));
-        assert!(!a.is_quiet());
-    }
 
     #[test]
     fn display_is_informative() {

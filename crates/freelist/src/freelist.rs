@@ -837,12 +837,6 @@ impl FreeListAllocator {
         }
     }
 
-    /// Whether quick lists are enabled.
-    #[must_use]
-    pub fn quick_lists_enabled(&self) -> bool {
-        self.quick.is_some()
-    }
-
     /// Words currently parked on the quick lists (0 when disabled).
     #[must_use]
     pub fn quick_parked_words(&self) -> Words {

@@ -309,21 +309,6 @@ impl RiceAllocator {
         removed
     }
 
-    /// Iterates live blocks as `(id, payload address, payload size,
-    /// owner)`, in address order.
-    #[must_use]
-    pub fn active_blocks(&self) -> Vec<(u64, u64, Words, u64)> {
-        let mut v: Vec<(u64, u64, Words, u64)> = self
-            .active
-            .iter()
-            .map(|(&id, &(addr, gross, owner))| {
-                (id, addr + BACK_REF_WORDS, gross - BACK_REF_WORDS, owner)
-            })
-            .collect();
-        v.sort_unstable_by_key(|&(_, addr, _, _)| addr);
-        v
-    }
-
     /// Verifies internal invariants (disjointness, accounting).
     ///
     /// # Panics
@@ -459,13 +444,11 @@ mod tests {
     }
 
     #[test]
-    fn lookup_and_listing() {
+    fn lookup_by_id() {
         let mut a = RiceAllocator::new(64);
         a.alloc(5, 10, 77).unwrap();
         assert_eq!(a.lookup(5), Some((PhysAddr(1), 10)));
         assert_eq!(a.lookup(6), None);
-        let blocks = a.active_blocks();
-        assert_eq!(blocks, vec![(5, 1, 10, 77)]);
     }
 
     #[test]

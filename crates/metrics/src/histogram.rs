@@ -240,17 +240,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Records `n` identical samples.
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        match self.bucket_of(v) {
-            Some(i) => self.buckets[i] += n,
-            None => self.overflow += n,
-        }
-        self.count += n;
-        self.sum += u128::from(v) * u128::from(n);
-        self.max = self.max.max(v);
-    }
-
     /// Total number of samples.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -404,19 +393,6 @@ mod tests {
     fn quantile_empty_is_zero() {
         let h = Histogram::linear(1, 4);
         assert_eq!(h.quantile(0.5), 0);
-    }
-
-    #[test]
-    fn record_n_equals_loop() {
-        let mut a = Histogram::linear(10, 4);
-        let mut b = Histogram::linear(10, 4);
-        a.record_n(25, 7);
-        for _ in 0..7 {
-            b.record(25);
-        }
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.sum(), b.sum());
-        assert_eq!(a.bucket_count(2), b.bucket_count(2));
     }
 
     #[test]

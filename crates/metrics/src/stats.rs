@@ -74,17 +74,6 @@ impl RunningStats {
         }
     }
 
-    /// Sample variance (dividing by *n − 1*), or 0 with fewer than two
-    /// samples.
-    #[must_use]
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     #[must_use]
     pub fn std_dev(&self) -> f64 {
@@ -155,7 +144,6 @@ mod tests {
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.population_variance(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.sum(), 0.0);
     }
 

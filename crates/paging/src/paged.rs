@@ -14,7 +14,6 @@
 //! replacement strategy ... is used to ensure that one page frame is
 //! kept vacant, ready for the next page demand").
 
-use dsa_core::access::{Access, AccessKind};
 use dsa_core::advice::{Advice, AdviceUnit};
 use dsa_core::clock::VirtualTime;
 use dsa_core::error::{AllocError, CoreError};
@@ -268,12 +267,6 @@ impl PagedMemory {
     #[must_use]
     pub fn stats(&self) -> &PagingStats {
         &self.stats
-    }
-
-    /// The replacement strategy's label.
-    #[must_use]
-    pub fn policy_name(&self) -> &'static str {
-        self.replacer.name()
     }
 
     fn evict_one_probed<P: Probe + ?Sized>(
@@ -543,22 +536,6 @@ impl PagedMemory {
             let at = Stamp::vtime(i as VirtualTime);
             probe.emit(EventKind::Touch { write: false }, at);
             self.touch_probed(page, false, at, probe)?;
-        }
-        Ok(self.stats)
-    }
-
-    /// Replays an [`Access`] string whose names are page numbers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`CoreError`] (possible only with pinning).
-    pub fn run_accesses(&mut self, trace: &[Access]) -> Result<PagingStats, CoreError> {
-        for (i, a) in trace.iter().enumerate() {
-            self.touch(
-                PageNo(a.name.value()),
-                a.kind == AccessKind::Write,
-                i as VirtualTime,
-            )?;
         }
         Ok(self.stats)
     }
@@ -937,19 +914,6 @@ mod tests {
         assert_eq!(m.unpin_all(), 2);
         assert!(m.touch(PageNo(3), false, 4).is_ok());
         m.check_invariants();
-    }
-
-    #[test]
-    fn run_accesses_tracks_writes() {
-        use dsa_core::access::Access;
-        let mut m = lru(2);
-        let trace = vec![Access::write(0u64), Access::read(1u64), Access::read(2u64)];
-        m.run_accesses(&trace).unwrap();
-        assert_eq!(
-            m.stats().dirty_evictions,
-            1,
-            "page 0 was written, then evicted"
-        );
     }
 }
 

@@ -69,13 +69,6 @@ impl Prt {
         self.entries[idx] = Some(Descriptor::absent(limit));
     }
 
-    /// Removes segment `seg`.
-    pub fn undeclare(&mut self, seg: SegId) {
-        if let Some(slot) = self.entries.get_mut(seg.0 as usize) {
-            *slot = None;
-        }
-    }
-
     /// The descriptor of `seg`, if declared.
     #[must_use]
     pub fn get(&self, seg: SegId) -> Option<&Descriptor> {
@@ -156,16 +149,6 @@ mod tests {
             prt.resolve(SegId(3), 0),
             Err(AccessFault::UnknownSegment { seg: SegId(3) })
         ));
-    }
-
-    #[test]
-    fn undeclare_removes() {
-        let mut prt = Prt::new();
-        prt.declare(SegId(1), 50);
-        assert_eq!(prt.declared(), 1);
-        prt.undeclare(SegId(1));
-        assert_eq!(prt.declared(), 0);
-        assert!(prt.get(SegId(1)).is_none());
     }
 
     #[test]

@@ -242,12 +242,6 @@ impl LinearSegDict {
         self.stats
     }
 
-    /// The range currently assigned to `program`.
-    #[must_use]
-    pub fn range_of(&self, program: u32) -> Option<(u32, u32)> {
-        self.programs.get(&program).copied()
-    }
-
     /// Names currently live.
     #[must_use]
     pub fn live(&self) -> u32 {
@@ -279,7 +273,6 @@ mod tests {
         let mut d = LinearSegDict::new(16);
         assert_eq!(d.attach(1, 4), Some(0));
         assert_eq!(d.attach(2, 4), Some(4));
-        assert_eq!(d.range_of(1), Some((0, 4)));
         assert_eq!(d.live(), 8);
     }
 
@@ -294,7 +287,6 @@ mod tests {
         // 8 numbers free but split 4+4: a 6-range needs renumbering.
         let start = d.attach(4, 6).unwrap();
         assert_eq!(start, 4, "after compaction program 2 sits at 0..4");
-        assert_eq!(d.range_of(2), Some((0, 4)));
         assert_eq!(
             d.stats().names_reallocated,
             4,

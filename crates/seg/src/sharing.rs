@@ -208,12 +208,6 @@ impl SharedSegments {
         }
     }
 
-    /// The mode `program` currently holds on `seg`, if any.
-    #[must_use]
-    pub fn mode_of(&self, program: u32, seg: SegId) -> Option<AccessMode> {
-        self.grants.get(&(program, seg)).copied()
-    }
-
     /// Number of programs holding a capability on `seg`.
     #[must_use]
     pub fn sharers(&self, seg: SegId) -> usize {
@@ -250,18 +244,6 @@ impl SharedSegments {
                 .into())
             }
         }
-    }
-
-    /// Unpublishes `seg`, revoking every capability and deleting the
-    /// segment.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the store's deletion error.
-    pub fn unpublish(&mut self, seg: SegId) -> Result<(), CoreError> {
-        self.published.remove(&seg);
-        self.grants.retain(|&(_, s), _| s != seg);
-        self.store.delete(seg)
     }
 }
 
@@ -354,17 +336,6 @@ mod tests {
         s.revoke(2, SegId(0));
         assert_eq!(s.stats().words_saved_by_sharing, 0);
         assert!(s.access(2, SegId(0), 0, AccessType::Read).is_err());
-    }
-
-    #[test]
-    fn unpublish_clears_everything() {
-        let mut s = shared(2000);
-        s.publish(1, SegId(0), 300, AccessMode::RW).unwrap();
-        s.grant(1, 2, SegId(0), AccessMode::RO).unwrap();
-        s.access(1, SegId(0), 0, AccessType::Read).unwrap();
-        s.unpublish(SegId(0)).unwrap();
-        assert_eq!(s.sharers(SegId(0)), 0);
-        assert!(s.access(1, SegId(0), 0, AccessType::Read).is_err());
     }
 
     #[test]

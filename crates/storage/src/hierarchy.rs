@@ -83,13 +83,6 @@ impl Hierarchy {
         }
     }
 
-    /// Cost of fetching a block of `words` from level `k` into working
-    /// storage.
-    #[must_use]
-    pub fn fetch_cost(&self, k: usize, words: Words) -> Cycles {
-        self.transfer(0, k, words)
-    }
-
     /// The minimum number of times an item (block of `words`) must be
     /// used, after promotion from level `k` to level `j` (with `j < k`),
     /// for the promotion to pay for itself: each use saves the access
@@ -110,12 +103,6 @@ impl Hierarchy {
         }
         let cost = self.transfer(j, k, words).as_nanos();
         Some(cost.div_ceil(saving_per_use))
-    }
-
-    /// Total capacity across all levels, in words.
-    #[must_use]
-    pub fn total_capacity(&self) -> Words {
-        self.levels.iter().map(|l| l.capacity).sum()
     }
 }
 
@@ -153,9 +140,9 @@ mod tests {
     }
 
     #[test]
-    fn fetch_cost_is_dominated_by_slow_side() {
+    fn transfer_is_dominated_by_slow_side() {
         let h = atlas();
-        assert_eq!(h.fetch_cost(1, 512), atlas_drum().transfer_time(512));
+        assert_eq!(h.transfer(0, 1, 512), atlas_drum().transfer_time(512));
         assert_eq!(h.transfer(1, 0, 512), h.transfer(0, 1, 512));
     }
 
@@ -176,11 +163,6 @@ mod tests {
         assert_eq!(n, 75);
         // Promotion to an equally slow level never pays.
         assert!(h.break_even_uses(1, 1, 64).is_none());
-    }
-
-    #[test]
-    fn total_capacity_sums_levels() {
-        assert_eq!(atlas().total_capacity(), 16_384 + 98_304);
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! runs down the page and address runs across it.
 
 use dsa_core::ids::Words;
-use dsa_freelist::FreeListAllocator;
 use dsa_metrics::sparkline::sparkline;
 
 /// One snapshot of the heap's shape at a point in virtual time.
@@ -98,12 +97,6 @@ impl HeatFrame {
             free_words,
             capacity,
         }
-    }
-
-    /// Captures a frame directly from a free-list allocator's hole map.
-    #[must_use]
-    pub fn of_freelist(alloc: &FreeListAllocator, vtime: u64, buckets: usize) -> HeatFrame {
-        HeatFrame::capture(vtime, alloc.capacity(), alloc.holes(), buckets)
     }
 
     /// Fraction of capacity currently occupied.
@@ -226,7 +219,7 @@ impl HeatmapSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsa_freelist::Placement;
+    use dsa_freelist::{FreeListAllocator, Placement};
 
     #[test]
     fn empty_heap_is_fully_free() {
@@ -261,7 +254,7 @@ mod tests {
         alloc.alloc(1, 256).expect("fits");
         alloc.alloc(2, 256).expect("fits");
         alloc.free(1).expect("live");
-        let f = HeatFrame::of_freelist(&alloc, 7, 8);
+        let f = HeatFrame::capture(7, alloc.capacity(), alloc.holes(), 8);
         assert_eq!(f.capacity, 1024);
         assert_eq!(f.free_words, 768);
         assert_eq!(f.hole_count, 2);

@@ -169,16 +169,6 @@ impl TelemetryProbe {
     pub fn fetch_latency(&self) -> Histogram {
         self.fetch_ns.snapshot()
     }
-
-    /// Folds another telemetry sink's distributions into this one
-    /// (exact bucket-wise merge). Counters are *not* merged — they
-    /// reconcile through [`CountingProbe`] sums instead.
-    pub fn merge_distributions(&self, other: &TelemetryProbe) {
-        self.alloc_words.merge(&other.alloc_words);
-        self.search_len.merge(&other.search_len);
-        self.inter_fault.merge(&other.inter_fault);
-        self.fetch_ns.merge(&other.fetch_ns);
-    }
 }
 
 impl Default for TelemetryProbe {

@@ -136,16 +136,6 @@ impl Rng64 {
         (-u.ln() * mean).max(1.0)
     }
 
-    /// Geometric number of trials until first success (>= 1) with
-    /// success probability `p` in `(0, 1]`.
-    pub fn geometric(&mut self, p: f64) -> u64 {
-        if p >= 1.0 {
-            return 1;
-        }
-        let u = 1.0 - self.f64(); // in (0, 1]
-        (u.ln() / (1.0 - p).ln()).ceil().max(1.0) as u64
-    }
-
     /// Zipf-distributed rank in `[0, n)` with exponent `theta` (> 0).
     ///
     /// Inverse CDF by bisection over the continuous approximation
@@ -177,12 +167,6 @@ impl Rng64 {
     pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         assert!(!xs.is_empty(), "pick from empty slice");
         &xs[self.below(xs.len() as u64) as usize]
-    }
-
-    /// Derives an independent generator (for splitting one seed into
-    /// several deterministic streams).
-    pub fn fork(&mut self) -> Rng64 {
-        Rng64::new(self.next_u64())
     }
 }
 
@@ -263,17 +247,6 @@ mod tests {
         let total: f64 = (0..n).map(|_| r.exponential(mean)).sum();
         let got = total / n as f64;
         assert!((got - mean).abs() < mean * 0.05, "mean {got}");
-    }
-
-    #[test]
-    fn geometric_mean() {
-        let mut r = Rng64::new(6);
-        let p = 0.25;
-        let n = 50_000;
-        let total: u64 = (0..n).map(|_| r.geometric(p)).sum();
-        let got = total as f64 / n as f64;
-        assert!((got - 4.0).abs() < 0.2, "mean {got}");
-        assert_eq!(r.geometric(1.0), 1);
     }
 
     #[test]
@@ -360,14 +333,6 @@ mod tests {
         let mut sorted = xs.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn fork_produces_independent_streams() {
-        let mut r = Rng64::new(9);
-        let mut f1 = r.fork();
-        let mut f2 = r.fork();
-        assert_ne!(f1.next_u64(), f2.next_u64());
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //! file (`./target/debug/<bin> --jobs 1 <extra args from GAUNTLET> >
 //! tests/golden/<bin>.txt`) and commit it so the diff is reviewable.
 //!
+//! A second test holds the list complete: every binary under
+//! `crates/bench/src/bin/` is in `GAUNTLET` or in `UNPINNED` with its
+//! reason, so a new one cannot arrive unpinned quietly.
+//!
 //! The binaries live in `dsa-bench`, a different package; `common`
 //! builds them on first use and fails loudly (not skips) if that fails.
 
@@ -50,6 +54,14 @@ const GAUNTLET: [(&str, &[&str]); 20] = [
     ("exp_17_drum_queueing", &[]),
     ("exp_19_overload", &[]),
     ("exp_22_tenant_sweep", &["--tenants", "1000"]),
+];
+
+/// The experiment binaries the gauntlet leaves out, each with its
+/// reason. Pinning one takes splitting its stdout first.
+const UNPINNED: [(&str, &str); 3] = [
+    ("exp_18_concurrency", "wall-clock Mops/s columns on stdout"),
+    ("exp_20_trace_scale", "the host's peak-RSS line on stdout"),
+    ("exp_21_global_alloc", "wall-clock ns/op columns on stdout"),
 ];
 
 fn run(bin: &str, jobs: &str, extra: &[&str]) -> String {
@@ -106,5 +118,35 @@ fn golden_outputs_match_at_every_jobs_width() {
              leaked scheduling into the output; {}",
             first_diff(&par, &seq)
         );
+    }
+}
+
+/// A binary added under `crates/bench/src/bin/` is pinned here or
+/// named in `UNPINNED` with its reason — never neither, never both.
+#[test]
+fn every_experiment_binary_is_pinned_or_says_why() {
+    let bin_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("crates/bench/src/bin");
+    let mut stems: Vec<String> = std::fs::read_dir(&bin_dir)
+        .unwrap_or_else(|e| panic!("listing {}: {e}", bin_dir.display()))
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
+        .map(|path| {
+            let stem = path.file_stem().expect("a .rs file has a stem");
+            stem.to_str().expect("UTF-8 file name").to_owned()
+        })
+        .collect();
+    stems.sort();
+    let mut accounted: Vec<&str> = GAUNTLET
+        .iter()
+        .map(|&(bin, _)| bin)
+        .chain(UNPINNED.iter().map(|&(bin, _)| bin))
+        .collect();
+    accounted.sort_unstable();
+    assert_eq!(
+        stems, accounted,
+        "crates/bench/src/bin/*.rs (left) must be exactly GAUNTLET plus UNPINNED (right)"
+    );
+    for (bin, why) in UNPINNED {
+        assert!(!why.is_empty(), "{bin} is unpinned without a reason");
     }
 }

@@ -1,7 +1,7 @@
 //! The address-ordered free list and its placement strategies.
 
 use std::collections::hash_map::Entry;
-use std::collections::BTreeSet;
+use std::ops::Range;
 
 use dsa_core::error::AllocError;
 use dsa_core::ids::{IdMap, PhysAddr, Words};
@@ -128,18 +128,13 @@ pub struct FreeListAllocator {
     /// Free holes in address order: the one hole list every policy
     /// searches, coalesces into and charges its modeled probes from.
     holes: HoleTable,
-    /// Free holes indexed by `(size, start address)`, best-fit only. A
-    /// mirror of `holes` that lets it *choose* a hole in O(log n) host
-    /// time; the modeled linear-scan search length the paper's
-    /// bookkeeping argument is about is still charged to `stats.probes`
-    /// (see `choose_hole`). The other policies must not pay for an
-    /// index they never read.
-    by_size: BTreeSet<(Words, u64)>,
     /// Opt-in exact-size quick lists (deferred coalescing): `None`
     /// unless [`FreeListAllocator::enable_quick_lists`] was called.
     quick: Option<QuickLists>,
     /// Live allocations, one book for both ways of naming a block.
     allocated: IdMap<u64, Live>,
+    /// Blocks the last compaction pass ranked (see [`Live::rank`]).
+    ranked: u32,
     /// Roving pointer for next-fit.
     rover: u64,
     stats: FreeListStats,
@@ -172,6 +167,9 @@ struct HoleTable {
 /// A free hole: `(start address, size)`.
 type Hole = (u64, Words);
 
+/// Where a hole sits in the [`HoleTable`]: `(block, index)`.
+type At = (usize, usize);
+
 /// One live block in the book, filed under its name.
 #[derive(Clone, Copy, Debug)]
 struct Live {
@@ -180,7 +178,15 @@ struct Live {
     /// Named from its address rather than by the caller's id: the door
     /// it came in by, and the only one it leaves by.
     by_address: bool,
+    /// Position in address order among the blocks the last compaction
+    /// pass walked, or [`UNRANKED`] if placed since. Blocks move only
+    /// in that pass, so ranked blocks stay in rank order until the
+    /// next one however many of them are freed in between.
+    rank: u32,
 }
+
+/// [`Live::rank`] of a block placed since the last compaction pass.
+const UNRANKED: u32 = u32::MAX;
 
 /// Target block size for [`HoleTable`]; blocks split at twice this.
 const RANK_BLOCK: usize = 128;
@@ -260,19 +266,49 @@ impl HoleTable {
         self.maxes.iter().copied().max().unwrap_or(0)
     }
 
-    /// The lowest-addressed hole of at least `size` words and its rank
-    /// (holes starting at or below it), skipping the blocks whose
-    /// largest hole is too small.
-    fn first_fit(&self, size: Words) -> Option<(Hole, u64)> {
+    /// The lowest-addressed hole of at least `size` words, skipping the
+    /// blocks whose largest hole is too small, and what the
+    /// address-ordered scan is charged: every hole up to and including
+    /// the chosen one, or the whole list on failure.
+    fn first_fit(&self, size: Words) -> (Option<At>, u64) {
         let mut before = 0;
-        for (b, &max) in self.blocks.iter().zip(&self.maxes) {
+        for (i, (b, &max)) in self.blocks.iter().zip(&self.maxes).enumerate() {
             if max >= size {
-                let j = b.iter().position(|h| h.1 >= size)?;
-                return Some((b[j], (before + j + 1) as u64));
+                let Some(j) = b.iter().position(|h| h.1 >= size) else {
+                    break;
+                };
+                return (Some((i, j)), (before + j + 1) as u64);
             }
             before += b.len();
         }
-        None
+        (None, self.len as u64)
+    }
+
+    /// The smallest hole of at least `size` words, lowest address among
+    /// equals — the hole the address-ordered scan with the classic
+    /// exact-fit early exit chooses — and that scan's charge: up to the
+    /// chosen hole when the exit fires there, the whole list otherwise.
+    fn best_fit(&self, size: Words) -> (Option<At>, u64) {
+        let (mut best, mut at, mut before) = (Words::MAX, None, 0);
+        for (i, (b, &max)) in self.blocks.iter().zip(&self.maxes).enumerate() {
+            if max >= size {
+                // A short hole's slack wraps above every adequate
+                // one's: one compare, no branch on adequacy.
+                let (mut slack, mut j) = (best, 0);
+                for (k, h) in b.iter().enumerate() {
+                    let s = h.1.wrapping_sub(size);
+                    (slack, j) = if s < slack { (s, k) } else { (slack, j) };
+                }
+                if slack < best {
+                    (best, at) = (slack, Some((i, j)));
+                    if slack == 0 {
+                        return (at, (before + j + 1) as u64);
+                    }
+                }
+            }
+            before += b.len();
+        }
+        (at, self.len as u64)
     }
 
     /// Adds the hole `[addr, addr + size)`, merged with a predecessor
@@ -311,39 +347,79 @@ impl HoleTable {
         (pred, succ)
     }
 
-    /// How many holes start at or below `addr` — the rank of the hole
-    /// the scan stopped at, counting the holes scanned past plus
-    /// itself.
-    fn rank_le(&self, addr: u64) -> u64 {
-        let (i, j) = self.seek(addr);
-        let Some(b) = self.blocks.get(i) else {
-            return 0;
-        };
-        let before: usize = self.blocks[..i].iter().map(Vec::len).sum();
-        (before + j + usize::from(b.get(j).is_some_and(|h| h.0 == addr))) as u64
-    }
-
     /// All holes in ascending address order.
     fn iter(&self) -> impl DoubleEndedIterator<Item = Hole> + '_ {
         self.blocks.iter().flatten().copied()
     }
 
+    /// The holes of block `i` at indices `js`, each with its position.
+    fn span(&self, i: usize, js: Range<usize>) -> impl DoubleEndedIterator<Item = (At, Hole)> + '_ {
+        let holes = self.blocks.get(i).map_or(&[][..], |b| &b[js.clone()]);
+        js.zip(holes).map(move |(j, &hole)| ((i, j), hole))
+    }
+
+    /// The holes of blocks `is`, in that order, each with its position.
+    fn spans(
+        &self,
+        is: impl DoubleEndedIterator<Item = usize> + 'static,
+    ) -> impl DoubleEndedIterator<Item = (At, Hole)> + '_ {
+        is.flat_map(move |i| self.span(i, 0..self.blocks[i].len()))
+    }
+
     /// All holes, starting from the first at or after `addr` and
     /// wrapping round to the ones below it — the roving scan.
-    fn iter_from(&self, addr: u64) -> impl Iterator<Item = Hole> + '_ {
+    fn iter_from(&self, addr: u64) -> impl Iterator<Item = (At, Hole)> + '_ {
         let (i, j) = self.seek(addr);
-        let (below, above) = self
-            .blocks
-            .get(i)
-            .map_or((&[][..], &[][..]), |b| b.split_at(j));
-        let later = self.blocks.get(i + 1..).unwrap_or_default();
-        let earlier = &self.blocks[..i];
-        above
-            .iter()
-            .chain(later.iter().flatten())
-            .chain(earlier.iter().flatten())
-            .chain(below)
-            .copied()
+        let end = self.blocks.get(i).map_or(0, Vec::len);
+        self.span(i, j..end)
+            .chain(self.spans((i + 1..self.blocks.len()).chain(0..i)))
+            .chain(self.span(i, 0..j))
+    }
+
+    /// Chooses a hole per `policy`, charging `stats` the *modeled*
+    /// cost — the address-ordered scan's, whatever the host skipped.
+    /// Returns its position, the hole and place-at-high-end.
+    fn choose(
+        &self,
+        policy: Placement,
+        rover: u64,
+        stats: &mut FreeListStats,
+        size: Words,
+    ) -> Option<(At, Hole, bool)> {
+        let ((at, probes), place_high) = match policy {
+            Placement::FirstFit => (self.first_fit(size), false),
+            Placement::BestFit => (self.best_fit(size), false),
+            // The largest hole, lowest address among equals — the hole
+            // the full scan's first-strict-maximum rule chooses — is
+            // the first fit for its own size. The scan has no early
+            // exit, so the modeled cost is always the whole list.
+            Placement::WorstFit => {
+                let (at, _) = self.first_fit(self.largest().max(size));
+                ((at, self.len as u64), false)
+            }
+            Placement::NextFit => (Self::scan(self.iter_from(rover), size), false),
+            Placement::TwoEnds { threshold } => {
+                let all = self.spans(0..self.blocks.len());
+                if size < threshold {
+                    (Self::scan(all, size), false)
+                } else {
+                    (Self::scan(all.rev(), size), true)
+                }
+            }
+        };
+        stats.probes += probes;
+        at.map(|(i, j)| ((i, j), self.blocks[i][j], place_high))
+    }
+
+    /// The linear scan itself: walks `holes` to the first that fits,
+    /// charged one probe per hole examined.
+    fn scan(mut holes: impl Iterator<Item = (At, Hole)>, size: Words) -> (Option<At>, u64) {
+        let mut probes = 0;
+        let found = holes.find(|&(_, hole)| {
+            probes += 1;
+            hole.1 >= size
+        });
+        (found.map(|(at, _)| at), probes)
     }
 }
 
@@ -385,37 +461,14 @@ impl FreeListAllocator {
             capacity,
             policy,
             holes: HoleTable::default(),
-            by_size: BTreeSet::new(),
             quick: None,
             allocated: IdMap::default(),
+            ranked: 0,
             rover: 0,
             stats: FreeListStats::default(),
         };
         a.holes.insert((0, 0), (0, capacity));
-        a.index_insert(0, capacity);
         a
-    }
-
-    /// Whether the policy keeps the `by_size` index.
-    fn indexes_sizes(&self) -> bool {
-        self.policy == Placement::BestFit
-    }
-
-    /// Records a hole in the size index, for the policies that keep
-    /// one. The hole table itself is the callers' business, so the
-    /// split and coalesce paths can overwrite an entry in place.
-    fn index_insert(&mut self, addr: u64, size: Words) {
-        if self.indexes_sizes() {
-            self.by_size.insert((size, addr));
-        }
-    }
-
-    /// Drops a hole from the size index; see
-    /// [`FreeListAllocator::index_insert`].
-    fn index_remove(&mut self, addr: u64, size: Words) {
-        if self.indexes_sizes() {
-            self.by_size.remove(&(size, addr));
-        }
     }
 
     /// Total capacity in words.
@@ -580,9 +633,14 @@ impl FreeListAllocator {
         if size == 0 {
             return Err(AllocError::ZeroSize);
         }
-        if id.is_some_and(|id| self.allocated.contains_key(&id)) {
-            return Err(AllocError::AlreadyAllocated);
-        }
+        // A caller's id is looked up once: refused here if live, before
+        // any probe is charged, and filed through the same slot below.
+        // The search runs on the other fields while the slot is held.
+        let slot = match id.map(|id| self.allocated.entry(id)) {
+            Some(Entry::Occupied(_)) => return Err(AllocError::AlreadyAllocated),
+            Some(Entry::Vacant(slot)) => Some(slot),
+            None => None,
+        };
         let before = self.stats.probes;
         // Quick-fit fast path: an exact-size parked block satisfies the
         // request in O(1), no search, no split. Charges zero modeled
@@ -594,49 +652,54 @@ impl FreeListAllocator {
         });
         let mut hole = None;
         if parked.is_none() {
-            hole = self.choose_hole(size);
-            if hole.is_none() && self.quick_parked_words() > 0 {
-                // Before declaring exhaustion, return every parked block
-                // to the coalescing hole list and search once more:
-                // deferred coalescing must not manufacture failures.
-                self.flush_quick_lists();
-                hole = self.choose_hole(size);
+            hole = self
+                .holes
+                .choose(self.policy, self.rover, &mut self.stats, size);
+            // Before declaring exhaustion, return every parked block
+            // to the coalescing hole list and search once more:
+            // deferred coalescing must not manufacture failures.
+            if hole.is_none() && Self::flush(&mut self.quick, &mut self.holes, &mut self.stats) {
+                hole = self
+                    .holes
+                    .choose(self.policy, self.rover, &mut self.stats, size);
             }
         }
         // Two-ends large requests take the top of the hole, everything
         // else the bottom.
         let addr = match (parked, hole) {
             (Some(addr), _) => addr,
-            (None, Some((hole_addr, hole_size, true))) => hole_addr + hole_size - size,
-            (None, Some((hole_addr, _, false))) => hole_addr,
+            (None, Some((_, (hole_addr, hole_size), true))) => hole_addr + hole_size - size,
+            (None, Some((_, (hole_addr, _), false))) => hole_addr,
             (None, None) => {
                 self.stats.failures += 1;
                 return Err(AllocError::OutOfStorage {
                     requested: size,
-                    largest_free: self.largest_free(),
+                    largest_free: self.holes.largest(),
                 });
             }
         };
         // The book first: a name found live here (an id's was refused
         // above) ends the request with the free store unedited.
-        let name = id.unwrap_or_else(|| name_of(PhysAddr(addr)));
-        match self.allocated.entry(name) {
-            Entry::Occupied(_) => return Err(AllocError::AlreadyAllocated),
-            Entry::Vacant(slot) => slot.insert(Live {
-                addr,
-                size,
-                by_address: id.is_none(),
-            }),
+        let block = Live {
+            addr,
+            size,
+            by_address: id.is_none(),
+            rank: UNRANKED,
         };
-        if let Some((hole_addr, hole_size, place_high)) = hole {
-            self.index_remove(hole_addr, hole_size);
-            let at = self.holes.seek(hole_addr);
+        match slot {
+            Some(slot) => slot.insert(block),
+            None => match self.allocated.entry(name_of(PhysAddr(addr))) {
+                Entry::Occupied(_) => return Err(AllocError::AlreadyAllocated),
+                Entry::Vacant(slot) => slot.insert(block),
+            },
+        };
+        if let Some((at, (hole_addr, hole_size), place_high)) = hole {
             // Either way the remainder lies within the old hole's
-            // extent: same rank, one entry overwritten.
+            // extent: same rank, one entry overwritten where the search
+            // stopped.
             if hole_size > size {
                 let rest = if place_high { hole_addr } else { addr + size };
                 self.holes.set(at, (rest, hole_size - size));
-                self.index_insert(rest, hole_size - size);
             } else {
                 self.holes.remove(at);
             }
@@ -719,97 +782,16 @@ impl FreeListAllocator {
                 q.lists[size as usize].push(addr);
                 q.words += size;
             }
-            _ => self.insert_free(addr, size),
+            _ => Self::insert_free(&mut self.holes, &mut self.stats, addr, size),
         }
         probe.emit(EventKind::Free { words: size }, at);
         Ok(())
     }
 
     /// Inserts a free hole, merging with adjacent holes.
-    fn insert_free(&mut self, addr: u64, size: Words) {
-        let (pred, succ) = self.holes.coalesce(addr, size);
-        let mut merged = (addr, size);
-        for (haddr, hsize) in pred.into_iter().chain(succ) {
-            self.index_remove(haddr, hsize);
-            merged = (merged.0.min(haddr), merged.1 + hsize);
-            self.stats.coalesces += 1;
-        }
-        self.index_insert(merged.0, merged.1);
-    }
-
-    /// Chooses a hole per the placement policy. Returns
-    /// `(hole address, hole size, place-at-high-end)`.
-    fn choose_hole(&mut self, size: Words) -> Option<(u64, Words, bool)> {
-        match self.policy {
-            Placement::FirstFit => {
-                // The lowest-addressed adequate hole, found by skipping
-                // every block whose largest hole is too small. The
-                // *modeled* cost stays the address-ordered scan's:
-                // every hole up to and including the chosen one, or the
-                // whole list on failure.
-                let found = self.holes.first_fit(size);
-                self.stats.probes += found.map_or(self.holes.len as u64, |(_, rank)| rank);
-                found.map(|((addr, hsize), _)| (addr, hsize, false))
-            }
-            Placement::NextFit => Self::scan(
-                &mut self.stats,
-                self.holes.iter_from(self.rover),
-                size,
-                false,
-            ),
-            Placement::BestFit => {
-                // Index lookup: the smallest adequate size class, lowest
-                // address within it — exactly the hole the address-order
-                // scan with the classic exact-fit early exit chooses.
-                let chosen = self
-                    .by_size
-                    .range((size, 0)..)
-                    .next()
-                    .map(|&(hsize, addr)| (addr, hsize));
-                // The *modeled* cost stays the scan's: up to the chosen
-                // hole when the exact-fit exit would have fired there,
-                // the whole list otherwise (including on failure).
-                self.stats.probes += match chosen {
-                    Some((addr, hsize)) if hsize == size => self.holes.rank_le(addr),
-                    _ => self.holes.len as u64,
-                };
-                chosen.map(|(a, s)| (a, s, false))
-            }
-            Placement::WorstFit => {
-                // The largest hole, lowest address among equals — the
-                // hole the full scan's first-strict-maximum rule
-                // chooses — is the first fit for its own size. The scan
-                // has no early exit, so the modeled cost is always the
-                // whole list.
-                self.stats.probes += self.holes.len as u64;
-                let largest = self.largest_free();
-                let found = self.holes.first_fit(largest.max(size));
-                found.map(|((addr, hsize), _)| (addr, hsize, false))
-            }
-            Placement::TwoEnds { threshold } => {
-                if size < threshold {
-                    Self::scan(&mut self.stats, self.holes.iter(), size, false)
-                } else {
-                    Self::scan(&mut self.stats, self.holes.iter().rev(), size, true)
-                }
-            }
-        }
-    }
-
-    /// The linear scan itself: walks `holes` to the first that fits,
-    /// charging one probe per hole examined.
-    fn scan(
-        stats: &mut FreeListStats,
-        mut holes: impl Iterator<Item = Hole>,
-        size: Words,
-        place_high: bool,
-    ) -> Option<(u64, Words, bool)> {
-        holes
-            .find(|&(_, hsize)| {
-                stats.probes += 1;
-                hsize >= size
-            })
-            .map(|(addr, hsize)| (addr, hsize, place_high))
+    fn insert_free(holes: &mut HoleTable, stats: &mut FreeListStats, addr: u64, size: Words) {
+        let (pred, succ) = holes.coalesce(addr, size);
+        stats.coalesces += u64::from(pred.is_some()) + u64::from(succ.is_some());
     }
 
     /// Enables exact-size quick lists (deferred coalescing) for sizes
@@ -848,41 +830,38 @@ impl FreeListAllocator {
     /// compaction, and on heal; callable directly to restore the
     /// maximally-coalesced invariant at a quiescent point.
     pub fn flush_quick_lists(&mut self) {
-        let Some(q) = self.quick.as_mut() else { return };
-        if q.words == 0 {
-            return;
-        }
-        let mut parked: Vec<(u64, Words)> = Vec::new();
+        Self::flush(&mut self.quick, &mut self.holes, &mut self.stats);
+    }
+
+    /// [`FreeListAllocator::flush_quick_lists`] on the fields it edits;
+    /// whether any block was parked.
+    fn flush(
+        quick: &mut Option<QuickLists>,
+        holes: &mut HoleTable,
+        stats: &mut FreeListStats,
+    ) -> bool {
+        let Some(q) = quick.as_mut().filter(|q| q.words > 0) else {
+            return false;
+        };
+        q.words = 0;
         for (size, list) in q.lists.iter_mut().enumerate() {
             for addr in list.drain(..) {
-                parked.push((addr, size as Words));
+                Self::insert_free(holes, stats, addr, size as Words);
             }
         }
-        q.words = 0;
-        for (addr, size) in parked {
-            self.insert_free(addr, size);
-        }
+        true
     }
 
-    /// Empties the quick lists *without* re-inserting blocks — for the
-    /// paths that rebuild the hole list wholesale from the live book
-    /// (compaction, heal), where parked storage is re-covered by the
-    /// reconstructed holes.
-    fn clear_quick_lists(&mut self) {
-        if let Some(q) = self.quick.as_mut() {
-            for list in &mut q.lists {
-                list.clear();
-            }
-            q.words = 0;
-        }
-    }
-
-    /// Empties the hole table and everything derived from it — the
-    /// first step of rebuilding the free store from the live book.
+    /// Empties the hole table and, *without* re-inserting their blocks,
+    /// the quick lists — the first step of rebuilding the free store
+    /// wholesale from the live book (compaction, heal), whose
+    /// reconstructed holes re-cover the parked storage.
     fn clear_holes(&mut self) {
         self.holes = HoleTable::default();
-        self.by_size.clear();
-        self.clear_quick_lists();
+        if let Some(q) = self.quick.as_mut() {
+            q.lists.iter_mut().for_each(Vec::clear);
+            q.words = 0;
+        }
     }
 
     /// Slides every allocation toward address zero, preserving address
@@ -895,17 +874,32 @@ impl FreeListAllocator {
         &mut self,
         mut on_move: impl FnMut(u64, PhysAddr, PhysAddr, Words),
     ) -> (u64, Words) {
-        // One sort over the book's own slots: the new addresses are
-        // written through them, nothing is cloned or re-inserted.
-        let mut slots: Vec<(u64, u64, &mut Live)> = self
-            .allocated
-            .iter_mut()
-            .map(|(&id, block)| (block.addr, id, block))
-            .collect();
-        slots.sort_unstable_by_key(|slot| slot.0);
+        // Survivors of the last pass are still in its rank order —
+        // nothing else moves a block — so they scatter into place by
+        // rank, freed ranks left empty. Only the newcomers are sorted;
+        // the walk merges the two ascending runs, re-ranking as it
+        // goes and writing new addresses through the book's own slots.
+        let mut survivors: Vec<Option<(u64, &mut Live)>> = (0..self.ranked).map(|_| None).collect();
+        let mut newcomers: Vec<(u64, &mut Live)> = Vec::new();
+        for (&id, block) in &mut self.allocated {
+            match block.rank {
+                UNRANKED => newcomers.push((id, block)),
+                rank => survivors[rank as usize] = Some((id, block)),
+            }
+        }
+        newcomers.sort_unstable_by_key(|(_, block)| block.addr);
+        let mut survivors = survivors.into_iter().flatten().peekable();
+        let mut newcomers = newcomers.into_iter().peekable();
         let (mut cursor, mut blocks_moved, mut words_moved) = (0u64, 0u64, 0);
-        for (addr, id, block) in slots {
-            let size = block.size;
+        self.ranked = 0;
+        loop {
+            let next = match (survivors.peek(), newcomers.peek()) {
+                (Some(old), Some(new)) if new.1.addr < old.1.addr => newcomers.next(),
+                (None, _) => newcomers.next(),
+                (Some(_), _) => survivors.next(),
+            };
+            let Some((id, block)) = next else { break };
+            let Live { addr, size, .. } = *block;
             if addr != cursor {
                 debug_assert!(cursor < addr, "pack_down must slide downwards");
                 block.addr = cursor;
@@ -913,11 +907,13 @@ impl FreeListAllocator {
                 blocks_moved += 1;
                 words_moved += size;
             }
+            block.rank = self.ranked;
+            self.ranked += 1;
             cursor += size;
         }
         self.clear_holes();
         if cursor < self.capacity {
-            self.insert_free(cursor, self.capacity - cursor);
+            self.holes.insert((0, 0), (cursor, self.capacity - cursor));
         }
         self.rover = cursor;
         (blocks_moved, words_moved)
@@ -1035,16 +1031,14 @@ impl FreeListAllocator {
         if !maxes.eq(self.holes.maxes.iter().copied()) {
             return Err("stale per-block largest-hole summary".to_string());
         }
-        // The size index mirrors the hole list exactly.
-        if self.indexes_sizes() {
-            if self.by_size.len() != hole_count {
-                return Err("size index out of step".to_string());
-            }
-            for (addr, size) in self.holes.iter() {
-                if !self.by_size.contains(&(size, addr)) {
-                    return Err(format!("hole at {addr} missing from size index"));
-                }
-            }
+        // Ranked blocks: in rank order by address and below the last
+        // pass's count — what `pack_down` scatters and merges by.
+        let ranked = self.allocated.values().filter(|b| b.rank != UNRANKED);
+        let mut ranked: Vec<(u64, u32)> = ranked.map(|b| (b.addr, b.rank)).collect();
+        ranked.sort_unstable();
+        let ordered = ranked.windows(2).all(|w| w[0].1 < w[1].1);
+        if !ordered || ranked.last().is_some_and(|top| top.1 >= self.ranked) {
+            return Err("compaction ranks out of address order or beyond the count".to_string());
         }
         Ok(())
     }
@@ -1068,13 +1062,14 @@ impl FreeListAllocator {
         self.clear_holes();
         let mut cursor = 0u64;
         for &(addr, size) in &blocks {
+            // A live block lies between any two of these: none merge.
             if addr > cursor {
-                self.insert_free(cursor, addr - cursor);
+                self.holes.coalesce(cursor, addr - cursor);
             }
             cursor = addr + size;
         }
         if cursor < self.capacity {
-            self.insert_free(cursor, self.capacity - cursor);
+            self.holes.coalesce(cursor, self.capacity - cursor);
         }
         self.rover = 0;
         self.free_words()
@@ -1090,11 +1085,9 @@ impl FreeListAllocator {
     pub fn corrupt_free_list_for_chaos(&mut self) {
         let first = self.holes.iter().next();
         if let Some((addr, size)) = first {
-            self.index_remove(addr, size);
             if size > 1 {
                 // Shrink the hole by one word: conservation now fails.
                 self.holes.set((0, 0), (addr, size - 1));
-                self.index_insert(addr, size - 1);
             } else {
                 // The hole vanishes entirely — also a leak.
                 self.holes.remove((0, 0));
@@ -1103,7 +1096,6 @@ impl FreeListAllocator {
             // Saturated shard: fabricate a hole overlapping an
             // allocation.
             self.holes.insert((0, 0), (0, 1));
-            self.index_insert(0, 1);
         }
     }
 }
@@ -1177,6 +1169,41 @@ mod tests {
             assert!(err.contains(why), "{err}");
             assert_eq!(a.rebuild_from_live(), 400 - 50 - 70);
             a.check_invariants();
+        }
+    }
+
+    /// Seeded mutants of the compaction ranks: a newcomer stamped with
+    /// a rank a survivor holds, survivors left with the ranks they had
+    /// before the merge, a rank past the recorded count. `pack_down`
+    /// scatters by rank unchecked, so `audit` is what stands between
+    /// each of these and a block left out of the next pass.
+    #[test]
+    fn audit_rejects_stale_compaction_ranks() {
+        type Mutant = fn(&mut FreeListAllocator);
+        let mutants: [Mutant; 3] = [
+            |a| a.allocated.get_mut(&5).unwrap().rank = 2,
+            |a| {
+                let low = a.allocated[&1].rank;
+                a.allocated.get_mut(&1).unwrap().rank = a.allocated[&4].rank;
+                a.allocated.get_mut(&4).unwrap().rank = low;
+            },
+            |a| a.ranked -= 1,
+        ];
+        for mutate in mutants {
+            let mut a = FreeListAllocator::new(400, Placement::FirstFit);
+            for id in 1..=4 {
+                a.alloc(id, 50).unwrap();
+            }
+            a.free(2).unwrap();
+            assert_eq!(a.pack_down(|_, _, _, _| {}), (2, 100));
+            a.free(3).unwrap();
+            a.alloc(5, 30).unwrap();
+            let ranks = |a: &FreeListAllocator| [1, 4, 5].map(|id| a.allocated[&id].rank);
+            assert_eq!((ranks(&a), a.ranked), ([0, 2, UNRANKED], 3));
+            a.check_invariants();
+            mutate(&mut a);
+            let err = a.audit().unwrap_err();
+            assert!(err.contains("compaction ranks"), "{err}");
         }
     }
 
@@ -1632,25 +1659,35 @@ mod hole_table_tests {
             .all(|b| !b.is_empty() && b.len() <= 2 * RANK_BLOCK));
         let maxes: Vec<Words> = table.blocks.iter().map(|b| HoleTable::max_of(b)).collect();
         prop_assert_eq!(&table.maxes, &maxes);
-        prop_assert_eq!(table.rank_le(q), model.range(..=q).count() as u64);
         let wrapped: Vec<Hole> = model
             .range(q..)
             .chain(model.range(..q))
             .map(|(&a, &s)| (a, s))
             .collect();
-        prop_assert_eq!(table.iter_from(q).collect::<Vec<_>>(), wrapped);
+        let from_q: Vec<(At, Hole)> = table.iter_from(q).collect();
+        prop_assert_eq!(from_q.iter().map(|&(_, h)| h).collect::<Vec<_>>(), wrapped);
+        prop_assert!(from_q.iter().all(|&((i, j), h)| table.blocks[i][j] == h));
+        // Each search against the scan of the flat list it stands for:
+        // the hole it stops at, by position, and the holes examined.
         let size = q % 32 + 1;
+        let hole_at = |at: Option<At>| at.map(|(i, j)| table.blocks[i][j]);
         let first = holes.iter().position(|h| h.1 >= size);
-        prop_assert_eq!(
-            table.first_fit(size),
-            first.map(|j| (holes[j], j as u64 + 1))
-        );
+        let (at, probes) = table.first_fit(size);
+        prop_assert_eq!(hole_at(at), first.map(|j| holes[j]));
+        prop_assert_eq!(probes, first.map_or(holes.len(), |j| j + 1) as u64);
+        let best = (holes.iter().enumerate())
+            .filter(|(_, h)| h.1 >= size)
+            .min_by_key(|&(j, h)| (h.1, j));
+        let (at, probes) = table.best_fit(size);
+        prop_assert_eq!(hole_at(at), best.map(|(_, &h)| h));
+        let exact = best.filter(|(_, h)| h.1 == size);
+        prop_assert_eq!(probes, exact.map_or(holes.len(), |(j, _)| j + 1) as u64);
         Ok(())
     }
 
     proptest! {
         /// Insert, coalescing with the predecessor and
-        /// successor, in-place slide, remove, `rank_le`, `first_fit`,
+        /// successor, in-place slide, remove, `first_fit`, `best_fit`,
         /// wrap-around iteration from a rover and the running totals
         /// all agree with a `BTreeMap`, on a table that grows past two
         /// full blocks, is churned, and is then drained from one end

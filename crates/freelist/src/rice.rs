@@ -21,6 +21,8 @@
 //!   until a block of sufficient size is released" — eviction is the
 //!   caller's job (see `dsa-seg`); the allocator reports failure.
 
+use std::cmp::Reverse;
+
 use dsa_core::error::AllocError;
 use dsa_core::ids::{IdMap, PhysAddr, Words};
 use dsa_probe::{EventKind, Probe, Stamp};
@@ -55,7 +57,9 @@ pub struct RiceAllocator {
     capacity: Words,
     /// Next never-used address (sequential initial placement).
     frontier: u64,
-    /// The chain of inactive blocks, in chain order (newest first).
+    /// The chain of inactive blocks, stored newest *last*: the chain's
+    /// head is the vector's end, so a free is a push and a search runs
+    /// from the back.
     chain: Vec<(u64, Words)>,
     /// Live blocks: id -> (addr, gross size incl. back-ref, owner).
     active: IdMap<u64, (u64, Words, u64)>,
@@ -151,7 +155,8 @@ impl RiceAllocator {
     /// # Errors
     ///
     /// * [`AllocError::ZeroSize`] / [`AllocError::AlreadyAllocated`] on
-    ///   bad requests;
+    ///   bad requests, [`AllocError::RequestTooLarge`] for a payload
+    ///   the back-reference word cannot be added to;
     /// * [`AllocError::OutOfStorage`] when even combining cannot make a
     ///   large-enough block — the caller should release a segment (the
     ///   "replacement algorithm applied iteratively") and retry.
@@ -162,25 +167,30 @@ impl RiceAllocator {
         if self.active.contains_key(&id) {
             return Err(AllocError::AlreadyAllocated);
         }
-        let gross = size + BACK_REF_WORDS;
-        if let Some(addr) = self.try_place(gross) {
-            self.active.insert(id, (addr, gross, owner));
-            self.stats.allocs += 1;
-            return Ok(PhysAddr(addr + BACK_REF_WORDS));
-        }
+        // A payload the back reference cannot be added to is no size at
+        // all; one it can, however large, is searched for and not found.
+        let max = Words::MAX - BACK_REF_WORDS;
+        let too_large = AllocError::RequestTooLarge {
+            requested: size,
+            max,
+        };
+        let gross = size.checked_add(BACK_REF_WORDS).ok_or(too_large)?;
         // "An attempt is made to make one by finding groups of adjacent
         // inactive blocks which can be combined."
-        self.combine_adjacent();
-        if let Some(addr) = self.try_place(gross) {
-            self.active.insert(id, (addr, gross, owner));
-            self.stats.allocs += 1;
-            return Ok(PhysAddr(addr + BACK_REF_WORDS));
-        }
-        self.stats.failures += 1;
-        Err(AllocError::OutOfStorage {
-            requested: gross,
-            largest_free: self.largest_free(),
-        })
+        let placed = self.try_place(gross).or_else(|| {
+            self.combine_adjacent();
+            self.try_place(gross)
+        });
+        let Some(addr) = placed else {
+            self.stats.failures += 1;
+            return Err(AllocError::OutOfStorage {
+                requested: gross,
+                largest_free: self.largest_free(),
+            });
+        };
+        self.active.insert(id, (addr, gross, owner));
+        self.stats.allocs += 1;
+        Ok(PhysAddr(addr + BACK_REF_WORDS))
     }
 
     /// [`RiceAllocator::alloc`] with event emission: a successful
@@ -215,7 +225,7 @@ impl RiceAllocator {
 
     /// One placement attempt: chain first, then frontier.
     fn try_place(&mut self, gross: Words) -> Option<u64> {
-        for i in 0..self.chain.len() {
+        for i in (0..self.chain.len()).rev() {
             self.stats.probes += 1;
             let (addr, bsize) = self.chain[i];
             if bsize >= gross {
@@ -230,7 +240,7 @@ impl RiceAllocator {
                 return Some(addr);
             }
         }
-        if self.frontier + gross <= self.capacity {
+        if gross <= self.capacity - self.frontier {
             let addr = self.frontier;
             self.frontier += gross;
             return Some(addr);
@@ -245,7 +255,7 @@ impl RiceAllocator {
     /// Returns [`AllocError::UnknownUnit`] if `id` is not live.
     pub fn free(&mut self, id: u64) -> Result<(), AllocError> {
         let (addr, gross, _) = self.active.remove(&id).ok_or(AllocError::UnknownUnit)?;
-        self.chain.insert(0, (addr, gross));
+        self.chain.push((addr, gross));
         self.stats.frees += 1;
         Ok(())
     }
@@ -285,27 +295,24 @@ impl RiceAllocator {
     pub fn combine_adjacent(&mut self) -> usize {
         self.stats.combine_passes += 1;
         let before = self.chain.len();
-        let mut blocks = std::mem::take(&mut self.chain);
-        blocks.sort_unstable_by_key(|&(addr, _)| addr);
-        let mut merged: Vec<(u64, Words)> = Vec::with_capacity(blocks.len());
-        for (addr, size) in blocks {
-            match merged.last_mut() {
-                Some((maddr, msize)) if *maddr + *msize == addr => *msize += size,
-                _ => merged.push((addr, size)),
+        // Chain order after a pass is ascending address, so the vector
+        // is descending: the last pass's run, still in order, then the
+        // frees since — what a run-adaptive sort is quick on.
+        self.chain.sort_by_key(|&(addr, _)| Reverse(addr));
+        self.chain.dedup_by(|below, kept| {
+            let adjacent = below.0 + below.1 == kept.0;
+            if adjacent {
+                *kept = (below.0, below.1 + kept.1);
             }
+            adjacent
+        });
+        // Retract the frontier over an inactive block that reaches it:
+        // the highest, and once merged the only one that can.
+        if (self.chain.first()).is_some_and(|&(addr, size)| addr + size == self.frontier) {
+            self.frontier = self.chain.remove(0).0;
         }
-        // Retract the frontier over a trailing inactive block.
-        while let Some(&(addr, size)) = merged.last() {
-            if addr + size == self.frontier {
-                self.frontier = addr;
-                merged.pop();
-            } else {
-                break;
-            }
-        }
-        let removed = before - merged.len();
+        let removed = before - self.chain.len();
         self.stats.blocks_combined += removed as u64;
-        self.chain = merged;
         removed
     }
 
@@ -491,6 +498,34 @@ mod edge_tests {
     fn combine_on_empty_chain_is_harmless() {
         let mut a = RiceAllocator::new(16);
         assert_eq!(a.combine_adjacent(), 0);
+        a.check_invariants();
+    }
+
+    /// `frontier + gross` used to wrap for a request this large and move
+    /// the frontier backwards over a live block; one word larger and
+    /// `gross` itself wrapped to an empty block. Both are refused with
+    /// nothing edited, in release builds as in debug.
+    #[test]
+    fn requests_near_the_word_limit_are_refused_untouched() {
+        let mut a = RiceAllocator::new(1000);
+        a.alloc(1, 99, 0).unwrap();
+        assert!(matches!(
+            a.alloc(2, u64::MAX - 1, 0),
+            Err(AllocError::OutOfStorage {
+                requested: u64::MAX,
+                largest_free: 900
+            })
+        ));
+        assert!(matches!(
+            a.alloc(2, u64::MAX, 0),
+            Err(AllocError::RequestTooLarge {
+                requested: u64::MAX,
+                ..
+            })
+        ));
+        assert_eq!((a.frontier(), a.chain_len()), (100, 0));
+        assert_eq!(a.lookup(1), Some((PhysAddr(1), 99)));
+        assert_eq!(a.lookup(2), None);
         a.check_invariants();
     }
 

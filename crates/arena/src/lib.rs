@@ -24,20 +24,23 @@
 //!   [`ArenaError::Exhausted`] that reports every shard's honest
 //!   `largest_free`.
 //!
-//! [`ArenaService`] is the batching request port over either backend:
-//! `submit(&[Request]) -> Vec<Response>` from any number of threads,
-//! every operation counted in one atomic [`SharedProbe`] sink so the
-//! books balance exactly at any thread count.
+//! Those two are the cores. `dsa-alloc`'s `DsaHeap` is the
+//! `GlobalAlloc` front over both; [`ArenaService`] is tenancy over
+//! [`ShardedArena`] alone. Its door mirrors the arena's —
+//! `alloc_probed` / `free_probed` from any number of threads, every
+//! operation counted in one atomic [`SharedProbe`] sink so the books
+//! balance exactly at any thread count.
 //!
-//! The service is overload-hardened: requests allocate as [`Tenant`]s
-//! with word quotas metered exactly by the atomic [`TenantTable`]; an
-//! optional [`OverloadGuard`] refuses admission by priority past its
-//! occupancy watermarks and walks a degradation ladder (retry →
-//! coalesce → global compaction → shed lowest-priority tenants) before
-//! a typed error escapes; shards whose free lists are found corrupt are
-//! quarantined, rebuilt from the live-allocation book, audited, and
-//! readmitted — all under live traffic (`submit_chaos` injects exactly
-//! these failures deterministically).
+//! The service is overload-hardened: allocations are charged to tenant
+//! ids with priorities and word quotas metered exactly by the atomic
+//! [`TenantTable`]; an optional [`OverloadGuard`] refuses admission by
+//! priority past its occupancy watermarks and walks a degradation
+//! ladder (retry → coalesce → global compaction → shed lowest-priority
+//! tenants) before a typed error escapes; shards whose free lists are
+//! found corrupt are quarantined, rebuilt from the live-allocation
+//! book, audited, and readmitted — all under live traffic (a
+//! `WorkerInjector` passed to the door injects exactly these failures
+//! deterministically).
 //!
 //! [`FreeListAllocator`]: dsa_freelist::FreeListAllocator
 //! [`SharedProbe`]: dsa_probe::SharedProbe
@@ -50,8 +53,8 @@ pub mod telemetry;
 pub mod tenant;
 
 pub use overload::{OverloadConfig, OverloadGuard};
-pub use service::{ArenaService, Request, Response};
+pub use service::ArenaService;
 pub use slab::{FixedSlab, SlabStats, SlabUnit};
 pub use striped::{ArenaError, ArenaSnapshot, ShardFullness, ShardSnapshot, ShardedArena};
 pub use telemetry::ServiceTelemetry;
-pub use tenant::{Priority, Tenant, TenantOccupancy, TenantTable};
+pub use tenant::{Priority, TenantOccupancy, TenantTable};

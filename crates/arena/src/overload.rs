@@ -11,8 +11,8 @@
 //!
 //! The ladder the service walks on a failed placement, in order:
 //!
-//! 1. [`DegradationStep::RetryBackoff`] — re-drive the placement after
-//!    the [`RetryPolicy`]'s backoff (another worker may have freed);
+//! 1. [`DegradationStep::RetryBackoff`] — yield, then re-drive the
+//!    placement (another worker may have freed);
 //! 2. [`DegradationStep::Coalesce`] — compact the pressured home shard
 //!    so its free words become one placeable hole;
 //! 3. [`DegradationStep::StealGlobal`] — the full steal rotation (the
@@ -24,12 +24,15 @@
 //! Only then does the typed failure surface to the client.
 //!
 //! [`ARENA_LADDER`]: dsa_faults::ladder::ARENA_LADDER
+//! [`DegradationStep::RetryBackoff`]: dsa_faults::ladder::DegradationStep::RetryBackoff
+//! [`DegradationStep::Coalesce`]: dsa_faults::ladder::DegradationStep::Coalesce
+//! [`DegradationStep::StealGlobal`]: dsa_faults::ladder::DegradationStep::StealGlobal
+//! [`DegradationStep::ShedTenant`]: dsa_faults::ladder::DegradationStep::ShedTenant
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dsa_core::ids::Words;
-use dsa_faults::ladder::{AtomicShedBudget, DegradationStep};
-use dsa_faults::RetryPolicy;
+use dsa_faults::ladder::AtomicShedBudget;
 
 use crate::tenant::Priority;
 
@@ -42,8 +45,6 @@ pub struct OverloadConfig {
     /// Occupancy fraction above which only [`Priority::High`] is
     /// admitted.
     pub high_watermark: f64,
-    /// Backoff schedule for the retry rung of the ladder.
-    pub retry: RetryPolicy,
     /// Shed-rung budget per guard lifetime: at most this many victim
     /// evictions before failures surface unsoftened.
     pub shed_budget: u32,
@@ -54,7 +55,6 @@ impl Default for OverloadConfig {
         OverloadConfig {
             low_watermark: 0.85,
             high_watermark: 0.95,
-            retry: RetryPolicy::default_policy(),
             shed_budget: 64,
         }
     }
@@ -85,12 +85,6 @@ impl OverloadGuard {
         }
     }
 
-    /// The configured tuning.
-    #[must_use]
-    pub fn config(&self) -> &OverloadConfig {
-        &self.config
-    }
-
     /// Whether a request at `priority` is admitted when `in_use` of
     /// `capacity` words are occupied. Below the low watermark everyone
     /// is admitted; between the watermarks best-effort traffic is
@@ -115,12 +109,6 @@ impl OverloadGuard {
         admitted
     }
 
-    /// The retry rung's backoff schedule.
-    #[must_use]
-    pub fn retry(&self) -> &RetryPolicy {
-        &self.config.retry
-    }
-
     /// Claims one eviction from the shed budget; `false` once the
     /// budget for this overload episode is spent.
     pub fn try_shed(&self) -> bool {
@@ -137,12 +125,6 @@ impl OverloadGuard {
     #[must_use]
     pub fn admission_rejects(&self) -> u64 {
         self.admission_rejects.load(Ordering::Relaxed)
-    }
-
-    /// The ladder this guard meters, for display and docs.
-    #[must_use]
-    pub fn ladder() -> &'static [DegradationStep] {
-        &dsa_faults::ladder::ARENA_LADDER
     }
 }
 
@@ -181,12 +163,5 @@ mod tests {
         assert!(g.try_shed());
         assert!(!g.try_shed());
         assert_eq!(g.sheds(), 2);
-    }
-
-    #[test]
-    fn the_arena_ladder_ends_in_tenant_shedding() {
-        let ladder = OverloadGuard::ladder();
-        assert_eq!(ladder.first(), Some(&DegradationStep::RetryBackoff));
-        assert_eq!(ladder.last(), Some(&DegradationStep::ShedTenant));
     }
 }

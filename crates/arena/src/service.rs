@@ -1,47 +1,45 @@
-//! The batching request port: the front door worker threads talk to.
+//! The multi-tenant front over [`ShardedArena`]: the door worker
+//! threads talk to.
 //!
-//! A production allocation service is not called one `malloc` at a
-//! time across a socket — clients batch. [`ArenaService::submit`] takes
-//! a slice of [`Request`]s, executes them in order, and returns one
-//! [`Response`] per request. `submit` is `&self`: any number of worker
-//! threads (`std::thread::scope` in the bench driver) push their own
-//! batches concurrently, and the service routes each request to the
-//! backend — the lock-free [`FixedSlab`] when the unit of allocation is
-//! uniform, the [`ShardedArena`] when it is not (the paper's
-//! §Uniformity axis, as a service configuration).
+//! The door mirrors the arena's own: [`ArenaService::alloc_probed`] and
+//! [`ArenaService::free_probed`] each hold their operation's one body,
+//! and [`ArenaService::alloc`] / [`ArenaService::free`] are the
+//! unwatched, unfaulted forms. Every method is `&self`: any number of
+//! worker threads (`std::thread::scope` in the bench driver) call it
+//! concurrently on one shared service.
 //!
-//! On top of the backends the service is *multi-tenant and
+//! On top of the arena the service is *multi-tenant and
 //! overload-hardened*:
 //!
-//! * every request allocates as a [`Tenant`]; registered tenants carry
-//!   word quotas charged through the atomic [`TenantTable`] **before**
-//!   storage is touched and refunded after it is returned, so the
-//!   per-tenant books reconcile exactly at any thread count;
+//! * every allocation names its tenant by id; registered tenants carry
+//!   a priority and a word quota, charged through the atomic
+//!   [`TenantTable`] **before** storage is touched and refunded after it
+//!   is returned, so the per-tenant books reconcile exactly at any
+//!   thread count;
 //! * an optional [`OverloadGuard`] refuses admission at the door by
 //!   priority once occupancy crosses its watermarks, and walks the
 //!   [`ARENA_LADDER`] degradation ladder (retry with backoff → coalesce
 //!   the pressured shard → compact globally and re-drive the steal
 //!   rotation → shed lowest-priority tenants) before a typed failure
 //!   reaches the caller;
-//! * [`ArenaService::submit_chaos`] drives the same path under
-//!   deterministic fault injection — forced allocation failures,
+//! * a [`WorkerInjector`] passed to either door drives the same path
+//!   under deterministic fault injection — forced allocation failures,
 //!   channel delays, and shard corruption that is detected,
 //!   quarantined and healed in place.
 //!
 //! Every operation is emitted into one [`SharedProbe`]. Because the
 //! sink is a set of atomic counters, the totals it reports reconcile
-//! *exactly* with the sum of per-worker response tallies at any thread
-//! count — the reconciliation guarantee the sequential probes have
-//! always given, extended to concurrent traffic.
+//! *exactly* with the sum of per-worker tallies at any thread count —
+//! the reconciliation guarantee the sequential probes have always
+//! given, extended to concurrent traffic.
 //!
 //! [`ARENA_LADDER`]: dsa_faults::ladder::ARENA_LADDER
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use dsa_core::error::AllocError;
-use dsa_core::ids::{PhysAddr, Words};
+use dsa_core::ids::{IdMap, PhysAddr, Words};
 use dsa_faults::ladder::DegradationStep;
 use dsa_faults::WorkerInjector;
 use dsa_freelist::freelist::Placement;
@@ -49,130 +47,47 @@ use dsa_probe::{Event, EventKind, InjectedFault, NullProbe, Probe, SharedProbe, 
 use dsa_telemetry::TelemetrySnapshot;
 
 use crate::overload::{OverloadConfig, OverloadGuard};
-use crate::slab::FixedSlab;
-use crate::striped::{ArenaError, ArenaSnapshot, ShardedArena};
+use crate::striped::{ArenaError, ShardedArena};
 use crate::telemetry::ServiceTelemetry;
-use crate::tenant::{Priority, Tenant, TenantOccupancy, TenantTable};
+use crate::tenant::{Priority, TenantOccupancy, TenantTable};
 
 /// Stripes in the service's id registry (the map from live ids to
-/// their tenant, charged words and — for the slab — unit).
+/// their tenant and charged words).
 const REGISTRY_STRIPES: usize = 16;
-
-/// One allocation-service operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Request {
-    /// Allocate `words` under `id`, charged to `tenant`.
-    Alloc {
-        /// The client's identifier for the block.
-        id: u64,
-        /// Requested size in words.
-        words: Words,
-        /// Who the allocation is charged to.
-        tenant: Tenant,
-    },
-    /// Release the allocation `id`.
-    Free {
-        /// The identifier passed at allocation time.
-        id: u64,
-    },
-}
-
-impl Request {
-    /// An allocation as [`Tenant::DEFAULT`].
-    #[must_use]
-    pub fn alloc(id: u64, words: Words) -> Request {
-        Request::Alloc {
-            id,
-            words,
-            tenant: Tenant::DEFAULT,
-        }
-    }
-
-    /// An allocation charged to an explicit tenant.
-    #[must_use]
-    pub fn alloc_as(id: u64, words: Words, tenant: Tenant) -> Request {
-        Request::Alloc { id, words, tenant }
-    }
-
-    /// A release.
-    #[must_use]
-    pub fn free(id: u64) -> Request {
-        Request::Free { id }
-    }
-}
-
-/// The outcome of one [`Request`], in batch order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Response {
-    /// The allocation succeeded.
-    Allocated {
-        /// The request's id.
-        id: u64,
-        /// The placed address (global across shards).
-        addr: PhysAddr,
-    },
-    /// The release succeeded.
-    Freed {
-        /// The request's id.
-        id: u64,
-    },
-    /// The request failed, with the typed reason.
-    Failed {
-        /// The request's id.
-        id: u64,
-        /// Why it failed.
-        error: ArenaError,
-    },
-}
-
-impl Response {
-    /// Whether this response reports success.
-    #[must_use]
-    pub fn is_ok(&self) -> bool {
-        !matches!(self, Response::Failed { .. })
-    }
-}
 
 /// One live allocation's service-side book entry.
 #[derive(Clone, Copy, Debug)]
 struct LiveRec {
     /// The tenant charged.
     tenant: u32,
-    /// Words charged (requested words for the striped backend, the
-    /// whole unit for the slab).
+    /// Words charged.
     words: Words,
-    /// The slab unit backing the id (unused by the striped backend).
-    unit: u32,
+    /// Whether the arena has placed the block. Until it has, the entry
+    /// is its own request's, and the shed rung must not take it.
+    placed: bool,
 }
 
-#[derive(Debug)]
-enum Backend {
-    /// Uniform allocation units: the lock-free slab.
-    Slab(FixedSlab),
-    /// Variable allocation units: the sharded free-list arena.
-    Striped(ShardedArena),
-}
-
-/// The thread-safe allocation service front-end.
+/// The thread-safe multi-tenant allocation front over a
+/// [`ShardedArena`].
 ///
 /// # Examples
 ///
 /// ```
-/// use dsa_arena::{ArenaService, Request, Response};
+/// use dsa_arena::ArenaService;
 /// use dsa_freelist::Placement;
 ///
 /// let svc = ArenaService::striped(4, 1000, Placement::FirstFit);
-/// let batch = [Request::alloc(1, 100), Request::free(1)];
-/// let responses = svc.submit(&batch);
-/// assert!(responses.iter().all(Response::is_ok));
+/// let addr = svc.alloc(1, 100, 0).unwrap();
+/// assert_eq!(svc.arena().lookup(1), Some((addr, 100)));
+/// svc.free(1).unwrap();
 /// assert_eq!(svc.counters().allocs, 1);
 /// ```
 #[derive(Debug)]
 pub struct ArenaService {
-    backend: Backend,
+    arena: ShardedArena,
     telemetry: ServiceTelemetry,
     /// id -> live book entry, striped by id to keep lock spans short.
-    registry: Vec<Mutex<HashMap<u64, LiveRec>>>,
+    registry: Vec<Mutex<IdMap<u64, LiveRec>>>,
     /// Per-tenant quotas and occupancy. An empty table means an
     /// untenanted service: no quota metering, no registration needed.
     tenants: TenantTable,
@@ -186,7 +101,7 @@ pub struct ArenaService {
     clock: AtomicU64,
 }
 
-/// Captures the `Alloc` payload the backend emits, so the service can
+/// Captures the `Alloc` payload the arena emits, so the service can
 /// attribute it to the serving shard and size class without re-deriving
 /// the search length.
 #[derive(Default)]
@@ -203,38 +118,19 @@ impl Probe for LastAlloc {
 }
 
 impl ArenaService {
-    /// A service over uniform units: `units` blocks of `unit_words`
-    /// words in a lock-free [`FixedSlab`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `units` or `unit_words` is zero.
-    #[must_use]
-    pub fn fixed(units: u32, unit_words: Words) -> ArenaService {
-        ArenaService::over(Backend::Slab(FixedSlab::new(units, unit_words)), 1)
-    }
-
-    /// A service over variable units: `shards` stripes of
-    /// `shard_capacity` words each, under `policy`, in a
-    /// [`ShardedArena`].
+    /// A service over `shards` stripes of `shard_capacity` words each,
+    /// under `policy`, in a [`ShardedArena`].
     ///
     /// # Panics
     ///
     /// Panics if `shards` or `shard_capacity` is zero.
     #[must_use]
     pub fn striped(shards: u32, shard_capacity: Words, policy: Placement) -> ArenaService {
-        ArenaService::over(
-            Backend::Striped(ShardedArena::new(shards, shard_capacity, policy)),
-            shards,
-        )
-    }
-
-    fn over(backend: Backend, shards: u32) -> ArenaService {
         ArenaService {
-            backend,
+            arena: ShardedArena::new(shards, shard_capacity, policy),
             telemetry: ServiceTelemetry::new(shards),
             registry: (0..REGISTRY_STRIPES)
-                .map(|_| Mutex::new(HashMap::new()))
+                .map(|_| Mutex::new(IdMap::default()))
                 .collect(),
             tenants: TenantTable::new(),
             guard: None,
@@ -250,37 +146,11 @@ impl ArenaService {
         self
     }
 
-    /// Arms the small-size quick-list fast path in every shard of a
-    /// striped backend (no-op over a slab backend, which is already
-    /// O(1)). Host-speed mode: placement behavior changes and the
-    /// quick path charges no modeled probes, so modeled (golden)
-    /// experiments must not use it. Reconciliation is unaffected —
-    /// parked blocks count as free words, so charged words still equal
-    /// arena-allocated words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_size` is zero or exceeds the shard capacity, or
-    /// if `depth` is zero.
-    #[must_use]
-    pub fn with_quick_lists(self, max_size: Words, depth: usize) -> ArenaService {
-        if let Backend::Striped(arena) = &self.backend {
-            arena.enable_quick_lists(max_size, depth);
-        }
-        self
-    }
-
-    /// Registers (or re-registers) a tenant with a word quota. Once any
-    /// tenant is registered, *every* request must allocate as a
-    /// registered tenant — unknown tenants fail typed.
-    pub fn register_tenant(&mut self, tenant: Tenant, quota: Words) {
-        self.tenants.register(tenant, quota);
-    }
-
-    /// The per-tenant quota book.
-    #[must_use]
-    pub fn tenants(&self) -> &TenantTable {
-        &self.tenants
+    /// Registers (or re-registers) tenant `id` at `priority` with a
+    /// word quota. Once any tenant is registered, *every* allocation
+    /// must name a registered tenant — unknown tenants fail typed.
+    pub fn register_tenant(&mut self, id: u32, priority: Priority, quota: Words) {
+        self.tenants.register(id, priority, quota);
     }
 
     /// The admission-control guard, when armed.
@@ -289,13 +159,10 @@ impl ArenaService {
         self.guard.as_ref()
     }
 
-    /// Total backend capacity, in words.
+    /// Total arena capacity, in words.
     #[must_use]
     pub fn capacity(&self) -> Words {
-        match &self.backend {
-            Backend::Slab(slab) => slab.capacity_words(),
-            Backend::Striped(a) => a.capacity(),
-        }
+        self.arena.capacity()
     }
 
     /// Words currently charged across all tenants.
@@ -323,40 +190,16 @@ impl ArenaService {
         self.telemetry.probe().counters()
     }
 
-    /// The striped backend, when this service allocates variable units.
+    /// The arena the service allocates from.
     #[must_use]
-    pub fn arena(&self) -> Option<&ShardedArena> {
-        match &self.backend {
-            Backend::Striped(a) => Some(a),
-            Backend::Slab(_) => None,
-        }
-    }
-
-    /// The slab backend, when this service allocates uniform units.
-    #[must_use]
-    pub fn slab(&self) -> Option<&FixedSlab> {
-        match &self.backend {
-            Backend::Slab(slab) => Some(slab),
-            Backend::Striped(_) => None,
-        }
+    pub fn arena(&self) -> &ShardedArena {
+        &self.arena
     }
 
     /// Frozen per-tenant accounting, in tenant order.
     #[must_use]
     pub fn tenant_occupancy(&self) -> Vec<TenantOccupancy> {
         self.tenants.occupancy()
-    }
-
-    /// A point-in-time arena view with the per-tenant books filled in
-    /// (`None` for the slab backend, whose view is
-    /// [`FixedSlab::stats`]).
-    #[must_use]
-    pub fn snapshot(&self) -> Option<ArenaSnapshot> {
-        self.arena().map(|a| {
-            let mut snap = a.snapshot();
-            snap.tenants = self.tenants.occupancy();
-            snap
-        })
     }
 
     /// Registers the service's full telemetry surface into an exporter
@@ -395,16 +238,18 @@ impl ArenaService {
                 t.quota_denials,
             );
         }
-        if let Some(arena) = self.arena() {
-            for s in 0..arena.shard_count() {
-                let shard = s.to_string();
-                snap.gauge(
-                    "shard_quarantined",
-                    "Whether the shard is quarantined (1) or serving (0)",
-                    &[("shard", &shard)],
-                    if arena.is_quarantined(s) { 1.0 } else { 0.0 },
-                );
-            }
+        for s in 0..self.arena.shard_count() {
+            let shard = s.to_string();
+            snap.gauge(
+                "shard_quarantined",
+                "Whether the shard is quarantined (1) or serving (0)",
+                &[("shard", &shard)],
+                if self.arena.is_quarantined(s) {
+                    1.0
+                } else {
+                    0.0
+                },
+            );
         }
         if let Some(guard) = &self.guard {
             snap.counter(
@@ -422,91 +267,30 @@ impl ArenaService {
         }
     }
 
-    fn stripe(&self, id: u64) -> MutexGuard<'_, HashMap<u64, LiveRec>> {
+    fn stripe(&self, id: u64) -> MutexGuard<'_, IdMap<u64, LiveRec>> {
         let stripe = (id % self.registry.len() as u64) as usize;
         self.registry[stripe]
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Executes a batch in order, returning one response per request.
-    ///
-    /// Thread-safe: workers call this concurrently on a shared
-    /// reference; responses are positionally matched to the batch.
-    pub fn submit(&self, batch: &[Request]) -> Vec<Response> {
-        self.submit_with(batch, &mut NullProbe)
-    }
-
-    /// [`ArenaService::submit`] with an extra per-worker event sink
-    /// teed alongside the always-on telemetry — a flight recorder for
-    /// shed postmortems, a JSONL stream, a latency tracker.
-    pub fn submit_with<X: Probe + ?Sized>(
-        &self,
-        batch: &[Request],
-        extra: &mut X,
-    ) -> Vec<Response> {
-        batch
-            .iter()
-            .map(|&req| self.execute(req, extra, None))
-            .collect()
-    }
-
-    /// [`ArenaService::submit_with`] under chaos: each request rolls
-    /// the worker's deterministic hazard stream for channel delays,
-    /// forced allocation failures, and — on the striped backend —
-    /// shard corruption, which is detected by audit, quarantined, and
-    /// healed in place before the request proceeds. (The slab backend
-    /// has no free list to corrupt; it sees delays and forced failures
-    /// only.)
-    pub fn submit_chaos<X: Probe + ?Sized>(
-        &self,
-        batch: &[Request],
-        inj: &mut WorkerInjector<'_>,
-        extra: &mut X,
-    ) -> Vec<Response> {
-        batch
-            .iter()
-            .map(|&req| self.execute(req, extra, Some(&mut *inj)))
-            .collect()
-    }
-
-    fn execute<X: Probe + ?Sized>(
-        &self,
-        req: Request,
-        extra: &mut X,
-        mut chaos: Option<&mut WorkerInjector<'_>>,
-    ) -> Response {
-        let at = Stamp::vtime(self.clock.fetch_add(1, Ordering::Relaxed));
-        if let Some(inj) = chaos.as_deref_mut() {
-            self.roll_ambient_hazards(inj, at, extra);
-        }
-        match req {
-            Request::Alloc { id, words, tenant } => {
-                match self.alloc(id, words, tenant, at, extra, chaos) {
-                    Ok(addr) => Response::Allocated { id, addr },
-                    Err(error) => Response::Failed { id, error },
-                }
-            }
-            Request::Free { id } => match self.free(id, at, extra) {
-                Ok(()) => Response::Freed { id },
-                Err(error) => Response::Failed { id, error },
-            },
-        }
-    }
-
-    /// Hazards that fire between requests: a channel-congestion stall
-    /// (a bounded yield — simulated stall time is the injector's
-    /// business, not wall time) and, on the striped backend, free-list
+    /// Takes the request's stamp from the service clock and, under
+    /// chaos, rolls the hazards that fire between requests: a
+    /// channel-congestion stall (a bounded yield — simulated stall time
+    /// is the injector's business, not wall time) and free-list
     /// corruption. Corruption is *immediately* detected by the shard
-    /// audit and healed through the quarantine path, under live
-    /// traffic from the other workers.
-    fn roll_ambient_hazards<X: Probe + ?Sized>(
+    /// audit and healed through the quarantine path, under live traffic
+    /// from the other workers.
+    fn begin<P: Probe + ?Sized>(
         &self,
-        inj: &mut WorkerInjector<'_>,
-        at: Stamp,
-        extra: &mut X,
-    ) {
-        let mut sink = Tee(self.telemetry.probe(), extra);
+        chaos: Option<&mut WorkerInjector<'_>>,
+        probe: &mut P,
+    ) -> Stamp {
+        let at = Stamp::vtime(self.clock.fetch_add(1, Ordering::Relaxed));
+        let Some(inj) = chaos else {
+            return at;
+        };
+        let mut sink = Tee(self.telemetry.probe(), probe);
         if inj.channel_delay().is_some() {
             sink.emit(
                 EventKind::FaultInjected {
@@ -516,56 +300,75 @@ impl ArenaService {
             );
             std::thread::yield_now();
         }
-        if let Backend::Striped(arena) = &self.backend {
-            if inj.shard_corruption() {
-                let target = inj.corruption_target(arena.shard_count());
-                arena.corrupt_shard_for_chaos(target);
-                sink.emit(
-                    EventKind::FaultInjected {
-                        fault: InjectedFault::ShardCorruption,
-                    },
-                    at,
-                );
-                // Heal in place; on a (never-expected) rebuild failure
-                // the shard stays quarantined and the service degrades
-                // around it instead of serving from corrupt state. (No
-                // audit assertion here: a concurrent worker healing its
-                // own corruption of the same shard may have already
-                // repaired this one — the rebuild below is idempotent.)
-                let _ = arena.heal_shard(target, at, &mut sink);
-            }
+        if inj.shard_corruption() {
+            let target = inj.corruption_target(self.arena.shard_count());
+            self.arena.corrupt_shard_for_chaos(target);
+            sink.emit(
+                EventKind::FaultInjected {
+                    fault: InjectedFault::ShardCorruption,
+                },
+                at,
+            );
+            // Heal in place; on a (never-expected) rebuild failure the
+            // shard stays quarantined and the service degrades around it
+            // instead of serving from corrupt state. (No audit assertion
+            // here: a concurrent worker healing its own corruption of the
+            // same shard may have already repaired this one — the
+            // rebuild below is idempotent.)
+            let _ = self.arena.heal_shard(target, at, &mut sink);
         }
+        at
     }
 
-    fn alloc<X: Probe + ?Sized>(
+    /// Allocates `words` under `id`, charged to tenant `tenant`. See
+    /// [`ArenaService::alloc_probed`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ArenaService::alloc_probed`].
+    pub fn alloc(&self, id: u64, words: Words, tenant: u32) -> Result<PhysAddr, ArenaError> {
+        self.alloc_probed(id, words, tenant, None, &mut NullProbe)
+    }
+
+    /// [`ArenaService::alloc`] under an optional chaos injector, with
+    /// `probe` teed alongside the always-on telemetry — a flight
+    /// recorder for shed postmortems, a JSONL stream, a latency tracker.
+    ///
+    /// With `chaos`, the request rolls the worker's deterministic hazard
+    /// stream: the between-request hazards first, then a forced
+    /// allocation failure, which recovers through the ladder exactly as
+    /// true exhaustion does.
+    ///
+    /// # Errors
+    ///
+    /// * [`ArenaError::Alloc`] for a zero-size request or a live `id`;
+    /// * [`ArenaError::AdmissionDenied`], [`ArenaError::UnknownTenant`]
+    ///   and [`ArenaError::QuotaExceeded`] from the door, before any
+    ///   storage is touched;
+    /// * [`ArenaError::Exhausted`] when nothing — the ladder included —
+    ///   could place it, with every shard's real fullness (also for a
+    ///   forced failure, whose `largest_free` then shows it was not
+    ///   storage).
+    pub fn alloc_probed<P: Probe + ?Sized>(
         &self,
         id: u64,
         words: Words,
-        tenant: Tenant,
-        at: Stamp,
-        extra: &mut X,
+        tenant: u32,
         mut chaos: Option<&mut WorkerInjector<'_>>,
+        probe: &mut P,
     ) -> Result<PhysAddr, ArenaError> {
+        let at = self.begin(chaos.as_deref_mut(), probe);
         if words == 0 {
             return Err(ArenaError::Alloc(AllocError::ZeroSize));
         }
-        if let Backend::Slab(slab) = &self.backend {
-            if words > slab.unit_words() {
-                return Err(ArenaError::Alloc(AllocError::RequestTooLarge {
-                    requested: words,
-                    max: slab.unit_words(),
-                }));
-            }
-        }
         // The forced-failure hazard is rolled before any stateful gate
-        // (admission, quota) so every Alloc request consumes exactly
-        // the same injector rolls regardless of how concurrent books
-        // look at the instant it runs — the schedule stays a pure
-        // function of (seed, stream), byte-identical at any thread
-        // count.
-        let forced = chaos.as_mut().is_some_and(|inj| inj.alloc_failure());
+        // (admission, quota) so every allocation consumes exactly the
+        // same injector rolls regardless of how concurrent books look at
+        // the instant it runs — the schedule stays a pure function of
+        // (seed, stream), byte-identical at any thread count.
+        let forced = chaos.is_some_and(|inj| inj.alloc_failure());
+        let mut sink = Tee(self.telemetry.probe(), &mut *probe);
         if forced {
-            let mut sink = Tee(self.telemetry.probe(), &mut *extra);
             sink.emit(
                 EventKind::FaultInjected {
                     fault: InjectedFault::AllocFailure,
@@ -573,117 +376,106 @@ impl ArenaService {
                 at,
             );
         }
-        let priority = self.tenants.priority(tenant.id).unwrap_or(tenant.priority);
+        let priority = self.tenants.priority(tenant).unwrap_or_default();
         // Admission: refused at the door, before any book is touched.
         if let Some(guard) = &self.guard {
             if !guard.admit(priority, self.occupied(), self.capacity()) {
-                let mut sink = Tee(self.telemetry.probe(), extra);
-                sink.emit(EventKind::AdmissionReject { tenant: tenant.id }, at);
-                return Err(ArenaError::AdmissionDenied { tenant: tenant.id });
+                sink.emit(EventKind::AdmissionReject { tenant }, at);
+                return Err(ArenaError::AdmissionDenied { tenant });
             }
         }
         // Quota: the whole charge is reserved up front (CAS, exact) and
-        // rolled back if the backend cannot place the request.
-        let charge = match &self.backend {
-            Backend::Slab(slab) => slab.unit_words(),
-            Backend::Striped(_) => words,
-        };
+        // rolled back if the arena cannot place the request.
         let metered = !self.tenants.is_empty();
         if metered {
-            let Some(quota) = self.tenants.quota(tenant.id) else {
-                return Err(ArenaError::UnknownTenant { tenant: tenant.id });
+            let Some(quota) = self.tenants.quota(tenant) else {
+                return Err(ArenaError::UnknownTenant { tenant });
             };
-            if let Err(in_use) = self.tenants.try_reserve(tenant.id, charge) {
-                let mut sink = Tee(self.telemetry.probe(), extra);
-                sink.emit(EventKind::QuotaDenied { tenant: tenant.id }, at);
+            if let Err(in_use) = self.tenants.try_reserve(tenant, words) {
+                sink.emit(EventKind::QuotaDenied { tenant }, at);
                 return Err(ArenaError::QuotaExceeded {
-                    tenant: tenant.id,
-                    requested: charge,
+                    tenant,
+                    requested: words,
                     quota,
                     in_use,
                 });
             }
         }
-        // Book the id before the backend runs: the registry entry goes
+        // Book the id before the arena runs: the registry entry goes
         // live together with the quota charge, so a probe panic on the
-        // success emission (which fires after the backend mutation)
+        // success emission (which fires after the arena's mutation)
         // leaves every book already agreeing.
         {
             let mut reg = self.stripe(id);
             if reg.contains_key(&id) {
                 drop(reg);
                 if metered {
-                    self.tenants.release(tenant.id, charge);
+                    self.tenants.release(tenant, words);
                 }
                 return Err(ArenaError::Alloc(AllocError::AlreadyAllocated));
             }
             reg.insert(
                 id,
                 LiveRec {
-                    tenant: tenant.id,
-                    words: charge,
-                    unit: 0,
+                    tenant,
+                    words,
+                    placed: false,
                 },
             );
         }
-        // Occupancy is charged before the backend runs, mirroring the
+        // Occupancy is charged before the arena runs, mirroring the
         // quota reservation: the success emission fires *after* the
-        // backend mutation, so a probe panic there (poisoning the shard
+        // arena's mutation, so a probe panic there (poisoning the shard
         // lock) must find every book — registry, quota, occupancy, and
         // the arena itself — already agreeing. Like the quota, the
         // counter transiently over-states during flight and is rolled
         // back on a failed placement.
-        self.occupied.fetch_add(charge, Ordering::Relaxed);
-        let placed = match &self.backend {
-            Backend::Striped(arena) => {
-                self.striped_alloc(arena, id, words, priority, forced, at, extra)
+        self.occupied.fetch_add(words, Ordering::Relaxed);
+        match self.place(id, words, priority, forced, at, probe) {
+            Ok(addr) => {
+                if let Some(rec) = self.stripe(id).get_mut(&id) {
+                    rec.placed = true;
+                }
+                Ok(addr)
             }
-            Backend::Slab(slab) => self.slab_alloc(slab, id, forced, at, extra),
-        };
-        match placed {
-            Ok(addr) => Ok(addr),
             Err(e) => {
-                self.occupied.fetch_sub(charge, Ordering::Relaxed);
+                self.occupied.fetch_sub(words, Ordering::Relaxed);
                 self.stripe(id).remove(&id);
                 if metered {
-                    self.tenants.release(tenant.id, charge);
+                    self.tenants.release(tenant, words);
                 }
                 Err(e)
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn striped_alloc<X: Probe + ?Sized>(
+    /// Places a booked request: the arena's own rotation, then — on
+    /// exhaustion, real or forced, with a guard armed — the ladder.
+    fn place<P: Probe + ?Sized>(
         &self,
-        arena: &ShardedArena,
         id: u64,
         words: Words,
         priority: Priority,
         forced_failure: bool,
         at: Stamp,
-        extra: &mut X,
+        probe: &mut P,
     ) -> Result<PhysAddr, ArenaError> {
         let mut last = LastAlloc::default();
-        let mut sink = Tee(Tee(self.telemetry.probe(), extra), &mut last);
+        let mut sink = Tee(Tee(self.telemetry.probe(), probe), &mut last);
         let first = if forced_failure {
             // The injector refused this placement outright; recovery
             // starts at the ladder exactly as for true exhaustion.
-            Err(ArenaError::Exhausted {
-                requested: words,
-                per_shard: Vec::new(),
-            })
+            Err(self.arena.exhausted(words))
         } else {
-            arena.alloc_probed(id, words, at, &mut sink)
+            self.arena.alloc_probed(id, words, at, &mut sink)
         };
-        let placed = match first {
-            Err(ArenaError::Exhausted { .. }) if self.guard.is_some() => {
-                self.climb_ladder(arena, id, words, priority, at, &mut sink)
+        let addr = match (first, &self.guard) {
+            (Err(ArenaError::Exhausted { .. }), Some(guard)) => {
+                self.climb_ladder(guard, id, words, priority, at, &mut sink)
             }
-            other => other,
-        };
-        let addr = placed?;
-        let shard = (addr.value() / arena.shard_capacity()) as u32;
+            (placed, _) => placed,
+        }?;
+        let shard = (addr.value() / self.arena.shard_capacity()) as u32;
         self.telemetry.record_alloc(shard, words, last.searched);
         Ok(addr)
     }
@@ -696,20 +488,14 @@ impl ArenaService {
     /// [`ARENA_LADDER`]: dsa_faults::ladder::ARENA_LADDER
     fn climb_ladder<P: Probe + ?Sized>(
         &self,
-        arena: &ShardedArena,
+        guard: &OverloadGuard,
         id: u64,
         words: Words,
         priority: Priority,
         at: Stamp,
         probe: &mut P,
     ) -> Result<PhysAddr, ArenaError> {
-        let Some(guard) = &self.guard else {
-            // Reached only through the guard-gated arm above.
-            return Err(ArenaError::Exhausted {
-                requested: words,
-                per_shard: Vec::new(),
-            });
-        };
+        let arena = &self.arena;
         // Rung 1: retry after backoff — under concurrency another
         // worker's free may have opened a hole.
         probe.emit(
@@ -760,15 +546,10 @@ impl ArenaService {
                 let Some(victim) = self.pick_victim(priority) else {
                     return outcome;
                 };
-                if !guard.try_shed() {
+                let Some(shed) = self.shed_block(guard, victim, at, probe) else {
                     return outcome;
-                }
-                match self.shed_block(arena, victim, at, probe) {
-                    Some(shed_words) => freed += shed_words,
-                    // Raced by a client free: the budget rung is spent
-                    // but the storage came back anyway.
-                    None => continue,
-                }
+                };
+                freed += shed;
             }
             outcome = arena.alloc_probed(id, words, at, probe);
             if !matches!(outcome, Err(ArenaError::Exhausted { .. })) {
@@ -777,9 +558,9 @@ impl ArenaService {
         }
     }
 
-    /// The lowest-id block of the lowest-priority tenant strictly below
-    /// `priority` that still holds storage. Deterministic given the
-    /// live set: priorities resolve first, ids tie-break ascending.
+    /// The lowest-id placed block of the lowest-priority tenant strictly
+    /// below `priority` that still holds storage. Deterministic given
+    /// the live set: priorities resolve first, ids tie-break ascending.
     fn pick_victim(&self, priority: Priority) -> Option<u64> {
         let victim_priority = self
             .tenants
@@ -794,7 +575,8 @@ impl ArenaService {
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             for (&rid, rec) in reg.iter() {
-                if self.tenants.priority(rec.tenant) == Some(victim_priority)
+                if rec.placed
+                    && self.tenants.priority(rec.tenant) == Some(victim_priority)
                     && best.is_none_or(|b| rid < b)
                 {
                     best = Some(rid);
@@ -804,24 +586,36 @@ impl ArenaService {
         best
     }
 
-    /// Evicts one victim block through the normal free path: the
-    /// registry removal decides the race against a concurrent client
-    /// free, the quota is refunded, and the shed events are emitted
-    /// one-for-one with the budget grants.
+    /// Evicts one victim block through the normal free path and returns
+    /// the words it surrendered: `Some(0)` when the owner's own free
+    /// removed the entry first, `None` once the shed budget is spent.
+    /// The registry removal decides the race against a concurrent
+    /// client free, and the budget is claimed under the same stripe lock
+    /// only once the entry is seen live, so grants, removals and the
+    /// shed events stay one for one whoever wins.
     fn shed_block<P: Probe + ?Sized>(
         &self,
-        arena: &ShardedArena,
+        guard: &OverloadGuard,
         id: u64,
         at: Stamp,
         probe: &mut P,
     ) -> Option<Words> {
-        let rec = self.stripe(id).remove(&id)?;
+        let rec = {
+            let mut reg = self.stripe(id);
+            if !reg.get(&id).is_some_and(|rec| rec.placed) {
+                return Some(0);
+            }
+            if !guard.try_shed() {
+                return None;
+            }
+            reg.remove(&id)?
+        };
         self.tenants.release(rec.tenant, rec.words);
         self.occupied.fetch_sub(rec.words, Ordering::Relaxed);
         // Winning the registry removal means the block is live in the
-        // backend; a failure here would already be a book tear, which
+        // arena; a failure here would already be a book tear, which
         // `check_reconciliation` would surface.
-        let _ = arena.free_probed(id, at, probe);
+        let _ = self.arena.free_probed(id, at, probe);
         self.tenants.note_shed(rec.tenant);
         probe.emit(
             EventKind::DegradationStep {
@@ -839,69 +633,45 @@ impl ArenaService {
         Some(rec.words)
     }
 
-    fn slab_alloc<X: Probe + ?Sized>(
-        &self,
-        slab: &FixedSlab,
-        id: u64,
-        forced_failure: bool,
-        at: Stamp,
-        extra: &mut X,
-    ) -> Result<PhysAddr, ArenaError> {
-        if forced_failure {
-            return Err(ArenaError::Alloc(AllocError::OutOfStorage {
-                requested: slab.unit_words(),
-                largest_free: 0,
-            }));
-        }
-        let unit = slab.alloc()?;
-        if let Some(rec) = self.stripe(id).get_mut(&id) {
-            rec.unit = unit.unit;
-        }
-        self.telemetry
-            .record_alloc(0, slab.unit_words(), u64::from(unit.attempts));
-        let mut sink = Tee(self.telemetry.probe(), extra);
-        sink.emit(
-            EventKind::Alloc {
-                // The unit is the grain: a smaller request still
-                // consumes a whole unit (internal fragmentation, the
-                // uniform-unit tax).
-                words: slab.unit_words(),
-                searched: u64::from(unit.attempts),
-            },
-            at,
-        );
-        Ok(unit.addr)
+    /// Releases the allocation `id`. See [`ArenaService::free_probed`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ArenaService::free_probed`].
+    pub fn free(&self, id: u64) -> Result<(), ArenaError> {
+        self.free_probed(id, None, &mut NullProbe)
     }
 
-    fn free<X: Probe + ?Sized>(&self, id: u64, at: Stamp, extra: &mut X) -> Result<(), ArenaError> {
+    /// [`ArenaService::free`] under an optional chaos injector (which
+    /// rolls the between-request hazards), with `probe` teed alongside
+    /// the always-on telemetry.
+    ///
+    /// # Errors
+    ///
+    /// [`ArenaError::Alloc`] carrying [`AllocError::UnknownUnit`] if
+    /// `id` is not live — never allocated, already freed, or shed by the
+    /// ladder.
+    pub fn free_probed<P: Probe + ?Sized>(
+        &self,
+        id: u64,
+        chaos: Option<&mut WorkerInjector<'_>>,
+        probe: &mut P,
+    ) -> Result<(), ArenaError> {
+        let at = self.begin(chaos, probe);
         let Some(rec) = self.stripe(id).remove(&id) else {
             return Err(ArenaError::Alloc(AllocError::UnknownUnit));
         };
-        // Refund *before* the backend release: the backend's probe
-        // emission fires after its mutation, so a panicking probe
-        // leaves the charge refunded and the storage returned — exact.
-        // The transient under-statement admits at most one in-flight
-        // request early, which the quota CAS then settles.
+        // Refund *before* the arena's release: the arena's probe
+        // emission fires after its mutation, so a panicking probe leaves
+        // the charge refunded and the storage returned — exact. The
+        // transient under-statement admits at most one in-flight request
+        // early, which the quota CAS then settles.
         if !self.tenants.is_empty() {
             self.tenants.release(rec.tenant, rec.words);
         }
         self.occupied.fetch_sub(rec.words, Ordering::Relaxed);
-        let released = match &self.backend {
-            Backend::Striped(arena) => {
-                let mut sink = Tee(self.telemetry.probe(), extra);
-                arena.free_probed(id, at, &mut sink)
-            }
-            Backend::Slab(slab) => slab.free(rec.unit).map_err(ArenaError::Alloc).map(|()| {
-                let mut sink = Tee(self.telemetry.probe(), extra);
-                sink.emit(
-                    EventKind::Free {
-                        words: slab.unit_words(),
-                    },
-                    at,
-                );
-            }),
-        };
-        if let Err(e) = released {
+        let mut sink = Tee(self.telemetry.probe(), probe);
+        if let Err(e) = self.arena.free_probed(id, at, &mut sink) {
             // The storage is demonstrably still held: roll the books
             // forward again so they keep telling the truth.
             if !self.tenants.is_empty() {
@@ -914,52 +684,39 @@ impl ArenaService {
         Ok(())
     }
 
-    /// Verifies the service-level books against the backend from a
+    /// Verifies the service-level books against the arena from a
     /// quiescent state: every registry entry is charged, the tenant
-    /// occupancies sum to exactly the charged words, and the backend's
-    /// own invariants hold.
+    /// occupancies sum to exactly the charged words, and the arena's own
+    /// invariants hold.
     ///
     /// # Panics
     ///
     /// Panics if any book disagrees with the storage.
     pub fn check_reconciliation(&self) {
-        let mut by_tenant: HashMap<u32, Words> = HashMap::new();
+        let mut by_tenant: Vec<Words> = vec![0; self.tenants.len()];
         let mut charged = 0u64;
         for stripe in &self.registry {
             let reg = stripe
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             for rec in reg.values() {
-                *by_tenant.entry(rec.tenant).or_default() += rec.words;
+                // An untenanted service books whatever id it was given.
+                if let Some(sum) = by_tenant.get_mut(rec.tenant as usize) {
+                    *sum += rec.words;
+                }
                 charged += rec.words;
             }
         }
         assert_eq!(self.occupied(), charged, "occupied counter out of step");
-        for t in self.tenants.occupancy() {
-            assert_eq!(
-                t.in_use,
-                by_tenant.get(&t.tenant).copied().unwrap_or(0),
-                "tenant {} occupancy out of step",
-                t.tenant
-            );
+        for (t, &sum) in self.tenants.occupancy().iter().zip(&by_tenant) {
+            assert_eq!(t.in_use, sum, "tenant {} occupancy out of step", t.tenant);
         }
-        match &self.backend {
-            Backend::Striped(arena) => {
-                arena.check_invariants();
-                assert_eq!(
-                    arena.snapshot().allocated_words(),
-                    charged,
-                    "backend words out of step with the registry"
-                );
-            }
-            Backend::Slab(slab) => {
-                assert_eq!(
-                    slab.live_units() * slab.unit_words(),
-                    charged,
-                    "slab units out of step with the registry"
-                );
-            }
-        }
+        self.arena.check_invariants();
+        assert_eq!(
+            self.arena.snapshot().allocated_words(),
+            charged,
+            "arena words out of step with the registry"
+        );
     }
 }
 
@@ -968,134 +725,91 @@ mod tests {
     use super::*;
 
     #[test]
-    fn striped_batch_roundtrip_reconciles() {
+    fn roundtrip_reconciles() {
         let svc = ArenaService::striped(4, 1000, Placement::BestFit);
-        let batch: Vec<Request> = (0..10)
-            .map(|id| Request::alloc(id, 50))
-            .chain((0..5).map(Request::free))
-            .collect();
-        let responses = svc.submit(&batch);
-        assert!(responses.iter().all(Response::is_ok));
+        for id in 0..10 {
+            assert!(svc.alloc(id, 50, 0).is_ok());
+        }
+        for id in 0..5 {
+            assert_eq!(svc.free(id), Ok(()));
+        }
         let c = svc.counters();
         assert_eq!(c.allocs, 10);
         assert_eq!(c.alloc_words, 500);
         assert_eq!(c.frees, 5);
         assert_eq!(c.freed_words, 250);
-        assert_eq!(svc.arena().unwrap().snapshot().allocated_words(), 250);
+        assert_eq!(svc.arena().snapshot().allocated_words(), 250);
         svc.check_reconciliation();
     }
 
     #[test]
     fn quick_lists_reconcile_and_drain_to_zero() {
-        let svc = ArenaService::striped(4, 4096, Placement::FirstFit).with_quick_lists(64, 16);
+        let svc = ArenaService::striped(4, 4096, Placement::FirstFit);
+        svc.arena().enable_quick_lists(64, 16);
         // Churn small blocks so frees park on the quick lists, then
         // re-allocate through them; charged words must track arena
         // words at every quiescent point.
         for round in 0..8u64 {
-            let batch: Vec<Request> = (0..32)
-                .map(|i| Request::alloc(round * 32 + i, 8 + (i % 4) * 8))
-                .collect();
-            assert!(svc.submit(&batch).iter().all(Response::is_ok));
+            for i in 0..32 {
+                assert!(svc.alloc(round * 32 + i, 8 + (i % 4) * 8, 0).is_ok());
+            }
             svc.check_reconciliation();
-            let frees: Vec<Request> = (0..32).map(|i| Request::free(round * 32 + i)).collect();
-            assert!(svc.submit(&frees).iter().all(Response::is_ok));
+            for i in 0..32 {
+                assert_eq!(svc.free(round * 32 + i), Ok(()));
+            }
             svc.check_reconciliation();
         }
         // Parked blocks are free words: a fully-drained service shows
         // zero allocated even with blocks still on the quick lists.
-        let snap = svc.arena().unwrap().snapshot();
-        assert_eq!(snap.allocated_words(), 0);
-        svc.arena().unwrap().check_invariants();
-    }
-
-    #[test]
-    fn slab_service_enforces_the_unit_grain() {
-        let svc = ArenaService::fixed(4, 64);
-        let r = svc.submit(&[
-            Request::alloc(1, 64),
-            Request::alloc(2, 10), // fits, whole unit consumed
-            Request::alloc(3, 65), // too big for the grain
-            Request::free(2),
-        ]);
-        assert!(r[0].is_ok());
-        assert!(r[1].is_ok());
-        assert_eq!(
-            r[2],
-            Response::Failed {
-                id: 3,
-                error: ArenaError::Alloc(AllocError::RequestTooLarge {
-                    requested: 65,
-                    max: 64
-                })
-            }
-        );
-        assert!(r[3].is_ok());
-        let c = svc.counters();
-        assert_eq!(c.allocs, 2);
-        assert_eq!(c.alloc_words, 128, "whole units, not requested words");
-        assert_eq!(c.frees, 1);
-        svc.check_reconciliation();
+        assert_eq!(svc.arena().snapshot().allocated_words(), 0);
+        svc.arena().check_invariants();
     }
 
     #[test]
     fn duplicate_and_unknown_ids_fail_typed() {
-        let svc = ArenaService::fixed(2, 8);
-        let r = svc.submit(&[Request::alloc(7, 8), Request::alloc(7, 8), Request::free(9)]);
-        assert!(r[0].is_ok());
+        let svc = ArenaService::striped(2, 64, Placement::FirstFit);
+        assert!(svc.alloc(7, 8, 0).is_ok());
         assert_eq!(
-            r[1],
-            Response::Failed {
-                id: 7,
-                error: ArenaError::Alloc(AllocError::AlreadyAllocated)
-            }
+            svc.alloc(7, 8, 0),
+            Err(ArenaError::Alloc(AllocError::AlreadyAllocated))
         );
         assert_eq!(
-            r[2],
-            Response::Failed {
-                id: 9,
-                error: ArenaError::Alloc(AllocError::UnknownUnit)
-            }
+            svc.alloc(8, 0, 0),
+            Err(ArenaError::Alloc(AllocError::ZeroSize))
         );
+        assert_eq!(svc.free(9), Err(ArenaError::Alloc(AllocError::UnknownUnit)));
+        svc.check_reconciliation();
     }
 
     #[test]
     fn quotas_meter_each_tenant_exactly() {
         let mut svc = ArenaService::striped(2, 1000, Placement::FirstFit);
-        svc.register_tenant(Tenant::new(0), 100);
-        svc.register_tenant(Tenant::new(1), 500);
-        let r = svc.submit(&[
-            Request::alloc_as(1, 80, Tenant::new(0)),
-            Request::alloc_as(2, 80, Tenant::new(0)), // over tenant 0's quota
-            Request::alloc_as(3, 400, Tenant::new(1)),
-            Request::alloc_as(4, 10, Tenant::new(7)), // unregistered
-        ]);
-        assert!(r[0].is_ok());
+        svc.register_tenant(0, Priority::Normal, 100);
+        svc.register_tenant(1, Priority::Normal, 500);
+        assert!(svc.alloc(1, 80, 0).is_ok());
         assert_eq!(
-            r[1],
-            Response::Failed {
-                id: 2,
-                error: ArenaError::QuotaExceeded {
-                    tenant: 0,
-                    requested: 80,
-                    quota: 100,
-                    in_use: 80
-                }
-            }
+            svc.alloc(2, 80, 0),
+            Err(ArenaError::QuotaExceeded {
+                tenant: 0,
+                requested: 80,
+                quota: 100,
+                in_use: 80
+            }),
+            "over tenant 0's quota"
         );
-        assert!(r[2].is_ok());
+        assert!(svc.alloc(3, 400, 1).is_ok());
         assert_eq!(
-            r[3],
-            Response::Failed {
-                id: 4,
-                error: ArenaError::UnknownTenant { tenant: 7 }
-            }
+            svc.alloc(4, 10, 7),
+            Err(ArenaError::UnknownTenant { tenant: 7 })
         );
-        assert_eq!(svc.tenants().in_use(0), 80);
-        assert_eq!(svc.tenants().in_use(1), 400);
+        let in_use = |svc: &ArenaService| -> Vec<Words> {
+            svc.tenant_occupancy().iter().map(|t| t.in_use).collect()
+        };
+        assert_eq!(in_use(&svc), [80, 400]);
         assert_eq!(svc.counters().quota_denials, 1);
-        svc.submit(&[Request::free(1), Request::free(3)]);
-        assert_eq!(svc.tenants().in_use(0), 0);
-        assert_eq!(svc.tenants().in_use(1), 0);
+        assert_eq!(svc.free(1), Ok(()));
+        assert_eq!(svc.free(3), Ok(()));
+        assert_eq!(in_use(&svc), [0, 0]);
         svc.check_reconciliation();
     }
 
@@ -1103,28 +817,32 @@ mod tests {
     fn admission_gates_by_priority_under_pressure() {
         let mut svc = ArenaService::striped(1, 1000, Placement::FirstFit)
             .with_overload(OverloadConfig::default());
-        svc.register_tenant(Tenant::with_priority(0, Priority::Low), 1000);
-        svc.register_tenant(Tenant::with_priority(1, Priority::High), 1000);
+        svc.register_tenant(0, Priority::Low, 1000);
+        svc.register_tenant(1, Priority::High, 1000);
         // Fill to 90%: past the low watermark, below the high one.
-        assert!(svc
-            .submit(&[Request::alloc_as(1, 900, Tenant::new(1))])
-            .iter()
-            .all(Response::is_ok));
-        let r = svc.submit(&[
-            Request::alloc_as(2, 10, Tenant::with_priority(0, Priority::Low)),
-            Request::alloc_as(3, 10, Tenant::with_priority(1, Priority::High)),
-        ]);
+        assert!(svc.alloc(1, 900, 1).is_ok());
         assert_eq!(
-            r[0],
-            Response::Failed {
-                id: 2,
-                error: ArenaError::AdmissionDenied { tenant: 0 }
-            }
+            svc.alloc(2, 10, 0),
+            Err(ArenaError::AdmissionDenied { tenant: 0 })
         );
-        assert!(r[1].is_ok());
-        assert_eq!(svc.guard().unwrap().admission_rejects(), 1);
+        assert!(svc.alloc(3, 10, 1).is_ok());
+        assert_eq!(svc.guard().map(OverloadGuard::admission_rejects), Some(1));
         assert_eq!(svc.counters().admission_rejects, 1);
         svc.check_reconciliation();
+    }
+
+    /// Records the ladder rungs a request walked, in order.
+    #[derive(Default)]
+    struct Rungs(Vec<DegradationStep>);
+
+    impl Probe for Rungs {
+        fn record(&mut self, event: &Event) {
+            if let EventKind::DegradationStep { step } = event.kind {
+                if self.0.last() != Some(&step) {
+                    self.0.push(step);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1137,32 +855,64 @@ mod tests {
                 high_watermark: 2.0,
                 ..OverloadConfig::default()
             });
-        svc.register_tenant(Tenant::with_priority(0, Priority::Low), 100);
-        svc.register_tenant(Tenant::with_priority(1, Priority::High), 100);
+        svc.register_tenant(0, Priority::Low, 100);
+        svc.register_tenant(1, Priority::High, 100);
         // The low tenant fills the storage.
-        let r = svc.submit(&[
-            Request::alloc_as(1, 40, Tenant::with_priority(0, Priority::Low)),
-            Request::alloc_as(2, 40, Tenant::with_priority(0, Priority::Low)),
-        ]);
-        assert!(r.iter().all(Response::is_ok));
+        assert!(svc.alloc(1, 40, 0).is_ok());
+        assert!(svc.alloc(2, 40, 0).is_ok());
         // The high tenant's demand does not fit — the ladder retries,
         // coalesces, compacts, then sheds tenant 0's blocks.
-        let r = svc.submit(&[Request::alloc_as(
-            3,
-            60,
-            Tenant::with_priority(1, Priority::High),
-        )]);
-        assert!(r[0].is_ok(), "{r:?}");
+        let mut rungs = Rungs::default();
+        let served = svc.alloc_probed(3, 60, 1, None, &mut rungs);
+        assert!(served.is_ok(), "{served:?}");
+        assert_eq!(rungs.0, dsa_faults::ladder::ARENA_LADDER, "rungs in order");
         let c = svc.counters();
         assert!(c.tenants_shed >= 1, "at least one block shed");
-        assert_eq!(c.tenants_shed, svc.guard().unwrap().sheds());
-        assert_eq!(svc.tenants().occupancy()[0].shed, c.tenants_shed);
-        assert_eq!(svc.tenants().in_use(1), 60);
+        assert_eq!(Some(c.tenants_shed), svc.guard().map(OverloadGuard::sheds));
+        let occupancy = svc.tenant_occupancy();
+        assert_eq!(occupancy[0].shed, c.tenants_shed);
+        assert_eq!(occupancy[1].in_use, 60);
+        // A shed block is gone to its owner too.
+        assert_eq!(svc.free(1), Err(ArenaError::Alloc(AllocError::UnknownUnit)));
+        svc.check_reconciliation();
+    }
+
+    /// The bug a forced failure used to hide: without a guard to absorb
+    /// it, the caller saw `Exhausted` with no shards at all ("all 0
+    /// shards exhausted ... largest free extent anywhere 0") while every
+    /// word was free. It now carries the arena's real fullness, so
+    /// `largest_free >= requested` shows the failure was not storage.
+    #[test]
+    fn a_forced_failure_reports_the_arenas_real_fullness() {
+        use dsa_faults::{FaultConfig, SyncFaultInjector};
+        let svc = ArenaService::striped(4, 1000, Placement::FirstFit);
+        let inj = SyncFaultInjector::new(
+            1,
+            FaultConfig {
+                alloc_fail_rate: 1.0,
+                ..FaultConfig::default()
+            },
+        );
+        let mut worker = inj.worker(0);
+        match svc.alloc_probed(1, 10, 0, Some(&mut worker), &mut NullProbe) {
+            Err(ArenaError::Exhausted {
+                requested: 10,
+                per_shard,
+            }) => {
+                assert_eq!(per_shard.len(), 4);
+                assert!(per_shard
+                    .iter()
+                    .all(|s| s.largest_free == 1000 && s.free_words == 1000));
+            }
+            other => panic!("expected a forced Exhausted, got {other:?}"),
+        }
+        assert_eq!(inj.report().forced_alloc_failures, 1);
+        assert_eq!(svc.occupied(), 0, "the refused request left no charge");
         svc.check_reconciliation();
     }
 
     #[test]
-    fn concurrent_submissions_reconcile_exactly() {
+    fn concurrent_requests_reconcile_exactly() {
         let svc = ArenaService::striped(4, 4096, Placement::FirstFit);
         let threads = 8u64;
         let per_thread = 500u64;
@@ -1175,8 +925,8 @@ mod tests {
                     let mut ok = 0u64;
                     for i in 0..per_thread {
                         let id = (t << 32) | i;
-                        let batch = [Request::alloc(id, 16), Request::free(id)];
-                        ok += svc.submit(&batch).iter().filter(|r| r.is_ok()).count() as u64;
+                        ok += u64::from(svc.alloc(id, 16, 0).is_ok());
+                        ok += u64::from(svc.free(id).is_ok());
                     }
                     oks[t as usize].store(ok, Ordering::Relaxed);
                 });
@@ -1184,12 +934,11 @@ mod tests {
         });
         let total_ok: u64 = oks.iter().map(|c| c.load(Ordering::Relaxed)).sum();
         let c = svc.counters();
-        // Every successful response is counted exactly once in the
-        // shared sink, whatever the interleaving.
+        // Every successful answer is counted exactly once in the shared
+        // sink, whatever the interleaving.
         assert_eq!(c.allocs + c.frees, total_ok);
         assert_eq!(c.allocs, c.frees);
-        assert_eq!(svc.arena().unwrap().snapshot().allocated_words(), 0);
-        svc.arena().unwrap().check_invariants();
+        assert_eq!(svc.arena().snapshot().allocated_words(), 0);
         svc.check_reconciliation();
     }
 
@@ -1197,7 +946,7 @@ mod tests {
     fn tenant_books_reconcile_under_multithreaded_churn() {
         let mut svc = ArenaService::striped(4, 8192, Placement::FirstFit);
         for t in 0..4 {
-            svc.register_tenant(Tenant::new(t), 4096);
+            svc.register_tenant(t, Priority::Normal, 4096);
         }
         std::thread::scope(|scope| {
             for t in 0..4u32 {
@@ -1205,23 +954,92 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..400u64 {
                         let id = (u64::from(t) << 32) | i;
-                        svc.submit(&[
-                            Request::alloc_as(id, 1 + (i % 32), Tenant::new(t)),
-                            Request::free(id),
-                        ]);
+                        let _ = svc.alloc(id, 1 + (i % 32), t);
+                        let _ = svc.free(id);
                     }
                 });
             }
         });
-        for t in 0..4 {
-            assert_eq!(
-                svc.tenants().in_use(t),
-                0,
-                "tenant {t} books settle to zero"
-            );
+        for t in svc.tenant_occupancy() {
+            assert_eq!(t.in_use, 0, "tenant {} books settle to zero", t.tenant);
         }
         assert_eq!(svc.occupied(), 0);
         svc.check_reconciliation();
+    }
+
+    /// The race the registry exists to decide: the shed rung and the
+    /// owner's own free both try to remove one entry. A low-priority
+    /// tenant churns on one thread while a high-priority one, whose
+    /// demand never fits beside it, keeps forcing the shed rung on
+    /// another. Whoever wins each race, every block the low tenant was
+    /// given is answered once — freed, or `UnknownUnit` because it was
+    /// shed — and grants, sheds and events stay one for one.
+    #[test]
+    fn shed_and_owner_free_race_for_one_entry_and_the_books_hold() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        const HIGH: u64 = 1 << 40;
+        let mut svc =
+            ArenaService::striped(1, 512, Placement::FirstFit).with_overload(OverloadConfig {
+                low_watermark: 2.0,
+                high_watermark: 2.0,
+                shed_budget: u32::MAX,
+            });
+        svc.register_tenant(0, Priority::Low, 512);
+        svc.register_tenant(1, Priority::High, 512);
+        let start = Barrier::new(2);
+        let done = AtomicBool::new(false);
+        let (allocs, freed, unknown) = std::thread::scope(|scope| {
+            let low = scope.spawn(|| {
+                let (mut allocs, mut freed, mut unknown) = (0u64, 0u64, 0u64);
+                let mut free = |id| match svc.free(id) {
+                    Ok(()) => freed += 1,
+                    Err(ArenaError::Alloc(AllocError::UnknownUnit)) => unknown += 1,
+                    Err(e) => panic!("low free of {id}: {e}"),
+                };
+                // Up to eight blocks of 48 live, oldest freed first: the
+                // entry the shed rung picks (lowest id) is the one this
+                // thread frees next.
+                let mut live = std::collections::VecDeque::new();
+                start.wait();
+                let mut id = 0u64;
+                while !done.load(Ordering::Acquire) {
+                    if live.len() == 8 {
+                        free(live.pop_front().unwrap_or_default());
+                    }
+                    if svc.alloc(id, 48, 0).is_ok() {
+                        allocs += 1;
+                        live.push_back(id);
+                    }
+                    id += 1;
+                }
+                live.into_iter().for_each(&mut free);
+                (allocs, freed, unknown)
+            });
+            start.wait();
+            for i in 0..1_000_000 {
+                if svc.guard().map_or(0, OverloadGuard::sheds) >= 500 {
+                    break;
+                }
+                if svc.alloc(HIGH | i, 256, 1).is_ok() {
+                    assert_eq!(svc.free(HIGH | i), Ok(()));
+                }
+                std::thread::yield_now();
+            }
+            done.store(true, Ordering::Release);
+            low.join().unwrap_or_else(|e| std::panic::resume_unwind(e))
+        });
+        let sheds = svc.guard().map_or(0, OverloadGuard::sheds);
+        assert!(sheds > 0, "the shed rung must actually run");
+        let occupancy = svc.tenant_occupancy();
+        assert_eq!(freed + unknown, allocs, "every low block answered once");
+        assert_eq!(
+            unknown, occupancy[0].shed,
+            "UnknownUnit only for shed blocks"
+        );
+        assert_eq!(sheds, svc.counters().tenants_shed, "one event per grant");
+        svc.check_reconciliation();
+        assert!(occupancy.iter().all(|t| t.in_use == 0), "{occupancy:?}");
     }
 
     /// A probe that panics the first time it sees its trigger event —
@@ -1245,8 +1063,8 @@ mod tests {
     #[test]
     fn probe_panic_mid_alloc_poisons_the_lock_but_not_the_books() {
         let mut svc = ArenaService::striped(2, 512, Placement::FirstFit);
-        svc.register_tenant(Tenant::new(0), 1024);
-        assert!(svc.submit(&[Request::alloc(1, 40)])[0].is_ok());
+        svc.register_tenant(0, Priority::Normal, 1024);
+        assert!(svc.alloc(1, 40, 0).is_ok());
         // Panic on the success emission of the next alloc: the freelist
         // has already placed the block when the probe fires, and every
         // book — registry, quota, occupancy — was settled before it.
@@ -1257,7 +1075,7 @@ mod tests {
                         armed: true,
                         trigger: |k| matches!(k, EventKind::Alloc { .. }),
                     };
-                    let _ = svc.submit_with(&[Request::alloc(2, 48)], &mut probe);
+                    let _ = svc.alloc_probed(2, 48, 0, None, &mut probe);
                 })
                 .join()
         });
@@ -1267,8 +1085,8 @@ mod tests {
         // The poisoned shard mutex is ridden out via PoisonError::
         // into_inner: traffic continues, and the torn id is live — it
         // frees like any other block.
-        let r = svc.submit(&[Request::free(2), Request::free(1)]);
-        assert!(r.iter().all(Response::is_ok));
+        assert_eq!(svc.free(2), Ok(()));
+        assert_eq!(svc.free(1), Ok(()));
         assert_eq!(svc.occupied(), 0);
         svc.check_reconciliation();
     }
@@ -1276,11 +1094,11 @@ mod tests {
     #[test]
     fn probe_panic_mid_free_leaves_the_books_reconciled() {
         let mut svc = ArenaService::striped(2, 512, Placement::FirstFit);
-        svc.register_tenant(Tenant::new(0), 1024);
-        let r = svc.submit(&[Request::alloc(1, 40), Request::alloc(2, 48)]);
-        assert!(r.iter().all(Response::is_ok));
+        svc.register_tenant(0, Priority::Normal, 1024);
+        assert!(svc.alloc(1, 40, 0).is_ok());
+        assert!(svc.alloc(2, 48, 0).is_ok());
         // The free path settles registry, quota, and occupancy before
-        // the backend mutates, and the backend emits only after its own
+        // the arena mutates, and the arena emits only after its own
         // mutation — so the panic tears nothing.
         let torn = std::thread::scope(|scope| {
             scope
@@ -1289,7 +1107,7 @@ mod tests {
                         armed: true,
                         trigger: |k| matches!(k, EventKind::Free { .. }),
                     };
-                    let _ = svc.submit_with(&[Request::free(2)], &mut probe);
+                    let _ = svc.free_probed(2, None, &mut probe);
                 })
                 .join()
         });
@@ -1297,11 +1115,8 @@ mod tests {
         svc.check_reconciliation();
         assert_eq!(svc.occupied(), 40, "the torn free completed");
         // The torn id is really gone — a second free reports it unknown.
-        assert!(matches!(
-            svc.submit(&[Request::free(2)])[0],
-            Response::Failed { .. }
-        ));
-        assert!(svc.submit(&[Request::free(1)])[0].is_ok());
+        assert!(svc.free(2).is_err());
+        assert_eq!(svc.free(1), Ok(()));
         assert_eq!(svc.occupied(), 0);
         svc.check_reconciliation();
     }
@@ -1314,9 +1129,9 @@ mod tests {
         use dsa_faults::{FaultConfig, SyncFaultInjector};
         for &threads in &[1usize, 2, 8] {
             let mut svc = ArenaService::striped(4, 2048, Placement::FirstFit)
-                .with_overload(crate::OverloadConfig::default());
+                .with_overload(OverloadConfig::default());
             for t in 0..threads as u32 {
-                svc.register_tenant(Tenant::new(t), 2048);
+                svc.register_tenant(t, Priority::Normal, 2048);
             }
             let inj = SyncFaultInjector::new(
                 0xC4A05,
@@ -1335,26 +1150,19 @@ mod tests {
                     let inj = &inj;
                     scope.spawn(move || {
                         let mut worker = inj.worker(w as u64);
-                        let tenant = Tenant::new(w as u32);
                         for i in 0..600u64 {
                             let id = ((w as u64) << 32) | i;
-                            let _ = svc.submit_chaos(
-                                &[
-                                    Request::alloc_as(id, 1 + (i % 48), tenant),
-                                    Request::free(id),
-                                ],
-                                &mut worker,
-                                &mut NullProbe,
-                            );
+                            let words = 1 + (i % 48);
+                            let chaos = Some(&mut worker);
+                            let _ = svc.alloc_probed(id, words, w as u32, chaos, &mut NullProbe);
+                            let _ = svc.free_probed(id, Some(&mut worker), &mut NullProbe);
                         }
                     });
                 }
             });
             svc.check_reconciliation();
-            let arena = svc.arena().expect("striped service has an arena");
-            arena.check_invariants();
             assert_eq!(
-                arena.quarantined_count(),
+                svc.arena().quarantined_count(),
                 0,
                 "{threads} threads: every corruption healed and readmitted"
             );

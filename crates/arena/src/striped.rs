@@ -35,8 +35,6 @@ use dsa_freelist::compaction::{compact_probed, CompactionReport};
 use dsa_freelist::freelist::{AllocSnapshot, FreeListAllocator, FreeListStats, Placement};
 use dsa_probe::{EventKind, NullProbe, Probe, Stamp};
 
-use crate::tenant::TenantOccupancy;
-
 /// Marks an id whose steal attempt is still in flight in the home
 /// shard's ownership map.
 const RESERVED: u32 = u32::MAX;
@@ -181,9 +179,6 @@ pub struct ArenaSnapshot {
     pub shards: Vec<ShardSnapshot>,
     /// Allocations that landed on a non-home shard, cumulatively.
     pub steals: u64,
-    /// Per-tenant occupancy, in tenant order. Empty when the arena is
-    /// driven bare — the [`crate::ArenaService`] front-end fills it.
-    pub tenants: Vec<TenantOccupancy>,
 }
 
 impl ArenaSnapshot {
@@ -435,7 +430,7 @@ impl ShardedArena {
     }
 
     /// The honest report of a request no shard could place.
-    fn exhausted(&self, requested: Words) -> ArenaError {
+    pub(crate) fn exhausted(&self, requested: Words) -> ArenaError {
         let per_shard = (0..self.shard_count())
             .map(|s| {
                 let g = self.lock(s);
@@ -766,7 +761,6 @@ impl ShardedArena {
         ArenaSnapshot {
             shards,
             steals: self.steals(),
-            tenants: Vec::new(),
         }
     }
 

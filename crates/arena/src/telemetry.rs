@@ -49,8 +49,7 @@ pub struct ServiceTelemetry {
 }
 
 impl ServiceTelemetry {
-    /// Telemetry for a service of `shards` stripes (a slab backend is
-    /// one stripe).
+    /// Telemetry for a service of `shards` stripes.
     #[must_use]
     pub fn new(shards: u32) -> ServiceTelemetry {
         ServiceTelemetry {
@@ -69,7 +68,7 @@ impl ServiceTelemetry {
 
     /// The service-wide always-on sink (counters + global
     /// distributions); the service passes this as the probe on every
-    /// backend operation.
+    /// arena operation.
     #[must_use]
     pub fn probe(&self) -> &TelemetryProbe {
         &self.probe

@@ -1,20 +1,19 @@
-//! Tenants: who a request allocates *as*, and the word quotas that
+//! Tenants: who an allocation is charged *to*, and the word quotas that
 //! keep one client from starving the rest.
 //!
 //! A shared allocation service is multi-tenant the moment two programs
-//! submit to it — the paper's multiprogramming concern, restated at the
-//! service boundary. Each [`Request`](crate::Request) carries a
-//! [`Tenant`] (an id plus a [`Priority`]); the service charges every
-//! successful allocation to its tenant's [`TenantTable`] entry and
-//! refunds it on release. Quota reservation is a CAS loop over an
-//! atomic occupancy counter, so the accounting is *exact* at any thread
-//! count: reserve happens before the storage is touched, release after
-//! the storage is returned, and a failed backend allocation rolls the
-//! reservation back — the counter can transiently over-state occupancy
-//! (by in-flight requests) but never under-state it, and it returns to
-//! truth at quiescence.
+//! allocate from it — the paper's multiprogramming concern, restated at
+//! the service boundary. Each allocation names its tenant by a dense
+//! `u32` id; [`TenantTable::register`] gives the id its [`Priority`] and
+//! quota, and the service charges every successful allocation to that
+//! entry and refunds it on release. Quota reservation is a CAS loop
+//! over an atomic occupancy counter, so the accounting is *exact* at
+//! any thread count: reserve happens before the storage is touched,
+//! release after the storage is returned, and a failed allocation rolls
+//! the reservation back — the counter can transiently over-state
+//! occupancy (by in-flight requests) but never under-state it, and it
+//! returns to truth at quiescence.
 
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dsa_core::ids::Words;
@@ -49,47 +48,7 @@ impl Priority {
     }
 }
 
-/// The identity a request allocates under.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub struct Tenant {
-    /// Stable tenant id (dense small integers index the quota table).
-    pub id: u32,
-    /// The tenant's shed/admission class.
-    pub priority: Priority,
-}
-
-impl Tenant {
-    /// Tenant 0 at [`Priority::Normal`] — what untagged requests
-    /// allocate as.
-    pub const DEFAULT: Tenant = Tenant {
-        id: 0,
-        priority: Priority::Normal,
-    };
-
-    /// A tenant at [`Priority::Normal`].
-    #[must_use]
-    pub fn new(id: u32) -> Tenant {
-        Tenant {
-            id,
-            priority: Priority::Normal,
-        }
-    }
-
-    /// A tenant at an explicit priority.
-    #[must_use]
-    pub fn with_priority(id: u32, priority: Priority) -> Tenant {
-        Tenant { id, priority }
-    }
-}
-
-impl fmt::Display for Tenant {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "tenant {} ({})", self.id, self.priority.label())
-    }
-}
-
-/// One tenant's frozen accounting, inside an
-/// [`ArenaSnapshot`](crate::ArenaSnapshot).
+/// One tenant's frozen accounting, from [`TenantTable::occupancy`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TenantOccupancy {
     /// The tenant id.
@@ -138,8 +97,8 @@ impl TenantTable {
     /// Registers tenant `id..` slots up to and including `id`, giving
     /// the new slot `quota` words at `priority`. Re-registering an id
     /// replaces its quota and priority but keeps its occupancy.
-    pub fn register(&mut self, tenant: Tenant, quota: Words) {
-        while self.slots.len() <= tenant.id as usize {
+    pub fn register(&mut self, id: u32, priority: Priority, quota: Words) {
+        while self.slots.len() <= id as usize {
             self.slots.push(TenantSlot {
                 priority: Priority::Normal,
                 quota: 0,
@@ -148,8 +107,8 @@ impl TenantTable {
                 quota_denials: AtomicU64::new(0),
             });
         }
-        let slot = &mut self.slots[tenant.id as usize];
-        slot.priority = tenant.priority;
+        let slot = &mut self.slots[id as usize];
+        slot.priority = priority;
         slot.quota = quota;
     }
 
@@ -273,7 +232,7 @@ mod tests {
     #[test]
     fn quota_reservation_grants_exactly_to_the_line() {
         let mut t = TenantTable::new();
-        t.register(Tenant::new(0), 100);
+        t.register(0, Priority::Normal, 100);
         assert!(t.try_reserve(0, 60).is_ok());
         assert!(t.try_reserve(0, 40).is_ok());
         assert_eq!(t.try_reserve(0, 1), Err(100));
@@ -297,13 +256,12 @@ mod tests {
         assert!(Priority::Low < Priority::Normal);
         assert!(Priority::Normal < Priority::High);
         assert_eq!(Priority::default(), Priority::Normal);
-        assert_eq!(Tenant::DEFAULT.id, 0);
     }
 
     #[test]
     fn concurrent_reservations_never_over_grant() {
         let mut t = TenantTable::new();
-        t.register(Tenant::new(0), 1000);
+        t.register(0, Priority::Normal, 1000);
         let granted = AtomicU64::new(0);
         std::thread::scope(|scope| {
             for _ in 0..8 {

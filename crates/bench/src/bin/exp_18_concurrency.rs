@@ -6,9 +6,9 @@
 //! traffic. This experiment drives it the way the other experiments
 //! drive machines: a deterministic workload, every count reconciled.
 //! Worker threads (`std::thread::scope`) push pre-generated churn
-//! streams through `ArenaService::submit` and we sweep the shard count
+//! streams through `ArenaService`'s door and we sweep the shard count
 //! of the variable-size arena — the concurrency analogue of E5's
-//! placement sweep — then run the lock-free fixed-size slab as the
+//! placement sweep — then drive the lock-free `FixedSlab` itself as the
 //! uniform-unit endpoint (Blelloch & Wei: constant-time concurrent
 //! alloc/free, no locks at all).
 //!
@@ -20,10 +20,9 @@
 //! search. What does NOT vary: the op and success counts, and the
 //! books, which reconcile exactly at any thread count.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use dsa_arena::{ArenaError, ArenaService, Request, Response, ShardedArena};
+use dsa_arena::{ArenaError, ArenaService, FixedSlab, ShardedArena};
 use dsa_bench::metrics::RunMetrics;
 use dsa_exec::cli;
 use dsa_freelist::Placement;
@@ -34,18 +33,26 @@ use dsa_trace::rng::Rng64;
 
 /// Ops per worker stream (alloc/free mixed, plus the drain tail).
 const OPS_PER_WORKER: usize = 40_000;
-/// Requests per `submit` batch.
-const BATCH: usize = 512;
 /// Total striped-arena capacity, split across however many shards.
 const TOTAL_WORDS: u64 = 1 << 20;
 /// Slab geometry: uniform 64-word units.
 const SLAB_UNITS: u32 = 1 << 14;
 const UNIT_WORDS: u64 = 64;
 
+/// Bits of an id below its worker's namespace.
+const LOCAL_BITS: u32 = 40;
+
+/// One request of a worker stream.
+#[derive(Clone, Copy)]
+enum Op {
+    Alloc { id: u64, words: u64 },
+    Free { id: u64 },
+}
+
 /// One worker's deterministic churn stream: grow a bounded live set,
 /// free random members, drain at the end. Ids are namespaced by worker
-/// so streams never collide.
-fn worker_stream(worker: u64, max_words: u64) -> Vec<Request> {
+/// so streams never collide, and count up from 0 inside it.
+fn worker_stream(worker: u64, max_words: u64) -> Vec<Op> {
     let mut rng = Rng64::new(0xE18_0000 + worker);
     let mut live: Vec<u64> = Vec::new();
     let mut next = 0u64;
@@ -53,37 +60,24 @@ fn worker_stream(worker: u64, max_words: u64) -> Vec<Request> {
     for _ in 0..OPS_PER_WORKER {
         let grow = live.len() < 16 || (live.len() < 256 && rng.next_u64() % 100 < 55);
         if grow {
-            let id = (worker << 40) | next;
+            let id = (worker << LOCAL_BITS) | next;
             next += 1;
             let words = 8 + rng.next_u64() % max_words;
-            out.push(Request::alloc(id, words));
+            out.push(Op::Alloc { id, words });
             live.push(id);
         } else {
             let i = (rng.next_u64() as usize) % live.len();
-            let id = live.swap_remove(i);
-            out.push(Request::free(id));
+            out.push(Op::Free {
+                id: live.swap_remove(i),
+            });
         }
     }
-    for id in live {
-        out.push(Request::free(id));
-    }
+    out.extend(live.into_iter().map(|id| Op::Free { id }));
     out
 }
 
-/// Arms the arena's quick lists when `--quick-lists` was passed — an
-/// opt-in accelerator for the recurring small sizes in the worker
-/// streams. The acknowledgment goes to stderr (in `main`), never
-/// stdout, so default output is byte-identical with the flag absent.
-fn arm_quick(svc: ArenaService) -> ArenaService {
-    if cli::switch_from_env(cli::QUICK_LISTS) {
-        svc.with_quick_lists(64, 16)
-    } else {
-        svc
-    }
-}
-
-/// Per-worker response tallies, for reconciliation against the shared
-/// probe.
+/// Per-worker answer tallies, for reconciliation against the shared
+/// books.
 #[derive(Default)]
 struct Tally {
     allocs: u64,
@@ -92,68 +86,78 @@ struct Tally {
     failed: u64,
 }
 
-/// Pushes every stream through the service from `streams.len()` scoped
-/// workers and returns (elapsed seconds, summed tallies).
-fn drive(svc: &ArenaService, streams: &[Vec<Request>]) -> (f64, Tally) {
-    let allocs = AtomicU64::new(0);
-    let alloc_words = AtomicU64::new(0);
-    let frees = AtomicU64::new(0);
-    let failed = AtomicU64::new(0);
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for stream in streams {
-            scope.spawn(|| {
-                let mut t = Tally::default();
-                for batch in stream.chunks(BATCH) {
-                    for (req, resp) in batch.iter().zip(svc.submit(batch)) {
-                        match resp {
-                            Response::Allocated { .. } => {
-                                t.allocs += 1;
-                                if let Request::Alloc { words, .. } = *req {
-                                    t.alloc_words += words;
-                                }
-                            }
-                            Response::Freed { .. } => t.frees += 1,
-                            Response::Failed { .. } => t.failed += 1,
-                        }
-                    }
-                }
-                allocs.fetch_add(t.allocs, Ordering::Relaxed);
-                alloc_words.fetch_add(t.alloc_words, Ordering::Relaxed);
-                frees.fetch_add(t.frees, Ordering::Relaxed);
-                failed.fetch_add(t.failed, Ordering::Relaxed);
-            });
+impl Tally {
+    fn record(&mut self, op: Op, ok: bool) {
+        match (op, ok) {
+            (Op::Alloc { words, .. }, true) => {
+                self.allocs += 1;
+                self.alloc_words += words;
+            }
+            (Op::Free { .. }, true) => self.frees += 1,
+            (_, false) => self.failed += 1,
         }
+    }
+
+    fn add(mut self, other: Tally) -> Tally {
+        self.allocs += other.allocs;
+        self.alloc_words += other.alloc_words;
+        self.frees += other.frees;
+        self.failed += other.failed;
+        self
+    }
+}
+
+/// One request through the service, untenanted; whether it succeeded.
+fn serve(svc: &ArenaService, op: Op) -> bool {
+    match op {
+        Op::Alloc { id, words } => svc.alloc(id, words, 0).is_ok(),
+        Op::Free { id } => svc.free(id).is_ok(),
+    }
+}
+
+/// Runs every stream on its own scoped worker and returns (elapsed
+/// seconds, summed tallies).
+fn drive(streams: &[Vec<Op>], worker: impl Fn(&[Op]) -> Tally + Sync) -> (f64, Tally) {
+    let start = Instant::now();
+    let tally = std::thread::scope(|scope| {
+        let workers: Vec<_> = streams
+            .iter()
+            .map(|stream| scope.spawn(|| worker(stream)))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("a worker panicked"))
+            .fold(Tally::default(), Tally::add)
     });
-    let elapsed = start.elapsed().as_secs_f64();
-    (
-        elapsed,
-        Tally {
-            allocs: allocs.into_inner(),
-            alloc_words: alloc_words.into_inner(),
-            frees: frees.into_inner(),
-            failed: failed.into_inner(),
-        },
-    )
+    (start.elapsed().as_secs_f64(), tally)
+}
+
+/// Pushes every stream through the service's door.
+fn drive_service(svc: &ArenaService, streams: &[Vec<Op>]) -> (f64, Tally) {
+    drive(streams, |stream| {
+        let mut t = Tally::default();
+        for &op in stream {
+            t.record(op, serve(svc, op));
+        }
+        t
+    })
 }
 
 /// Exact books check: the shared atomic sink vs the workers' own
-/// response tallies. Any interleaving that loses or double-counts an
-/// operation shows up here. The workers can't see freed sizes (a
-/// `Free{id}` carries no word count), but the streams drain fully, so
-/// for the striped arena freed words must equal requested words; the
-/// slab accounts whole units on both sides (`unit` is its grain).
-fn reconciled(svc: &ArenaService, t: &Tally, unit: Option<u64>) -> bool {
+/// tallies. Any interleaving that loses or double-counts an operation
+/// shows up here. The workers can't see freed sizes (a free carries no
+/// word count), but the streams drain fully, so freed words must equal
+/// requested words.
+fn reconciled(svc: &ArenaService, t: &Tally) -> bool {
     let c = svc.counters();
-    let words_ok = match unit {
-        Some(u) => c.alloc_words == t.allocs * u && c.freed_words == t.frees * u,
-        None => c.alloc_words == t.alloc_words && c.freed_words == t.alloc_words,
-    };
-    c.allocs == t.allocs && c.frees == t.frees && words_ok
+    c.allocs == t.allocs
+        && c.frees == t.frees
+        && c.alloc_words == t.alloc_words
+        && c.freed_words == t.alloc_words
 }
 
 fn main() {
-    cli::enforce_standard_flags("exp_18_concurrency", &[cli::SHARDS, cli::QUICK_LISTS]);
+    cli::enforce_standard_flags("exp_18_concurrency", &[cli::SHARDS]);
     let mut metrics = RunMetrics::new("exp_18_concurrency");
     // Workers are a workload parameter (clients of the service), not a
     // grid fan-out: default 4 even on narrow hosts, `--jobs` overrides.
@@ -165,13 +169,10 @@ fn main() {
         }
     };
     let max_shards = cli::shards_or(8);
-    if cli::switch_from_env(cli::QUICK_LISTS) {
-        eprintln!("exp_18_concurrency: arena quick lists armed (max 64 words, depth 16)");
-    }
     println!("E18: concurrent allocation service — scaling with shard count\n");
     println!(
-        "{workers} workers x {OPS_PER_WORKER} ops, batches of {BATCH}; striped arena \
-         capacity {TOTAL_WORDS} words total (constant across shard counts)"
+        "{workers} workers x {OPS_PER_WORKER} ops; striped arena capacity \
+         {TOTAL_WORDS} words total (constant across shard counts)"
     );
     println!(
         "counts reconcile exactly at any thread count; Mops/s is wall-clock\n\
@@ -184,7 +185,7 @@ fn main() {
         .into_iter()
         .map(|s| s as u32)
         .collect();
-    let streams: Vec<Vec<Request>> = (0..workers as u64).map(|w| worker_stream(w, 120)).collect();
+    let streams: Vec<Vec<Op>> = (0..workers as u64).map(|w| worker_stream(w, 120)).collect();
     let total_ops: usize = streams.iter().map(Vec::len).sum();
 
     let mut t = Table::new(&[
@@ -199,13 +200,10 @@ fn main() {
     ])
     .with_title("striped variable-size arena (first-fit shards, overflow stealing)");
     for &shards in &shard_counts {
-        let svc = arm_quick(ArenaService::striped(
-            shards,
-            TOTAL_WORDS / u64::from(shards),
-            Placement::FirstFit,
-        ));
-        let (elapsed, tally) = drive(&svc, &streams);
-        let arena = svc.arena().expect("striped service has an arena");
+        let svc =
+            ArenaService::striped(shards, TOTAL_WORDS / u64::from(shards), Placement::FirstFit);
+        let (elapsed, tally) = drive_service(&svc, &streams);
+        let arena = svc.arena();
         arena.check_invariants();
         let snap = arena.snapshot();
         assert_eq!(
@@ -220,7 +218,7 @@ fn main() {
             tally.failed.to_string(),
             snap.steals.to_string(),
             format!("{:.2}", snap.stats().mean_search()),
-            if reconciled(&svc, &tally, None) {
+            if reconciled(&svc, &tally) {
                 "exact"
             } else {
                 "MISMATCH"
@@ -238,14 +236,10 @@ fn main() {
     // scraper would chart, and the metrics file is rewritten after
     // every interval (periodic emission, not just end-of-run).
     let shards = *shard_counts.last().expect("the sweep has a shard count");
-    let svc = arm_quick(ArenaService::striped(
-        shards,
-        TOTAL_WORDS / u64::from(shards),
-        Placement::FirstFit,
-    ));
+    let svc = ArenaService::striped(shards, TOTAL_WORDS / u64::from(shards), Placement::FirstFit);
     let mut prev = CountingProbe::new();
     for round in 0..2u32 {
-        let (elapsed, _) = drive(&svc, &streams);
+        let (elapsed, _) = drive_service(&svc, &streams);
         let interval = svc.probe().delta(&prev);
         prev = svc.probe().snapshot();
         let label = round.to_string();
@@ -314,11 +308,11 @@ fn main() {
     // Fragmentation heatmap: a deterministic single-threaded replay of
     // one worker's stream against a small 4-shard arena, the global
     // hole map sampled every 4096 ops.
-    let small = arm_quick(ArenaService::striped(4, 8192, Placement::FirstFit));
-    let arena = small.arena().expect("striped service has an arena");
+    let small = ArenaService::striped(4, 8192, Placement::FirstFit);
+    let arena = small.arena();
     let mut sampler = HeatmapSampler::new(4096, 64);
-    for (i, req) in streams[0].iter().enumerate() {
-        let _ = small.submit(std::slice::from_ref(req));
+    for (i, &op) in streams[0].iter().enumerate() {
+        serve(&small, op);
         let vt = i as u64;
         if sampler.due(vt) {
             sampler.push(HeatFrame::capture(
@@ -361,7 +355,10 @@ fn main() {
     println!("exhaustion postmortem ({exhausted}):");
     println!("{}", recorder.postmortem(12));
 
-    // Part 2: uniform units — the lock-free slab, swept over workers.
+    // Part 2: uniform units — the lock-free slab itself, swept over
+    // workers. A worker keeps each live id's unit in a vector indexed by
+    // the id's place in its stream; the unit is the grain, so every
+    // request fits one.
     let mut t = Table::new(&[
         "workers",
         "ops",
@@ -375,14 +372,31 @@ fn main() {
         "lock-free fixed-size slab ({SLAB_UNITS} units x {UNIT_WORDS} words)"
     ));
     for w in cli::doubling_sweep(workers.max(1)) {
-        let slab_streams: Vec<Vec<Request>> = (0..w as u64)
+        let slab_streams: Vec<Vec<Op>> = (0..w as u64)
             .map(|i| worker_stream(i, UNIT_WORDS - 8))
             .collect();
         let ops: usize = slab_streams.iter().map(Vec::len).sum();
-        let svc = ArenaService::fixed(SLAB_UNITS, UNIT_WORDS);
-        let (elapsed, tally) = drive(&svc, &slab_streams);
-        let slab = svc.slab().expect("fixed service has a slab");
+        let slab = FixedSlab::new(SLAB_UNITS, UNIT_WORDS);
+        let (elapsed, tally) = drive(&slab_streams, |stream| {
+            let mut t = Tally::default();
+            let mut units: Vec<Option<u32>> = Vec::new();
+            for &op in stream {
+                let ok = match op {
+                    Op::Alloc { .. } => {
+                        units.push(slab.alloc().ok().map(|u| u.unit));
+                        units.last().is_some_and(Option::is_some)
+                    }
+                    Op::Free { id } => {
+                        let local = (id & ((1 << LOCAL_BITS) - 1)) as usize;
+                        units[local].is_some_and(|unit| slab.free(unit).is_ok())
+                    }
+                };
+                t.record(op, ok);
+            }
+            t
+        });
         slab.check_invariants();
+        assert_eq!(slab.live_units(), 0, "drained streams leave nothing live");
         let stats = slab.stats();
         t.row_owned(vec![
             w.to_string(),
@@ -390,7 +404,7 @@ fn main() {
             tally.allocs.to_string(),
             tally.failed.to_string(),
             (stats.cas_attempts - (stats.allocs + stats.frees)).to_string(),
-            if reconciled(&svc, &tally, Some(UNIT_WORDS)) {
+            if stats.allocs == tally.allocs && stats.frees == tally.frees {
                 "exact"
             } else {
                 "MISMATCH"

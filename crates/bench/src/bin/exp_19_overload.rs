@@ -22,12 +22,13 @@
 //! that is quarantined and healed under live traffic, with a fault
 //! schedule that is a pure function of (seed, stream).
 
-use dsa_arena::{ArenaService, OverloadConfig, Priority, Request, Response, Tenant};
+use dsa_arena::{ArenaService, OverloadConfig, OverloadGuard, Priority};
 use dsa_bench::metrics::RunMetrics;
 use dsa_exec::{cli, par_map, product2};
-use dsa_faults::{FaultConfig, SyncFaultInjector};
+use dsa_faults::{FaultConfig, SyncFaultInjector, WorkerInjector};
 use dsa_freelist::Placement;
 use dsa_metrics::table::Table;
+use dsa_probe::NullProbe;
 use dsa_telemetry::FlightRecorder;
 use dsa_trace::rng::Rng64;
 
@@ -90,24 +91,8 @@ struct CellOut {
 /// clients with 3 × C ∕ t: more than the watermarks can ever clear, so
 /// serving them forces the guard all the way down the ladder to the
 /// shed rung. Guarded or bare.
-/// Arms the arena's quick lists when `--quick-lists` was passed — an
-/// opt-in accelerator for the recurring tenant block sizes. The
-/// acknowledgment goes to stderr (in `main`), never stdout, so the
-/// golden output is byte-identical with the flag absent.
-fn arm_quick(svc: ArenaService) -> ArenaService {
-    if cli::switch_from_env(cli::QUICK_LISTS) {
-        svc.with_quick_lists(64, 16)
-    } else {
-        svc
-    }
-}
-
 fn cell_service(geo: Geometry, tenants: u32, guarded: bool) -> ArenaService {
-    let mut svc = arm_quick(ArenaService::striped(
-        geo.shards,
-        geo.shard_words,
-        Placement::FirstFit,
-    ));
+    let mut svc = ArenaService::striped(geo.shards, geo.shard_words, Placement::FirstFit);
     if guarded {
         svc = svc.with_overload(OverloadConfig {
             shed_budget: 1024,
@@ -120,7 +105,7 @@ fn cell_service(geo: Geometry, tenants: u32, guarded: bool) -> ArenaService {
             Priority::High => geo.capacity() * 30 / (10 * u64::from(tenants)),
             _ => geo.capacity() * 12 / (10 * u64::from(tenants)),
         };
-        svc.register_tenant(Tenant::with_priority(i, p), quota);
+        svc.register_tenant(i, p, quota);
     }
     svc
 }
@@ -163,21 +148,17 @@ fn drive_cell(svc: &ArenaService, geo: Geometry, tenants: u32) -> CellOut {
                 let i = (rng.next_u64() as usize) % live[slot].len();
                 let (id, freed) = live[slot].swap_remove(i);
                 live_words[slot] -= freed;
-                let _ = svc.submit(&[Request::free(id)]);
+                let _ = svc.free(id);
             }
             offered += words;
-            let tn = Tenant::with_priority(t, tenant_priority(t));
-            let cls = class_index(tn.priority);
+            let cls = class_index(tenant_priority(t));
             out.attempts[cls] += 1;
             let id = next_id;
             next_id += 1;
-            match svc.submit(&[Request::alloc_as(id, words, tn)])[0] {
-                Response::Allocated { .. } => {
-                    out.ok[cls] += 1;
-                    live[slot].push((id, words));
-                    live_words[slot] += words;
-                }
-                Response::Freed { .. } | Response::Failed { .. } => {}
+            if svc.alloc(id, words, t).is_ok() {
+                out.ok[cls] += 1;
+                live[slot].push((id, words));
+                live_words[slot] += words;
             }
         }
     }
@@ -186,9 +167,7 @@ fn drive_cell(svc: &ArenaService, geo: Geometry, tenants: u32) -> CellOut {
         out.quota_denials += occ.quota_denials;
         out.sheds += occ.shed;
     }
-    out.admission_rejects = svc
-        .guard()
-        .map_or(0, dsa_arena::OverloadGuard::admission_rejects);
+    out.admission_rejects = svc.guard().map_or(0, OverloadGuard::admission_rejects);
     out
 }
 
@@ -200,11 +179,18 @@ fn pct(ok: u64, attempts: u64) -> String {
     }
 }
 
+/// One request of a churn stream.
+#[derive(Clone, Copy)]
+enum Op {
+    Alloc { id: u64, words: u64 },
+    Free { id: u64 },
+}
+
 /// A deterministic churn stream for the multithreaded sections: grow a
-/// bounded live set as `tenant`, free random members, drain at the end.
+/// bounded live set, free random members, drain at the end.
 /// Pre-generated, so a worker's requests (and with `--chaos` its
 /// injector rolls) never depend on what other workers did.
-fn churn_stream(worker: u64, tenant: Tenant, ops: usize) -> Vec<Request> {
+fn churn_stream(worker: u64, ops: usize) -> Vec<Op> {
     let mut rng = Rng64::new(0xE19_C0DE + worker);
     let mut live: Vec<u64> = Vec::new();
     let mut next = 0u64;
@@ -214,34 +200,49 @@ fn churn_stream(worker: u64, tenant: Tenant, ops: usize) -> Vec<Request> {
         if grow {
             let id = (worker << 40) | next;
             next += 1;
-            out.push(Request::alloc_as(id, 8 + rng.next_u64() % 56, tenant));
+            out.push(Op::Alloc {
+                id,
+                words: 8 + rng.next_u64() % 56,
+            });
             live.push(id);
         } else {
             let i = (rng.next_u64() as usize) % live.len();
-            out.push(Request::free(live.swap_remove(i)));
+            out.push(Op::Free {
+                id: live.swap_remove(i),
+            });
         }
     }
     // Drain everything the stream ever allocated — frees of ids whose
-    // alloc failed (or that the ladder shed) answer Failed, harmlessly.
-    for id in live {
-        out.push(Request::free(id));
-    }
+    // alloc failed (or that the ladder shed) answer UnknownUnit,
+    // harmlessly.
+    out.extend(live.into_iter().map(|id| Op::Free { id }));
     out
+}
+
+/// Pushes `stream` through the service as `tenant`, rolling `chaos`'s
+/// hazards on every request when given.
+fn churn(
+    svc: &ArenaService,
+    tenant: u32,
+    stream: &[Op],
+    mut chaos: Option<&mut WorkerInjector<'_>>,
+) {
+    for &op in stream {
+        let _ = match op {
+            Op::Alloc { id, words } => svc
+                .alloc_probed(id, words, tenant, chaos.as_deref_mut(), &mut NullProbe)
+                .map(drop),
+            Op::Free { id } => svc.free_probed(id, chaos.as_deref_mut(), &mut NullProbe),
+        };
+    }
 }
 
 /// A guarded 4-tenant service for the multithreaded sections.
 fn mt_service(geo: Geometry, tenants: u32) -> ArenaService {
-    let mut svc = arm_quick(ArenaService::striped(
-        geo.shards,
-        geo.shard_words,
-        Placement::FirstFit,
-    ));
-    svc = svc.with_overload(OverloadConfig::default());
+    let mut svc = ArenaService::striped(geo.shards, geo.shard_words, Placement::FirstFit)
+        .with_overload(OverloadConfig::default());
     for i in 0..tenants {
-        svc.register_tenant(
-            Tenant::with_priority(i, tenant_priority(i)),
-            geo.capacity() / 3,
-        );
+        svc.register_tenant(i, tenant_priority(i), geo.capacity() / 3);
     }
     svc
 }
@@ -255,14 +256,8 @@ fn yes(b: bool) -> &'static str {
 }
 
 fn main() {
-    cli::enforce_standard_flags(
-        "exp_19_overload",
-        &[cli::CHAOS, cli::SHARDS, cli::QUICK_LISTS],
-    );
+    cli::enforce_standard_flags("exp_19_overload", &[cli::CHAOS, cli::SHARDS]);
     let chaos = cli::switch_from_env(cli::CHAOS);
-    if cli::switch_from_env(cli::QUICK_LISTS) {
-        eprintln!("exp_19_overload: arena quick lists armed (max 64 words, depth 16)");
-    }
     let jobs = cli::jobs_from_env();
     let geo = Geometry {
         shards: cli::shards_or(4) as u32,
@@ -335,28 +330,26 @@ fn main() {
     // Part 2: a shed postmortem. A tiny guarded arena is filled by a
     // low-priority tenant until admission closes, then one high-priority
     // request arrives that only the ladder can serve. The flight
-    // recorder rides the submit and shows the ladder's actual steps.
+    // recorder rides the door and shows the ladder's actual steps.
     let recorder =
         dsa_bench::metrics::flight_recorder_from_env().unwrap_or_else(|| FlightRecorder::new(64));
     let mut handle = recorder.handle();
     let mut showcase =
         ArenaService::striped(2, 512, Placement::FirstFit).with_overload(OverloadConfig::default());
-    let low = Tenant::with_priority(0, Priority::Low);
-    let high = Tenant::with_priority(1, Priority::High);
-    showcase.register_tenant(low, 1024);
-    showcase.register_tenant(high, 1024);
+    let (low, high) = (0, 1);
+    showcase.register_tenant(low, Priority::Low, 1024);
+    showcase.register_tenant(high, Priority::High, 1024);
     let mut id = 0u64;
-    while let Response::Allocated { .. } =
-        showcase.submit_with(&[Request::alloc_as(id, 48, low)], &mut handle)[0]
+    while showcase
+        .alloc_probed(id, 48, low, None, &mut handle)
+        .is_ok()
     {
         id += 1;
     }
-    let verdict =
-        match &showcase.submit_with(&[Request::alloc_as(1 << 20, 160, high)], &mut handle)[0] {
-            Response::Allocated { .. } => "served — the ladder shed low-priority blocks".to_owned(),
-            Response::Failed { error, .. } => format!("failed ({error})"),
-            Response::Freed { .. } => unreachable!("an alloc request cannot answer Freed"),
-        };
+    let verdict = match showcase.alloc_probed(1 << 20, 160, high, None, &mut handle) {
+        Ok(_) => "served — the ladder shed low-priority blocks".to_owned(),
+        Err(error) => format!("failed ({error})"),
+    };
     showcase.check_reconciliation();
     println!("shed postmortem: low tenant fills 2x512 words, then one 160-word high alloc");
     println!("high-priority alloc: {verdict}");
@@ -368,22 +361,11 @@ fn main() {
     // guarded service as four tenants; only interleaving-independent
     // verdicts are printed.
     let svc = mt_service(geo, 4);
-    let streams: Vec<Vec<Request>> = (0..4u64)
-        .map(|w| {
-            churn_stream(
-                w,
-                Tenant::with_priority(w as u32, tenant_priority(w as u32)),
-                5000,
-            )
-        })
-        .collect();
+    let streams: Vec<Vec<Op>> = (0..4u64).map(|w| churn_stream(w, 5000)).collect();
     std::thread::scope(|scope| {
-        for stream in &streams {
-            scope.spawn(|| {
-                for batch in stream.chunks(256) {
-                    let _ = svc.submit(batch);
-                }
-            });
+        for (w, stream) in streams.iter().enumerate() {
+            let svc = &svc;
+            scope.spawn(move || churn(svc, w as u32, stream, None));
         }
     });
     svc.check_reconciliation();
@@ -427,32 +409,20 @@ fn main() {
                     ..FaultConfig::default()
                 },
             );
-            let streams: Vec<Vec<Request>> = (0..workers)
-                .map(|w| {
-                    churn_stream(
-                        w,
-                        Tenant::with_priority(w as u32, tenant_priority(w as u32)),
-                        4000,
-                    )
-                })
-                .collect();
+            let streams: Vec<Vec<Op>> = (0..workers).map(|w| churn_stream(w, 4000)).collect();
             std::thread::scope(|scope| {
                 for (w, stream) in streams.iter().enumerate() {
                     let inj = &inj;
                     let svc = &svc;
                     scope.spawn(move || {
                         let mut worker = inj.worker(w as u64);
-                        for batch in stream.chunks(256) {
-                            let _ = svc.submit_chaos(batch, &mut worker, &mut dsa_probe::NullProbe);
-                        }
+                        churn(svc, w as u32, stream, Some(&mut worker));
                     });
                 }
             });
             let report = inj.report();
             svc.check_reconciliation();
-            let arena = svc.arena().expect("striped service has an arena");
-            arena.check_invariants();
-            let healed = arena.quarantined_count() == 0;
+            let healed = svc.arena().quarantined_count() == 0;
             t.row_owned(vec![
                 workers.to_string(),
                 report.faults_injected.to_string(),

@@ -87,17 +87,6 @@ pub const FLIGHT_RECORDER: FlagSpec = FlagSpec {
     help: "retain the last N probe events per thread for postmortem dumps",
 };
 
-/// The `--quick-lists` switch of the two experiments that build an
-/// arena (E18, E19): arm its per-shard quick lists (Knuth's exercise
-/// 2.5-6 fast LIFO caches for recurring small sizes). They say so on
-/// stderr, never stdout — golden output is byte-identical with and
-/// without the switch.
-pub const QUICK_LISTS: FlagSpec = FlagSpec {
-    name: "--quick-lists",
-    value: None,
-    help: "arm per-shard quick lists on the experiment's arenas (stderr note only)",
-};
-
 /// The flags *every* experiment binary accepts: `--jobs`,
 /// `--metrics-out`, `--flight-recorder`. One
 /// registry, so adding a universal flag is a one-line change that
@@ -576,9 +565,9 @@ mod tests {
         );
         // A bare switch is an extra flag of the binaries that read it,
         // accepted anywhere in their argument list and nowhere else.
-        let args = ["--quick-lists", "--jobs", "2"];
+        let args = ["--chaos", "--jobs", "2"];
         assert!(check_known(strings(&args), &flags).is_err());
-        assert_eq!(check_known(strings(&args), &[JOBS, QUICK_LISTS]), Ok(()));
+        assert_eq!(check_known(strings(&args), &[JOBS, CHAOS]), Ok(()));
     }
 
     #[test]

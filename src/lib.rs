@@ -10,9 +10,9 @@
 //!   and a [`std::alloc::GlobalAlloc`] backend installable with
 //!   `#[global_allocator]`, benchmarked against the system allocator;
 //! * [`arena`] — the concurrent allocation service: lock-free
-//!   fixed-size slabs (uniform units) and a sharded variable-size
-//!   arena over the free-list allocators, behind a batching request
-//!   port;
+//!   fixed-size slabs (uniform units), a sharded variable-size arena
+//!   over the free-list allocators, and a multi-tenant,
+//!   overload-hardened front over that arena;
 //! * [`core`] — the four-axis taxonomy, shared types, faults, advice;
 //! * [`storage`] — simulated storage levels, hierarchies, memory,
 //!   packing channels;

@@ -1,7 +1,7 @@
-//! Property-based and concurrency tests on the `dsa-arena` allocation
-//! service.
+//! Property-based and concurrency tests on `ShardedArena`, the
+//! variable-size core under `DsaHeap` and `ArenaService`.
 //!
-//! Three claims, each load-bearing for the service's contract:
+//! Four claims, each load-bearing for the arena's contract:
 //!
 //! * **Conservation** — allocated words plus free words equal capacity
 //!   at every step, under any op stream (no leak, no mint).
@@ -17,7 +17,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use dsa::arena::{ArenaError, ArenaService, Request, Response, ShardedArena};
+use dsa::arena::{ArenaError, ShardedArena};
 use dsa::core::error::AllocError;
 use dsa::core::ids::PhysAddr;
 use dsa::freelist::freelist::{FreeListAllocator, Placement};
@@ -71,27 +71,19 @@ proptest! {
     /// ownership consistency, homed == owned) stays green.
     #[test]
     fn arena_conserves_words(ops in arb_ops()) {
-        let svc = ArenaService::striped(4, 1024, Placement::FirstFit);
-        let arena = svc.arena().expect("striped");
+        let arena = ShardedArena::new(4, 1024, Placement::FirstFit);
         let mut live: Vec<u64> = Vec::new();
-        let mut next = 0u64;
-        for op in &ops {
-            let req = match *op {
+        for (id, op) in ops.iter().enumerate() {
+            match *op {
                 Op::Alloc(words) => {
-                    next += 1;
-                    Request::alloc(next - 1, words)
+                    live.extend(arena.alloc(id as u64, words).ok().map(|_| id as u64));
                 }
                 Op::FreeNth(i) => {
                     if live.is_empty() {
                         continue;
                     }
-                    Request::free(live.swap_remove(i % live.len()))
+                    prop_assert_eq!(arena.free(live.swap_remove(i % live.len())), Ok(()));
                 }
-            };
-            match (req, &svc.submit(&[req])[0]) {
-                (Request::Alloc { id, .. }, Response::Allocated { .. }) => live.push(id),
-                (_, Response::Freed { .. } | Response::Failed { .. }) => {}
-                (req, resp) => prop_assert!(false, "{req:?} answered by {resp:?}"),
             }
             arena.check_invariants();
             let snap = arena.snapshot();
@@ -103,51 +95,37 @@ proptest! {
         }
     }
 
-    /// A 1-shard arena behind the service makes byte-identical
-    /// placement decisions to the bare sequential allocator: same
-    /// success/failure on every request, same address on every success,
-    /// and the same modeled search count at the end.
+    /// A 1-shard arena makes byte-identical placement decisions to the
+    /// bare sequential allocator: same success/failure on every
+    /// request, same address on every success, and the same modeled
+    /// search count at the end.
     #[test]
     fn one_shard_matches_bare_allocator(ops in arb_ops()) {
         for policy in [Placement::FirstFit, Placement::BestFit, Placement::WorstFit] {
-            let svc = ArenaService::striped(1, 2048, policy);
+            let arena = ShardedArena::new(1, 2048, policy);
             let mut bare = FreeListAllocator::new(2048, policy);
             let mut live: Vec<u64> = Vec::new();
-            let mut next = 0u64;
-            for op in &ops {
+            for (id, op) in ops.iter().enumerate() {
+                let id = id as u64;
                 match *op {
                     Op::Alloc(words) => {
-                        let id = next;
-                        next += 1;
-                        let got = &svc.submit(&[Request::alloc(id, words)])[0];
-                        match (got, bare.alloc(id, words)) {
-                            (Response::Allocated { addr, .. }, Ok(want)) => {
-                                prop_assert_eq!(
-                                    addr.value(),
-                                    want.value(),
-                                    "{:?}: placement diverged",
-                                    policy
-                                );
-                                live.push(id);
-                            }
-                            (Response::Failed { .. }, Err(_)) => {}
-                            (got, want) => prop_assert!(
-                                false,
-                                "{policy:?}: arena said {got:?}, bare said {want:?}"
-                            ),
-                        }
+                        let got = arena.alloc(id, words).ok();
+                        let want = bare.alloc(id, words).ok();
+                        prop_assert_eq!(got, want, "{:?}: placement diverged", policy);
+                        live.extend(got.map(|_| id));
                     }
                     Op::FreeNth(i) => {
                         if live.is_empty() {
                             continue;
                         }
                         let id = live.swap_remove(i % live.len());
-                        prop_assert!(svc.submit(&[Request::free(id)])[0].is_ok());
+                        prop_assert_eq!(arena.free(id), Ok(()));
                         bare.free(id).expect("live id");
                     }
                 }
             }
-            let snap = &svc.arena().expect("striped").snapshot().shards[0];
+            arena.check_invariants();
+            let snap = &arena.snapshot().shards[0];
             prop_assert_eq!(snap.alloc.stats.probes, bare.stats().probes,
                 "modeled search count diverged");
             prop_assert_eq!(snap.alloc.free_words, bare.free_words());
@@ -368,19 +346,19 @@ impl ClaimMap {
     }
 }
 
-/// Churns the striped service from `threads` workers, each owning an id
+/// Churns the arena from `threads` workers, each owning an id
 /// namespace, while a shared [`ClaimMap`] checks from outside that no
 /// word is ever inside two live allocations.
 fn churn_no_double_handout(threads: u64) {
     const SHARDS: u32 = 4;
     const SHARD_WORDS: u64 = 4096;
     const OPS: usize = 3_000;
-    let svc = ArenaService::striped(SHARDS, SHARD_WORDS, Placement::FirstFit);
+    let arena = ShardedArena::new(SHARDS, SHARD_WORDS, Placement::FirstFit);
     let claims = ClaimMap::new(u64::from(SHARDS) * SHARD_WORDS);
     let overlaps = AtomicU64::new(0);
     std::thread::scope(|scope| {
         for t in 0..threads {
-            let svc = &svc;
+            let arena = &arena;
             let claims = &claims;
             let overlaps = &overlaps;
             scope.spawn(move || {
@@ -394,9 +372,7 @@ fn churn_no_double_handout(threads: u64) {
                         let id = (t << 40) | next;
                         next += 1;
                         let words = 1 + rng.next_u64() % 96;
-                        if let Response::Allocated { addr, .. } =
-                            &svc.submit(&[Request::alloc(id, words)])[0]
-                        {
+                        if let Ok(addr) = arena.alloc(id, words) {
                             if !claims.claim(addr.value(), words) {
                                 overlaps.fetch_add(1, Ordering::Relaxed);
                             }
@@ -405,16 +381,16 @@ fn churn_no_double_handout(threads: u64) {
                     } else {
                         let i = (rng.next_u64() as usize) % live.len();
                         let (id, addr, words) = live.swap_remove(i);
-                        // Release BEFORE the service frees: otherwise a
+                        // Release BEFORE the arena frees: otherwise a
                         // racing re-allocation of the words would trip
                         // the map spuriously.
                         claims.release(addr, words);
-                        assert!(svc.submit(&[Request::free(id)])[0].is_ok());
+                        assert_eq!(arena.free(id), Ok(()));
                     }
                 }
                 for (id, addr, words) in live {
                     claims.release(addr, words);
-                    assert!(svc.submit(&[Request::free(id)])[0].is_ok());
+                    assert_eq!(arena.free(id), Ok(()));
                 }
             });
         }
@@ -424,7 +400,6 @@ fn churn_no_double_handout(threads: u64) {
         0,
         "a word of storage was handed to two live allocations"
     );
-    let arena = svc.arena().expect("striped");
     arena.check_invariants();
     let snap = arena.snapshot();
     assert_eq!(snap.allocated_words(), 0, "everything was freed");

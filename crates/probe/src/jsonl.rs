@@ -260,6 +260,61 @@ mod tests {
         }
     }
 
+    /// One exact line per kind, every flag both ways, every fault and
+    /// ladder mode: the bytes `--trace-out` writes.
+    #[rustfmt::skip]
+    const PINNED: [(EventKind, &str); 39] = [
+        (EventKind::Touch { write: true }, r#"{"t_ns":123,"vt":45,"kind":"touch","write":true}"#),
+        (EventKind::Touch { write: false }, r#"{"t_ns":123,"vt":45,"kind":"touch","write":false}"#),
+        (EventKind::Fault, r#"{"t_ns":123,"vt":45,"kind":"fault"}"#),
+        (EventKind::FetchStart { words: 512 }, r#"{"t_ns":123,"vt":45,"kind":"fetch_start","words":512}"#),
+        (EventKind::FetchDone { words: 513 }, r#"{"t_ns":123,"vt":45,"kind":"fetch_done","words":513}"#),
+        (EventKind::Evict { dirty: true, words: 64 }, r#"{"t_ns":123,"vt":45,"kind":"evict","dirty":true,"words":64}"#),
+        (EventKind::Evict { dirty: false, words: 65 }, r#"{"t_ns":123,"vt":45,"kind":"evict","dirty":false,"words":65}"#),
+        (EventKind::Writeback { words: 66 }, r#"{"t_ns":123,"vt":45,"kind":"writeback","words":66}"#),
+        (EventKind::Alloc { words: 7, searched: 2 }, r#"{"t_ns":123,"vt":45,"kind":"alloc","words":7,"searched":2}"#),
+        (EventKind::Free { words: 8 }, r#"{"t_ns":123,"vt":45,"kind":"free","words":8}"#),
+        (EventKind::CompactionStart, r#"{"t_ns":123,"vt":45,"kind":"compaction_start"}"#),
+        (EventKind::CompactionDone { moved_words: 3 }, r#"{"t_ns":123,"vt":45,"kind":"compaction_done","moved_words":3}"#),
+        (EventKind::Advice, r#"{"t_ns":123,"vt":45,"kind":"advice"}"#),
+        (EventKind::Prefetch { words: u64::MAX }, r#"{"t_ns":123,"vt":45,"kind":"prefetch","words":18446744073709551615}"#),
+        (EventKind::BoundsTrap, r#"{"t_ns":123,"vt":45,"kind":"bounds_trap"}"#),
+        (EventKind::MapLookup { hit: true }, r#"{"t_ns":123,"vt":45,"kind":"map_lookup","hit":true}"#),
+        (EventKind::MapLookup { hit: false }, r#"{"t_ns":123,"vt":45,"kind":"map_lookup","hit":false}"#),
+        (EventKind::FaultInjected { fault: InjectedFault::TransferError }, r#"{"t_ns":123,"vt":45,"kind":"fault_injected","fault":"transfer_error"}"#),
+        (EventKind::FaultInjected { fault: InjectedFault::BadFrame }, r#"{"t_ns":123,"vt":45,"kind":"fault_injected","fault":"bad_frame"}"#),
+        (EventKind::FaultInjected { fault: InjectedFault::ChannelDelay }, r#"{"t_ns":123,"vt":45,"kind":"fault_injected","fault":"channel_delay"}"#),
+        (EventKind::FaultInjected { fault: InjectedFault::AllocFailure }, r#"{"t_ns":123,"vt":45,"kind":"fault_injected","fault":"alloc_failure"}"#),
+        (EventKind::FaultInjected { fault: InjectedFault::ShardCorruption }, r#"{"t_ns":123,"vt":45,"kind":"fault_injected","fault":"shard_corruption"}"#),
+        (EventKind::RetryAttempt { attempt: u32::MAX }, r#"{"t_ns":123,"vt":45,"kind":"retry_attempt","attempt":4294967295}"#),
+        (EventKind::FrameQuarantined, r#"{"t_ns":123,"vt":45,"kind":"frame_quarantined"}"#),
+        (EventKind::DegradationStep { step: DegradationStep::RetryBackoff }, r#"{"t_ns":123,"vt":45,"kind":"degradation_step","step":"retry_backoff"}"#),
+        (EventKind::DegradationStep { step: DegradationStep::Coalesce }, r#"{"t_ns":123,"vt":45,"kind":"degradation_step","step":"coalesce"}"#),
+        (EventKind::DegradationStep { step: DegradationStep::Compact }, r#"{"t_ns":123,"vt":45,"kind":"degradation_step","step":"compact"}"#),
+        (EventKind::DegradationStep { step: DegradationStep::EvictVictims }, r#"{"t_ns":123,"vt":45,"kind":"degradation_step","step":"evict_victims"}"#),
+        (EventKind::DegradationStep { step: DegradationStep::StealGlobal }, r#"{"t_ns":123,"vt":45,"kind":"degradation_step","step":"steal_global"}"#),
+        (EventKind::DegradationStep { step: DegradationStep::ShedLoad }, r#"{"t_ns":123,"vt":45,"kind":"degradation_step","step":"shed_load"}"#),
+        (EventKind::DegradationStep { step: DegradationStep::ShedTenant }, r#"{"t_ns":123,"vt":45,"kind":"degradation_step","step":"shed_tenant"}"#),
+        (EventKind::QuotaDenied { tenant: 3 }, r#"{"t_ns":123,"vt":45,"kind":"quota_denied","tenant":3}"#),
+        (EventKind::AdmissionReject { tenant: 4 }, r#"{"t_ns":123,"vt":45,"kind":"admission_reject","tenant":4}"#),
+        (EventKind::TenantShed { tenant: 5, words: 256 }, r#"{"t_ns":123,"vt":45,"kind":"tenant_shed","tenant":5,"words":256}"#),
+        (EventKind::ShardQuarantined { shard: 1 }, r#"{"t_ns":123,"vt":45,"kind":"shard_quarantined","shard":1}"#),
+        (EventKind::ShardRestored { shard: 2 }, r#"{"t_ns":123,"vt":45,"kind":"shard_restored","shard":2}"#),
+        (EventKind::TenantAdmitted { tenant: 6, frames: 12 }, r#"{"t_ns":123,"vt":45,"kind":"tenant_admitted","tenant":6,"frames":12}"#),
+        (EventKind::TenantDeactivated { tenant: 6, resident: 7 }, r#"{"t_ns":123,"vt":45,"kind":"tenant_deactivated","tenant":6,"resident":7}"#),
+        (EventKind::WsEstimate { tenant: 6, pages: 9 }, r#"{"t_ns":123,"vt":45,"kind":"ws_estimate","tenant":6,"pages":9}"#),
+    ];
+
+    #[test]
+    fn every_kind_writes_its_pinned_line() {
+        let mut r = JsonlRecorder::new(PINNED.len());
+        for (kind, _) in PINNED {
+            r.emit(kind, Stamp::at(Cycles::from_nanos(123), 45));
+        }
+        let want: String = PINNED.iter().map(|(_, line)| format!("{line}\n")).collect();
+        assert_eq!(r.to_jsonl(), want);
+    }
+
     #[test]
     fn ring_drops_oldest_and_counts() {
         let mut r = JsonlRecorder::new(2);

@@ -518,6 +518,15 @@ mod tests {
     }
 
     #[test]
+    fn a_corrupt_slot_is_dropped_not_misread() {
+        // One past the last fault mode, one past the last rung, one
+        // past `u32::MAX`.
+        assert_eq!(decode(tag::FAULT_INJECTED | 5 << 8, 0, 0), None);
+        assert_eq!(decode(tag::DEGRADATION_STEP | 7 << 8, 0, 0), None);
+        assert_eq!(decode(tag::RETRY_ATTEMPT, 1 << 32, 0), None);
+    }
+
+    #[test]
     fn drain_is_chronological_and_lossless_under_capacity() {
         let rec = FlightRecorder::new(64);
         let mut h = rec.handle();

@@ -38,6 +38,17 @@ pub enum DegradationStep {
 }
 
 impl DegradationStep {
+    /// Every rung, in declaration order.
+    pub const ALL: [DegradationStep; 7] = [
+        DegradationStep::RetryBackoff,
+        DegradationStep::Coalesce,
+        DegradationStep::Compact,
+        DegradationStep::EvictVictims,
+        DegradationStep::StealGlobal,
+        DegradationStep::ShedLoad,
+        DegradationStep::ShedTenant,
+    ];
+
     /// Stable lowercase label, used by renderers and exporters.
     #[must_use]
     pub const fn label(self) -> &'static str {

@@ -1,6 +1,6 @@
 //! Bounded in-memory event recorder with JSONL export.
 
-use crate::{Event, EventKind, InjectedFault, Probe};
+use crate::{Event, Probe};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -79,110 +79,20 @@ impl JsonlRecorder {
     }
 }
 
+/// One line: the stamp, the kind's label, then each payload field by
+/// name, in declaration order.
 fn append_event(out: &mut String, e: &Event) {
-    let _ = write!(out, "{{\"t_ns\":{},\"vt\":{}", e.cycles.as_nanos(), e.vtime);
-    match e.kind {
-        EventKind::Touch { write } => {
-            let _ = write!(out, ",\"kind\":\"touch\",\"write\":{write}");
-        }
-        EventKind::Fault => out.push_str(",\"kind\":\"fault\""),
-        EventKind::FetchStart { words } => {
-            let _ = write!(out, ",\"kind\":\"fetch_start\",\"words\":{words}");
-        }
-        EventKind::FetchDone { words } => {
-            let _ = write!(out, ",\"kind\":\"fetch_done\",\"words\":{words}");
-        }
-        EventKind::Evict { dirty, words } => {
-            let _ = write!(
-                out,
-                ",\"kind\":\"evict\",\"dirty\":{dirty},\"words\":{words}"
-            );
-        }
-        EventKind::Writeback { words } => {
-            let _ = write!(out, ",\"kind\":\"writeback\",\"words\":{words}");
-        }
-        EventKind::Alloc { words, searched } => {
-            let _ = write!(
-                out,
-                ",\"kind\":\"alloc\",\"words\":{words},\"searched\":{searched}"
-            );
-        }
-        EventKind::Free { words } => {
-            let _ = write!(out, ",\"kind\":\"free\",\"words\":{words}");
-        }
-        EventKind::CompactionStart => out.push_str(",\"kind\":\"compaction_start\""),
-        EventKind::CompactionDone { moved_words } => {
-            let _ = write!(
-                out,
-                ",\"kind\":\"compaction_done\",\"moved_words\":{moved_words}"
-            );
-        }
-        EventKind::Advice => out.push_str(",\"kind\":\"advice\""),
-        EventKind::Prefetch { words } => {
-            let _ = write!(out, ",\"kind\":\"prefetch\",\"words\":{words}");
-        }
-        EventKind::BoundsTrap => out.push_str(",\"kind\":\"bounds_trap\""),
-        EventKind::MapLookup { hit } => {
-            let _ = write!(out, ",\"kind\":\"map_lookup\",\"hit\":{hit}");
-        }
-        EventKind::FaultInjected { fault } => {
-            let mode = match fault {
-                InjectedFault::TransferError => "transfer_error",
-                InjectedFault::BadFrame => "bad_frame",
-                InjectedFault::ChannelDelay => "channel_delay",
-                InjectedFault::AllocFailure => "alloc_failure",
-                InjectedFault::ShardCorruption => "shard_corruption",
-            };
-            let _ = write!(out, ",\"kind\":\"fault_injected\",\"fault\":\"{mode}\"");
-        }
-        EventKind::RetryAttempt { attempt } => {
-            let _ = write!(out, ",\"kind\":\"retry_attempt\",\"attempt\":{attempt}");
-        }
-        EventKind::FrameQuarantined => out.push_str(",\"kind\":\"frame_quarantined\""),
-        EventKind::DegradationStep { step } => {
-            let _ = write!(
-                out,
-                ",\"kind\":\"degradation_step\",\"step\":\"{}\"",
-                step.label()
-            );
-        }
-        EventKind::QuotaDenied { tenant } => {
-            let _ = write!(out, ",\"kind\":\"quota_denied\",\"tenant\":{tenant}");
-        }
-        EventKind::AdmissionReject { tenant } => {
-            let _ = write!(out, ",\"kind\":\"admission_reject\",\"tenant\":{tenant}");
-        }
-        EventKind::TenantShed { tenant, words } => {
-            let _ = write!(
-                out,
-                ",\"kind\":\"tenant_shed\",\"tenant\":{tenant},\"words\":{words}"
-            );
-        }
-        EventKind::ShardQuarantined { shard } => {
-            let _ = write!(out, ",\"kind\":\"shard_quarantined\",\"shard\":{shard}");
-        }
-        EventKind::ShardRestored { shard } => {
-            let _ = write!(out, ",\"kind\":\"shard_restored\",\"shard\":{shard}");
-        }
-        EventKind::TenantAdmitted { tenant, frames } => {
-            let _ = write!(
-                out,
-                ",\"kind\":\"tenant_admitted\",\"tenant\":{tenant},\"frames\":{frames}"
-            );
-        }
-        EventKind::TenantDeactivated { tenant, resident } => {
-            let _ = write!(
-                out,
-                ",\"kind\":\"tenant_deactivated\",\"tenant\":{tenant},\"resident\":{resident}"
-            );
-        }
-        EventKind::WsEstimate { tenant, pages } => {
-            let _ = write!(
-                out,
-                ",\"kind\":\"ws_estimate\",\"tenant\":{tenant},\"pages\":{pages}"
-            );
-        }
-    }
+    let _ = write!(
+        out,
+        "{{\"t_ns\":{},\"vt\":{},\"kind\":\"{}\"",
+        e.cycles.as_nanos(),
+        e.vtime,
+        e.kind.label()
+    );
+    e.kind.for_each_field(|name, value| {
+        let _ = write!(out, ",\"{name}\":");
+        value.write_json(out);
+    });
     out.push('}');
 }
 
@@ -199,64 +109,32 @@ impl Probe for JsonlRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DegradationStep, Stamp};
+    use crate::counting::every_kind;
+    use crate::{DegradationStep, EventKind, InjectedFault, Stamp};
     use dsa_core::clock::Cycles;
+    use std::collections::BTreeSet;
 
     #[test]
-    fn serializes_every_kind_as_one_line() {
-        let mut r = JsonlRecorder::new(32);
-        let s = Stamp::at(Cycles::from_nanos(123), 45);
-        r.emit(EventKind::Touch { write: false }, s);
-        r.emit(EventKind::Fault, s);
-        r.emit(EventKind::FetchStart { words: 512 }, s);
-        r.emit(EventKind::FetchDone { words: 512 }, s);
-        r.emit(
-            EventKind::Evict {
-                dirty: true,
-                words: 512,
-            },
-            s,
+    fn every_kind_writes_one_line_under_its_own_label() {
+        let mut r = JsonlRecorder::new(usize::MAX);
+        let mut labels = BTreeSet::new();
+        for kind in every_kind() {
+            r.emit(kind, Stamp::vtime(0));
+            labels.insert(kind.label());
+        }
+        assert_eq!(
+            labels.len() as u64,
+            EventKind::KINDS,
+            "a label is used twice"
         );
-        r.emit(EventKind::Writeback { words: 512 }, s);
-        r.emit(
-            EventKind::Alloc {
-                words: 7,
-                searched: 2,
-            },
-            s,
-        );
-        r.emit(EventKind::Free { words: 7 }, s);
-        r.emit(EventKind::CompactionStart, s);
-        r.emit(EventKind::CompactionDone { moved_words: 3 }, s);
-        r.emit(EventKind::Advice, s);
-        r.emit(EventKind::Prefetch { words: 512 }, s);
-        r.emit(EventKind::BoundsTrap, s);
-        r.emit(EventKind::MapLookup { hit: false }, s);
-        r.emit(
-            EventKind::FaultInjected {
-                fault: InjectedFault::TransferError,
-            },
-            s,
-        );
-        r.emit(EventKind::RetryAttempt { attempt: 2 }, s);
-        r.emit(EventKind::FrameQuarantined, s);
-        r.emit(
-            EventKind::DegradationStep {
-                step: DegradationStep::ShedLoad,
-            },
-            s,
-        );
-        let text = r.to_jsonl();
-        assert_eq!(text.lines().count(), 18);
-        assert!(text.contains(r#"{"t_ns":123,"vt":45,"kind":"evict","dirty":true,"words":512}"#));
-        assert!(text.contains(r#""kind":"fault_injected","fault":"transfer_error""#));
-        assert!(text.contains(r#""kind":"retry_attempt","attempt":2"#));
-        assert!(text.contains(r#""kind":"degradation_step","step":"shed_load""#));
-        for line in text.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-            // Crude balance check in lieu of a JSON parser.
-            assert_eq!(line.matches('{').count(), line.matches('}').count());
-            assert_eq!(line.matches('"').count() % 2, 0);
+        for (line, e) in r.to_jsonl().lines().zip(r.events()) {
+            let mut fields = 0;
+            e.kind.for_each_field(|_, _| fields += 1);
+            let head = format!(r#"{{"t_ns":0,"vt":0,"kind":"{}""#, e.kind.label());
+            assert!(line.starts_with(&head) && line.ends_with('}'), "{line}");
+            // Crude well-formedness check in lieu of a JSON parser.
+            assert_eq!(line.matches("\":").count(), 3 + fields, "{line}");
+            assert_eq!(line.matches('"').count() % 2, 0, "{line}");
         }
     }
 

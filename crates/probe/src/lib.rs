@@ -31,14 +31,14 @@ pub mod latency;
 pub mod shared;
 pub mod spacetime;
 
-pub use counting::CountingProbe;
+pub use counting::{CountingProbe, EventKind};
 pub use jsonl::JsonlRecorder;
 pub use latency::LatencyProbe;
 pub use shared::SharedProbe;
 pub use spacetime::SpaceTimeProbe;
 
 use dsa_core::clock::{Cycles, VirtualTime};
-use dsa_core::ids::Words;
+use std::fmt::Write as _;
 
 /// The dual timestamp every event is stamped with.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -92,6 +92,29 @@ pub enum InjectedFault {
     ShardCorruption,
 }
 
+impl InjectedFault {
+    /// Every mode, in declaration order.
+    pub const ALL: [InjectedFault; 5] = [
+        InjectedFault::TransferError,
+        InjectedFault::BadFrame,
+        InjectedFault::ChannelDelay,
+        InjectedFault::AllocFailure,
+        InjectedFault::ShardCorruption,
+    ];
+
+    /// Stable lowercase label, used by renderers and exporters.
+    #[must_use]
+    pub const fn label(self) -> &'static str {
+        match self {
+            InjectedFault::TransferError => "transfer_error",
+            InjectedFault::BadFrame => "bad_frame",
+            InjectedFault::ChannelDelay => "channel_delay",
+            InjectedFault::AllocFailure => "alloc_failure",
+            InjectedFault::ShardCorruption => "shard_corruption",
+        }
+    }
+}
+
 /// One rung of the graceful-degradation ladder a system climbs under
 /// storage pressure before giving up with a typed error.
 ///
@@ -101,72 +124,80 @@ pub enum InjectedFault {
 /// (`dsa_probe::DegradationStep`) working.
 pub use dsa_faults::ladder::DegradationStep;
 
-/// What happened. Payloads carry the quantities reports aggregate, so a
-/// counting sink can reconcile exactly with a `MachineReport`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum EventKind {
-    /// A program reference reached the storage system.
-    Touch { write: bool },
-    /// The reference missed working storage and must be serviced.
-    Fault,
-    /// A transfer from backing storage began.
-    FetchStart { words: Words },
-    /// The transfer completed; the program may resume.
-    FetchDone { words: Words },
-    /// A block or page lost its working-storage residence.
-    Evict { dirty: bool, words: Words },
-    /// Modified words were copied back to backing storage.
-    Writeback { words: Words },
-    /// A variable-unit allocation succeeded after probing `searched`
-    /// free-list entries.
-    Alloc { words: Words, searched: u64 },
-    /// A variable-unit block was released.
-    Free { words: Words },
-    /// A compaction pass began.
-    CompactionStart,
-    /// The compaction pass finished, having slid `moved_words` words.
-    CompactionDone { moved_words: Words },
-    /// The program gave the system an advice operation.
-    Advice,
-    /// The system brought storage in ahead of demand.
-    Prefetch { words: Words },
-    /// An invalid access was trapped by a bounds check.
-    BoundsTrap,
-    /// An address-map lookup was resolved.
-    MapLookup { hit: bool },
-    /// The fault injector simulated a hardware failure.
-    FaultInjected { fault: InjectedFault },
-    /// A failed transfer was retried (`attempt` is 1-based).
-    RetryAttempt { attempt: u32 },
-    /// A bad page frame was removed from service permanently.
-    FrameQuarantined,
-    /// A degradation rung was climbed under storage pressure.
-    DegradationStep { step: DegradationStep },
-    /// A tenant's allocation was refused because it would exceed the
-    /// tenant's word quota.
-    QuotaDenied { tenant: u32 },
-    /// The overload guard refused a tenant's allocation at admission,
-    /// before touching any shard.
-    AdmissionReject { tenant: u32 },
-    /// A lower-priority tenant's live allocations (`words` in total)
-    /// were shed to admit a higher-priority demand.
-    TenantShed { tenant: u32, words: Words },
-    /// A shard failed its audit and was quarantined: routed out of the
-    /// home/steal rotation until healed.
-    ShardQuarantined { shard: u32 },
-    /// A quarantined shard's free list was rebuilt from the live
-    /// allocations, re-verified, and readmitted to the rotation.
-    ShardRestored { shard: u32 },
-    /// A tenant passed admission and was activated with `frames` page
-    /// frames of allotment.
-    TenantAdmitted { tenant: u32, frames: u32 },
-    /// An active tenant was swapped out by the load controller;
-    /// `resident` resident pages were dropped.
-    TenantDeactivated { tenant: u32, resident: u32 },
-    /// The load controller estimated a tenant's working-set size at
-    /// `pages` pages (windowed, from a trace sample).
-    WsEstimate { tenant: u32, pages: u32 },
+/// A type an [`EventKind`] payload field may have: how a value of it
+/// is carried in one flight-recorder word and written as one JSON
+/// value.
+pub trait Payload {
+    /// The value as one word.
+    fn to_word(&self) -> u64;
+
+    /// The value `to_word` made `word` from; `None` if no value makes
+    /// it, so a corrupt word is refused rather than misread.
+    fn from_word(word: u64) -> Option<Self>
+    where
+        Self: Sized;
+
+    /// Appends the value as a JSON number, boolean or string.
+    fn write_json(&self, out: &mut String);
 }
+
+/// A number is its own word, refused on the way back if it does not
+/// fit, and its own JSON.
+macro_rules! number_payload {
+    ($($ty:ty),*) => {$(
+        impl Payload for $ty {
+            fn to_word(&self) -> u64 {
+                u64::from(*self)
+            }
+
+            fn from_word(word: u64) -> Option<$ty> {
+                <$ty>::try_from(word).ok()
+            }
+
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        }
+    )*};
+}
+
+number_payload!(u64, u32);
+
+impl Payload for bool {
+    fn to_word(&self) -> u64 {
+        u64::from(*self)
+    }
+
+    fn from_word(word: u64) -> Option<bool> {
+        (word <= 1).then_some(word == 1)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+}
+
+/// A mode enum is its index in `ALL` (declaration order, so the index
+/// is the discriminant) and its label as a JSON string.
+macro_rules! labelled_payload {
+    ($($ty:ty),*) => {$(
+        impl Payload for $ty {
+            fn to_word(&self) -> u64 {
+                *self as u64
+            }
+
+            fn from_word(word: u64) -> Option<$ty> {
+                usize::try_from(word).ok().and_then(|i| <$ty>::ALL.get(i).copied())
+            }
+
+            fn write_json(&self, out: &mut String) {
+                let _ = write!(out, "\"{}\"", self.label());
+            }
+        }
+    )*};
+}
+
+labelled_payload!(InjectedFault, DegradationStep);
 
 /// One traced occurrence: an [`EventKind`] plus the dual timestamp.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -55,7 +55,7 @@ mod tests {
         let shared = SharedProbe::new();
         let mut exclusive = SharedProbe::new();
         let mut plain = CountingProbe::new();
-        for (t, kind) in every_kind().into_iter().enumerate() {
+        for (t, kind) in every_kind().enumerate() {
             let at = Stamp::vtime(t as u64);
             (&shared).emit(kind, at);
             exclusive.emit(kind, at);

@@ -82,71 +82,13 @@ impl TelemetrySnapshot {
         self.push(name, help, labels, Value::Histogram(h.clone()));
     }
 
-    /// Registers the standard counters of a [`CountingProbe`] under
+    /// Registers the exported counters of a [`CountingProbe`] (the
+    /// cells `dsa-probe`'s event table gives a help string) under
     /// `labels` — the one-call way for a binary to export its probe.
     pub fn counting_probe(&mut self, probe: &CountingProbe, labels: &[(&str, &str)]) {
-        let mut c =
-            |name: &str, help: &str, v: u64| self.push(name, help, labels, Value::Counter(v));
-        c(
-            "touches_total",
-            "Program references observed",
-            probe.touches,
-        );
-        c(
-            "faults_total",
-            "References that missed working storage",
-            probe.faults,
-        );
-        c(
-            "fetches_total",
-            "Completed backing-storage transfers",
-            probe.fetches,
-        );
-        c(
-            "fetched_words_total",
-            "Words fetched from backing storage",
-            probe.fetched_words,
-        );
-        c("evictions_total", "Residence losses", probe.evictions);
-        c(
-            "writebacks_total",
-            "Dirty copies back to backing storage",
-            probe.writebacks,
-        );
-        c("allocs_total", "Variable-unit allocations", probe.allocs);
-        c("alloc_words_total", "Words allocated", probe.alloc_words);
-        c(
-            "alloc_searched_total",
-            "Free-list entries examined",
-            probe.alloc_searched,
-        );
-        c("frees_total", "Variable-unit releases", probe.frees);
-        c("freed_words_total", "Words released", probe.freed_words);
-        c(
-            "compactions_total",
-            "Compaction passes completed",
-            probe.compactions,
-        );
-        c(
-            "faults_injected_total",
-            "Simulated hardware failures",
-            probe.faults_injected,
-        );
-        c(
-            "retry_attempts_total",
-            "Failed transfers retried",
-            probe.retry_attempts,
-        );
-        c(
-            "frames_quarantined_total",
-            "Bad frames removed from service",
-            probe.frames_quarantined,
-        );
-        c(
-            "degradation_steps_total",
-            "Degradation rungs climbed",
-            probe.degradation_steps,
-        );
+        for (name, help, value) in probe.exported() {
+            self.counter(name, help, labels, value);
+        }
     }
 
     /// Lifts a report [`Table`]'s numeric cells into labelled gauges:

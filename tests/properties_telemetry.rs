@@ -28,9 +28,7 @@
 
 use dsa::core::clock::Cycles;
 use dsa::metrics::{BucketSpec, Histogram};
-use dsa::probe::{
-    CountingProbe, DegradationStep, Event, EventKind, InjectedFault, Probe, SharedProbe, Stamp,
-};
+use dsa::probe::{CountingProbe, Event, EventKind, Probe, SharedProbe, Stamp};
 use dsa::telemetry::{AtomicHistogram, FlightRecorder, TelemetryProbe};
 use proptest::prelude::*;
 
@@ -60,101 +58,30 @@ fn index_of(e: &dsa::probe::Event) -> u64 {
     }
 }
 
-const FAULT_MODES: [InjectedFault; 5] = [
-    InjectedFault::TransferError,
-    InjectedFault::BadFrame,
-    InjectedFault::ChannelDelay,
-    InjectedFault::AllocFailure,
-    InjectedFault::ShardCorruption,
-];
-
-const LADDER: [DegradationStep; 7] = [
-    DegradationStep::RetryBackoff,
-    DegradationStep::Coalesce,
-    DegradationStep::Compact,
-    DegradationStep::EvictVictims,
-    DegradationStep::StealGlobal,
-    DegradationStep::ShedLoad,
-    DegradationStep::ShedTenant,
-];
-
-/// How many `EventKind` variants [`kind_of`] can draw. A new variant
-/// breaks the build in `common/counting_model.rs` (its `match` has no
-/// wildcard); add it here in the same change.
-const KINDS: u32 = 26;
-
-/// The `pick`-th event kind, with `a` as its word payload, `b` as its
-/// other payload (and mode selector) and `flag` as its flag.
-fn kind_of(pick: u32, a: u64, b: u64, flag: bool) -> EventKind {
-    let small = b as u32;
-    match pick {
-        0 => EventKind::Touch { write: flag },
-        1 => EventKind::Fault,
-        2 => EventKind::FetchStart { words: a },
-        3 => EventKind::FetchDone { words: a },
-        4 => EventKind::Evict {
-            dirty: flag,
-            words: a,
-        },
-        5 => EventKind::Writeback { words: a },
-        6 => EventKind::Alloc {
-            words: a,
-            searched: b,
-        },
-        7 => EventKind::Free { words: a },
-        8 => EventKind::CompactionStart,
-        9 => EventKind::CompactionDone { moved_words: a },
-        10 => EventKind::Advice,
-        11 => EventKind::Prefetch { words: a },
-        12 => EventKind::BoundsTrap,
-        13 => EventKind::MapLookup { hit: flag },
-        14 => EventKind::FaultInjected {
-            fault: FAULT_MODES[b as usize % FAULT_MODES.len()],
-        },
-        15 => EventKind::RetryAttempt { attempt: small },
-        16 => EventKind::FrameQuarantined,
-        17 => EventKind::DegradationStep {
-            step: LADDER[b as usize % LADDER.len()],
-        },
-        18 => EventKind::QuotaDenied { tenant: small },
-        19 => EventKind::AdmissionReject { tenant: small },
-        20 => EventKind::TenantShed {
-            tenant: small,
-            words: a,
-        },
-        21 => EventKind::ShardQuarantined { shard: small },
-        22 => EventKind::ShardRestored { shard: small },
-        23 => EventKind::TenantAdmitted {
-            tenant: small,
-            frames: small,
-        },
-        24 => EventKind::TenantDeactivated {
-            tenant: small,
-            resident: small,
-        },
-        25 => EventKind::WsEstimate {
-            tenant: small,
-            pages: small,
-        },
-        _ => unreachable!("pick < KINDS"),
-    }
-}
-
-/// Any event: any kind, flag and payload, at stamps that go backwards
-/// as often as forwards (so the pairing cells saturate as well as
-/// subtract). Word payloads reach past every histogram's last bucket.
+/// Any event the table unpacks: any tag, each payload word as drawn if
+/// its field takes it and cut down until it does if not (so flags,
+/// modes and rungs are drawn too), at stamps that go backwards as often
+/// as forwards (so the pairing cells saturate as well as subtract).
+/// Word payloads reach past every histogram's last bucket.
 fn event() -> impl Strategy<Value = Event> {
     (
-        0u32..KINDS,
+        0..EventKind::KINDS,
         0u64..1 << 40,
         0u64..1 << 20,
-        any::<bool>(),
         (0u64..20_000, 0u64..5_000_000),
     )
-        .prop_map(|(pick, a, b, flag, (vtime, ns))| Event {
-            kind: kind_of(pick, a, b, flag),
-            cycles: Cycles::from_nanos(ns),
-            vtime,
+        .prop_map(|(tag, a, b, (vtime, ns))| {
+            let cuts = |word: u64| [word, word % 8, word % 2, 0];
+            let kind = cuts(a)
+                .into_iter()
+                .flat_map(|a| cuts(b).map(|b| [tag, a, b]))
+                .find_map(|words| EventKind::try_from(words).ok())
+                .expect("every field takes 0");
+            Event {
+                kind,
+                cycles: Cycles::from_nanos(ns),
+                vtime,
+            }
         })
 }
 

@@ -19,10 +19,10 @@
 //! simulator/stack-distance parity the property tests pin.
 //!
 //! The run reports its own peak RSS (`VmHWM` from `/proc/self/status`)
-//! and, under `--max-rss-mb N`, **fails** if the high-water mark
-//! exceeds it — CI's constant-memory assertion. Wall-clock varies by
-//! host, so this binary is not part of the golden gauntlet; the fault
-//! counts and curve it prints are nevertheless deterministic.
+//! on stderr and, under `--max-rss-mb N`, **fails** if the high-water
+//! mark exceeds it — CI's constant-memory assertion. Stdout holds only
+//! the deterministic fault counts and curve, pinned by the golden
+//! gauntlet at `--refs 200000`.
 
 use dsa_bench::metrics::RunMetrics;
 use dsa_exec::cli;
@@ -125,9 +125,11 @@ fn main() {
         success.compulsory()
     );
 
+    // The host's numbers go to stderr, so stdout stays the pinned,
+    // deterministic accounting.
     match peak_rss_kb() {
         Some(kb) => {
-            println!("peak RSS (VmHWM): {} MB", kb / 1024);
+            eprintln!("peak RSS (VmHWM): {} MB", kb / 1024);
             if let Some(limit) = max_rss_mb {
                 if kb > limit as u64 * 1024 {
                     eprintln!(
@@ -137,11 +139,11 @@ fn main() {
                     );
                     std::process::exit(1);
                 }
-                println!("within --max-rss-mb {limit}: constant-memory assertion holds");
+                eprintln!("within --max-rss-mb {limit}: constant-memory assertion holds");
             }
         }
         None => {
-            println!("peak RSS: unavailable (no /proc/self/status on this host)");
+            eprintln!("peak RSS: unavailable (no /proc/self/status on this host)");
             if max_rss_mb.is_some() {
                 eprintln!("--max-rss-mb requires /proc/self/status");
                 std::process::exit(1);

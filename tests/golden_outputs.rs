@@ -1,4 +1,4 @@
-//! The golden-output gauntlet: twenty experiment binaries, pinned
+//! The golden-output gauntlet: twenty-one experiment binaries, pinned
 //! stdout, byte-for-byte.
 //!
 //! Two invariants at once:
@@ -31,9 +31,9 @@ use std::process::Command;
 /// `exp_04` at several seconds — it replays every policy at every
 /// size) and fully deterministic, including every printed column. Each
 /// entry carries the extra arguments its golden file was generated with
-/// (most need none; `exp_22` pins a small population so the gauntlet
-/// stays fast).
-const GAUNTLET: [(&str, &[&str]); 20] = [
+/// (most need none; `exp_20` and `exp_22` pin a short stream and a small
+/// population so the gauntlet stays fast).
+const GAUNTLET: [(&str, &[&str]); 21] = [
     ("exp_01_artificial_contiguity", &[]),
     ("exp_02_space_time", &[]),
     ("exp_03_mapping_overhead", &[]),
@@ -53,14 +53,14 @@ const GAUNTLET: [(&str, &[&str]); 20] = [
     ("exp_16_load_control", &[]),
     ("exp_17_drum_queueing", &[]),
     ("exp_19_overload", &[]),
+    ("exp_20_trace_scale", &["--refs", "200000"]),
     ("exp_22_tenant_sweep", &["--tenants", "1000"]),
 ];
 
 /// The experiment binaries the gauntlet leaves out, each with its
 /// reason. Pinning one takes splitting its stdout first.
-const UNPINNED: [(&str, &str); 3] = [
+const UNPINNED: [(&str, &str); 2] = [
     ("exp_18_concurrency", "wall-clock Mops/s columns on stdout"),
-    ("exp_20_trace_scale", "the host's peak-RSS line on stdout"),
     ("exp_21_global_alloc", "wall-clock ns/op columns on stdout"),
 ];
 

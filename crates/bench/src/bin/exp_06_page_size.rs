@@ -26,7 +26,7 @@ use dsa_metrics::table::Table;
 use dsa_paging::page_size::{frames_for, to_page_trace};
 use dsa_stackdist::lru_success;
 use dsa_trace::allocstream::SizeDist;
-use dsa_trace::rng::Rng64;
+use dsa_trace::rng::{Rng64, Zipf};
 
 fn main() {
     dsa_exec::cli::enforce_standard_flags("exp_06_page_size", &[]);
@@ -91,9 +91,10 @@ fn main() {
     let mut rng = Rng64::new(66);
     let n_objects = 2_000u64;
     let object_words = 600u64;
+    let objects = Zipf::new(n_objects, 1.0);
     let mut scaled: Vec<dsa_core::access::Access> = Vec::new();
     while scaled.len() < 120_000 {
-        let obj = rng.zipf(n_objects, 1.0);
+        let obj = objects.sample(&mut rng);
         let start = rng.below(object_words - 100);
         let base = obj * object_words + start;
         for w in 0..100 {

@@ -9,7 +9,7 @@
 //! per-reference distance into a one-pass O(n log n) sweep.
 
 /// A binary-indexed tree over `n` positions holding small counts.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Fenwick {
     /// 1-based implicit tree; `tree[i]` covers `lowbit(i)` positions.
     tree: Vec<u64>,
@@ -24,14 +24,16 @@ impl Fenwick {
         }
     }
 
-    /// Zeroes the tree and resizes it to cover positions `0..n`,
-    /// reusing the existing buffer. Equivalent to `*self =
-    /// Fenwick::new(n)` without the allocation when `n` fits the
-    /// buffer's capacity — the streaming engine calls this on every
-    /// stamp compaction, so the rebuild is a memset, not a malloc.
-    pub fn reset(&mut self, n: usize) {
+    /// Resizes the tree to positions `0..n` with exactly `0..live` marked,
+    /// as a fresh tree after `mark(0)` .. `mark(live - 1)`, in one linear
+    /// pass that reuses the buffer: `tree[i]` covers `i − lowbit(i) ..
+    /// i`, of which `min(i, live) − min(i − lowbit(i), live)` are marked.
+    pub fn fill(&mut self, n: usize, live: usize) {
         self.tree.clear();
-        self.tree.resize(n + 1, 0);
+        self.tree.extend((0..=n).map(|i| {
+            let low = i - (i & i.wrapping_neg());
+            (i.min(live) - low.min(live)) as u64
+        }));
     }
 
     /// Number of positions.
@@ -130,18 +132,19 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_marks_and_resizes_in_place() {
+    fn fill_replaces_marks_and_resizes_in_place() {
         let mut f = Fenwick::new(8);
         for pos in 0..8 {
             f.mark(pos);
         }
-        f.reset(16);
+        f.fill(16, 5);
         assert_eq!(f.len(), 16);
-        assert_eq!(f.prefix(15), 0);
+        assert_eq!(f.prefix(3), 4);
+        assert_eq!(f.prefix(15), 5);
         f.mark(12);
-        assert_eq!(f.prefix(15), 1);
+        assert_eq!(f.prefix(15), 6);
         // Shrinking works too and behaves like a fresh tree.
-        f.reset(4);
+        f.fill(4, 0);
         assert_eq!(f.len(), 4);
         assert_eq!(f.prefix(3), 0);
     }

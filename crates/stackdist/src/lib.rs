@@ -52,5 +52,5 @@ pub mod success;
 pub use fenwick::Fenwick;
 pub use lru::{lru_distances, lru_success};
 pub use opt::{opt_distances, opt_success};
-pub use streaming::{lru_success_streamed, StreamingLru};
+pub use streaming::StreamingLru;
 pub use success::{StackDistances, SuccessFunction, INFINITE};

@@ -8,10 +8,13 @@
 //! each distinct page is marked: the live marks number at most the
 //! page universe. [`StreamingLru`] exploits this with periodic stamp
 //! **compaction**: when the stamp cursor reaches the tree's capacity,
-//! the live `(page, stamp)` pairs are renumbered `0..live` in stamp
-//! order (preserving every between-count) and the tree is rebuilt at
-//! `max(128, 2 × live)` — so compaction amortizes to O(1) per
-//! reference and the whole engine is O(distinct pages) space.
+//! the live stamps are renumbered `0..live` in stamp order (preserving
+//! every between-count) and the tree is rebuilt at `max(128, 2 ×
+//! live)` — so compaction amortizes to O(1) per reference and the
+//! whole engine is O(distinct pages) space. Each page gets a dense slot
+//! on first touch; a stamp `s` is live iff `stamp_of[slot_at[s]] == s`,
+//! so compaction is one ascending scan plus [`Fenwick::fill`]:
+//! O(capacity), no sort, no hashing.
 //!
 //! Distances are accumulated directly into a histogram (finite
 //! distances never exceed the page universe) and collapsed via
@@ -53,8 +56,12 @@ const MIN_CAPACITY: usize = 128;
 pub struct StreamingLru {
     /// Marks over *stamps*: bit set at a page's most recent stamp.
     marks: Fenwick,
-    /// Most recent stamp of each page seen so far.
-    last: IdMap<PageNo, usize>,
+    /// Dense slot of each page seen so far, in first-touch order.
+    slots: IdMap<PageNo, usize>,
+    /// Most recent stamp of each slot.
+    stamp_of: Vec<usize>,
+    /// The slot each stamp went to, live or not; one per tree position.
+    slot_at: Vec<usize>,
     /// Next stamp to assign (== stamps consumed since last compaction).
     cursor: usize,
     /// `hist[d]` = references at finite distance `d`.
@@ -63,9 +70,6 @@ pub struct StreamingLru {
     compulsory: u64,
     /// Total references recorded.
     references: u64,
-    /// Scratch for compaction's live `(page, stamp)` pairs, reused
-    /// across compactions so the steady state allocates nothing.
-    scratch: Vec<(PageNo, usize)>,
 }
 
 impl Default for StreamingLru {
@@ -80,12 +84,13 @@ impl StreamingLru {
     pub fn new() -> StreamingLru {
         StreamingLru {
             marks: Fenwick::new(MIN_CAPACITY),
-            last: IdMap::default(),
+            slots: IdMap::default(),
+            stamp_of: Vec::new(),
+            slot_at: vec![0; MIN_CAPACITY],
             cursor: 0,
             hist: Vec::new(),
             compulsory: 0,
             references: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -99,22 +104,24 @@ impl StreamingLru {
         let i = self.cursor;
         self.cursor += 1;
         self.references += 1;
-        let d = match self.last.insert(p, i) {
-            Some(prev) => {
-                // Marks strictly between the previous and current
-                // stamps are the pages above `p` in the LRU stack.
-                let d = self.marks.between(prev, i) + 1;
-                self.marks.clear(prev);
-                if self.hist.len() <= d as usize {
-                    self.hist.resize(d as usize + 1, 0);
-                }
-                self.hist[d as usize] += 1;
-                d
+        let seen = self.stamp_of.len();
+        let slot = *self.slots.entry(p).or_insert(seen);
+        self.slot_at[i] = slot;
+        let d = if slot < seen {
+            // Marks strictly between the previous and current stamps
+            // are the pages above `p` in the LRU stack.
+            let prev = std::mem::replace(&mut self.stamp_of[slot], i);
+            let d = self.marks.between(prev, i) + 1;
+            self.marks.clear(prev);
+            if self.hist.len() <= d as usize {
+                self.hist.resize(d as usize + 1, 0);
             }
-            None => {
-                self.compulsory += 1;
-                INFINITE
-            }
+            self.hist[d as usize] += 1;
+            d
+        } else {
+            self.stamp_of.push(i);
+            self.compulsory += 1;
+            INFINITE
         };
         self.marks.mark(i);
         d
@@ -125,22 +132,22 @@ impl StreamingLru {
     /// keeps every future between-count exact; doubling headroom makes
     /// the rebuild amortized O(1) per reference.
     ///
-    /// Both compaction buffers are reused: the live pairs land in a
-    /// scratch vector that keeps its capacity, and the tree is
-    /// [`Fenwick::reset`] in place. Steady-state compaction therefore
-    /// allocates nothing, which is most of the streaming engine's
-    /// former overhead over the batch pass.
+    /// A live stamp `s` moves down to `live <= s`, an entry the scan has
+    /// already read; steady-state compaction allocates nothing.
     fn compact(&mut self) {
-        self.scratch.clear();
-        self.scratch.extend(self.last.iter().map(|(&p, &s)| (p, s)));
-        self.scratch.sort_unstable_by_key(|&(_, s)| s);
-        let capacity = MIN_CAPACITY.max(2 * self.scratch.len());
-        self.marks.reset(capacity);
-        for (rank, &(p, _)) in self.scratch.iter().enumerate() {
-            self.last.insert(p, rank);
-            self.marks.mark(rank);
+        let mut live = 0;
+        for s in 0..self.cursor {
+            let slot = self.slot_at[s];
+            if self.stamp_of[slot] == s {
+                self.stamp_of[slot] = live;
+                self.slot_at[live] = slot;
+                live += 1;
+            }
         }
-        self.cursor = self.last.len();
+        let capacity = MIN_CAPACITY.max(2 * live);
+        self.slot_at.resize(capacity, 0);
+        self.marks.fill(capacity, live);
+        self.cursor = live;
     }
 
     /// References recorded so far.
@@ -152,7 +159,7 @@ impl StreamingLru {
     /// Distinct pages seen so far — the memory bound.
     #[must_use]
     pub fn distinct_pages(&self) -> usize {
-        self.last.len()
+        self.stamp_of.len()
     }
 
     /// Compulsory (first-touch) faults so far.
@@ -167,17 +174,6 @@ impl StreamingLru {
     pub fn success(&self) -> SuccessFunction {
         SuccessFunction::from_histogram(&self.hist, self.compulsory)
     }
-}
-
-/// Drains `pages` through a [`StreamingLru`] and returns the curve —
-/// the streaming twin of [`crate::lru::lru_success`].
-#[must_use]
-pub fn lru_success_streamed<I: IntoIterator<Item = PageNo>>(pages: I) -> SuccessFunction {
-    let mut s = StreamingLru::new();
-    for p in pages {
-        s.record(p);
-    }
-    s.success()
 }
 
 #[cfg(test)]
@@ -211,7 +207,11 @@ mod tests {
             })
             .collect();
         let batch = lru_success(&trace);
-        let streamed = lru_success_streamed(trace.iter().copied());
+        let mut s = StreamingLru::new();
+        for &p in &trace {
+            s.record(p);
+        }
+        let streamed = s.success();
         assert_eq!(streamed.references(), batch.references());
         assert_eq!(streamed.compulsory(), batch.compulsory());
         assert_eq!(streamed.saturation_frames(), batch.saturation_frames());

@@ -73,4 +73,26 @@ proptest! {
             prop_assert_eq!(tree.prefix(pos), running, "prefix at {}", pos);
         }
     }
+
+    #[test]
+    fn linear_fill_equals_marking_one_position_at_a_time(
+        old in prop::collection::vec(0usize..64, 0..100),
+        n in 0usize..300,
+        per_mille in 0usize..1001,
+    ) {
+        // Whatever the tree held before, and whether it grows or
+        // shrinks, `fill` leaves exactly the tree a fresh one has after
+        // marking `0..live` in turn.
+        let live = n * per_mille / 1000;
+        let mut filled = Fenwick::new(64);
+        for pos in old {
+            filled.mark(pos);
+        }
+        filled.fill(n, live);
+        let mut marked = Fenwick::new(n);
+        for pos in 0..live {
+            marked.mark(pos);
+        }
+        prop_assert_eq!(filled, marked, "n={} live={}", n, live);
+    }
 }

@@ -36,28 +36,50 @@ fn unit_f64(raw: u64) -> f64 {
     (raw >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// The Zipf rank in `[0, n)` that the uniform draw `u` selects (see
-/// [`Rng64::zipf`]).
-fn zipf_rank(u: f64, n: u64, theta: f64) -> u64 {
-    debug_assert!(n > 0 && theta > 0.0);
-    let e = 1.0 - theta;
-    let log = (theta - 1.0).abs() < 1e-9;
-    let h = |x: f64| if log { x.ln() } else { (x.powf(e) - 1.0) / e };
-    let h0 = h(0.5);
-    let target = u * (h(n as f64 + 0.5) - h0);
-    let (mut lo, mut hi) = (0.5f64, n as f64 + 0.5);
-    for _ in 0..64 {
-        if hi <= lo.round() + 0.5 {
-            break;
-        }
-        let mid = 0.5 * (lo + hi);
-        if h(mid) - h0 < target {
-            lo = mid;
-        } else {
-            hi = mid;
+/// A Zipf sampler over ranks `[0, n)` with exponent `theta` (> 0): the
+/// inverse CDF of `H(x) = ∫ t^-theta dt`, the continuous approximation
+/// of the harmonic sum. Rank `k` owns the cell `[k + 0.5, k + 1.5)`, and
+/// a draw `u` selects the cell where `H(x) − H(0.5)` crosses `u` times
+/// the total. The cell tops are tabulated once, so a draw is one `f64`
+/// and one binary search, and no `powf`; DESIGN.md ("Dense state on the
+/// per-reference path") shows the rank is exactly the bisection's.
+#[derive(Clone, Debug)]
+pub struct Zipf {
+    /// `tops[k]` = `H(k + 1.5) − H(0.5)`; the last is the total.
+    tops: Vec<f64>,
+}
+
+impl Zipf {
+    /// Tabulates the cell tops of ranks `0..n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    #[must_use]
+    pub fn new(n: u64, theta: f64) -> Zipf {
+        assert!(n > 0, "a Zipf law over no ranks");
+        let e = 1.0 - theta;
+        let log = (theta - 1.0).abs() < 1e-9;
+        let h = |x: f64| if log { x.ln() } else { (x.powf(e) - 1.0) / e };
+        let h0 = h(0.5);
+        Zipf {
+            tops: (1..=n).map(|k| h(k as f64 + 0.5) - h0).collect(),
         }
     }
-    (lo.round() as u64).clamp(1, n) - 1
+
+    /// One Zipf-distributed rank in `[0, n)`, from exactly one draw.
+    pub fn sample(&self, rng: &mut Rng64) -> u64 {
+        self.rank(rng.f64())
+    }
+
+    /// The rank the uniform draw `u` selects: the first cell whose top
+    /// reaches `u` times the total. The clamp keeps a target past the
+    /// total in the last cell.
+    fn rank(&self, u: f64) -> u64 {
+        let last = self.tops.len() - 1;
+        let target = u * self.tops[last];
+        self.tops.partition_point(|&top| top < target).min(last) as u64
+    }
 }
 
 impl Rng64 {
@@ -134,21 +156,6 @@ impl Rng64 {
     pub fn exponential(&mut self, mean: f64) -> f64 {
         let u = 1.0 - self.f64(); // in (0, 1]
         (-u.ln() * mean).max(1.0)
-    }
-
-    /// Zipf-distributed rank in `[0, n)` with exponent `theta` (> 0).
-    ///
-    /// Inverse CDF by bisection over the continuous approximation
-    /// `H(x) = ∫ t^-theta dt` of the harmonic sum (one uniform draw, no
-    /// table, no allocation): the rank is the rounding cell of
-    /// `[0.5, n + 0.5]` in which `H(x) - H(0.5)` crosses the draw.
-    ///
-    /// The bisection is capped at 64 halvings but stops as soon as `lo`
-    /// and `hi` share a rounding cell. That exit is exact: `lo` only
-    /// rises, stays below `hi`, and `hi <= lo.round() + 0.5`, so no
-    /// further step can move `lo.round()`.
-    pub fn zipf(&mut self, n: u64, theta: f64) -> u64 {
-        zipf_rank(self.f64(), n, theta)
     }
 
     /// Fisher–Yates shuffle.
@@ -253,9 +260,10 @@ mod tests {
     fn zipf_is_skewed_and_in_range() {
         let mut r = Rng64::new(7);
         let n = 100u64;
+        let zipf = Zipf::new(n, 1.0);
         let mut counts = vec![0u64; n as usize];
         for _ in 0..100_000 {
-            let v = r.zipf(n, 1.0);
+            let v = zipf.sample(&mut r);
             assert!(v < n);
             counts[v as usize] += 1;
         }
@@ -266,7 +274,7 @@ mod tests {
 
     /// The bisection as first written — all 64 halvings, `h(0.5)`
     /// recomputed inside the loop — retained as the oracle for the
-    /// early exit.
+    /// tabulated sampler.
     fn zipf_rank_64_steps(u: f64, n: u64, theta: f64) -> u64 {
         let h = |x: f64| -> f64 {
             if (theta - 1.0).abs() < 1e-9 {
@@ -290,11 +298,11 @@ mod tests {
     }
 
     proptest! {
-        /// Leaving the bisection once `lo` and `hi` share a rounding
-        /// cell never changes the rank, at either end of the unit
-        /// interval and on both sides of the `theta == 1` switch.
+        /// The first cell top reaching the target is the cell the
+        /// bisection rounds into, at either end of the unit interval
+        /// and on both sides of the `theta == 1` switch.
         #[test]
-        fn early_exit_zipf_equals_the_64_step_bisection(
+        fn zipf_table_equals_the_64_step_bisection(
             n in 1u64..4097,
             theta in prop_oneof![
                 0.05f64..3.0,
@@ -304,14 +312,25 @@ mod tests {
             raws in prop::collection::vec(any::<u64>(), 64..65),
         ) {
             // Raw draws at and next to both ends, and at every cell
-            // boundary scale, besides the random ones.
+            // boundary scale, besides the random ones; then the closed
+            // top of the unit interval and one step past it, which only
+            // the final clamp keeps in the last cell; then draws whose
+            // target is exactly a cell top, where `<` and `<=` part.
+            let zipf = Zipf::new(n, theta);
             let edges = [0, 1, 1 << 11, (1 << 11) - 1, u64::MAX, u64::MAX - (1 << 11), 1 << 63];
-            for raw in edges.into_iter().chain(raws) {
-                let u = unit_f64(raw);
+            let draws = edges.into_iter().chain(raws).map(unit_f64);
+            let total = zipf.tops[zipf.tops.len() - 1];
+            let ties = [0, zipf.tops.len() / 2].into_iter().filter_map(|k| {
+                let u = zipf.tops[k] / total;
+                [u, f64::from_bits(u.to_bits() - 1), f64::from_bits(u.to_bits() + 1)]
+                    .into_iter()
+                    .find(|&u| u * total == zipf.tops[k])
+            });
+            for u in draws.chain([1.0, 1.0 + f64::EPSILON]).chain(ties) {
                 prop_assert_eq!(
-                    zipf_rank(u, n, theta),
+                    zipf.rank(u),
                     zipf_rank_64_steps(u, n, theta),
-                    "n={} theta={} raw={:#x}", n, theta, raw
+                    "n={} theta={} u={:e}", n, theta, u
                 );
             }
         }
@@ -320,7 +339,7 @@ mod tests {
     #[test]
     fn zipf_draws_exactly_one_value() {
         let (mut a, mut b) = (Rng64::new(12), Rng64::new(12));
-        let rank = a.zipf(600, 0.9);
+        let rank = Zipf::new(600, 0.9).sample(&mut a);
         assert_eq!(rank, zipf_rank_64_steps(b.f64(), 600, 0.9));
         assert_eq!(a.next_u64(), b.next_u64());
     }

@@ -40,7 +40,7 @@ use dsa_core::ids::{PageNo, Words};
 
 use crate::allocstream::AllocStreamCfg;
 use crate::refstring::RefStringCfg;
-use crate::rng::Rng64;
+use crate::rng::{Rng64, Zipf};
 
 /// A resumable reference-string iterator.
 ///
@@ -67,8 +67,8 @@ enum Regime {
         pages: u64,
     },
     LruStack {
-        pages: u64,
-        theta: f64,
+        /// Draws the stack depth of each reference.
+        zipf: Zipf,
         /// The LRU stack, most recent first. It starts as a random
         /// permutation (shuffled once at construction) so early
         /// references are not biased toward low page numbers.
@@ -156,8 +156,7 @@ impl RefStringCfg {
                 let mut stack: Vec<u64> = (0..pages).collect();
                 rng.shuffle(&mut stack);
                 Regime::LruStack {
-                    pages,
-                    theta,
+                    zipf: Zipf::new(pages, theta),
                     stack,
                 }
             }
@@ -197,28 +196,23 @@ impl RefStringCfg {
     /// The stream fast-forwarded to `position`: yields the suffix a
     /// fresh stream would produce after `position` references. O(state)
     /// memory, O(position) time — resume-from-seed needs no serialized
-    /// checkpoint (clone the stream instead when O(1) resume matters).
+    /// checkpoint (clone the stream instead to resume without replaying).
     ///
     /// # Panics
     ///
     /// Panics if the configuration has an empty page universe.
     #[must_use]
     pub fn stream_at(&self, write_fraction: f64, seed: u64, position: u64) -> RefStringStream {
+        // Every draw must still happen for replay exactness.
         let mut s = self.stream(write_fraction, seed);
-        s.advance_by_draining(position);
+        for _ in 0..position {
+            let _ = s.next();
+        }
         s
     }
 }
 
 impl RefStringStream {
-    /// Drops `n` references (cheaper than `nth` only in intent: every
-    /// draw must still happen for replay exactness).
-    fn advance_by_draining(&mut self, n: u64) {
-        for _ in 0..n {
-            let _ = self.next();
-        }
-    }
-
     /// Projects the stream to bare page numbers (the shape the paging
     /// machines and the stack-distance engines consume).
     pub fn pages(self) -> impl Iterator<Item = PageNo> + Clone {
@@ -248,11 +242,10 @@ impl Iterator for RefStringStream {
         let page = match self.regime {
             Regime::Uniform { pages } => self.rng.below(pages),
             Regime::LruStack {
-                pages,
-                theta,
+                ref zipf,
                 ref mut stack,
             } => {
-                let depth = self.rng.zipf(pages, theta) as usize;
+                let depth = zipf.sample(&mut self.rng) as usize;
                 stack[..=depth].rotate_right(1);
                 stack[0]
             }

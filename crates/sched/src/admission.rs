@@ -15,8 +15,11 @@
 //! * [`pick_allotment`] — the frame allotment actually granted: the
 //!   smallest frame count whose LRU fault rate over the sample meets
 //!   the target, capped by the working-set estimate and the tenant's
-//!   quota, read off one [`CompactLru`] cut at that cap.
+//!   quota, read off one [`CompactLru`] cut at that cap, and answered
+//!   `cap` as soon as the misses at the cap exceed the target's share.
 //!
+//! The simulator's sample is the head of the tenant's own trace cursor,
+//! drawn once and served afterwards, not a second draw of the stream.
 //! Both are pure functions of the sample, so admission decisions are a
 //! deterministic function of the tenant population — the property the
 //! parallel sweep's byte-identity rests on.
@@ -104,6 +107,15 @@ pub fn estimate_ws(sample: &[PageNo], tau: u64) -> usize {
 /// size up to `cap` a re-reference from deeper than `cap` faults just
 /// as a first touch does — so a stack `cap` deep, counting hits per
 /// depth, holds the whole answer in one short scan per reference.
+///
+/// The scan stops early once the answer can only be `cap`. Its misses
+/// are the faults of `cap` frames so far, and a stack algorithm faults
+/// at every size up to `cap` at least as often as at `cap`. Converting
+/// a count to `f64` and dividing it by the same positive `n` is
+/// monotone, so once `misses / n > target` no size's `faults / n <=
+/// target` test can pass, and the walk up the curve would fall through
+/// to `cap`. The test is that expression itself, not an integer budget
+/// derived from `target · n`, whose rounding could disagree with it.
 #[must_use]
 pub fn pick_allotment(
     sample: &[PageNo],
@@ -117,12 +129,21 @@ pub fn pick_allotment(
     let mut stack = CompactLru::new(depth);
     // hits_at[d - 1]: references found at stack depth `d`.
     let mut hits_at = vec![0u64; depth];
+    let references = sample.len() as u64;
+    // Misses at `cap` frames: below `cap`, `depth` frames hold every
+    // page of the sample, so the shorter stack misses where `cap` does.
+    let mut misses = 0u64;
     for &page in sample {
-        if let Some(d) = stack.touch_depth(page) {
-            hits_at[d - 1] += 1;
+        match stack.touch_depth(page) {
+            Some(d) => hits_at[d - 1] += 1,
+            None => {
+                misses += 1;
+                if misses as f64 / references as f64 > target_fault_rate {
+                    return cap;
+                }
+            }
         }
     }
-    let references = sample.len() as u64;
     let mut faults = references;
     for (below, hits) in hits_at.iter().enumerate() {
         faults -= hits;
@@ -137,6 +158,7 @@ pub fn pick_allotment(
 mod tests {
     use super::*;
     use dsa_stackdist::lru::lru_success;
+    use dsa_trace::refstring::RefStringCfg;
     use dsa_trace::rng::Rng64;
 
     fn p(xs: &[u64]) -> Vec<PageNo> {
@@ -191,26 +213,69 @@ mod tests {
             .unwrap_or(cap)
     }
 
+    /// Whether the misses of `cap` frames pass `target` before the last
+    /// reference of `sample`, so that the scan stops early.
+    fn crosses_mid_scan(sample: &[PageNo], cap: usize, target: f64) -> bool {
+        let n = sample.len() as f64;
+        let mut resident = CompactLru::new(cap);
+        let mut misses = 0u64;
+        sample[..sample.len().saturating_sub(1)]
+            .iter()
+            .any(|&page| {
+                misses += u64::from(resident.touch(page));
+                misses as f64 / n > target
+            })
+    }
+
     #[test]
     fn allotment_matches_the_walk_up_the_whole_curve() {
+        // The early exit's boundary, pinned: one fault in 49 references
+        // meets a target of exactly 1/49, although `(1.0 / 49.0) * 49.0`
+        // rounds below 1, and three first touches in 150 meet 3/150.
+        assert_eq!(pick_allotment(&p(&[7; 49]), 5, 5, 1.0 / 49.0), 1);
+        let three = p(&[1, 2, 3].repeat(50));
+        assert_eq!(pick_allotment(&three, 10, 10, 3.0 / 150.0), 3);
+
         let mut rng = Rng64::new(1967);
-        for _ in 0..2_000 {
+        let phases = RefStringCfg::WorkingSetPhases {
+            pages: 16,
+            set: 8,
+            phase_len: 80,
+        };
+        let mut crossed = 0;
+        for round in 0..2_000 {
             // Universe 1 is the single-page tenant, length 0 the empty
             // sample; estimates and quotas fall on both sides of the
-            // distinct-page count.
-            let universe = 1 + rng.below(24);
-            let sample: Vec<PageNo> = (0..rng.below(300))
-                .map(|_| PageNo(rng.below(universe)))
-                .collect();
+            // distinct-page count. Every fourth sample is the head of a
+            // phased stream like the benchmark's tenants, whose misses
+            // pass 5 % at every size well before the end.
+            let len = rng.below(300);
+            let sample: Vec<PageNo> = if round % 4 == 0 {
+                phases
+                    .stream(0.0, round)
+                    .pages()
+                    .take(len as usize)
+                    .collect()
+            } else {
+                let universe = 1 + rng.below(24);
+                (0..len).map(|_| PageNo(rng.below(universe))).collect()
+            };
             let (est_ws, quota) = (1 + rng.below(32) as usize, 1 + rng.below(32) as usize);
-            for target in [0.0, 0.05, 1.0] {
+            // Targets of exactly `k / n` beside the misses at the cap
+            // put the exit on its `>` boundary.
+            let cap = est_ws.min(quota);
+            let at_cap = lru_success(&sample).faults(cap);
+            let n = len.max(1) as f64;
+            let boundary = (at_cap.saturating_sub(1)..=at_cap + 1).map(|k| k as f64 / n);
+            for target in [0.0, 0.05, 1.0].into_iter().chain(boundary) {
+                crossed += u32::from(crosses_mid_scan(&sample, cap, target));
                 assert_eq!(
                     pick_allotment(&sample, est_ws, quota, target),
                     walk_the_whole_curve(&sample, est_ws, quota, target),
-                    "{} refs over {universe} pages, est {est_ws}, quota {quota}, target {target}",
-                    sample.len()
+                    "{len} refs, round {round}, est {est_ws}, quota {quota}, target {target}",
                 );
             }
         }
+        assert!(crossed > 4_000, "only {crossed} scans stop early");
     }
 }

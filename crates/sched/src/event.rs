@@ -58,7 +58,7 @@ use dsa_probe::{EventKind, Probe, Stamp};
 
 use crate::admission::{estimate_ws, pick_allotment, AdmissionPolicy, LoadControlCfg};
 use crate::sim::SimConfig;
-use crate::tenant::{TenantSpec, TraceCursor, TraceSpec};
+use crate::tenant::{TenantSpec, TraceState};
 use crate::vclock::VClock;
 use crate::wake::WakeQueue;
 
@@ -187,10 +187,8 @@ struct TenantState {
     id: u32,
     quota: u32,
     priority: u8,
-    /// The trace recipe; taken when the cursor is built at first
-    /// activation.
-    spec: Option<TraceSpec>,
-    cursor: Option<TraceCursor>,
+    /// The reference string: recipe, then cursor, then released.
+    trace: TraceState,
     /// A faulted reference awaiting re-execution after its fetch.
     pending: Option<PageNo>,
     memory: Memory,
@@ -377,8 +375,7 @@ impl EventSim {
                     id: s.id,
                     quota,
                     priority: s.priority,
-                    spec: Some(s.trace),
-                    cursor: None,
+                    trace: TraceState::Recipe(s.trace),
                     pending: None,
                     memory: Memory::Idle,
                     replacer,
@@ -593,7 +590,7 @@ impl EventSim {
             for _ in 0..cfg.quantum_refs {
                 // A faulted reference re-executes; otherwise the cursor
                 // draws the next one, and runs dry with the trace.
-                let draw = || t.cursor.as_mut().and_then(TraceCursor::next_page);
+                let draw = || t.trace.next_page();
                 let Some(page) = t.pending.or_else(draw) else {
                     break;
                 };
@@ -661,7 +658,7 @@ impl EventSim {
                 t.finished_at = Some(clock.now());
                 // Release the tenant's state and its pool share.
                 t.memory = Memory::Idle;
-                t.cursor = None;
+                t.trace = TraceState::Released;
                 pool_used -= t.allot as usize;
                 t.allot = 0;
                 active_count -= 1;
@@ -728,17 +725,17 @@ fn resident_pages(pool: &Option<SharedPool>, t: &TenantState, i: usize) -> usize
 
 /// Returns the tenant's granted allotment under working-set admission:
 /// the measured working set its spec carried, or else an estimate
-/// computed (once) from a trace sample, the `WsEstimate` probe event
-/// marking the computation.
+/// computed (once) from the head of its trace, the `WsEstimate` probe
+/// event marking the computation. Sampling builds the tenant's cursor,
+/// which draws the head once and serves it later.
 fn grant<P: Probe>(t: &mut TenantState, lc: &LoadControlCfg, probe: &mut P, at: Stamp) -> usize {
     if t.est_ws.is_none() {
         let sample = t
-            .spec
-            .as_ref()
-            .map(|s| s.sample(lc.ws_sample))
-            .unwrap_or_default();
-        let est = estimate_ws(&sample, lc.ws_window);
-        let allot = pick_allotment(&sample, est, t.quota as usize, lc.target_fault_rate);
+            .trace
+            .cursor()
+            .map_or(&[][..], |cursor| cursor.sample(lc.ws_sample));
+        let est = estimate_ws(sample, lc.ws_window);
+        let allot = pick_allotment(sample, est, t.quota as usize, lc.target_fault_rate);
         let pages = u32::try_from(est).unwrap_or(u32::MAX);
         t.est_ws = Some(pages);
         t.allot_base = u32::try_from(allot).unwrap_or(u32::MAX);
@@ -753,16 +750,14 @@ fn grant<P: Probe>(t: &mut TenantState, lc: &LoadControlCfg, probe: &mut P, at: 
     (t.allot_base as usize).max(1)
 }
 
-/// Activates a tenant with `allot` frames: builds its cursor and (unless
-/// it is `pooled`, paging in the shared pool) its resident set on first
-/// activation, resizes them on re-admission, and emits the
-/// `TenantAdmitted` probe event.
+/// Activates a tenant with `allot` frames: builds its cursor (unless
+/// [`grant`] did) and (unless it is `pooled`, paging in the shared
+/// pool) its resident set on first activation, resizes them on
+/// re-admission, and emits the `TenantAdmitted` probe event.
 fn activate<P: Probe>(t: &mut TenantState, allot: usize, pooled: bool, probe: &mut P, at: Stamp) {
     let allot = allot.max(1);
     t.allot = u32::try_from(allot).unwrap_or(u32::MAX);
-    if let Some(spec) = t.spec.take() {
-        t.cursor = Some(spec.into_cursor());
-    }
+    t.trace.cursor();
     match t.memory {
         Memory::Idle if pooled => {}
         Memory::Idle => {
@@ -791,6 +786,7 @@ fn activate<P: Probe>(t: &mut TenantState, allot: usize, pooled: bool, probe: &m
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tenant::TraceSpec;
     use dsa_probe::{CountingProbe, NullProbe};
     use dsa_trace::refstring::RefStringCfg;
 
@@ -1185,6 +1181,14 @@ mod tests {
             r.mean_ws_estimate.to_bits(),
             (estimates as f64 / 10.0).to_bits()
         );
+    }
+
+    #[test]
+    fn a_tenant_stays_the_size_it_was() {
+        // Every tenant of a population carries one of these, and the
+        // open run is memory-bound: a field that grows it must change
+        // this number on purpose. (64-bit targets.)
+        assert_eq!(std::mem::size_of::<TenantState>(), 288);
     }
 
     #[test]

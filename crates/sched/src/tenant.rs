@@ -8,8 +8,9 @@
 //! time in constant memory through `dsa-trace`'s exact-replay streams),
 //! and the running state (a `TraceCursor` plus a
 //! [`dsa_paging::compact::CompactLru`] resident-set summary) is a few
-//! hundred bytes. Backlogged tenants hold only the spec; the cursor is
-//! built at first activation.
+//! hundred bytes. Backlogged tenants hold only the spec. The cursor is
+//! built at the tenant's first grant under working-set admission, whose
+//! sample is the cursor's own head, and at first activation otherwise.
 
 use dsa_core::ids::PageNo;
 use dsa_trace::refstring::RefStringCfg;
@@ -53,9 +54,11 @@ impl TraceSpec {
         self.len() == 0
     }
 
-    /// The first `n` references, materialized — the sample the load
-    /// controller feeds to the working-set estimator and the allotment
-    /// picker. Cheap: `n` is a few hundred, not the trace length.
+    /// The first `n` references, materialized — a sample to feed the
+    /// working-set estimator and the allotment picker from outside the
+    /// simulator. Cheap: `n` is a few hundred, not the trace length.
+    /// The simulator does not call it: its sample is the head its trace
+    /// cursor draws once and then serves.
     #[must_use]
     pub fn sample(&self, n: u64) -> Vec<PageNo> {
         match self {
@@ -86,6 +89,7 @@ impl TraceSpec {
             } => TraceCursor::Stream {
                 stream: cfg.stream(write_fraction, seed),
                 len,
+                head: Vec::new().into_iter(),
             },
         }
     }
@@ -124,15 +128,44 @@ impl TenantSpec {
 }
 
 /// The position within a tenant's reference string. Holds either the
-/// materialized trace or the live stream; either way `next` yields the
-/// reference at the cursor and advances it.
+/// materialized trace or the live stream; either way `next_page` yields
+/// the reference at the cursor and advances it.
 #[derive(Clone, Debug)]
 pub(crate) enum TraceCursor {
-    Pages { trace: Vec<PageNo>, pos: usize },
-    Stream { stream: RefStringStream, len: u64 },
+    Pages {
+        trace: Vec<PageNo>,
+        pos: usize,
+    },
+    Stream {
+        stream: RefStringStream,
+        len: u64,
+        /// References [`TraceCursor::sample`] drew and the cursor has
+        /// not served yet, in trace order.
+        head: std::vec::IntoIter<PageNo>,
+    },
 }
 
 impl TraceCursor {
+    /// The first `min(len, n)` references, drawn once: a stream cursor
+    /// keeps them and serves them before it draws again, and a `Pages`
+    /// cursor lends its own prefix. Call it before the first
+    /// `next_page`.
+    pub(crate) fn sample(&mut self, n: u64) -> &[PageNo] {
+        match self {
+            TraceCursor::Pages { trace, .. } => &trace[..trace.len().min(n as usize)],
+            TraceCursor::Stream { stream, len, head } => {
+                debug_assert_eq!(RefStream::position(stream), 0, "a fresh cursor");
+                let drawn: Vec<PageNo> = stream
+                    .by_ref()
+                    .take((*len).min(n) as usize)
+                    .map(|a| PageNo(a.name.value()))
+                    .collect();
+                *head = drawn.into_iter();
+                head.as_slice()
+            }
+        }
+    }
+
     /// The next reference, or `None` at end of trace.
     pub(crate) fn next_page(&mut self) -> Option<PageNo> {
         match self {
@@ -143,12 +176,50 @@ impl TraceCursor {
                 }
                 p
             }
-            TraceCursor::Stream { stream, len } => {
+            TraceCursor::Stream { stream, len, head } => {
+                if let Some(p) = head.next() {
+                    if head.len() == 0 {
+                        // The head is served: release its buffer.
+                        *head = Vec::new().into_iter();
+                    }
+                    return Some(p);
+                }
                 if RefStream::position(stream) >= *len {
                     return None;
                 }
                 stream.next().map(|a| PageNo(a.name.value()))
             }
+        }
+    }
+}
+
+/// A tenant's reference string over its life: the recipe until the
+/// cursor is built, the cursor while it runs, nothing once it finishes.
+pub(crate) enum TraceState {
+    Recipe(TraceSpec),
+    Running(TraceCursor),
+    Released,
+}
+
+impl TraceState {
+    /// The cursor, built from the recipe on the first call; `None` once
+    /// released.
+    pub(crate) fn cursor(&mut self) -> Option<&mut TraceCursor> {
+        if let TraceState::Recipe(spec) = self {
+            let spec = std::mem::replace(spec, TraceSpec::Pages(Vec::new()));
+            *self = TraceState::Running(spec.into_cursor());
+        }
+        match self {
+            TraceState::Running(cursor) => Some(cursor),
+            _ => None,
+        }
+    }
+
+    /// The next reference; `None` unless the cursor runs and has one.
+    pub(crate) fn next_page(&mut self) -> Option<PageNo> {
+        match self {
+            TraceState::Running(cursor) => cursor.next_page(),
+            _ => None,
         }
     }
 }
@@ -192,5 +263,96 @@ mod tests {
         let spec = TraceSpec::Pages(vec![PageNo(3); 4]);
         assert_eq!(spec.sample(100).len(), 4);
         assert!(!spec.is_empty());
+    }
+
+    fn drain(cursor: &mut TraceCursor) -> Vec<PageNo> {
+        std::iter::from_fn(|| cursor.next_page()).collect()
+    }
+
+    #[test]
+    fn a_sampled_cursor_serves_its_head_then_the_rest_of_the_stream() {
+        let cfg = RefStringCfg::WorkingSetPhases {
+            pages: 16,
+            set: 8,
+            phase_len: 80,
+        };
+        let ws_sample = 256;
+        // Below, at and just past the sample, far past it, and empty.
+        for len in [0, 1, 120, 255, 256, 257, 600] {
+            let spec = TraceSpec::Stream {
+                cfg: cfg.clone(),
+                write_fraction: 0.0,
+                seed: 1967 + len,
+                len,
+            };
+            let fresh: Vec<PageNo> = cfg
+                .stream(0.0, 1967 + len)
+                .pages()
+                .take(len as usize)
+                .collect();
+            let mut cursor = spec.clone().into_cursor();
+            let head = cursor.sample(ws_sample).to_vec();
+            assert_eq!(head, spec.sample(ws_sample), "len {len}");
+            assert_eq!(head.len() as u64, len.min(ws_sample));
+            assert_eq!(drain(&mut cursor), fresh, "len {len}");
+            assert_eq!(cursor.next_page(), None);
+        }
+    }
+
+    #[test]
+    fn a_served_head_is_released() {
+        let spec = TraceSpec::Stream {
+            cfg: RefStringCfg::Uniform { pages: 8 },
+            write_fraction: 0.0,
+            seed: 3,
+            len: 10,
+        };
+        let mut cursor = spec.into_cursor();
+        assert_eq!(cursor.sample(4).len(), 4);
+        for _ in 0..4 {
+            cursor.next_page();
+        }
+        let TraceCursor::Stream { head, .. } = &cursor else {
+            unreachable!("a stream spec builds a stream cursor")
+        };
+        // No buffer left: the pointer an empty `Vec` holds.
+        let unallocated = std::ptr::NonNull::<PageNo>::dangling().as_ptr();
+        assert_eq!(head.as_slice().as_ptr(), unallocated.cast_const());
+        assert_eq!(drain(&mut cursor).len(), 6);
+    }
+
+    #[test]
+    fn a_pages_cursor_lends_its_own_prefix() {
+        let trace: Vec<PageNo> = (0..10).map(PageNo).collect();
+        let mut cursor = TraceSpec::Pages(trace.clone()).into_cursor();
+        let lent = cursor.sample(4);
+        assert_eq!(lent, &trace[..4]);
+        let lent = lent.as_ptr();
+        let TraceCursor::Pages { trace: own, .. } = &cursor else {
+            unreachable!("a pages spec builds a pages cursor")
+        };
+        assert_eq!(lent, own.as_ptr(), "lent, not copied");
+        assert_eq!(cursor.sample(100), &trace[..]);
+        assert_eq!(drain(&mut cursor), trace);
+        let mut empty = TraceSpec::Pages(Vec::new()).into_cursor();
+        assert!(empty.sample(8).is_empty());
+        assert_eq!(empty.next_page(), None);
+    }
+
+    #[test]
+    fn the_trace_runs_from_recipe_to_release() {
+        let mut trace = TraceState::Recipe(TraceSpec::Pages(vec![PageNo(5), PageNo(6)]));
+        assert_eq!(trace.next_page(), None, "a recipe draws nothing");
+        assert_eq!(trace.cursor().map(|c| c.sample(8).len()), Some(2));
+        assert_eq!(trace.next_page(), Some(PageNo(5)));
+        // A second call finds the running cursor, not a fresh one.
+        assert_eq!(
+            trace.cursor().and_then(TraceCursor::next_page),
+            Some(PageNo(6))
+        );
+        assert_eq!(trace.next_page(), None);
+        trace = TraceState::Released;
+        assert!(trace.cursor().is_none());
+        assert_eq!(trace.next_page(), None);
     }
 }

@@ -77,8 +77,9 @@ enum Regime {
     WorkingSetPhases {
         set: u64,
         phase_len: u64,
+        /// Every page; a phase's set is `all[..set]`, reshuffled at
+        /// each phase start and untouched until the next.
         all: Vec<u64>,
-        current: Vec<u64>,
         remaining: u64,
     },
     SequentialSweep {
@@ -168,7 +169,6 @@ impl RefStringCfg {
                 set: set.min(pages).max(1),
                 phase_len,
                 all: (0..pages).collect(),
-                current: Vec::new(),
                 remaining: 0,
             },
             RefStringCfg::SequentialSweep { pages } => Regime::SequentialSweep { pages },
@@ -253,16 +253,14 @@ impl Iterator for RefStringStream {
                 set,
                 phase_len,
                 ref mut all,
-                ref mut current,
                 ref mut remaining,
             } => {
                 if *remaining == 0 {
                     self.rng.shuffle(all);
-                    *current = all[..set as usize].to_vec();
                     *remaining = phase_len.max(1);
                 }
                 *remaining -= 1;
-                *self.rng.pick(current)
+                *self.rng.pick(&all[..set as usize])
             }
             Regime::SequentialSweep { pages } => self.pos % pages,
             Regime::LoopNest {

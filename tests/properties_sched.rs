@@ -22,19 +22,24 @@
 //! * [`dsa::sched::sweep::tenant_sweep`] — admission decisions
 //!   included — is a pure function of its grid: byte-identical reports
 //!   at any worker count.
+//! * Working-set admission samples the head of each tenant's own trace
+//!   cursor, which then serves it: every tenant still executes exactly
+//!   its trace, in order, even when swapped out before its head is
+//!   served.
 
 #[path = "common/stepper.rs"]
 mod stepper;
 
 use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 
-use dsa::core::clock::Cycles;
-use dsa::core::ids::PageNo;
+use dsa::core::clock::{Cycles, VirtualTime};
+use dsa::core::ids::{FrameNo, PageNo};
 use dsa::metrics::SpaceTimeReport;
 use dsa::paging::paged::PagedMemory;
 use dsa::paging::replacement::registry::{policy_by_index, policy_count, policy_label};
-use dsa::paging::{CompactLru, LruRepl};
-use dsa::probe::{CountingProbe, NullProbe};
+use dsa::paging::{CompactLru, Eligible, LruRepl, Replacer, Sensors};
+use dsa::probe::{CountingProbe, Event, EventKind, NullProbe, Probe};
 use dsa::sched::sweep::{tenant_sweep, SweepCell, SweepPoint};
 use dsa::sched::{
     AdmissionPolicy, EventReport, EventSim, LoadControlCfg, SimConfig, TenantSpec, TraceSpec,
@@ -341,5 +346,168 @@ fn tenant_sweep_is_deterministic_across_worker_counts() {
             assert_eq!(ta.faults, tb.faults);
             assert_eq!(ta.finished_at, tb.finished_at);
         }
+    }
+}
+
+/// One record of a run: `(tenant, Some(page))` for each reference a
+/// tenant executes, `(tenant, None)` where the ladder swaps it out.
+type Log = Arc<Mutex<Vec<(u32, Option<PageNo>)>>>;
+
+/// LRU that logs every hit in its tenant's frames. In a private memory
+/// each executed reference is one hit: a faulting reference re-executes
+/// once its page has arrived, and nothing else can evict the page.
+struct Executed {
+    tenant: u32,
+    log: Log,
+    lru: LruRepl,
+}
+
+impl Replacer for Executed {
+    fn loaded(&mut self, frame: FrameNo, page: PageNo, now: VirtualTime) {
+        self.lru.loaded(frame, page, now);
+    }
+
+    fn touched(&mut self, frame: FrameNo, page: PageNo, now: VirtualTime, write: bool) {
+        self.log.lock().unwrap().push((self.tenant, Some(page)));
+        self.lru.touched(frame, page, now, write);
+    }
+
+    fn victim(
+        &mut self,
+        eligible: Eligible<'_>,
+        sensors: &mut Sensors,
+        now: VirtualTime,
+    ) -> FrameNo {
+        self.lru.victim(eligible, sensors, now)
+    }
+
+    fn evicted(&mut self, frame: FrameNo) {
+        self.lru.evicted(frame);
+    }
+
+    fn name(&self) -> &'static str {
+        "executed"
+    }
+}
+
+/// Logs swap-outs into the same record as the hits.
+struct SwapOuts(Log);
+
+impl Probe for SwapOuts {
+    fn record(&mut self, event: &Event) {
+        if let EventKind::TenantDeactivated { tenant, .. } = event.kind {
+            self.0.lock().unwrap().push((tenant, None));
+        }
+    }
+}
+
+/// Per tenant: the pages it executed, in order, and how many it had
+/// executed when it was first swapped out.
+type Executions = Vec<(Vec<PageNo>, Option<usize>)>;
+
+/// Runs `specs` (ids `0..n`) under working-set admission over a pool of
+/// `frames`, each tenant in a full LRU memory that logs execution.
+fn run_logged(
+    specs: Vec<TenantSpec>,
+    frames: usize,
+    lc: LoadControlCfg,
+) -> (EventReport, Executions) {
+    let log = Log::default();
+    let mut executed = vec![(Vec::new(), None); specs.len()];
+    let report = EventSim::with_full_memory(
+        sim_cfg(20, Some(2)),
+        frames,
+        AdmissionPolicy::WorkingSet,
+        lc,
+        specs,
+        |spec| {
+            Box::new(Executed {
+                tenant: spec.id,
+                log: Arc::clone(&log),
+                lru: LruRepl::new(),
+            })
+        },
+    )
+    .run(&mut SwapOuts(Arc::clone(&log)))
+    .expect("no pinning");
+    for &(tenant, page) in log.lock().unwrap().iter() {
+        let (pages, swapped_at) = &mut executed[tenant as usize];
+        match page {
+            Some(p) => pages.push(p),
+            None => {
+                swapped_at.get_or_insert(pages.len());
+            }
+        }
+    }
+    (report, executed)
+}
+
+/// A phased stream of `len` references: tenant `i` works in sets of
+/// `2 + i` of 16 pages.
+fn phased(i: u32, len: u64, phase_len: u64) -> TraceSpec {
+    TraceSpec::Stream {
+        cfg: RefStringCfg::WorkingSetPhases {
+            pages: 16,
+            set: 2 + u64::from(i),
+            phase_len,
+        },
+        write_fraction: 0.0,
+        seed: u64::from(i) + 1,
+        len,
+    }
+}
+
+proptest! {
+    /// Whatever part of the trace the admission sample covers (less
+    /// than all of it, all of it, none), whether the trace is a stream
+    /// or materialized, and however early the ladder swaps a tenant
+    /// out, every tenant executes exactly its trace, in order.
+    #[test]
+    fn admission_sampling_keeps_every_trace_in_order(
+        tenants in prop::collection::vec((0u64..160, any::<bool>(), 1usize..4), 1..6),
+        ws_sample in 1u64..128,
+        thrash_refs in 4u32..64,
+        frames in 1usize..12,
+    ) {
+        let specs: Vec<TenantSpec> = tenants
+            .iter()
+            .zip(0u32..)
+            .map(|(&(len, materialized, quota), i)| {
+                let trace = phased(i, len, 40);
+                let trace = if materialized {
+                    TraceSpec::Pages(trace.sample(len))
+                } else {
+                    trace
+                };
+                TenantSpec::new(i, trace, quota)
+            })
+            .collect();
+        let lc = LoadControlCfg { ws_sample, thrash_refs, ..LoadControlCfg::default() };
+        let (report, executed) = run_logged(specs.clone(), frames, lc);
+        for ((spec, (pages, _)), t) in specs.iter().zip(&executed).zip(&report.tenants) {
+            prop_assert_eq!(pages, &spec.trace.sample(spec.trace.len()), "tenant {}", spec.id);
+            prop_assert_eq!(t.references, spec.trace.len());
+        }
+    }
+}
+
+/// The population of the ladder's unit test (600-reference tenants,
+/// quota 1, the default 256-reference sample) with a thrash check every
+/// 16 references, so the ladder's four rungs swap tenants out long
+/// before their heads are served. Each still runs its trace in order.
+#[test]
+fn tenants_swapped_out_before_their_head_is_served_run_in_order() {
+    let specs: Vec<TenantSpec> = (0..10)
+        .map(|i| TenantSpec::new(i, phased(i, 600, 200), 1))
+        .collect();
+    let lc = LoadControlCfg {
+        thrash_refs: 16,
+        ..LoadControlCfg::default()
+    };
+    let (_, executed) = run_logged(specs.clone(), 4, lc);
+    for (spec, (pages, swapped_at)) in specs.iter().zip(&executed) {
+        let swapped_at = swapped_at.expect("every tenant thrashes at quota 1");
+        assert!(swapped_at < lc.ws_sample as usize, "tenant {}", spec.id);
+        assert_eq!(pages, &spec.trace.sample(600), "tenant {}", spec.id);
     }
 }

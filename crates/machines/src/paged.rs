@@ -16,7 +16,7 @@
 
 use dsa_core::advice::{Advice, AdviceUnit};
 use dsa_core::error::{AccessFault, CoreError};
-use dsa_core::ids::{IdMap, PageNo, SegId, Words};
+use dsa_core::ids::{FrameNo, IdMap, PageNo, SegId, Words};
 use dsa_core::taxonomy::{NameSpaceKind, SystemCharacteristics};
 use dsa_mapping::two_level::TwoLevelMap;
 use dsa_paging::paged::{EvictedPage, PagedMemory, TouchOutcome};
@@ -327,12 +327,19 @@ impl<L: NameLayout<D>, D: MapDevice> Backend for Paged<L, D> {
         // An illegal subscript that lands on valid names — resident or
         // not — traps nowhere, and is executed like any other touch.
         match t.outcome {
-            Ok(_) => {
+            Ok(addr) => {
                 cx.report.wild_undetected += u64::from(wild);
                 // Keep the paging engine's recency state in step with
-                // the hardware hit.
+                // the hardware hit, in the frame the device found. The
+                // device can name a page the engine has let go: ATLAS's
+                // vacant reserve may evict the very page a fault just
+                // fetched, after which the register still names it and
+                // the engine quietly faults it back in here.
                 let page = frames.device.page(mseg, name / frames.page_size);
-                frames.memory.touch_probed(page, write, cx.at(), cx.probe)?;
+                let frame = FrameNo(addr.value() / frames.page_size);
+                frames
+                    .memory
+                    .touch_resolved(page, frame, write, cx.at(), cx.probe)?;
                 Ok(None)
             }
             Err(AccessFault::MissingPage { page }) => {

@@ -12,6 +12,13 @@
 //!   [`crate::two_level::TwoLevelMap`]. This is special hardware
 //!   facility (vi): "if it were not for such mechanisms, the cost in
 //!   extra addressing time ... would often be unacceptable".
+//!
+//! Either search is one parallel match in the hardware, and is charged
+//! as one `assoc_search` whatever the number of registers. The host
+//! does not compare a name against each register to answer it: ATLAS's
+//! registers keep an inverse index beside them (page to frame), and the
+//! small memory a hash index over its resident keys, so a search costs
+//! the host about the same at 8 entries as at 44.
 
 use dsa_core::error::AccessFault;
 use dsa_core::ids::{FrameNo, Name, PageNo, PhysAddr, Words};
@@ -32,18 +39,27 @@ pub enum AssocPolicy {
 /// A small fully-associative memory mapping keys to 64-bit values.
 ///
 /// Capacity-bounded; the search itself is modelled as constant-time
-/// (it is a parallel match in hardware).
+/// (it is a parallel match in hardware), and the host answers it from
+/// a hash index of the resident keys rather than by comparing each.
+/// The age order is a list through the slots, so a refresh or an
+/// eviction relinks one slot and nothing moves.
 #[derive(Clone, Debug)]
 pub struct AssocMemory {
     capacity: usize,
     policy: AssocPolicy,
-    // Entries sit in slots `1..`, packed, in no particular order: a
-    // search is one pass over `keys`. Age is a circular list threaded
-    // through `slots`, rooted at slot 0 (which holds no entry): the
-    // root's `next` is the oldest entry, its `prev` the newest, so
-    // refreshing or evicting relinks a slot and nothing moves.
+    // Entries sit in slots `1..`, packed, in no particular order; `heads`
+    // finds a key's slot. Age is a circular list threaded through
+    // `slots`, rooted at slot 0 (which holds no entry): the root's
+    // `next` is the oldest entry, its `prev` the newest, so refreshing
+    // or evicting relinks a slot and nothing moves.
     keys: Vec<u64>,
     slots: Vec<Slot>,
+    // Each key hangs in a chain of slots (linked through `chain`) from
+    // the bucket its multiplicative hash names; 0 ends a chain. The
+    // table is a power of two kept at most a quarter full, so a miss
+    // mostly meets an empty bucket and a hit the key at once.
+    heads: Vec<usize>,
+    shift: u32,
     // The key the last lookup missed, until the next insert: absent for
     // certain, so the insert that follows a miss need not search again.
     missed: Option<u64>,
@@ -51,11 +67,15 @@ pub struct AssocMemory {
     misses: u64,
 }
 
+/// Initial buckets; the table doubles as entries arrive.
+const MIN_BUCKETS: usize = 4;
+
 #[derive(Clone, Copy, Debug, Default)]
 struct Slot {
     value: u64,
     prev: usize,
     next: usize,
+    chain: usize,
 }
 
 impl AssocMemory {
@@ -69,20 +89,61 @@ impl AssocMemory {
             policy,
             keys: vec![0],
             slots: vec![Slot::default()],
+            heads: vec![0; MIN_BUCKETS],
+            shift: 64 - MIN_BUCKETS.trailing_zeros(),
             missed: None,
             hits: 0,
             misses: 0,
         }
     }
 
-    fn slot_of(&self, key: u64) -> Option<usize> {
-        // Keys are distinct, so the last match is the match: a pass
-        // with no early exit has no branch to mispredict.
-        let mut found = 0;
-        for (slot, &k) in self.keys.iter().enumerate().skip(1) {
-            found = if k == key { slot } else { found };
+    fn bucket(&self, key: u64) -> usize {
+        // Keys put a segment number above bit 32 (`global_page`), where
+        // a multiply alone spreads it badly into the top bits: fold it
+        // down first.
+        ((key ^ (key >> 29)).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The slot holding `key`, or 0.
+    fn find(&self, key: u64) -> usize {
+        let mut slot = self.heads[self.bucket(key)];
+        while slot != 0 && self.keys[slot] != key {
+            slot = self.slots[slot].chain;
         }
-        (found != 0).then_some(found)
+        slot
+    }
+
+    /// Hangs `slot` at the head of its key's chain, doubling the table
+    /// instead if the entries would pass a quarter of it.
+    fn index(&mut self, slot: usize) {
+        if 4 * self.len() > self.heads.len() {
+            self.heads = vec![0; 2 * self.heads.len()];
+            self.shift -= 1;
+            (1..self.keys.len()).for_each(|resident| self.hang(resident));
+        } else {
+            self.hang(slot);
+        }
+    }
+
+    fn hang(&mut self, slot: usize) {
+        let bucket = self.bucket(self.keys[slot]);
+        self.slots[slot].chain = self.heads[bucket];
+        self.heads[bucket] = slot;
+    }
+
+    /// Takes `slot` off its key's chain.
+    fn unindex(&mut self, slot: usize) {
+        let bucket = self.bucket(self.keys[slot]);
+        let chain = self.slots[slot].chain;
+        if self.heads[bucket] == slot {
+            self.heads[bucket] = chain;
+        } else {
+            let mut at = self.heads[bucket];
+            while self.slots[at].chain != slot {
+                at = self.slots[at].chain;
+            }
+            self.slots[at].chain = chain;
+        }
     }
 
     fn unlink(&mut self, slot: usize) {
@@ -101,19 +162,19 @@ impl AssocMemory {
 
     /// Looks up `key`, updating recency under LRU.
     pub fn lookup(&mut self, key: u64) -> Option<u64> {
-        match self.slot_of(key) {
-            Some(slot) => {
+        match self.find(key) {
+            0 => {
+                self.misses += 1;
+                self.missed = Some(key);
+                None
+            }
+            slot => {
                 self.hits += 1;
                 if self.policy == AssocPolicy::Lru {
                     self.unlink(slot);
                     self.link_newest(slot);
                 }
                 Some(self.slots[slot].value)
-            }
-            None => {
-                self.misses += 1;
-                self.missed = Some(key);
-                None
             }
         }
     }
@@ -124,26 +185,30 @@ impl AssocMemory {
             return;
         }
         let resident = match self.missed.take() {
-            Some(absent) if absent == key => None,
-            _ => self.slot_of(key),
+            Some(absent) if absent == key => 0,
+            _ => self.find(key),
         };
         let slot = match resident {
-            Some(slot) => {
+            0 if self.len() < self.capacity => {
+                self.keys.push(key);
+                self.slots.push(Slot::default());
+                let slot = self.len();
+                self.index(slot);
+                slot
+            }
+            0 => {
+                let oldest = self.slots[0].next;
+                self.unlink(oldest);
+                self.unindex(oldest);
+                self.keys[oldest] = key;
+                self.hang(oldest);
+                oldest
+            }
+            slot => {
                 self.unlink(slot);
                 slot
             }
-            None if self.len() < self.capacity => {
-                self.keys.push(key);
-                self.slots.push(Slot::default());
-                self.len()
-            }
-            None => {
-                let oldest = self.slots[0].next;
-                self.unlink(oldest);
-                oldest
-            }
         };
-        self.keys[slot] = key;
         self.slots[slot].value = value;
         self.link_newest(slot);
     }
@@ -151,19 +216,26 @@ impl AssocMemory {
     /// Drops the entry in `slot` and moves the last one into its place.
     fn remove_slot(&mut self, slot: usize) {
         self.unlink(slot);
+        self.unindex(slot);
+        let last = self.len();
+        if slot != last {
+            self.unindex(last);
+        }
         self.keys.swap_remove(slot);
         self.slots.swap_remove(slot);
         if let Some(&Slot { prev, next, .. }) = self.slots.get(slot) {
             self.slots[prev].next = slot;
             self.slots[next].prev = slot;
+            self.hang(slot);
         }
     }
 
     /// Removes `key` if present (needed when a page is replaced: a stale
     /// entry would translate to a frame now holding other information).
     pub fn invalidate(&mut self, key: u64) {
-        if let Some(slot) = self.slot_of(key) {
-            self.remove_slot(slot);
+        match self.find(key) {
+            0 => {}
+            slot => self.remove_slot(slot),
         }
     }
 
@@ -184,6 +256,54 @@ impl AssocMemory {
         self.keys.truncate(1);
         self.slots.truncate(1);
         self.slots[0] = Slot::default();
+        self.heads.fill(0);
+    }
+
+    /// Checks that the keys, the index and the age list agree: every
+    /// resident key is indexed at its own slot and nothing else is, and
+    /// the age list runs through every slot once, both ways.
+    ///
+    /// # Panics
+    ///
+    /// Panics if they do not.
+    pub fn check_invariants(&self) {
+        assert!(self.len() <= self.capacity, "over capacity");
+        assert_eq!(self.keys.len(), self.slots.len(), "keys and slots differ");
+        assert!(
+            4 * self.len() <= self.heads.len(),
+            "table over a quarter full"
+        );
+        let mut chained = 0;
+        for (bucket, &head) in self.heads.iter().enumerate() {
+            let mut slot = head;
+            while slot != 0 {
+                assert_eq!(
+                    self.bucket(self.keys[slot]),
+                    bucket,
+                    "slot {slot} in the wrong chain"
+                );
+                chained += 1;
+                assert!(chained <= self.len(), "a chain loops");
+                slot = self.slots[slot].chain;
+            }
+        }
+        assert_eq!(chained, self.len(), "{chained} slots chained");
+        for (slot, &key) in self.keys.iter().enumerate().skip(1) {
+            assert_eq!(self.find(key), slot, "key {key} indexed elsewhere");
+        }
+        let mut seen = vec![false; self.slots.len()];
+        let mut at = 0;
+        for _ in 0..self.slots.len() {
+            let next = self.slots[at].next;
+            assert_eq!(
+                self.slots[next].prev, at,
+                "age list links disagree at {next}"
+            );
+            assert!(!seen[next], "age list revisits slot {next}");
+            seen[next] = true;
+            at = next;
+        }
+        assert_eq!(at, 0, "age list does not close at the root");
     }
 
     /// Number of resident entries.
@@ -221,10 +341,17 @@ impl AssocMemory {
 /// Names are split on a power-of-two page size; the page bits are
 /// matched associatively against all frame registers simultaneously.
 /// Loading a page into a frame sets that frame's register.
+///
+/// The hardware's parallel match is modelled at the constant cost of
+/// one `assoc_search`; the host answers it from an inverse index, the
+/// frame each page's register names, so no register is ever scanned.
 #[derive(Clone, Debug)]
 pub struct FrameAssociativeMap {
     page_bits: u32,
     registers: Vec<Option<PageNo>>,
+    /// Indexed by page number, grown on `load` to reach the page: the
+    /// frame whose register holds it. The exact inverse of `registers`.
+    frame_by_page: Vec<Option<FrameNo>>,
     name_extent: Words,
     costs: MapCosts,
     stats: MapStats,
@@ -249,6 +376,7 @@ impl FrameAssociativeMap {
         FrameAssociativeMap {
             page_bits,
             registers: vec![None; frames],
+            frame_by_page: Vec::new(),
             name_extent,
             costs,
             stats: MapStats::default(),
@@ -262,12 +390,22 @@ impl FrameAssociativeMap {
     }
 
     /// Declares that `page` now occupies `frame` (sets the frame's
-    /// page-address register).
+    /// page-address register). Whatever page the frame held leaves it,
+    /// and a page lives in one frame: a register that named `page`
+    /// elsewhere is cleared.
     ///
     /// # Panics
     ///
     /// Panics if `frame` is out of range.
     pub fn load(&mut self, frame: FrameNo, page: PageNo) {
+        self.unload(frame);
+        let at = page.0 as usize;
+        if at >= self.frame_by_page.len() {
+            self.frame_by_page.resize(at + 1, None);
+        }
+        if let Some(old) = self.frame_by_page[at].replace(frame) {
+            self.registers[old.index()] = None;
+        }
         self.registers[frame.index()] = Some(page);
     }
 
@@ -277,16 +415,37 @@ impl FrameAssociativeMap {
     ///
     /// Panics if `frame` is out of range.
     pub fn unload(&mut self, frame: FrameNo) {
-        self.registers[frame.index()] = None;
+        if let Some(page) = self.registers[frame.index()].take() {
+            self.frame_by_page[page.0 as usize] = None;
+        }
     }
 
     /// The frame currently holding `page`, if resident.
     #[must_use]
     pub fn frame_of(&self, page: PageNo) -> Option<FrameNo> {
-        self.registers
-            .iter()
-            .position(|&r| r == Some(page))
-            .map(|i| FrameNo(i as u64))
+        self.frame_by_page.get(page.0 as usize).copied().flatten()
+    }
+
+    /// Checks that the inverse index and the registers agree entry for
+    /// entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if they do not.
+    pub fn check_invariants(&self) {
+        let mut loaded = 0;
+        for (frame, register) in (0u64..).zip(&self.registers) {
+            if let Some(page) = register {
+                loaded += 1;
+                assert_eq!(
+                    self.frame_of(*page),
+                    Some(FrameNo(frame)),
+                    "frame {frame}'s register names {page:?}; the index disagrees"
+                );
+            }
+        }
+        let indexed = self.frame_by_page.iter().flatten().count();
+        assert_eq!(indexed, loaded, "the index holds pages no register names");
     }
 
     /// Number of frames.
@@ -428,6 +587,31 @@ mod tests {
         assert!(m.translate(Name(8)).outcome.is_ok());
         m.unload(FrameNo(0));
         assert!(m.translate(Name(8)).outcome.is_err());
+    }
+
+    #[test]
+    fn frame_map_index_follows_the_pages_loaded_not_the_extent() {
+        // Two-word pages over every name a u64 holds: an index sized
+        // from the extent would be 2^63 entries.
+        let mut m = FrameAssociativeMap::new(1, 1, u64::MAX, MapCosts::default());
+        assert_eq!(m.frame_by_page.capacity(), 0);
+        m.load(FrameNo(0), PageNo(3));
+        assert!(m.frame_by_page.capacity() <= 8);
+        assert_eq!(m.translate(Name(7)).unwrap_addr(), PhysAddr(1));
+        m.load(FrameNo(0), PageNo(1000));
+        assert!(m.frame_by_page.capacity() <= 2 * 1001);
+        assert_eq!(m.frame_of(PageNo(3)), None);
+        m.check_invariants();
+    }
+
+    #[test]
+    fn assoc_index_follows_the_entries_not_the_capacity() {
+        let mut a = AssocMemory::new(usize::MAX, AssocPolicy::Lru);
+        a.insert(1 << 32, 10);
+        assert_eq!(a.heads.len(), MIN_BUCKETS);
+        (0..100).for_each(|k| a.insert(k, k));
+        assert_eq!(a.heads.len(), 512);
+        a.check_invariants();
     }
 
     #[test]

@@ -336,6 +336,16 @@ impl TwoLevelMap {
         self.stats.assoc_hit_ratio()
     }
 
+    /// Checks the associative memory in front of the tables
+    /// ([`AssocMemory::check_invariants`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if its keys, index and age list disagree.
+    pub fn check_invariants(&self) {
+        self.tlb.check_invariants();
+    }
+
     fn invalidate_segment_tlb(&mut self, seg: SegId) {
         // Global page keys of this segment share the high 32 bits.
         let prefix = u64::from(seg.0) << 32;

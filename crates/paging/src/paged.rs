@@ -354,6 +354,47 @@ impl PagedMemory {
         self.touch_probed(page, write, Stamp::vtime(now), &mut NullProbe)
     }
 
+    /// [`PagedMemory::touch_probed`] for a caller whose mapping device
+    /// has already found `page` in `frame`: when the frame does hold the
+    /// page, the hit is taken there, without looking the page up again.
+    /// A device entry the engine no longer backs (a frame since emptied
+    /// or refilled) is an ordinary [`PagedMemory::touch_probed`].
+    ///
+    /// # Errors
+    ///
+    /// As [`PagedMemory::touch_probed`].
+    #[inline]
+    pub fn touch_resolved<P: Probe + ?Sized>(
+        &mut self,
+        page: PageNo,
+        frame: FrameNo,
+        write: bool,
+        at: Stamp,
+        probe: &mut P,
+    ) -> Result<TouchOutcome, CoreError> {
+        if self.frames.get(frame.index()) == Some(&Some(page)) {
+            self.hit(page, frame, write, at.vtime);
+            return Ok(TouchOutcome::Hit { frame });
+        }
+        self.touch_probed(page, write, at, probe)
+    }
+
+    /// The one body of every hit: `page` is resident in `frame`.
+    #[inline]
+    fn hit(&mut self, page: PageNo, frame: FrameNo, write: bool, now: VirtualTime) {
+        debug_assert_eq!(
+            self.page_table.get(&page),
+            Some(&frame),
+            "{page:?} is not in {frame:?}"
+        );
+        self.stats.references += 1;
+        if !self.prefetched.is_empty() && self.prefetched.remove(&page) {
+            self.stats.useful_prefetches += 1;
+        }
+        self.sensors.touch(frame, write);
+        self.replacer.touched(frame, page, now, write);
+    }
+
     /// [`PagedMemory::touch`] with event emission: `Fault` when the
     /// reference misses, `Evict` for every page pushed out (demand,
     /// vacant-reserve, or prefetch displacement), `Prefetch` for
@@ -373,16 +414,12 @@ impl PagedMemory {
         probe: &mut P,
     ) -> Result<TouchOutcome, CoreError> {
         let now = at.vtime;
-        self.stats.references += 1;
         if let Some(frame) = self.page_table.get(&page).copied() {
-            if !self.prefetched.is_empty() && self.prefetched.remove(&page) {
-                self.stats.useful_prefetches += 1;
-            }
-            self.sensors.touch(frame, write);
-            self.replacer.touched(frame, page, now, write);
+            self.hit(page, frame, write, now);
             return Ok(TouchOutcome::Hit { frame });
         }
         // Demand fault.
+        self.stats.references += 1;
         self.stats.faults += 1;
         probe.emit(EventKind::Fault, at);
         let mut evicted = None;
@@ -621,6 +658,71 @@ mod tests {
         assert_eq!(m.stats().references, 3);
         assert_eq!(m.resident_count(), 2);
         m.check_invariants();
+    }
+
+    #[test]
+    fn a_device_resolved_hit_is_the_hit_touch_takes() {
+        use crate::replacement::atlas::AtlasLearning;
+        use crate::replacement::clock::ClockRepl;
+        let replacers: [fn() -> Box<dyn Replacer>; 3] = [
+            || Box::new(LruRepl::new()),
+            || Box::new(ClockRepl::new()),
+            || Box::new(AtlasLearning::new()),
+        ];
+        for replacer in replacers {
+            let mut touched = PagedMemory::new(6, replacer());
+            let mut resolved = PagedMemory::new(6, replacer());
+            for m in [&mut touched, &mut resolved] {
+                for page in 0..5 {
+                    m.touch(PageNo(page), false, page).unwrap();
+                }
+                // A prefetched page, so a hit also finds it useful.
+                m.advise(Advice::WillNeed(AdviceUnit::Page(PageNo(9))), 5);
+            }
+            let hits = [3, 9, 0, 3, 1, 4, 9, 2, 0, 4, 4, 1];
+            for (i, &page) in hits.iter().enumerate() {
+                let (page, write, now) = (PageNo(page), i % 3 == 0, 6 + i as u64);
+                assert!(!touched.touch(page, write, now).unwrap().is_fault());
+                let frame = resolved.frame_of(page).unwrap();
+                let outcome =
+                    resolved.touch_resolved(page, frame, write, Stamp::vtime(now), &mut NullProbe);
+                assert_eq!(outcome.unwrap(), TouchOutcome::Hit { frame });
+            }
+            assert_eq!(
+                format!("{:?}", touched.stats()),
+                format!("{:?}", resolved.stats())
+            );
+            for f in 0..6 {
+                let frame = FrameNo(f);
+                assert_eq!(touched.sensors.used(frame), resolved.sensors.used(frame));
+                assert_eq!(
+                    touched.sensors.modified(frame),
+                    resolved.sensors.modified(frame)
+                );
+            }
+            // The next fault evicts the same page from both, the second
+            // time through a stale device entry (frame 0 holds another
+            // page), which faults as a plain touch does.
+            let next = 6 + hits.len() as u64;
+            let stale = resolved.touch_resolved(
+                PageNo(20),
+                FrameNo(0),
+                false,
+                Stamp::vtime(next),
+                &mut NullProbe,
+            );
+            assert_eq!(
+                stale.unwrap(),
+                touched.touch(PageNo(20), false, next).unwrap()
+            );
+            let evicted = |m: &mut PagedMemory| match m.touch(PageNo(21), false, next + 1) {
+                Ok(TouchOutcome::Fault { evicted, .. }) => evicted.map(|e| e.page),
+                other => panic!("expected a fault, got {other:?}"),
+            };
+            assert_eq!(evicted(&mut touched), evicted(&mut resolved));
+            touched.check_invariants();
+            resolved.check_invariants();
+        }
     }
 
     #[test]

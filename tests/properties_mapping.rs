@@ -56,34 +56,59 @@ proptest! {
         }
     }
 
-    /// The frame-associative map and a shadow table always agree.
+    /// The frame-associative map and a shadow table always agree, over
+    /// all 32 frames of an ATLAS: a load may land on an occupied frame
+    /// with no unload first (the frame's page leaves it), an unload may
+    /// find the frame empty, pages may lie far apart, and names at and
+    /// past the extent trap.
     #[test]
-    fn frame_associative_matches_shadow(loads in prop::collection::vec((0u64..8, 0u64..32), 1..40)) {
-        let mut m = FrameAssociativeMap::new(8, 4, 32 * 16, costs());
+    fn frame_associative_matches_shadow(
+        ops in prop::collection::vec((0u64..32, 0u64..48, 0u8..4), 1..120),
+    ) {
+        // 16-word pages over 4096 pages of names: page 4095 is the last.
+        const PAGES: u64 = 4096;
+        let mut m = FrameAssociativeMap::new(32, 4, PAGES * 16, costs());
         let mut shadow: HashMap<u64, u64> = HashMap::new(); // page -> frame
-        for &(frame, page) in &loads {
-            // Unload whatever the frame held, and any other frame
-            // holding this page (a page lives in at most one frame).
-            shadow.retain(|_, &mut f| f != frame);
-            if let Some(old_frame) = shadow.get(&page).copied() {
-                m.unload(FrameNo(old_frame));
-                shadow.remove(&page);
+        // Pages 0..40 sit together; 40..48 stand for pages far out.
+        let page_of = |p: u64| if p < 40 { p } else { PAGES - 1 - (p - 40) * 500 };
+        for &(frame, p, op) in &ops {
+            let page = page_of(p);
+            if op == 0 {
+                m.unload(FrameNo(frame));
+                shadow.retain(|_, &mut f| f != frame);
+            } else {
+                // The frame's page leaves it. A page lives in at most
+                // one frame, so a page resident elsewhere is unloaded
+                // from there first.
+                if let Some(old_frame) = shadow.remove(&page) {
+                    m.unload(FrameNo(old_frame));
+                }
+                m.load(FrameNo(frame), dsa::core::ids::PageNo(page));
+                shadow.retain(|_, &mut f| f != frame);
+                shadow.insert(page, frame);
             }
-            m.load(FrameNo(frame), dsa::core::ids::PageNo(page));
-            shadow.insert(page, frame);
+            m.check_invariants();
         }
-        for page in 0..32u64 {
+        for p in 0..48u64 {
+            let page = page_of(p);
             let name = Name(page * 16 + 3);
             let t = m.translate(name);
             match shadow.get(&page) {
                 Some(&frame) => {
                     prop_assert_eq!(t.outcome.expect("resident"), PhysAddr(frame * 16 + 3));
+                    prop_assert_eq!(m.frame_of(dsa::core::ids::PageNo(page)), Some(FrameNo(frame)));
                 }
                 None => {
                     let missing = matches!(t.outcome, Err(AccessFault::MissingPage { .. }));
                     prop_assert!(missing, "expected a page trap for page {}", page);
                 }
             }
+        }
+        let last = m.translate(Name(PAGES * 16 - 1)).outcome;
+        prop_assert!(!matches!(last, Err(AccessFault::InvalidName { .. })), "the last name is valid");
+        for name in [PAGES * 16, PAGES * 16 + 1, u64::MAX] {
+            let invalid = matches!(m.translate(Name(name)).outcome, Err(AccessFault::InvalidName { .. }));
+            prop_assert!(invalid, "name {} is past the extent", name);
         }
     }
 
@@ -139,8 +164,10 @@ proptest! {
         }
         for &(seg, page) in &loaded {
             m.translate_pair(SegId(seg), page * 16);
+            m.check_invariants();
         }
         m.resize_segment(SegId(victim), 64).expect("same extent");
+        m.check_invariants();
         let mut distinct = loaded.clone();
         distinct.sort_unstable();
         distinct.dedup();
@@ -210,7 +237,10 @@ proptest! {
         // all stay common at every capacity.
         let universe = capacity as u64 * 3 / 2 + 2;
         for (step, &(pick, a, value)) in ops.iter().enumerate() {
+            // Every third key carries its high half, as a segment
+            // number does in a global page number.
             let key = a % universe;
+            let key = if key % 3 == 0 { key << 32 } else { key };
             match pick {
                 0..=6 => prop_assert_eq!(mem.lookup(key), model.lookup(key), "step {}: lookup {}", step, key),
                 7..=10 => {
@@ -235,6 +265,7 @@ proptest! {
                 }
                 _ => {}
             }
+            mem.check_invariants();
             let mut keys: Vec<u64> = mem.keys().collect();
             keys.sort_unstable();
             let want = model.keys();

@@ -26,16 +26,14 @@
 //!
 //! Accounting: magazine hits and depot exchanges are counted in plain
 //! (non-atomic) thread-local counters and folded into the heap's
-//! [`HeapStats`] on flush and thread exit. The telemetry probe never
-//! sees a magazine hit — it tracks backend traffic, and an object
+//! [`HeapStats`](crate::heap::HeapStats) on flush and thread exit. The
+//! telemetry probe never sees a magazine hit — it tracks backend traffic, and an object
 //! parked in a magazine, like a large block set aside, is still
 //! backend-live. That is what keeps
 //! [`DsaHeap::check_reconciliation`] exact without quiescing threads.
 
 use std::alloc::Layout;
 
-#[allow(unused_imports)] // doc links
-use crate::heap::HeapStats;
 use crate::heap::{DsaHeap, BYTES_PER_WORD};
 
 /// Hard capacity of a magazine; the runtime depth
@@ -174,15 +172,6 @@ impl<'h> ThreadCache<'h> {
         self.heap
     }
 
-    /// Objects currently parked in this cache's magazines.
-    #[must_use]
-    pub fn parked(&self) -> usize {
-        self.mags
-            .iter()
-            .map(|m| m.loaded.len() + m.prev.len())
-            .sum()
-    }
-
     /// Allocates a block for `layout`. Ladder sizes go through the
     /// magazines; larger (or hyper-aligned) requests pass straight to
     /// the heap's large path. Null only if the final `System` fallback
@@ -262,7 +251,8 @@ impl<'h> ThreadCache<'h> {
     }
 
     /// Returns every parked object and every large block set aside to
-    /// the heap and folds the hit counters into [`HeapStats`]. The
+    /// the heap and folds the hit counters into
+    /// [`HeapStats`](crate::heap::HeapStats). The
     /// cache stays usable.
     pub fn flush(&mut self) {
         // Outside an allocator frame (thread exit, an explicit flush):

@@ -77,8 +77,8 @@ struct LiveRec {
 /// use dsa_freelist::Placement;
 ///
 /// let svc = ArenaService::striped(4, 1000, Placement::FirstFit);
-/// let addr = svc.alloc(1, 100, 0).unwrap();
-/// assert_eq!(svc.arena().lookup(1), Some((addr, 100)));
+/// svc.alloc(1, 100, 0).unwrap();
+/// assert_eq!(svc.occupied(), 100);
 /// svc.free(1).unwrap();
 /// assert_eq!(svc.counters().allocs, 1);
 /// ```

@@ -133,12 +133,6 @@ impl FixedSlab {
         self.unit_words
     }
 
-    /// Total capacity in words.
-    #[must_use]
-    pub fn capacity_words(&self) -> Words {
-        Words::from(self.units) * self.unit_words
-    }
-
     /// Units currently handed out.
     #[must_use]
     pub fn live_units(&self) -> u64 {

@@ -230,8 +230,8 @@ impl ArenaSnapshot {
 /// use dsa_freelist::Placement;
 ///
 /// let arena = ShardedArena::new(4, 1000, Placement::BestFit);
-/// let addr = arena.alloc(7, 100).unwrap();
-/// assert_eq!(arena.lookup(7), Some((addr, 100)));
+/// arena.alloc(7, 100).unwrap();
+/// assert_eq!(arena.snapshot().free_words(), 3900);
 /// arena.free(7).unwrap();
 /// assert_eq!(arena.snapshot().free_words(), 4000);
 /// ```
@@ -584,30 +584,6 @@ impl ShardedArena {
         freed
     }
 
-    /// Looks up a live id-named allocation, returning its global
-    /// address.
-    #[must_use]
-    pub fn lookup(&self, id: u64) -> Option<(PhysAddr, Words)> {
-        let home = self.home_shard(id);
-        let owner = {
-            let g = self.lock(home);
-            match g.homed.get(&id) {
-                None | Some(&RESERVED) => return None,
-                Some(&owner) if owner == home => {
-                    return g
-                        .alloc
-                        .lookup(id)
-                        .map(|(addr, size)| (self.global(home, addr), size));
-                }
-                Some(&owner) => owner,
-            }
-        };
-        self.lock(owner)
-            .alloc
-            .lookup(id)
-            .map(|(addr, size)| (self.global(owner, addr), size))
-    }
-
     /// Allocations that landed on a non-home shard so far.
     #[must_use]
     pub fn steals(&self) -> u64 {
@@ -640,15 +616,6 @@ impl ShardedArena {
             .iter()
             .filter(|q| q.load(Ordering::Acquire))
             .count() as u32
-    }
-
-    /// Audits shard `s`'s free-list invariants without panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated invariant, described.
-    pub fn audit_shard(&self, s: u32) -> Result<(), String> {
-        self.lock(s).alloc.audit()
     }
 
     /// Compacts shard `s` in place — the pressured-shard coalesce rung
@@ -718,8 +685,7 @@ impl ShardedArena {
     }
 
     /// Deliberately corrupts shard `s`'s free list (chaos injection
-    /// hook). The damage is always detectable by
-    /// [`ShardedArena::audit_shard`] and healable by
+    /// hook). The damage is always detected and healed by
     /// [`ShardedArena::heal_shard`]. Not for production use.
     #[doc(hidden)]
     pub fn corrupt_shard_for_chaos(&self, s: u32) {
@@ -805,6 +771,14 @@ impl ShardedArena {
 mod tests {
     use super::*;
 
+    /// The global address and size of the live id-named block `id`.
+    fn lookup(arena: &ShardedArena, id: u64) -> Option<(PhysAddr, Words)> {
+        (0..arena.shard_count()).find_map(|s| {
+            let block = arena.lock(s).alloc.lookup(id);
+            block.map(|(addr, size)| (arena.global(s, addr), size))
+        })
+    }
+
     #[test]
     fn alloc_free_roundtrip_across_shards() {
         let arena = ShardedArena::new(4, 500, Placement::FirstFit);
@@ -825,7 +799,7 @@ mod tests {
         let arena = ShardedArena::new(8, 1000, Placement::BestFit);
         for id in 0..40 {
             let addr = arena.alloc(id, 10).unwrap();
-            let (found, size) = arena.lookup(id).unwrap();
+            let (found, size) = lookup(&arena, id).unwrap();
             assert_eq!(found, addr);
             assert_eq!(size, 10);
             let shard = addr.value() / 1000;
@@ -874,7 +848,7 @@ mod tests {
         }
         // The failed request leaves no residue.
         arena.check_invariants();
-        assert_eq!(arena.lookup(3), None);
+        assert_eq!(lookup(&arena, 3), None);
     }
 
     #[test]
@@ -944,7 +918,7 @@ mod tests {
             ArenaError::Exhausted { requested, .. } => assert_eq!(requested, 10),
             other => panic!("expected Exhausted, got {other:?}"),
         }
-        assert_eq!(arena.lookup(5), None, "no reservation residue");
+        assert_eq!(lookup(&arena, 5), None, "no reservation residue");
         arena.check_invariants();
     }
 
@@ -958,7 +932,10 @@ mod tests {
         let live_before = arena.snapshot().allocated_words();
         let victim = 0;
         arena.corrupt_shard_for_chaos(victim);
-        assert!(arena.audit_shard(victim).is_err(), "corruption detected");
+        assert!(
+            arena.lock(victim).alloc.audit().is_err(),
+            "corruption detected"
+        );
         let mut probe = dsa_probe::CountingProbe::default();
         arena
             .heal_shard(victim, Stamp::default(), &mut probe)
@@ -966,7 +943,7 @@ mod tests {
         assert_eq!(probe.shards_quarantined, 1);
         assert_eq!(probe.shards_restored, 1);
         assert!(!arena.is_quarantined(victim), "readmitted after heal");
-        assert!(arena.audit_shard(victim).is_ok());
+        assert!(arena.lock(victim).alloc.audit().is_ok());
         assert_eq!(arena.snapshot().allocated_words(), live_before);
         arena.check_invariants();
         // The healed shard keeps serving.

@@ -130,14 +130,6 @@ impl TenantTable {
         self.slots.get(tenant as usize).map(|s| s.priority)
     }
 
-    /// Words currently charged to `tenant` (0 for unknown tenants).
-    #[must_use]
-    pub fn in_use(&self, tenant: u32) -> Words {
-        self.slots
-            .get(tenant as usize)
-            .map_or(0, |s| s.in_use.load(Ordering::Acquire))
-    }
-
     /// Attempts to charge `words` to `tenant`. The CAS loop grants the
     /// reservation only if the whole amount fits under the quota.
     ///
@@ -229,6 +221,13 @@ impl TenantTable {
 mod tests {
     use super::*;
 
+    /// Words currently charged to `tenant` (0 for unknown tenants).
+    fn in_use(t: &TenantTable, tenant: u32) -> Words {
+        t.slots
+            .get(tenant as usize)
+            .map_or(0, |s| s.in_use.load(Ordering::Acquire))
+    }
+
     #[test]
     fn quota_reservation_grants_exactly_to_the_line() {
         let mut t = TenantTable::new();
@@ -238,7 +237,7 @@ mod tests {
         assert_eq!(t.try_reserve(0, 1), Err(100));
         t.release(0, 40);
         assert!(t.try_reserve(0, 40).is_ok());
-        assert_eq!(t.in_use(0), 100);
+        assert_eq!(in_use(&t, 0), 100);
         let occ = t.occupancy();
         assert_eq!(occ[0].quota_denials, 1);
     }
@@ -247,7 +246,7 @@ mod tests {
     fn unknown_tenants_are_refused_without_side_effects() {
         let t = TenantTable::new();
         assert_eq!(t.try_reserve(7, 10), Err(0));
-        assert_eq!(t.in_use(7), 0);
+        assert_eq!(in_use(&t, 7), 0);
         assert_eq!(t.quota(7), None);
     }
 
@@ -277,12 +276,12 @@ mod tests {
             }
         });
         let g = granted.load(Ordering::Relaxed);
-        assert_eq!(t.in_use(0), g * 7);
+        assert_eq!(in_use(&t, 0), g * 7);
         assert!(g * 7 <= 1000, "no over-grant: {g} grants of 7 words");
         // Full refund returns the books to zero, exactly.
         for _ in 0..g {
             t.release(0, 7);
         }
-        assert_eq!(t.in_use(0), 0);
+        assert_eq!(in_use(&t, 0), 0);
     }
 }

@@ -57,15 +57,6 @@ impl Access {
             kind: AccessKind::Read,
         }
     }
-
-    /// A write access to `name`.
-    #[must_use]
-    pub fn write(name: impl Into<Name>) -> Access {
-        Access {
-            name: name.into(),
-            kind: AccessKind::Write,
-        }
-    }
 }
 
 impl fmt::Display for Access {
@@ -186,9 +177,6 @@ mod tests {
         let r = Access::read(5u64);
         assert_eq!(r.kind, AccessKind::Read);
         assert!(!r.kind.is_write());
-        let w = Access::write(5u64);
-        assert!(w.kind.is_write());
-        assert_eq!(r.name, w.name);
     }
 
     #[test]

@@ -116,50 +116,6 @@ impl fmt::Display for Cycles {
 /// Reference time: the index of an access within a reference string.
 pub type VirtualTime = u64;
 
-/// A monotone simulation clock in machine time.
-///
-/// # Examples
-///
-/// ```
-/// use dsa_core::clock::{Cycles, SimClock};
-///
-/// let mut clock = SimClock::new();
-/// clock.advance(Cycles::from_micros(8));
-/// clock.advance(Cycles::from_micros(2));
-/// assert_eq!(clock.now().as_micros(), 10);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct SimClock {
-    now: Cycles,
-}
-
-impl SimClock {
-    /// Creates a clock at time zero.
-    #[must_use]
-    pub fn new() -> SimClock {
-        SimClock::default()
-    }
-
-    /// Returns the current instant.
-    #[must_use]
-    pub fn now(&self) -> Cycles {
-        self.now
-    }
-
-    /// Advances the clock by `dt`.
-    pub fn advance(&mut self, dt: Cycles) {
-        self.now += dt;
-    }
-
-    /// Moves the clock forward to `t`, if `t` is in the future; a no-op
-    /// otherwise (the clock never runs backwards).
-    pub fn advance_to(&mut self, t: Cycles) {
-        if t > self.now {
-            self.now = t;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,15 +143,5 @@ mod tests {
         assert_eq!(Cycles::from_nanos(200).to_string(), "200ns");
         assert_eq!(Cycles::from_micros(80).to_string(), "80us");
         assert_eq!(Cycles::from_millis(34).to_string(), "34.00ms");
-    }
-
-    #[test]
-    fn clock_is_monotone() {
-        let mut c = SimClock::new();
-        c.advance(Cycles::from_micros(10));
-        c.advance_to(Cycles::from_micros(5));
-        assert_eq!(c.now(), Cycles::from_micros(10));
-        c.advance_to(Cycles::from_micros(25));
-        assert_eq!(c.now(), Cycles::from_micros(25));
     }
 }

@@ -68,16 +68,6 @@ impl Name {
     pub const fn value(self) -> u64 {
         self.0
     }
-
-    /// Offsets the name by `delta` words (address arithmetic).
-    ///
-    /// The whole point of name contiguity is that this operation is
-    /// meaningful: `name.offset(k)` denotes the item `k` places after
-    /// `name` in the same linear name space.
-    #[must_use]
-    pub const fn offset(self, delta: u64) -> Name {
-        Name(self.0 + delta)
-    }
 }
 
 impl fmt::Debug for Name {
@@ -199,33 +189,9 @@ impl From<u32> for SegId {
     }
 }
 
-/// Identifier for a job (program) in a multiprogrammed mix.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-pub struct JobId(pub u32);
-
-impl fmt::Display for JobId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "j{}", self.0)
-    }
-}
-
-impl From<u32> for JobId {
-    fn from(v: u32) -> Self {
-        JobId(v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn name_offset_is_address_arithmetic() {
-        let n = Name(0x100);
-        assert_eq!(n.offset(0), n);
-        assert_eq!(n.offset(5), Name(0x105));
-        assert_eq!(n.offset(5).offset(3), n.offset(8));
-    }
 
     #[test]
     fn phys_addr_offset() {
@@ -248,7 +214,6 @@ mod tests {
         assert_eq!(PhysAddr::from(7).value(), 7);
         assert_eq!(FrameNo::from(3).index(), 3);
         assert_eq!(SegId::from(3), SegId(3));
-        assert_eq!(JobId::from(9), JobId(9));
     }
 
     #[test]

@@ -31,9 +31,9 @@ pub mod taxonomy;
 
 pub use access::{Access, AccessKind, AllocEvent, AllocRequest, ProgramOp, ReferenceString};
 pub use advice::{Advice, AdviceUnit};
-pub use clock::{Cycles, SimClock, VirtualTime};
+pub use clock::{Cycles, VirtualTime};
 pub use error::{AccessFault, AllocError, CoreError};
-pub use ids::{FrameNo, JobId, Name, PageNo, PhysAddr, SegId, Words};
+pub use ids::{FrameNo, Name, PageNo, PhysAddr, SegId, Words};
 pub use sizeclass::SizeClasses;
 pub use taxonomy::{
     AllocationUnit, Contiguity, NameSpaceKind, PredictiveInfo, SystemCharacteristics,

@@ -147,18 +147,6 @@ impl SizeClasses {
         self.classes.len()
     }
 
-    /// The largest size the ladder covers.
-    #[must_use]
-    pub fn max(&self) -> Words {
-        self.max
-    }
-
-    /// The spacing grain (and smallest class).
-    #[must_use]
-    pub fn quantum(&self) -> Words {
-        self.quantum
-    }
-
     /// The class sizes, strictly ascending.
     #[must_use]
     pub fn classes(&self) -> &[Words] {

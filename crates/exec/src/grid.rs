@@ -20,18 +20,6 @@ impl<T> SimGrid<T> {
         SimGrid { cells }
     }
 
-    /// Number of cells.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Whether the grid has no cells.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
     /// The cells, in grid order.
     #[must_use]
     pub fn cells(&self) -> &[T] {
@@ -63,42 +51,6 @@ pub fn product2<A: Clone, B: Clone>(a: &[A], b: &[B]) -> Vec<(A, B)> {
     cells
 }
 
-/// Cartesian product of three axes, first axis outermost.
-#[must_use]
-pub fn product3<A: Clone, B: Clone, C: Clone>(a: &[A], b: &[B], c: &[C]) -> Vec<(A, B, C)> {
-    let mut cells = Vec::with_capacity(a.len() * b.len() * c.len());
-    for x in a {
-        for y in b {
-            for z in c {
-                cells.push((x.clone(), y.clone(), z.clone()));
-            }
-        }
-    }
-    cells
-}
-
-/// Cartesian product of four axes (preset × policy × page size × seed),
-/// first axis outermost.
-#[must_use]
-pub fn product4<A: Clone, B: Clone, C: Clone, D: Clone>(
-    a: &[A],
-    b: &[B],
-    c: &[C],
-    d: &[D],
-) -> Vec<(A, B, C, D)> {
-    let mut cells = Vec::with_capacity(a.len() * b.len() * c.len() * d.len());
-    for x in a {
-        for y in b {
-            for z in c {
-                for w in d {
-                    cells.push((x.clone(), y.clone(), z.clone(), w.clone()));
-                }
-            }
-        }
-    }
-    cells
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,13 +62,6 @@ mod tests {
             p,
             vec![(0, 'a'), (0, 'b'), (0, 'c'), (1, 'a'), (1, 'b'), (1, 'c')]
         );
-        let q = product3(&[0, 1], &[10], &['x', 'y']);
-        assert_eq!(
-            q,
-            vec![(0, 10, 'x'), (0, 10, 'y'), (1, 10, 'x'), (1, 10, 'y')]
-        );
-        let r = product4(&[1], &[2], &[3, 4], &[5]);
-        assert_eq!(r, vec![(1, 2, 3, 5), (1, 2, 4, 5)]);
     }
 
     #[test]
@@ -126,7 +71,5 @@ mod tests {
         for jobs in [1, 2, 8] {
             assert_eq!(grid.run(jobs, |_, &(a, b)| a * b), seq, "jobs={jobs}");
         }
-        assert_eq!(grid.len(), 6);
-        assert!(!grid.is_empty());
     }
 }

@@ -33,5 +33,5 @@ pub use cli::{
     enforce_known_flags, jobs_from_env, parse_jobs, parse_shards, parse_trace_out, shards_from_env,
     trace_out_from_env,
 };
-pub use grid::{product2, product3, product4, SimGrid};
+pub use grid::{product2, SimGrid};
 pub use pool::{available_jobs, par_map};

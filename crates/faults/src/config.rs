@@ -81,13 +81,6 @@ impl FaultConfig {
         self
     }
 
-    /// Sets the shard-corruption rate.
-    #[must_use]
-    pub fn with_shard_corruption(mut self, rate: f64) -> FaultConfig {
-        self.shard_corruption_rate = rate;
-        self
-    }
-
     /// Sets the transfer-error burst length.
     #[must_use]
     pub fn with_burst(mut self, burst_len: u32) -> FaultConfig {
@@ -112,14 +105,12 @@ mod tests {
             .with_bad_frames(0.2)
             .with_channel_delays(0.3, Cycles::from_micros(5))
             .with_alloc_failures(0.4)
-            .with_shard_corruption(0.05)
             .with_burst(3);
         assert_eq!(c.transfer_error_rate, 0.1);
         assert_eq!(c.bad_frame_rate, 0.2);
         assert_eq!(c.channel_delay_rate, 0.3);
         assert_eq!(c.channel_delay, Cycles::from_micros(5));
         assert_eq!(c.alloc_fail_rate, 0.4);
-        assert_eq!(c.shard_corruption_rate, 0.05);
         assert_eq!(c.burst_len, 3);
     }
 

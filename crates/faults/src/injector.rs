@@ -37,18 +37,6 @@ impl FaultInjector {
         }
     }
 
-    /// The configuration this injector rolls against.
-    #[must_use]
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
-    /// Total failures injected so far, across all modes.
-    #[must_use]
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
     /// Rolls one transfer attempt: `true` means the transfer failed and
     /// must be retried. Honours the configured burst pattern: once an
     /// error fires, the next `burst_len - 1` rolls fail as well.
@@ -131,7 +119,7 @@ mod tests {
             assert!(a.channel_delay().is_none());
             assert!(!a.alloc_failure());
         }
-        assert_eq!(a.injected(), 0);
+        assert_eq!(a.injected, 0);
         // The stream was untouched: a fresh generator agrees.
         assert_eq!(a.rng.next_u64(), Rng64::new(7).next_u64());
     }
@@ -145,8 +133,8 @@ mod tests {
             assert_eq!(a.transfer_error(), b.transfer_error());
             assert_eq!(a.frame_bad(), b.frame_bad());
         }
-        assert_eq!(a.injected(), b.injected());
-        assert!(a.injected() > 0, "rates this high must fire");
+        assert_eq!(a.injected, b.injected);
+        assert!(a.injected > 0, "rates this high must fire");
     }
 
     #[test]
@@ -179,6 +167,6 @@ mod tests {
             FaultConfig::off().with_channel_delays(1.0, Cycles::from_micros(9)),
         );
         assert_eq!(inj.channel_delay(), Some(Cycles::from_micros(9)));
-        assert_eq!(inj.injected(), 1);
+        assert_eq!(inj.injected, 1);
     }
 }

@@ -119,12 +119,6 @@ impl ShedBudget {
         self.sheds += 1;
         true
     }
-
-    /// Shed rungs taken so far.
-    #[must_use]
-    pub fn sheds(&self) -> u64 {
-        self.sheds
-    }
 }
 
 /// [`ShedBudget`] semantics behind atomics, shared by every worker
@@ -203,7 +197,7 @@ mod tests {
         assert!(b.try_shed());
         assert!(b.try_shed());
         assert!(!b.try_shed());
-        assert_eq!(b.sheds(), 2);
+        assert_eq!(b.sheds, 2);
     }
 
     #[test]
@@ -216,6 +210,6 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).sum()
         });
         assert_eq!(granted, 5);
-        assert_eq!(b.sheds(), 5);
+        assert_eq!(b.sheds.load(Ordering::Relaxed), 5);
     }
 }

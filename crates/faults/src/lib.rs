@@ -13,8 +13,6 @@
 //!   reproducible.
 //! * [`RetryPolicy`] — bounded retry with exponential backoff, in
 //!   simulated cycles, for transient transfer errors.
-//! * [`FrameQuarantine`] — the permanent-frame book of record: frames
-//!   found bad are retired from service and never reused.
 //! * [`RecoveryReport`] — end-of-run accounting of every injection and
 //!   every recovery action, reconciling exactly with the probe layer's
 //!   `CountingProbe` totals.
@@ -32,7 +30,6 @@
 pub mod config;
 pub mod injector;
 pub mod ladder;
-pub mod quarantine;
 pub mod report;
 pub mod retry;
 pub mod sync;
@@ -40,7 +37,6 @@ pub mod sync;
 pub use config::FaultConfig;
 pub use injector::FaultInjector;
 pub use ladder::{AtomicShedBudget, DegradationStep, ShedBudget};
-pub use quarantine::FrameQuarantine;
 pub use report::RecoveryReport;
 pub use retry::RetryPolicy;
 pub use sync::{SyncFaultInjector, WorkerInjector};

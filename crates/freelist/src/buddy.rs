@@ -11,7 +11,6 @@ use std::collections::BTreeSet;
 
 use dsa_core::error::AllocError;
 use dsa_core::ids::{IdMap, PhysAddr, Words};
-use dsa_probe::{EventKind, Probe, Stamp};
 
 /// Statistics for the buddy allocator.
 #[derive(Clone, Copy, Debug, Default)]
@@ -78,28 +77,10 @@ impl BuddyAllocator {
             .sum()
     }
 
-    /// Words currently lost to rounding in live blocks.
-    #[must_use]
-    pub fn live_internal_waste(&self) -> Words {
-        self.allocated
-            .values()
-            .map(|&(_, order, size)| (1u64 << order) - size)
-            .sum()
-    }
-
     /// Cumulative statistics.
     #[must_use]
     pub fn stats(&self) -> &BuddyStats {
         &self.stats
-    }
-
-    /// Looks up a live allocation: `(address, rounded size, requested
-    /// size)`.
-    #[must_use]
-    pub fn lookup(&self, id: u64) -> Option<(PhysAddr, Words, Words)> {
-        self.allocated
-            .get(&id)
-            .map(|&(addr, order, size)| (PhysAddr(addr), 1u64 << order, size))
     }
 
     fn order_for(size: Words) -> u32 {
@@ -160,35 +141,6 @@ impl BuddyAllocator {
         Ok(PhysAddr(addr))
     }
 
-    /// [`BuddyAllocator::alloc`] with event emission: a successful
-    /// allocation emits `Alloc { words, searched }`. The buddy system
-    /// has no free-list walk, so `searched` counts block splits
-    /// performed — the work this request cost the allocator.
-    ///
-    /// # Errors
-    ///
-    /// As [`BuddyAllocator::alloc`]; no event is emitted on failure.
-    pub fn alloc_probed<P: Probe + ?Sized>(
-        &mut self,
-        id: u64,
-        size: Words,
-        at: Stamp,
-        probe: &mut P,
-    ) -> Result<PhysAddr, AllocError> {
-        let before = self.stats.splits;
-        let r = self.alloc(id, size);
-        if r.is_ok() {
-            probe.emit(
-                EventKind::Alloc {
-                    words: size,
-                    searched: self.stats.splits - before,
-                },
-                at,
-            );
-        }
-        r
-    }
-
     /// Frees `id`, merging buddies as far as possible.
     ///
     /// # Errors
@@ -209,32 +161,6 @@ impl BuddyAllocator {
         }
         self.free[order as usize].insert(addr);
         Ok(())
-    }
-
-    /// [`BuddyAllocator::free`] with event emission: a successful
-    /// release emits `Free { words }` carrying the requested (net) size,
-    /// balancing the matching `Alloc`.
-    ///
-    /// # Errors
-    ///
-    /// As [`BuddyAllocator::free`]; no event is emitted on failure.
-    pub fn free_probed<P: Probe + ?Sized>(
-        &mut self,
-        id: u64,
-        at: Stamp,
-        probe: &mut P,
-    ) -> Result<(), AllocError> {
-        let net = self.allocated.get(&id).map(|&(_, _, size)| size);
-        let r = self.free(id);
-        if r.is_ok() {
-            probe.emit(
-                EventKind::Free {
-                    words: net.unwrap_or(0),
-                },
-                at,
-            );
-        }
-        r
     }
 
     /// Verifies internal invariants.
@@ -274,10 +200,8 @@ mod tests {
         let mut a = BuddyAllocator::new(10); // 1024 words
         let p = a.alloc(1, 100).unwrap();
         assert_eq!(p, PhysAddr(0));
-        let (_, rounded, requested) = a.lookup(1).unwrap();
-        assert_eq!(rounded, 128);
-        assert_eq!(requested, 100);
-        assert_eq!(a.live_internal_waste(), 28);
+        assert_eq!(a.free_words(), 1024 - 128);
+        assert_eq!(a.stats().internal_waste, 28);
         a.check_invariants();
     }
 
@@ -318,7 +242,7 @@ mod tests {
     fn power_of_two_requests_have_no_waste() {
         let mut a = BuddyAllocator::new(8);
         a.alloc(1, 64).unwrap();
-        assert_eq!(a.live_internal_waste(), 0);
+        assert_eq!(a.stats().internal_waste, 0);
     }
 
     #[test]
@@ -344,7 +268,7 @@ mod tests {
                                              // Requests of 2^k + 1 waste almost half of each block.
         a.alloc(1, 513).unwrap(); // rounds to 1024
         a.alloc(2, 257).unwrap(); // rounds to 512
-        let waste = a.live_internal_waste();
+        let waste = a.stats().internal_waste;
         assert_eq!(waste, (1024 - 513) + (512 - 257));
         let frac = waste as f64 / (1024 + 512) as f64;
         assert!(frac > 0.45, "{frac}");
@@ -373,12 +297,6 @@ mod tests {
 #[cfg(test)]
 mod edge_tests {
     use super::*;
-
-    #[test]
-    fn lookup_of_unknown_id_is_none() {
-        let a = BuddyAllocator::new(6);
-        assert!(a.lookup(42).is_none());
-    }
 
     #[test]
     fn one_word_arena_serves_one_word() {

@@ -38,13 +38,7 @@ pub struct CompactionReport {
     pub holes_before: u64,
 }
 
-impl CompactionReport {
-    /// Words of contiguous free space gained.
-    #[must_use]
-    pub fn gain(&self) -> Words {
-        self.largest_free_after - self.largest_free_before
-    }
-}
+impl CompactionReport {}
 
 /// Compacts the allocator, reporting each block move to `on_move` as
 /// `(id, old address, new address, size)`, in ascending address order
@@ -106,7 +100,6 @@ mod tests {
         assert_eq!(a.largest_free(), 20);
         let report = compact(&mut a, |_, _, _, _| {});
         assert_eq!(report.largest_free_after, 40);
-        assert_eq!(report.gain(), 20);
         assert_eq!(a.hole_count(), 1);
         assert_eq!(a.free_words(), 40);
         a.check_invariants();
@@ -140,7 +133,6 @@ mod tests {
         let report = compact(&mut a, |_, _, _, _| panic!("nothing should move"));
         assert_eq!(report.blocks_moved, 0);
         assert_eq!(report.words_moved, 0);
-        assert_eq!(report.gain(), 0);
     }
 
     #[test]

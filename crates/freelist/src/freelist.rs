@@ -477,12 +477,6 @@ impl FreeListAllocator {
         self.capacity
     }
 
-    /// The placement strategy in use.
-    #[must_use]
-    pub fn policy(&self) -> Placement {
-        self.policy
-    }
-
     /// Words currently free (including any blocks parked on the quick
     /// lists — parked storage is free storage, merely uncoalesced).
     #[must_use]

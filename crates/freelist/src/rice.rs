@@ -139,12 +139,6 @@ impl RiceAllocator {
             .map(|&(addr, gross, _)| (PhysAddr(addr + BACK_REF_WORDS), gross - BACK_REF_WORDS))
     }
 
-    /// The owner (back reference) recorded for a live block.
-    #[must_use]
-    pub fn owner(&self, id: u64) -> Option<u64> {
-        self.active.get(&id).map(|&(_, _, owner)| owner)
-    }
-
     /// Allocates `size` payload words for `id`, recording `owner` as the
     /// back reference.
     ///
@@ -358,7 +352,6 @@ mod tests {
         assert_eq!(p1, PhysAddr(1));
         assert_eq!(p2, PhysAddr(12));
         assert_eq!(a.frontier(), 22);
-        assert_eq!(a.owner(1), Some(101));
         a.check_invariants();
     }
 
@@ -487,12 +480,6 @@ mod tests {
 #[cfg(test)]
 mod edge_tests {
     use super::*;
-
-    #[test]
-    fn owner_of_unknown_id_is_none() {
-        let a = RiceAllocator::new(16);
-        assert_eq!(a.owner(42), None);
-    }
 
     #[test]
     fn combine_on_empty_chain_is_harmless() {

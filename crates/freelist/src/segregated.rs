@@ -106,29 +106,6 @@ impl SegregatedAllocator {
         in_lists + (self.capacity - self.tail)
     }
 
-    /// Words lost to rounding in live blocks.
-    #[must_use]
-    pub fn live_internal_waste(&self) -> Words {
-        self.allocated
-            .values()
-            .map(|&(_, class, size)| self.classes[class] - size)
-            .sum()
-    }
-
-    /// Cumulative statistics.
-    #[must_use]
-    pub fn stats(&self) -> &SegregatedStats {
-        &self.stats
-    }
-
-    /// Looks up a live allocation: `(address, class size, requested)`.
-    #[must_use]
-    pub fn lookup(&self, id: u64) -> Option<(PhysAddr, Words, Words)> {
-        self.allocated
-            .get(&id)
-            .map(|&(addr, class, size)| (PhysAddr(addr), self.classes[class], size))
-    }
-
     /// Allocates `size` words under `id`.
     ///
     /// # Errors
@@ -226,10 +203,7 @@ mod tests {
         a.alloc(1, 10).unwrap();
         a.alloc(2, 17).unwrap();
         a.alloc(3, 256).unwrap();
-        assert_eq!(a.lookup(1).unwrap().1, 16);
-        assert_eq!(a.lookup(2).unwrap().1, 64);
-        assert_eq!(a.lookup(3).unwrap().1, 256);
-        assert_eq!(a.live_internal_waste(), (6 + 47));
+        assert_eq!(a.free_words(), 1000 - (16 + 64 + 256));
         a.check_invariants();
     }
 
@@ -240,8 +214,8 @@ mod tests {
         a.free(1).unwrap();
         let p2 = a.alloc(2, 50).unwrap();
         assert_eq!(p1, p2, "same class reuses the same block");
-        assert_eq!(a.stats().list_hits, 1);
-        assert_eq!(a.stats().tail_carves, 1);
+        assert_eq!(a.stats.list_hits, 1);
+        assert_eq!(a.stats.tail_carves, 1);
     }
 
     #[test]

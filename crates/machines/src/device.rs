@@ -135,3 +135,38 @@ impl MapDevice for TwoLevelMap {
         let _ = self.unmap_page(seg, index);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dsa_core::clock::Cycles;
+    use dsa_mapping::{AssocPolicy, MapCosts};
+    use dsa_probe::NullProbe;
+
+    /// Page 2 loaded into frame 5 through the trait alone resolves to
+    /// frame 5, and misses once unloaded. `FrameAssociativeMap`'s own
+    /// `load` / `unload` take the frame first; a forwarding call that
+    /// lost its inherent target to the trait method, or swapped the
+    /// two, fails here.
+    fn load_resolve_unload<D: MapDevice>(mut device: D) {
+        let (seg, frame) = (SegId(0), FrameNo(5));
+        device.open(1 << 12).unwrap();
+        let page = device.page(seg, 2);
+        let size = device.page_size();
+        let offset = 2 * size + 3;
+        device.load(page, frame).unwrap();
+        let hit = device.lookup(seg, offset, Stamp::vtime(0), &mut NullProbe);
+        assert_eq!(hit.outcome.ok(), Some(PhysAddr(frame.0 * size + 3)));
+        device.unload(page, frame);
+        let miss = device.lookup(seg, offset, Stamp::vtime(1), &mut NullProbe);
+        assert!(miss.outcome.is_err());
+    }
+
+    #[test]
+    fn each_device_maps_a_page_to_its_frame_through_the_trait() {
+        let costs = MapCosts::for_core_cycle(Cycles::from_micros(1));
+        load_resolve_unload(FrameAssociativeMap::new(8, 9, 1 << 12, costs));
+        load_resolve_unload(BlockMap::new(8, 9, costs));
+        load_resolve_unload(TwoLevelMap::new(4, 1 << 12, 9, 8, AssocPolicy::Lru, costs));
+    }
+}

@@ -447,12 +447,6 @@ impl FrameAssociativeMap {
         let indexed = self.frame_by_page.iter().flatten().count();
         assert_eq!(indexed, loaded, "the index holds pages no register names");
     }
-
-    /// Number of frames.
-    #[must_use]
-    pub fn frames(&self) -> usize {
-        self.registers.len()
-    }
 }
 
 impl AddressMap for FrameAssociativeMap {

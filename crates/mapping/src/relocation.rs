@@ -83,25 +83,6 @@ impl RelocationLimit {
             stats: MapStats::default(),
         }
     }
-
-    /// Moves the mapped region: the program's names are unchanged — this
-    /// is exactly the relocatability the paper says motivates keeping
-    /// absolute addresses out of programs.
-    pub fn relocate(&mut self, new_base: PhysAddr) {
-        self.base = new_base;
-    }
-
-    /// The current base address.
-    #[must_use]
-    pub fn base(&self) -> PhysAddr {
-        self.base
-    }
-
-    /// The limit (extent of the name space).
-    #[must_use]
-    pub fn limit(&self) -> Words {
-        self.limit
-    }
 }
 
 impl AddressMap for RelocationLimit {
@@ -161,18 +142,6 @@ mod tests {
             t.outcome,
             Err(AccessFault::InvalidName { extent: 50, .. })
         ));
-    }
-
-    #[test]
-    fn relocation_is_transparent_to_names() {
-        let mut m = RelocationLimit::new(PhysAddr(0), 10, costs());
-        let before = m.translate(Name(3)).unwrap_addr();
-        m.relocate(PhysAddr(500));
-        let after = m.translate(Name(3)).unwrap_addr();
-        assert_eq!(before, PhysAddr(3));
-        assert_eq!(after, PhysAddr(503));
-        assert_eq!(m.base(), PhysAddr(500));
-        assert_eq!(m.limit(), 10);
     }
 
     #[test]

@@ -216,15 +216,6 @@ impl TwoLevelMap {
         Ok(())
     }
 
-    /// The frame holding page `index` of `seg`, if resident.
-    #[must_use]
-    pub fn frame_of(&self, seg: SegId, index: u64) -> Option<FrameNo> {
-        self.segments
-            .get(seg.0 as usize)
-            .and_then(Option::as_ref)
-            .and_then(|e| e.page_table.get(index as usize).copied().flatten())
-    }
-
     /// The segment's current limit, if it exists.
     #[must_use]
     pub fn segment_limit(&self, seg: SegId) -> Option<Words> {
@@ -232,20 +223,6 @@ impl TwoLevelMap {
             .get(seg.0 as usize)
             .and_then(Option::as_ref)
             .map(|e| e.limit)
-    }
-
-    /// Words of storage the mapping tables themselves occupy (one word
-    /// per segment-table entry plus one per page-table entry) — the
-    /// "unacceptable amount of overhead" small pages threaten (E6).
-    #[must_use]
-    pub fn table_words(&self) -> Words {
-        self.max_segments as u64
-            + self
-                .segments
-                .iter()
-                .flatten()
-                .map(|e| e.page_table.len() as u64)
-                .sum::<u64>()
     }
 
     /// Translates an explicit `(segment, offset)` pair — the native
@@ -382,6 +359,12 @@ impl AddressMap for TwoLevelMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The frame holding page `index` of `seg`, if resident.
+    fn frame_of(m: &TwoLevelMap, seg: SegId, index: u64) -> Option<FrameNo> {
+        let entry = m.segments.get(seg.0 as usize)?.as_ref()?;
+        entry.page_table.get(index as usize).copied().flatten()
+    }
 
     fn map(tlb: usize) -> TwoLevelMap {
         // 8 segments, 256-word max extent, 16-word pages.
@@ -522,13 +505,13 @@ mod tests {
         m.map_page(SegId(0), 1, FrameNo(7)).unwrap();
         m.resize_segment(SegId(0), 64).unwrap(); // 4 pages
         assert_eq!(
-            m.frame_of(SegId(0), 1),
+            frame_of(&m, SegId(0), 1),
             Some(FrameNo(7)),
             "grow keeps pages"
         );
         assert!(m.map_page(SegId(0), 3, FrameNo(8)).is_ok());
         m.resize_segment(SegId(0), 16).unwrap(); // 1 page
-        assert_eq!(m.frame_of(SegId(0), 1), None, "shrink drops tail");
+        assert_eq!(frame_of(&m, SegId(0), 1), None, "shrink drops tail");
         assert_eq!(m.segment_limit(SegId(0)), Some(16));
     }
 
@@ -541,18 +524,6 @@ mod tests {
             m.resize_segment(SegId(0), 10).is_err(),
             "resize of nonexistent segment"
         );
-    }
-
-    #[test]
-    fn table_words_track_segments() {
-        let mut m = map(4);
-        assert_eq!(m.table_words(), 8);
-        m.create_segment(SegId(0), 64).unwrap(); // 4 pages
-        assert_eq!(m.table_words(), 12);
-        m.create_segment(SegId(1), 16).unwrap(); // 1 page
-        assert_eq!(m.table_words(), 13);
-        m.delete_segment(SegId(0));
-        assert_eq!(m.table_words(), 9);
     }
 
     #[test]

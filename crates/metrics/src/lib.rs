@@ -6,7 +6,6 @@
 //! comparisons, and addressing-overhead claims. This crate provides the
 //! small, dependency-free measurement kit those experiments need:
 //!
-//! * [`stats::RunningStats`] — streaming mean/variance/min/max;
 //! * [`histogram::Histogram`] — linear- or log-bucketed histograms with
 //!   percentile queries;
 //! * [`spacetime::SpaceTimeMeter`] — the space-time integral of Figure 3,
@@ -19,11 +18,9 @@
 pub mod histogram;
 pub mod spacetime;
 pub mod sparkline;
-pub mod stats;
 pub mod table;
 
 pub use histogram::{BucketSpec, Histogram};
 pub use spacetime::{SpaceTimeMeter, SpaceTimeReport};
 pub use sparkline::{labelled_sparkline, sparkline};
-pub use stats::RunningStats;
 pub use table::Table;

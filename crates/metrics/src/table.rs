@@ -39,7 +39,7 @@ pub struct Table {
 impl Table {
     /// Creates a table with the given column headers. The first column is
     /// left-aligned, the rest right-aligned (the common label+numbers
-    /// shape); use [`Table::with_aligns`] to override.
+    /// shape).
     #[must_use]
     pub fn new(headers: &[&str]) -> Table {
         let aligns = headers
@@ -53,18 +53,6 @@ impl Table {
             rows: Vec::new(),
             title: None,
         }
-    }
-
-    /// Overrides per-column alignment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `aligns.len()` differs from the header count.
-    #[must_use]
-    pub fn with_aligns(mut self, aligns: &[Align]) -> Table {
-        assert_eq!(aligns.len(), self.headers.len(), "alignment count mismatch");
-        self.aligns = aligns.to_vec();
-        self
     }
 
     /// Sets a title line printed above the table.
@@ -111,18 +99,6 @@ impl Table {
     #[must_use]
     pub fn title(&self) -> Option<&str> {
         self.title.as_deref()
-    }
-
-    /// Number of data rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True if the table has no data rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 }
 
@@ -196,24 +172,5 @@ mod tests {
     fn wrong_arity_panics() {
         let mut t = Table::new(&["a", "b"]);
         t.row(&["only-one"]);
-    }
-
-    #[test]
-    fn custom_alignment() {
-        let mut t = Table::new(&["n", "label"]).with_aligns(&[Align::Right, Align::Left]);
-        t.row(&["1", "abc"]);
-        t.row(&["10", "d"]);
-        let s = t.to_string();
-        assert!(s.contains(" 1  abc"), "{s}");
-        assert!(s.contains("10  d"), "{s}");
-    }
-
-    #[test]
-    fn emptiness() {
-        let mut t = Table::new(&["a"]);
-        assert!(t.is_empty());
-        t.row(&["x"]);
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
     }
 }

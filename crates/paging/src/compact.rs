@@ -40,12 +40,6 @@ impl CompactLru {
         }
     }
 
-    /// Frames this set may occupy.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Pages currently resident.
     #[must_use]
     pub fn resident_count(&self) -> usize {
@@ -151,7 +145,7 @@ mod tests {
     #[test]
     fn zero_capacity_is_clamped_to_one() {
         let mut m = CompactLru::new(0);
-        assert_eq!(m.capacity(), 1);
+        assert_eq!(m.capacity, 1);
         assert!(m.touch(p(1)));
         assert!(!m.touch(p(1)));
         assert!(m.touch(p(2)));

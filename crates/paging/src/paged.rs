@@ -181,12 +181,6 @@ impl PagedMemory {
         self
     }
 
-    /// Number of frames.
-    #[must_use]
-    pub fn frame_count(&self) -> usize {
-        self.frames.len()
-    }
-
     /// Number of resident pages.
     #[must_use]
     pub fn resident_count(&self) -> usize {
@@ -197,18 +191,6 @@ impl PagedMemory {
     #[must_use]
     pub fn usable_frames(&self) -> usize {
         self.frames.len() - self.quarantined.len()
-    }
-
-    /// Frames retired from service by [`PagedMemory::retire_frame`].
-    #[must_use]
-    pub fn quarantined_count(&self) -> usize {
-        self.quarantined.len()
-    }
-
-    /// Whether `frame` has been retired from service.
-    #[must_use]
-    pub fn is_quarantined(&self, frame: FrameNo) -> bool {
-        self.quarantined.contains(&frame)
     }
 
     /// Retires `frame` from service permanently: it leaves the free pool
@@ -944,7 +926,7 @@ mod tests {
         for (t, p) in [1u64, 2, 3, 4, 5].into_iter().enumerate() {
             m.touch(PageNo(p), false, t as u64).unwrap();
             assert!(
-                m.resident_count() < m.frame_count(),
+                m.resident_count() < m.frames.len(),
                 "one frame must stay vacant after servicing"
             );
         }
@@ -957,9 +939,9 @@ mod tests {
         m.touch(PageNo(1), false, 0).unwrap();
         let frame = m.frame_of(PageNo(1)).unwrap();
         assert!(m.retire_frame(frame));
-        assert_eq!(m.quarantined_count(), 1);
+        assert_eq!(m.quarantined.len(), 1);
         assert_eq!(m.usable_frames(), 2);
-        assert!(m.is_quarantined(frame));
+        assert!(m.quarantined.contains(&frame));
         assert!(
             m.frame_of(PageNo(1)).is_none(),
             "page dropped, no writeback"

@@ -32,12 +32,6 @@ impl Sensors {
         }
     }
 
-    /// Number of frames covered.
-    #[must_use]
-    pub fn frames(&self) -> usize {
-        self.used.len()
-    }
-
     /// Records an access to `frame` (setting the modify bit too when
     /// `write`).
     ///
@@ -105,7 +99,6 @@ mod tests {
     #[test]
     fn bits_start_clear() {
         let s = Sensors::new(4);
-        assert_eq!(s.frames(), 4);
         for i in 0..4 {
             assert!(!s.used(FrameNo(i)));
             assert!(!s.modified(FrameNo(i)));

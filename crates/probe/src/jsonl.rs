@@ -35,19 +35,12 @@ impl JsonlRecorder {
         }
     }
 
-    /// Events currently retained, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &Event> {
-        self.events.iter()
-    }
-
+    // Callers count; none asks for emptiness, so there is no unused
+    // `is_empty` beside it.
     #[must_use]
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.events.len()
-    }
-
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Events discarded because the ring was full.
@@ -127,7 +120,7 @@ mod tests {
             EventKind::KINDS,
             "a label is used twice"
         );
-        for (line, e) in r.to_jsonl().lines().zip(r.events()) {
+        for (line, e) in r.to_jsonl().lines().zip(&r.events) {
             let mut fields = 0;
             e.kind.for_each_field(|_, _| fields += 1);
             let head = format!(r#"{{"t_ns":0,"vt":0,"kind":"{}""#, e.kind.label());
@@ -201,7 +194,7 @@ mod tests {
         }
         assert_eq!(r.len(), 2);
         assert_eq!(r.dropped(), 3);
-        let kept: Vec<u64> = r.events().map(|e| e.vtime).collect();
+        let kept: Vec<u64> = r.events.iter().map(|e| e.vtime).collect();
         assert_eq!(kept, vec![3, 4]);
     }
 

@@ -6,8 +6,8 @@
 //! their software analogue: a vocabulary of [`Event`]s emitted from the
 //! hot paths of the paging engine, the free-list allocators, the
 //! address maps and the composed machines, plus pluggable [`Probe`]
-//! sinks that turn the stream into counters, latency histograms,
-//! space-time curves, or a JSONL trace.
+//! sinks that turn the stream into counters, latency histograms or a
+//! JSONL trace.
 //!
 //! Every event carries a dual timestamp: [`Cycles`] (simulated machine
 //! time) and [`VirtualTime`] (reference time — the index of the current
@@ -29,13 +29,11 @@ pub mod counting;
 pub mod jsonl;
 pub mod latency;
 pub mod shared;
-pub mod spacetime;
 
 pub use counting::{CountingProbe, EventKind};
 pub use jsonl::JsonlRecorder;
 pub use latency::LatencyProbe;
 pub use shared::SharedProbe;
-pub use spacetime::SpaceTimeProbe;
 
 use dsa_core::clock::{Cycles, VirtualTime};
 use std::fmt::Write as _;

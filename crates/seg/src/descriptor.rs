@@ -37,11 +37,6 @@ impl Descriptor {
         self.base = base;
         self.present = true;
     }
-
-    /// Marks the segment absent.
-    pub fn remove(&mut self) {
-        self.present = false;
-    }
 }
 
 /// A Program Reference Table: the per-program table of descriptors,
@@ -107,12 +102,6 @@ impl Prt {
         }
         Ok(d.base.offset(offset))
     }
-
-    /// Number of declared segments.
-    #[must_use]
-    pub fn declared(&self) -> usize {
-        self.entries.iter().flatten().count()
-    }
 }
 
 #[cfg(test)]
@@ -149,18 +138,5 @@ mod tests {
             prt.resolve(SegId(3), 0),
             Err(AccessFault::UnknownSegment { seg: SegId(3) })
         ));
-    }
-
-    #[test]
-    fn remove_marks_absent_but_keeps_descriptor() {
-        let mut prt = Prt::new();
-        prt.declare(SegId(0), 20);
-        prt.get_mut(SegId(0)).unwrap().place(PhysAddr(7));
-        prt.get_mut(SegId(0)).unwrap().remove();
-        assert!(matches!(
-            prt.resolve(SegId(0), 0),
-            Err(AccessFault::MissingSegment { .. })
-        ));
-        assert_eq!(prt.get(SegId(0)).unwrap().limit, 20);
     }
 }

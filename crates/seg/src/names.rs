@@ -97,12 +97,6 @@ impl SymbolicDict {
     pub fn stats(&self) -> NameStats {
         self.stats
     }
-
-    /// Names currently live.
-    #[must_use]
-    pub fn live(&self) -> u32 {
-        self.live
-    }
 }
 
 /// A linearly segmented dictionary: segment numbers are drawn from
@@ -241,12 +235,6 @@ impl LinearSegDict {
     pub fn stats(&self) -> NameStats {
         self.stats
     }
-
-    /// Names currently live.
-    #[must_use]
-    pub fn live(&self) -> u32 {
-        self.programs.values().map(|&(_, l)| l).sum()
-    }
 }
 
 #[cfg(test)]
@@ -273,7 +261,6 @@ mod tests {
         let mut d = LinearSegDict::new(16);
         assert_eq!(d.attach(1, 4), Some(0));
         assert_eq!(d.attach(2, 4), Some(4));
-        assert_eq!(d.live(), 8);
     }
 
     #[test]
@@ -357,7 +344,6 @@ mod edge_tests {
         let mut lin = LinearSegDict::new(8);
         lin.detach(99);
         assert_eq!(lin.stats().bookkeeping_ops, 0);
-        assert_eq!(lin.live(), 0);
     }
 
     #[test]

@@ -32,12 +32,6 @@ pub struct AccessMode {
 }
 
 impl AccessMode {
-    /// Read-only data sharing (the common library case).
-    pub const RO: AccessMode = AccessMode {
-        read: true,
-        write: false,
-        execute: false,
-    };
     /// Full private access.
     pub const RW: AccessMode = AccessMode {
         read: true,
@@ -250,6 +244,12 @@ impl SharedSegments {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const RO: AccessMode = AccessMode {
+        read: true,
+        write: false,
+        execute: false,
+    };
     use crate::store::{SegReplacement, StoreBackend};
     use dsa_freelist::freelist::{FreeListAllocator, Placement};
 
@@ -265,7 +265,7 @@ mod tests {
     fn publish_grant_access() {
         let mut s = shared(2000);
         s.publish(1, SegId(0), 500, AccessMode::RW).unwrap();
-        s.grant(1, 2, SegId(0), AccessMode::RO).unwrap();
+        s.grant(1, 2, SegId(0), RO).unwrap();
         // Owner writes, sharer reads.
         assert!(s.access(1, SegId(0), 10, AccessType::Write).is_ok());
         assert!(s.access(2, SegId(0), 10, AccessType::Read).is_ok());
@@ -276,7 +276,7 @@ mod tests {
     fn write_through_ro_capability_is_trapped() {
         let mut s = shared(2000);
         s.publish(1, SegId(0), 500, AccessMode::RW).unwrap();
-        s.grant(1, 2, SegId(0), AccessMode::RO).unwrap();
+        s.grant(1, 2, SegId(0), RO).unwrap();
         let err = s.access(2, SegId(0), 10, AccessType::Write).unwrap_err();
         assert!(matches!(
             err,
@@ -300,7 +300,7 @@ mod tests {
         let mut s = shared(2000);
         s.publish(1, SegId(0), 500, AccessMode::RX).unwrap();
         assert!(matches!(
-            s.grant(2, 3, SegId(0), AccessMode::RO),
+            s.grant(2, 3, SegId(0), RO),
             Err(CoreError::Access(AccessFault::ProtectionViolation { .. }))
         ));
         // Owner holds RX, cannot grant write.
@@ -331,7 +331,7 @@ mod tests {
     fn revoke_removes_rights_and_savings() {
         let mut s = shared(2000);
         s.publish(1, SegId(0), 300, AccessMode::RW).unwrap();
-        s.grant(1, 2, SegId(0), AccessMode::RO).unwrap();
+        s.grant(1, 2, SegId(0), RO).unwrap();
         assert_eq!(s.stats().words_saved_by_sharing, 300);
         s.revoke(2, SegId(0));
         assert_eq!(s.stats().words_saved_by_sharing, 0);
@@ -340,16 +340,16 @@ mod tests {
 
     #[test]
     fn covers_is_a_partial_order() {
-        assert!(AccessMode::RW.covers(AccessMode::RO));
-        assert!(!AccessMode::RO.covers(AccessMode::RW));
-        assert!(AccessMode::RX.covers(AccessMode::RO));
-        assert!(!AccessMode::RO.covers(AccessMode::RX));
+        assert!(AccessMode::RW.covers(RO));
+        assert!(!RO.covers(AccessMode::RW));
+        assert!(AccessMode::RX.covers(RO));
+        assert!(!RO.covers(AccessMode::RX));
         let all = AccessMode {
             read: true,
             write: true,
             execute: true,
         };
-        for m in [AccessMode::RO, AccessMode::RW, AccessMode::RX] {
+        for m in [RO, AccessMode::RW, AccessMode::RX] {
             assert!(all.covers(m));
             assert!(m.covers(m));
         }

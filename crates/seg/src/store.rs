@@ -177,14 +177,6 @@ impl SegmentStore {
     /// then compacting working storage (free list), and only then
     /// evicting victims. Each rung taken emits a `DegradationStep`
     /// event and counts in [`SegStats::degradation_steps`].
-    #[must_use]
-    pub fn with_degradation(mut self) -> SegmentStore {
-        self.enable_degradation();
-        self
-    }
-
-    /// Non-consuming form of [`SegmentStore::with_degradation`], for
-    /// machines that arm recovery after assembly.
     pub fn enable_degradation(&mut self) {
         self.degrade = true;
     }
@@ -220,12 +212,6 @@ impl SegmentStore {
     #[must_use]
     pub fn capacity(&self) -> Words {
         self.backend.capacity()
-    }
-
-    /// Number of resident segments.
-    #[must_use]
-    pub fn resident_count(&self) -> usize {
-        self.segs.values().filter(|s| s.resident).count()
     }
 
     /// Words of resident segments.
@@ -605,14 +591,9 @@ impl SegmentStore {
         Ok(report)
     }
 
-    /// Applies a segment-granular advisory directive. Page advice is
-    /// ignored here.
-    pub fn advise(&mut self, advice: Advice) {
-        self.advise_probed(advice, Stamp::vtime(0), &mut NullProbe);
-    }
-
-    /// [`SegmentStore::advise`] with event emission: a successful
-    /// `WillNeed` prefetch emits `Prefetch { words }` (not `Fault` — the
+    /// Applies a segment-granular advisory directive (page advice is
+    /// ignored here), with event emission: a successful `WillNeed`
+    /// prefetch emits `Prefetch { words }` (not `Fault` — the
     /// program did not wait); `Release` evictions emit `Evict`.
     pub fn advise_probed<P: Probe + ?Sized>(&mut self, advice: Advice, at: Stamp, probe: &mut P) {
         let AdviceUnit::Segment(seg) = advice.unit() else {
@@ -676,6 +657,10 @@ impl SegmentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn resident_count(s: &SegmentStore) -> usize {
+        s.segs.values().filter(|st| st.resident).count()
+    }
     use dsa_freelist::freelist::Placement;
 
     fn b5000_store(capacity: Words) -> SegmentStore {
@@ -723,7 +708,7 @@ mod tests {
         assert_eq!(s.stats().bounds_violations, 1);
         // The trap came before any fetch: nothing was brought in for it.
         assert_eq!((s.stats().seg_faults, s.stats().fetched_words), (0, 0));
-        assert_eq!(s.resident_count(), 0);
+        assert_eq!(resident_count(&s), 0);
         // A segment nobody declared is an access and nothing else.
         assert!(matches!(
             s.touch(SegId(9), 0, true),
@@ -758,7 +743,7 @@ mod tests {
         let r = s.touch(SegId(2), 0, false).unwrap();
         assert!(r.fetched);
         assert_eq!(r.evictions, 1);
-        assert_eq!(s.resident_count(), 2);
+        assert_eq!(resident_count(&s), 2);
         // Touch seg 0 again: refetched, seg 1 evicted (cyclic order).
         let r = s.touch(SegId(0), 0, false).unwrap();
         assert!(r.fetched);
@@ -789,13 +774,17 @@ mod tests {
         s.touch(SegId(1), 0, false).unwrap();
         s.touch(SegId(2), 0, false).unwrap();
         // Mark 0 and 2 used recently; 1 unused (cleared by advice).
-        s.advise(Advice::WontNeed(AdviceUnit::Segment(SegId(1))));
+        s.advise_probed(
+            Advice::WontNeed(AdviceUnit::Segment(SegId(1))),
+            Stamp::vtime(0),
+            &mut NullProbe,
+        );
         s.define(SegId(3), 100).unwrap();
         let r = s.touch(SegId(3), 0, false).unwrap();
         assert!(r.fetched);
         // Seg 1 (unused, clean) must be the victim; no write-back.
         assert_eq!(r.writeback_words, 0);
-        assert_eq!(s.resident_count(), 3);
+        assert_eq!(resident_count(&s), 3);
         assert!(
             s.touch(SegId(1), 0, false).unwrap().fetched,
             "seg 1 was evicted"
@@ -824,7 +813,11 @@ mod tests {
         let mut s = b5000_store(100);
         s.define(SegId(0), 80).unwrap();
         s.touch(SegId(0), 0, false).unwrap();
-        s.advise(Advice::Pin(AdviceUnit::Segment(SegId(0))));
+        s.advise_probed(
+            Advice::Pin(AdviceUnit::Segment(SegId(0))),
+            Stamp::vtime(0),
+            &mut NullProbe,
+        );
         s.define(SegId(1), 50).unwrap();
         let err = s.touch(SegId(1), 0, false).unwrap_err();
         assert!(matches!(
@@ -839,7 +832,11 @@ mod tests {
         let mut s = b5000_store(250);
         s.define(SegId(0), 100).unwrap();
         s.touch(SegId(0), 0, false).unwrap();
-        s.advise(Advice::Pin(AdviceUnit::Segment(SegId(0))));
+        s.advise_probed(
+            Advice::Pin(AdviceUnit::Segment(SegId(0))),
+            Stamp::vtime(0),
+            &mut NullProbe,
+        );
         s.define(SegId(1), 100).unwrap();
         s.touch(SegId(1), 0, false).unwrap();
         s.define(SegId(2), 100).unwrap();
@@ -885,7 +882,11 @@ mod tests {
     fn will_need_prefetches_segment() {
         let mut s = b5000_store(500);
         s.define(SegId(0), 100).unwrap();
-        s.advise(Advice::WillNeed(AdviceUnit::Segment(SegId(0))));
+        s.advise_probed(
+            Advice::WillNeed(AdviceUnit::Segment(SegId(0))),
+            Stamp::vtime(0),
+            &mut NullProbe,
+        );
         let r = s.touch(SegId(0), 0, false).unwrap();
         assert!(!r.fetched, "prefetched by advice");
         s.check_invariants();
@@ -896,8 +897,12 @@ mod tests {
         let mut s = b5000_store(500);
         s.define(SegId(0), 100).unwrap();
         s.touch(SegId(0), 0, false).unwrap();
-        s.advise(Advice::Release(AdviceUnit::Segment(SegId(0))));
-        assert_eq!(s.resident_count(), 0);
+        s.advise_probed(
+            Advice::Release(AdviceUnit::Segment(SegId(0))),
+            Stamp::vtime(0),
+            &mut NullProbe,
+        );
+        assert_eq!(resident_count(&s), 0);
         assert!(s.touch(SegId(0), 0, false).unwrap().fetched);
         s.check_invariants();
     }
@@ -908,10 +913,18 @@ mod tests {
         let mut s = b5000_store(100);
         s.define(SegId(0), 40).unwrap();
         s.touch(SegId(0), 0, false).unwrap();
-        s.advise(Advice::Pin(AdviceUnit::Segment(SegId(0))));
+        s.advise_probed(
+            Advice::Pin(AdviceUnit::Segment(SegId(0))),
+            Stamp::vtime(0),
+            &mut NullProbe,
+        );
         s.define(SegId(1), 30).unwrap();
         s.touch(SegId(1), 0, false).unwrap();
-        s.advise(Advice::Pin(AdviceUnit::Segment(SegId(1))));
+        s.advise_probed(
+            Advice::Pin(AdviceUnit::Segment(SegId(1))),
+            Stamp::vtime(0),
+            &mut NullProbe,
+        );
         s.define(SegId(2), 50).unwrap();
         let err = s.touch(SegId(2), 0, false).unwrap_err();
         match err {
@@ -929,14 +942,27 @@ mod tests {
     #[test]
     fn degradation_compacts_before_evicting() {
         // Fragmented free list: 30 words at [30,60) + 10 at [90,100).
-        let mut s = b5000_store(100).with_degradation();
+        let mut s = b5000_store(100);
+        s.enable_degradation();
         for i in 0..3 {
             s.define(SegId(i), 30).unwrap();
             s.touch(SegId(i), 0, false).unwrap();
         }
-        s.advise(Advice::Pin(AdviceUnit::Segment(SegId(0))));
-        s.advise(Advice::Pin(AdviceUnit::Segment(SegId(2))));
-        s.advise(Advice::Release(AdviceUnit::Segment(SegId(1))));
+        s.advise_probed(
+            Advice::Pin(AdviceUnit::Segment(SegId(0))),
+            Stamp::vtime(0),
+            &mut NullProbe,
+        );
+        s.advise_probed(
+            Advice::Pin(AdviceUnit::Segment(SegId(2))),
+            Stamp::vtime(0),
+            &mut NullProbe,
+        );
+        s.advise_probed(
+            Advice::Release(AdviceUnit::Segment(SegId(1))),
+            Stamp::vtime(0),
+            &mut NullProbe,
+        );
         assert_eq!(s.touch(SegId(2), 5, false).unwrap().addr, PhysAddr(65));
         let evictions_before = s.stats().evictions;
         // 40 words fit only after compaction slides seg 2 down.
@@ -956,15 +982,28 @@ mod tests {
 
     #[test]
     fn degradation_coalesces_the_rice_chain_before_evicting() {
-        let mut s = rice_store(100).with_degradation();
+        let mut s = rice_store(100);
+        s.enable_degradation();
         for i in 0..3 {
             s.define(SegId(i), 30).unwrap();
             s.touch(SegId(i), 0, false).unwrap();
         }
         // Free two adjacent blocks; the chain holds them separately.
-        s.advise(Advice::Release(AdviceUnit::Segment(SegId(0))));
-        s.advise(Advice::Release(AdviceUnit::Segment(SegId(1))));
-        s.advise(Advice::Pin(AdviceUnit::Segment(SegId(2))));
+        s.advise_probed(
+            Advice::Release(AdviceUnit::Segment(SegId(0))),
+            Stamp::vtime(0),
+            &mut NullProbe,
+        );
+        s.advise_probed(
+            Advice::Release(AdviceUnit::Segment(SegId(1))),
+            Stamp::vtime(0),
+            &mut NullProbe,
+        );
+        s.advise_probed(
+            Advice::Pin(AdviceUnit::Segment(SegId(2))),
+            Stamp::vtime(0),
+            &mut NullProbe,
+        );
         s.define(SegId(3), 50).unwrap();
         let r = s.touch(SegId(3), 0, false).unwrap();
         assert!(r.fetched);
@@ -975,7 +1014,8 @@ mod tests {
 
     #[test]
     fn degradation_falls_through_to_eviction() {
-        let mut s = b5000_store(100).with_degradation();
+        let mut s = b5000_store(100);
+        s.enable_degradation();
         s.define(SegId(0), 60).unwrap();
         s.touch(SegId(0), 0, false).unwrap();
         s.define(SegId(1), 60).unwrap();
@@ -994,7 +1034,11 @@ mod tests {
         let mut s = b5000_store(100);
         s.define(SegId(0), 80).unwrap();
         s.touch(SegId(0), 0, false).unwrap();
-        s.advise(Advice::Pin(AdviceUnit::Segment(SegId(0))));
+        s.advise_probed(
+            Advice::Pin(AdviceUnit::Segment(SegId(0))),
+            Stamp::vtime(0),
+            &mut NullProbe,
+        );
         s.define(SegId(1), 50).unwrap();
         assert!(s.touch(SegId(1), 0, false).is_err(), "pinned blocks demand");
         assert_eq!(s.unpin_all(), 1);

@@ -36,16 +36,13 @@ impl Fenwick {
         }));
     }
 
+    // Callers count; none asks for emptiness, so there is no unused
+    // `is_empty` beside it.
     /// Number of positions.
     #[must_use]
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.tree.len() - 1
-    }
-
-    /// Whether the tree covers no positions.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Marks position `pos` (increments its count).
@@ -106,7 +103,6 @@ mod tests {
     fn prefix_counts_marks() {
         let mut f = Fenwick::new(10);
         assert_eq!(f.len(), 10);
-        assert!(!f.is_empty());
         for pos in [0, 3, 7, 9] {
             f.mark(pos);
         }
@@ -152,7 +148,7 @@ mod tests {
     #[test]
     fn empty_tree_is_empty() {
         let f = Fenwick::new(0);
-        assert!(f.is_empty());
+        assert_eq!(f.len(), 0);
         assert_eq!(f.prefix(0), 0);
     }
 }

@@ -150,22 +150,10 @@ impl StreamingLru {
         self.cursor = live;
     }
 
-    /// References recorded so far.
-    #[must_use]
-    pub fn references(&self) -> u64 {
-        self.references
-    }
-
     /// Distinct pages seen so far — the memory bound.
     #[must_use]
     pub fn distinct_pages(&self) -> usize {
         self.stamp_of.len()
-    }
-
-    /// Compulsory (first-touch) faults so far.
-    #[must_use]
-    pub fn compulsory(&self) -> u64 {
-        self.compulsory
     }
 
     /// The success function over everything recorded so far. Callable

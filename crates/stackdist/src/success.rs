@@ -26,18 +26,6 @@ impl StackDistances {
         StackDistances { dist }
     }
 
-    /// Number of references.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.dist.len()
-    }
-
-    /// Whether the trace was empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.dist.is_empty()
-    }
-
     /// The distances, in trace order.
     #[must_use]
     pub fn distances(&self) -> &[u64] {
@@ -218,8 +206,6 @@ mod tests {
         let sd = StackDistances::new(vec![INFINITE, 1, 3, 2, INFINITE]);
         assert_eq!(sd.fault_times(2).collect::<Vec<_>>(), vec![0, 2, 4]);
         assert_eq!(sd.fault_times(3).collect::<Vec<_>>(), vec![0, 4]);
-        assert_eq!(sd.len(), 5);
-        assert!(!sd.is_empty());
         assert_eq!(sd.success().faults(2), 3);
     }
 }

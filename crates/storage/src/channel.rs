@@ -31,27 +31,17 @@ pub enum MoveEngine {
     },
 }
 
-/// A block-move engine with cumulative accounting.
+/// A block-move engine.
 #[derive(Clone, Debug)]
 pub struct PackingChannel {
     engine: MoveEngine,
-    words_moved: Words,
-    cpu_time: Cycles,
-    channel_time: Cycles,
-    operations: u64,
 }
 
 impl PackingChannel {
     /// Creates a channel with the given engine.
     #[must_use]
     pub fn new(engine: MoveEngine) -> PackingChannel {
-        PackingChannel {
-            engine,
-            words_moved: 0,
-            cpu_time: Cycles::ZERO,
-            channel_time: Cycles::ZERO,
-            operations: 0,
-        }
+        PackingChannel { engine }
     }
 
     /// A programmed-loop engine with a typical 3-cycle-per-word loop on
@@ -73,48 +63,12 @@ impl PackingChannel {
         })
     }
 
-    /// Records a move of `len` words and returns `(cpu, channel)` time
-    /// consumed by it.
+    /// The `(cpu, channel)` time a move of `len` words takes.
     pub fn charge_move(&mut self, len: Words) -> (Cycles, Cycles) {
-        self.operations += 1;
-        self.words_moved += len;
         match self.engine {
-            MoveEngine::ProgrammedLoop { per_word } => {
-                let cpu = per_word * len;
-                self.cpu_time += cpu;
-                (cpu, Cycles::ZERO)
-            }
-            MoveEngine::AutonomousChannel { setup, per_word } => {
-                let chan = per_word * len;
-                self.cpu_time += setup;
-                self.channel_time += chan;
-                (setup, chan)
-            }
+            MoveEngine::ProgrammedLoop { per_word } => (per_word * len, Cycles::ZERO),
+            MoveEngine::AutonomousChannel { setup, per_word } => (setup, per_word * len),
         }
-    }
-
-    /// Total words moved so far.
-    #[must_use]
-    pub fn words_moved(&self) -> Words {
-        self.words_moved
-    }
-
-    /// Total CPU time consumed by moves.
-    #[must_use]
-    pub fn cpu_time(&self) -> Cycles {
-        self.cpu_time
-    }
-
-    /// Total channel-occupancy time (zero for a programmed loop).
-    #[must_use]
-    pub fn channel_time(&self) -> Cycles {
-        self.channel_time
-    }
-
-    /// Number of move operations issued.
-    #[must_use]
-    pub fn operations(&self) -> u64 {
-        self.operations
     }
 }
 
@@ -128,8 +82,6 @@ mod tests {
         let (cpu, chan) = ch.charge_move(100);
         assert_eq!(cpu, Cycles::from_micros(600));
         assert_eq!(chan, Cycles::ZERO);
-        assert_eq!(ch.words_moved(), 100);
-        assert_eq!(ch.cpu_time(), Cycles::from_micros(600));
     }
 
     #[test]
@@ -138,7 +90,6 @@ mod tests {
         let (cpu, chan) = ch.charge_move(100);
         assert_eq!(cpu, Cycles::from_micros(40)); // setup only
         assert_eq!(chan, Cycles::from_micros(200));
-        assert_eq!(ch.channel_time(), Cycles::from_micros(200));
     }
 
     #[test]
@@ -150,15 +101,5 @@ mod tests {
         assert!(prog.charge_move(5).0 < auto.charge_move(5).0);
         // Large move: channel wins on CPU time by a wide margin.
         assert!(prog.charge_move(1000).0 > auto.charge_move(1000).0 * 10);
-    }
-
-    #[test]
-    fn accounting_accumulates() {
-        let mut ch = PackingChannel::programmed(Cycles::from_micros(1));
-        ch.charge_move(10);
-        ch.charge_move(20);
-        assert_eq!(ch.words_moved(), 30);
-        assert_eq!(ch.operations(), 2);
-        assert_eq!(ch.cpu_time(), Cycles::from_micros(90));
     }
 }

@@ -47,22 +47,10 @@ impl Hierarchy {
         Ok(Hierarchy { levels })
     }
 
-    /// The working-storage level.
-    #[must_use]
-    pub fn working(&self) -> &LevelSpec {
-        &self.levels[0]
-    }
-
     /// All levels, fastest first.
     #[must_use]
     pub fn levels(&self) -> &[LevelSpec] {
         &self.levels
-    }
-
-    /// Number of levels.
-    #[must_use]
-    pub fn depth(&self) -> usize {
-        self.levels.len()
     }
 
     /// Cost of moving a block of `words` between level `from` and level
@@ -136,7 +124,7 @@ mod tests {
             Hierarchy::new(vec![m44_core(), atlas_core()]).is_err(),
             "slower core cannot precede faster backing level ordering check"
         );
-        assert!(atlas().depth() == 2);
+        assert!(atlas().levels.len() == 2);
     }
 
     #[test]
@@ -167,7 +155,7 @@ mod tests {
 
     #[test]
     fn working_is_level_zero() {
-        assert_eq!(atlas().working().name, "ATLAS core");
+        assert_eq!(atlas().levels[0].name, "ATLAS core");
     }
 
     #[test]

@@ -220,18 +220,6 @@ pub mod presets {
         }
     }
 
-    /// GE 645 disk: 16 million words (A.6).
-    #[must_use]
-    pub fn ge645_disk() -> LevelSpec {
-        LevelSpec {
-            name: "GE645 disk".into(),
-            kind: LevelKind::Disk,
-            capacity: 16_000_000,
-            latency: Cycles::from_millis(100),
-            word_time: Cycles::from_micros(8),
-        }
-    }
-
     /// 360/67 core: three modules of 256K bytes = 192K 32-bit words
     /// total (A.7).
     #[must_use]
@@ -254,31 +242,6 @@ pub mod presets {
             capacity: 1_048_576,
             latency: Cycles::from_micros(4_300),
             word_time: Cycles::from_nanos(1_300),
-        }
-    }
-
-    /// 360/67 disk: ~500 million bytes = 125M words (A.7).
-    #[must_use]
-    pub fn model67_disk() -> LevelSpec {
-        LevelSpec {
-            name: "360/67 disk".into(),
-            kind: LevelKind::Disk,
-            capacity: 125_000_000,
-            latency: Cycles::from_millis(85),
-            word_time: Cycles::from_micros(5),
-        }
-    }
-
-    /// B8500 thin-film store: tiny, very fast (A.5 — the 44-word
-    /// associative memory's backing technology).
-    #[must_use]
-    pub fn b8500_thin_film() -> LevelSpec {
-        LevelSpec {
-            name: "B8500 thin film".into(),
-            kind: LevelKind::Core,
-            capacity: 44,
-            latency: Cycles::from_nanos(200),
-            word_time: Cycles::from_nanos(200),
         }
     }
 }
@@ -337,8 +300,6 @@ mod tests {
     fn capacities_ordered_within_hierarchies() {
         assert!(atlas_core().capacity < atlas_drum().capacity);
         assert!(ge645_core().capacity < ge645_drum().capacity);
-        assert!(ge645_drum().capacity < ge645_disk().capacity);
         assert!(model67_core().capacity < model67_drum().capacity);
-        assert!(model67_drum().capacity < model67_disk().capacity);
     }
 }

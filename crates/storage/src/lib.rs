@@ -9,7 +9,7 @@
 //! * [`level::LevelSpec`] — capacity and timing of one storage level,
 //!   with presets for every device named in the appendix (ATLAS core and
 //!   drum, the M44's 8 µs core and IBM 1301 disk, the GE 645 complement,
-//!   the 360/67 complement, tape, thin film);
+//!   the 360/67 core and drum, tape);
 //! * [`hierarchy::Hierarchy`] — ordered levels with transfer-cost and
 //!   promotion break-even queries;
 //! * [`memory::CoreMemory`] — a word-addressable store with real

@@ -134,16 +134,13 @@ impl TelemetrySnapshot {
         });
     }
 
+    // Callers count; none asks for emptiness, so there is no unused
+    // `is_empty` beside it.
     /// Number of registered metrics.
     #[must_use]
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Whether nothing has been registered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Renders the registry in Prometheus text exposition format:

@@ -178,12 +178,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Events each per-thread ring retains.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Total events recorded through all handles so far (including
     /// those already overwritten in their rings).
     #[must_use]

@@ -86,12 +86,6 @@ impl AtomicHistogram {
         }
     }
 
-    /// This histogram's bucket geometry.
-    #[must_use]
-    pub fn spec(&self) -> BucketSpec {
-        self.spec
-    }
-
     /// Records one sample: two relaxed `fetch_add`s and a `fetch_max`.
     pub fn record(&self, v: u64) {
         match self.spec.index_of(v) {
@@ -116,17 +110,6 @@ impl AtomicHistogram {
         *sum = sum.wrapping_add(v);
         let max = self.max.get_mut();
         *max = (*max).max(v);
-    }
-
-    /// Total samples recorded so far (relaxed; exact once the emitting
-    /// threads have synchronized with the caller).
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .sum::<u64>()
-            + self.overflow.load(Ordering::Relaxed)
     }
 
     /// Folds another accumulator's counts into this one, exactly:

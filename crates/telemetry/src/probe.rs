@@ -136,13 +136,6 @@ impl TelemetryProbe {
         self.counters.snapshot()
     }
 
-    /// Counter totals since `earlier` — per-interval rates for periodic
-    /// reporting (see [`SharedProbe::delta`]).
-    #[must_use]
-    pub fn delta(&self, earlier: &CountingProbe) -> CountingProbe {
-        self.counters.delta(earlier)
-    }
-
     /// Frozen distribution of allocation-request sizes, in words.
     #[must_use]
     pub fn alloc_words(&self) -> Histogram {

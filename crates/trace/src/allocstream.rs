@@ -71,21 +71,6 @@ impl SizeDist {
             SizeDist::Fixed { size } => size.max(1),
         }
     }
-
-    /// The mean of the distribution (exact, not sampled).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        match *self {
-            SizeDist::Uniform { lo, hi } => (lo + hi) as f64 / 2.0,
-            SizeDist::Exponential { mean, .. } => mean,
-            SizeDist::Bimodal {
-                small,
-                large,
-                p_small,
-            } => small as f64 * p_small + large as f64 * (1.0 - p_small),
-            SizeDist::Fixed { size } => size as f64,
-        }
-    }
 }
 
 /// Configuration for an allocation/free stream.
@@ -243,18 +228,6 @@ mod tests {
         let smalls = (0..20_000).filter(|_| d.sample(&mut rng) == 1).count();
         let frac = smalls as f64 / 20_000.0;
         assert!((frac - 0.8).abs() < 0.02, "{frac}");
-    }
-
-    #[test]
-    fn mean_formulas() {
-        assert_eq!(SizeDist::Uniform { lo: 10, hi: 20 }.mean(), 15.0);
-        assert_eq!(SizeDist::Fixed { size: 7 }.mean(), 7.0);
-        let b = SizeDist::Bimodal {
-            small: 10,
-            large: 110,
-            p_small: 0.9,
-        };
-        assert!((b.mean() - 20.0).abs() < 1e-12);
     }
 
     #[test]

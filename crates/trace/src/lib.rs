@@ -36,4 +36,4 @@ pub use planner::{AdvicePlanner, PlannerCfg};
 pub use program::{ProgramCfg, SyntheticProgram};
 pub use refstring::RefStringCfg;
 pub use rng::Rng64;
-pub use stream::{AllocEventStream, AllocStream, RefStream, RefStringStream};
+pub use stream::{AllocEventStream, RefStream, RefStringStream};

@@ -52,13 +52,6 @@ pub trait RefStream: Iterator<Item = Access> + Clone {
     fn position(&self) -> u64;
 }
 
-/// A resumable allocation-event iterator (same contract as
-/// [`RefStream`], for [`AllocEvent`] streams).
-pub trait AllocStream: Iterator<Item = AllocEvent> + Clone {
-    /// Events yielded so far.
-    fn position(&self) -> u64;
-}
-
 /// Per-regime generator state: what each reference model carries from
 /// one reference to the next.
 #[derive(Clone, Debug)]
@@ -410,12 +403,6 @@ impl Iterator for AllocEventStream {
     }
 }
 
-impl AllocStream for AllocEventStream {
-    fn position(&self) -> u64 {
-        self.pos
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,6 +505,5 @@ mod tests {
         }
         // At most target/size + 1 blocks can ever be live.
         assert!(s.live.len() <= 101, "heap grew to {}", s.live.len());
-        assert_eq!(s.position(), 50_000);
     }
 }

@@ -38,10 +38,10 @@
 //!   LRU and MIN fault counts for every memory size from one traversal;
 //! * [`machines`] — the seven appendix machines as runnable presets;
 //! * [`trace`] — deterministic synthetic workloads;
-//! * [`metrics`] — stats, histograms, space-time meters, tables;
+//! * [`metrics`] — histograms, space-time meters, tables, sparklines;
 //! * [`probe`] — structured event tracing: the probe sink trait, the
 //!   event vocabulary, and ready-made sinks (counting, latency
-//!   histograms, space-time feeding, JSONL recording);
+//!   histograms, JSONL recording);
 //! * [`telemetry`] — always-on production telemetry over the probe
 //!   spine: a lock-free flight recorder, sharded atomic histograms,
 //!   fragmentation heatmap sampling, and a Prometheus/JSON exporter.

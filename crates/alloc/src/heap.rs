@@ -310,13 +310,13 @@ impl DsaHeap {
 
     /// The configuration the heap was built with.
     #[must_use]
-    pub fn config(&self) -> &HeapConfig {
+    pub(crate) fn config(&self) -> &HeapConfig {
         &self.config
     }
 
     /// The size-class ladder (sizes in bytes).
     #[must_use]
-    pub fn classes(&self) -> &SizeClasses {
+    pub(crate) fn classes(&self) -> &SizeClasses {
         &self.classes
     }
 
@@ -328,7 +328,7 @@ impl DsaHeap {
 
     /// Is `ptr` inside the heap's backing region?
     #[must_use]
-    pub fn contains(&self, ptr: *const u8) -> bool {
+    pub(crate) fn contains(&self, ptr: *const u8) -> bool {
         let p = ptr as usize;
         let b = self.region.base as usize;
         p >= b && p < b + self.region.bytes

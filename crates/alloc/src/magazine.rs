@@ -168,7 +168,7 @@ impl<'h> ThreadCache<'h> {
 
     /// The heap this cache fronts (identity check for global installs).
     #[must_use]
-    pub fn heap_ptr(&self) -> *const DsaHeap {
+    pub(crate) fn heap_ptr(&self) -> *const DsaHeap {
         self.heap
     }
 
@@ -254,7 +254,7 @@ impl<'h> ThreadCache<'h> {
     /// the heap and folds the hit counters into
     /// [`HeapStats`](crate::heap::HeapStats). The
     /// cache stays usable.
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         // Outside an allocator frame (thread exit, an explicit flush):
         // the arena's books may grow under the shard locks taken here,
         // and an installed `GlobalDsa` must not be asked for that

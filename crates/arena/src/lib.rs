@@ -33,7 +33,7 @@
 //!
 //! The service is overload-hardened: allocations are charged to tenant
 //! ids with priorities and word quotas metered exactly by the atomic
-//! [`TenantTable`]; an optional [`OverloadGuard`] refuses admission by
+//! `TenantTable`; an optional [`OverloadGuard`] refuses admission by
 //! priority past its occupancy watermarks and walks a degradation
 //! ladder (retry → coalesce → global compaction → shed lowest-priority
 //! tenants) before a typed error escapes; shards whose free lists are
@@ -57,4 +57,4 @@ pub use service::ArenaService;
 pub use slab::{FixedSlab, SlabStats, SlabUnit};
 pub use striped::{ArenaError, ArenaSnapshot, ShardFullness, ShardSnapshot, ShardedArena};
 pub use telemetry::ServiceTelemetry;
-pub use tenant::{Priority, TenantOccupancy, TenantTable};
+pub use tenant::{Priority, TenantOccupancy};

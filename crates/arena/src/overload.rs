@@ -76,7 +76,7 @@ pub struct OverloadGuard {
 impl OverloadGuard {
     /// A guard under `config`.
     #[must_use]
-    pub fn new(config: OverloadConfig) -> OverloadGuard {
+    pub(crate) fn new(config: OverloadConfig) -> OverloadGuard {
         let shed_budget = AtomicShedBudget::new(config.shed_budget);
         OverloadGuard {
             config,
@@ -90,7 +90,7 @@ impl OverloadGuard {
     /// is admitted; between the watermarks best-effort traffic is
     /// refused; above the high watermark only [`Priority::High`]
     /// clears the bar. A refusal is counted.
-    pub fn admit(&self, priority: Priority, in_use: Words, capacity: Words) -> bool {
+    pub(crate) fn admit(&self, priority: Priority, in_use: Words, capacity: Words) -> bool {
         let occupancy = if capacity == 0 {
             1.0
         } else {
@@ -111,13 +111,13 @@ impl OverloadGuard {
 
     /// Claims one eviction from the shed budget; `false` once the
     /// budget for this overload episode is spent.
-    pub fn try_shed(&self) -> bool {
+    pub(crate) fn try_shed(&self) -> bool {
         self.shed_budget.try_shed()
     }
 
     /// Evictions granted so far.
     #[must_use]
-    pub fn sheds(&self) -> u64 {
+    pub(crate) fn sheds(&self) -> u64 {
         self.shed_budget.sheds()
     }
 

@@ -13,7 +13,7 @@
 //!
 //! * every allocation names its tenant by id; registered tenants carry
 //!   a priority and a word quota, charged through the atomic
-//!   [`TenantTable`] **before** storage is touched and refunded after it
+//!   `TenantTable` **before** storage is touched and refunded after it
 //!   is returned, so the per-tenant books reconcile exactly at any
 //!   thread count;
 //! * an optional [`OverloadGuard`] refuses admission at the door by
@@ -161,7 +161,7 @@ impl ArenaService {
 
     /// Total arena capacity, in words.
     #[must_use]
-    pub fn capacity(&self) -> Words {
+    pub(crate) fn capacity(&self) -> Words {
         self.arena.capacity()
     }
 

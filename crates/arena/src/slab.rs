@@ -77,7 +77,7 @@ pub struct SlabStats {
 /// let b = slab.alloc().unwrap();
 /// assert_ne!(a.unit, b.unit);
 /// slab.free(a.unit).unwrap();
-/// assert_eq!(slab.free_units(), 3);
+/// assert_eq!(slab.stats().frees, 1);
 /// ```
 #[derive(Debug)]
 pub struct FixedSlab {
@@ -142,13 +142,13 @@ impl FixedSlab {
 
     /// Units currently free.
     #[must_use]
-    pub fn free_units(&self) -> u64 {
+    pub(crate) fn free_units(&self) -> u64 {
         u64::from(self.units) - self.live_units()
     }
 
     /// The storage address of a unit: `unit * unit_words`.
     #[must_use]
-    pub fn addr_of(&self, unit: u32) -> PhysAddr {
+    pub(crate) fn addr_of(&self, unit: u32) -> PhysAddr {
         PhysAddr(u64::from(unit) * self.unit_words)
     }
 

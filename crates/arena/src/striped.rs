@@ -292,13 +292,13 @@ impl ShardedArena {
 
     /// Number of shards.
     #[must_use]
-    pub fn shard_count(&self) -> u32 {
+    pub(crate) fn shard_count(&self) -> u32 {
         self.shards.len() as u32
     }
 
     /// Capacity of each shard, in words.
     #[must_use]
-    pub fn shard_capacity(&self) -> Words {
+    pub(crate) fn shard_capacity(&self) -> Words {
         self.shard_capacity
     }
 
@@ -310,7 +310,7 @@ impl ShardedArena {
 
     /// The deterministic home shard of an id.
     #[must_use]
-    pub fn home_shard(&self, id: u64) -> u32 {
+    pub(crate) fn home_shard(&self, id: u64) -> u32 {
         (mix64(id) % self.shards.len() as u64) as u32
     }
 
@@ -502,11 +502,11 @@ impl ShardedArena {
     }
 
     /// Frees the allocation `id`, wherever the steal rotation placed
-    /// it. See [`ShardedArena::free_probed`].
+    /// it. See `ShardedArena::free_probed`.
     ///
     /// # Errors
     ///
-    /// As [`ShardedArena::free_probed`].
+    /// As `ShardedArena::free_probed`.
     pub fn free(&self, id: u64) -> Result<(), ArenaError> {
         self.free_probed(id, Stamp::default(), &mut NullProbe)
     }
@@ -518,7 +518,7 @@ impl ShardedArena {
     ///
     /// [`ArenaError::Alloc`] carrying [`AllocError::UnknownUnit`] if
     /// `id` is not live.
-    pub fn free_probed<P: Probe + ?Sized>(
+    pub(crate) fn free_probed<P: Probe + ?Sized>(
         &self,
         id: u64,
         at: Stamp,
@@ -592,12 +592,12 @@ impl ShardedArena {
 
     /// Whether shard `s` is currently quarantined.
     #[must_use]
-    pub fn is_quarantined(&self, s: u32) -> bool {
+    pub(crate) fn is_quarantined(&self, s: u32) -> bool {
         self.quarantined[s as usize].load(Ordering::Acquire)
     }
 
     /// Quarantines shard `s`: placement (home and steal rotation) skips
-    /// it until [`ShardedArena::readmit`]; frees still drain into it.
+    /// it until `ShardedArena::readmit`; frees still drain into it.
     /// Returns `true` if this call changed the state.
     pub fn quarantine(&self, s: u32) -> bool {
         !self.quarantined[s as usize].swap(true, Ordering::AcqRel)
@@ -605,7 +605,7 @@ impl ShardedArena {
 
     /// Readmits shard `s` to the placement rotation. Returns `true` if
     /// this call changed the state.
-    pub fn readmit(&self, s: u32) -> bool {
+    pub(crate) fn readmit(&self, s: u32) -> bool {
         self.quarantined[s as usize].swap(false, Ordering::AcqRel)
     }
 
@@ -623,7 +623,7 @@ impl ShardedArena {
     /// base (relocation is transparent here exactly as in
     /// `dsa_freelist::compaction`: addresses are logical), and the pass
     /// is bracketed by `CompactionStart`/`CompactionDone` events.
-    pub fn compact_shard<P: Probe + ?Sized>(
+    pub(crate) fn compact_shard<P: Probe + ?Sized>(
         &self,
         s: u32,
         at: Stamp,
@@ -647,7 +647,7 @@ impl ShardedArena {
     ///
     /// Returns the audit failure if the rebuilt shard still violates an
     /// invariant.
-    pub fn heal_shard<P: Probe + ?Sized>(
+    pub(crate) fn heal_shard<P: Probe + ?Sized>(
         &self,
         s: u32,
         at: Stamp,
@@ -688,7 +688,7 @@ impl ShardedArena {
     /// hook). The damage is always detected and healed by
     /// [`ShardedArena::heal_shard`]. Not for production use.
     #[doc(hidden)]
-    pub fn corrupt_shard_for_chaos(&self, s: u32) {
+    pub(crate) fn corrupt_shard_for_chaos(&self, s: u32) {
         self.lock(s).alloc.corrupt_free_list_for_chaos();
     }
 

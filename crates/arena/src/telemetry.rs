@@ -24,11 +24,11 @@ use dsa_telemetry::{AtomicHistogram, TelemetryProbe, TelemetrySnapshot};
 /// Power-of-two request-size classes tracked separately: class *c*
 /// covers sizes `[2^c, 2^(c+1))`, with the last class absorbing
 /// everything larger.
-pub const SIZE_CLASSES: usize = 16;
+pub(crate) const SIZE_CLASSES: usize = 16;
 
 /// The size class of a request (`floor(log2(words))`, clamped).
 #[must_use]
-pub fn size_class(words: Words) -> usize {
+pub(crate) fn size_class(words: Words) -> usize {
     if words < 2 {
         0
     } else {
@@ -51,7 +51,7 @@ pub struct ServiceTelemetry {
 impl ServiceTelemetry {
     /// Telemetry for a service of `shards` stripes.
     #[must_use]
-    pub fn new(shards: u32) -> ServiceTelemetry {
+    pub(crate) fn new(shards: u32) -> ServiceTelemetry {
         ServiceTelemetry {
             probe: TelemetryProbe::new(),
             shard_alloc_words: (0..shards)
@@ -70,20 +70,20 @@ impl ServiceTelemetry {
     /// distributions); the service passes this as the probe on every
     /// arena operation.
     #[must_use]
-    pub fn probe(&self) -> &TelemetryProbe {
+    pub(crate) fn probe(&self) -> &TelemetryProbe {
         &self.probe
     }
 
     /// Number of shards tracked.
     #[must_use]
-    pub fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         self.shard_alloc_words.len()
     }
 
     /// Records one successful allocation into the per-shard and
     /// per-class distributions (the global ones were fed by the probe
     /// on the emission path).
-    pub fn record_alloc(&self, shard: u32, words: Words, searched: u64) {
+    pub(crate) fn record_alloc(&self, shard: u32, words: Words, searched: u64) {
         if let Some(h) = self.shard_alloc_words.get(shard as usize) {
             h.record(words);
         }
@@ -107,7 +107,7 @@ impl ServiceTelemetry {
 
     /// Frozen hole-search-length distribution of one size class.
     #[must_use]
-    pub fn class_search(&self, class: usize) -> Histogram {
+    pub(crate) fn class_search(&self, class: usize) -> Histogram {
         self.class_search[class].snapshot()
     }
 

@@ -4,7 +4,7 @@
 //! A shared allocation service is multi-tenant the moment two programs
 //! allocate from it — the paper's multiprogramming concern, restated at
 //! the service boundary. Each allocation names its tenant by a dense
-//! `u32` id; [`TenantTable::register`] gives the id its [`Priority`] and
+//! `u32` id; `TenantTable::register` gives the id its [`Priority`] and
 //! quota, and the service charges every successful allocation to that
 //! entry and refunds it on release. Quota reservation is a CAS loop
 //! over an atomic occupancy counter, so the accounting is *exact* at
@@ -39,7 +39,7 @@ pub enum Priority {
 impl Priority {
     /// Stable label for telemetry series and experiment tables.
     #[must_use]
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Priority::Low => "low",
             Priority::Normal => "normal",
@@ -48,7 +48,7 @@ impl Priority {
     }
 }
 
-/// One tenant's frozen accounting, from [`TenantTable::occupancy`].
+/// One tenant's frozen accounting, from `TenantTable::occupancy`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TenantOccupancy {
     /// The tenant id.
@@ -82,7 +82,7 @@ struct TenantSlot {
 /// reservation either fits entirely under the quota or fails without
 /// side effects — no over-grant window exists at any interleaving.
 #[derive(Debug, Default)]
-pub struct TenantTable {
+pub(crate) struct TenantTable {
     slots: Vec<TenantSlot>,
 }
 
@@ -90,14 +90,14 @@ impl TenantTable {
     /// An empty table (every request fails with `UnknownTenant` until
     /// tenants are registered).
     #[must_use]
-    pub fn new() -> TenantTable {
+    pub(crate) fn new() -> TenantTable {
         TenantTable::default()
     }
 
     /// Registers tenant `id..` slots up to and including `id`, giving
     /// the new slot `quota` words at `priority`. Re-registering an id
     /// replaces its quota and priority but keeps its occupancy.
-    pub fn register(&mut self, id: u32, priority: Priority, quota: Words) {
+    pub(crate) fn register(&mut self, id: u32, priority: Priority, quota: Words) {
         while self.slots.len() <= id as usize {
             self.slots.push(TenantSlot {
                 priority: Priority::Normal,
@@ -114,19 +114,19 @@ impl TenantTable {
 
     /// Number of registered slots.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
 
     /// Whether no tenant is registered.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }
 
     /// The registered priority of `tenant`, if known.
     #[must_use]
-    pub fn priority(&self, tenant: u32) -> Option<Priority> {
+    pub(crate) fn priority(&self, tenant: u32) -> Option<Priority> {
         self.slots.get(tenant as usize).map(|s| s.priority)
     }
 
@@ -137,7 +137,7 @@ impl TenantTable {
     ///
     /// Returns the occupancy observed at refusal time (for the typed
     /// `QuotaExceeded` error) without modifying the counter.
-    pub fn try_reserve(&self, tenant: u32, words: Words) -> Result<(), Words> {
+    pub(crate) fn try_reserve(&self, tenant: u32, words: Words) -> Result<(), Words> {
         let Some(slot) = self.slots.get(tenant as usize) else {
             return Err(0);
         };
@@ -166,7 +166,7 @@ impl TenantTable {
     ///
     /// Panics in debug builds if the refund exceeds the occupancy —
     /// that would mean the books were already wrong.
-    pub fn release(&self, tenant: u32, words: Words) {
+    pub(crate) fn release(&self, tenant: u32, words: Words) {
         if let Some(slot) = self.slots.get(tenant as usize) {
             let prev = slot.in_use.fetch_sub(words, Ordering::AcqRel);
             debug_assert!(prev >= words, "tenant {tenant} refunded below zero");
@@ -178,7 +178,7 @@ impl TenantTable {
     /// [`TenantTable::try_reserve`] this never refuses: the storage is
     /// demonstrably still held, so the books must say so even if that
     /// re-states an over-quota occupancy.
-    pub fn recharge(&self, tenant: u32, words: Words) {
+    pub(crate) fn recharge(&self, tenant: u32, words: Words) {
         if let Some(slot) = self.slots.get(tenant as usize) {
             slot.in_use.fetch_add(words, Ordering::AcqRel);
         }
@@ -187,7 +187,7 @@ impl TenantTable {
     /// Records one allocation shed from `tenant` by the degradation
     /// ladder (the occupancy itself is refunded via
     /// [`TenantTable::release`]).
-    pub fn note_shed(&self, tenant: u32) {
+    pub(crate) fn note_shed(&self, tenant: u32) {
         if let Some(slot) = self.slots.get(tenant as usize) {
             slot.shed.fetch_add(1, Ordering::Relaxed);
         }
@@ -195,13 +195,13 @@ impl TenantTable {
 
     /// The configured quota of `tenant`, if registered.
     #[must_use]
-    pub fn quota(&self, tenant: u32) -> Option<Words> {
+    pub(crate) fn quota(&self, tenant: u32) -> Option<Words> {
         self.slots.get(tenant as usize).map(|s| s.quota)
     }
 
     /// Frozen per-tenant accounting, in tenant order.
     #[must_use]
-    pub fn occupancy(&self) -> Vec<TenantOccupancy> {
+    pub(crate) fn occupancy(&self) -> Vec<TenantOccupancy> {
         self.slots
             .iter()
             .enumerate()

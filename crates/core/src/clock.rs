@@ -50,7 +50,7 @@ impl Cycles {
 
     /// Returns the duration in (truncated) microseconds.
     #[must_use]
-    pub const fn as_micros(self) -> u64 {
+    pub(crate) const fn as_micros(self) -> u64 {
         self.0 / 1_000
     }
 

@@ -28,13 +28,3 @@ pub mod error;
 pub mod ids;
 pub mod sizeclass;
 pub mod taxonomy;
-
-pub use access::{Access, AccessKind, AllocEvent, AllocRequest, ProgramOp, ReferenceString};
-pub use advice::{Advice, AdviceUnit};
-pub use clock::{Cycles, VirtualTime};
-pub use error::{AccessFault, AllocError, CoreError};
-pub use ids::{FrameNo, Name, PageNo, PhysAddr, SegId, Words};
-pub use sizeclass::SizeClasses;
-pub use taxonomy::{
-    AllocationUnit, Contiguity, NameSpaceKind, PredictiveInfo, SystemCharacteristics,
-};

@@ -37,10 +37,10 @@ pub fn power_of_two_classes(min: Words, max: Words) -> Vec<Words> {
 
 /// How many size classes subdivide each power-of-two doubling in the
 /// jemalloc-style ladder, once sizes are large enough to subdivide.
-pub const CLASSES_PER_DOUBLING: Words = 4;
+pub(crate) const CLASSES_PER_DOUBLING: Words = 4;
 
 /// A jemalloc-style size-class ladder: quantum-spaced classes up to
-/// `8 × quantum`, then [`CLASSES_PER_DOUBLING`] classes per doubling.
+/// `8 × quantum`, then `CLASSES_PER_DOUBLING` classes per doubling.
 ///
 /// For the default heap geometry (`quantum = 8`, `max = 2048`) the
 /// ladder is

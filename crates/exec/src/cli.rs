@@ -11,7 +11,7 @@
 //! hand-rolls its own flag loop.
 //!
 //! Binaries declare which of these flags they accept via
-//! [`enforce_known_flags`], which rejects anything unrecognized with a
+//! `enforce_known_flags`, which rejects anything unrecognized with a
 //! usage message on stderr and exit status 2 — a misspelled flag must
 //! never be silently ignored (a `--shrads 8` that quietly runs the
 //! default sweep is worse than an error).
@@ -34,7 +34,7 @@ pub struct FlagSpec {
 }
 
 /// The `--jobs N` flag every experiment binary accepts.
-pub const JOBS: FlagSpec = FlagSpec {
+pub(crate) const JOBS: FlagSpec = FlagSpec {
     name: "--jobs",
     value: Some("N"),
     help: "worker threads for the simulation grid (default: all hardware threads)",
@@ -72,7 +72,7 @@ pub fn switch_from_env(flag: FlagSpec) -> bool {
 /// The `--metrics-out PATH` flag every experiment binary accepts: dump
 /// end-of-run metrics to PATH (`.json` for JSON, anything else for
 /// Prometheus text exposition format).
-pub const METRICS_OUT: FlagSpec = FlagSpec {
+pub(crate) const METRICS_OUT: FlagSpec = FlagSpec {
     name: "--metrics-out",
     value: Some("PATH"),
     help: "write end-of-run metrics to PATH (.json for JSON, else Prometheus text)",
@@ -81,7 +81,7 @@ pub const METRICS_OUT: FlagSpec = FlagSpec {
 /// The `--flight-recorder N` flag every experiment binary accepts:
 /// attach a lock-free flight recorder retaining the last N probe
 /// events per thread for postmortem dumps.
-pub const FLIGHT_RECORDER: FlagSpec = FlagSpec {
+pub(crate) const FLIGHT_RECORDER: FlagSpec = FlagSpec {
     name: "--flight-recorder",
     value: Some("N"),
     help: "retain the last N probe events per thread for postmortem dumps",
@@ -92,11 +92,11 @@ pub const FLIGHT_RECORDER: FlagSpec = FlagSpec {
 /// registry, so adding a universal flag is a one-line change that
 /// reaches all binaries (and the `--help` test that checks each one).
 #[must_use]
-pub fn standard_flags() -> Vec<FlagSpec> {
+pub(crate) fn standard_flags() -> Vec<FlagSpec> {
     vec![JOBS, METRICS_OUT, FLIGHT_RECORDER]
 }
 
-/// [`enforce_known_flags`] with the standard registry prepended:
+/// `enforce_known_flags` with the standard registry prepended:
 /// binaries pass only their extra flags (empty for most).
 pub fn enforce_standard_flags(bin: &str, extra: &[FlagSpec]) {
     let mut known = standard_flags();
@@ -106,7 +106,7 @@ pub fn enforce_standard_flags(bin: &str, extra: &[FlagSpec]) {
 
 /// Renders the usage message for a binary and its accepted flags.
 #[must_use]
-pub fn usage(bin: &str, known: &[FlagSpec]) -> String {
+pub(crate) fn usage(bin: &str, known: &[FlagSpec]) -> String {
     let mut out = format!("usage: {bin}");
     for f in known {
         match f.value {
@@ -138,7 +138,7 @@ pub fn usage(bin: &str, known: &[FlagSpec]) -> String {
 ///
 /// Returns `"unrecognized argument: <arg>"` for the first argument
 /// matching no known flag.
-pub fn check_known<I>(args: I, known: &[FlagSpec]) -> Result<(), String>
+pub(crate) fn check_known<I>(args: I, known: &[FlagSpec]) -> Result<(), String>
 where
     I: IntoIterator<Item = String>,
 {
@@ -170,7 +170,7 @@ where
 ///
 /// Call this first in every binary's `main`, naming the flags the
 /// binary accepts.
-pub fn enforce_known_flags(bin: &str, known: &[FlagSpec]) {
+pub(crate) fn enforce_known_flags(bin: &str, known: &[FlagSpec]) {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         print!("{}", usage(bin, known));
@@ -234,7 +234,7 @@ where
 /// # Errors
 ///
 /// As [`parse_jobs`], for `--shards`.
-pub fn parse_shards<I>(args: I) -> Result<Option<usize>, String>
+pub(crate) fn parse_shards<I>(args: I) -> Result<Option<usize>, String>
 where
     I: IntoIterator<Item = String>,
 {
@@ -244,7 +244,7 @@ where
 /// The `--shards` value from the process arguments, if given. Exits
 /// with status 2 on a malformed flag, like [`jobs_from_env`].
 #[must_use]
-pub fn shards_from_env() -> Option<usize> {
+pub(crate) fn shards_from_env() -> Option<usize> {
     match parse_shards(std::env::args().skip(1)) {
         Ok(n) => n,
         Err(msg) => {
@@ -340,7 +340,7 @@ where
 /// # Errors
 ///
 /// Returns a message when the flag is present without a path.
-pub fn parse_trace_out<I>(args: I) -> Result<Option<PathBuf>, String>
+pub(crate) fn parse_trace_out<I>(args: I) -> Result<Option<PathBuf>, String>
 where
     I: IntoIterator<Item = String>,
 {
@@ -355,7 +355,7 @@ where
 /// # Errors
 ///
 /// Returns a message when the flag is present without a path.
-pub fn parse_metrics_out<I>(args: I) -> Result<Option<PathBuf>, String>
+pub(crate) fn parse_metrics_out<I>(args: I) -> Result<Option<PathBuf>, String>
 where
     I: IntoIterator<Item = String>,
 {
@@ -383,7 +383,7 @@ pub fn metrics_out_from_env() -> Option<PathBuf> {
 /// # Errors
 ///
 /// As [`parse_jobs`], for `--flight-recorder`.
-pub fn parse_flight_recorder<I>(args: I) -> Result<Option<usize>, String>
+pub(crate) fn parse_flight_recorder<I>(args: I) -> Result<Option<usize>, String>
 where
     I: IntoIterator<Item = String>,
 {

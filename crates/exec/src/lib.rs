@@ -29,9 +29,6 @@ pub mod cli;
 pub mod grid;
 pub mod pool;
 
-pub use cli::{
-    enforce_known_flags, jobs_from_env, parse_jobs, parse_shards, parse_trace_out, shards_from_env,
-    trace_out_from_env,
-};
+pub use cli::{jobs_from_env, trace_out_from_env};
 pub use grid::{product2, SimGrid};
-pub use pool::{available_jobs, par_map};
+pub use pool::par_map;

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Number of hardware threads available to this process, with a floor
 /// of one. The default for `--jobs`.
 #[must_use]
-pub fn available_jobs() -> usize {
+pub(crate) fn available_jobs() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)

@@ -88,7 +88,7 @@ impl FaultInjector {
 
     /// Rolls one shard-corruption hazard: `true` means a shard's free
     /// list is corrupted in place and must be quarantined and rebuilt.
-    pub fn shard_corruption(&mut self) -> bool {
+    pub(crate) fn shard_corruption(&mut self) -> bool {
         if self.config.shard_corruption_rate > 0.0
             && self.rng.chance(self.config.shard_corruption_rate)
         {
@@ -101,7 +101,7 @@ impl FaultInjector {
     /// Draws a uniform value in `[0, n)` from this injector's stream —
     /// used to pick deterministic fault *targets* (which shard to
     /// corrupt) from the same schedule that decided the fault fires.
-    pub fn roll_below(&mut self, n: u64) -> u64 {
+    pub(crate) fn roll_below(&mut self, n: u64) -> u64 {
         self.rng.below(n.max(1))
     }
 }

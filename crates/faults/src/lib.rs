@@ -36,7 +36,6 @@ pub mod sync;
 
 pub use config::FaultConfig;
 pub use injector::FaultInjector;
-pub use ladder::{AtomicShedBudget, DegradationStep, ShedBudget};
 pub use report::RecoveryReport;
 pub use retry::RetryPolicy;
 pub use sync::{SyncFaultInjector, WorkerInjector};

@@ -63,7 +63,7 @@ impl BuddyAllocator {
 
     /// Total capacity in words.
     #[must_use]
-    pub fn capacity(&self) -> Words {
+    pub(crate) fn capacity(&self) -> Words {
         1u64 << self.capacity_log2
     }
 

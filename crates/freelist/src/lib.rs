@@ -38,7 +38,6 @@ pub mod segregated;
 
 pub use buddy::BuddyAllocator;
 pub use compaction::{compact, CompactionReport};
-pub use frag::{internal_waste, paged_overhead, FragReport};
-pub use freelist::{AllocSnapshot, FreeListAllocator, FreeListStats, Placement};
+pub use freelist::{FreeListAllocator, Placement};
 pub use rice::RiceAllocator;
 pub use segregated::SegregatedAllocator;

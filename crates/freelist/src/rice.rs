@@ -28,7 +28,7 @@ use dsa_core::ids::{IdMap, PhysAddr, Words};
 use dsa_probe::{EventKind, Probe, Stamp};
 
 /// Words of overhead per active block (the back-reference word).
-pub const BACK_REF_WORDS: Words = 1;
+pub(crate) const BACK_REF_WORDS: Words = 1;
 
 /// Statistics for the Rice allocator.
 #[derive(Clone, Copy, Debug, Default)]

@@ -23,7 +23,7 @@ use dsa_core::ids::{IdMap, PhysAddr, Words};
 
 /// Statistics for the segregated allocator.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct SegregatedStats {
+pub(crate) struct SegregatedStats {
     /// Successful allocations.
     pub allocs: u64,
     /// Frees.
@@ -61,7 +61,7 @@ impl SegregatedAllocator {
     /// Panics if `capacity` is zero, `classes` is empty, or the classes
     /// are not strictly ascending.
     #[must_use]
-    pub fn new(capacity: Words, classes: &[Words]) -> SegregatedAllocator {
+    pub(crate) fn new(capacity: Words, classes: &[Words]) -> SegregatedAllocator {
         assert!(capacity > 0, "capacity must be positive");
         assert!(!classes.is_empty(), "need at least one class");
         assert!(
@@ -83,7 +83,7 @@ impl SegregatedAllocator {
     ///
     /// # Panics
     ///
-    /// Panics (via [`SegregatedAllocator::new`]) on degenerate inputs.
+    /// Panics (via `SegregatedAllocator::new`) on degenerate inputs.
     #[must_use]
     pub fn power_of_two(capacity: Words, min: Words, max: Words) -> SegregatedAllocator {
         let classes = dsa_core::sizeclass::power_of_two_classes(min, max);

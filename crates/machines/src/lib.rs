@@ -7,7 +7,7 @@
 //! here assembles the workspace's components into one of those
 //! combinations, with the appendix's published parameters, behind a
 //! common [`Machine`] interface that executes machine-independent
-//! [`dsa_core::ProgramOp`] workloads. Experiment E9 runs one workload
+//! `dsa_core::ProgramOp` workloads. Experiment E9 runs one workload
 //! across all seven and prints the survey as a measured table.
 //!
 //! Every preset is one [`Composed`] machine: the interpreter in
@@ -21,9 +21,9 @@
 //! | [`m44_44x`] | linear | `Paged` | `OneExtent` | `BlockMap` (mapping store) | 1024-word pages | class-random; advice instructions |
 //! | [`b5000`] | symbolically segmented | [`Segments`](segments::Segments) | — | PRT descriptors | variable (seg ≤ 1024) | cyclic |
 //! | [`rice`] | segmented (codewords) | `Segments` | — | codewords | variable (chain) | Rice iterative |
-//! | [`b8500`] | symbolically segmented | `Segments` | — | PRT + 44-word associative memory | variable | cyclic |
+//! | `b8500` | symbolically segmented | `Segments` | — | PRT + 44-word associative memory | variable | cyclic |
 //! | [`multics`] | linearly segmented (used symbolically) | `Paged` | [`PerObject`](paged::PerObject) | `TwoLevelMap` + associative | 64/1024-word pages | class-random; advice |
-//! | [`model67`] | linearly segmented | `Paged` | `OneExtent` (packed) | `TwoLevelMap` + 8-entry associative | 1024-word pages | class-random |
+//! | `model67` | linearly segmented | `Paged` | `OneExtent` (packed) | `TwoLevelMap` + 8-entry associative | 1024-word pages | class-random |
 //! | [`favoured`] | symbolically segmented | `Segments` | — | descriptors + associative memory | variable, 4096-word chunks | Rice iterative; advice |
 
 pub mod device;
@@ -35,5 +35,5 @@ pub mod report;
 pub mod segments;
 
 pub use driver::Composed;
-pub use presets::{all_machines, atlas, b5000, b8500, favoured, m44_44x, model67, multics, rice};
+pub use presets::{all_machines, atlas, b5000, favoured, m44_44x, multics, rice};
 pub use report::{Machine, MachineReport};

@@ -54,7 +54,7 @@ impl BlockMap {
 
     /// The extent of the name space this map provides.
     #[must_use]
-    pub fn name_extent(&self) -> Words {
+    pub(crate) fn name_extent(&self) -> Words {
         self.table.len() as u64 * self.block_size()
     }
 

@@ -86,7 +86,7 @@ impl MapStats {
 
     /// Associative-memory hit ratio, or 0 when it was never consulted.
     #[must_use]
-    pub fn assoc_hit_ratio(&self) -> f64 {
+    pub(crate) fn assoc_hit_ratio(&self) -> f64 {
         let total = self.assoc_hits + self.assoc_misses;
         if total == 0 {
             0.0

@@ -39,8 +39,8 @@ use dsa_probe::{EventKind, Probe, Stamp};
 pub use associative::{AssocMemory, AssocPolicy, FrameAssociativeMap};
 pub use block_map::BlockMap;
 pub use cost::{MapCosts, MapStats};
-pub use relocation::{IdentityMap, RelocationLimit};
-pub use two_level::{SegmentEntry, TwoLevelMap};
+pub use relocation::RelocationLimit;
+pub use two_level::TwoLevelMap;
 
 /// The result of one translation: the outcome and its cost.
 #[derive(Clone, Copy, Debug)]
@@ -55,7 +55,7 @@ pub struct Translation {
 impl Translation {
     /// Convenience constructor for a successful translation.
     #[must_use]
-    pub fn ok(addr: PhysAddr, cost: Cycles) -> Translation {
+    pub(crate) fn ok(addr: PhysAddr, cost: Cycles) -> Translation {
         Translation {
             outcome: Ok(addr),
             cost,
@@ -64,7 +64,7 @@ impl Translation {
 
     /// Convenience constructor for a trapped fault.
     #[must_use]
-    pub fn fault(f: AccessFault, cost: Cycles) -> Translation {
+    pub(crate) fn fault(f: AccessFault, cost: Cycles) -> Translation {
         Translation {
             outcome: Err(f),
             cost,

@@ -25,7 +25,7 @@ use crate::{AddressMap, Translation};
 
 /// One segment's descriptor in the segment table.
 #[derive(Clone, Debug)]
-pub struct SegmentEntry {
+pub(crate) struct SegmentEntry {
     /// The segment's current extent in words (the limit checked on
     /// every access).
     pub limit: Words,

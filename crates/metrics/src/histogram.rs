@@ -57,7 +57,7 @@ impl BucketSpec {
 
     /// Lower bound of bucket `i`.
     #[must_use]
-    pub fn low(&self, i: usize) -> u64 {
+    pub(crate) fn low(&self, i: usize) -> u64 {
         match *self {
             BucketSpec::Linear { width, .. } => i as u64 * width,
             BucketSpec::Log2 { .. } => {

@@ -21,6 +21,5 @@ pub mod sparkline;
 pub mod table;
 
 pub use histogram::{BucketSpec, Histogram};
-pub use spacetime::{SpaceTimeMeter, SpaceTimeReport};
-pub use sparkline::{labelled_sparkline, sparkline};
+pub use spacetime::SpaceTimeReport;
 pub use table::Table;

@@ -7,7 +7,7 @@ use core::fmt;
 
 /// Alignment of a column's cells.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Align {
+pub(crate) enum Align {
     /// Left-aligned (labels).
     Left,
     /// Right-aligned (numbers).

@@ -24,10 +24,9 @@ pub mod replacement;
 pub mod sensors;
 
 pub use compact::CompactLru;
-pub use paged::{AdviceOutcome, PagedMemory, PagingStats, TouchOutcome};
+pub use paged::{AdviceOutcome, PagedMemory, PagingStats};
 pub use replacement::{
     atlas::AtlasLearning, clock::ClockRepl, fifo::FifoRepl, lfu::LfuRepl, lru::LruRepl,
-    min::MinRepl, nru::ClassRandomRepl, random::RandomRepl, ws::working_set_sim, Eligible,
-    Replacer,
+    min::MinRepl, nru::ClassRandomRepl, random::RandomRepl, Eligible, Replacer,
 };
 pub use sensors::Sensors;

@@ -18,7 +18,7 @@ use dsa_core::ids::{PageNo, Words};
 ///
 /// Panics (in debug builds) if `page_size` is zero.
 #[must_use]
-pub fn page_of(word: u64, page_size: Words) -> PageNo {
+pub(crate) fn page_of(word: u64, page_size: Words) -> PageNo {
     debug_assert!(page_size > 0);
     PageNo(word / page_size)
 }

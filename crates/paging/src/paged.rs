@@ -189,7 +189,7 @@ impl PagedMemory {
 
     /// Frames still in service (not quarantined).
     #[must_use]
-    pub fn usable_frames(&self) -> usize {
+    pub(crate) fn usable_frames(&self) -> usize {
         self.frames.len() - self.quarantined.len()
     }
 

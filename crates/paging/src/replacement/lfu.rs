@@ -26,7 +26,7 @@ pub struct LfuRepl {
 impl LfuRepl {
     /// Pure LFU (no aging).
     #[must_use]
-    pub fn new() -> LfuRepl {
+    pub(crate) fn new() -> LfuRepl {
         LfuRepl::with_aging(0)
     }
 

@@ -74,7 +74,7 @@ impl<'a> Eligible<'a> {
 
     /// Number of frames in the memory being served, eligible or not.
     #[must_use]
-    pub fn frame_count(&self) -> usize {
+    pub(crate) fn frame_count(&self) -> usize {
         self.frames.len()
     }
 
@@ -85,7 +85,7 @@ impl<'a> Eligible<'a> {
 
     /// Whether `frame` is eligible.
     #[must_use]
-    pub fn contains(&self, frame: FrameNo) -> bool {
+    pub(crate) fn contains(&self, frame: FrameNo) -> bool {
         self.frames
             .get(frame.index())
             .is_some_and(|slot| self.admits(slot))
@@ -105,7 +105,7 @@ impl<'a> Eligible<'a> {
     ///
     /// Panics if `k >= self.len()`.
     #[must_use]
-    pub fn nth(&self, k: usize) -> FrameNo {
+    pub(crate) fn nth(&self, k: usize) -> FrameNo {
         assert!(k < self.len, "nth({k}) of {} eligible frames", self.len);
         if self.len == self.frames.len() {
             return FrameNo(k as u64);

@@ -24,17 +24,17 @@ pub const MIN: usize = 0;
 /// Index of true LRU.
 pub const LRU: usize = 1;
 /// Index of Clock / second chance.
-pub const CLOCK: usize = 2;
+pub(crate) const CLOCK: usize = 2;
 /// Index of FIFO.
 pub const FIFO: usize = 3;
 /// Index of the M44's class-based random selection.
-pub const CLASS_RANDOM: usize = 4;
+pub(crate) const CLASS_RANDOM: usize = 4;
 /// Index of pure random selection.
-pub const RANDOM: usize = 5;
+pub(crate) const RANDOM: usize = 5;
 /// Index of the ATLAS learning program.
 pub const ATLAS: usize = 6;
 /// Index of aged LFU.
-pub const LFU_AGED: usize = 7;
+pub(crate) const LFU_AGED: usize = 7;
 
 /// Number of registered policies ([`policy_by_index`]'s domain).
 #[must_use]

@@ -25,7 +25,7 @@ pub struct Sensors {
 impl Sensors {
     /// Creates sensors for `frames` page frames, all clear.
     #[must_use]
-    pub fn new(frames: usize) -> Sensors {
+    pub(crate) fn new(frames: usize) -> Sensors {
         Sensors {
             used: vec![false; frames],
             modified: vec![false; frames],
@@ -38,7 +38,7 @@ impl Sensors {
     /// # Panics
     ///
     /// Panics if `frame` is out of range.
-    pub fn touch(&mut self, frame: FrameNo, write: bool) {
+    pub(crate) fn touch(&mut self, frame: FrameNo, write: bool) {
         self.used[frame.index()] = true;
         if write {
             self.modified[frame.index()] = true;
@@ -86,7 +86,7 @@ impl Sensors {
     /// # Panics
     ///
     /// Panics if `frame` is out of range.
-    pub fn clear(&mut self, frame: FrameNo) {
+    pub(crate) fn clear(&mut self, frame: FrameNo) {
         self.used[frame.index()] = false;
         self.modified[frame.index()] = false;
     }

@@ -2,7 +2,7 @@
 //!
 //! Each row of the table at the bottom of this file is one [`EventKind`]
 //! variant: its doc comment, its stable label, its typed payload fields
-//! (at most two, each a [`Payload`]) and the counters it feeds — `count`
+//! (at most two, each a `Payload`) and the counters it feeds — `count`
 //! (one per event), `sum` (a payload quantity) or `flag` (one per event
 //! whose condition holds), with a Prometheus help string if exported.
 //! From the rows `counters!` generates `EventKind` itself, its JSONL
@@ -80,7 +80,7 @@ macro_rules! counters {
 
             /// The kind's stable lowercase label, e.g. `"evict"`.
             #[must_use]
-            pub const fn label(self) -> &'static str {
+            pub(crate) const fn label(self) -> &'static str {
                 match self {
                     $(EventKind::$variant { .. } => $label,)*
                 }
@@ -88,7 +88,7 @@ macro_rules! counters {
 
             /// Calls `f` with each payload field's name and value, in
             /// declaration order.
-            pub fn for_each_field(self, mut f: impl FnMut(&'static str, &dyn Payload)) {
+            pub(crate) fn for_each_field(self, mut f: impl FnMut(&'static str, &dyn Payload)) {
                 match self {
                     $(EventKind::$variant $({ $($field),* })? => {
                         $($(f(stringify!($field), &$field);)*)?
@@ -173,7 +173,7 @@ macro_rules! counters {
             /// Subtraction saturates, so a mismatched pair degrades to
             /// zeros instead of wrapping.
             #[must_use]
-            pub fn delta(&self, earlier: &CountingProbe) -> CountingProbe {
+            pub(crate) fn delta(&self, earlier: &CountingProbe) -> CountingProbe {
                 CountingProbe {
                     $($($cell: self.$cell.saturating_sub(earlier.$cell),)*)*
                 }

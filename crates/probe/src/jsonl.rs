@@ -51,7 +51,7 @@ impl JsonlRecorder {
 
     /// Renders the retained events as JSON Lines.
     #[must_use]
-    pub fn to_jsonl(&self) -> String {
+    pub(crate) fn to_jsonl(&self) -> String {
         let mut out = String::with_capacity(self.events.len() * 64);
         for e in &self.events {
             append_event(&mut out, e);

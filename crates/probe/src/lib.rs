@@ -92,7 +92,7 @@ pub enum InjectedFault {
 
 impl InjectedFault {
     /// Every mode, in declaration order.
-    pub const ALL: [InjectedFault; 5] = [
+    pub(crate) const ALL: [InjectedFault; 5] = [
         InjectedFault::TransferError,
         InjectedFault::BadFrame,
         InjectedFault::ChannelDelay,
@@ -102,7 +102,7 @@ impl InjectedFault {
 
     /// Stable lowercase label, used by renderers and exporters.
     #[must_use]
-    pub const fn label(self) -> &'static str {
+    pub(crate) const fn label(self) -> &'static str {
         match self {
             InjectedFault::TransferError => "transfer_error",
             InjectedFault::BadFrame => "bad_frame",
@@ -125,7 +125,7 @@ pub use dsa_faults::ladder::DegradationStep;
 /// A type an [`EventKind`] payload field may have: how a value of it
 /// is carried in one flight-recorder word and written as one JSON
 /// value.
-pub trait Payload {
+pub(crate) trait Payload {
     /// The value as one word.
     fn to_word(&self) -> u64;
 

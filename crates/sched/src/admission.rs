@@ -12,7 +12,7 @@
 //! * [`estimate_ws`] — the windowed working-set size (mean resident set
 //!   under a window of `tau` references, via
 //!   [`dsa_paging::replacement::ws::working_set_sim`]);
-//! * [`pick_allotment`] — the frame allotment actually granted: the
+//! * `pick_allotment` — the frame allotment actually granted: the
 //!   smallest frame count whose LRU fault rate over the sample meets
 //!   the target, capped by the working-set estimate and the tenant's
 //!   quota, read off one [`CompactLru`] cut at that cap, and answered
@@ -40,7 +40,7 @@ pub enum AdmissionPolicy {
     /// Admit a tenant only while the granted allotments fit the pool;
     /// the rest wait in a priority-ordered backlog and enter as earlier
     /// tenants finish or are swapped out. Allotments come from
-    /// [`pick_allotment`].
+    /// `pick_allotment`.
     WorkingSet,
     /// Private quotas: admit every tenant at time zero with its full
     /// quota as the allotment and no pool accounting — a fixed mix of
@@ -117,7 +117,7 @@ pub fn estimate_ws(sample: &[PageNo], tau: u64) -> usize {
 /// to `cap`. The test is that expression itself, not an integer budget
 /// derived from `target · n`, whose rounding could disagree with it.
 #[must_use]
-pub fn pick_allotment(
+pub(crate) fn pick_allotment(
     sample: &[PageNo],
     est_ws: usize,
     quota: usize,

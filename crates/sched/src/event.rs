@@ -18,7 +18,7 @@
 //!   [`dsa_paging::compact::CompactLru`] summaries instead of the full
 //!   engine), so a 100k-tenant population is tens of megabytes, not
 //!   gigabytes;
-//! * every probe emission is stamped through one [`crate::vclock::VClock`]
+//! * every probe emission is stamped through one `crate::vclock::VClock`
 //!   — fetch-channel queueing and degradation-ladder interventions
 //!   read the same clock the event queue is keyed by, so
 //!   `LatencyProbe` percentiles reconcile with the queue's chronology

@@ -43,9 +43,7 @@ pub mod tenant;
 pub mod vclock;
 mod wake;
 
-pub use admission::{estimate_ws, pick_allotment, AdmissionPolicy, LoadControlCfg};
+pub use admission::{estimate_ws, AdmissionPolicy, LoadControlCfg};
 pub use event::{EventReport, EventSim, TenantReport};
 pub use sim::SimConfig;
-pub use sweep::{tenant_sweep, SweepCell, SweepPoint};
 pub use tenant::{TenantSpec, TraceSpec};
-pub use vclock::VClock;

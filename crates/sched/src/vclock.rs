@@ -9,10 +9,10 @@
 //! millisecond behind the drum makes `LatencyProbe`'s inter-fault
 //! percentiles disagree with the event queue's own chronology.
 //!
-//! [`VClock`] closes the gap by being the *only* source of stamps: the
+//! `VClock` closes the gap by being the *only* source of stamps: the
 //! event loop advances it, the channel assignment reads and returns
 //! times through it, and every probe emission converts through
-//! [`VClock::stamp`]. Reconciliation then holds by construction — an
+//! `VClock::stamp`. Reconciliation then holds by construction — an
 //! event's `cycles` is the queue's time at the instant the event was
 //! scheduled, never a site-local guess.
 
@@ -21,43 +21,43 @@ use dsa_probe::Stamp;
 
 /// A monotone virtual clock in simulated nanoseconds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VClock {
+pub(crate) struct VClock {
     nanos: u64,
 }
 
 impl VClock {
     /// A clock at time zero.
     #[must_use]
-    pub const fn new() -> VClock {
+    pub(crate) const fn new() -> VClock {
         VClock { nanos: 0 }
     }
 
     /// The current simulated instant.
     #[must_use]
-    pub const fn now(&self) -> Cycles {
+    pub(crate) const fn now(&self) -> Cycles {
         Cycles::from_nanos(self.nanos)
     }
 
     /// Current time in nanoseconds (the event queue's key domain).
     #[must_use]
-    pub const fn nanos(&self) -> u64 {
+    pub(crate) const fn nanos(&self) -> u64 {
         self.nanos
     }
 
     /// Advances by `d` (executed references, service times).
-    pub fn advance(&mut self, d: Cycles) {
+    pub(crate) fn advance(&mut self, d: Cycles) {
         self.nanos += d.as_nanos();
     }
 
     /// Jumps forward to `t` if `t` is in the future; never moves
     /// backwards (the event queue may deliver same-instant events).
-    pub fn advance_to(&mut self, t: Cycles) {
+    pub(crate) fn advance_to(&mut self, t: Cycles) {
         self.nanos = self.nanos.max(t.as_nanos());
     }
 
     /// A probe stamp at the clock's current instant.
     #[must_use]
-    pub const fn stamp(&self, vtime: VirtualTime) -> Stamp {
+    pub(crate) const fn stamp(&self, vtime: VirtualTime) -> Stamp {
         Stamp::at(Cycles::from_nanos(self.nanos), vtime)
     }
 
@@ -65,7 +65,7 @@ impl VClock {
     /// (a queued fetch's start or completion time). Taking it through
     /// the clock keeps every emission site on one time base.
     #[must_use]
-    pub const fn stamp_at(&self, t: Cycles, vtime: VirtualTime) -> Stamp {
+    pub(crate) const fn stamp_at(&self, t: Cycles, vtime: VirtualTime) -> Stamp {
         Stamp::at(t, vtime)
     }
 }

@@ -42,7 +42,7 @@ impl IndexRegisters {
     ///
     /// Panics if `r >= 8`.
     #[must_use]
-    pub fn get(&self, r: u8) -> u64 {
+    pub(crate) fn get(&self, r: u8) -> u64 {
         self.regs[r as usize]
     }
 }

@@ -24,7 +24,7 @@ impl Descriptor {
     /// A descriptor for a segment of `limit` words, not yet in working
     /// storage.
     #[must_use]
-    pub fn absent(limit: Words) -> Descriptor {
+    pub(crate) fn absent(limit: Words) -> Descriptor {
         Descriptor {
             base: PhysAddr(0),
             limit,

@@ -33,6 +33,6 @@ pub mod store;
 
 pub use codeword::{Codeword, IndexRegisters};
 pub use descriptor::{Descriptor, Prt};
-pub use names::{LinearSegDict, NameStats, SymbolicDict};
-pub use sharing::{AccessMode, AccessType, SharedSegments, SharingStats};
-pub use store::{SegReplacement, SegStats, SegmentStore, StoreBackend, TouchReport};
+pub use names::NameStats;
+pub use sharing::SharingStats;
+pub use store::{SegStats, TouchReport};

@@ -47,7 +47,7 @@ impl AccessMode {
 
     /// True if `self` permits everything `other` permits.
     #[must_use]
-    pub fn covers(self, other: AccessMode) -> bool {
+    pub(crate) fn covers(self, other: AccessMode) -> bool {
         (!other.read || self.read)
             && (!other.write || self.write)
             && (!other.execute || self.execute)

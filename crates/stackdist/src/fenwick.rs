@@ -41,7 +41,7 @@ impl Fenwick {
     /// Number of positions.
     #[must_use]
     #[allow(clippy::len_without_is_empty)]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.tree.len() - 1
     }
 
@@ -87,7 +87,7 @@ impl Fenwick {
     /// Count of marks at positions strictly between `lo` and `hi`
     /// (exclusive on both ends).
     #[must_use]
-    pub fn between(&self, lo: usize, hi: usize) -> u64 {
+    pub(crate) fn between(&self, lo: usize, hi: usize) -> u64 {
         if hi <= lo + 1 {
             return 0;
         }

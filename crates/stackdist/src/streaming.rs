@@ -18,8 +18,8 @@
 //!
 //! Distances are accumulated directly into a histogram (finite
 //! distances never exceed the page universe) and collapsed via
-//! [`SuccessFunction::from_histogram`], which is exactly
-//! [`SuccessFunction::from_distances`] minus the materialized vector.
+//! `SuccessFunction::from_histogram`, which is exactly
+//! `SuccessFunction::from_distances` minus the materialized vector.
 //! What is *lost* relative to the batch pass is the per-reference
 //! distance vector — fault positions at a chosen size cannot be
 //! replayed afterwards. OPT stays batch-only: its priority is next

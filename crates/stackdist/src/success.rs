@@ -22,7 +22,7 @@ pub struct StackDistances {
 impl StackDistances {
     /// Wraps a distance vector (one entry per reference).
     #[must_use]
-    pub fn new(dist: Vec<u64>) -> StackDistances {
+    pub(crate) fn new(dist: Vec<u64>) -> StackDistances {
         StackDistances { dist }
     }
 
@@ -66,7 +66,7 @@ impl SuccessFunction {
     /// Builds the curve from per-reference distances ([`INFINITE`] for
     /// first touches).
     #[must_use]
-    pub fn from_distances(dist: &[u64]) -> SuccessFunction {
+    pub(crate) fn from_distances(dist: &[u64]) -> SuccessFunction {
         let mut compulsory = 0u64;
         let max_finite = dist
             .iter()
@@ -104,7 +104,7 @@ impl SuccessFunction {
     /// result is identical to [`SuccessFunction::from_distances`] over
     /// the distances the histogram summarizes.
     #[must_use]
-    pub fn from_histogram(hist: &[u64], compulsory: u64) -> SuccessFunction {
+    pub(crate) fn from_histogram(hist: &[u64], compulsory: u64) -> SuccessFunction {
         let max_finite = hist.iter().rposition(|&n| n > 0).unwrap_or(0);
         let mut faults_at = vec![0u64; max_finite + 1];
         let mut beyond = 0u64;

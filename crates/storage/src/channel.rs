@@ -15,7 +15,7 @@ use dsa_core::ids::Words;
 
 /// How block moves are performed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MoveEngine {
+pub(crate) enum MoveEngine {
     /// A programmed copy loop: every word costs CPU time.
     ProgrammedLoop {
         /// CPU time per word moved (load + store + loop control).
@@ -40,7 +40,7 @@ pub struct PackingChannel {
 impl PackingChannel {
     /// Creates a channel with the given engine.
     #[must_use]
-    pub fn new(engine: MoveEngine) -> PackingChannel {
+    pub(crate) fn new(engine: MoveEngine) -> PackingChannel {
         PackingChannel { engine }
     }
 

@@ -49,7 +49,7 @@ impl SectorDrum {
     ///
     /// Panics if `sectors` is zero or `rev_time` is zero.
     #[must_use]
-    pub fn new(sectors: u64, rev_time: Cycles, words_per_sector: Words) -> SectorDrum {
+    pub(crate) fn new(sectors: u64, rev_time: Cycles, words_per_sector: Words) -> SectorDrum {
         assert!(sectors > 0, "need at least one sector");
         assert!(rev_time.as_nanos() > 0, "the drum must rotate");
         SectorDrum {

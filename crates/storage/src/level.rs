@@ -72,7 +72,7 @@ impl LevelSpec {
 
     /// True if the processor can address this level directly.
     #[must_use]
-    pub fn directly_addressable(&self) -> bool {
+    pub(crate) fn directly_addressable(&self) -> bool {
         self.kind == LevelKind::Core
     }
 }

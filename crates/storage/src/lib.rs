@@ -28,8 +28,6 @@ pub mod hierarchy;
 pub mod level;
 pub mod memory;
 
-pub use channel::{MoveEngine, PackingChannel};
-pub use drum::{DrumDiscipline, SectorDrum};
 pub use hierarchy::Hierarchy;
 pub use level::{presets, LevelKind, LevelSpec};
 pub use memory::CoreMemory;

@@ -26,7 +26,7 @@ impl CoreMemory {
 
     /// Capacity in words.
     #[must_use]
-    pub fn capacity(&self) -> Words {
+    pub(crate) fn capacity(&self) -> Words {
         self.words.len() as Words
     }
 

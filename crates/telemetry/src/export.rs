@@ -210,7 +210,7 @@ impl TelemetrySnapshot {
     /// no timestamps). Histograms carry count/sum/max, summary
     /// quantiles, and the non-empty `[bucket_low, count]` pairs.
     #[must_use]
-    pub fn render_json(&self) -> String {
+    pub(crate) fn render_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(
@@ -283,7 +283,7 @@ impl TelemetrySnapshot {
     }
 
     /// Writes the registry to `path`, choosing the format by extension:
-    /// `.json` gets [`TelemetrySnapshot::render_json`], anything else
+    /// `.json` gets `TelemetrySnapshot::render_json`, anything else
     /// the Prometheus text exposition. Parent directories are created.
     ///
     /// # Errors

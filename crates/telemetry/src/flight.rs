@@ -12,7 +12,7 @@
 //!
 //! # Encoding
 //!
-//! Each event is packed into [`WORDS_PER_SLOT`] `u64` words: a global
+//! Each event is packed into `WORDS_PER_SLOT` `u64` words: a global
 //! sequence number, the kind's `[tag, a, b]` words (`dsa-probe`'s event
 //! table packs them and unpacks them strictly, so a corrupt slot is
 //! dropped, never misread), and the dual timestamp (cycles as
@@ -41,7 +41,7 @@ use dsa_probe::{Event, Probe};
 
 /// `u64` words per encoded event: sequence, tag, two payloads, cycles
 /// (ns), reference time.
-pub const WORDS_PER_SLOT: usize = 6;
+pub(crate) const WORDS_PER_SLOT: usize = 6;
 
 /// One thread's ring: `capacity * WORDS_PER_SLOT` atomic words plus the
 /// monotone write head. Written only by the owning handle; read by any

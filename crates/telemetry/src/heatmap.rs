@@ -10,7 +10,7 @@
 //!
 //! [`HeatmapSampler`] collects frames every K virtual-time units and
 //! renders them one sparkline row per frame via
-//! [`dsa_metrics::sparkline()`] — a terminal-friendly heatmap where time
+//! `dsa_metrics::sparkline()` — a terminal-friendly heatmap where time
 //! runs down the page and address runs across it.
 
 use dsa_core::ids::Words;
@@ -111,7 +111,7 @@ impl HeatFrame {
 
     /// The frame's occupancy as one sparkline (low addresses left).
     #[must_use]
-    pub fn sparkline(&self) -> String {
+    pub(crate) fn sparkline(&self) -> String {
         sparkline(&self.occupancy)
     }
 }

@@ -14,7 +14,7 @@
 //!   was designed for;
 //! * [`allocstream`] — allocation/free event streams with controllable
 //!   size distributions, lifetimes, and steady-state load factor;
-//! * [`program`] — segment-structured programs ([`dsa_core::ProgramOp`]
+//! * [`program`] — segment-structured programs (`dsa_core::ProgramOp`
 //!   streams) that every appendix machine can execute, with knobs for
 //!   advice accuracy and bounds-violation injection;
 //! * [`planner`] — the "authoritarian compiler": exact whole-program
@@ -31,9 +31,9 @@ pub mod refstring;
 pub mod rng;
 pub mod stream;
 
-pub use allocstream::{AllocStreamCfg, SizeDist};
+pub use allocstream::AllocStreamCfg;
 pub use planner::{AdvicePlanner, PlannerCfg};
 pub use program::{ProgramCfg, SyntheticProgram};
 pub use refstring::RefStringCfg;
 pub use rng::Rng64;
-pub use stream::{AllocEventStream, RefStream, RefStringStream};
+pub use stream::{AllocEventStream, RefStream};

@@ -90,7 +90,7 @@ pub enum RefStringCfg {
 impl RefStringCfg {
     /// The number of distinct pages the model may reference.
     #[must_use]
-    pub fn page_universe(&self) -> u64 {
+    pub(crate) fn page_universe(&self) -> u64 {
         match *self {
             RefStringCfg::Uniform { pages }
             | RefStringCfg::LruStack { pages, .. }

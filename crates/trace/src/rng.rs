@@ -142,7 +142,7 @@ impl Rng64 {
     }
 
     /// Uniform `f64` in `[0, 1)`.
-    pub fn f64(&mut self) -> f64 {
+    pub(crate) fn f64(&mut self) -> f64 {
         unit_f64(self.next_u64())
     }
 
@@ -153,13 +153,13 @@ impl Rng64 {
 
     /// Exponentially distributed value with the given mean (> 0),
     /// truncated to at least `1.0`.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
+    pub(crate) fn exponential(&mut self, mean: f64) -> f64 {
         let u = 1.0 - self.f64(); // in (0, 1]
         (-u.ln() * mean).max(1.0)
     }
 
     /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
+    pub(crate) fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
             let j = self.below(i as u64 + 1) as usize;
             xs.swap(i, j);
@@ -171,7 +171,7 @@ impl Rng64 {
     /// # Panics
     ///
     /// Panics if the slice is empty.
-    pub fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
+    pub(crate) fn pick<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
         assert!(!xs.is_empty(), "pick from empty slice");
         &xs[self.below(xs.len() as u64) as usize]
     }

@@ -142,7 +142,7 @@ impl RefStringCfg {
     ///
     /// Panics if the configuration has an empty page universe.
     #[must_use]
-    pub fn stream_with_rng(&self, write_fraction: f64, mut rng: Rng64) -> RefStringStream {
+    pub(crate) fn stream_with_rng(&self, write_fraction: f64, mut rng: Rng64) -> RefStringStream {
         assert!(self.page_universe() > 0, "empty page universe");
         let regime = match *self {
             RefStringCfg::Uniform { pages } => Regime::Uniform { pages },
@@ -352,7 +352,7 @@ impl AllocStreamCfg {
 
     /// [`AllocStreamCfg::stream`] over a caller-positioned generator.
     #[must_use]
-    pub fn stream_with_rng(&self, rng: Rng64) -> AllocEventStream {
+    pub(crate) fn stream_with_rng(&self, rng: Rng64) -> AllocEventStream {
         AllocEventStream {
             cfg: self.clone(),
             live: BinaryHeap::new(),

@@ -71,6 +71,10 @@ def diagnostics(workspace, *args):
             yield workspace, msg["message"]
 
 
+def code(msg):
+    return (msg.get("code") or {}).get("code")
+
+
 def spans(msg):
     for span in msg["spans"]:
         while span:
@@ -92,8 +96,10 @@ def wanted(narrowed, failed, fallback):
     """Items the errors name: by a span on their definition, or by name.
 
     The fallback reads the names in the code an error underlines. It is
-    for a call that a narrowed inherent method no longer wins, which
-    rustc resolves to a trait method of the same name and then rejects.
+    for a call that a narrowed inherent method no longer wins: rustc
+    resolves it to a trait method of the same name, and then rejects the
+    arguments or, where the trait method is the caller, warns that it
+    recurses forever. That warning counts as an error here.
     """
     keys, names = set(), set()
     for ws, m in failed:
@@ -119,7 +125,7 @@ def main(root):
     while True:
         rounds += 1
         failed = [*diagnostics(root, "--workspace", "--all-targets"), *diagnostics(root / "benchmark", "--all-targets")]
-        failed = [(ws, m) for ws, m in failed if m["level"] == "error"]
+        failed = [(ws, m) for ws, m in failed if m["level"] == "error" or code(m) == "unconditional_recursion"]
         print(f"census: build {rounds}, {len(failed)} errors", file=sys.stderr)
         if not failed:
             break
@@ -128,7 +134,7 @@ def main(root):
             sys.exit("".join(m["rendered"] for _, m in failed) + "census: no error names a narrowed item")
         for key in widened:
             widen(narrowed, key)
-    dead = [m for _, m in diagnostics(root, "--workspace", "--lib") if (m.get("code") or {}).get("code") == "dead_code"]
+    dead = [m for _, m in diagnostics(root, "--workspace", "--lib") if code(m) == "dead_code"]
     for m in dead:
         span = next(s for s in m["spans"] if s["is_primary"])
         print(f"{span['file_name']}:{span['line_start']}: {m['message']}")

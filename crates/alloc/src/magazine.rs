@@ -27,9 +27,9 @@
 //! Accounting: magazine hits and depot exchanges are counted in plain
 //! (non-atomic) thread-local counters and folded into the heap's
 //! [`HeapStats`](crate::heap::HeapStats) on flush and thread exit. The
-//! telemetry probe never sees a magazine hit — it tracks backend traffic, and an object
-//! parked in a magazine, like a large block set aside, is still
-//! backend-live. That is what keeps
+//! telemetry probe never sees a magazine hit — it tracks backend
+//! traffic, and an object parked in a magazine, like a large block set
+//! aside, is still backend-live. That is what keeps
 //! [`DsaHeap::check_reconciliation`] exact without quiescing threads.
 
 use std::alloc::Layout;

@@ -38,8 +38,6 @@ pub struct CompactionReport {
     pub holes_before: u64,
 }
 
-impl CompactionReport {}
-
 /// Compacts the allocator, reporting each block move to `on_move` as
 /// `(id, old address, new address, size)`, in ascending address order
 /// (safe for overlapping `memmove`-style slides).

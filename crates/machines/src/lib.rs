@@ -7,7 +7,7 @@
 //! here assembles the workspace's components into one of those
 //! combinations, with the appendix's published parameters, behind a
 //! common [`Machine`] interface that executes machine-independent
-//! `dsa_core::ProgramOp` workloads. Experiment E9 runs one workload
+//! [`dsa_core::access::ProgramOp`] workloads. Experiment E9 runs one workload
 //! across all seven and prints the survey as a measured table.
 //!
 //! Every preset is one [`Composed`] machine: the interpreter in

@@ -12,14 +12,14 @@
 //!   while large ones crawl the whole list; a single global histogram
 //!   averages that signal away.
 //!
-//! Everything here is an [`AtomicHistogram`] bumped with relaxed
-//! fetch-adds on the allocation path — always on, no locks, exact merge
-//! into `dsa-metrics` histograms at read time.
+//! Everything here is a [`Histogram`] bumped through `&self` with
+//! relaxed read-modify-writes on the allocation path — always on, no
+//! locks.
 
 use dsa_core::ids::Words;
 use dsa_metrics::histogram::geometry;
 use dsa_metrics::Histogram;
-use dsa_telemetry::{AtomicHistogram, TelemetryProbe, TelemetrySnapshot};
+use dsa_telemetry::{TelemetryProbe, TelemetrySnapshot};
 
 /// Power-of-two request-size classes tracked separately: class *c*
 /// covers sizes `[2^c, 2^(c+1))`, with the last class absorbing
@@ -43,9 +43,9 @@ pub(crate) fn size_class(words: Words) -> usize {
 #[derive(Debug)]
 pub struct ServiceTelemetry {
     probe: TelemetryProbe,
-    shard_alloc_words: Vec<AtomicHistogram>,
-    shard_search: Vec<AtomicHistogram>,
-    class_search: Vec<AtomicHistogram>,
+    shard_alloc_words: Vec<Histogram>,
+    shard_search: Vec<Histogram>,
+    class_search: Vec<Histogram>,
 }
 
 impl ServiceTelemetry {
@@ -55,13 +55,13 @@ impl ServiceTelemetry {
         ServiceTelemetry {
             probe: TelemetryProbe::new(),
             shard_alloc_words: (0..shards)
-                .map(|_| AtomicHistogram::new(geometry::ALLOC_WORDS))
+                .map(|_| Histogram::with_spec(geometry::ALLOC_WORDS))
                 .collect(),
             shard_search: (0..shards)
-                .map(|_| AtomicHistogram::new(geometry::SEARCH_LEN))
+                .map(|_| Histogram::with_spec(geometry::SEARCH_LEN))
                 .collect(),
             class_search: (0..SIZE_CLASSES)
-                .map(|_| AtomicHistogram::new(geometry::SEARCH_LEN))
+                .map(|_| Histogram::with_spec(geometry::SEARCH_LEN))
                 .collect(),
         }
     }
@@ -85,30 +85,30 @@ impl ServiceTelemetry {
     /// on the emission path).
     pub(crate) fn record_alloc(&self, shard: u32, words: Words, searched: u64) {
         if let Some(h) = self.shard_alloc_words.get(shard as usize) {
-            h.record(words);
+            h.record_shared(words);
         }
         if let Some(h) = self.shard_search.get(shard as usize) {
-            h.record(searched);
+            h.record_shared(searched);
         }
-        self.class_search[size_class(words)].record(searched);
+        self.class_search[size_class(words)].record_shared(searched);
     }
 
-    /// Frozen allocation-size distribution of one shard.
+    /// Allocation-size distribution of one shard.
     #[must_use]
-    pub fn shard_alloc_words(&self, shard: u32) -> Histogram {
-        self.shard_alloc_words[shard as usize].snapshot()
+    pub fn shard_alloc_words(&self, shard: u32) -> &Histogram {
+        &self.shard_alloc_words[shard as usize]
     }
 
-    /// Frozen hole-search-length distribution of one shard.
+    /// Hole-search-length distribution of one shard.
     #[must_use]
-    pub fn shard_search(&self, shard: u32) -> Histogram {
-        self.shard_search[shard as usize].snapshot()
+    pub fn shard_search(&self, shard: u32) -> &Histogram {
+        &self.shard_search[shard as usize]
     }
 
-    /// Frozen hole-search-length distribution of one size class.
+    /// Hole-search-length distribution of one size class.
     #[must_use]
-    pub(crate) fn class_search(&self, class: usize) -> Histogram {
-        self.class_search[class].snapshot()
+    pub(crate) fn class_search(&self, class: usize) -> &Histogram {
+        &self.class_search[class]
     }
 
     /// Registers the whole telemetry surface into an exporter snapshot:
@@ -120,13 +120,13 @@ impl ServiceTelemetry {
             "alloc_words",
             "Allocation-request size in words",
             &[],
-            &self.probe.alloc_words(),
+            self.probe.alloc_words(),
         );
         snap.histogram(
             "search_len",
             "Free-list entries examined per allocation",
             &[],
-            &self.probe.search_len(),
+            self.probe.search_len(),
         );
         for s in 0..self.shard_count() {
             let shard = s.to_string();
@@ -134,13 +134,13 @@ impl ServiceTelemetry {
                 "shard_alloc_words",
                 "Allocation-request size in words, by shard",
                 &[("shard", &shard)],
-                &self.shard_alloc_words(s as u32),
+                self.shard_alloc_words(s as u32),
             );
             snap.histogram(
                 "shard_search_len",
                 "Free-list entries examined per allocation, by shard",
                 &[("shard", &shard)],
-                &self.shard_search(s as u32),
+                self.shard_search(s as u32),
             );
         }
         for c in 0..SIZE_CLASSES {
@@ -153,7 +153,7 @@ impl ServiceTelemetry {
                 "class_search_len",
                 "Free-list entries examined per allocation, by size class lower bound",
                 &[("class_low", &class)],
-                &h,
+                h,
             );
         }
     }

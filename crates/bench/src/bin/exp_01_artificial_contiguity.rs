@@ -20,7 +20,7 @@ use dsa_trace::rng::Rng64;
 fn main() {
     dsa_exec::cli::enforce_standard_flags("exp_01_artificial_contiguity", &[]);
     let jobs = jobs_from_env();
-    let mut metrics = dsa_bench::metrics::RunMetrics::new("exp_01_artificial_contiguity");
+    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_01_artificial_contiguity");
     println!("E1: artificial contiguity (Figures 1 and 2)\n");
 
     // A 64-name space of four 16-word blocks over a 256-word memory,
@@ -110,7 +110,7 @@ fn main() {
     }
     println!("{t}");
     metrics.table("addressing_overhead", &t);
-    metrics.emit();
+    dsa_bench::metrics::emit(&metrics);
     println!(
         "the block map buys artificial contiguity for one table reference\n\
          (a full core cycle) per access; the paper's remedy for that cost is\n\

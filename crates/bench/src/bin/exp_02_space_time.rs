@@ -56,7 +56,7 @@ fn run(fetch: Cycles, jobs: usize, channels: Option<usize>) -> EventReport {
 fn main() {
     dsa_exec::cli::enforce_standard_flags("exp_02_space_time", &[]);
     let workers = jobs_from_env();
-    let mut metrics = dsa_bench::metrics::RunMetrics::new("exp_02_space_time");
+    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_02_space_time");
     println!("E2: storage utilization with demand paging (Figure 3)\n");
     let devices = [
         ("fast store (20 us)", Cycles::from_micros(20)),
@@ -114,7 +114,7 @@ fn main() {
     }
     println!("{t}");
     metrics.table("channel_limits", &t);
-    metrics.emit();
+    dsa_bench::metrics::emit(&metrics);
     println!(
         "reading the table: with a slow backing store a lone program's\n\
          space-time is almost all wait (Figure 3's shaded area) and the\n\

@@ -43,7 +43,7 @@ fn build(tlb: usize, policy: AssocPolicy) -> TwoLevelMap {
 
 fn main() {
     dsa_exec::cli::enforce_standard_flags("exp_03_mapping_overhead", &[]);
-    let mut metrics = dsa_bench::metrics::RunMetrics::new("exp_03_mapping_overhead");
+    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_03_mapping_overhead");
     println!("E3: two-level mapping overhead vs associative-memory size (Figure 4)\n");
 
     // Word-granular accesses with locality: an LRU-stack model over the
@@ -107,7 +107,7 @@ fn main() {
     }
     println!("{t}");
     metrics.table("mapping_overhead", &t);
-    metrics.emit();
+    dsa_bench::metrics::emit(&metrics);
     println!(
         "without the associative memory every access pays two table\n\
          references (segment table + page table); eight entries already\n\

@@ -27,8 +27,9 @@ use dsa_paging::replacement::lru::LruRepl;
 use dsa_paging::replacement::registry::{
     is_exact_stack, policy_by_index, policy_count, policy_label, MIN,
 };
-use dsa_probe::{EventKind, JsonlRecorder, LatencyProbe, Probe, Stamp};
+use dsa_probe::{EventKind, JsonlRecorder, Probe, Stamp};
 use dsa_stackdist::{lru_distances, opt_distances};
+use dsa_telemetry::TelemetryProbe;
 use dsa_trace::refstring::RefStringCfg;
 use dsa_trace::rng::Rng64;
 
@@ -54,7 +55,7 @@ enum Measured {
 
 fn main() {
     dsa_exec::cli::enforce_standard_flags("exp_04_replacement", &[dsa_exec::cli::TRACE_OUT]);
-    let mut metrics = dsa_bench::metrics::RunMetrics::new("exp_04_replacement");
+    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_04_replacement");
     let trace_out = trace_out_from_env();
     let jobs = jobs_from_env();
     println!("E4: replacement strategies — fault rate vs core size\n");
@@ -131,25 +132,25 @@ fn main() {
                 // Replaying the probed size's fault positions through
                 // the same probe the simulator feeds reproduces the
                 // percentile column exactly.
-                let mut probe = LatencyProbe::new();
+                let mut probe = TelemetryProbe::new();
                 for vt in distances.fault_times(PROBED_FRAMES) {
                     probe.emit(EventKind::Fault, Stamp::vtime(vt));
                 }
                 Measured::Curve {
                     rates: distances.success().rate_curve(&frame_counts),
-                    p95: probe.inter_fault().quantile(0.95),
+                    p95: probe.inter_fault_gap().quantile(0.95),
                 }
             }
             Cell::PerSize { frames, policy } => {
                 let mut mem = PagedMemory::new(frames, policy_by_index(policy, frames, &trace));
                 if frames == PROBED_FRAMES {
-                    let mut probe = LatencyProbe::new();
+                    let mut probe = TelemetryProbe::new();
                     let stats = mem
                         .run_pages_probed(&trace, &mut probe)
                         .expect("no pinning");
                     Measured::PerSize {
                         rate: stats.fault_rate(),
-                        p95: Some(probe.inter_fault().quantile(0.95)),
+                        p95: Some(probe.inter_fault_gap().quantile(0.95)),
                     }
                 } else {
                     let stats = mem.run_pages(&trace).expect("no pinning");
@@ -200,7 +201,7 @@ fn main() {
         println!("{t}");
         metrics.table(&format!("trace_{ti}"), &t);
     }
-    metrics.emit();
+    dsa_bench::metrics::emit(&metrics);
     println!(
         "expected shape: MIN bounds everyone from below; LRU and Clock track\n\
          each other on locality-bearing traces; the ATLAS learning program\n\

@@ -20,7 +20,8 @@ use dsa_freelist::freelist::{FreeListAllocator, Placement};
 use dsa_freelist::rice::RiceAllocator;
 use dsa_freelist::segregated::SegregatedAllocator;
 use dsa_metrics::table::Table;
-use dsa_probe::{JsonlRecorder, LatencyProbe, Probe, Stamp};
+use dsa_probe::{JsonlRecorder, Probe, Stamp};
+use dsa_telemetry::TelemetryProbe;
 use dsa_trace::allocstream::{AllocStreamCfg, SizeDist};
 use dsa_trace::rng::Rng64;
 
@@ -164,7 +165,7 @@ enum RowKind {
 fn row_for(kind: &RowKind, events: &[AllocEvent]) -> Vec<String> {
     match kind {
         RowKind::Policy(policy) => {
-            let mut probe = LatencyProbe::new();
+            let mut probe = TelemetryProbe::new();
             let o = drive_freelist(*policy, events, &mut probe);
             vec![
                 policy.label().to_owned(),
@@ -177,7 +178,7 @@ fn row_for(kind: &RowKind, events: &[AllocEvent]) -> Vec<String> {
             ]
         }
         RowKind::Rice => {
-            let mut probe = LatencyProbe::new();
+            let mut probe = TelemetryProbe::new();
             let o = drive_rice(events, &mut probe);
             vec![
                 "Rice chain".to_owned(),
@@ -206,7 +207,7 @@ fn row_for(kind: &RowKind, events: &[AllocEvent]) -> Vec<String> {
 
 fn main() {
     dsa_exec::cli::enforce_standard_flags("exp_05_placement", &[dsa_exec::cli::TRACE_OUT]);
-    let mut metrics = dsa_bench::metrics::RunMetrics::new("exp_05_placement");
+    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_05_placement");
     let trace_out = trace_out_from_env();
     let jobs = jobs_from_env();
     println!("E5: placement strategies under steady allocation churn\n");
@@ -281,7 +282,7 @@ fn main() {
             metrics.table(&format!("dist_{di}_load_{}", (target * 100.0) as u32), &t);
         }
     }
-    metrics.emit();
+    dsa_bench::metrics::emit(&metrics);
     println!(
         "best-fit and first-fit hold fragmentation down at the price of a\n\
          longer search; two-ends buys a short search by keeping small and\n\

@@ -22,21 +22,9 @@ use dsa_faults::FaultConfig;
 use dsa_machines::presets::{atlas, b5000, multics};
 use dsa_machines::MachineReport;
 use dsa_metrics::table::Table;
-use dsa_probe::{CountingProbe, Event, LatencyProbe, Probe};
+use dsa_probe::CountingProbe;
+use dsa_telemetry::TelemetryProbe;
 use dsa_trace::rng::Rng64;
-
-/// Feeds one event stream to both sinks.
-struct Tee {
-    counts: CountingProbe,
-    latency: LatencyProbe,
-}
-
-impl Probe for Tee {
-    fn record(&mut self, event: &Event) {
-        self.counts.record(event);
-        self.latency.record(event);
-    }
-}
 
 /// The injected failure mix at a given transfer-error rate: bad frames
 /// at a tenth of the rate, channel stalls at the rate itself.
@@ -97,30 +85,27 @@ fn assert_reconciles(name: &str, rate: f64, r: &MachineReport, c: &CountingProbe
 
 fn run_one(name: &str, rate: f64, ops: &[ProgramOp]) -> Vec<String> {
     let seed = 6;
-    let mut tee = Tee {
-        counts: CountingProbe::new(),
-        latency: LatencyProbe::new(),
-    };
+    let mut probe = TelemetryProbe::new();
     let report = match name {
         "ATLAS" => atlas()
             .with_fault_injection(seed, config_at(rate))
-            .run_with(ops, &mut tee),
+            .run_with(ops, &mut probe),
         "B5000" => b5000()
             .with_fault_injection(seed, config_at(rate))
-            .run_with(ops, &mut tee),
+            .run_with(ops, &mut probe),
         "MULTICS" => multics()
             .with_fault_injection(seed, config_at(rate))
-            .run_with(ops, &mut tee),
+            .run_with(ops, &mut probe),
         other => unreachable!("unknown preset {other}"),
     };
     let r = report.unwrap_or_else(|e| panic!("{name} @ rate {rate}: {e}"));
-    assert_reconciles(name, rate, &r, &tee.counts);
+    assert_reconciles(name, rate, &r, &probe.counters());
 
     // Throughput: touches per millisecond of machine-busy time (fetch
     // waits plus addressing); the denominator is what faults inflate.
     let busy_ns = (r.fetch_time + r.map_time).as_nanos().max(1);
     let throughput = r.touches as f64 * 1e6 / busy_ns as f64;
-    let service = tee.latency.fault_service();
+    let service = probe.fetch_latency();
     vec![
         name.to_owned(),
         format!("{rate:.0e}"),
@@ -139,7 +124,7 @@ fn run_one(name: &str, rate: f64, ops: &[ProgramOp]) -> Vec<String> {
 
 fn main() {
     dsa_exec::cli::enforce_standard_flags("exp_06_faults", &[]);
-    let mut metrics = dsa_bench::metrics::RunMetrics::new("exp_06_faults");
+    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_06_faults");
     println!("E6b: graceful degradation under injected storage faults\n");
     let mut rng = Rng64::new(6);
     let program = survey_program_cfg().generate(&mut rng);
@@ -178,18 +163,15 @@ fn main() {
     }
     println!("{results}");
     metrics.table("degradation", &results);
-    metrics.emit();
+    dsa_bench::metrics::emit(&metrics);
 
     // Postmortem demonstration: with `--flight-recorder N`, replay the
-    // worst injected cell with a recorder handle teed into the probes
+    // worst injected cell with a recorder handle teed into the probe
     // and dump the tail of the event stream — exactly what a
     // production fault report would attach.
     if let Some(recorder) = dsa_bench::metrics::flight_recorder_from_env() {
-        let mut tee = Tee {
-            counts: CountingProbe::new(),
-            latency: LatencyProbe::new(),
-        };
-        let mut sink = dsa_probe::Tee(&mut tee, recorder.handle());
+        let mut probe = TelemetryProbe::new();
+        let mut sink = dsa_probe::Tee(&mut probe, recorder.handle());
         let report = atlas()
             .with_fault_injection(6, config_at(1e-2))
             .run_with(&program.ops, &mut sink)

@@ -30,7 +30,7 @@ use dsa_trace::rng::{Rng64, Zipf};
 
 fn main() {
     dsa_exec::cli::enforce_standard_flags("exp_06_page_size", &[]);
-    let mut metrics = dsa_bench::metrics::RunMetrics::new("exp_06_page_size");
+    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_06_page_size");
     println!("E6: the page-size dilemma (paging obscures fragmentation)\n");
 
     // Part 1: space overhead across page sizes.
@@ -137,7 +137,7 @@ fn main() {
     }
     println!("{t}");
     metrics.table("fault_behaviour", &t);
-    metrics.emit();
+    dsa_bench::metrics::emit(&metrics);
     println!(
         "{}\n",
         labelled_sparkline("fetch time vs page size", &curve)

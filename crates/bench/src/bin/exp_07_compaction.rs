@@ -89,7 +89,7 @@ fn run(events: &[AllocEvent], compact_on_failure: bool) -> RunOut {
 
 fn main() {
     dsa_exec::cli::enforce_standard_flags("exp_07_compaction", &[]);
-    let mut metrics = dsa_bench::metrics::RunMetrics::new("exp_07_compaction");
+    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_07_compaction");
     println!("E7: compaction — corrective data movement vs accepted fragmentation\n");
     let jobs = jobs_from_env();
     for mean_size in [80.0f64, 800.0] {
@@ -127,7 +127,7 @@ fn main() {
         println!("{t}");
         metrics.table(&format!("mean_{}", mean_size as u64), &t);
     }
-    metrics.emit();
+    dsa_bench::metrics::emit(&metrics);
     println!(
         "small requests (relative to storage): fragmentation rarely blocks\n\
          anything and accepting it is free — Wald's observation. large\n\

@@ -47,7 +47,7 @@ fn program(accuracy: Option<f64>, seed: u64) -> Vec<dsa_core::access::ProgramOp>
 
 fn main() {
     dsa_exec::cli::enforce_standard_flags("exp_08_advice", &[]);
-    let mut metrics = dsa_bench::metrics::RunMetrics::new("exp_08_advice");
+    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_08_advice");
     println!("E8: the value (and danger) of predictive information\n");
     let mut t = Table::new(&[
         "advice",
@@ -138,7 +138,7 @@ fn main() {
     }
     println!("{t}");
     metrics.table("advice", &t);
-    metrics.emit();
+    dsa_bench::metrics::emit(&metrics);
     println!(
         "the measured trade: fault rate falls monotonically with advice\n\
          accuracy (none {none_rate:.4} -> perfect {best_rate:.4}), but every\n\

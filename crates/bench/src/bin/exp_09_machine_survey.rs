@@ -14,7 +14,7 @@ use dsa_trace::rng::Rng64;
 
 fn main() {
     dsa_exec::cli::enforce_standard_flags("exp_09_machine_survey", &[]);
-    let mut metrics = dsa_bench::metrics::RunMetrics::new("exp_09_machine_survey");
+    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_09_machine_survey");
     println!("E9: the seven appendix machines under one workload\n");
     let mut rng = Rng64::new(9);
     let mut cfg = survey_program_cfg();
@@ -82,7 +82,7 @@ fn main() {
     println!("{chars}");
     println!("{results}");
     metrics.table("survey", &results);
-    metrics.emit();
+    dsa_bench::metrics::emit(&metrics);
     println!(
         "things to see: the segmented machines (B5000, Rice, B8500,\n\
          MULTICS) intercept every wild subscript while the linear and\n\

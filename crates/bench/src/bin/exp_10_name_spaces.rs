@@ -24,7 +24,7 @@ const OPS: usize = 30_000;
 
 fn main() {
     dsa_exec::cli::enforce_standard_flags("exp_10_name_spaces", &[]);
-    let mut metrics = dsa_bench::metrics::RunMetrics::new("exp_10_name_spaces");
+    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_10_name_spaces");
     println!("E10: segment-name bookkeeping — symbolic vs linear dictionaries\n");
     let mut t = Table::new(&[
         "target occupancy",
@@ -96,7 +96,7 @@ fn main() {
     }
     println!("{t}");
     metrics.table("name_spaces", &t);
-    metrics.emit();
+    dsa_bench::metrics::emit(&metrics);
     println!(
         "at half occupancy the two differ only by the linear dictionary's\n\
          range search; as the number space fills, the linear dictionary\n\

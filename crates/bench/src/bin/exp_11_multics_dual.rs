@@ -26,7 +26,7 @@ fn mix_pages(r: Words, small: Words, large: Words) -> u64 {
 
 fn main() {
     dsa_exec::cli::enforce_standard_flags("exp_11_multics_dual", &[]);
-    let mut metrics = dsa_bench::metrics::RunMetrics::new("exp_11_multics_dual");
+    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_11_multics_dual");
     println!("E11: the MULTICS dual page size (64 + 1024 words)\n");
     let populations: Vec<(&str, SizeDist)> = vec![
         (
@@ -92,7 +92,7 @@ fn main() {
         println!("{table}");
         metrics.table(&format!("population_{pi}"), &table);
     }
-    metrics.emit();
+    dsa_bench::metrics::emit(&metrics);
     println!(
         "uniform 64 has tiny waste but an order of magnitude more page\n\
          table entries to manage (and, per E6, more fetch latencies);\n\

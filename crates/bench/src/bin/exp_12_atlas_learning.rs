@@ -50,7 +50,7 @@ fn fault_rate(trace: &[PageNo], policy: Box<dyn dsa_paging::replacement::Replace
 
 fn main() {
     dsa_exec::cli::enforce_standard_flags("exp_12_atlas_learning", &[]);
-    let mut metrics = dsa_bench::metrics::RunMetrics::new("exp_12_atlas_learning");
+    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_12_atlas_learning");
     println!("E12: the ATLAS learning program vs period regularity\n");
     let jobs = jobs_from_env();
     let mut t = Table::new(&[
@@ -134,7 +134,7 @@ fn main() {
     }
     println!("{t}");
     metrics.table("vacant_reserve", &t);
-    metrics.emit();
+    dsa_bench::metrics::emit(&metrics);
     println!(
         "at zero jitter the learning program tracks MIN exactly — the\n\
          periods it learns are the truth — while LRU, fooled by cyclic\n\

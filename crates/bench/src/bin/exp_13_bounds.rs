@@ -17,7 +17,7 @@ use dsa_trace::rng::Rng64;
 
 fn main() {
     dsa_exec::cli::enforce_standard_flags("exp_13_bounds", &[]);
-    let mut metrics = dsa_bench::metrics::RunMetrics::new("exp_13_bounds");
+    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_13_bounds");
     println!("E13: bounds checking across the seven machines\n");
     let mut cfg = survey_program_cfg();
     cfg.wild_touch_prob = 0.01; // 1% of touches are illegal subscripts
@@ -59,7 +59,7 @@ fn main() {
     }
     println!("{t}");
     metrics.table("bounds", &t);
-    metrics.emit();
+    dsa_bench::metrics::emit(&metrics);
     println!(
         "the per-object segmented machines intercept every violation; the\n\
          linear machines (ATLAS, M44) intercept none — a wild subscript\n\

@@ -30,7 +30,7 @@ fn level(name: &str, cycle_ns: u64, capacity: u64) -> LevelSpec {
 
 fn main() {
     dsa_exec::cli::enforce_standard_flags("exp_14_promotion", &[]);
-    let mut metrics = dsa_bench::metrics::RunMetrics::new("exp_14_promotion");
+    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_14_promotion");
     println!("E14: promotion between directly addressable storage levels\n");
     let mut t = Table::new(&[
         "fast/slow cycle",
@@ -105,7 +105,7 @@ fn main() {
     }
     println!("{t}");
     metrics.table("simulated", &t);
-    metrics.emit();
+    dsa_bench::metrics::emit(&metrics);
     println!(
         "the break-even count scales linearly with block size and shrinks\n\
          as the speed gap widens: promoting a 4K block into a scratchpad\n\

@@ -98,7 +98,7 @@ fn run(programs: u32, share: bool, rng: &mut Rng64) -> (Words, Words, u64) {
 
 fn main() {
     dsa_exec::cli::enforce_standard_flags("exp_15_sharing", &[]);
-    let mut metrics = dsa_bench::metrics::RunMetrics::new("exp_15_sharing");
+    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_15_sharing");
     println!("E15: segments as the unit of protection and sharing\n");
     let mut t = Table::new(&[
         "programs",
@@ -172,7 +172,7 @@ fn main() {
         &[],
         s.stats().checks,
     );
-    metrics.emit();
+    dsa_bench::metrics::emit(&metrics);
     println!(
         "\nsharing keeps one resident copy of the library no matter how many\n\
          programs execute it: resident words and fetch traffic stay flat\n\

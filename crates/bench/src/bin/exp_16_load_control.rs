@@ -55,7 +55,7 @@ fn cfg() -> SimConfig {
 
 fn main() {
     dsa_exec::cli::enforce_standard_flags("exp_16_load_control", &[]);
-    let mut metrics = dsa_bench::metrics::RunMetrics::new("exp_16_load_control");
+    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_16_load_control");
     println!("E16: independent vs integrated scheduling and storage allocation\n");
     let mut t = Table::new(&[
         "jobs",
@@ -102,7 +102,7 @@ fn main() {
     }
     println!("{t}");
     metrics.table("load_control", &t);
-    metrics.emit();
+    dsa_bench::metrics::emit(&metrics);
     println!(
         "below saturation (2-3 jobs' working sets fit in 32 frames) the two\n\
          policies are identical. past it, the independent scheduler's jobs\n\

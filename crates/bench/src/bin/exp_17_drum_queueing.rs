@@ -21,7 +21,7 @@ type DepthCell = (usize, Vec<(Vec<u64>, Cycles)>);
 
 fn main() {
     dsa_exec::cli::enforce_standard_flags("exp_17_drum_queueing", &[]);
-    let mut metrics = dsa_bench::metrics::RunMetrics::new("exp_17_drum_queueing");
+    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_17_drum_queueing");
     println!("E17: FIFO vs shortest-latency-first drum queueing\n");
     let drum = SectorDrum::atlas();
     println!(
@@ -100,7 +100,7 @@ fn main() {
     }
     println!("{t}");
     metrics.table("drum_queueing", &t);
-    metrics.emit();
+    dsa_bench::metrics::emit(&metrics);
     println!(
         "{}\n",
         labelled_sparkline("SLTF speedup vs queue depth", &curve)

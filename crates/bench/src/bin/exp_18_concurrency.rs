@@ -23,12 +23,11 @@
 use std::time::Instant;
 
 use dsa_arena::{ArenaError, ArenaService, FixedSlab, ShardedArena};
-use dsa_bench::metrics::RunMetrics;
 use dsa_exec::cli;
 use dsa_freelist::Placement;
 use dsa_metrics::table::Table;
 use dsa_probe::{CountingProbe, Stamp};
-use dsa_telemetry::{FlightRecorder, HeatFrame, HeatmapSampler};
+use dsa_telemetry::{FlightRecorder, HeatFrame, HeatmapSampler, TelemetrySnapshot};
 use dsa_trace::rng::Rng64;
 
 /// Ops per worker stream (alloc/free mixed, plus the drain tail).
@@ -158,7 +157,7 @@ fn reconciled(svc: &ArenaService, t: &Tally) -> bool {
 
 fn main() {
     cli::enforce_standard_flags("exp_18_concurrency", &[cli::SHARDS]);
-    let mut metrics = RunMetrics::new("exp_18_concurrency");
+    let mut metrics = TelemetrySnapshot::new("exp_18_concurrency");
     // Workers are a workload parameter (clients of the service), not a
     // grid fan-out: default 4 even on narrow hosts, `--jobs` overrides.
     let workers = match cli::parse_jobs(std::env::args().skip(1)) {
@@ -262,7 +261,7 @@ fn main() {
             labels,
             interval.allocs as f64 / elapsed.max(1e-9) / 1e6,
         );
-        metrics.emit();
+        dsa_bench::metrics::emit(&metrics);
         println!(
             "interval {round} ({shards} shards): {} allocs, {} frees, \
              {} searched holes",
@@ -303,7 +302,7 @@ fn main() {
     }
     println!("{t}");
     metrics.table("shard_telemetry", &t);
-    tel.export_into(metrics.snapshot());
+    tel.export_into(&mut metrics);
 
     // Fragmentation heatmap: a deterministic single-threaded replay of
     // one worker's stream against a small 4-shard arena, the global
@@ -415,7 +414,7 @@ fn main() {
     }
     println!("{t}");
     metrics.table("slab_sweep", &t);
-    metrics.emit();
+    dsa_bench::metrics::emit(&metrics);
     println!(
         "shards cut lock conflicts (home-shard hashing spreads ids), at the\n\
          price of steals once a shard fills; the slab needs no locks at all —\n\

@@ -23,13 +23,12 @@
 //! schedule that is a pure function of (seed, stream).
 
 use dsa_arena::{ArenaService, OverloadConfig, OverloadGuard, Priority};
-use dsa_bench::metrics::RunMetrics;
 use dsa_exec::{cli, par_map, product2};
 use dsa_faults::{FaultConfig, SyncFaultInjector, WorkerInjector};
 use dsa_freelist::Placement;
 use dsa_metrics::table::Table;
 use dsa_probe::NullProbe;
-use dsa_telemetry::FlightRecorder;
+use dsa_telemetry::{FlightRecorder, TelemetrySnapshot};
 use dsa_trace::rng::Rng64;
 
 /// Words per shard; the shard *count* comes from `--shards`
@@ -269,7 +268,7 @@ fn main() {
         geo.capacity(),
         geo.offered_target(),
     );
-    let mut metrics = RunMetrics::new("exp_19_overload");
+    let mut metrics = TelemetrySnapshot::new("exp_19_overload");
     println!("E19: overload-hardened service — collapse vs graceful saturation\n");
     println!(
         "striped arena: {shards} shards x {shard_words} words = {capacity} words; every cell \
@@ -354,7 +353,7 @@ fn main() {
     println!("shed postmortem: low tenant fills 2x512 words, then one 160-word high alloc");
     println!("high-priority alloc: {verdict}");
     println!("{}", recorder.postmortem(14));
-    showcase.export_into(metrics.snapshot());
+    showcase.export_into(&mut metrics);
 
     // Part 3: multithreaded reconciliation. Four workers (fixed — the
     // `--jobs` flag fans grid cells, never this traffic) churn one
@@ -442,5 +441,5 @@ fn main() {
              exactly through all of it.\n"
         );
     }
-    metrics.emit();
+    dsa_bench::metrics::emit(&metrics);
 }

@@ -24,12 +24,12 @@
 //! the deterministic fault counts and curve, pinned by the golden
 //! gauntlet at `--refs 200000`.
 
-use dsa_bench::metrics::RunMetrics;
 use dsa_exec::cli;
 use dsa_metrics::table::Table;
 use dsa_paging::replacement::lru::LruRepl;
 use dsa_paging::PagedMemory;
 use dsa_stackdist::streaming::StreamingLru;
+use dsa_telemetry::TelemetrySnapshot;
 use dsa_trace::refstring::RefStringCfg;
 
 /// The `--refs N` flag: how many references to stream (default 10⁷).
@@ -65,7 +65,7 @@ fn main() {
     cli::enforce_standard_flags("exp_20_trace_scale", &[REFS, MAX_RSS_MB]);
     let refs = cli::count_flag_from_env(REFS).unwrap_or(10_000_000);
     let max_rss_mb = cli::count_flag_from_env(MAX_RSS_MB);
-    let mut metrics = RunMetrics::new("exp_20_trace_scale");
+    let mut metrics = TelemetrySnapshot::new("exp_20_trace_scale");
     println!("E20: trace scale — streamed references, constant memory\n");
     println!(
         "{refs} references, hot/cold over {PAGES} pages (hot {HOT}), streamed —\n\
@@ -150,5 +150,5 @@ fn main() {
             }
         }
     }
-    metrics.emit();
+    dsa_bench::metrics::emit(&metrics);
 }

@@ -30,9 +30,9 @@ use std::sync::mpsc;
 use std::time::Instant;
 
 use dsa_alloc::{DsaHeap, HeapConfig, ThreadCache, MAG_MAX};
-use dsa_bench::metrics::RunMetrics;
 use dsa_exec::cli;
 use dsa_metrics::table::Table;
+use dsa_telemetry::TelemetrySnapshot;
 use dsa_trace::rng::Rng64;
 
 /// The `--ops N` flag: churn operations per timed phase.
@@ -159,7 +159,7 @@ unsafe impl Send for Parcel {}
 
 /// Producer/consumer: `count` objects allocated on one thread, freed
 /// on another, every one crossing caches through the depot.
-fn cross_thread_phase(heap: &DsaHeap, count: usize, metrics: &mut RunMetrics) {
+fn cross_thread_phase(heap: &DsaHeap, count: usize, metrics: &mut TelemetrySnapshot) {
     std::thread::scope(|scope| {
         let (tx, rx) = mpsc::sync_channel::<Parcel>(64);
         scope.spawn(move || {
@@ -208,7 +208,7 @@ fn cross_thread_phase(heap: &DsaHeap, count: usize, metrics: &mut RunMetrics) {
 fn main() {
     cli::enforce_standard_flags("exp_21_global_alloc", &[OPS]);
     let ops = cli::count_flag_from_env(OPS).unwrap_or(2_000_000) as u64;
-    let mut metrics = RunMetrics::new("exp_21_global_alloc");
+    let mut metrics = TelemetrySnapshot::new("exp_21_global_alloc");
     println!("E21: a real allocator — slab classes, magazines, vs the system allocator\n");
     println!(
         "{ops} ops per phase, {WINDOW}-slot live window, jemalloc-ladder sizes\n\
@@ -311,5 +311,5 @@ fn main() {
         s.slab_exhausted,
         s.bad_frees
     );
-    metrics.emit();
+    dsa_bench::metrics::emit(&metrics);
 }

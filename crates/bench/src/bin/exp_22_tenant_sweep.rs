@@ -24,7 +24,6 @@
 //! working-set estimates for a sampled cohort — without touching
 //! stdout.
 
-use dsa_bench::metrics::RunMetrics;
 use dsa_core::clock::Cycles;
 use dsa_exec::{cli, jobs_from_env};
 use dsa_metrics::table::Table;
@@ -32,6 +31,7 @@ use dsa_sched::admission::{estimate_ws, AdmissionPolicy, LoadControlCfg};
 use dsa_sched::sim::SimConfig;
 use dsa_sched::sweep::{tenant_sweep, SweepCell, SweepPoint};
 use dsa_sched::tenant::{TenantSpec, TraceSpec};
+use dsa_telemetry::TelemetrySnapshot;
 use dsa_trace::refstring::RefStringCfg;
 
 /// References per tenant: short sessions, population-scale count.
@@ -99,7 +99,7 @@ fn main() {
     let max = cli::count_flag_from_env(TENANTS)
         .unwrap_or(100_000)
         .max(100);
-    let mut metrics = RunMetrics::new("exp_22_tenant_sweep");
+    let mut metrics = TelemetrySnapshot::new("exp_22_tenant_sweep");
     println!("E22: population-scale multi-tenant scheduling\n");
     println!(
         "populations up to {max} tenants, ~{SET}-page working sets over\n\
@@ -233,7 +233,7 @@ fn main() {
             );
         }
     }
-    metrics.emit();
+    dsa_bench::metrics::emit(&metrics);
 
     println!(
         "with one frame per tenant, open admission gives every tenant a\n\

@@ -1,84 +1,34 @@
 //! End-of-run metrics emission shared by every experiment binary.
 //!
-//! Each `exp_*` binary builds a [`RunMetrics`], registers whatever it
-//! already prints (result tables, probe counters, distributions), and
-//! calls [`RunMetrics::emit`] last. If the user passed
-//! `--metrics-out PATH` the registered series are written there —
-//! JSON for a `.json` path, Prometheus text exposition otherwise —
+//! Each `exp_*` binary builds a [`TelemetrySnapshot`] namespaced by its
+//! own name, registers whatever it already prints (result tables, probe
+//! counters, distributions), and calls [`emit`] last. If the user
+//! passed `--metrics-out PATH` the registered series are written there
+//! — JSON for a `.json` path, Prometheus text exposition otherwise —
 //! and nothing is written at all when the flag is absent, so the
 //! binaries' stdout stays byte-identical to the golden gauntlet.
 //!
-//! Registration order is the serialization order, and every binary
-//! registers in its deterministic print order, so the emitted file is
-//! byte-stable across runs and across `--jobs` settings.
+//! Every binary registers in its deterministic print order, so the
+//! emitted file is byte-stable across runs and across `--jobs`
+//! settings.
 
-use dsa_metrics::{Histogram, Table};
-use dsa_probe::CountingProbe;
 use dsa_telemetry::{FlightRecorder, TelemetrySnapshot};
 
-/// The per-run metrics registry behind `--metrics-out`.
-pub struct RunMetrics {
-    snapshot: TelemetrySnapshot,
-}
-
-impl RunMetrics {
-    /// A registry namespaced by the binary name (sanitized to the
-    /// Prometheus alphabet by the exporter).
-    #[must_use]
-    pub fn new(bin: &str) -> RunMetrics {
-        RunMetrics {
-            snapshot: TelemetrySnapshot::new(bin),
-        }
-    }
-
-    /// Registers every numeric cell of a printed result table as a
-    /// gauge labelled by the table's first column.
-    pub fn table(&mut self, name: &str, table: &Table) {
-        self.snapshot.table(name, table);
-    }
-
-    /// Registers the standard counter set of a [`CountingProbe`].
-    pub fn probe(&mut self, probe: &CountingProbe, labels: &[(&str, &str)]) {
-        self.snapshot.counting_probe(probe, labels);
-    }
-
-    /// Registers one counter.
-    pub fn counter(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: u64) {
-        self.snapshot.counter(name, help, labels, value);
-    }
-
-    /// Registers one gauge.
-    pub fn gauge(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
-        self.snapshot.gauge(name, help, labels, value);
-    }
-
-    /// Registers one distribution.
-    pub fn histogram(&mut self, name: &str, help: &str, labels: &[(&str, &str)], h: &Histogram) {
-        self.snapshot.histogram(name, help, labels, h);
-    }
-
-    /// The underlying snapshot, for deep wiring (e.g. the arena
-    /// service exporting its sharded histograms directly).
-    pub fn snapshot(&mut self) -> &mut TelemetrySnapshot {
-        &mut self.snapshot
-    }
-
-    /// Writes the registry to the `--metrics-out` path, if one was
-    /// given on the command line. No flag, no file, no output.
-    pub fn emit(&self) {
-        let Some(path) = dsa_exec::cli::metrics_out_from_env() else {
-            return;
-        };
-        match self.snapshot.write(&path) {
-            Ok(()) => eprintln!(
-                "metrics: wrote {} series to {}",
-                self.snapshot.len(),
-                path.display()
-            ),
-            Err(e) => {
-                eprintln!("metrics: cannot write {}: {e}", path.display());
-                std::process::exit(2);
-            }
+/// Writes `snapshot` to the `--metrics-out` path, if one was given on
+/// the command line. No flag, no file, no output.
+pub fn emit(snapshot: &TelemetrySnapshot) {
+    let Some(path) = dsa_exec::cli::metrics_out_from_env() else {
+        return;
+    };
+    match snapshot.write(&path) {
+        Ok(()) => eprintln!(
+            "metrics: wrote {} series to {}",
+            snapshot.len(),
+            path.display()
+        ),
+        Err(e) => {
+            eprintln!("metrics: cannot write {}: {e}", path.display());
+            std::process::exit(2);
         }
     }
 }

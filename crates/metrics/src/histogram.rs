@@ -1,16 +1,13 @@
 //! Bucketed histograms with percentile queries.
 
-use core::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How sample values are mapped to buckets — the public, copyable
 /// description of a histogram's geometry.
 ///
-/// Two sinks built from the same `BucketSpec` are guaranteed to bucket
-/// identically, which is what lets a relaxed-atomic accumulator
-/// (`dsa-telemetry`'s `AtomicHistogram`) reassemble an ordinary
-/// [`Histogram`] via [`Histogram::from_parts`] and answer percentile
-/// queries through this crate's single [`Histogram::quantile`]
-/// implementation instead of growing its own.
+/// Two histograms built from the same `BucketSpec` bucket identically,
+/// which is what lets every distribution of one kind (see [`geometry`])
+/// be compared bucket for bucket.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BucketSpec {
     /// `buckets` equal-width buckets of `width` covering
@@ -41,7 +38,7 @@ impl BucketSpec {
     /// The bucket index of sample `v`, or `None` when it falls in the
     /// overflow region.
     #[must_use]
-    pub fn index_of(&self, v: u64) -> Option<usize> {
+    pub(crate) fn index_of(&self, v: u64) -> Option<usize> {
         let idx = match *self {
             BucketSpec::Linear { width, .. } => (v / width) as usize,
             BucketSpec::Log2 { .. } => {
@@ -87,9 +84,10 @@ impl BucketSpec {
 }
 
 /// Shared histogram geometries: the one place the standard telemetry
-/// distributions are shaped, so the sequential probes (`LatencyProbe`)
-/// and the always-on atomic telemetry report percentiles over the exact
-/// same buckets and can never diverge.
+/// distributions are shaped, so every sink that records one of them
+/// (`dsa-telemetry`'s `TelemetryProbe`, the arena service's per-shard
+/// and per-class distributions) reports percentiles over the exact same
+/// buckets.
 pub mod geometry {
     use super::BucketSpec;
 
@@ -106,11 +104,25 @@ pub mod geometry {
     pub const ALLOC_WORDS: BucketSpec = BucketSpec::Log2 { buckets: 32 };
 }
 
-/// A histogram over `u64` samples.
+/// A histogram over `u64` samples, recordable by one owner or by any
+/// number of threads at once.
 ///
 /// Samples beyond the last bucket are counted in an overflow bucket so
 /// totals and means remain exact; percentiles saturate at the overflow
 /// bucket's lower bound.
+///
+/// Every cell is an `AtomicU64`. [`Histogram::record`] takes `&mut self`
+/// and reaches the cells through `get_mut`: plain adds, no locked
+/// instruction. [`Histogram::record_shared`] takes `&self` and costs
+/// three relaxed read-modify-writes (bucket, sum, max). The counters
+/// are commutative and publish no other data, so relaxed ordering loses
+/// nothing; a join, or any other happens-before edge to the reader, is
+/// the only synchronization a reader needs. The count is not a cell of
+/// its own: it is the buckets plus the overflow, summed when read.
+///
+/// The sum is a `u64` and wraps at 2⁶⁴: with nanosecond samples that is
+/// ~584 years of accumulated latency, far beyond any run this workspace
+/// performs.
 ///
 /// # Examples
 ///
@@ -124,15 +136,26 @@ pub mod geometry {
 /// assert_eq!(h.count(), 5);
 /// assert_eq!(h.bucket_count(0), 2);
 /// assert_eq!(h.overflow(), 1);
+///
+/// let shared = Histogram::log2(16);
+/// std::thread::scope(|s| {
+///     for _ in 0..4 {
+///         s.spawn(|| {
+///             for v in 0..100u64 {
+///                 shared.record_shared(v);
+///             }
+///         });
+///     }
+/// });
+/// assert_eq!(shared.count(), 400);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Histogram {
     spec: BucketSpec,
-    buckets: Vec<u64>,
-    overflow: u64,
-    count: u64,
-    sum: u128,
-    max: u64,
+    buckets: Vec<AtomicU64>,
+    overflow: AtomicU64,
+    sum: AtomicU64,
+    max: AtomicU64,
 }
 
 impl Histogram {
@@ -147,11 +170,12 @@ impl Histogram {
         spec.validate();
         Histogram {
             spec,
-            buckets: vec![0; spec.bucket_count()],
-            overflow: 0,
-            count: 0,
-            sum: 0,
-            max: 0,
+            buckets: (0..spec.bucket_count())
+                .map(|_| AtomicU64::new(0))
+                .collect(),
+            overflow: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
         }
     }
 
@@ -176,51 +200,10 @@ impl Histogram {
         Histogram::with_spec(BucketSpec::Log2 { buckets: n })
     }
 
-    /// Reassembles a histogram from externally accumulated parts — the
-    /// bridge that lets an atomic accumulator freeze its relaxed
-    /// counters into an ordinary histogram and answer quantile queries
-    /// through the one implementation here.
-    ///
-    /// `buckets[i]` is the sample count of bucket `i` under `spec`;
-    /// `overflow`, `sum` and `max` describe the same sample set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets.len()` disagrees with the spec or the bucket
-    /// counts plus overflow don't sum to `count`.
-    #[must_use]
-    pub fn from_parts(
-        spec: BucketSpec,
-        buckets: Vec<u64>,
-        overflow: u64,
-        sum: u128,
-        max: u64,
-    ) -> Histogram {
-        spec.validate();
-        assert_eq!(
-            buckets.len(),
-            spec.bucket_count(),
-            "bucket vector disagrees with the spec"
-        );
-        let count = buckets.iter().sum::<u64>() + overflow;
-        Histogram {
-            spec,
-            buckets,
-            overflow,
-            count,
-            sum,
-            max,
-        }
-    }
-
-    /// This histogram's bucketing, for building a matching accumulator.
+    /// This histogram's bucketing.
     #[must_use]
     pub fn spec(&self) -> BucketSpec {
         self.spec
-    }
-
-    fn bucket_of(&self, v: u64) -> Option<usize> {
-        self.spec.index_of(v)
     }
 
     /// Lower bound of bucket `i`.
@@ -229,55 +212,75 @@ impl Histogram {
         self.spec.low(i)
     }
 
-    /// Records one sample.
+    /// Records one sample for an exclusive holder: the borrow checker
+    /// is the proof that no other thread sees the cells, so nothing
+    /// here is a locked instruction.
+    // `#[inline]` so that a sink in another crate (`TelemetryProbe`)
+    // keeps the sample on its own hot path in builds without LTO.
+    #[inline]
     pub fn record(&mut self, v: u64) {
-        match self.bucket_of(v) {
-            Some(i) => self.buckets[i] += 1,
-            None => self.overflow += 1,
-        }
-        self.count += 1;
-        self.sum += u128::from(v);
-        self.max = self.max.max(v);
+        let cell = match self.spec.index_of(v) {
+            Some(i) => &mut self.buckets[i],
+            None => &mut self.overflow,
+        };
+        *cell.get_mut() += 1;
+        let sum = self.sum.get_mut();
+        *sum = sum.wrapping_add(v);
+        let max = self.max.get_mut();
+        *max = (*max).max(v);
+    }
+
+    /// Records one sample through a shared reference: two relaxed
+    /// `fetch_add`s and a `fetch_max`, leaving the state
+    /// [`Histogram::record`] would.
+    #[inline]
+    pub fn record_shared(&self, v: u64) {
+        let cell = match self.spec.index_of(v) {
+            Some(i) => &self.buckets[i],
+            None => &self.overflow,
+        };
+        cell.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Total number of samples.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.count
+        self.buckets.iter().map(load).sum::<u64>() + self.overflow()
     }
 
-    /// Exact sum of all samples.
+    /// Sum of all samples, modulo 2⁶⁴.
     #[must_use]
-    pub fn sum(&self) -> u128 {
-        self.sum
+    pub fn sum(&self) -> u64 {
+        load(&self.sum)
     }
 
-    /// Exact mean of all samples, or 0 if empty.
+    /// Mean of all samples, or 0 if empty.
     #[must_use]
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
+        match self.count() {
+            0 => 0.0,
+            n => self.sum() as f64 / n as f64,
         }
     }
 
     /// Largest sample seen, or 0 if empty.
     #[must_use]
     pub fn max(&self) -> u64 {
-        self.max
+        load(&self.max)
     }
 
     /// Number of samples in bucket `i`.
     #[must_use]
     pub fn bucket_count(&self, i: usize) -> u64 {
-        self.buckets[i]
+        load(&self.buckets[i])
     }
 
     /// Number of samples beyond the last bucket.
     #[must_use]
     pub fn overflow(&self) -> u64 {
-        self.overflow
+        load(&self.overflow)
     }
 
     /// The lower bound of the bucket containing the `q`-quantile
@@ -285,22 +288,24 @@ impl Histogram {
     /// overflow region's lower bound.
     #[must_use]
     pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
+        let count = self.count();
+        if count == 0 {
             return 0;
         }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
+        let target = (q.clamp(0.0, 1.0) * count as f64).ceil().max(1.0) as u64;
         let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
+        for (i, c) in self.buckets.iter().enumerate() {
+            seen += load(c);
             if seen >= target {
                 return self.bucket_low(i);
             }
         }
         // Target lies in the overflow region.
-        self.bucket_low(self.buckets.len() - 1)
+        let last = self.buckets.len() - 1;
+        self.bucket_low(last)
             + match self.spec {
                 BucketSpec::Linear { width, .. } => width,
-                BucketSpec::Log2 { .. } => self.bucket_low(self.buckets.len() - 1),
+                BucketSpec::Log2 { .. } => self.bucket_low(last),
             }
     }
 
@@ -309,30 +314,27 @@ impl Histogram {
         self.buckets
             .iter()
             .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (self.bucket_low(i), c))
+            .map(|(i, c)| (self.bucket_low(i), load(c)))
+            .filter(|&(_, c)| c > 0)
     }
 }
 
-impl fmt::Display for Histogram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "n={} mean={:.1} max={}",
-            self.count,
-            self.mean(),
-            self.max
-        )?;
-        let peak = self.buckets.iter().copied().max().unwrap_or(0).max(1);
-        for (low, c) in self.nonempty_buckets() {
-            let bar = "#".repeat((c * 40 / peak) as usize);
-            writeln!(f, "{low:>10} | {bar} {c}")?;
+/// A copy of every cell as it reads now.
+impl Clone for Histogram {
+    fn clone(&self) -> Histogram {
+        let copy = |cell: &AtomicU64| AtomicU64::new(load(cell));
+        Histogram {
+            spec: self.spec,
+            buckets: self.buckets.iter().map(copy).collect(),
+            overflow: copy(&self.overflow),
+            sum: copy(&self.sum),
+            max: copy(&self.max),
         }
-        if self.overflow > 0 {
-            writeln!(f, "  overflow | {}", self.overflow)?;
-        }
-        Ok(())
     }
+}
+
+fn load(cell: &AtomicU64) -> u64 {
+    cell.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
@@ -410,41 +412,56 @@ mod tests {
     }
 
     #[test]
-    fn display_draws_bars() {
-        let mut h = Histogram::linear(10, 4);
-        h.record(5);
-        h.record(5);
-        h.record(35);
-        let s = h.to_string();
-        assert!(s.contains('#'), "{s}");
-        assert!(s.contains("n=3"), "{s}");
+    fn shared_recording_leaves_the_exclusive_state() {
+        let shared = Histogram::with_spec(geometry::SEARCH_LEN);
+        let mut exclusive = Histogram::with_spec(geometry::SEARCH_LEN);
+        for v in [0u64, 1, 7, 64, 900, 1 << 20, u64::MAX, 3] {
+            shared.record_shared(v);
+            exclusive.record(v);
+        }
+        assert_eq!(exclusive.count(), shared.count());
+        assert_eq!(exclusive.sum(), shared.sum());
+        assert_eq!(exclusive.max(), shared.max());
+        assert_eq!(exclusive.overflow(), shared.overflow());
+        for i in 0..geometry::SEARCH_LEN.bucket_count() {
+            assert_eq!(
+                exclusive.bucket_count(i),
+                shared.bucket_count(i),
+                "bucket {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn sum_wraps_at_two_to_the_sixty_four() {
+        let mut h = Histogram::log2(8);
+        h.record(u64::MAX);
+        h.record(2);
+        assert_eq!(h.sum(), 1);
+        assert_eq!(h.count(), 2);
+        assert_eq!(h.max(), u64::MAX);
+    }
+
+    #[test]
+    fn clone_copies_every_cell() {
+        let mut h = Histogram::linear(10, 2);
+        for v in [3u64, 12, 500] {
+            h.record(v);
+        }
+        let copy = h.clone();
+        h.record(4);
+        assert_eq!(copy.count(), 3);
+        assert_eq!(copy.sum(), 515);
+        assert_eq!(copy.max(), 500);
+        assert_eq!(copy.overflow(), 1);
+        assert_eq!(copy.bucket_count(0), 1);
+        assert_eq!(h.bucket_count(0), 2);
     }
 }
 
 #[cfg(test)]
 mod edge_tests {
     use super::*;
-
-    #[test]
-    fn from_parts_reassembles_exactly() {
-        let mut direct = Histogram::log2(8);
-        for v in [0u64, 1, 3, 9, 200, 3000] {
-            direct.record(v);
-        }
-        let rebuilt = Histogram::from_parts(
-            direct.spec(),
-            (0..8).map(|i| direct.bucket_count(i)).collect(),
-            direct.overflow(),
-            direct.sum(),
-            direct.max(),
-        );
-        assert_eq!(rebuilt.count(), direct.count());
-        assert_eq!(rebuilt.sum(), direct.sum());
-        assert_eq!(rebuilt.max(), direct.max());
-        for q in [0.0, 0.5, 0.9, 1.0] {
-            assert_eq!(rebuilt.quantile(q), direct.quantile(q));
-        }
-    }
 
     #[test]
     fn spec_index_matches_recording() {
@@ -464,12 +481,6 @@ mod edge_tests {
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "disagrees with the spec")]
-    fn from_parts_checks_bucket_arity() {
-        let _ = Histogram::from_parts(BucketSpec::Log2 { buckets: 4 }, vec![0; 3], 0, 0, 0);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! small, dependency-free measurement kit those experiments need:
 //!
 //! * [`histogram::Histogram`] — linear- or log-bucketed histograms with
-//!   percentile queries;
+//!   percentile queries, recorded by `&mut` with plain adds or by `&`
+//!   from any number of threads with relaxed atomics;
 //! * [`spacetime::SpaceTimeMeter`] — the space-time integral of Figure 3,
 //!   split into *active* and *page-wait* components;
 //! * [`table::Table`] — fixed-width table rendering so every experiment

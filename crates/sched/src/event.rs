@@ -21,7 +21,7 @@
 //! * every probe emission is stamped through one `crate::vclock::VClock`
 //!   — fetch-channel queueing and degradation-ladder interventions
 //!   read the same clock the event queue is keyed by, so
-//!   `LatencyProbe` percentiles reconcile with the queue's chronology
+//!   `TelemetryProbe` percentiles reconcile with the queue's chronology
 //!   by construction;
 //! * the space-time product of Figure 3 is integrated where a tenant
 //!   changes phase (dispatch, fault, wake, quantum end, finish), never

@@ -6,7 +6,7 @@
 //! and degradation-ladder interventions (which happen "now", between
 //! references). When each site hand-stamps its own `Cycles`, the
 //! streams drift: a `FetchStart` stamped at fault time but queued a
-//! millisecond behind the drum makes `LatencyProbe`'s inter-fault
+//! millisecond behind the drum makes `TelemetryProbe`'s inter-fault
 //! percentiles disagree with the event queue's own chronology.
 //!
 //! `VClock` closes the gap by being the *only* source of stamps: the

@@ -9,7 +9,8 @@
 //! as JSON.
 //!
 //! Rendering is fully deterministic — entries appear in registration
-//! order, histogram buckets in geometry order, no timestamps — so two
+//! order (grouped by metric name in the Prometheus rendering),
+//! histogram buckets in geometry order, no timestamps — so two
 //! runs of a deterministic experiment produce byte-identical files
 //! regardless of `--jobs` width; CI asserts exactly that.
 
@@ -76,8 +77,8 @@ impl TelemetrySnapshot {
         self.push(name, help, labels, Value::Gauge(value));
     }
 
-    /// Registers a frozen histogram (typically an
-    /// `AtomicHistogram::snapshot` or a probe's distribution).
+    /// Registers a copy of a histogram as it reads now (typically one of
+    /// a `TelemetryProbe`'s distributions).
     pub fn histogram(&mut self, name: &str, help: &str, labels: &[(&str, &str)], h: &Histogram) {
         self.push(name, help, labels, Value::Histogram(h.clone()));
     }
@@ -143,15 +144,23 @@ impl TelemetrySnapshot {
         self.entries.len()
     }
 
-    /// Renders the registry in Prometheus text exposition format:
-    /// `# HELP`/`# TYPE` once per metric name (at its first
-    /// registration), histograms as cumulative `_bucket{le=...}` series
-    /// plus `_sum` and `_count`.
+    /// Renders the registry in Prometheus text exposition format: each
+    /// metric name's samples as one group, as the format requires,
+    /// groups in order of first registration and samples within a group
+    /// in registration order; `# HELP`/`# TYPE` head each group,
+    /// histograms render as cumulative `_bucket{le=...}` series plus
+    /// `_sum` and `_count`.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
+        let mut grouped: Vec<&Entry> = Vec::with_capacity(self.entries.len());
+        for e in &self.entries {
+            if !grouped.iter().any(|g| g.name == e.name) {
+                grouped.extend(self.entries.iter().filter(|x| x.name == e.name));
+            }
+        }
         let mut out = String::new();
         let mut described: Vec<&str> = Vec::new();
-        for e in &self.entries {
+        for e in grouped {
             let full = format!("{}_{}", self.namespace, e.name);
             let kind = match e.value {
                 Value::Counter(_) => "counter",
@@ -385,6 +394,30 @@ mod tests {
         assert!(text.contains("dsa_allocs_total{shard=\"1\"} 20"), "{text}");
         assert!(text.contains("# TYPE dsa_occupancy gauge"), "{text}");
         assert!(text.contains("dsa_occupancy 0.75"), "{text}");
+    }
+
+    #[test]
+    fn prometheus_groups_each_family_in_first_registration_order() {
+        let mut snap = TelemetrySnapshot::new("dsa");
+        for shard in ["0", "1"] {
+            snap.counter("allocs_total", "Allocations", &[("shard", shard)], 1);
+            snap.gauge("occupancy", "Occupied fraction", &[("shard", shard)], 0.5);
+        }
+        let text = snap.render_prometheus();
+        let names: Vec<&str> = text
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(|l| l.split('{').next().unwrap_or(l))
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "dsa_allocs_total",
+                "dsa_allocs_total",
+                "dsa_occupancy",
+                "dsa_occupancy"
+            ]
+        );
     }
 
     #[test]

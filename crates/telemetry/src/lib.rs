@@ -14,13 +14,11 @@
 //!   [`FlightRecorder::drain`]. When a fault-injection run, an
 //!   `ArenaError::Exhausted`, or a degradation ladder fires, the last-N
 //!   events are the postmortem.
-//! * [`AtomicHistogram`] — a relaxed-atomic fixed-bucket histogram with
-//!   exact merge, built from the same [`dsa_metrics::BucketSpec`]
-//!   geometries the sequential `LatencyProbe` uses, so always-on
-//!   percentiles and probe percentiles can never diverge.
 //! * [`TelemetryProbe`] — the always-on sink: [`SharedProbe`] counters
-//!   *plus* distributions (alloc size, hole-search length, inter-fault
-//!   gap, fetch latency), safe for any number of emitting threads.
+//!   *plus* four [`dsa_metrics::Histogram`]s over the standard
+//!   geometries (alloc size, hole-search length, inter-fault gap, fetch
+//!   latency), safe for any number of emitting threads and, held by
+//!   `&mut`, the sequential distribution sink of a single run.
 //! * [`HeatmapSampler`] — periodic compact snapshots of the free-list
 //!   hole map, rendered as heap-shape-over-time heatmaps via
 //!   `dsa-metrics::sparkline`.
@@ -34,11 +32,9 @@
 pub mod export;
 pub mod flight;
 pub mod heatmap;
-pub mod histogram;
 pub mod probe;
 
 pub use export::TelemetrySnapshot;
 pub use flight::{FlightHandle, FlightRecorder};
 pub use heatmap::{HeatFrame, HeatmapSampler};
-pub use histogram::AtomicHistogram;
 pub use probe::TelemetryProbe;

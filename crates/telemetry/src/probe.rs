@@ -1,12 +1,10 @@
 //! The always-on sink: counters plus distributions, shared by every
-//! thread.
+//! thread or owned by one run.
 //!
 //! [`SharedProbe`] answers "how many"; production debugging needs "how
-//! big" and "how long" as well — and needs them *without* the cost or
-//! single-ownership of the sequential `LatencyProbe`. [`TelemetryProbe`]
-//! is both at once: every [`SharedProbe`] counter, plus four always-on
-//! [`AtomicHistogram`]s over the standard geometries
-//! ([`dsa_metrics::histogram::geometry`]):
+//! big" and "how long" as well. [`TelemetryProbe`] is both at once:
+//! every [`SharedProbe`] counter, plus four [`Histogram`]s over the
+//! standard geometries ([`dsa_metrics::histogram::geometry`]):
 //!
 //! * allocation-request size in words,
 //! * free-list entries searched per allocation,
@@ -17,11 +15,11 @@
 //! `&TelemetryProbe` implements [`Probe`], so each worker holds its own
 //! copy of the reference and the emission sites stay `P: Probe`. And
 //! like `SharedProbe`, a sink nobody shares — a `TelemetryProbe` held
-//! by `&mut`, as a machine's `run_probed` holds it — records through
-//! `AtomicU64::get_mut`: the same cells left in the same state, with no
-//! locked instruction and no data-dependent branch. Watching a
-//! single-threaded run should cost what the paper's sensors cost the
-//! program: next to nothing.
+//! by `&mut`, as a machine's `run_probed` or an experiment's single
+//! replay holds it — records through `AtomicU64::get_mut`: the same
+//! cells left in the same state, with no locked instruction and no
+//! data-dependent branch. Watching a single-threaded run should cost
+//! what the paper's sensors cost the program: next to nothing.
 //!
 //! The two stateful distributions (inter-fault gap, fetch latency) pair
 //! consecutive events through a single atomic cell with a `u64::MAX`
@@ -36,8 +34,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use dsa_metrics::{histogram::geometry, Histogram};
 use dsa_probe::{CountingProbe, Event, EventKind, Probe, SharedProbe};
 
-use crate::AtomicHistogram;
-
 /// `u64::MAX` marks "no earlier event to pair with" in the stateful
 /// cells (a nanosecond timestamp of `u64::MAX` is ~584 years).
 const NONE: u64 = u64::MAX;
@@ -47,8 +43,8 @@ const NONE: u64 = u64::MAX;
 /// so every cell is reached through `get_mut` — plain loads and stores.
 /// `shared`: relaxed atomics.
 macro_rules! observe {
-    (@sample owned $hist:expr, $v:expr) => { $hist.record_mut($v) };
-    (@sample shared $hist:expr, $v:expr) => { $hist.record($v) };
+    (@sample owned $hist:expr, $v:expr) => { $hist.record($v) };
+    (@sample shared $hist:expr, $v:expr) => { $hist.record_shared($v) };
     (@swap owned $cell:expr, $v:expr) => { std::mem::replace($cell.get_mut(), $v) };
     (@swap shared $cell:expr, $v:expr) => { $cell.swap($v, Ordering::Relaxed) };
     (@set owned $cell:expr, $v:expr) => { *$cell.get_mut() = $v };
@@ -101,10 +97,10 @@ macro_rules! observe {
 #[derive(Debug)]
 pub struct TelemetryProbe {
     counters: SharedProbe,
-    alloc_words: AtomicHistogram,
-    search_len: AtomicHistogram,
-    inter_fault: AtomicHistogram,
-    fetch_ns: AtomicHistogram,
+    alloc_words: Histogram,
+    search_len: Histogram,
+    inter_fault: Histogram,
+    fetch_ns: Histogram,
     last_fault_vtime: AtomicU64,
     pending_fetch_ns: AtomicU64,
 }
@@ -114,10 +110,10 @@ impl TelemetryProbe {
     pub fn new() -> TelemetryProbe {
         TelemetryProbe {
             counters: SharedProbe::new(),
-            alloc_words: AtomicHistogram::new(geometry::ALLOC_WORDS),
-            search_len: AtomicHistogram::new(geometry::SEARCH_LEN),
-            inter_fault: AtomicHistogram::new(geometry::INTER_FAULT_REFS),
-            fetch_ns: AtomicHistogram::new(geometry::FAULT_SERVICE_NS),
+            alloc_words: Histogram::with_spec(geometry::ALLOC_WORDS),
+            search_len: Histogram::with_spec(geometry::SEARCH_LEN),
+            inter_fault: Histogram::with_spec(geometry::INTER_FAULT_REFS),
+            fetch_ns: Histogram::with_spec(geometry::FAULT_SERVICE_NS),
             last_fault_vtime: AtomicU64::new(NONE),
             pending_fetch_ns: AtomicU64::new(NONE),
         }
@@ -136,31 +132,28 @@ impl TelemetryProbe {
         self.counters.snapshot()
     }
 
-    /// Frozen distribution of allocation-request sizes, in words.
+    /// Distribution of allocation-request sizes, in words.
     #[must_use]
-    pub fn alloc_words(&self) -> Histogram {
-        self.alloc_words.snapshot()
+    pub fn alloc_words(&self) -> &Histogram {
+        &self.alloc_words
     }
 
-    /// Frozen distribution of free-list entries searched per
-    /// allocation.
+    /// Distribution of free-list entries searched per allocation.
     #[must_use]
-    pub fn search_len(&self) -> Histogram {
-        self.search_len.snapshot()
+    pub fn search_len(&self) -> &Histogram {
+        &self.search_len
     }
 
-    /// Frozen distribution of gaps between consecutive faults, in
-    /// references.
+    /// Distribution of gaps between consecutive faults, in references.
     #[must_use]
-    pub fn inter_fault_gap(&self) -> Histogram {
-        self.inter_fault.snapshot()
+    pub fn inter_fault_gap(&self) -> &Histogram {
+        &self.inter_fault
     }
 
-    /// Frozen distribution of fetch (fault-service) latencies, in
-    /// nanoseconds.
+    /// Distribution of fetch (fault-service) latencies, in nanoseconds.
     #[must_use]
-    pub fn fetch_latency(&self) -> Histogram {
-        self.fetch_ns.snapshot()
+    pub fn fetch_latency(&self) -> &Histogram {
+        &self.fetch_ns
     }
 }
 
@@ -249,8 +242,79 @@ mod tests {
         assert_eq!(t.counters().fetches, 1);
     }
 
+    /// Feeds `events` to one sink by `&mut` and to another by `&`, and
+    /// checks that both leave the same counters and distributions.
+    fn both_paths(events: &[(EventKind, Stamp)]) -> TelemetryProbe {
+        let mut owned = TelemetryProbe::new();
+        let shared = TelemetryProbe::new();
+        for &(kind, stamp) in events {
+            owned.emit(kind, stamp);
+            (&shared).emit(kind, stamp);
+        }
+        assert_eq!(owned.counters(), shared.counters());
+        for (a, b) in [
+            (owned.alloc_words(), shared.alloc_words()),
+            (owned.search_len(), shared.search_len()),
+            (owned.inter_fault_gap(), shared.inter_fault_gap()),
+            (owned.fetch_latency(), shared.fetch_latency()),
+        ] {
+            assert_eq!((a.count(), a.sum(), a.max()), (b.count(), b.sum(), b.max()));
+            assert!(a.nonempty_buckets().eq(b.nonempty_buckets()));
+        }
+        assert_eq!(
+            owned.last_fault_vtime.load(Ordering::Relaxed),
+            shared.last_fault_vtime.load(Ordering::Relaxed)
+        );
+        assert_eq!(
+            owned.pending_fetch_ns.load(Ordering::Relaxed),
+            shared.pending_fetch_ns.load(Ordering::Relaxed)
+        );
+        owned
+    }
+
     #[test]
-    fn geometries_match_the_latency_probe() {
+    fn owned_and_shared_paths_leave_identical_state() {
+        // A fetch pair is the fault-service latency.
+        let t = both_paths(&[
+            (EventKind::Fault, Stamp::at(Cycles::from_nanos(100), 5)),
+            (
+                EventKind::FetchStart { words: 512 },
+                Stamp::at(Cycles::from_nanos(100), 5),
+            ),
+            (
+                EventKind::FetchDone { words: 512 },
+                Stamp::at(Cycles::from_nanos(4_100), 5),
+            ),
+        ]);
+        assert_eq!(t.fetch_latency().count(), 1);
+        assert_eq!(t.fetch_latency().sum(), 4_000);
+        // Inter-fault gaps are measured in reference time.
+        let t = both_paths(&[10u64, 18, 50].map(|vt| (EventKind::Fault, Stamp::vtime(vt))));
+        assert_eq!(t.inter_fault_gap().count(), 2);
+        assert_eq!(t.inter_fault_gap().sum(), (18 - 10) + (50 - 18));
+        // A first fault and an unpaired FetchDone record nothing.
+        let t = both_paths(&[
+            (EventKind::Fault, Stamp::vtime(1)),
+            (EventKind::FetchDone { words: 1 }, Stamp::vtime(2)),
+        ]);
+        assert_eq!(t.inter_fault_gap().count(), 0);
+        assert_eq!(t.fetch_latency().count(), 0);
+        // Every allocation's search length is recorded.
+        let t = both_paths(&[7u64, 1].map(|searched| {
+            (
+                EventKind::Alloc {
+                    words: 10,
+                    searched,
+                },
+                Stamp::vtime(1),
+            )
+        }));
+        assert_eq!(t.search_len().count(), 2);
+        assert_eq!(t.search_len().sum(), 8);
+    }
+
+    #[test]
+    fn distributions_use_the_standard_geometries() {
         let t = TelemetryProbe::new();
         assert_eq!(t.fetch_latency().spec(), geometry::FAULT_SERVICE_NS);
         assert_eq!(t.inter_fault_gap().spec(), geometry::INTER_FAULT_REFS);

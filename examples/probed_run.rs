@@ -1,4 +1,4 @@
-//! A probed machine run: the ATLAS preset with a [`LatencyProbe`]
+//! A probed machine run: the ATLAS preset with a [`TelemetryProbe`]
 //! attached, printing the fault-latency distributions the end-of-run
 //! report cannot show.
 //!
@@ -14,7 +14,7 @@
 use dsa::machines::presets::atlas;
 use dsa::machines::Machine;
 use dsa::metrics::histogram::Histogram;
-use dsa::probe::LatencyProbe;
+use dsa::telemetry::TelemetryProbe;
 use dsa::trace::program::ProgramCfg;
 use dsa::trace::rng::Rng64;
 
@@ -51,7 +51,7 @@ fn main() {
     .generate(&mut rng);
 
     let mut machine = atlas();
-    let mut probe = LatencyProbe::new();
+    let mut probe = TelemetryProbe::new();
     let report = machine
         .run_probed(&program.ops, &mut probe)
         .expect("program runs");
@@ -64,8 +64,15 @@ fn main() {
         report.fetched_words
     );
 
-    print_histogram("fault service latency", "ns", probe.fault_service());
-    print_histogram("inter-fault distance", " refs", probe.inter_fault());
+    let (service, gaps) = (probe.fetch_latency(), probe.inter_fault_gap());
+    print_histogram("fault service latency", "ns", service);
+    print_histogram("inter-fault distance", " refs", gaps);
 
-    println!("digest: {}", probe.summary());
+    println!(
+        "digest: faults: n={} p50={}ns p95={}ns | inter-fault p50={} refs",
+        service.count(),
+        service.quantile(0.5),
+        service.quantile(0.95),
+        gaps.quantile(0.5),
+    );
 }

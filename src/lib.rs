@@ -40,11 +40,12 @@
 //! * [`trace`] — deterministic synthetic workloads;
 //! * [`metrics`] — histograms, space-time meters, tables, sparklines;
 //! * [`probe`] — structured event tracing: the probe sink trait, the
-//!   event vocabulary, and ready-made sinks (counting, latency
-//!   histograms, JSONL recording);
+//!   event vocabulary, and ready-made sinks (counting, JSONL
+//!   recording);
 //! * [`telemetry`] — always-on production telemetry over the probe
-//!   spine: a lock-free flight recorder, sharded atomic histograms,
-//!   fragmentation heatmap sampling, and a Prometheus/JSON exporter.
+//!   spine: a counters-plus-distributions sink, a lock-free flight
+//!   recorder, fragmentation heatmap sampling, and a Prometheus/JSON
+//!   exporter.
 //!
 //! # Quickstart
 //!

@@ -1,5 +1,5 @@
-//! Property-based tests on the `dsa-telemetry` flight recorder and
-//! atomic histograms.
+//! Property-based tests on the `dsa-telemetry` flight recorder, the
+//! histogram its sinks record into, and its counting sinks.
 //!
 //! Five claims, each load-bearing for the always-on telemetry's
 //! contract:
@@ -14,10 +14,10 @@
 //!   the merge sorts by is consistent with each thread's emission
 //!   order), and after the threads join it is lossless up to each
 //!   ring's capacity.
-//! * **Atomic/sequential histogram agreement** — the same samples
-//!   recorded through 1, 2, or 8 `AtomicHistogram`s, merged, freeze
-//!   into exactly the `Histogram` a single thread would have built:
-//!   same count, sum, max, overflow, and quantiles.
+//! * **The histogram is its samples, bucketed** — samples recorded into
+//!   one `Histogram` by `&mut`, or by `&` from 1, 2 or 8 threads at
+//!   once, read back the count, sum, max, overflow and quantiles a
+//!   sorted `Vec` of the same samples gives.
 //! * **One vocabulary, however a cell is reached** — the counting sinks
 //!   generated from `dsa-probe`'s table (`CountingProbe`, `SharedProbe`
 //!   held exclusively, `TelemetryProbe` held exclusively and by shared
@@ -29,7 +29,7 @@
 use dsa::core::clock::Cycles;
 use dsa::metrics::{BucketSpec, Histogram};
 use dsa::probe::{CountingProbe, Event, EventKind, Probe, SharedProbe, Stamp};
-use dsa::telemetry::{AtomicHistogram, FlightRecorder, TelemetryProbe};
+use dsa::telemetry::{FlightRecorder, TelemetryProbe};
 use proptest::prelude::*;
 
 #[path = "common/counting_model.rs"]
@@ -141,10 +141,10 @@ proptest! {
                 prop_assert_eq!(got, want, "{}: {}", sink, field);
             }
         }
-        same_histogram("alloc_words", &owned.alloc_words(), &shared.alloc_words())?;
-        same_histogram("search_len", &owned.search_len(), &shared.search_len())?;
-        same_histogram("inter_fault_gap", &owned.inter_fault_gap(), &shared.inter_fault_gap())?;
-        same_histogram("fetch_latency", &owned.fetch_latency(), &shared.fetch_latency())?;
+        same_histogram("alloc_words", owned.alloc_words(), shared.alloc_words())?;
+        same_histogram("search_len", owned.search_len(), shared.search_len())?;
+        same_histogram("inter_fault_gap", owned.inter_fault_gap(), shared.inter_fault_gap())?;
+        same_histogram("fetch_latency", owned.fetch_latency(), shared.fetch_latency())?;
         prop_assert_eq!(shared.alloc_words().count(), want.allocs);
         prop_assert_eq!(shared.inter_fault_gap().count(), want.faults.saturating_sub(1));
     }
@@ -230,48 +230,87 @@ proptest! {
         }
     }
 
-    /// Samples recorded through per-thread `AtomicHistogram`s and
-    /// merged equal the single-threaded sequential `Histogram` over
-    /// the same values, for 1, 2, and 8 threads.
+    /// A histogram recorded by `&mut`, and one recorded by `&` from
+    /// 1, 2 and 8 threads, both read what a sorted `Vec` of the same
+    /// samples reads.
     #[test]
-    fn merged_atomic_histograms_equal_sequential(
-        samples in prop::collection::vec(0u64..100_000, 1..300),
+    fn histogram_matches_a_sorted_vec(
+        samples in prop::collection::vec(0u64..40_000, 1..300),
+        linear in any::<bool>(),
     ) {
-        let spec = BucketSpec::Log2 { buckets: 14 };
-        let mut reference = Histogram::with_spec(spec);
+        let spec = if linear {
+            BucketSpec::Linear { width: 500, buckets: 60 }
+        } else {
+            BucketSpec::Log2 { buckets: 14 }
+        };
+        let model = SortedModel::new(spec, &samples);
+        let mut owned = Histogram::with_spec(spec);
         for &v in &samples {
-            reference.record(v);
+            owned.record(v);
         }
+        model.check("&mut", &owned)?;
         for threads in [1usize, 2, 8] {
-            let shards: Vec<AtomicHistogram> =
-                (0..threads).map(|_| AtomicHistogram::new(spec)).collect();
+            let shared = Histogram::with_spec(spec);
             std::thread::scope(|scope| {
-                for (t, shard) in shards.iter().enumerate() {
-                    let chunk: Vec<u64> = samples
-                        .iter()
-                        .copied()
-                        .skip(t)
-                        .step_by(threads)
-                        .collect();
+                for t in 0..threads {
+                    let (shared, samples) = (&shared, &samples);
                     scope.spawn(move || {
-                        for v in chunk {
-                            shard.record(v);
+                        for &v in samples.iter().skip(t).step_by(threads) {
+                            shared.record_shared(v);
                         }
                     });
                 }
             });
-            let merged = AtomicHistogram::new(spec);
-            for shard in &shards {
-                merged.merge(shard);
-            }
-            let snap = merged.snapshot();
-            prop_assert_eq!(snap.count(), reference.count(), "count, {} threads", threads);
-            prop_assert_eq!(snap.sum(), reference.sum(), "sum, {} threads", threads);
-            prop_assert_eq!(snap.max(), reference.max(), "max, {} threads", threads);
-            prop_assert_eq!(snap.overflow(), reference.overflow(), "overflow, {} threads", threads);
-            for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-                prop_assert_eq!(snap.quantile(q), reference.quantile(q), "q={}, {} threads", q, threads);
-            }
+            model.check(&format!("& from {threads} threads"), &shared)?;
         }
+    }
+}
+
+/// The trivially correct histogram: every sample kept, sorted, and
+/// bucket bounds worked out from the spec's definition.
+struct SortedModel {
+    spec: BucketSpec,
+    sorted: Vec<u64>,
+}
+
+impl SortedModel {
+    fn new(spec: BucketSpec, samples: &[u64]) -> SortedModel {
+        let mut sorted = samples.to_vec();
+        sorted.sort_unstable();
+        SortedModel { spec, sorted }
+    }
+
+    /// The first value past the last bucket.
+    fn end(&self) -> u64 {
+        match self.spec {
+            BucketSpec::Linear { width, buckets } => width * buckets as u64,
+            BucketSpec::Log2 { buckets } => 1 << buckets,
+        }
+    }
+
+    /// The lower bound of `v`'s bucket, or `end` when `v` overflows.
+    fn floor(&self, v: u64) -> u64 {
+        match self.spec {
+            _ if v >= self.end() => self.end(),
+            BucketSpec::Linear { width, .. } => v / width * width,
+            BucketSpec::Log2 { .. } if v < 2 => 0,
+            BucketSpec::Log2 { .. } => 1 << v.ilog2(),
+        }
+    }
+
+    fn check(&self, how: &str, h: &Histogram) -> Result<(), String> {
+        let n = self.sorted.len();
+        let sum = self.sorted.iter().fold(0u64, |s, &v| s.wrapping_add(v));
+        let overflow = self.sorted.iter().filter(|&&v| v >= self.end()).count();
+        prop_assert_eq!(h.count(), n as u64, "count, {}", how);
+        prop_assert_eq!(h.sum(), sum, "sum, {}", how);
+        prop_assert_eq!(h.max(), self.sorted[n - 1], "max, {}", how);
+        prop_assert_eq!(h.overflow(), overflow as u64, "overflow, {}", how);
+        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
+            let rank = ((q * n as f64).ceil() as usize).max(1);
+            let want = self.floor(self.sorted[rank - 1]);
+            prop_assert_eq!(h.quantile(q), want, "q={}, {}", q, how);
+        }
+        Ok(())
     }
 }

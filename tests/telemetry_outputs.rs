@@ -6,7 +6,9 @@
 //! * **Pinned rendering** — `exp_01 --jobs 1 --metrics-out x.prom`
 //!   must reproduce `tests/golden/exp_01_metrics.prom` byte for byte,
 //!   so neither the experiment's numbers nor the exposition-format
-//!   renderer can drift silently. Regenerate on purpose with
+//!   renderer can drift silently; in that file and in exp_19's, every
+//!   metric family's lines form one group, as the format requires.
+//!   Regenerate on purpose with
 //!   `./target/debug/exp_01_artificial_contiguity --jobs 1
 //!   --metrics-out tests/golden/exp_01_metrics.prom` and commit the
 //!   diff.
@@ -94,6 +96,43 @@ fn first_diff(a: &str, b: &str) -> String {
     )
 }
 
+/// Panics unless every metric family's lines in `text` form one
+/// contiguous group. A histogram's `_bucket`, `_sum` and `_count`
+/// samples belong to the family its `# TYPE` line declares.
+fn assert_families_contiguous(what: &str, text: &str) {
+    let mut histograms: Vec<&str> = Vec::new();
+    let mut groups: Vec<&str> = Vec::new();
+    for line in text.lines() {
+        let family = match line
+            .strip_prefix("# HELP ")
+            .or(line.strip_prefix("# TYPE "))
+        {
+            Some(rest) => {
+                let (name, kind) = rest.split_once(' ').unwrap_or((rest, ""));
+                if line.starts_with("# TYPE") && kind == "histogram" {
+                    histograms.push(name);
+                }
+                name
+            }
+            None => {
+                let name = line.split(['{', ' ']).next().unwrap_or(line);
+                ["_bucket", "_sum", "_count"]
+                    .iter()
+                    .find_map(|suffix| name.strip_suffix(suffix))
+                    .filter(|base| histograms.contains(base))
+                    .unwrap_or(name)
+            }
+        };
+        if groups.last() != Some(&family) {
+            assert!(
+                !groups.contains(&family),
+                "{what}: the lines of metric family {family} are split into more than one group"
+            );
+            groups.push(family);
+        }
+    }
+}
+
 #[test]
 fn exp_01_prometheus_export_matches_golden() {
     let golden_path =
@@ -111,6 +150,8 @@ fn exp_01_prometheus_export_matches_golden() {
         ],
     );
     let got = std::fs::read_to_string(&out).expect("metrics file written");
+    assert_families_contiguous("tests/golden/exp_01_metrics.prom", &golden);
+    assert_families_contiguous("exp_01 --metrics-out", &got);
     assert!(
         got == golden,
         "exp_01 Prometheus export drifted from tests/golden/exp_01_metrics.prom — {}\n\
@@ -192,6 +233,8 @@ fn exp_19_tenant_series_match_golden() {
         ],
     );
     let got = std::fs::read_to_string(&out).expect("metrics file written");
+    assert_families_contiguous("tests/golden/exp_19_metrics.prom", &golden);
+    assert_families_contiguous("exp_19 --metrics-out", &got);
     assert!(
         got == golden,
         "exp_19 Prometheus export drifted from tests/golden/exp_19_metrics.prom — {}\n\

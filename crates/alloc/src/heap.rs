@@ -60,8 +60,9 @@ const REGION_ALIGN: usize = 4096;
 /// no region is big enough to bring this high.
 const CARVE_ID_BASE: u64 = 1 << 60;
 
-/// Quick-list geometry for the large path (see `ShardedArena`): blocks
-/// up to this many words ride the per-shard LIFO caches.
+/// Quick-list geometry for the large path, whose quick lists every heap
+/// arms (see `ShardedArena`): blocks up to this many words ride the
+/// per-shard LIFO caches.
 const QUICK_MAX_WORDS: Words = 256;
 const QUICK_DEPTH: usize = 16;
 
@@ -79,8 +80,6 @@ pub struct HeapConfig {
     pub class_units: u32,
     /// Objects per magazine, `1..=`[`MAG_MAX`].
     pub magazine_depth: usize,
-    /// Arm the arena's per-shard quick lists for the large path.
-    pub quick_lists: bool,
 }
 
 impl HeapConfig {
@@ -91,7 +90,6 @@ impl HeapConfig {
         shards: 8,
         class_units: 1024,
         magazine_depth: 32,
-        quick_lists: true,
     };
 
     /// A small geometry for tests: a 2 MiB region, 4 shards, 64 units
@@ -103,7 +101,6 @@ impl HeapConfig {
             shards: 4,
             class_units: 64,
             magazine_depth: 8,
-            quick_lists: true,
         }
     }
 }
@@ -261,9 +258,7 @@ impl DsaHeap {
             config.arena_words / u64::from(config.shards),
             Placement::FirstFit,
         );
-        if config.quick_lists {
-            arena.enable_quick_lists(QUICK_MAX_WORDS, QUICK_DEPTH);
-        }
+        arena.enable_quick_lists(QUICK_MAX_WORDS, QUICK_DEPTH);
         let telemetry = TelemetryProbe::new();
 
         // Carve one span per class, with enough slack to round the base

@@ -52,7 +52,7 @@ pub mod striped;
 pub mod telemetry;
 pub mod tenant;
 
-pub use overload::{OverloadConfig, OverloadGuard};
+pub use overload::OverloadGuard;
 pub use service::ArenaService;
 pub use slab::{FixedSlab, SlabStats, SlabUnit};
 pub use striped::{ArenaError, ArenaSnapshot, ShardFullness, ShardSnapshot, ShardedArena};

@@ -4,10 +4,12 @@
 //! every request grinds through the full steal rotation, fails, and
 //! retries — or *degrade on purpose*. The [`OverloadGuard`] implements
 //! the second course. It watches global occupancy and refuses admission
-//! at the door by tenant [`Priority`] once the watermarks are crossed,
-//! and it meters the shed rung of the arena's degradation ladder
-//! ([`ARENA_LADDER`]) through an [`AtomicShedBudget`] so victim
-//! eviction is bounded per overload episode rather than cascading.
+//! at the door by tenant [`Priority`] once the watermarks are crossed
+//! (85 % and 95 % occupancy: constants, since every service uses the
+//! same two), and it meters the shed rung of the arena's degradation
+//! ladder ([`ARENA_LADDER`]) through an [`AtomicShedBudget`] so victim
+//! eviction is bounded per overload episode rather than cascading. The
+//! budget is the guard's one setting.
 //!
 //! The ladder the service walks on a failed placement, in order:
 //!
@@ -36,29 +38,13 @@ use dsa_faults::ladder::AtomicShedBudget;
 
 use crate::tenant::Priority;
 
-/// Tuning for the [`OverloadGuard`].
-#[derive(Clone, Debug)]
-pub struct OverloadConfig {
-    /// Occupancy fraction above which [`Priority::Low`] is refused
-    /// admission.
-    pub low_watermark: f64,
-    /// Occupancy fraction above which only [`Priority::High`] is
-    /// admitted.
-    pub high_watermark: f64,
-    /// Shed-rung budget per guard lifetime: at most this many victim
-    /// evictions before failures surface unsoftened.
-    pub shed_budget: u32,
-}
+/// Occupancy fraction at and above which [`Priority::Low`] is refused
+/// admission.
+pub(crate) const LOW_WATERMARK: f64 = 0.85;
 
-impl Default for OverloadConfig {
-    fn default() -> OverloadConfig {
-        OverloadConfig {
-            low_watermark: 0.85,
-            high_watermark: 0.95,
-            shed_budget: 64,
-        }
-    }
-}
+/// Occupancy fraction at and above which only [`Priority::High`] is
+/// admitted.
+pub(crate) const HIGH_WATERMARK: f64 = 0.95;
 
 /// The admission-control valve plus degradation-ladder metering.
 ///
@@ -68,19 +54,17 @@ impl Default for OverloadConfig {
 /// `TenantShed` event per granted shed).
 #[derive(Debug)]
 pub struct OverloadGuard {
-    config: OverloadConfig,
     shed_budget: AtomicShedBudget,
     admission_rejects: AtomicU64,
 }
 
 impl OverloadGuard {
-    /// A guard under `config`.
+    /// A guard granting at most `shed_budget` victim evictions in its
+    /// lifetime before failures surface unsoftened.
     #[must_use]
-    pub(crate) fn new(config: OverloadConfig) -> OverloadGuard {
-        let shed_budget = AtomicShedBudget::new(config.shed_budget);
+    pub(crate) fn new(shed_budget: u32) -> OverloadGuard {
         OverloadGuard {
-            config,
-            shed_budget,
+            shed_budget: AtomicShedBudget::new(shed_budget),
             admission_rejects: AtomicU64::new(0),
         }
     }
@@ -96,9 +80,9 @@ impl OverloadGuard {
         } else {
             in_use as f64 / capacity as f64
         };
-        let admitted = if occupancy >= self.config.high_watermark {
+        let admitted = if occupancy >= HIGH_WATERMARK {
             priority >= Priority::High
-        } else if occupancy >= self.config.low_watermark {
+        } else if occupancy >= LOW_WATERMARK {
             priority >= Priority::Normal
         } else {
             true
@@ -134,7 +118,7 @@ mod tests {
 
     #[test]
     fn watermarks_gate_by_priority() {
-        let g = OverloadGuard::new(OverloadConfig::default());
+        let g = OverloadGuard::new(64);
         // Plenty of room: everyone gets in.
         assert!(g.admit(Priority::Low, 100, 1000));
         // Past the low watermark: best-effort refused.
@@ -148,17 +132,14 @@ mod tests {
 
     #[test]
     fn zero_capacity_admits_only_high() {
-        let g = OverloadGuard::new(OverloadConfig::default());
+        let g = OverloadGuard::new(64);
         assert!(!g.admit(Priority::Normal, 0, 0));
         assert!(g.admit(Priority::High, 0, 0));
     }
 
     #[test]
     fn shed_budget_is_finite() {
-        let g = OverloadGuard::new(OverloadConfig {
-            shed_budget: 2,
-            ..OverloadConfig::default()
-        });
+        let g = OverloadGuard::new(2);
         assert!(g.try_shed());
         assert!(g.try_shed());
         assert!(!g.try_shed());

@@ -46,7 +46,7 @@ use dsa_freelist::freelist::Placement;
 use dsa_probe::{Event, EventKind, InjectedFault, NullProbe, Probe, SharedProbe, Stamp, Tee};
 use dsa_telemetry::TelemetrySnapshot;
 
-use crate::overload::{OverloadConfig, OverloadGuard};
+use crate::overload::OverloadGuard;
 use crate::striped::{ArenaError, ShardedArena};
 use crate::telemetry::ServiceTelemetry;
 use crate::tenant::{Priority, TenantOccupancy, TenantTable};
@@ -74,9 +74,8 @@ struct LiveRec {
 ///
 /// ```
 /// use dsa_arena::ArenaService;
-/// use dsa_freelist::Placement;
 ///
-/// let svc = ArenaService::striped(4, 1000, Placement::FirstFit);
+/// let svc = ArenaService::striped(4, 1000);
 /// svc.alloc(1, 100, 0).unwrap();
 /// assert_eq!(svc.occupied(), 100);
 /// svc.free(1).unwrap();
@@ -118,16 +117,16 @@ impl Probe for LastAlloc {
 }
 
 impl ArenaService {
-    /// A service over `shards` stripes of `shard_capacity` words each,
-    /// under `policy`, in a [`ShardedArena`].
+    /// A service over `shards` first-fit stripes of `shard_capacity`
+    /// words each, in a [`ShardedArena`].
     ///
     /// # Panics
     ///
     /// Panics if `shards` or `shard_capacity` is zero.
     #[must_use]
-    pub fn striped(shards: u32, shard_capacity: Words, policy: Placement) -> ArenaService {
+    pub fn striped(shards: u32, shard_capacity: Words) -> ArenaService {
         ArenaService {
-            arena: ShardedArena::new(shards, shard_capacity, policy),
+            arena: ShardedArena::new(shards, shard_capacity, Placement::FirstFit),
             telemetry: ServiceTelemetry::new(shards),
             registry: (0..REGISTRY_STRIPES)
                 .map(|_| Mutex::new(IdMap::default()))
@@ -139,10 +138,11 @@ impl ArenaService {
         }
     }
 
-    /// Arms admission control and the degradation ladder.
+    /// Arms admission control and the degradation ladder, with at most
+    /// `shed_budget` victim evictions before failures surface unsoftened.
     #[must_use]
-    pub fn with_overload(mut self, config: OverloadConfig) -> ArenaService {
-        self.guard = Some(OverloadGuard::new(config));
+    pub fn with_overload(mut self, shed_budget: u32) -> ArenaService {
+        self.guard = Some(OverloadGuard::new(shed_budget));
         self
     }
 
@@ -726,7 +726,7 @@ mod tests {
 
     #[test]
     fn roundtrip_reconciles() {
-        let svc = ArenaService::striped(4, 1000, Placement::BestFit);
+        let svc = ArenaService::striped(4, 1000);
         for id in 0..10 {
             assert!(svc.alloc(id, 50, 0).is_ok());
         }
@@ -744,7 +744,7 @@ mod tests {
 
     #[test]
     fn quick_lists_reconcile_and_drain_to_zero() {
-        let svc = ArenaService::striped(4, 4096, Placement::FirstFit);
+        let svc = ArenaService::striped(4, 4096);
         svc.arena().enable_quick_lists(64, 16);
         // Churn small blocks so frees park on the quick lists, then
         // re-allocate through them; charged words must track arena
@@ -767,7 +767,7 @@ mod tests {
 
     #[test]
     fn duplicate_and_unknown_ids_fail_typed() {
-        let svc = ArenaService::striped(2, 64, Placement::FirstFit);
+        let svc = ArenaService::striped(2, 64);
         assert!(svc.alloc(7, 8, 0).is_ok());
         assert_eq!(
             svc.alloc(7, 8, 0),
@@ -783,7 +783,7 @@ mod tests {
 
     #[test]
     fn quotas_meter_each_tenant_exactly() {
-        let mut svc = ArenaService::striped(2, 1000, Placement::FirstFit);
+        let mut svc = ArenaService::striped(2, 1000);
         svc.register_tenant(0, Priority::Normal, 100);
         svc.register_tenant(1, Priority::Normal, 500);
         assert!(svc.alloc(1, 80, 0).is_ok());
@@ -815,8 +815,7 @@ mod tests {
 
     #[test]
     fn admission_gates_by_priority_under_pressure() {
-        let mut svc = ArenaService::striped(1, 1000, Placement::FirstFit)
-            .with_overload(OverloadConfig::default());
+        let mut svc = ArenaService::striped(1, 1000).with_overload(64);
         svc.register_tenant(0, Priority::Low, 1000);
         svc.register_tenant(1, Priority::High, 1000);
         // Fill to 90%: past the low watermark, below the high one.
@@ -847,14 +846,10 @@ mod tests {
 
     #[test]
     fn the_ladder_sheds_low_priority_tenants_for_high() {
-        let mut svc =
-            ArenaService::striped(1, 100, Placement::FirstFit).with_overload(OverloadConfig {
-                // Watermarks out of the way: this test exercises the
-                // shed rung, not the door.
-                low_watermark: 2.0,
-                high_watermark: 2.0,
-                ..OverloadConfig::default()
-            });
+        // The low tenant stays under the low watermark and the high one
+        // clears every watermark: this test exercises the shed rung, not
+        // the door.
+        let mut svc = ArenaService::striped(1, 100).with_overload(64);
         svc.register_tenant(0, Priority::Low, 100);
         svc.register_tenant(1, Priority::High, 100);
         // The low tenant fills the storage.
@@ -885,7 +880,7 @@ mod tests {
     #[test]
     fn a_forced_failure_reports_the_arenas_real_fullness() {
         use dsa_faults::{FaultConfig, SyncFaultInjector};
-        let svc = ArenaService::striped(4, 1000, Placement::FirstFit);
+        let svc = ArenaService::striped(4, 1000);
         let inj = SyncFaultInjector::new(
             1,
             FaultConfig {
@@ -913,7 +908,7 @@ mod tests {
 
     #[test]
     fn concurrent_requests_reconcile_exactly() {
-        let svc = ArenaService::striped(4, 4096, Placement::FirstFit);
+        let svc = ArenaService::striped(4, 4096);
         let threads = 8u64;
         let per_thread = 500u64;
         let oks: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
@@ -944,7 +939,7 @@ mod tests {
 
     #[test]
     fn tenant_books_reconcile_under_multithreaded_churn() {
-        let mut svc = ArenaService::striped(4, 8192, Placement::FirstFit);
+        let mut svc = ArenaService::striped(4, 8192);
         for t in 0..4 {
             svc.register_tenant(t, Priority::Normal, 4096);
         }
@@ -979,12 +974,9 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         use std::sync::Barrier;
         const HIGH: u64 = 1 << 40;
-        let mut svc =
-            ArenaService::striped(1, 512, Placement::FirstFit).with_overload(OverloadConfig {
-                low_watermark: 2.0,
-                high_watermark: 2.0,
-                shed_budget: u32::MAX,
-            });
+        // Past the watermarks the door refuses the low tenant, and its
+        // alloc just fails: only granted blocks are counted.
+        let mut svc = ArenaService::striped(1, 512).with_overload(u32::MAX);
         svc.register_tenant(0, Priority::Low, 512);
         svc.register_tenant(1, Priority::High, 512);
         let start = Barrier::new(2);
@@ -1062,7 +1054,7 @@ mod tests {
 
     #[test]
     fn probe_panic_mid_alloc_poisons_the_lock_but_not_the_books() {
-        let mut svc = ArenaService::striped(2, 512, Placement::FirstFit);
+        let mut svc = ArenaService::striped(2, 512);
         svc.register_tenant(0, Priority::Normal, 1024);
         assert!(svc.alloc(1, 40, 0).is_ok());
         // Panic on the success emission of the next alloc: the freelist
@@ -1093,7 +1085,7 @@ mod tests {
 
     #[test]
     fn probe_panic_mid_free_leaves_the_books_reconciled() {
-        let mut svc = ArenaService::striped(2, 512, Placement::FirstFit);
+        let mut svc = ArenaService::striped(2, 512);
         svc.register_tenant(0, Priority::Normal, 1024);
         assert!(svc.alloc(1, 40, 0).is_ok());
         assert!(svc.alloc(2, 48, 0).is_ok());
@@ -1128,8 +1120,7 @@ mod tests {
     fn chaos_churn_conserves_storage_at_any_thread_count() {
         use dsa_faults::{FaultConfig, SyncFaultInjector};
         for &threads in &[1usize, 2, 8] {
-            let mut svc = ArenaService::striped(4, 2048, Placement::FirstFit)
-                .with_overload(OverloadConfig::default());
+            let mut svc = ArenaService::striped(4, 2048).with_overload(64);
             for t in 0..threads as u32 {
                 svc.register_tenant(t, Priority::Normal, 2048);
             }
@@ -1140,7 +1131,6 @@ mod tests {
                     channel_delay_rate: 0.01,
                     channel_delay: dsa_core::clock::Cycles::from_micros(5),
                     shard_corruption_rate: 0.01,
-                    burst_len: 1,
                     ..FaultConfig::default()
                 },
             );

@@ -20,7 +20,7 @@
 //! Pass `--trace-out <path>` to dump the probe event stream of one
 //! representative run (LRU on the first trace, 24 frames) as JSONL.
 
-use dsa_exec::{jobs_from_env, trace_out_from_env, SimGrid};
+use dsa_exec::{cli, jobs_from_env, SimGrid};
 use dsa_metrics::table::Table;
 use dsa_paging::paged::PagedMemory;
 use dsa_paging::replacement::lru::LruRepl;
@@ -54,9 +54,9 @@ enum Measured {
 }
 
 fn main() {
-    dsa_exec::cli::enforce_standard_flags("exp_04_replacement", &[dsa_exec::cli::TRACE_OUT]);
+    cli::enforce_standard_flags("exp_04_replacement", &[cli::TRACE_OUT]);
     let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_04_replacement");
-    let trace_out = trace_out_from_env();
+    let trace_out = cli::path_flag_from_env(cli::TRACE_OUT);
     let jobs = jobs_from_env();
     println!("E4: replacement strategies — fault rate vs core size\n");
     let traces: Vec<(&str, RefStringCfg)> = vec![

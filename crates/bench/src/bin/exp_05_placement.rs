@@ -14,7 +14,7 @@
 //! across N workers; any width prints the same bytes.
 
 use dsa_core::access::AllocEvent;
-use dsa_exec::{jobs_from_env, trace_out_from_env, SimGrid};
+use dsa_exec::{cli, jobs_from_env, SimGrid};
 use dsa_freelist::frag::FragReport;
 use dsa_freelist::freelist::{FreeListAllocator, Placement};
 use dsa_freelist::rice::RiceAllocator;
@@ -206,9 +206,9 @@ fn row_for(kind: &RowKind, events: &[AllocEvent]) -> Vec<String> {
 }
 
 fn main() {
-    dsa_exec::cli::enforce_standard_flags("exp_05_placement", &[dsa_exec::cli::TRACE_OUT]);
+    cli::enforce_standard_flags("exp_05_placement", &[cli::TRACE_OUT]);
     let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_05_placement");
-    let trace_out = trace_out_from_env();
+    let trace_out = cli::path_flag_from_env(cli::TRACE_OUT);
     let jobs = jobs_from_env();
     println!("E5: placement strategies under steady allocation churn\n");
     for (di, (dist_name, sizes)) in [

@@ -123,7 +123,7 @@ fn run_one(name: &str, rate: f64, ops: &[ProgramOp]) -> Vec<String> {
 }
 
 fn main() {
-    dsa_exec::cli::enforce_standard_flags("exp_06_faults", &[]);
+    dsa_exec::cli::enforce_standard_flags("exp_06_faults", &[dsa_exec::cli::FLIGHT_RECORDER]);
     let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_06_faults");
     println!("E6b: graceful degradation under injected storage faults\n");
     let mut rng = Rng64::new(6);

@@ -156,18 +156,12 @@ fn reconciled(svc: &ArenaService, t: &Tally) -> bool {
 }
 
 fn main() {
-    cli::enforce_standard_flags("exp_18_concurrency", &[cli::SHARDS]);
+    cli::enforce_standard_flags("exp_18_concurrency", &[cli::FLIGHT_RECORDER, cli::SHARDS]);
     let mut metrics = TelemetrySnapshot::new("exp_18_concurrency");
     // Workers are a workload parameter (clients of the service), not a
     // grid fan-out: default 4 even on narrow hosts, `--jobs` overrides.
-    let workers = match cli::parse_jobs(std::env::args().skip(1)) {
-        Ok(explicit) => explicit.unwrap_or(4),
-        Err(msg) => {
-            eprintln!("exp_18_concurrency: {msg}");
-            std::process::exit(2);
-        }
-    };
-    let max_shards = cli::shards_or(8);
+    let workers = cli::count_flag_from_env(cli::JOBS).unwrap_or(4);
+    let max_shards = cli::count_flag_from_env(cli::SHARDS).unwrap_or(8);
     println!("E18: concurrent allocation service — scaling with shard count\n");
     println!(
         "{workers} workers x {OPS_PER_WORKER} ops; striped arena capacity \
@@ -199,8 +193,7 @@ fn main() {
     ])
     .with_title("striped variable-size arena (first-fit shards, overflow stealing)");
     for &shards in &shard_counts {
-        let svc =
-            ArenaService::striped(shards, TOTAL_WORDS / u64::from(shards), Placement::FirstFit);
+        let svc = ArenaService::striped(shards, TOTAL_WORDS / u64::from(shards));
         let (elapsed, tally) = drive_service(&svc, &streams);
         let arena = svc.arena();
         arena.check_invariants();
@@ -235,7 +228,7 @@ fn main() {
     // scraper would chart, and the metrics file is rewritten after
     // every interval (periodic emission, not just end-of-run).
     let shards = *shard_counts.last().expect("the sweep has a shard count");
-    let svc = ArenaService::striped(shards, TOTAL_WORDS / u64::from(shards), Placement::FirstFit);
+    let svc = ArenaService::striped(shards, TOTAL_WORDS / u64::from(shards));
     let mut prev = CountingProbe::new();
     for round in 0..2u32 {
         let (elapsed, _) = drive_service(&svc, &streams);
@@ -307,7 +300,7 @@ fn main() {
     // Fragmentation heatmap: a deterministic single-threaded replay of
     // one worker's stream against a small 4-shard arena, the global
     // hole map sampled every 4096 ops.
-    let small = ArenaService::striped(4, 8192, Placement::FirstFit);
+    let small = ArenaService::striped(4, 8192);
     let arena = small.arena();
     let mut sampler = HeatmapSampler::new(4096, 64);
     for (i, &op) in streams[0].iter().enumerate() {

@@ -22,10 +22,9 @@
 //! that is quarantined and healed under live traffic, with a fault
 //! schedule that is a pure function of (seed, stream).
 
-use dsa_arena::{ArenaService, OverloadConfig, OverloadGuard, Priority};
+use dsa_arena::{ArenaService, OverloadGuard, Priority};
 use dsa_exec::{cli, par_map, product2};
 use dsa_faults::{FaultConfig, SyncFaultInjector, WorkerInjector};
-use dsa_freelist::Placement;
 use dsa_metrics::table::Table;
 use dsa_probe::NullProbe;
 use dsa_telemetry::{FlightRecorder, TelemetrySnapshot};
@@ -91,12 +90,9 @@ struct CellOut {
 /// serving them forces the guard all the way down the ladder to the
 /// shed rung. Guarded or bare.
 fn cell_service(geo: Geometry, tenants: u32, guarded: bool) -> ArenaService {
-    let mut svc = ArenaService::striped(geo.shards, geo.shard_words, Placement::FirstFit);
+    let mut svc = ArenaService::striped(geo.shards, geo.shard_words);
     if guarded {
-        svc = svc.with_overload(OverloadConfig {
-            shed_budget: 1024,
-            ..OverloadConfig::default()
-        });
+        svc = svc.with_overload(1024);
     }
     for i in 0..tenants {
         let p = tenant_priority(i);
@@ -238,8 +234,7 @@ fn churn(
 
 /// A guarded 4-tenant service for the multithreaded sections.
 fn mt_service(geo: Geometry, tenants: u32) -> ArenaService {
-    let mut svc = ArenaService::striped(geo.shards, geo.shard_words, Placement::FirstFit)
-        .with_overload(OverloadConfig::default());
+    let mut svc = ArenaService::striped(geo.shards, geo.shard_words).with_overload(64);
     for i in 0..tenants {
         svc.register_tenant(i, tenant_priority(i), geo.capacity() / 3);
     }
@@ -255,11 +250,14 @@ fn yes(b: bool) -> &'static str {
 }
 
 fn main() {
-    cli::enforce_standard_flags("exp_19_overload", &[cli::CHAOS, cli::SHARDS]);
+    cli::enforce_standard_flags(
+        "exp_19_overload",
+        &[cli::FLIGHT_RECORDER, cli::CHAOS, cli::SHARDS],
+    );
     let chaos = cli::switch_from_env(cli::CHAOS);
     let jobs = cli::jobs_from_env();
     let geo = Geometry {
-        shards: cli::shards_or(4) as u32,
+        shards: cli::count_flag_from_env(cli::SHARDS).unwrap_or(4) as u32,
         shard_words: SHARD_WORDS,
     };
     let (shards, shard_words, capacity, offered) = (
@@ -333,8 +331,7 @@ fn main() {
     let recorder =
         dsa_bench::metrics::flight_recorder_from_env().unwrap_or_else(|| FlightRecorder::new(64));
     let mut handle = recorder.handle();
-    let mut showcase =
-        ArenaService::striped(2, 512, Placement::FirstFit).with_overload(OverloadConfig::default());
+    let mut showcase = ArenaService::striped(2, 512).with_overload(64);
     let (low, high) = (0, 1);
     showcase.register_tenant(low, Priority::Low, 1024);
     showcase.register_tenant(high, Priority::High, 1024);
@@ -404,7 +401,6 @@ fn main() {
                     channel_delay_rate: 0.005,
                     channel_delay: dsa_core::clock::Cycles::from_micros(20),
                     shard_corruption_rate: 0.002,
-                    burst_len: 1,
                     ..FaultConfig::default()
                 },
             );

@@ -12,12 +12,13 @@
 //! emitted file is byte-stable across runs and across `--jobs`
 //! settings.
 
+use dsa_exec::cli;
 use dsa_telemetry::{FlightRecorder, TelemetrySnapshot};
 
 /// Writes `snapshot` to the `--metrics-out` path, if one was given on
 /// the command line. No flag, no file, no output.
 pub fn emit(snapshot: &TelemetrySnapshot) {
-    let Some(path) = dsa_exec::cli::metrics_out_from_env() else {
+    let Some(path) = cli::path_flag_from_env(cli::METRICS_OUT) else {
         return;
     };
     match snapshot.write(&path) {
@@ -33,11 +34,13 @@ pub fn emit(snapshot: &TelemetrySnapshot) {
     }
 }
 
-/// The flight recorder requested by `--flight-recorder N`, if any.
-/// Every binary calls this once and tees the returned recorder's
-/// handles into its probe sinks; with no flag there is no recorder
-/// and the tee leg const-folds away behind `NullProbe`-style checks.
+/// The flight recorder requested by `--flight-recorder N`, if any. The
+/// binaries that dump a postmortem (exp_06_faults, exp_18, exp_19)
+/// accept the flag as an extra [`cli::FLIGHT_RECORDER`] and call this
+/// once: exp_06_faults replays its worst cell into the recorder only
+/// when one is requested, exp_18 and exp_19 resize the recorder they
+/// always attach.
 #[must_use]
 pub fn flight_recorder_from_env() -> Option<FlightRecorder> {
-    dsa_exec::cli::flight_recorder_from_env().map(FlightRecorder::new)
+    cli::count_flag_from_env(cli::FLIGHT_RECORDER).map(FlightRecorder::new)
 }

@@ -29,6 +29,6 @@ pub mod cli;
 pub mod grid;
 pub mod pool;
 
-pub use cli::{jobs_from_env, trace_out_from_env};
+pub use cli::jobs_from_env;
 pub use grid::{product2, SimGrid};
 pub use pool::par_map;

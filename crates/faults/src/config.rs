@@ -1,4 +1,4 @@
-//! Per-level fault rates and burst patterns.
+//! Per-level fault rates.
 
 use dsa_core::clock::Cycles;
 
@@ -27,11 +27,6 @@ pub struct FaultConfig {
     /// is corrupted in place, forcing quarantine and a rebuild from the
     /// live-allocation snapshot.
     pub shard_corruption_rate: f64,
-    /// When a transfer error fires, the `burst_len - 1` following
-    /// transfer-error rolls also fail — drum errors cluster (a speck on
-    /// the surface ruins consecutive sectors). `1` means independent
-    /// errors.
-    pub burst_len: u32,
 }
 
 impl FaultConfig {
@@ -45,7 +40,6 @@ impl FaultConfig {
             channel_delay: Cycles::ZERO,
             alloc_fail_rate: 0.0,
             shard_corruption_rate: 0.0,
-            burst_len: 1,
         }
     }
 
@@ -80,13 +74,6 @@ impl FaultConfig {
         self.alloc_fail_rate = rate;
         self
     }
-
-    /// Sets the transfer-error burst length.
-    #[must_use]
-    pub fn with_burst(mut self, burst_len: u32) -> FaultConfig {
-        self.burst_len = burst_len.max(1);
-        self
-    }
 }
 
 impl Default for FaultConfig {
@@ -104,18 +91,11 @@ mod tests {
         let c = FaultConfig::transfer_errors(0.1)
             .with_bad_frames(0.2)
             .with_channel_delays(0.3, Cycles::from_micros(5))
-            .with_alloc_failures(0.4)
-            .with_burst(3);
+            .with_alloc_failures(0.4);
         assert_eq!(c.transfer_error_rate, 0.1);
         assert_eq!(c.bad_frame_rate, 0.2);
         assert_eq!(c.channel_delay_rate, 0.3);
         assert_eq!(c.channel_delay, Cycles::from_micros(5));
         assert_eq!(c.alloc_fail_rate, 0.4);
-        assert_eq!(c.burst_len, 3);
-    }
-
-    #[test]
-    fn burst_is_clamped_to_one() {
-        assert_eq!(FaultConfig::off().with_burst(0).burst_len, 1);
     }
 }

@@ -20,8 +20,6 @@ use crate::config::FaultConfig;
 pub struct FaultInjector {
     rng: Rng64,
     config: FaultConfig,
-    /// Remaining forced failures of the current transfer-error burst.
-    burst_left: u32,
     injected: u64,
 }
 
@@ -32,23 +30,15 @@ impl FaultInjector {
         FaultInjector {
             rng: Rng64::new(seed),
             config,
-            burst_left: 0,
             injected: 0,
         }
     }
 
     /// Rolls one transfer attempt: `true` means the transfer failed and
-    /// must be retried. Honours the configured burst pattern: once an
-    /// error fires, the next `burst_len - 1` rolls fail as well.
+    /// must be retried.
     pub fn transfer_error(&mut self) -> bool {
-        if self.burst_left > 0 {
-            self.burst_left -= 1;
-            self.injected += 1;
-            return true;
-        }
         if self.config.transfer_error_rate > 0.0 && self.rng.chance(self.config.transfer_error_rate)
         {
-            self.burst_left = self.config.burst_len.saturating_sub(1);
             self.injected += 1;
             return true;
         }
@@ -142,22 +132,6 @@ mod tests {
         let mut inj = FaultInjector::new(3, FaultConfig::transfer_errors(0.01));
         let fired = (0..100_000).filter(|_| inj.transfer_error()).count();
         assert!((500..2000).contains(&fired), "{fired} of 100000 at 1%");
-    }
-
-    #[test]
-    fn bursts_cluster_errors() {
-        let mut inj = FaultInjector::new(5, FaultConfig::transfer_errors(0.01).with_burst(4));
-        let mut run = 0u32;
-        let mut longest = 0u32;
-        for _ in 0..100_000 {
-            if inj.transfer_error() {
-                run += 1;
-                longest = longest.max(run);
-            } else {
-                run = 0;
-            }
-        }
-        assert!(longest >= 4, "a full burst must appear, saw {longest}");
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //!
 //! * [`FaultInjector`] — a seed-driven source of simulated hardware
 //!   failures: failed transfers, bad page frames, stalled channels, and
-//!   refused allocations, with per-mode rates and burst patterns
-//!   ([`FaultConfig`]). Same seed, same schedule — every run is exactly
-//!   reproducible.
+//!   refused allocations, with per-mode rates ([`FaultConfig`]). Same
+//!   seed, same schedule — every run is exactly reproducible.
 //! * [`RetryPolicy`] — bounded retry with exponential backoff, in
 //!   simulated cycles, for transient transfer errors.
 //! * [`RecoveryReport`] — end-of-run accounting of every injection and

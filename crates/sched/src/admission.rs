@@ -18,6 +18,11 @@
 //!   quota, read off one [`CompactLru`] cut at that cap, and answered
 //!   `cap` as soon as the misses at the cap exceed the target's share.
 //!
+//! [`LoadControlCfg`] holds what callers choose: the window, the sample
+//! and the thrash-check period. The target fault rate (5 %), the thrash
+//! rate that climbs the ladder (50 %) and the run's shed budget (1,024
+//! swap-outs) are constants, since every caller uses the same ones.
+//!
 //! The simulator's sample is the head of the tenant's own trace cursor,
 //! drawn once and served afterwards, not a second draw of the stream.
 //! Both are pure functions of the sample, so admission decisions are a
@@ -49,24 +54,29 @@ pub enum AdmissionPolicy {
     Fixed,
 }
 
-/// Load-controller tuning.
+/// Target fault rate the allotment picker aims for on the sample.
+pub(crate) const TARGET_FAULT_RATE: f64 = 0.05;
+
+/// Fault rate (over the last [`LoadControlCfg::thrash_refs`]
+/// references) above which the degradation ladder is climbed for the
+/// tenant.
+pub(crate) const THRASH_FAULT_RATE: f64 = 0.5;
+
+/// Total swap-outs (`ShedLoad` rungs) a run may take before the ladder
+/// stops deactivating — the same bounded-shed discipline as
+/// [`dsa_faults::ladder::ShedBudget`].
+pub(crate) const SHED_BUDGET: u32 = 1024;
+
+/// Load-controller tuning: the settings callers choose. The rates and
+/// the shed budget every caller shares are the constants above.
 #[derive(Clone, Copy, Debug)]
 pub struct LoadControlCfg {
     /// Working-set window `tau`, in references.
     pub ws_window: u64,
     /// References sampled from the head of each trace for estimation.
     pub ws_sample: u64,
-    /// Target fault rate the allotment picker aims for on the sample.
-    pub target_fault_rate: f64,
     /// References between thrash checks on an active tenant.
     pub thrash_refs: u32,
-    /// Fault rate (over the last `thrash_refs` references) above which
-    /// the degradation ladder is climbed for the tenant.
-    pub thrash_fault_rate: f64,
-    /// Total swap-outs (`ShedLoad` rungs) the run may take before the
-    /// ladder stops deactivating — the same bounded-shed discipline as
-    /// [`dsa_faults::ladder::ShedBudget`].
-    pub shed_budget: u64,
 }
 
 impl Default for LoadControlCfg {
@@ -74,10 +84,7 @@ impl Default for LoadControlCfg {
         LoadControlCfg {
             ws_window: 128,
             ws_sample: 256,
-            target_fault_rate: 0.05,
             thrash_refs: 64,
-            thrash_fault_rate: 0.5,
-            shed_budget: 1024,
         }
     }
 }
@@ -98,7 +105,7 @@ pub fn estimate_ws(sample: &[PageNo], tau: u64) -> usize {
 
 /// The frame allotment granted to a tenant: the smallest frame count
 /// whose LRU fault rate over `sample` is at or below
-/// `target_fault_rate`, capped by the working-set estimate `est_ws` and
+/// `target`, capped by the working-set estimate `est_ws` and
 /// by `quota`, floor 1.
 ///
 /// LRU is a stack algorithm: a reference found at depth `d` of the
@@ -117,12 +124,7 @@ pub fn estimate_ws(sample: &[PageNo], tau: u64) -> usize {
 /// to `cap`. The test is that expression itself, not an integer budget
 /// derived from `target · n`, whose rounding could disagree with it.
 #[must_use]
-pub(crate) fn pick_allotment(
-    sample: &[PageNo],
-    est_ws: usize,
-    quota: usize,
-    target_fault_rate: f64,
-) -> usize {
+pub(crate) fn pick_allotment(sample: &[PageNo], est_ws: usize, quota: usize, target: f64) -> usize {
     let cap = est_ws.max(1).min(quota.max(1));
     // No stack grows deeper than the sample's distinct pages.
     let depth = cap.min(sample.len());
@@ -138,7 +140,7 @@ pub(crate) fn pick_allotment(
             Some(d) => hits_at[d - 1] += 1,
             None => {
                 misses += 1;
-                if misses as f64 / references as f64 > target_fault_rate {
+                if misses as f64 / references as f64 > target {
                     return cap;
                 }
             }
@@ -147,7 +149,7 @@ pub(crate) fn pick_allotment(
     let mut faults = references;
     for (below, hits) in hits_at.iter().enumerate() {
         faults -= hits;
-        if faults as f64 / references as f64 <= target_fault_rate {
+        if faults as f64 / references as f64 <= target {
             return below + 1;
         }
     }

@@ -56,7 +56,10 @@ use dsa_paging::replacement::lru::LruRepl;
 use dsa_paging::replacement::Replacer;
 use dsa_probe::{EventKind, Probe, Stamp};
 
-use crate::admission::{estimate_ws, pick_allotment, AdmissionPolicy, LoadControlCfg};
+use crate::admission::{
+    estimate_ws, pick_allotment, AdmissionPolicy, LoadControlCfg, SHED_BUDGET, TARGET_FAULT_RATE,
+    THRASH_FAULT_RATE,
+};
 use crate::sim::SimConfig;
 use crate::tenant::{TenantSpec, TraceState};
 use crate::vclock::VClock;
@@ -424,7 +427,7 @@ impl EventSim {
         let mut events = WakeQueue::default();
         // Next-free instants of the transfer channels (empty = ample).
         let mut channels: Vec<u64> = vec![0; cfg.fetch_channels.unwrap_or(0)];
-        let mut shed = ShedBudget::new(u32::try_from(lc.shed_budget).unwrap_or(u32::MAX));
+        let mut shed = ShedBudget::new(SHED_BUDGET);
         let idle = Interval {
             since: Cycles::ZERO,
             pages: 0,
@@ -533,7 +536,7 @@ impl EventSim {
                 let rate = f64::from(t.recent_faults) / f64::from(t.recent_refs.max(1));
                 t.recent_refs = 0;
                 t.recent_faults = 0;
-                if rate > lc.thrash_fault_rate && !backlog.is_empty() {
+                if rate > THRASH_FAULT_RATE && !backlog.is_empty() {
                     let rung =
                         MACHINE_LADDER[(t.ladder_pos as usize).min(MACHINE_LADDER.len() - 1)];
                     ladder_steps += 1;
@@ -735,7 +738,7 @@ fn grant<P: Probe>(t: &mut TenantState, lc: &LoadControlCfg, probe: &mut P, at: 
             .cursor()
             .map_or(&[][..], |cursor| cursor.sample(lc.ws_sample));
         let est = estimate_ws(sample, lc.ws_window);
-        let allot = pick_allotment(sample, est, t.quota as usize, lc.target_fault_rate);
+        let allot = pick_allotment(sample, est, t.quota as usize, TARGET_FAULT_RATE);
         let pages = u32::try_from(est).unwrap_or(u32::MAX);
         t.est_ws = Some(pages);
         t.allot_base = u32::try_from(allot).unwrap_or(u32::MAX);

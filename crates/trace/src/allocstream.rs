@@ -9,7 +9,7 @@
 //! that the storage utilization will remain at an acceptable level",
 //! citing Wald).
 
-use dsa_core::access::{AllocEvent, AllocRequest};
+use dsa_core::access::AllocEvent;
 use dsa_core::ids::Words;
 
 use crate::rng::Rng64;
@@ -96,36 +96,18 @@ impl AllocStreamCfg {
     /// the *order* in which blocks die (and hence the hole pattern the
     /// allocator must cope with), while the target governs steady-state
     /// occupancy.
+    ///
+    /// The model lives in [`crate::stream`]: this drains `n` events from
+    /// a stream over the caller's generator and hands the generator back
+    /// advanced past exactly those draws.
     #[must_use]
     pub fn generate(&self, n: usize, rng: &mut Rng64) -> Vec<AllocEvent> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
+        let mut stream = self.stream_with_rng(rng.clone());
+        // `extend` into a sized `Vec`, with the stream's `next` inlined:
+        // through `collect` a draw measured about a fifth slower.
         let mut out = Vec::with_capacity(n);
-        // Min-heap of (expiry, id, size) over live blocks.
-        let mut live: BinaryHeap<Reverse<(u64, u64, Words)>> = BinaryHeap::new();
-        let mut live_words: Words = 0;
-        let mut next_id = 0u64;
-        let mut t = 0u64;
-        while out.len() < n {
-            if live_words < self.target_live_words {
-                let size = self.sizes.sample(rng);
-                let lifetime = rng.exponential(self.mean_lifetime) as u64;
-                let id = next_id;
-                next_id += 1;
-                live.push(Reverse((t + lifetime.max(1), id, size)));
-                live_words += size;
-                out.push(AllocEvent::Alloc(AllocRequest { id, size }));
-            } else {
-                // Invariant: live_words >= target > 0 here, so at least
-                // one live block exists to retire.
-                #[allow(clippy::expect_used)]
-                let Reverse((_, id, size)) = live.pop().expect("target > 0 implies live blocks");
-                live_words -= size;
-                out.push(AllocEvent::Free { id });
-            }
-            t += 1;
-        }
+        out.extend(stream.by_ref().take(n));
+        *rng = stream.rng;
         out
     }
 }

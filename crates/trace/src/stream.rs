@@ -331,14 +331,13 @@ impl RefStream for RefStringStream {
 #[derive(Clone, Debug)]
 pub struct AllocEventStream {
     cfg: AllocStreamCfg,
-    /// Min-heap of `(expiry, id, size)` over live blocks — the same
-    /// structure `generate` carries across its loop.
+    /// Min-heap of `(expiry, id, size)` over live blocks.
     live: BinaryHeap<Reverse<(u64, u64, Words)>>,
     live_words: Words,
     next_id: u64,
     t: u64,
     pos: u64,
-    rng: Rng64,
+    pub(crate) rng: Rng64,
 }
 
 impl AllocStreamCfg {
@@ -379,6 +378,7 @@ impl AllocStreamCfg {
 impl Iterator for AllocEventStream {
     type Item = AllocEvent;
 
+    #[inline]
     fn next(&mut self) -> Option<AllocEvent> {
         let e = if self.live_words < self.cfg.target_live_words {
             let size = self.cfg.sizes.sample(&mut self.rng);
@@ -391,7 +391,7 @@ impl Iterator for AllocEventStream {
             AllocEvent::Alloc(AllocRequest { id, size })
         } else {
             // Invariant: live_words >= target > 0 here, so at least one
-            // live block exists to retire (as in `generate`).
+            // live block exists to retire.
             #[allow(clippy::expect_used)]
             let Reverse((_, id, size)) = self.live.pop().expect("target > 0 implies live blocks");
             self.live_words -= size;

@@ -1,5 +1,5 @@
-//! The golden-output gauntlet: twenty-one experiment binaries, pinned
-//! stdout, byte-for-byte.
+//! The golden-output gauntlet: twenty-one experiment binaries, plus
+//! exp_19's `--chaos` section, pinned stdout, byte-for-byte.
 //!
 //! Two invariants at once:
 //!
@@ -13,7 +13,9 @@
 //!
 //! Changing an experiment's output on purpose is fine — regenerate the
 //! file (`./target/debug/<bin> --jobs 1 <extra args from GAUNTLET> >
-//! tests/golden/<bin>.txt`) and commit it so the diff is reviewable.
+//! tests/golden/<bin>.txt`; the chaos section's is
+//! `exp_19_overload_chaos.txt`, run with `--chaos`) and commit it so
+//! the diff is reviewable.
 //!
 //! A second test holds the list complete: every binary under
 //! `crates/bench/src/bin/` is in `GAUNTLET` or in `UNPINNED` with its
@@ -97,28 +99,43 @@ fn first_diff(a: &str, b: &str) -> String {
     )
 }
 
+/// Runs `bin` with `extra` at `--jobs 1` and `--jobs 4` and holds both
+/// outputs to `tests/golden/<golden>.txt`.
+fn assert_golden(bin: &str, golden: &str, extra: &[&str]) {
+    let golden_path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(format!("{golden}.txt"));
+    let want = std::fs::read_to_string(&golden_path)
+        .unwrap_or_else(|e| panic!("reading {}: {e}", golden_path.display()));
+    let seq = run(bin, "1", extra);
+    assert!(
+        seq == want,
+        "{bin} {extra:?} --jobs 1 drifted from tests/golden/{golden}.txt — {}\n\
+         (if the change is intentional, regenerate the golden file)",
+        first_diff(&seq, &want)
+    );
+    let par = run(bin, "4", extra);
+    assert!(
+        par == seq,
+        "{bin} {extra:?}: --jobs 4 output differs from --jobs 1 — parallel merge \
+         leaked scheduling into the output; {}",
+        first_diff(&par, &seq)
+    );
+}
+
 #[test]
 fn golden_outputs_match_at_every_jobs_width() {
-    let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     for (bin, extra) in GAUNTLET {
-        let golden_path = golden_dir.join(format!("{bin}.txt"));
-        let golden = std::fs::read_to_string(&golden_path)
-            .unwrap_or_else(|e| panic!("reading {}: {e}", golden_path.display()));
-        let seq = run(bin, "1", extra);
-        assert!(
-            seq == golden,
-            "{bin} --jobs 1 drifted from tests/golden/{bin}.txt — {}\n\
-             (if the change is intentional, regenerate the golden file)",
-            first_diff(&seq, &golden)
-        );
-        let par = run(bin, "4", extra);
-        assert!(
-            par == seq,
-            "{bin}: --jobs 4 output differs from --jobs 1 — parallel merge \
-             leaked scheduling into the output; {}",
-            first_diff(&par, &seq)
-        );
+        assert_golden(bin, bin, extra);
     }
+}
+
+/// The `--chaos` section injects faults under live multithreaded
+/// traffic; its schedule is a pure function of (seed, stream), so it
+/// is pinned like any table.
+#[test]
+fn chaos_section_matches_at_every_jobs_width() {
+    assert_golden("exp_19_overload", "exp_19_overload_chaos", &["--chaos"]);
 }
 
 /// A binary added under `crates/bench/src/bin/` is pinned here or

@@ -44,7 +44,7 @@ fn schedules() -> Vec<FaultConfig> {
     vec![
         FaultConfig::off(),
         FaultConfig::transfer_errors(0.01),
-        FaultConfig::transfer_errors(0.05).with_burst(3),
+        FaultConfig::transfer_errors(0.05),
         FaultConfig::transfer_errors(0.02)
             .with_bad_frames(0.02)
             .with_channel_delays(0.05, Cycles::from_micros(20)),

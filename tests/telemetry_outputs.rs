@@ -15,10 +15,11 @@
 //! * **Jobs-width determinism** — the JSON export at `--jobs 1` and
 //!   `--jobs 4` must be identical bytes: the metrics ride the same
 //!   grid-ordered merge as stdout, so parallelism may not leak in.
-//! * **Universal flags** — every experiment binary's `--help` must
-//!   mention `--metrics-out` and `--flight-recorder`; the registry in
-//!   `dsa_exec::cli::standard_flags` is only honest if every binary
-//!   actually routes through it.
+//! * **Universal flags, and no flag a binary ignores** — every
+//!   experiment binary's `--help` must mention `--jobs` and
+//!   `--metrics-out` (the registry in `dsa_exec::cli::standard_flags`
+//!   is only honest if every binary routes through it), and only the
+//!   binaries that read `--flight-recorder` may accept it.
 //!
 //! Like the golden-output gauntlet, the binaries come from `common`,
 //! which builds them on first use and fails loudly if that fails.
@@ -33,7 +34,7 @@ use common::{bin_dir, bin_path};
 /// Every experiment binary in `dsa-bench` — kept in sync by the loud
 /// failure below if one is missing, and by code review if one is added
 /// without being listed here.
-const ALL_BINARIES: [&str; 20] = [
+const ALL_BINARIES: [&str; 23] = [
     "exp_01_artificial_contiguity",
     "exp_02_space_time",
     "exp_03_mapping_overhead",
@@ -54,7 +55,13 @@ const ALL_BINARIES: [&str; 20] = [
     "exp_17_drum_queueing",
     "exp_18_concurrency",
     "exp_19_overload",
+    "exp_20_trace_scale",
+    "exp_21_global_alloc",
+    "exp_22_tenant_sweep",
 ];
+
+/// The binaries that read `--flight-recorder` (each dumps a postmortem).
+const FLIGHT_RECORDING: [&str; 3] = ["exp_06_faults", "exp_18_concurrency", "exp_19_overload"];
 
 /// Runs `bin` with `args`, asserts success, returns nothing — the
 /// interesting output is whatever `--metrics-out` wrote.
@@ -256,11 +263,28 @@ fn every_binary_advertises_the_universal_telemetry_flags() {
             out.status.code()
         );
         let help = String::from_utf8(out.stdout).expect("usage is UTF-8");
-        for flag in ["--metrics-out", "--flight-recorder", "--jobs"] {
+        for flag in ["--metrics-out", "--jobs"] {
             assert!(
                 help.contains(flag),
                 "{bin} --help does not mention {flag} — it must route through \
                  dsa_exec::cli::enforce_standard_flags; help was:\n{help}"
+            );
+        }
+        let reads = FLIGHT_RECORDING.contains(&bin);
+        assert_eq!(
+            help.contains("--flight-recorder"),
+            reads,
+            "{bin} --help and whether {bin} reads --flight-recorder disagree; help was:\n{help}"
+        );
+        if !reads {
+            let out = Command::new(bin_path(bin))
+                .args(["--flight-recorder", "8"])
+                .output()
+                .unwrap_or_else(|e| panic!("spawning {bin}: {e}"));
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "{bin} accepted --flight-recorder 8, a flag it never reads"
             );
         }
     }

@@ -39,7 +39,7 @@ fn program(accuracy: Option<f64>, seed: u64) -> Vec<dsa_core::access::ProgramOp>
         resize_prob: 0.0,
         advice_accuracy: accuracy,
         wild_touch_prob: 0.0,
-        compute_between: 0,
+        ..ProgramCfg::default()
     }
     .generate(&mut Rng64::new(seed))
     .ops

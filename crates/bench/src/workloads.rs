@@ -20,7 +20,7 @@ pub fn survey_program_cfg() -> ProgramCfg {
         resize_prob: 0.05,
         advice_accuracy: None,
         wild_touch_prob: 0.0,
-        compute_between: 3,
+        ..ProgramCfg::default()
     }
 }
 

@@ -8,10 +8,10 @@
 //!   study (cited as \[1\] by the paper) works in, and what the paging
 //!   and mapping simulators consume.
 //! * [`ProgramOp`] — segment-structured program events (declare a
-//!   segment, touch an item in it, resize it, supply advice, compute for
-//!   a while, free it). This is the portable workload the machine-survey
-//!   experiment (E9) feeds to every appendix machine: each machine's
-//!   adapter lowers `ProgramOp`s onto its own name space.
+//!   segment, touch an item in it, resize it, supply advice, free it).
+//!   This is the portable workload the machine-survey experiment (E9)
+//!   feeds to every appendix machine: each machine's adapter lowers
+//!   `ProgramOp`s onto its own name space.
 //!
 //! Allocation-only experiments (placement, fragmentation, compaction) use
 //! the coarser [`AllocEvent`] stream.
@@ -141,13 +141,6 @@ pub enum ProgramOp {
     },
     /// Supply an advisory directive.
     Advise(Advice),
-    /// Execute `instructions` machine instructions that make no storage
-    /// references we model (register-only compute). Gives workloads a
-    /// CPU-time dimension for space-time accounting.
-    Compute {
-        /// Number of instructions executed.
-        instructions: u64,
-    },
 }
 
 impl fmt::Display for ProgramOp {
@@ -161,7 +154,6 @@ impl fmt::Display for ProgramOp {
             ProgramOp::Resize { seg, size } => write!(f, "resize {seg} -> {size} words"),
             ProgramOp::Delete { seg } => write!(f, "delete {seg}"),
             ProgramOp::Advise(a) => write!(f, "advise: {a}"),
-            ProgramOp::Compute { instructions } => write!(f, "compute {instructions}"),
         }
     }
 }
@@ -210,5 +202,12 @@ mod tests {
         };
         let op2 = op;
         assert_eq!(op, op2);
+    }
+
+    #[test]
+    fn a_program_op_stays_24_bytes() {
+        // A survey program holds one op per touch; a wider op widens
+        // every machine workload's resident stream with it.
+        assert_eq!(core::mem::size_of::<ProgramOp>(), 24);
     }
 }

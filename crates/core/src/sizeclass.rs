@@ -75,7 +75,9 @@ pub struct SizeClasses {
     /// `lut[(size + quantum - 1) / quantum]` = class index of `size`.
     /// Entry 0 (size 0) aliases the smallest class.
     lut: Vec<u8>,
-    quantum: Words,
+    /// `log2(quantum)`: the quantum is a power of two, so the lookup
+    /// shifts instead of dividing.
+    quantum_shift: u32,
     max: Words,
 }
 
@@ -136,7 +138,7 @@ impl SizeClasses {
         SizeClasses {
             classes,
             lut,
-            quantum,
+            quantum_shift: quantum.trailing_zeros(),
             max,
         }
     }
@@ -171,8 +173,9 @@ impl SizeClasses {
         if size > self.max {
             return None;
         }
-        let slot = size.div_ceil(self.quantum) as usize;
-        Some(self.lut[slot] as usize)
+        // `size <= max`, so adding `quantum - 1` cannot overflow.
+        let slot = (size + (1 << self.quantum_shift) - 1) >> self.quantum_shift;
+        Some(self.lut[slot as usize] as usize)
     }
 
     /// The smallest *power-of-two* class holding both `size` and an
@@ -230,6 +233,22 @@ mod tests {
         }
         assert_eq!(l.class_of(2049), None);
         assert_eq!(l.class_of(0), Some(0));
+    }
+
+    #[test]
+    fn the_shifted_lookup_reads_the_div_ceil_slot() {
+        for (quantum, max) in [(1, 8), (2, 64), (8, 2048), (16, 4096), (64, 8192)] {
+            let l = SizeClasses::jemalloc(quantum, max);
+            for size in 0..=max {
+                let slot = size.div_ceil(quantum) as usize;
+                assert_eq!(
+                    l.class_of(size),
+                    Some(l.lut[slot] as usize),
+                    "{quantum}: {size}"
+                );
+            }
+            assert_eq!(l.class_of(max + 1), None);
+        }
     }
 
     #[test]

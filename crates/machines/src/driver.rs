@@ -310,7 +310,6 @@ impl<B: Backend> Composed<B> {
                         backend.advise(advice, cx);
                     }
                 }
-                ProgramOp::Compute { .. } => {}
             }
         }
         Ok(())

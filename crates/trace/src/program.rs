@@ -3,12 +3,12 @@
 //! The machine-survey experiment (E9) and the advice experiment (E8)
 //! need workloads expressed machine-independently, as streams of
 //! [`ProgramOp`]s: declare segments, touch items in them, resize and
-//! delete them, interleave compute, and optionally emit advisory
-//! directives. The generator models a program as a sequence of *phases*,
-//! each working over a small set of segments — the structure the paper
-//! says segmentation exists to convey ("if the program has started using
-//! information from a particular segment, it is likely, in a short time,
-//! to need to use other information in that segment").
+//! delete them, and optionally emit advisory directives. The generator
+//! models a program as a sequence of *phases*, each working over a small
+//! set of segments — the structure the paper says segmentation exists to
+//! convey ("if the program has started using information from a
+//! particular segment, it is likely, in a short time, to need to use
+//! other information in that segment").
 
 use dsa_core::access::{AccessKind, ProgramOp};
 use dsa_core::advice::{Advice, AdviceUnit};
@@ -44,8 +44,9 @@ pub struct ProgramCfg {
     /// subscript for experiment E13). The generated offset is `size +
     /// small`, guaranteed to violate the segment bound.
     pub wild_touch_prob: f64,
-    /// Instructions of register-only compute between consecutive
-    /// touches.
+    /// Unread: no machine models register-only compute, so the
+    /// generator emits nothing for it. It stays only while the
+    /// `benchmark/` harness still sets it.
     pub compute_between: u64,
 }
 
@@ -64,7 +65,7 @@ impl Default for ProgramCfg {
             resize_prob: 0.1,
             advice_accuracy: None,
             wild_touch_prob: 0.0,
-            compute_between: 5,
+            compute_between: 0,
         }
     }
 }
@@ -112,7 +113,12 @@ impl ProgramCfg {
         assert!(self.phase_set > 0, "phase set must be non-empty");
         let nseg = self.segments;
         let mut sizes: Vec<Words> = (0..nseg).map(|_| self.seg_sizes.sample(rng)).collect();
-        let mut ops: Vec<ProgramOp> = Vec::with_capacity(self.touches * 2);
+        // One op per touch, a define and a delete per segment, and per
+        // phase at most a resize and the turnover of the advised set.
+        let set_size = self.phase_set.min(nseg) as usize;
+        let per_phase = 1 + 2 * set_size * usize::from(self.advice_accuracy.is_some());
+        let phases = self.touches.div_ceil(self.phase_len.max(1));
+        let mut ops = Vec::with_capacity(self.touches + 2 * nseg as usize + phases * per_phase);
         for (i, &size) in sizes.iter().enumerate() {
             ops.push(ProgramOp::Define {
                 seg: SegId(i as u32),
@@ -120,7 +126,6 @@ impl ProgramCfg {
             });
         }
 
-        let set_size = self.phase_set.min(nseg) as usize;
         let mut all: Vec<u32> = (0..nseg).collect();
         let mut current: Vec<u32> = Vec::new();
         let mut emitted = 0usize;
@@ -184,11 +189,6 @@ impl ProgramCfg {
                     offset,
                     kind,
                 });
-                if self.compute_between > 0 {
-                    ops.push(ProgramOp::Compute {
-                        instructions: self.compute_between,
-                    });
-                }
                 emitted += 1;
             }
         }
@@ -217,7 +217,7 @@ mod tests {
             resize_prob: 0.2,
             advice_accuracy: None,
             wild_touch_prob: 0.0,
-            compute_between: 2,
+            ..ProgramCfg::default()
         }
     }
 
@@ -307,7 +307,6 @@ mod tests {
     fn accurate_advice_names_segments_about_to_be_used() {
         let mut cfg = small_cfg();
         cfg.advice_accuracy = Some(1.0);
-        cfg.compute_between = 0;
         let p = cfg.generate(&mut Rng64::new(6));
         // Every will-need advice must be followed by a touch of that
         // segment before the next phase boundary block of advice ends
@@ -327,6 +326,24 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_stream_holds_one_op_per_touch() {
+        let mut cfg = small_cfg();
+        cfg.advice_accuracy = Some(0.5);
+        cfg.compute_between = 0;
+        let p = cfg.generate(&mut Rng64::new(9));
+        cfg.compute_between = 3;
+        assert_eq!(cfg.generate(&mut Rng64::new(9)).ops, p.ops);
+        let count = |is: fn(&ProgramOp) -> bool| p.ops.iter().filter(|op| is(op)).count();
+        let resizes = count(|op| matches!(op, ProgramOp::Resize { .. }));
+        let advice = count(|op| matches!(op, ProgramOp::Advise(_)));
+        assert!(resizes > 0 && advice > 0);
+        assert_eq!(
+            p.ops.len(),
+            cfg.touches + 2 * cfg.segments as usize + resizes + advice
+        );
     }
 
     #[test]

@@ -32,7 +32,7 @@ fn main() {
         resize_prob: 0.0,
         advice_accuracy: None,
         wild_touch_prob: 0.0,
-        compute_between: 0,
+        ..ProgramCfg::default()
     }
     .generate(&mut rng);
 

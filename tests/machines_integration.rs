@@ -35,7 +35,7 @@ fn survey_cfg() -> ProgramCfg {
         resize_prob: 0.05,
         advice_accuracy: None,
         wild_touch_prob: 0.001,
-        compute_between: 2,
+        ..ProgramCfg::default()
     }
 }
 

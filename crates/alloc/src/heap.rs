@@ -738,7 +738,7 @@ mod tests {
         for size in [1usize, 8, 9, 100, 2048] {
             let l = layout(size, 8);
             let c = heap.small_class(l).unwrap();
-            assert!(heap.classes().size_of(c) >= size as u64);
+            assert!(heap.classes().classes()[c] >= size as u64);
             let p = heap.alloc_direct(l);
             assert!(heap.in_class_slab(c, p), "size {size} missed its slab");
             unsafe { heap.dealloc_direct(p, l) };

@@ -7,7 +7,7 @@
 //! at the door by tenant [`Priority`] once the watermarks are crossed
 //! (85 % and 95 % occupancy: constants, since every service uses the
 //! same two), and it meters the shed rung of the arena's degradation
-//! ladder ([`ARENA_LADDER`]) through an [`AtomicShedBudget`] so victim
+//! ladder through an [`AtomicShedBudget`] so victim
 //! eviction is bounded per overload episode rather than cascading. The
 //! budget is the guard's one setting.
 //!
@@ -25,7 +25,6 @@
 //!
 //! Only then does the typed failure surface to the client.
 //!
-//! [`ARENA_LADDER`]: dsa_faults::ladder::ARENA_LADDER
 //! [`DegradationStep::RetryBackoff`]: dsa_faults::ladder::DegradationStep::RetryBackoff
 //! [`DegradationStep::Coalesce`]: dsa_faults::ladder::DegradationStep::Coalesce
 //! [`DegradationStep::StealGlobal`]: dsa_faults::ladder::DegradationStep::StealGlobal

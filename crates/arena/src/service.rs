@@ -18,7 +18,7 @@
 //!   thread count;
 //! * an optional [`OverloadGuard`] refuses admission at the door by
 //!   priority once occupancy crosses its watermarks, and walks the
-//!   [`ARENA_LADDER`] degradation ladder (retry with backoff → coalesce
+//!   arena's degradation ladder (retry with backoff → coalesce
 //!   the pressured shard → compact globally and re-drive the steal
 //!   rotation → shed lowest-priority tenants) before a typed failure
 //!   reaches the caller;
@@ -32,8 +32,6 @@
 //! *exactly* with the sum of per-worker tallies at any thread count —
 //! the reconciliation guarantee the sequential probes have always
 //! given, extended to concurrent traffic.
-//!
-//! [`ARENA_LADDER`]: dsa_faults::ladder::ARENA_LADDER
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
@@ -480,12 +478,11 @@ impl ArenaService {
         Ok(addr)
     }
 
-    /// The [`ARENA_LADDER`] walk on a placement failure, rung by rung,
-    /// re-driving the allocation after each. Every rung emits its
-    /// [`DegradationStep`]; every shed emits `TenantShed`, one for one
-    /// with the budget grants.
-    ///
-    /// [`ARENA_LADDER`]: dsa_faults::ladder::ARENA_LADDER
+    /// The arena's degradation ladder on a placement failure, rung by
+    /// rung — retry with backoff, coalesce the pressured shard, steal
+    /// globally, shed a tenant — re-driving the allocation after each.
+    /// Every rung emits its [`DegradationStep`]; every shed emits
+    /// `TenantShed`, one for one with the budget grants.
     fn climb_ladder<P: Probe + ?Sized>(
         &self,
         guard: &OverloadGuard,
@@ -860,7 +857,13 @@ mod tests {
         let mut rungs = Rungs::default();
         let served = svc.alloc_probed(3, 60, 1, None, &mut rungs);
         assert!(served.is_ok(), "{served:?}");
-        assert_eq!(rungs.0, dsa_faults::ladder::ARENA_LADDER, "rungs in order");
+        let order = [
+            DegradationStep::RetryBackoff,
+            DegradationStep::Coalesce,
+            DegradationStep::StealGlobal,
+            DegradationStep::ShedTenant,
+        ];
+        assert_eq!(rungs.0, order, "rungs in order");
         let c = svc.counters();
         assert!(c.tenants_shed >= 1, "at least one block shed");
         assert_eq!(Some(c.tenants_shed), svc.guard().map(OverloadGuard::sheds));

@@ -65,7 +65,7 @@ pub(crate) const CLASSES_PER_DOUBLING: Words = 4;
 /// let ladder = SizeClasses::jemalloc(8, 2048);
 /// assert_eq!(ladder.count(), 28);
 /// let c = ladder.class_of(100).unwrap();
-/// assert_eq!(ladder.size_of(c), 112);
+/// assert_eq!(ladder.classes()[c], 112);
 /// assert_eq!(ladder.class_of(2049), None);
 /// ```
 #[derive(Clone, Debug)]
@@ -155,16 +155,6 @@ impl SizeClasses {
         &self.classes
     }
 
-    /// The rounded size of class `c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is out of range.
-    #[must_use]
-    pub fn size_of(&self, c: usize) -> Words {
-        self.classes[c]
-    }
-
     /// The smallest class holding `size`, or `None` past the ladder.
     /// O(1): one table read. A zero-size request maps to the smallest
     /// class.
@@ -226,9 +216,9 @@ mod tests {
         let l = SizeClasses::jemalloc(8, 2048);
         for size in 1..=2048u64 {
             let c = l.class_of(size).unwrap();
-            assert!(l.size_of(c) >= size, "class too small for {size}");
+            assert!(l.classes()[c] >= size, "class too small for {size}");
             if c > 0 {
-                assert!(l.size_of(c - 1) < size, "class not minimal for {size}");
+                assert!(l.classes()[c - 1] < size, "class not minimal for {size}");
             }
         }
         assert_eq!(l.class_of(2049), None);
@@ -255,7 +245,7 @@ mod tests {
     fn internal_fragmentation_is_bounded() {
         let l = SizeClasses::jemalloc(8, 2048);
         for size in 65..=2048u64 {
-            let rounded = l.size_of(l.class_of(size).unwrap());
+            let rounded = l.classes()[l.class_of(size).unwrap()];
             // Above the quantum-spaced run the spacing is base/4, so
             // waste < 25% of the request.
             assert!(
@@ -269,12 +259,12 @@ mod tests {
     fn aligned_class_is_a_power_of_two_covering_both() {
         let l = SizeClasses::jemalloc(8, 2048);
         let c = l.aligned_class_of(24, 16).unwrap();
-        assert_eq!(l.size_of(c), 32);
+        assert_eq!(l.classes()[c], 32);
         let c = l.aligned_class_of(100, 256).unwrap();
-        assert_eq!(l.size_of(c), 256);
+        assert_eq!(l.classes()[c], 256);
         assert_eq!(l.aligned_class_of(1, 4096), None);
         let c = l.aligned_class_of(0, 1).unwrap();
-        assert_eq!(l.size_of(c), 8);
+        assert_eq!(l.classes()[c], 8);
     }
 
     #[test]
@@ -285,7 +275,7 @@ mod tests {
         assert_eq!(*l.classes().last().unwrap(), 4096);
         for size in (16..=4096u64).step_by(16) {
             let c = l.class_of(size).unwrap();
-            assert!(l.size_of(c) >= size);
+            assert!(l.classes()[c] >= size);
         }
     }
 }

@@ -55,12 +55,6 @@ pub enum NameSpaceKind {
 }
 
 impl NameSpaceKind {
-    /// True if the name space is segmented (either flavour).
-    #[must_use]
-    pub fn is_segmented(&self) -> bool {
-        !matches!(self, NameSpaceKind::Linear { .. })
-    }
-
     /// A short label used in survey tables.
     #[must_use]
     pub fn label(&self) -> &'static str {
@@ -235,7 +229,7 @@ impl fmt::Display for AllocationUnit {
 ///     contiguity: Contiguity::Artificial,
 ///     unit: AllocationUnit::Variable,
 /// };
-/// assert!(favoured.name_space.is_segmented());
+/// assert_eq!(favoured.name_space.label(), "symbolically segmented");
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SystemCharacteristics {
@@ -287,12 +281,6 @@ mod tests {
             contiguity: Contiguity::Physical,
             unit: AllocationUnit::Variable,
         }
-    }
-
-    #[test]
-    fn segmentedness() {
-        assert!(!NameSpaceKind::Linear { extent: 1 << 24 }.is_segmented());
-        assert!(b5000().name_space.is_segmented());
     }
 
     #[test]

@@ -67,13 +67,6 @@ impl FaultConfig {
         self.channel_delay = delay;
         self
     }
-
-    /// Sets the forced-allocation-failure rate.
-    #[must_use]
-    pub fn with_alloc_failures(mut self, rate: f64) -> FaultConfig {
-        self.alloc_fail_rate = rate;
-        self
-    }
 }
 
 impl Default for FaultConfig {
@@ -90,12 +83,11 @@ mod tests {
     fn builders_compose() {
         let c = FaultConfig::transfer_errors(0.1)
             .with_bad_frames(0.2)
-            .with_channel_delays(0.3, Cycles::from_micros(5))
-            .with_alloc_failures(0.4);
+            .with_channel_delays(0.3, Cycles::from_micros(5));
         assert_eq!(c.transfer_error_rate, 0.1);
         assert_eq!(c.bad_frame_rate, 0.2);
         assert_eq!(c.channel_delay_rate, 0.3);
         assert_eq!(c.channel_delay, Cycles::from_micros(5));
-        assert_eq!(c.alloc_fail_rate, 0.4);
+        assert_eq!(c.alloc_fail_rate, 0.0);
     }
 }

@@ -10,8 +10,9 @@
 //! rules are written once.
 //!
 //! The ladder *ordering* is policy, not vocabulary: each climber
-//! declares its own rung sequence ([`MACHINE_LADDER`],
-//! [`ARENA_LADDER`]) over the shared steps.
+//! walks its own rung sequence over the shared steps (the machines'
+//! is [`MACHINE_LADDER`]; the arena's is the order
+//! `ArenaService::climb_ladder` takes its rungs in).
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -71,17 +72,6 @@ pub const MACHINE_LADDER: [DegradationStep; 4] = [
     DegradationStep::Compact,
     DegradationStep::EvictVictims,
     DegradationStep::ShedLoad,
-];
-
-/// The concurrent arena's rung order: cheapest and least disruptive
-/// first — transient failures retry, then the pressured shard is
-/// consolidated, then every shard, and only then is another tenant's
-/// storage taken.
-pub const ARENA_LADDER: [DegradationStep; 4] = [
-    DegradationStep::RetryBackoff,
-    DegradationStep::Coalesce,
-    DegradationStep::StealGlobal,
-    DegradationStep::ShedTenant,
 ];
 
 /// A bounded budget of shed rungs per run.
@@ -187,8 +177,6 @@ mod tests {
     #[test]
     fn ladders_share_the_vocabulary() {
         assert!(MACHINE_LADDER.contains(&DegradationStep::ShedLoad));
-        assert!(ARENA_LADDER.contains(&DegradationStep::ShedTenant));
-        assert!(ARENA_LADDER.contains(&DegradationStep::Coalesce));
     }
 
     #[test]

@@ -36,8 +36,6 @@ fn mix(mut z: u64) -> u64 {
 #[derive(Debug, Default)]
 struct Tally {
     faults_injected: AtomicU64,
-    transfer_errors: AtomicU64,
-    bad_frames: AtomicU64,
     channel_delays: AtomicU64,
     forced_alloc_failures: AtomicU64,
     shard_corruptions: AtomicU64,
@@ -90,8 +88,6 @@ impl SyncFaultInjector {
         let delays = self.tally.channel_delays.load(Ordering::Relaxed);
         RecoveryReport {
             faults_injected: self.tally.faults_injected.load(Ordering::Relaxed),
-            transfer_errors: self.tally.transfer_errors.load(Ordering::Relaxed),
-            bad_frames: self.tally.bad_frames.load(Ordering::Relaxed),
             channel_delays: delays,
             forced_alloc_failures: self.tally.forced_alloc_failures.load(Ordering::Relaxed),
             shard_corruptions: self.tally.shard_corruptions.load(Ordering::Relaxed),
@@ -106,8 +102,9 @@ impl SyncFaultInjector {
 /// One worker's deterministic hazard stream, tallying into the shared
 /// [`SyncFaultInjector`].
 ///
-/// Mirrors the [`FaultInjector`] rolls and adds the concurrent-path
-/// hazard: [`WorkerInjector::shard_corruption`].
+/// Makes the [`FaultInjector`] rolls the concurrent path meets (channel
+/// delays, refused allocations) and adds its own hazard:
+/// [`WorkerInjector::shard_corruption`].
 #[derive(Debug)]
 pub struct WorkerInjector<'a> {
     inner: FaultInjector,
@@ -115,24 +112,6 @@ pub struct WorkerInjector<'a> {
 }
 
 impl WorkerInjector<'_> {
-    /// Rolls one transfer attempt; `true` means it failed.
-    pub fn transfer_error(&mut self) -> bool {
-        let fired = self.inner.transfer_error();
-        if fired {
-            self.count(&self.tally.transfer_errors);
-        }
-        fired
-    }
-
-    /// Rolls one demand load; `true` means the frame is bad.
-    pub fn frame_bad(&mut self) -> bool {
-        let fired = self.inner.frame_bad();
-        if fired {
-            self.count(&self.tally.bad_frames);
-        }
-        fired
-    }
-
     /// Rolls one transfer for channel congestion; the returned stall is
     /// charged by the caller.
     pub fn channel_delay(&mut self) -> Option<Cycles> {
@@ -181,14 +160,17 @@ mod tests {
 
     #[test]
     fn streams_are_independent_and_deterministic() {
-        let cfg = FaultConfig::transfer_errors(0.2).with_alloc_failures(0.1);
+        let cfg = FaultConfig {
+            alloc_fail_rate: 0.1,
+            ..FaultConfig::off().with_channel_delays(0.2, Cycles::from_micros(1))
+        };
         let a = SyncFaultInjector::new(11, cfg);
         let b = SyncFaultInjector::new(11, cfg);
         for stream in 0..4 {
             let mut wa = a.worker(stream);
             let mut wb = b.worker(stream);
             for _ in 0..1000 {
-                assert_eq!(wa.transfer_error(), wb.transfer_error());
+                assert_eq!(wa.channel_delay(), wb.channel_delay());
                 assert_eq!(wa.alloc_failure(), wb.alloc_failure());
             }
         }
@@ -197,9 +179,13 @@ mod tests {
 
     #[test]
     fn distinct_streams_differ() {
-        let f = SyncFaultInjector::new(7, FaultConfig::transfer_errors(0.5));
+        let cfg = FaultConfig {
+            alloc_fail_rate: 0.5,
+            ..FaultConfig::off()
+        };
+        let f = SyncFaultInjector::new(7, cfg);
         let roll = |mut w: WorkerInjector<'_>| -> Vec<bool> {
-            (0..64).map(|_| w.transfer_error()).collect()
+            (0..64).map(|_| w.alloc_failure()).collect()
         };
         assert_ne!(roll(f.worker(0)), roll(f.worker(1)));
     }
@@ -208,9 +194,8 @@ mod tests {
     fn report_merges_commutatively_across_threads() {
         let cfg = FaultConfig {
             shard_corruption_rate: 0.01,
-            ..FaultConfig::transfer_errors(0.1)
-                .with_alloc_failures(0.05)
-                .with_channel_delays(0.02, Cycles::from_micros(3))
+            alloc_fail_rate: 0.05,
+            ..FaultConfig::off().with_channel_delays(0.02, Cycles::from_micros(3))
         };
         let totals = |threads: usize| -> RecoveryReport {
             let f = SyncFaultInjector::new(99, cfg);
@@ -224,7 +209,6 @@ mod tests {
                             for stream in (t as u64..8).step_by(threads) {
                                 let mut w = f.worker(stream);
                                 for _ in 0..500 {
-                                    w.transfer_error();
                                     w.alloc_failure();
                                     w.channel_delay();
                                     if w.shard_corruption() {

@@ -7,6 +7,9 @@
 //! the next power of two). It serves as an ablation baseline between
 //! the pure free list and pure paging in experiments E5–E6.
 
+// The per-order sets are the buddy system's free store, not an index
+// beside a hole table (crates/freelist/clippy.toml).
+#[allow(clippy::disallowed_types)]
 use std::collections::BTreeSet;
 
 use dsa_core::error::AllocError;
@@ -31,6 +34,7 @@ pub struct BuddyStats {
 
 /// A binary buddy allocator over a power-of-two capacity.
 #[derive(Clone, Debug)]
+#[allow(clippy::disallowed_types)] // its free store, as above
 pub struct BuddyAllocator {
     capacity_log2: u32,
     /// Free blocks per order: `free[k]` holds start addresses of free
@@ -49,6 +53,7 @@ impl BuddyAllocator {
     /// Panics if `capacity_log2` exceeds 40 (a petabyte of simulated
     /// words is surely a configuration error).
     #[must_use]
+    #[allow(clippy::disallowed_types)] // its free store, as above
     pub fn new(capacity_log2: u32) -> BuddyAllocator {
         assert!(capacity_log2 <= 40, "capacity_log2 too large");
         let mut free: Vec<BTreeSet<u64>> = (0..=capacity_log2).map(|_| BTreeSet::new()).collect();

@@ -471,12 +471,6 @@ impl FreeListAllocator {
         a
     }
 
-    /// Total capacity in words.
-    #[must_use]
-    pub fn capacity(&self) -> Words {
-        self.capacity
-    }
-
     /// Words currently free (including any blocks parked on the quick
     /// lists — parked storage is free storage, merely uncoalesced).
     #[must_use]
@@ -819,16 +813,9 @@ impl FreeListAllocator {
         self.quick.as_ref().map_or(0, |q| q.words)
     }
 
-    /// Returns every parked block to the coalescing hole list. Called
-    /// automatically before a request is allowed to fail, before
-    /// compaction, and on heal; callable directly to restore the
-    /// maximally-coalesced invariant at a quiescent point.
-    pub fn flush_quick_lists(&mut self) {
-        Self::flush(&mut self.quick, &mut self.holes, &mut self.stats);
-    }
-
-    /// [`FreeListAllocator::flush_quick_lists`] on the fields it edits;
-    /// whether any block was parked.
+    /// Returns every parked block to the coalescing hole list, and says
+    /// whether any block was parked. Called before a request is allowed
+    /// to fail, before compaction, and on heal.
     fn flush(
         quick: &mut Option<QuickLists>,
         holes: &mut HoleTable,
@@ -1533,7 +1520,11 @@ mod probe_tests {
         // Size cap 16: the 100-word block goes straight to the holes.
         assert_eq!(a.quick_parked_words(), 16);
         a.check_invariants();
-        a.flush_quick_lists();
+        assert!(FreeListAllocator::flush(
+            &mut a.quick,
+            &mut a.holes,
+            &mut a.stats
+        ));
         assert_eq!(a.quick_parked_words(), 0);
         assert_eq!(a.free_words(), 1000);
         a.check_invariants();
@@ -1561,8 +1552,10 @@ mod probe_tests {
     }
 }
 
-/// The hole table against a `BTreeMap` of the same holes.
+/// The hole table against a `BTreeMap` of the same holes: a test
+/// model may use the type the crate refuses (clippy.toml).
 #[cfg(test)]
+#[allow(clippy::disallowed_types)]
 mod hole_table_tests {
     use super::*;
     use proptest::prelude::*;

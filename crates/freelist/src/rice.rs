@@ -84,12 +84,6 @@ impl RiceAllocator {
         }
     }
 
-    /// Total capacity in words.
-    #[must_use]
-    pub fn capacity(&self) -> Words {
-        self.capacity
-    }
-
     /// Words in inactive blocks plus the untouched region beyond the
     /// frontier.
     #[must_use]

@@ -64,6 +64,9 @@ pub trait MapDevice: AddressMap + Send {
 
     /// Forgets that `page` occupied `frame`.
     fn unload(&mut self, page: PageNo, frame: FrameNo);
+
+    /// Every page the device maps, with the frame it maps it to.
+    fn mapped(&self) -> Vec<(PageNo, FrameNo)>;
 }
 
 impl MapDevice for FrameAssociativeMap {
@@ -79,6 +82,10 @@ impl MapDevice for FrameAssociativeMap {
     fn unload(&mut self, _page: PageNo, frame: FrameNo) {
         FrameAssociativeMap::unload(self, frame);
     }
+
+    fn mapped(&self) -> Vec<(PageNo, FrameNo)> {
+        self.mappings().collect()
+    }
 }
 
 impl MapDevice for BlockMap {
@@ -93,6 +100,10 @@ impl MapDevice for BlockMap {
 
     fn unload(&mut self, page: PageNo, _frame: FrameNo) {
         self.unmap_block(page.0);
+    }
+
+    fn mapped(&self) -> Vec<(PageNo, FrameNo)> {
+        self.mappings().collect()
     }
 }
 
@@ -133,6 +144,10 @@ impl MapDevice for TwoLevelMap {
     fn unload(&mut self, page: PageNo, _frame: FrameNo) {
         let (seg, index) = TwoLevelMap::decode_page(page);
         let _ = self.unmap_page(seg, index);
+    }
+
+    fn mapped(&self) -> Vec<(PageNo, FrameNo)> {
+        self.mappings().collect()
     }
 }
 

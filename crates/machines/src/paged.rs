@@ -259,14 +259,23 @@ impl<D: MapDevice> Frames<D> {
     ) -> Result<(), CoreError> {
         let outcome = self.memory.touch_probed(page, write, cx.at(), cx.probe)?;
         // A `Hit` raced with a prefetch; nothing more to do.
-        if let TouchOutcome::Fault { frame, evicted } = outcome {
+        if let TouchOutcome::Fault {
+            frame,
+            evicted,
+            reserve,
+        } = outcome
+        {
             cx.emit(EventKind::FetchStart {
                 words: self.page_size,
             });
-            if let Some(e) = evicted {
+            for e in [evicted, reserve].into_iter().flatten() {
                 self.push_out(e, cx);
             }
-            self.device.load(page, frame).map_err(CoreError::Access)?;
+            // ATLAS's vacant reserve may have pushed out the very page
+            // just fetched; then no register is to name it.
+            if reserve.is_none_or(|r| r.page != page) {
+                self.device.load(page, frame).map_err(CoreError::Access)?;
+            }
             cx.report.faults += 1;
             cx.charge_fetch(self.page_size);
             // The transfer may have filled a frame whose storage is
@@ -330,16 +339,11 @@ impl<L: NameLayout<D>, D: MapDevice> Backend for Paged<L, D> {
             Ok(addr) => {
                 cx.report.wild_undetected += u64::from(wild);
                 // Keep the paging engine's recency state in step with
-                // the hardware hit, in the frame the device found. The
-                // device can name a page the engine has let go: ATLAS's
-                // vacant reserve may evict the very page a fault just
-                // fetched, after which the register still names it and
-                // the engine quietly faults it back in here.
+                // the hardware hit, in the frame the device found: the
+                // device maps no page the engine does not hold there.
                 let page = frames.device.page(mseg, name / frames.page_size);
                 let frame = FrameNo(addr.value() / frames.page_size);
-                frames
-                    .memory
-                    .touch_resolved(page, frame, write, cx.at(), cx.probe)?;
+                frames.memory.touch_resolved(page, frame, write, cx.now);
                 Ok(None)
             }
             Err(AccessFault::MissingPage { page }) => {
@@ -413,8 +417,18 @@ impl<L: NameLayout<D>, D: MapDevice> Backend for Paged<L, D> {
         report.useful_prefetches = stats.useful_prefetches;
     }
 
+    /// The engine's books, and every page the device maps sitting in
+    /// that frame of the engine.
     fn check_invariants(&self) {
-        self.frames.memory.check_invariants();
+        let frames = &self.frames;
+        frames.memory.check_invariants();
+        for (page, frame) in frames.device.mapped() {
+            assert_eq!(
+                frames.memory.frame_of(page),
+                Some(frame),
+                "the device maps {page:?} to {frame:?}"
+            );
+        }
     }
 }
 

@@ -395,7 +395,10 @@ mod tests {
     #[test]
     fn characteristics_match_the_survey() {
         let a = atlas();
-        assert!(!a.characteristics().name_space.is_segmented());
+        assert!(matches!(
+            a.characteristics().name_space,
+            NameSpaceKind::Linear { .. }
+        ));
         assert_eq!(a.characteristics().predictive, PredictiveInfo::None);
         let m = m44_44x();
         assert_eq!(m.characteristics().predictive, PredictiveInfo::Advisory);

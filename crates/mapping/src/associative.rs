@@ -63,8 +63,6 @@ pub struct AssocMemory {
     // The key the last lookup missed, until the next insert: absent for
     // certain, so the insert that follows a miss need not search again.
     missed: Option<u64>,
-    hits: u64,
-    misses: u64,
 }
 
 /// Initial buckets; the table doubles as entries arrive.
@@ -92,8 +90,6 @@ impl AssocMemory {
             heads: vec![0; MIN_BUCKETS],
             shift: 64 - MIN_BUCKETS.trailing_zeros(),
             missed: None,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -164,12 +160,10 @@ impl AssocMemory {
     pub fn lookup(&mut self, key: u64) -> Option<u64> {
         match self.find(key) {
             0 => {
-                self.misses += 1;
                 self.missed = Some(key);
                 None
             }
             slot => {
-                self.hits += 1;
                 if self.policy == AssocPolicy::Lru {
                     self.unlink(slot);
                     self.link_newest(slot);
@@ -251,14 +245,6 @@ impl AssocMemory {
         }
     }
 
-    /// Clears the memory (e.g. on a program switch).
-    pub fn invalidate_all(&mut self) {
-        self.keys.truncate(1);
-        self.slots.truncate(1);
-        self.slots[0] = Slot::default();
-        self.heads.fill(0);
-    }
-
     /// Checks that the keys, the index and the age list agree: every
     /// resident key is indexed at its own slot and nothing else is, and
     /// the age list runs through every slot once, both ways.
@@ -306,33 +292,18 @@ impl AssocMemory {
         assert_eq!(at, 0, "age list does not close at the root");
     }
 
+    // Callers count; none asks for emptiness, so there is no unused
+    // `is_empty` beside it.
     /// Number of resident entries.
     #[must_use]
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.keys.len() - 1
-    }
-
-    /// True if no entries are resident.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Iterates over the currently resident keys.
     pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
         self.keys[1..].iter().copied()
-    }
-
-    /// Hits so far.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses so far.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 }
 
@@ -424,6 +395,13 @@ impl FrameAssociativeMap {
     #[must_use]
     pub fn frame_of(&self, page: PageNo) -> Option<FrameNo> {
         self.frame_by_page.get(page.0 as usize).copied().flatten()
+    }
+
+    /// Every page a register names, with its frame.
+    pub fn mappings(&self) -> impl Iterator<Item = (PageNo, FrameNo)> + '_ {
+        (0u64..)
+            .zip(&self.frame_by_page)
+            .filter_map(|(page, frame)| frame.map(|frame| (PageNo(page), frame)))
     }
 
     /// Checks that the inverse index and the registers agree entry for
@@ -523,9 +501,7 @@ mod tests {
         let mut a = AssocMemory::new(0, AssocPolicy::Lru);
         a.insert(1, 10);
         assert_eq!(a.lookup(1), None);
-        assert!(a.is_empty());
-        assert_eq!(a.misses(), 1);
-        assert_eq!(a.hits(), 0);
+        assert_eq!(a.len(), 0);
     }
 
     #[test]
@@ -537,9 +513,7 @@ mod tests {
         assert_eq!(a.lookup(1), Some(11));
         a.invalidate(1);
         assert_eq!(a.lookup(1), None);
-        a.insert(2, 20);
-        a.invalidate_all();
-        assert!(a.is_empty());
+        assert_eq!(a.len(), 0);
     }
 
     fn atlas_map() -> FrameAssociativeMap {

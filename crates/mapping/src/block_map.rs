@@ -13,7 +13,7 @@
 //! artificial contiguity and the hook demand paging hangs on.
 
 use dsa_core::error::AccessFault;
-use dsa_core::ids::{Name, PageNo, PhysAddr, Words};
+use dsa_core::ids::{FrameNo, Name, PageNo, PhysAddr, Words};
 
 use crate::cost::{MapCosts, MapStats};
 use crate::{AddressMap, Translation};
@@ -86,14 +86,12 @@ impl BlockMap {
         self.table[index as usize] = None;
     }
 
-    /// Current mapping of block `index`, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of table range.
-    #[must_use]
-    pub fn block_base(&self, index: u64) -> Option<PhysAddr> {
-        self.table[index as usize]
+    /// Every mapped block, as a page in the frame its base begins.
+    pub fn mappings(&self) -> impl Iterator<Item = (PageNo, FrameNo)> + '_ {
+        let block_size = self.block_size();
+        (0u64..).zip(&self.table).filter_map(move |(index, base)| {
+            base.map(|base| (PageNo(index), FrameNo(base.value() / block_size)))
+        })
     }
 }
 
@@ -212,8 +210,8 @@ mod tests {
         m.map_block(0, PhysAddr(0));
         m.map_block(1, PhysAddr(16));
         m.unmap_block(0);
-        assert_eq!(m.block_base(0), None);
-        assert_eq!(m.block_base(1), Some(PhysAddr(16)));
+        assert!(m.translate(Name(0)).outcome.is_err());
+        assert_eq!(m.translate(Name(16)).unwrap_addr(), PhysAddr(16));
     }
 
     #[test]

@@ -38,16 +38,6 @@ impl MapCosts {
             register_op: Cycles::from_nanos((cycle.as_nanos() / 10).max(1)),
         }
     }
-
-    /// Free addressing (useful as an experimental control).
-    #[must_use]
-    pub fn zero() -> MapCosts {
-        MapCosts {
-            table_ref: Cycles::ZERO,
-            assoc_search: Cycles::ZERO,
-            register_op: Cycles::ZERO,
-        }
-    }
 }
 
 impl Default for MapCosts {

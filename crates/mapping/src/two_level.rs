@@ -313,6 +313,16 @@ impl TwoLevelMap {
         self.stats.assoc_hit_ratio()
     }
 
+    /// Every resident page of every segment, with its frame.
+    pub fn mappings(&self) -> impl Iterator<Item = (PageNo, FrameNo)> + '_ {
+        (0u32..).zip(&self.segments).flat_map(move |(seg, entry)| {
+            let table = entry.as_ref().map_or(&[][..], |e| &e.page_table[..]);
+            (0u64..).zip(table).filter_map(move |(index, frame)| {
+                frame.map(|frame| (self.global_page(SegId(seg), index), frame))
+            })
+        })
+    }
+
     /// Checks the associative memory in front of the tables
     /// ([`AssocMemory::check_invariants`]).
     ///
@@ -581,7 +591,7 @@ mod edge_tests {
 
     #[test]
     fn zero_length_segment_has_no_valid_offset() {
-        let mut m = TwoLevelMap::new(4, 256, 4, 0, AssocPolicy::Lru, MapCosts::zero());
+        let mut m = TwoLevelMap::new(4, 256, 4, 0, AssocPolicy::Lru, MapCosts::default());
         m.create_segment(SegId(0), 0)
             .expect("empty segments are declarable");
         assert!(matches!(

@@ -127,9 +127,10 @@ pub mod geometry {
 /// # Examples
 ///
 /// ```
-/// use dsa_metrics::histogram::Histogram;
+/// use dsa_metrics::histogram::{BucketSpec, Histogram};
 ///
-/// let mut h = Histogram::linear(10, 10); // buckets [0,10), [10,20), ... [90,100)
+/// // Buckets [0,10), [10,20), ... [90,100).
+/// let mut h = Histogram::with_spec(BucketSpec::Linear { width: 10, buckets: 10 });
 /// for v in [1, 5, 15, 95, 250] {
 ///     h.record(v);
 /// }
@@ -177,16 +178,6 @@ impl Histogram {
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
-    }
-
-    /// Creates a histogram with `n` equal-width buckets of `width`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` or `n` is zero.
-    #[must_use]
-    pub fn linear(width: u64, n: usize) -> Histogram {
-        Histogram::with_spec(BucketSpec::Linear { width, buckets: n })
     }
 
     /// Creates a histogram with `n` power-of-two buckets; bucket *i*
@@ -343,7 +334,10 @@ mod tests {
 
     #[test]
     fn linear_bucketing() {
-        let mut h = Histogram::linear(10, 5);
+        let mut h = Histogram::with_spec(BucketSpec::Linear {
+            width: 10,
+            buckets: 5,
+        });
         h.record(0);
         h.record(9);
         h.record(10);
@@ -382,7 +376,10 @@ mod tests {
 
     #[test]
     fn quantiles() {
-        let mut h = Histogram::linear(1, 101);
+        let mut h = Histogram::with_spec(BucketSpec::Linear {
+            width: 1,
+            buckets: 101,
+        });
         for v in 0..=100u64 {
             h.record(v);
         }
@@ -393,7 +390,10 @@ mod tests {
 
     #[test]
     fn quantile_empty_is_zero() {
-        let h = Histogram::linear(1, 4);
+        let h = Histogram::with_spec(BucketSpec::Linear {
+            width: 1,
+            buckets: 4,
+        });
         assert_eq!(h.quantile(0.5), 0);
     }
 
@@ -408,7 +408,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "bucket width")]
     fn zero_width_panics() {
-        let _ = Histogram::linear(0, 4);
+        let _ = Histogram::with_spec(BucketSpec::Linear {
+            width: 0,
+            buckets: 4,
+        });
     }
 
     #[test]
@@ -444,7 +447,10 @@ mod tests {
 
     #[test]
     fn clone_copies_every_cell() {
-        let mut h = Histogram::linear(10, 2);
+        let mut h = Histogram::with_spec(BucketSpec::Linear {
+            width: 10,
+            buckets: 2,
+        });
         for v in [3u64, 12, 500] {
             h.record(v);
         }
@@ -485,7 +491,10 @@ mod edge_tests {
 
     #[test]
     fn quantile_saturates_in_overflow_region() {
-        let mut h = Histogram::linear(10, 2); // covers [0, 20)
+        let mut h = Histogram::with_spec(BucketSpec::Linear {
+            width: 10,
+            buckets: 2,
+        }); // covers [0, 20)
         h.record(5);
         h.record(500);
         h.record(600);

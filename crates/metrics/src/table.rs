@@ -22,8 +22,8 @@ pub(crate) enum Align {
 /// use dsa_metrics::table::Table;
 ///
 /// let mut t = Table::new(&["policy", "faults"]);
-/// t.row(&["LRU", "123"]);
-/// t.row(&["FIFO", "154"]);
+/// t.row_owned(vec!["LRU".into(), "123".into()]);
+/// t.row_owned(vec!["FIFO".into(), "154".into()]);
 /// let s = t.to_string();
 /// assert!(s.contains("policy"));
 /// assert!(s.contains("154"));
@@ -60,17 +60,6 @@ impl Table {
     pub fn with_title(mut self, title: &str) -> Table {
         self.title = Some(title.to_owned());
         self
-    }
-
-    /// Appends a row of preformatted cells.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell count differs from the header count.
-    pub fn row(&mut self, cells: &[&str]) {
-        assert_eq!(cells.len(), self.headers.len(), "cell count mismatch");
-        self.rows
-            .push(cells.iter().map(|s| (*s).to_owned()).collect());
     }
 
     /// Appends a row of already-owned cells (convenient with `format!`).
@@ -143,8 +132,8 @@ mod tests {
     #[test]
     fn renders_aligned_columns() {
         let mut t = Table::new(&["name", "value"]);
-        t.row(&["a", "1"]);
-        t.row(&["longer", "12345"]);
+        t.row_owned(vec!["a".into(), "1".into()]);
+        t.row_owned(vec!["longer".into(), "12345".into()]);
         let s = t.to_string();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines[0], "name    value");
@@ -159,18 +148,9 @@ mod tests {
     }
 
     #[test]
-    fn row_owned_matches_row() {
-        let mut a = Table::new(&["c1", "c2"]);
-        a.row(&["x", "y"]);
-        let mut b = Table::new(&["c1", "c2"]);
-        b.row_owned(vec!["x".into(), "y".into()]);
-        assert_eq!(a.to_string(), b.to_string());
-    }
-
-    #[test]
     #[should_panic(expected = "cell count mismatch")]
     fn wrong_arity_panics() {
         let mut t = Table::new(&["a", "b"]);
-        t.row(&["only-one"]);
+        t.row_owned(vec!["only-one".into()]);
     }
 }

@@ -18,9 +18,6 @@ use crate::sensors::Sensors;
 #[derive(Clone, Debug, Default)]
 pub struct ClockRepl {
     hand: usize,
-    /// When true, the use bit is ignored and the policy degenerates to
-    /// pure cyclic replacement (the original B5000 form).
-    pure_cyclic: bool,
 }
 
 impl ClockRepl {
@@ -28,16 +25,6 @@ impl ClockRepl {
     #[must_use]
     pub fn new() -> ClockRepl {
         ClockRepl::default()
-    }
-
-    /// Pure cyclic replacement (no use-bit consultation) — the B5000
-    /// variant, useful as an ablation.
-    #[must_use]
-    pub fn cyclic() -> ClockRepl {
-        ClockRepl {
-            hand: 0,
-            pure_cyclic: true,
-        }
     }
 }
 
@@ -59,9 +46,6 @@ impl Replacer for ClockRepl {
             if !eligible.contains(f) {
                 continue;
             }
-            if self.pure_cyclic {
-                return f;
-            }
             if sensors.used(f) {
                 sensors.reset_use(f); // second chance
             } else {
@@ -75,11 +59,7 @@ impl Replacer for ClockRepl {
     }
 
     fn name(&self) -> &'static str {
-        if self.pure_cyclic {
-            "cyclic"
-        } else {
-            "Clock"
-        }
+        "Clock"
     }
 }
 
@@ -121,21 +101,6 @@ mod tests {
         s.touch(FrameNo(1), false);
         let v = r.victim(all.view(), &mut s, 0);
         assert!(all.view().contains(v));
-    }
-
-    #[test]
-    fn cyclic_ignores_use_bits() {
-        let mut r = ClockRepl::cyclic();
-        let mut s = Sensors::new(2);
-        s.touch(FrameNo(0), false);
-        let all = Frames::all(2);
-        assert_eq!(
-            r.victim(all.view(), &mut s, 0),
-            FrameNo(0),
-            "cyclic takes the hand's frame"
-        );
-        assert!(s.used(FrameNo(0)), "cyclic must not clear use bits");
-        assert_eq!(r.name(), "cyclic");
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub struct SharingStats {
     /// Accesses refused by protection.
     pub protection_violations: u64,
     /// Words that private copies would have required beyond the shared
-    /// residency (updated on grant/revoke).
+    /// residency (updated on grant).
     pub words_saved_by_sharing: Words,
 }
 
@@ -190,24 +190,6 @@ impl SharedSegments {
         Ok(())
     }
 
-    /// Revokes `to`'s capability on `seg`.
-    pub fn revoke(&mut self, to: u32, seg: SegId) {
-        if self.grants.remove(&(to, seg)).is_some() {
-            if let Some(&(owner, size)) = self.published.get(&seg) {
-                if to != owner {
-                    self.stats.words_saved_by_sharing =
-                        self.stats.words_saved_by_sharing.saturating_sub(size);
-                }
-            }
-        }
-    }
-
-    /// Number of programs holding a capability on `seg`.
-    #[must_use]
-    pub fn sharers(&self, seg: SegId) -> usize {
-        self.grants.keys().filter(|&&(_, s)| s == seg).count()
-    }
-
     /// An access by `program`: the capability is checked, then the
     /// (single, shared) resident copy is touched.
     ///
@@ -269,7 +251,7 @@ mod tests {
         // Owner writes, sharer reads.
         assert!(s.access(1, SegId(0), 10, AccessType::Write).is_ok());
         assert!(s.access(2, SegId(0), 10, AccessType::Read).is_ok());
-        assert_eq!(s.sharers(SegId(0)), 2);
+        assert_eq!(s.stats().words_saved_by_sharing, 500);
     }
 
     #[test]
@@ -325,17 +307,6 @@ mod tests {
             "only the first access fetched"
         );
         assert_eq!(s.stats().words_saved_by_sharing, 4 * 600);
-    }
-
-    #[test]
-    fn revoke_removes_rights_and_savings() {
-        let mut s = shared(2000);
-        s.publish(1, SegId(0), 300, AccessMode::RW).unwrap();
-        s.grant(1, 2, SegId(0), RO).unwrap();
-        assert_eq!(s.stats().words_saved_by_sharing, 300);
-        s.revoke(2, SegId(0));
-        assert_eq!(s.stats().words_saved_by_sharing, 0);
-        assert!(s.access(2, SegId(0), 0, AccessType::Read).is_err());
     }
 
     #[test]

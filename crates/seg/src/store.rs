@@ -53,14 +53,6 @@ impl StoreBackend {
         }
     }
 
-    /// Capacity of the working storage behind this backend.
-    fn capacity(&self) -> Words {
-        match self {
-            StoreBackend::FreeList(a) => a.capacity(),
-            StoreBackend::Rice(a) => a.capacity(),
-        }
-    }
-
     /// Largest single allocation the backend could satisfy right now.
     fn largest_free(&self) -> Words {
         match self {
@@ -208,12 +200,6 @@ impl SegmentStore {
         &self.stats
     }
 
-    /// Total working-storage capacity.
-    #[must_use]
-    pub fn capacity(&self) -> Words {
-        self.backend.capacity()
-    }
-
     /// Words of resident segments.
     #[must_use]
     pub fn resident_words(&self) -> Words {
@@ -282,46 +268,6 @@ impl SegmentStore {
                 .free(u64::from(seg.0))
                 .expect("resident segment is allocated");
             self.rotation.retain(|&s| s != seg);
-        }
-        Ok(())
-    }
-
-    /// Changes segment `seg`'s extent. A resident segment is
-    /// reallocated: grow may move it (and may evict others); shrink
-    /// frees the tail by reallocation.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SegmentStore::define`], plus
-    /// [`AccessFault::UnknownSegment`].
-    // Internal invariant: a resident segment always has a backing
-    // allocation; user-visible failures return typed errors.
-    #[allow(clippy::expect_used)]
-    pub fn resize(&mut self, seg: SegId, size: Words) -> Result<(), CoreError> {
-        if size == 0 {
-            return Err(AllocError::ZeroSize.into());
-        }
-        if size > self.max_segment {
-            return Err(AllocError::RequestTooLarge {
-                requested: size,
-                max: self.max_segment,
-            }
-            .into());
-        }
-        let st = self
-            .segs
-            .get_mut(&seg)
-            .ok_or(AccessFault::UnknownSegment { seg })?;
-        st.size = size;
-        if st.resident {
-            // Reallocate: free, then fetch-place at the new size —
-            // immediately, the program is using it.
-            st.resident = false;
-            self.backend
-                .free(u64::from(seg.0))
-                .expect("resident segment is allocated");
-            self.rotation.retain(|&s| s != seg);
-            self.fetch(seg)?;
         }
         Ok(())
     }
@@ -401,12 +347,6 @@ impl SegmentStore {
             at,
         );
         writeback
-    }
-
-    /// Fetches `seg` into working storage, evicting iteratively as
-    /// needed. Returns `(evictions, writeback_words)`.
-    fn fetch(&mut self, seg: SegId) -> Result<(u32, Words), CoreError> {
-        self.fetch_probed(seg, Stamp::vtime(0), &mut NullProbe)
     }
 
     // Internal invariant: every caller verifies `seg` is declared.
@@ -859,21 +799,6 @@ mod tests {
         assert!(matches!(
             s.touch(SegId(0), 0, false),
             Err(CoreError::Access(AccessFault::UnknownSegment { .. }))
-        ));
-        s.check_invariants();
-    }
-
-    #[test]
-    fn resize_grow_and_shrink() {
-        let mut s = b5000_store(400);
-        s.define(SegId(0), 100).unwrap();
-        s.touch(SegId(0), 0, false).unwrap();
-        s.resize(SegId(0), 200).unwrap();
-        assert!(s.touch(SegId(0), 150, false).is_ok());
-        s.resize(SegId(0), 50).unwrap();
-        assert!(matches!(
-            s.touch(SegId(0), 150, false),
-            Err(CoreError::Access(AccessFault::BoundsViolation { .. }))
         ));
         s.check_invariants();
     }

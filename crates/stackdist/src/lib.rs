@@ -14,19 +14,19 @@
 //!
 //! Two exact engines:
 //!
-//! * [`lru::lru_distances`] — LRU distance is the number of distinct
-//!   pages touched since the previous reference to the same page,
-//!   computed in O(log n) per reference with a [`fenwick::Fenwick`]
-//!   order-statistics tree over reference stamps;
+//! * [`streaming::StreamingLru`] — LRU distance is the number of
+//!   distinct pages touched since the previous reference to the same
+//!   page, computed in O(log distinct pages) per reference with a
+//!   [`fenwick::Fenwick`] order-statistics tree over reference stamps
+//!   that compaction keeps as small as the page universe. It takes any
+//!   page iterator, so traces too long to materialize stream through
+//!   it; [`lru::lru_distances`] is the same engine over a slice,
+//!   keeping every distance;
 //! * [`opt::opt_distances`] — Belady's MIN/OPT is also a stack
 //!   algorithm (priority = next use time, precomputed by
 //!   [`dsa_paging::replacement::min::next_use_times`]); the stack is
-//!   repaired top-down by priority on every reference.
-//!
-//! For traces too long to materialize, [`streaming::StreamingLru`]
-//! computes the same LRU curve from any page iterator in O(distinct
-//! pages) memory (stamp compaction keeps the Fenwick tree bounded);
-//! OPT stays batch-only, since its priorities need a backward pass.
+//!   repaired top-down by priority on every reference. It stays
+//!   batch-only, since its priorities need a backward pass.
 //!
 //! Which of this workspace's policies qualify: LRU and MIN do. FIFO and
 //! Clock do **not** (no inclusion — Belady's anomaly, reproduced in the

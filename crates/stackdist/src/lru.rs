@@ -3,37 +3,20 @@
 //! LRU's stack at any instant is the pages in recency order, so the
 //! stack depth of a re-reference to page *p* is the number of distinct
 //! pages touched since *p*'s previous reference, counting *p* itself.
-//! The classic one-pass formulation (Bennett & Kruskal) marks each
-//! currently-seen page at the position of its most recent reference;
-//! the depth is then one plus the number of marks strictly between the
-//! previous and the current reference of *p*, which the
-//! [`Fenwick`] order-statistics tree counts in O(log n).
+//! [`StreamingLru`] counts them in O(log distinct pages) a reference;
+//! the batch pass below is that engine run over a materialized trace,
+//! keeping every distance.
 
-use dsa_core::ids::{IdMap, PageNo};
+use dsa_core::ids::PageNo;
 
-use crate::fenwick::Fenwick;
-use crate::success::{StackDistances, SuccessFunction, INFINITE};
+use crate::streaming::StreamingLru;
+use crate::success::{StackDistances, SuccessFunction};
 
 /// Computes the LRU stack distance of every reference in one pass.
 #[must_use]
 pub fn lru_distances(trace: &[PageNo]) -> StackDistances {
-    let mut marks = Fenwick::new(trace.len());
-    let mut last: IdMap<PageNo, usize> = IdMap::default();
-    let mut dist = Vec::with_capacity(trace.len());
-    for (i, &p) in trace.iter().enumerate() {
-        match last.insert(p, i) {
-            Some(prev) => {
-                // Marks strictly between `prev` and `i` are exactly the
-                // pages whose most recent reference falls in that window
-                // — the pages above *p* in the LRU stack — plus *p*.
-                dist.push(marks.between(prev, i) + 1);
-                marks.clear(prev);
-            }
-            None => dist.push(INFINITE),
-        }
-        marks.mark(i);
-    }
-    StackDistances::new(dist)
+    let mut lru = StreamingLru::new();
+    StackDistances::new(trace.iter().map(|&p| lru.record(p)).collect())
 }
 
 /// [`lru_distances`] collapsed to the success function.
@@ -45,6 +28,7 @@ pub fn lru_success(trace: &[PageNo]) -> SuccessFunction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::success::INFINITE;
 
     fn pages(xs: &[u64]) -> Vec<PageNo> {
         xs.iter().map(|&x| PageNo(x)).collect()

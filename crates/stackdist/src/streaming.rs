@@ -1,30 +1,32 @@
-//! Streaming LRU stack distances in memory bounded by the page
-//! universe, not the trace length.
+//! LRU stack distances in memory bounded by the page universe, not the
+//! trace length: the one LRU pass of this crate.
 //!
-//! [`crate::lru::lru_distances`] sizes its [`Fenwick`] tree by the
-//! trace length — each reference gets a permanent stamp — so a
-//! 10⁸-reference pass costs 800 MB of tree before the distance vector
-//! is even counted. But at any instant only the *most recent* stamp of
-//! each distinct page is marked: the live marks number at most the
-//! page universe. [`StreamingLru`] exploits this with periodic stamp
-//! **compaction**: when the stamp cursor reaches the tree's capacity,
-//! the live stamps are renumbered `0..live` in stamp order (preserving
-//! every between-count) and the tree is rebuilt at `max(128, 2 ×
-//! live)` — so compaction amortizes to O(1) per reference and the
-//! whole engine is O(distinct pages) space. Each page gets a dense slot
-//! on first touch; a stamp `s` is live iff `stamp_of[slot_at[s]] == s`,
-//! so compaction is one ascending scan plus [`Fenwick::fill`]:
-//! O(capacity), no sort, no hashing.
+//! Each reference gets a stamp, and a [`Fenwick`] tree marks, for every
+//! distinct page, the stamp of its most recent reference; the depth of
+//! a re-reference is one plus the marks strictly between its previous
+//! stamp and its current one (Bennett & Kruskal). Were stamps permanent
+//! the tree would grow with the trace — a 10⁸-reference pass would cost
+//! 800 MB of tree before the distances were counted. But only the
+//! *most recent* stamp of each page is ever marked, so the live marks
+//! number at most the page universe. [`StreamingLru`] exploits this
+//! with periodic stamp **compaction**: when the stamp cursor reaches the
+//! tree's capacity, the live stamps are renumbered `0..live` in stamp
+//! order (preserving every between-count) and the tree is rebuilt at
+//! `max(128, 2 × live)` — so compaction amortizes to O(1) per reference
+//! and the whole engine is O(distinct pages) space. Each page gets a
+//! dense slot on first touch; a stamp `s` is live iff
+//! `stamp_of[slot_at[s]] == s`, so compaction is one ascending scan plus
+//! [`Fenwick::fill`]: O(capacity), no sort, no hashing.
 //!
 //! Distances are accumulated directly into a histogram (finite
 //! distances never exceed the page universe) and collapsed via
 //! `SuccessFunction::from_histogram`, which is exactly
 //! `SuccessFunction::from_distances` minus the materialized vector.
-//! What is *lost* relative to the batch pass is the per-reference
-//! distance vector — fault positions at a chosen size cannot be
-//! replayed afterwards. OPT stays batch-only: its priority is next
-//! *use* time, which only a backward pass over a materialized trace
-//! can know.
+//! [`crate::lru::lru_distances`] runs the same engine over a
+//! materialized trace and keeps each distance, so that fault positions
+//! at a chosen size can be replayed. OPT has no streaming form: its
+//! priority is next *use* time, which only a backward pass over a
+//! materialized trace can know.
 
 use dsa_core::ids::{IdMap, PageNo};
 
@@ -42,15 +44,14 @@ const MIN_CAPACITY: usize = 128;
 /// ```
 /// use dsa_core::ids::PageNo;
 /// use dsa_stackdist::streaming::StreamingLru;
-/// use dsa_stackdist::lru::lru_success;
 ///
-/// let trace: Vec<PageNo> = (0..1000u64).map(|i| PageNo(i % 7)).collect();
 /// let mut s = StreamingLru::new();
-/// for &p in &trace {
-///     s.record(p);
+/// for i in 0..1000u64 {
+///     s.record(PageNo(i % 7));
 /// }
-/// let batch = lru_success(&trace);
-/// assert_eq!(s.success().curve(&[1, 4, 7]), batch.curve(&[1, 4, 7]));
+/// // A cyclic sweep of 7 pages faults on every reference below 7
+/// // frames, and only on its first touches at 7.
+/// assert_eq!(s.success().curve(&[1, 6, 7]), vec![1000, 1000, 7]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct StreamingLru {
@@ -95,8 +96,7 @@ impl StreamingLru {
     }
 
     /// Records one reference and returns its LRU stack distance
-    /// ([`INFINITE`] for a first touch) — identical, reference for
-    /// reference, to what [`crate::lru::lru_distances`] reports.
+    /// ([`INFINITE`] for a first touch).
     pub fn record(&mut self, p: PageNo) -> u64 {
         if self.cursor == self.marks.len() {
             self.compact();
@@ -167,46 +167,6 @@ impl StreamingLru {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lru::{lru_distances, lru_success};
-
-    fn pages(xs: &[u64]) -> Vec<PageNo> {
-        xs.iter().map(|&x| PageNo(x)).collect()
-    }
-
-    #[test]
-    fn per_reference_distances_match_batch() {
-        let trace = pages(&[1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5]);
-        let batch = lru_distances(&trace);
-        let mut s = StreamingLru::new();
-        let streamed: Vec<u64> = trace.iter().map(|&p| s.record(p)).collect();
-        assert_eq!(streamed, batch.distances());
-    }
-
-    #[test]
-    fn success_function_matches_batch_across_compactions() {
-        // Long enough to force many compactions at MIN_CAPACITY=128.
-        let mut x = 12345u64;
-        let trace: Vec<PageNo> = (0..10_000)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                PageNo(x % 97)
-            })
-            .collect();
-        let batch = lru_success(&trace);
-        let mut s = StreamingLru::new();
-        for &p in &trace {
-            s.record(p);
-        }
-        let streamed = s.success();
-        assert_eq!(streamed.references(), batch.references());
-        assert_eq!(streamed.compulsory(), batch.compulsory());
-        assert_eq!(streamed.saturation_frames(), batch.saturation_frames());
-        for c in 0..=batch.saturation_frames() + 2 {
-            assert_eq!(streamed.faults(c), batch.faults(c), "at {c} frames");
-        }
-    }
 
     #[test]
     fn memory_is_bounded_by_the_page_universe() {
@@ -224,16 +184,5 @@ mod tests {
         let f = s.success();
         assert_eq!(f.faults(49), 1_000_000);
         assert_eq!(f.faults(50), 50);
-    }
-
-    #[test]
-    fn mid_stream_curve_is_exact_for_the_prefix() {
-        let trace = pages(&[0, 1, 2, 1, 0, 3, 2, 0]);
-        let mut s = StreamingLru::new();
-        for (i, &p) in trace.iter().enumerate() {
-            s.record(p);
-            let batch = lru_success(&trace[..=i]);
-            assert_eq!(s.success().curve(&[1, 2, 3, 4]), batch.curve(&[1, 2, 3, 4]));
-        }
     }
 }

@@ -1,9 +1,12 @@
-//! The Fenwick order-statistics pass against a naive O(n²) explicit
-//! LRU stack, on random and adversarial (cyclic-sweep) reference
-//! strings — the distance vector must agree element for element.
+//! The one LRU pass — `StreamingLru`'s Fenwick tree over compacted
+//! stamps, which `lru_distances` runs over a materialized trace —
+//! against a naive O(n²) explicit LRU stack, on random, regime-drawn,
+//! adversarial (cyclic-sweep) and growing-universe reference strings:
+//! the distance vector must agree element for element. Traces run past
+//! the tree's minimum of 128 stamps, so compaction is exercised.
 
 use dsa_core::ids::PageNo;
-use dsa_stackdist::{lru_distances, Fenwick, INFINITE};
+use dsa_stackdist::{lru_distances, Fenwick, StreamingLru, INFINITE};
 use dsa_trace::refstring::RefStringCfg;
 use dsa_trace::rng::Rng64;
 use proptest::prelude::*;
@@ -25,6 +28,106 @@ fn naive_distances(trace: &[PageNo]) -> Vec<u64> {
         stack.insert(0, p);
     }
     dist
+}
+
+/// What `StreamingLru::record` returns for each reference of `trace`.
+fn streamed(trace: &[PageNo]) -> Vec<u64> {
+    let mut lru = StreamingLru::new();
+    trace.iter().map(|&p| lru.record(p)).collect()
+}
+
+/// The reference-string regimes the replacement experiments sweep, at
+/// most 24 distinct pages each.
+fn regime(index: usize) -> RefStringCfg {
+    match index {
+        0 => RefStringCfg::Uniform { pages: 24 },
+        1 => RefStringCfg::LruStack {
+            pages: 24,
+            theta: 0.9,
+        },
+        2 => RefStringCfg::WorkingSetPhases {
+            pages: 24,
+            set: 6,
+            phase_len: 150,
+        },
+        3 => RefStringCfg::SequentialSweep { pages: 18 },
+        4 => RefStringCfg::LoopNest {
+            inner: 4,
+            outer: 12,
+            period: 4,
+        },
+        _ => RefStringCfg::HotCold {
+            hot: 4,
+            cold: 20,
+            p_hot: 0.9,
+        },
+    }
+}
+
+/// A pseudo-random string of `len` references over `pages` pages.
+fn xorshift_pages(len: usize, pages: u64) -> Vec<PageNo> {
+    let mut x = 12345u64;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            PageNo(x % pages)
+        })
+        .collect()
+}
+
+#[test]
+fn per_reference_distances_match_the_explicit_stack() {
+    let trace: Vec<PageNo> = [1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5]
+        .into_iter()
+        .map(PageNo)
+        .collect();
+    assert_eq!(streamed(&trace), naive_distances(&trace));
+}
+
+/// Faults in a memory of `frames` frames: the references whose stack
+/// distance exceeds it.
+fn faults(distances: &[u64], frames: usize) -> u64 {
+    distances.iter().filter(|&&d| d > frames as u64).count() as u64
+}
+
+#[test]
+fn success_function_matches_the_explicit_stack_across_compactions() {
+    // Long enough to force many compactions at the minimum capacity.
+    let trace = xorshift_pages(10_000, 97);
+    let want = naive_distances(&trace);
+    let deepest = want.iter().filter(|&&d| d != INFINITE).max().copied();
+    let mut s = StreamingLru::new();
+    for &p in &trace {
+        s.record(p);
+    }
+    let got = s.success();
+    assert_eq!(got.references(), trace.len() as u64);
+    let first_touches = want.iter().filter(|&&d| d == INFINITE).count();
+    assert_eq!(got.compulsory(), first_touches as u64);
+    assert_eq!(got.saturation_frames() as u64, deepest.unwrap_or(0));
+    for c in 0..=got.saturation_frames() + 2 {
+        assert_eq!(got.faults(c), faults(&want, c), "at {c} frames");
+    }
+}
+
+#[test]
+fn mid_stream_curve_is_exact_for_the_prefix() {
+    let trace = xorshift_pages(300, 9);
+    let mut s = StreamingLru::new();
+    for (i, &p) in trace.iter().enumerate() {
+        s.record(p);
+        let want = naive_distances(&trace[..=i]);
+        let sizes = [1, 2, 3, 4, 9];
+        let curve: Vec<u64> = sizes.iter().map(|&c| faults(&want, c)).collect();
+        assert_eq!(
+            s.success().curve(&sizes),
+            curve,
+            "after {} references",
+            i + 1
+        );
+    }
 }
 
 proptest! {
@@ -94,5 +197,47 @@ proptest! {
             marked.mark(pos);
         }
         prop_assert_eq!(filled, marked, "n={} live={}", n, live);
+    }
+
+    #[test]
+    fn streaming_distances_match_the_explicit_stack(
+        regime_idx in 0usize..6,
+        seed in 0u64..200,
+    ) {
+        // At most 24 distinct pages keep the stamp tree at its minimum
+        // of 128 positions, so 3,000 references compact it 20+ times.
+        let trace = regime(regime_idx).generate_pages(3_000, &mut Rng64::new(seed));
+        prop_assert_eq!(
+            streamed(&trace),
+            naive_distances(&trace),
+            "regime {} seed {}",
+            regime_idx,
+            seed
+        );
+    }
+
+    #[test]
+    fn streaming_distances_match_while_the_universe_grows(
+        spread in 2u64..6,
+        seed in 0u64..200,
+    ) {
+        // A cold start touches 64 pages once each. After it, reference
+        // `i` may name any of the first `64 + i / spread` pages, so new
+        // pages keep arriving and each compaction resizes the stamp
+        // tree to twice the live pages, from 128 positions to
+        // thousands. Seven references in eight go to the newest 32
+        // pages and the eighth to any page, so the oldest stamps stay
+        // live across many compactions, and their re-references count
+        // across any stamp that compaction kept or renumbered wrongly.
+        let mut rng = Rng64::new(seed);
+        let trace: Vec<PageNo> = (0..64)
+            .map(PageNo)
+            .chain((0..6_000u64).map(|i| {
+                let pages = 64 + i / spread;
+                let reach = if rng.below(8) == 0 { pages } else { 32 };
+                PageNo(pages - 1 - rng.below(reach))
+            }))
+            .collect();
+        prop_assert_eq!(streamed(&trace), naive_distances(&trace));
     }
 }

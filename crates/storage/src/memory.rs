@@ -97,26 +97,6 @@ impl CoreMemory {
         Ok(())
     }
 
-    /// Fills `len` words from `addr` with `value`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a bounds fault if the range exceeds capacity.
-    pub fn fill(&mut self, addr: PhysAddr, len: Words, value: u64) -> Result<(), CoreError> {
-        let cap = self.capacity();
-        if addr.value() + len > cap {
-            return Err(AccessFault::InvalidName {
-                name: dsa_core::ids::Name(addr.value() + len),
-                extent: cap,
-            }
-            .into());
-        }
-        for w in &mut self.words[addr.value() as usize..(addr.value() + len) as usize] {
-            *w = value;
-        }
-        Ok(())
-    }
-
     /// Returns the slice of `len` words starting at `addr`, for
     /// verification in tests.
     ///
@@ -147,9 +127,7 @@ mod tests {
         assert!(m.read(PhysAddr(8)).is_err());
         assert!(m.write(PhysAddr(9), 1).is_err());
         assert!(m.move_block(PhysAddr(4), PhysAddr(6), 4).is_err());
-        assert!(m.fill(PhysAddr(6), 4, 0).is_err());
         // Boundary-exact operations succeed.
-        assert!(m.fill(PhysAddr(4), 4, 1).is_ok());
         assert!(m.move_block(PhysAddr(4), PhysAddr(0), 4).is_ok());
     }
 
@@ -179,12 +157,5 @@ mod tests {
         }
         m2.move_block(PhysAddr(0), PhysAddr(2), 6).unwrap();
         assert_eq!(m2.snapshot(PhysAddr(2), 6), vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn fill_sets_range() {
-        let mut m = CoreMemory::new(16);
-        m.fill(PhysAddr(4), 4, 7).unwrap();
-        assert_eq!(m.snapshot(PhysAddr(3), 6), vec![0, 7, 7, 7, 7, 0]);
     }
 }

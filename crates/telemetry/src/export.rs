@@ -381,6 +381,7 @@ fn label_set(labels: &[(String, String)], le: Option<&str>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsa_metrics::BucketSpec;
 
     #[test]
     fn prometheus_counters_and_gauges() {
@@ -422,7 +423,10 @@ mod tests {
 
     #[test]
     fn prometheus_histogram_is_cumulative_with_inf() {
-        let mut h = Histogram::linear(10, 3);
+        let mut h = Histogram::with_spec(BucketSpec::Linear {
+            width: 10,
+            buckets: 3,
+        });
         for v in [1, 2, 15, 100] {
             h.record(v);
         }
@@ -461,8 +465,18 @@ mod tests {
     #[test]
     fn table_cells_become_labelled_gauges() {
         let mut t = Table::new(&["policy", "faults", "p99_us", "note"]);
-        t.row(&["first_fit", "120", "4.5", "ok"]);
-        t.row(&["best_fit", "95", "3.25", "ok"]);
+        t.row_owned(vec![
+            "first_fit".into(),
+            "120".into(),
+            "4.5".into(),
+            "ok".into(),
+        ]);
+        t.row_owned(vec![
+            "best_fit".into(),
+            "95".into(),
+            "3.25".into(),
+            "ok".into(),
+        ]);
         let mut snap = TelemetrySnapshot::new("dsa");
         snap.table("exp", &t);
         let text = snap.render_prometheus();

@@ -254,7 +254,7 @@ mod tests {
         alloc.alloc(1, 256).expect("fits");
         alloc.alloc(2, 256).expect("fits");
         alloc.free(1).expect("live");
-        let f = HeatFrame::capture(7, alloc.capacity(), alloc.holes(), 8);
+        let f = HeatFrame::capture(7, 1024, alloc.holes(), 8);
         assert_eq!(f.capacity, 1024);
         assert_eq!(f.free_words, 768);
         assert_eq!(f.hole_count, 2);

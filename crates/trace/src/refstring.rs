@@ -132,21 +132,16 @@ impl RefStringCfg {
     }
 }
 
-/// Counts the number of distinct pages in a page-granular string.
-#[must_use]
-pub fn distinct_pages(s: &[PageNo]) -> usize {
-    let mut v: Vec<u64> = s.iter().map(|p| p.0).collect();
-    v.sort_unstable();
-    v.dedup();
-    v.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn rng() -> Rng64 {
         Rng64::new(0xD5A_5EED)
+    }
+
+    fn distinct_pages(s: &[PageNo]) -> usize {
+        s.iter().collect::<std::collections::HashSet<_>>().len()
     }
 
     #[test]

@@ -11,19 +11,15 @@
 //!
 //! 1. **Prefix equality.** For every configuration, seed and length,
 //!    `cfg.stream(wf, seed).take(len)` yields byte-for-byte the sequence
-//!    `cfg.generate(len, wf, &mut Rng64::new(seed))` materializes. For
-//!    reference strings that holds by construction — the models exist
-//!    once, here, and [`RefStringCfg::generate`] drains a stream — so
-//!    `tests/properties_trace_stream.rs` pins every regime's first
-//!    references as literal vectors instead (golden outputs cannot
-//!    drift); allocation streams still have two paths, pinned together
-//!    by property tests.
+//!    `cfg.generate(len, wf, &mut Rng64::new(seed))` materializes. That
+//!    holds by construction — the models exist once, here, and both
+//!    [`RefStringCfg::generate`] and [`AllocStreamCfg::generate`] drain a
+//!    stream — so `tests/properties_trace_stream.rs` pins every regime's
+//!    first references as literal vectors instead (golden outputs cannot
+//!    drift).
 //! 2. **Checkpoint/resume.** Streams are `Clone`: a clone is an O(state)
 //!    checkpoint, and continuing the original and the clone produces
-//!    identical suffixes. [`RefStringCfg::stream_at`] /
-//!    [`AllocStreamCfg::stream_at`] reconstruct the same point from
-//!    `(seed, position)` alone by fast-forwarding — O(position) time,
-//!    O(state) memory — so a resumed run needs no serialized state.
+//!    identical suffixes.
 //! 3. **Constant memory.** Per-item work never allocates proportionally
 //!    to the position; state is O(page universe) for reference strings
 //!    and O(live blocks) for allocation streams.
@@ -102,16 +98,11 @@ enum Regime {
 /// ```
 /// use dsa_trace::refstring::RefStringCfg;
 /// use dsa_trace::rng::Rng64;
-/// use dsa_trace::stream::RefStream;
 ///
 /// let cfg = RefStringCfg::LruStack { pages: 16, theta: 1.0 };
 /// let streamed: Vec<_> = cfg.stream(0.3, 42).take(100).collect();
 /// let materialized = cfg.generate(100, 0.3, &mut Rng64::new(42));
 /// assert_eq!(streamed, materialized);
-///
-/// // Checkpoint at 60, resume from (seed, position) alone.
-/// let resumed: Vec<_> = cfg.stream_at(0.3, 42, 60).take(40).collect();
-/// assert_eq!(resumed, materialized[60..]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct RefStringStream {
@@ -184,24 +175,6 @@ impl RefStringCfg {
             rng,
             pos: 0,
         }
-    }
-
-    /// The stream fast-forwarded to `position`: yields the suffix a
-    /// fresh stream would produce after `position` references. O(state)
-    /// memory, O(position) time — resume-from-seed needs no serialized
-    /// checkpoint (clone the stream instead to resume without replaying).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration has an empty page universe.
-    #[must_use]
-    pub fn stream_at(&self, write_fraction: f64, seed: u64, position: u64) -> RefStringStream {
-        // Every draw must still happen for replay exactness.
-        let mut s = self.stream(write_fraction, seed);
-        for _ in 0..position {
-            let _ = s.next();
-        }
-        s
     }
 }
 
@@ -310,26 +283,11 @@ impl RefStream for RefStringStream {
     }
 }
 
-/// A seedable, resumable allocation/free event stream; memory is
-/// bounded by the live-block population the target load factor allows,
-/// independent of how many events have been drawn.
-///
-/// # Examples
-///
-/// ```
-/// use dsa_trace::allocstream::{AllocStreamCfg, SizeDist};
-/// use dsa_trace::rng::Rng64;
-///
-/// let cfg = AllocStreamCfg {
-///     sizes: SizeDist::Uniform { lo: 10, hi: 100 },
-///     mean_lifetime: 40.0,
-///     target_live_words: 5_000,
-/// };
-/// let streamed: Vec<_> = cfg.stream(7).take(500).collect();
-/// assert_eq!(streamed, cfg.generate(500, &mut Rng64::new(7)));
-/// ```
+/// The allocation/free event stream [`AllocStreamCfg::generate`]
+/// drains; memory is bounded by the live-block population the target
+/// load factor allows, independent of how many events have been drawn.
 #[derive(Clone, Debug)]
-pub struct AllocEventStream {
+pub(crate) struct AllocEventStream {
     cfg: AllocStreamCfg,
     /// Min-heap of `(expiry, id, size)` over live blocks.
     live: BinaryHeap<Reverse<(u64, u64, Words)>>,
@@ -341,15 +299,8 @@ pub struct AllocEventStream {
 }
 
 impl AllocStreamCfg {
-    /// A streaming equivalent of [`AllocStreamCfg::generate`]: the
-    /// prefix-equality, checkpoint/resume and constant-memory contract
-    /// of [`crate::stream`] applies.
-    #[must_use]
-    pub fn stream(&self, seed: u64) -> AllocEventStream {
-        self.stream_with_rng(Rng64::new(seed))
-    }
-
-    /// [`AllocStreamCfg::stream`] over a caller-positioned generator.
+    /// The stream [`AllocStreamCfg::generate`] drains, over a
+    /// caller-positioned generator.
     #[must_use]
     pub(crate) fn stream_with_rng(&self, rng: Rng64) -> AllocEventStream {
         AllocEventStream {
@@ -361,17 +312,6 @@ impl AllocStreamCfg {
             pos: 0,
             rng,
         }
-    }
-
-    /// The stream fast-forwarded to `position` (see
-    /// [`RefStringCfg::stream_at`]).
-    #[must_use]
-    pub fn stream_at(&self, seed: u64, position: u64) -> AllocEventStream {
-        let mut s = self.stream(seed);
-        for _ in 0..position {
-            let _ = s.next();
-        }
-        s
     }
 }
 
@@ -458,15 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_at_fast_forwards_exactly() {
-        for cfg in cfgs() {
-            let full: Vec<Access> = cfg.stream(0.4, 11).take(300).collect();
-            let tail: Vec<Access> = cfg.stream_at(0.4, 11, 120).take(180).collect();
-            assert_eq!(tail, full[120..], "{cfg:?}");
-        }
-    }
-
-    #[test]
     fn pages_projection_matches_generate_pages() {
         for cfg in cfgs() {
             let materialized = cfg.generate_pages(200, &mut Rng64::new(3));
@@ -476,30 +407,13 @@ mod tests {
     }
 
     #[test]
-    fn alloc_stream_matches_generate_and_resumes() {
-        let cfg = AllocStreamCfg {
-            sizes: SizeDist::Exponential {
-                mean: 30.0,
-                cap: 200,
-            },
-            mean_lifetime: 50.0,
-            target_live_words: 3_000,
-        };
-        let materialized = cfg.generate(800, &mut Rng64::new(21));
-        let streamed: Vec<AllocEvent> = cfg.stream(21).take(800).collect();
-        assert_eq!(streamed, materialized);
-        let tail: Vec<AllocEvent> = cfg.stream_at(21, 500).take(300).collect();
-        assert_eq!(tail, materialized[500..]);
-    }
-
-    #[test]
     fn alloc_stream_state_is_bounded_by_live_population() {
         let cfg = AllocStreamCfg {
             sizes: SizeDist::Fixed { size: 10 },
             mean_lifetime: 25.0,
             target_live_words: 1_000,
         };
-        let mut s = cfg.stream(1);
+        let mut s = cfg.stream_with_rng(Rng64::new(1));
         for _ in 0..50_000 {
             let _ = s.next();
         }

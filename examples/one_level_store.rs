@@ -14,10 +14,11 @@
 
 use dsa::core::clock::Cycles;
 use dsa::core::error::AccessFault;
-use dsa::core::ids::{Name, PageNo};
+use dsa::core::ids::{Name, PageNo, PhysAddr};
 use dsa::mapping::{AddressMap, FrameAssociativeMap, MapCosts};
-use dsa::paging::paged::{PagedMemory, TouchOutcome};
+use dsa::paging::paged::{EvictedPage, PagedMemory, TouchOutcome};
 use dsa::paging::replacement::atlas::AtlasLearning;
+use dsa::storage::level::LevelSpec;
 use dsa::storage::presets;
 use dsa::storage::CoreMemory;
 use std::collections::HashMap;
@@ -32,6 +33,21 @@ struct Drum {
     slabs: HashMap<PageNo, Vec<u64>>,
     transfers: u64,
     busy: Cycles,
+}
+
+/// Writes a victim's words out to the drum and clears its register.
+fn write_out(
+    e: EvictedPage,
+    core: &CoreMemory,
+    drum: &mut Drum,
+    map: &mut FrameAssociativeMap,
+    spec: &LevelSpec,
+) {
+    let slab = core.snapshot(PhysAddr(e.frame.0 * PAGE), PAGE);
+    drum.slabs.insert(e.page, slab);
+    drum.transfers += 1;
+    drum.busy += spec.transfer_time(PAGE);
+    map.unload(e.frame);
 }
 
 fn main() {
@@ -71,18 +87,17 @@ fn main() {
                 }
                 Err(AccessFault::MissingPage { page }) => {
                     let outcome = mem.touch(page, write.is_some(), now).expect("frames exist");
-                    let TouchOutcome::Fault { frame, evicted } = outcome else {
+                    let TouchOutcome::Fault {
+                        frame,
+                        evicted,
+                        reserve,
+                    } = outcome
+                    else {
                         unreachable!("map and memory agree on residency");
                     };
-                    let frame_base = dsa::core::ids::PhysAddr(frame.0 * PAGE);
+                    let frame_base = PhysAddr(frame.0 * PAGE);
                     if let Some(e) = evicted {
-                        // Write the victim's words out to the drum.
-                        let old_base = dsa::core::ids::PhysAddr(e.frame.0 * PAGE);
-                        let slab = core.snapshot(old_base, PAGE);
-                        drum.slabs.insert(e.page, slab);
-                        drum.transfers += 1;
-                        drum.busy += drum_spec.transfer_time(PAGE);
-                        map.unload(e.frame);
+                        write_out(e, core, drum, map, &drum_spec);
                     }
                     // Read the wanted page in (zero-filled if new).
                     let slab = drum
@@ -96,6 +111,11 @@ fn main() {
                     drum.transfers += 1;
                     drum.busy += drum_spec.transfer_time(PAGE);
                     map.load(frame, page);
+                    // The vacant reserve evicts after the load, and may
+                    // take the very page just read in.
+                    if let Some(e) = reserve {
+                        write_out(e, core, drum, map, &drum_spec);
+                    }
                 }
                 Err(f) => panic!("unexpected fault: {f}"),
             }

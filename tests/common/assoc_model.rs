@@ -13,8 +13,6 @@ pub struct AssocModel {
     capacity: usize,
     policy: AssocPolicy,
     entries: VecDeque<(u64, u64)>,
-    pub hits: u64,
-    pub misses: u64,
 }
 
 impl AssocModel {
@@ -23,8 +21,6 @@ impl AssocModel {
             capacity,
             policy,
             entries: VecDeque::new(),
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -33,11 +29,7 @@ impl AssocModel {
     }
 
     pub fn lookup(&mut self, key: u64) -> Option<u64> {
-        let Some(i) = self.position(key) else {
-            self.misses += 1;
-            return None;
-        };
-        self.hits += 1;
+        let i = self.position(key)?;
         let entry = self.entries[i];
         if self.policy == AssocPolicy::Lru {
             self.entries.remove(i);
@@ -62,10 +54,6 @@ impl AssocModel {
         if let Some(i) = self.position(key) {
             self.entries.remove(i);
         }
-    }
-
-    pub fn invalidate_all(&mut self) {
-        self.entries.clear();
     }
 
     /// The resident keys, sorted (the shipped structure promises no

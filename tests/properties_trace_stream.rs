@@ -1,10 +1,8 @@
 //! Property-based tests pinning the streaming trace layer's
 //! exact-replay contract: a stream is a drop-in replacement for the
 //! materializing generator — same configuration, same seed, same
-//! references — and any clone or fast-forward resumes the identical
-//! tail.
+//! references — and any clone resumes the identical tail.
 
-use dsa::trace::allocstream::{AllocStreamCfg, SizeDist};
 use dsa::trace::refstring::RefStringCfg;
 use dsa::trace::rng::Rng64;
 use dsa::trace::RefStream;
@@ -109,9 +107,8 @@ proptest! {
         }
     }
 
-    /// Same seed ⇒ byte-identical sequence across any resume point:
-    /// a clone taken mid-stream and a `stream_at` fast-forwarded to the
-    /// same position both continue with exactly the suffix the
+    /// Same seed ⇒ byte-identical sequence across any resume point: a
+    /// clone taken mid-stream continues with exactly the suffix the
     /// uninterrupted stream produces.
     #[test]
     fn stream_resumes_identically(
@@ -133,42 +130,5 @@ proptest! {
         prop_assert_eq!(checkpoint.position(), split as u64);
         let tail: Vec<_> = checkpoint.take(len - split).collect();
         prop_assert_eq!(&tail, &full[split..]);
-
-        // Checkpoint by fast-forward: `stream_at` lands on the same
-        // suffix from nothing but (cfg, wf, seed, position).
-        let resumed: Vec<_> = cfg
-            .stream_at(wf, seed, split as u64)
-            .take(len - split)
-            .collect();
-        prop_assert_eq!(&resumed, &full[split..]);
-    }
-
-    /// The allocation-event stream obeys the same contract: collect
-    /// equals the legacy generator, and fast-forward resumes exactly.
-    #[test]
-    fn alloc_stream_collects_and_resumes(
-        mean in 1.0f64..80.0,
-        cap in 1u64..500,
-        lifetime in 1.0f64..2000.0,
-        target in 100u64..20_000,
-        seed in any::<u64>(),
-        len in 1usize..400,
-        split_frac in 0.0f64..1.0,
-    ) {
-        let cfg = AllocStreamCfg {
-            sizes: SizeDist::Exponential { mean, cap },
-            mean_lifetime: lifetime,
-            target_live_words: target,
-        };
-        let legacy = cfg.generate(len, &mut Rng64::new(seed));
-        let streamed: Vec<_> = cfg.stream(seed).take(len).collect();
-        prop_assert_eq!(&streamed, &legacy);
-
-        let split = ((len as f64 * split_frac) as usize).min(len - 1);
-        let resumed: Vec<_> = cfg
-            .stream_at(seed, split as u64)
-            .take(len - split)
-            .collect();
-        prop_assert_eq!(&resumed, &legacy[split..]);
     }
 }

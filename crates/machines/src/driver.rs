@@ -305,8 +305,14 @@ impl<B: Backend> Composed<B> {
                         other => other?,
                     }
                 }
-                ProgramOp::Advise(advice) => {
-                    if accepts_advice {
+                ProgramOp::Advise {
+                    kind,
+                    segment,
+                    number,
+                } => {
+                    // Advice about a segment no `SegId` can name is
+                    // advice about nothing.
+                    if let (true, Some(advice)) = (accepts_advice, kind.about(segment, number)) {
                         backend.advise(advice, cx);
                     }
                 }

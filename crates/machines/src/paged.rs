@@ -598,7 +598,7 @@ mod tests {
                 seg: SegId(0),
                 size: 32,
             },
-            ProgramOp::Advise(Advice::WillNeed(AdviceUnit::Segment(SegId(0)))),
+            ProgramOp::advise(Advice::WillNeed(AdviceUnit::Segment(SegId(0)))),
         ];
         let r = m.run(&ops).unwrap();
         assert_eq!(r.advice_ops, 0);
@@ -613,7 +613,7 @@ mod tests {
                 seg: SegId(0),
                 size: 32,
             }, // 2 pages
-            ProgramOp::Advise(Advice::WillNeed(AdviceUnit::Segment(SegId(0)))),
+            ProgramOp::advise(Advice::WillNeed(AdviceUnit::Segment(SegId(0)))),
             touch(0, 0),
             touch(0, 20),
         ];
@@ -731,7 +731,7 @@ mod tests {
                 seg: SegId(1),
                 size: 128,
             }, // 2 pages
-            ProgramOp::Advise(Advice::WillNeed(AdviceUnit::Segment(SegId(1)))),
+            ProgramOp::advise(Advice::WillNeed(AdviceUnit::Segment(SegId(1)))),
             touch(1, 0),
             touch(1, 70),
         ];

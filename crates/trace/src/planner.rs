@@ -122,13 +122,13 @@ impl AdvicePlanner {
             insert_before
                 .entry(at)
                 .or_default()
-                .push(ProgramOp::Advise(Advice::WillNeed(AdviceUnit::Segment(
+                .push(ProgramOp::advise(Advice::WillNeed(AdviceUnit::Segment(
                     ep.seg,
                 ))));
             insert_before
                 .entry(ep.end + 1)
                 .or_default()
-                .push(ProgramOp::Advise(Advice::WontNeed(AdviceUnit::Segment(
+                .push(ProgramOp::advise(Advice::WontNeed(AdviceUnit::Segment(
                     ep.seg,
                 ))));
         }
@@ -149,7 +149,7 @@ impl AdvicePlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsa_core::access::AccessKind;
+    use dsa_core::access::{AccessKind, AdviceKind};
 
     fn touch(seg: u32, offset: u64) -> ProgramOp {
         ProgramOp::Touch {
@@ -203,7 +203,7 @@ mod tests {
         let stripped: Vec<ProgramOp> = planned
             .iter()
             .copied()
-            .filter(|op| !matches!(op, ProgramOp::Advise(_)))
+            .filter(|op| !matches!(op, ProgramOp::Advise { .. }))
             .collect();
         assert_eq!(stripped, ops, "planning must only insert advice");
     }
@@ -221,10 +221,20 @@ mod tests {
         let mut advised_in: std::collections::HashSet<SegId> = std::collections::HashSet::new();
         for op in &planned {
             match *op {
-                ProgramOp::Advise(Advice::WillNeed(AdviceUnit::Segment(s))) => {
+                ProgramOp::Advise {
+                    kind: AdviceKind::WillNeed,
+                    segment: true,
+                    number,
+                } => {
+                    let s = SegId(number as u32);
                     advised_in.insert(s);
                 }
-                ProgramOp::Advise(Advice::WontNeed(AdviceUnit::Segment(s))) => {
+                ProgramOp::Advise {
+                    kind: AdviceKind::WontNeed,
+                    segment: true,
+                    number,
+                } => {
+                    let s = SegId(number as u32);
                     advised_in.remove(&s);
                 }
                 ProgramOp::Touch { seg, .. } => {
@@ -252,7 +262,12 @@ mod tests {
                 ProgramOp::Define { seg, .. } => {
                     defined.insert(seg);
                 }
-                ProgramOp::Advise(Advice::WillNeed(AdviceUnit::Segment(s))) => {
+                ProgramOp::Advise {
+                    kind: AdviceKind::WillNeed,
+                    segment: true,
+                    number,
+                } => {
+                    let s = SegId(number as u32);
                     assert!(defined.contains(&s), "advice for undeclared {s}");
                 }
                 _ => {}
@@ -273,10 +288,20 @@ mod tests {
         let mut balance: HashMap<SegId, i64> = HashMap::new();
         for op in &planned {
             match *op {
-                ProgramOp::Advise(Advice::WillNeed(AdviceUnit::Segment(s))) => {
+                ProgramOp::Advise {
+                    kind: AdviceKind::WillNeed,
+                    segment: true,
+                    number,
+                } => {
+                    let s = SegId(number as u32);
                     *balance.entry(s).or_insert(0) += 1;
                 }
-                ProgramOp::Advise(Advice::WontNeed(AdviceUnit::Segment(s))) => {
+                ProgramOp::Advise {
+                    kind: AdviceKind::WontNeed,
+                    segment: true,
+                    number,
+                } => {
+                    let s = SegId(number as u32);
                     *balance.entry(s).or_insert(0) -= 1;
                 }
                 _ => {}

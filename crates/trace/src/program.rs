@@ -28,7 +28,7 @@ pub struct ProgramCfg {
     pub touches: usize,
     /// Segments per phase working set.
     pub phase_set: u32,
-    /// Touches per phase.
+    /// Touches per phase; 0 is read as 1.
     pub phase_len: usize,
     /// Fraction of touches that are writes.
     pub write_fraction: f64,
@@ -117,7 +117,10 @@ impl ProgramCfg {
         // phase at most a resize and the turnover of the advised set.
         let set_size = self.phase_set.min(nseg) as usize;
         let per_phase = 1 + 2 * set_size * usize::from(self.advice_accuracy.is_some());
-        let phases = self.touches.div_ceil(self.phase_len.max(1));
+        // A phase of no touches would never end the stream; it is read
+        // as a phase of one.
+        let phase_len = self.phase_len.max(1);
+        let phases = self.touches.div_ceil(phase_len);
         let mut ops = Vec::with_capacity(self.touches + 2 * nseg as usize + phases * per_phase);
         for (i, &size) in sizes.iter().enumerate() {
             ops.push(ProgramOp::Define {
@@ -142,7 +145,7 @@ impl ProgramCfg {
                             rng.below(u64::from(nseg)) as u32
                         };
                         let unit = AdviceUnit::Segment(SegId(named));
-                        ops.push(ProgramOp::Advise(if incoming {
+                        ops.push(ProgramOp::advise(if incoming {
                             Advice::WillNeed(unit)
                         } else {
                             Advice::WontNeed(unit)
@@ -169,7 +172,7 @@ impl ProgramCfg {
                     size: new_size,
                 });
             }
-            let phase_touches = self.phase_len.min(self.touches - emitted);
+            let phase_touches = phase_len.min(self.touches - emitted);
             for _ in 0..phase_touches {
                 let seg = *rng.pick(&current);
                 let size = sizes[seg as usize];
@@ -205,6 +208,7 @@ impl ProgramCfg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsa_core::access::AdviceKind;
 
     fn small_cfg() -> ProgramCfg {
         ProgramCfg {
@@ -290,14 +294,14 @@ mod tests {
         let advice = p
             .ops
             .iter()
-            .filter(|op| matches!(op, ProgramOp::Advise(_)))
+            .filter(|op| matches!(op, ProgramOp::Advise { .. }))
             .count();
         assert!(advice > 0, "no advice emitted");
         let none = small_cfg().generate(&mut Rng64::new(5));
         assert_eq!(
             none.ops
                 .iter()
-                .filter(|op| matches!(op, ProgramOp::Advise(_)))
+                .filter(|op| matches!(op, ProgramOp::Advise { .. }))
                 .count(),
             0
         );
@@ -312,11 +316,17 @@ mod tests {
         // segment before the next phase boundary block of advice ends
         // and the following phase completes.
         for (i, op) in p.ops.iter().enumerate() {
-            if let ProgramOp::Advise(Advice::WillNeed(AdviceUnit::Segment(seg))) = op {
+            if let ProgramOp::Advise {
+                kind: AdviceKind::WillNeed,
+                segment: true,
+                number,
+            } = *op
+            {
+                let seg = SegId(number as u32);
                 let horizon = &p.ops[i..(i + 2 * cfg.phase_len + 16).min(p.ops.len())];
                 let touched = horizon
                     .iter()
-                    .any(|o| matches!(o, ProgramOp::Touch { seg: s, .. } if s == seg));
+                    .any(|o| matches!(*o, ProgramOp::Touch { seg: s, .. } if s == seg));
                 // The phase may end early at stream end; allow the tail.
                 if i + cfg.phase_len < p.ops.len() {
                     assert!(
@@ -338,12 +348,29 @@ mod tests {
         assert_eq!(cfg.generate(&mut Rng64::new(9)).ops, p.ops);
         let count = |is: fn(&ProgramOp) -> bool| p.ops.iter().filter(|op| is(op)).count();
         let resizes = count(|op| matches!(op, ProgramOp::Resize { .. }));
-        let advice = count(|op| matches!(op, ProgramOp::Advise(_)));
+        let advice = count(|op| matches!(op, ProgramOp::Advise { .. }));
         assert!(resizes > 0 && advice > 0);
         assert_eq!(
             p.ops.len(),
             cfg.touches + 2 * cfg.segments as usize + resizes + advice
         );
+    }
+
+    #[test]
+    fn a_phase_of_no_touches_is_a_phase_of_one() {
+        let cfg = ProgramCfg {
+            phase_len: 0,
+            touches: 10,
+            resize_prob: 0.0,
+            ..ProgramCfg::default()
+        };
+        let p = cfg.generate(&mut Rng64::new(10));
+        assert_eq!(p.touch_count(), 10);
+        let one = ProgramCfg {
+            phase_len: 1,
+            ..cfg
+        };
+        assert_eq!(one.generate(&mut Rng64::new(10)).ops, p.ops);
     }
 
     #[test]

@@ -397,7 +397,7 @@ impl Probe for Fetches {
 fn characteristics_say_what_the_machine_does() {
     let ops = wild_advised_program(84);
     let mut silent = ops.clone();
-    silent.retain(|op| !matches!(op, ProgramOp::Advise(_)));
+    silent.retain(|op| !matches!(op, ProgramOp::Advise { .. }));
     let presets = || {
         all_machines()
             .into_iter()

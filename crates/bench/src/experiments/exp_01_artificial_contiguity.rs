@@ -8,7 +8,7 @@
 //! access — compared against the cheaper addressing mechanisms.
 
 use dsa_core::ids::{Name, PhysAddr};
-use dsa_exec::{jobs_from_env, SimGrid};
+use dsa_exec::SimGrid;
 use dsa_mapping::block_map::BlockMap;
 use dsa_mapping::cost::MapCosts;
 use dsa_mapping::relocation::{IdentityMap, RelocationLimit};
@@ -17,11 +17,11 @@ use dsa_metrics::table::Table;
 use dsa_storage::memory::CoreMemory;
 use dsa_trace::rng::Rng64;
 
-fn main() {
-    dsa_exec::cli::enforce_standard_flags("exp_01_artificial_contiguity", &[]);
-    let jobs = jobs_from_env();
-    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_01_artificial_contiguity");
-    println!("E1: artificial contiguity (Figures 1 and 2)\n");
+use crate::{Args, Failure, Report};
+
+pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
+    let jobs = args.jobs();
+    outln!(rep, "E1: artificial contiguity (Figures 1 and 2)\n");
 
     // A 64-name space of four 16-word blocks over a 256-word memory,
     // with the blocks deliberately scattered and out of order.
@@ -50,13 +50,12 @@ fn main() {
             addr.value().to_string(),
         ]);
     }
-    println!("{t}");
-    metrics.table("contiguity", &t);
+    rep.table("contiguity", t);
 
     // Address arithmetic across a block boundary.
     let a15 = map.translate(Name(15)).unwrap_addr();
     let a16 = map.translate(Name(16)).unwrap_addr();
-    println!(
+    outln!(rep,
         "names 15,16 are contiguous; their addresses are {} and {} (gap {})\n",
         a15.value(),
         a16.value(),
@@ -76,7 +75,7 @@ fn main() {
     mem.move_block(PhysAddr(32), PhysAddr(0), 16).unwrap();
     map.map_block(1, PhysAddr(0));
     assert!(verify(&mut map, &mem));
-    println!("block 1 moved 32 -> 0: all 64 names still read back correctly\n");
+    outln!(rep, "block 1 moved 32 -> 0: all 64 names still read back correctly\n");
 
     // The cost side: mean addressing overhead per access for each
     // mechanism on the same random access pattern.
@@ -108,12 +107,11 @@ fn main() {
     }) {
         t.row_owned(row);
     }
-    println!("{t}");
-    metrics.table("addressing_overhead", &t);
-    dsa_bench::metrics::emit(&metrics);
-    println!(
+    rep.table("addressing_overhead", t);
+    outln!(rep,
         "the block map buys artificial contiguity for one table reference\n\
          (a full core cycle) per access; the paper's remedy for that cost is\n\
          the associative memory measured in E3."
     );
+    Ok(())
 }

@@ -11,7 +11,7 @@
 //! sufficient reserve of programs can be kept in working storage").
 
 use dsa_core::clock::Cycles;
-use dsa_exec::{jobs_from_env, SimGrid};
+use dsa_exec::SimGrid;
 use dsa_metrics::table::Table;
 use dsa_probe::NullProbe;
 use dsa_sched::{
@@ -19,6 +19,8 @@ use dsa_sched::{
 };
 use dsa_trace::refstring::RefStringCfg;
 use dsa_trace::rng::Rng64;
+
+use crate::{Args, Failure, Report};
 
 /// Frames per job.
 const FRAMES: usize = 32;
@@ -33,7 +35,7 @@ fn job_trace(seed: u64) -> Vec<dsa_core::ids::PageNo> {
 
 /// Runs the mix: `jobs` programs, each under LRU in its own `FRAMES`
 /// frames.
-fn run(fetch: Cycles, jobs: usize, channels: Option<usize>) -> EventReport {
+fn simulate(fetch: Cycles, jobs: usize, channels: Option<usize>) -> EventReport {
     let cfg = SimConfig {
         instr_time: Cycles::from_micros(10),
         fetch_time: fetch,
@@ -53,11 +55,9 @@ fn run(fetch: Cycles, jobs: usize, channels: Option<usize>) -> EventReport {
         .expect("compact sets cannot fail")
 }
 
-fn main() {
-    dsa_exec::cli::enforce_standard_flags("exp_02_space_time", &[]);
-    let workers = jobs_from_env();
-    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_02_space_time");
-    println!("E2: storage utilization with demand paging (Figure 3)\n");
+pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
+    let workers = args.jobs();
+    outln!(rep, "E2: storage utilization with demand paging (Figure 3)\n");
     let devices = [
         ("fast store (20 us)", Cycles::from_micros(20)),
         ("drum (8 ms)", Cycles::from_millis(8)),
@@ -76,7 +76,7 @@ fn main() {
     // is an independent simulation.
     let levels = [1usize, 2, 4, 8];
     for (name, fetch) in devices {
-        let reports = SimGrid::new(levels.to_vec()).run(workers, |_, &jobs| run(fetch, jobs, None));
+        let reports = SimGrid::new(levels.to_vec()).run(workers, |_, &jobs| simulate(fetch, jobs, None));
         for (&jobs, r) in levels.iter().zip(reports) {
             let st = r.space_time;
             t.row_owned(vec![
@@ -88,8 +88,7 @@ fn main() {
             ]);
         }
     }
-    println!("{t}");
-    metrics.table("space_time", &t);
+    rep.table("space_time", t);
 
     // The fine print of the overlap argument: it assumes "extra page
     // transmission" capacity. With one drum channel the fetches queue
@@ -103,7 +102,7 @@ fn main() {
         ("ample", None),
     ]);
     for row in grid.run(workers, |_, &(label, channels)| {
-        let r = run(Cycles::from_millis(8), 8, channels);
+        let r = simulate(Cycles::from_millis(8), 8, channels);
         vec![
             label.to_owned(),
             format!("{:.1}%", r.cpu_utilization() * 100.0),
@@ -112,14 +111,13 @@ fn main() {
     }) {
         t.row_owned(row);
     }
-    println!("{t}");
-    metrics.table("channel_limits", &t);
-    dsa_bench::metrics::emit(&metrics);
-    println!(
+    rep.table("channel_limits", t);
+    outln!(rep,
         "reading the table: with a slow backing store a lone program's\n\
          space-time is almost all wait (Figure 3's shaded area) and the\n\
          processor idles; adding programs overlaps the waits and restores\n\
          processor utilization, while a very fast store makes even the\n\
          lone program's wait share small."
     );
+    Ok(())
 }

@@ -15,7 +15,7 @@
 
 use dsa_core::clock::Cycles;
 use dsa_core::ids::{FrameNo, SegId};
-use dsa_exec::{jobs_from_env, SimGrid};
+use dsa_exec::SimGrid;
 use dsa_mapping::associative::AssocPolicy;
 use dsa_mapping::cost::MapCosts;
 use dsa_mapping::two_level::TwoLevelMap;
@@ -23,6 +23,8 @@ use dsa_mapping::AddressMap;
 use dsa_metrics::table::Table;
 use dsa_trace::refstring::RefStringCfg;
 use dsa_trace::rng::Rng64;
+
+use crate::{Args, Failure, Report};
 
 const SEGS: u32 = 8;
 const SEG_EXTENT: u64 = 8192;
@@ -41,10 +43,8 @@ fn build(tlb: usize, policy: AssocPolicy) -> TwoLevelMap {
     m
 }
 
-fn main() {
-    dsa_exec::cli::enforce_standard_flags("exp_03_mapping_overhead", &[]);
-    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_03_mapping_overhead");
-    println!("E3: two-level mapping overhead vs associative-memory size (Figure 4)\n");
+pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
+    outln!(rep, "E3: two-level mapping overhead vs associative-memory size (Figure 4)\n");
 
     // Word-granular accesses with locality: an LRU-stack model over the
     // 64 (seg, page) pairs, each reference landing at a random offset.
@@ -84,7 +84,7 @@ fn main() {
         (16, AssocPolicy::Lru),
         (44, AssocPolicy::Lru),
     ]);
-    let measured = grid.run(jobs_from_env(), |_, &(n, pol)| {
+    let measured = grid.run(args.jobs(), |_, &(n, pol)| {
         let mut m = build(n, pol);
         for &(seg, off) in &accesses {
             let tr = m.translate_pair(seg, off);
@@ -105,13 +105,12 @@ fn main() {
             format!("{:.2}x cheaper", baseline / ns),
         ]);
     }
-    println!("{t}");
-    metrics.table("mapping_overhead", &t);
-    dsa_bench::metrics::emit(&metrics);
-    println!(
+    rep.table("mapping_overhead", t);
+    outln!(rep,
         "without the associative memory every access pays two table\n\
          references (segment table + page table); eight entries already\n\
          capture most of the locality, which is why the 360/67 shipped\n\
          with exactly eight."
     );
+    Ok(())
 }

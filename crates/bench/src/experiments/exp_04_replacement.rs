@@ -20,7 +20,7 @@
 //! Pass `--trace-out <path>` to dump the probe event stream of one
 //! representative run (LRU on the first trace, 24 frames) as JSONL.
 
-use dsa_exec::{cli, jobs_from_env, SimGrid};
+use dsa_exec::SimGrid;
 use dsa_metrics::table::Table;
 use dsa_paging::paged::PagedMemory;
 use dsa_paging::replacement::lru::LruRepl;
@@ -32,6 +32,9 @@ use dsa_stackdist::{lru_distances, opt_distances};
 use dsa_telemetry::TelemetryProbe;
 use dsa_trace::refstring::RefStringCfg;
 use dsa_trace::rng::Rng64;
+
+use crate::cli::TRACE_OUT;
+use crate::{Args, Failure, Report};
 
 const LEN: usize = 60_000;
 
@@ -53,12 +56,10 @@ enum Measured {
     PerSize { rate: f64, p95: Option<u64> },
 }
 
-fn main() {
-    cli::enforce_standard_flags("exp_04_replacement", &[cli::TRACE_OUT]);
-    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_04_replacement");
-    let trace_out = cli::path_flag_from_env(cli::TRACE_OUT);
-    let jobs = jobs_from_env();
-    println!("E4: replacement strategies — fault rate vs core size\n");
+pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
+    let trace_out = args.path(TRACE_OUT);
+    let jobs = args.jobs();
+    outln!(rep, "E4: replacement strategies — fault rate vs core size\n");
     let traces: Vec<(&str, RefStringCfg)> = vec![
         (
             "lru-stack th=0.9",
@@ -184,7 +185,7 @@ fn main() {
                 let mut mem = PagedMemory::new(PROBED_FRAMES, Box::new(LruRepl::new()));
                 mem.run_pages_probed(&trace, &mut rec).expect("no pinning");
                 rec.write_to(path).expect("writable --trace-out path");
-                println!(
+                outln!(rep,
                     "trace-out: {} events ({} dropped) -> {}\n",
                     rec.len(),
                     rec.dropped(),
@@ -198,15 +199,14 @@ fn main() {
             row.push(format!("{} refs", p95_inter_fault[i]));
             t.row_owned(row);
         }
-        println!("{t}");
-        metrics.table(&format!("trace_{ti}"), &t);
+        rep.table(&format!("trace_{ti}"), t);
     }
-    dsa_bench::metrics::emit(&metrics);
-    println!(
+    outln!(rep,
         "expected shape: MIN bounds everyone from below; LRU and Clock track\n\
          each other on locality-bearing traces; the ATLAS learning program\n\
          wins on the strict loop nest and the sweep (it predicts periodic\n\
          reuse) but gives ground on irregular references; on uniform random\n\
          every policy collapses to the same fault rate."
     );
+    Ok(())
 }

@@ -14,7 +14,7 @@
 //! across N workers; any width prints the same bytes.
 
 use dsa_core::access::AllocEvent;
-use dsa_exec::{cli, jobs_from_env, SimGrid};
+use dsa_exec::SimGrid;
 use dsa_freelist::frag::FragReport;
 use dsa_freelist::freelist::{FreeListAllocator, Placement};
 use dsa_freelist::rice::RiceAllocator;
@@ -24,6 +24,9 @@ use dsa_probe::{JsonlRecorder, Probe, Stamp};
 use dsa_telemetry::TelemetryProbe;
 use dsa_trace::allocstream::{AllocStreamCfg, SizeDist};
 use dsa_trace::rng::Rng64;
+
+use crate::cli::TRACE_OUT;
+use crate::{Args, Failure, Report};
 
 const CAPACITY: u64 = 32_768;
 const EVENTS: usize = 60_000;
@@ -205,12 +208,10 @@ fn row_for(kind: &RowKind, events: &[AllocEvent]) -> Vec<String> {
     }
 }
 
-fn main() {
-    cli::enforce_standard_flags("exp_05_placement", &[cli::TRACE_OUT]);
-    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_05_placement");
-    let trace_out = cli::path_flag_from_env(cli::TRACE_OUT);
-    let jobs = jobs_from_env();
-    println!("E5: placement strategies under steady allocation churn\n");
+pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
+    let trace_out = args.path(TRACE_OUT);
+    let jobs = args.jobs();
+    outln!(rep, "E5: placement strategies under steady allocation churn\n");
     for (di, (dist_name, sizes)) in [
         (
             "exponential mean 80",
@@ -245,7 +246,7 @@ fn main() {
                     let mut rec = JsonlRecorder::new(200_000);
                     drive_freelist(Placement::BestFit, &events, &mut rec);
                     rec.write_to(path).expect("writable --trace-out path");
-                    println!(
+                    outln!(rep,
                         "trace-out: {} events ({} dropped) -> {}\n",
                         rec.len(),
                         rec.dropped(),
@@ -278,12 +279,10 @@ fn main() {
             for row in grid.run(jobs, |_, kind| row_for(kind, &events)) {
                 t.row_owned(row);
             }
-            println!("{t}");
-            metrics.table(&format!("dist_{di}_load_{}", (target * 100.0) as u32), &t);
+            rep.table(&format!("dist_{di}_load_{}", (target * 100.0) as u32), t);
         }
     }
-    dsa_bench::metrics::emit(&metrics);
-    println!(
+    outln!(rep,
         "best-fit and first-fit hold fragmentation down at the price of a\n\
          longer search; two-ends buys a short search by keeping small and\n\
          large blocks apart (its advantage grows on the bimodal stream);\n\
@@ -293,4 +292,5 @@ fn main() {
          with rounding waste and storage trapped in the wrong class —\n\
          the 'number of different allocation units' trade, both ends."
     );
+    Ok(())
 }

@@ -14,17 +14,20 @@
 //! `FaultInjected`/`RetryAttempt`/`FrameQuarantined`/`DegradationStep`
 //! events the probe observed.
 
-use dsa_bench::workloads::survey_program_cfg;
+use crate::workloads::survey_program_cfg;
 use dsa_core::access::ProgramOp;
 use dsa_core::clock::Cycles;
-use dsa_exec::{jobs_from_env, product2, SimGrid};
+use dsa_exec::{product2, SimGrid};
 use dsa_faults::FaultConfig;
 use dsa_machines::presets::{atlas, b5000, multics};
 use dsa_machines::MachineReport;
 use dsa_metrics::table::Table;
 use dsa_probe::CountingProbe;
-use dsa_telemetry::TelemetryProbe;
+use dsa_telemetry::{FlightRecorder, TelemetryProbe};
 use dsa_trace::rng::Rng64;
+
+use crate::cli::FLIGHT_RECORDER;
+use crate::{Args, Failure, Report};
 
 /// The injected failure mix at a given transfer-error rate: bad frames
 /// at a tenth of the rate, channel stalls at the rate itself.
@@ -122,13 +125,11 @@ fn run_one(name: &str, rate: f64, ops: &[ProgramOp]) -> Vec<String> {
     ]
 }
 
-fn main() {
-    dsa_exec::cli::enforce_standard_flags("exp_06_faults", &[dsa_exec::cli::FLIGHT_RECORDER]);
-    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_06_faults");
-    println!("E6b: graceful degradation under injected storage faults\n");
+pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
+    outln!(rep, "E6b: graceful degradation under injected storage faults\n");
     let mut rng = Rng64::new(6);
     let program = survey_program_cfg().generate(&mut rng);
-    println!(
+    outln!(rep,
         "workload: {} touches; fault mix at transfer-error rate r: \
          transfer errors r, bad frames r/10, channel stalls r (20 us)\n",
         program.touch_count()
@@ -156,20 +157,18 @@ fn main() {
         &["ATLAS", "B5000", "MULTICS"],
         &[0.0, 1e-4, 1e-3, 1e-2],
     ));
-    for row in grid.run(jobs_from_env(), |_, &(name, rate)| {
+    for row in grid.run(args.jobs(), |_, &(name, rate)| {
         run_one(name, rate, &program.ops)
     }) {
         results.row_owned(row);
     }
-    println!("{results}");
-    metrics.table("degradation", &results);
-    dsa_bench::metrics::emit(&metrics);
+    rep.table("degradation", results);
 
     // Postmortem demonstration: with `--flight-recorder N`, replay the
     // worst injected cell with a recorder handle teed into the probe
     // and dump the tail of the event stream — exactly what a
     // production fault report would attach.
-    if let Some(recorder) = dsa_bench::metrics::flight_recorder_from_env() {
+    if let Some(recorder) = args.count(FLIGHT_RECORDER).map(FlightRecorder::new) {
         let mut probe = TelemetryProbe::new();
         let mut sink = dsa_probe::Tee(&mut probe, recorder.handle());
         let report = atlas()
@@ -177,13 +176,13 @@ fn main() {
             .run_with(&program.ops, &mut sink)
             .expect("degrades gracefully but completes");
         assert!(report.recovery.faults_injected > 0, "1e-2 always injects");
-        println!(
+        outln!(rep,
             "\npostmortem of ATLAS @ 1e-2 ({} faults injected):\n{}",
             report.recovery.faults_injected,
             recorder.postmortem(16)
         );
     }
-    println!(
+    outln!(rep,
         "things to see: at 1e-4 the retry machinery is invisible in\n\
          throughput; at 1e-2 every machine still completes the workload —\n\
          no panic, no abort — but pays for it in fault-service latency\n\
@@ -192,4 +191,5 @@ fn main() {
          working storage. every row reconciled its RecoveryReport\n\
          against the probe's event totals exactly."
     );
+    Ok(())
 }

@@ -19,7 +19,7 @@
 //!    `tests/properties_stackdist.rs`).
 
 use dsa_core::ids::Words;
-use dsa_exec::{jobs_from_env, SimGrid};
+use dsa_exec::SimGrid;
 use dsa_freelist::frag::{dual_size_waste, paged_overhead};
 use dsa_metrics::sparkline::labelled_sparkline;
 use dsa_metrics::table::Table;
@@ -28,10 +28,10 @@ use dsa_stackdist::lru_success;
 use dsa_trace::allocstream::SizeDist;
 use dsa_trace::rng::{Rng64, Zipf};
 
-fn main() {
-    dsa_exec::cli::enforce_standard_flags("exp_06_page_size", &[]);
-    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_06_page_size");
-    println!("E6: the page-size dilemma (paging obscures fragmentation)\n");
+use crate::{Args, Failure, Report};
+
+pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
+    outln!(rep, "E6: the page-size dilemma (paging obscures fragmentation)\n");
 
     // Part 1: space overhead across page sizes.
     let mut rng = Rng64::new(6);
@@ -80,8 +80,7 @@ fn main() {
         (waste + pages).to_string(),
         format!("{:.1}%", (waste + pages) as f64 / total as f64 * 100.0),
     ]);
-    println!("{t}");
-    metrics.table("space_overhead", &t);
+    rep.table("space_overhead", t);
 
     // Part 2: fault behaviour across page sizes at fixed working
     // storage. The workload scans objects sequentially — 2000 objects of
@@ -115,7 +114,7 @@ fn main() {
     .with_title("sequential 100-word runs over 2000 objects, 16K-word storage, LRU, drum timing");
     let mut curve: Vec<f64> = Vec::new();
     let grid = SimGrid::new(vec![16u64, 64, 128, 256, 512, 1024, 2048, 4096]);
-    for (fetch_ms, row) in grid.run(jobs_from_env(), |_, &page| {
+    for (fetch_ms, row) in grid.run(args.jobs(), |_, &page| {
         let trace = to_page_trace(&scaled, page);
         let frames = frames_for(memory, page);
         let success = lru_success(&trace);
@@ -135,14 +134,12 @@ fn main() {
         curve.push(fetch_ms);
         t.row_owned(row);
     }
-    println!("{t}");
-    metrics.table("fault_behaviour", &t);
-    dsa_bench::metrics::emit(&metrics);
-    println!(
+    rep.table("fault_behaviour", t);
+    outln!(rep,
         "{}\n",
         labelled_sparkline("fetch time vs page size", &curve)
     );
-    println!(
+    outln!(rep,
         "space: overhead is U-shaped — table words dominate at tiny pages,\n\
          in-page waste at huge ones; the MULTICS two-size mix undercuts\n\
          every uniform size. time: with working storage fixed, total fetch\n\
@@ -150,4 +147,5 @@ fn main() {
          few dozen words of a sequential run, huge pages squander frames\n\
          on unreferenced words until the working set no longer fits."
     );
+    Ok(())
 }

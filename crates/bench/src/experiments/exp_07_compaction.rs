@@ -14,13 +14,15 @@
 
 use dsa_core::access::AllocEvent;
 use dsa_core::clock::Cycles;
-use dsa_exec::{jobs_from_env, SimGrid};
+use dsa_exec::SimGrid;
 use dsa_freelist::compaction::compact;
 use dsa_freelist::freelist::{FreeListAllocator, Placement};
 use dsa_metrics::table::Table;
 use dsa_storage::channel::PackingChannel;
 use dsa_trace::allocstream::{AllocStreamCfg, SizeDist};
 use dsa_trace::rng::Rng64;
+
+use crate::{Args, Failure, Report};
 
 const CAPACITY: u64 = 32_768;
 const EVENTS: usize = 40_000;
@@ -45,7 +47,7 @@ struct RunOut {
     cpu_chan: Cycles,
 }
 
-fn run(events: &[AllocEvent], compact_on_failure: bool) -> RunOut {
+fn replay(events: &[AllocEvent], compact_on_failure: bool) -> RunOut {
     let mut a = FreeListAllocator::new(CAPACITY, Placement::BestFit);
     let mut prog = PackingChannel::programmed(Cycles::from_micros(2));
     let mut chan = PackingChannel::autonomous(Cycles::from_micros(2));
@@ -87,11 +89,9 @@ fn run(events: &[AllocEvent], compact_on_failure: bool) -> RunOut {
     out
 }
 
-fn main() {
-    dsa_exec::cli::enforce_standard_flags("exp_07_compaction", &[]);
-    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_07_compaction");
-    println!("E7: compaction — corrective data movement vs accepted fragmentation\n");
-    let jobs = jobs_from_env();
+pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
+    outln!(rep, "E7: compaction — corrective data movement vs accepted fragmentation\n");
+    let jobs = args.jobs();
     for mean_size in [80.0f64, 800.0] {
         let mut t = Table::new(&[
             "target load",
@@ -110,8 +110,8 @@ fn main() {
         let grid = SimGrid::new(vec![0.80f64, 0.90, 0.95, 0.98]);
         for row in grid.run(jobs, |_, &target| {
             let events = stream(target, mean_size);
-            let accept = run(&events, false);
-            let pack = run(&events, true);
+            let accept = replay(&events, false);
+            let pack = replay(&events, true);
             vec![
                 format!("{:.0}%", target * 100.0),
                 accept.failures.to_string(),
@@ -124,11 +124,9 @@ fn main() {
         }) {
             t.row_owned(row);
         }
-        println!("{t}");
-        metrics.table(&format!("mean_{}", mean_size as u64), &t);
+        rep.table(&format!("mean_{}", mean_size as u64), t);
     }
-    dsa_bench::metrics::emit(&metrics);
-    println!(
+    outln!(rep,
         "small requests (relative to storage): fragmentation rarely blocks\n\
          anything and accepting it is free — Wald's observation. large\n\
          requests at high load: only compaction sustains the allocation\n\
@@ -136,4 +134,5 @@ fn main() {
          CPU bill of each pass by an order of magnitude versus the\n\
          programmed copy loop."
     );
+    Ok(())
 }

@@ -14,7 +14,7 @@
 //! 50%, 75% and 100% (an inaccurate directive names a random wrong
 //! segment).
 
-use dsa_exec::{jobs_from_env, product2, SimGrid};
+use dsa_exec::{product2, SimGrid};
 use dsa_machines::presets::m44_44x;
 use dsa_machines::report::Machine;
 use dsa_metrics::table::Table;
@@ -22,6 +22,8 @@ use dsa_trace::allocstream::SizeDist;
 use dsa_trace::planner::{AdvicePlanner, PlannerCfg};
 use dsa_trace::program::ProgramCfg;
 use dsa_trace::rng::Rng64;
+
+use crate::{Args, Failure, Report};
 
 fn program(accuracy: Option<f64>, seed: u64) -> Vec<dsa_core::access::ProgramOp> {
     // Working storage on the M44 preset is 195 frames; size the program
@@ -45,10 +47,8 @@ fn program(accuracy: Option<f64>, seed: u64) -> Vec<dsa_core::access::ProgramOp>
     .ops
 }
 
-fn main() {
-    dsa_exec::cli::enforce_standard_flags("exp_08_advice", &[]);
-    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_08_advice");
-    println!("E8: the value (and danger) of predictive information\n");
+pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
+    outln!(rep, "E8: the value (and danger) of predictive information\n");
     let mut t = Table::new(&[
         "advice",
         "faults",
@@ -77,7 +77,7 @@ fn main() {
     // replicates of each regime together for the aggregation below.
     let accs: Vec<Option<f64>> = cases.iter().map(|&(_, acc)| acc).collect();
     let grid = SimGrid::new(product2(&accs, &SEEDS));
-    let measured = grid.run(jobs_from_env(), |_, &(acc, seed)| {
+    let measured = grid.run(args.jobs(), |_, &(acc, seed)| {
         // accuracy -1.0 is the sentinel for exact compiler planning:
         // the whole-program analyser inserts the directives itself.
         let ops = if acc == Some(-1.0) {
@@ -136,10 +136,8 @@ fn main() {
             dsa_core::clock::Cycles::from_nanos(fetch_ns / n).to_string(),
         ]);
     }
-    println!("{t}");
-    metrics.table("advice", &t);
-    dsa_bench::metrics::emit(&metrics);
-    println!(
+    rep.table("advice", t);
+    outln!(rep,
         "the measured trade: fault rate falls monotonically with advice\n\
          accuracy (none {none_rate:.4} -> perfect {best_rate:.4}), but every\n\
          advised regime pays ~30-60% more backing-store traffic, and wrong\n\
@@ -149,4 +147,5 @@ fn main() {
          lands in the same band as good user advice: prediction tunes, it\n\
          does not rescue."
     );
+    Ok(())
 }

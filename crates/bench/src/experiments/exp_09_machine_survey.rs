@@ -5,22 +5,22 @@
 //! characteristic axes, then what actually happened — faults, traffic,
 //! addressing overhead, bounds interception.
 
-use dsa_bench::workloads::survey_program_cfg;
-use dsa_exec::{jobs_from_env, SimGrid};
+use crate::workloads::survey_program_cfg;
+use dsa_exec::SimGrid;
 use dsa_machines::presets::{favoured, machine_by_index, machine_count};
 use dsa_machines::report::Machine;
 use dsa_metrics::table::Table;
 use dsa_trace::rng::Rng64;
 
-fn main() {
-    dsa_exec::cli::enforce_standard_flags("exp_09_machine_survey", &[]);
-    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_09_machine_survey");
-    println!("E9: the seven appendix machines under one workload\n");
+use crate::{Args, Failure, Report};
+
+pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
+    outln!(rep, "E9: the seven appendix machines under one workload\n");
     let mut rng = Rng64::new(9);
     let mut cfg = survey_program_cfg();
     cfg.wild_touch_prob = 0.002;
     let program = cfg.generate(&mut rng);
-    println!(
+    outln!(rep,
         "workload: {} segments, {} declared words, {} touches (0.2% wild)\n",
         cfg.segments,
         program.total_declared_words(),
@@ -46,7 +46,7 @@ fn main() {
     // are built inside their cell (they are stateful), then both rows
     // are returned together and emitted in grid order.
     let grid = SimGrid::new((0..=machine_count()).collect::<Vec<_>>());
-    for (chars_row, results_row) in grid.run(jobs_from_env(), |_, &i| {
+    for (chars_row, results_row) in grid.run(args.jobs(), |_, &i| {
         let mut m: Box<dyn Machine> = if i < machine_count() {
             machine_by_index(i)
         } else {
@@ -79,11 +79,9 @@ fn main() {
         chars.row_owned(chars_row);
         results.row_owned(results_row);
     }
-    println!("{chars}");
-    println!("{results}");
-    metrics.table("survey", &results);
-    dsa_bench::metrics::emit(&metrics);
-    println!(
+    outln!(rep, "{chars}");
+    rep.table("survey", results);
+    outln!(rep,
         "things to see: the segmented machines (B5000, Rice, B8500,\n\
          MULTICS) intercept every wild subscript while the linear and\n\
          packed-segment machines let them through; the Rice machine pays\n\
@@ -95,4 +93,5 @@ fn main() {
          segments with full bounds interception, advice accepted, cheap\n\
          cached descriptor access, and large segments in separate blocks."
     );
+    Ok(())
 }

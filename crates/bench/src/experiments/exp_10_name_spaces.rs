@@ -14,18 +14,18 @@
 //! renumbers live programs — on a real machine that means finding and
 //! updating every stored reference to the moved segment numbers.
 
-use dsa_exec::{jobs_from_env, SimGrid};
+use dsa_exec::SimGrid;
 use dsa_metrics::table::Table;
 use dsa_seg::names::{LinearSegDict, SymbolicDict};
 use dsa_trace::rng::Rng64;
 
+use crate::{Args, Failure, Report};
+
 const CAPACITY: u32 = 4096;
 const OPS: usize = 30_000;
 
-fn main() {
-    dsa_exec::cli::enforce_standard_flags("exp_10_name_spaces", &[]);
-    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_10_name_spaces");
-    println!("E10: segment-name bookkeeping — symbolic vs linear dictionaries\n");
+pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
+    outln!(rep, "E10: segment-name bookkeeping — symbolic vs linear dictionaries\n");
     let mut t = Table::new(&[
         "target occupancy",
         "dict",
@@ -41,7 +41,7 @@ fn main() {
     // replays it against both dictionaries — an independent cell that
     // returns its two finished table rows.
     let grid = SimGrid::new(vec![0.5f64, 0.7, 0.85, 0.95]);
-    let rows = grid.run(jobs_from_env(), |_, &occupancy| {
+    let rows = grid.run(args.jobs(), |_, &occupancy| {
         let target = (CAPACITY as f64 * occupancy) as u32;
         // Build one attach/detach schedule, replayed against both
         // dictionaries.
@@ -94,14 +94,13 @@ fn main() {
             t.row_owned(row);
         }
     }
-    println!("{t}");
-    metrics.table("name_spaces", &t);
-    dsa_bench::metrics::emit(&metrics);
-    println!(
+    rep.table("name_spaces", t);
+    outln!(rep,
         "at half occupancy the two differ only by the linear dictionary's\n\
          range search; as the number space fills, the linear dictionary\n\
          fragments and must renumber thousands of live names — and still\n\
          refuses requests the symbolic dictionary would have satisfied.\n\
          the bookkeeping gap is exactly the paper's 'far less'."
     );
+    Ok(())
 }

@@ -12,11 +12,13 @@
 //! replaced) for uniform 64, uniform 1024, and the 64+1024 mix.
 
 use dsa_core::ids::Words;
-use dsa_exec::{jobs_from_env, SimGrid};
+use dsa_exec::SimGrid;
 use dsa_freelist::frag::{dual_size_waste, internal_waste};
 use dsa_metrics::table::Table;
 use dsa_trace::allocstream::SizeDist;
 use dsa_trace::rng::Rng64;
+
+use crate::{Args, Failure, Report};
 
 fn mix_pages(r: Words, small: Words, large: Words) -> u64 {
     let bulk = r / large;
@@ -24,10 +26,8 @@ fn mix_pages(r: Words, small: Words, large: Words) -> u64 {
     bulk + tail.div_ceil(small)
 }
 
-fn main() {
-    dsa_exec::cli::enforce_standard_flags("exp_11_multics_dual", &[]);
-    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_11_multics_dual");
-    println!("E11: the MULTICS dual page size (64 + 1024 words)\n");
+pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
+    outln!(rep, "E11: the MULTICS dual page size (64 + 1024 words)\n");
     let populations: Vec<(&str, SizeDist)> = vec![
         (
             "small segments (exp mean 200)",
@@ -55,7 +55,7 @@ fn main() {
     // fixed seed, tally all three schemes, return the finished table.
     let grid = SimGrid::new(populations);
     for (pi, table) in grid
-        .run(jobs_from_env(), |_, (name, dist)| {
+        .run(args.jobs(), |_, (name, dist)| {
             let mut rng = Rng64::new(11);
             let segments: Vec<Words> = (0..3_000).map(|_| dist.sample(&mut rng)).collect();
             let data: Words = segments.iter().sum();
@@ -89,11 +89,9 @@ fn main() {
         .into_iter()
         .enumerate()
     {
-        println!("{table}");
-        metrics.table(&format!("population_{pi}"), &table);
+        rep.table(&format!("population_{pi}"), table);
     }
-    dsa_bench::metrics::emit(&metrics);
-    println!(
+    outln!(rep,
         "uniform 64 has tiny waste but an order of magnitude more page\n\
          table entries to manage (and, per E6, more fetch latencies);\n\
          uniform 1024 wastes half a kiloword per segment tail; the mix\n\
@@ -101,4 +99,5 @@ fn main() {
          'complexity to the placement and replacement strategies' buys\n\
          exactly what A.6 claims."
     );
+    Ok(())
 }

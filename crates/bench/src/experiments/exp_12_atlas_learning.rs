@@ -10,7 +10,7 @@
 //! frame vacant" discipline.
 
 use dsa_core::ids::PageNo;
-use dsa_exec::{jobs_from_env, SimGrid};
+use dsa_exec::SimGrid;
 use dsa_metrics::table::Table;
 use dsa_paging::paged::PagedMemory;
 use dsa_paging::replacement::atlas::AtlasLearning;
@@ -18,6 +18,8 @@ use dsa_paging::replacement::registry::{policy_by_index, ATLAS, FIFO};
 use dsa_stackdist::{lru_success, opt_success};
 use dsa_trace::refstring::RefStringCfg;
 use dsa_trace::rng::Rng64;
+
+use crate::{Args, Failure, Report};
 
 const LEN: usize = 50_000;
 const FRAMES: usize = 16;
@@ -48,11 +50,9 @@ fn fault_rate(trace: &[PageNo], policy: Box<dyn dsa_paging::replacement::Replace
     mem.run_pages(trace).expect("no pinning").fault_rate()
 }
 
-fn main() {
-    dsa_exec::cli::enforce_standard_flags("exp_12_atlas_learning", &[]);
-    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_12_atlas_learning");
-    println!("E12: the ATLAS learning program vs period regularity\n");
-    let jobs = jobs_from_env();
+pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
+    outln!(rep, "E12: the ATLAS learning program vs period regularity\n");
+    let jobs = args.jobs();
     let mut t = Table::new(&[
         "jitter",
         "MIN",
@@ -88,8 +88,7 @@ fn main() {
     }) {
         t.row_owned(row);
     }
-    println!("{t}");
-    metrics.table("jitter_sweep", &t);
+    rep.table("jitter_sweep", t);
 
     // Ablation: the vacant-frame reserve. It trades one frame of
     // capacity for having a frame already free at every demand — on
@@ -132,10 +131,8 @@ fn main() {
     }) {
         t.row_owned(row);
     }
-    println!("{t}");
-    metrics.table("vacant_reserve", &t);
-    dsa_bench::metrics::emit(&metrics);
-    println!(
+    rep.table("vacant_reserve", t);
+    outln!(rep,
         "at zero jitter the learning program tracks MIN exactly — the\n\
          periods it learns are the truth — while LRU, fooled by cyclic\n\
          reuse, faults on every outer page. as jitter grows the learned\n\
@@ -144,4 +141,5 @@ fn main() {
          (one frame's worth) in exchange for zero allocation delay at\n\
          fault time — the latency win is what mattered on the drum."
     );
+    Ok(())
 }

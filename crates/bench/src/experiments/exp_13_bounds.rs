@@ -9,16 +9,16 @@
 //! We inject a known rate of wild touches and watch each machine's
 //! interception rate, and price the check itself.
 
-use dsa_bench::workloads::survey_program_cfg;
-use dsa_exec::{jobs_from_env, SimGrid};
+use crate::workloads::survey_program_cfg;
+use dsa_exec::SimGrid;
 use dsa_machines::presets::{machine_by_index, machine_count};
 use dsa_metrics::table::Table;
 use dsa_trace::rng::Rng64;
 
-fn main() {
-    dsa_exec::cli::enforce_standard_flags("exp_13_bounds", &[]);
-    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_13_bounds");
-    println!("E13: bounds checking across the seven machines\n");
+use crate::{Args, Failure, Report};
+
+pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
+    outln!(rep, "E13: bounds checking across the seven machines\n");
     let mut cfg = survey_program_cfg();
     cfg.wild_touch_prob = 0.01; // 1% of touches are illegal subscripts
     cfg.touches = 20_000;
@@ -38,7 +38,7 @@ fn main() {
     ));
     // One independent cell per machine, built inside its cell.
     let grid = SimGrid::new((0..machine_count()).collect::<Vec<_>>());
-    for row in grid.run(jobs_from_env(), |_, &i| {
+    for row in grid.run(args.jobs(), |_, &i| {
         let mut m = machine_by_index(i);
         let r = m.run(&program.ops).expect("workload runs everywhere");
         let wild_total = r.bounds_caught + r.wild_undetected;
@@ -57,10 +57,8 @@ fn main() {
     }) {
         t.row_owned(row);
     }
-    println!("{t}");
-    metrics.table("bounds", &t);
-    dsa_bench::metrics::emit(&metrics);
-    println!(
+    rep.table("bounds", t);
+    outln!(rep,
         "the per-object segmented machines intercept every violation; the\n\
          linear machines (ATLAS, M44) intercept none — a wild subscript\n\
          simply reads someone else's words; the 360/67, though segmented\n\
@@ -69,4 +67,5 @@ fn main() {
          extra: it rides the same descriptor/limit access the mapping\n\
          already performs."
     );
+    Ok(())
 }

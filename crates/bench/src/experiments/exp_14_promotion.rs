@@ -13,10 +13,12 @@
 //! prediction against a simulated access stream.
 
 use dsa_core::clock::Cycles;
-use dsa_exec::{jobs_from_env, SimGrid};
+use dsa_exec::SimGrid;
 use dsa_metrics::table::Table;
 use dsa_storage::hierarchy::Hierarchy;
 use dsa_storage::level::{LevelKind, LevelSpec};
+
+use crate::{Args, Failure, Report};
 
 fn level(name: &str, cycle_ns: u64, capacity: u64) -> LevelSpec {
     LevelSpec {
@@ -28,10 +30,8 @@ fn level(name: &str, cycle_ns: u64, capacity: u64) -> LevelSpec {
     }
 }
 
-fn main() {
-    dsa_exec::cli::enforce_standard_flags("exp_14_promotion", &[]);
-    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_14_promotion");
-    println!("E14: promotion between directly addressable storage levels\n");
+pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
+    outln!(rep, "E14: promotion between directly addressable storage levels\n");
     let mut t = Table::new(&[
         "fast/slow cycle",
         "block 8",
@@ -47,7 +47,7 @@ fn main() {
         (1_000, 8_000),
         (200, 8_000),
     ]);
-    for row in grid.run(jobs_from_env(), |_, &(fast_ns, slow_ns)| {
+    for row in grid.run(args.jobs(), |_, &(fast_ns, slow_ns)| {
         let h = Hierarchy::new(vec![
             level("fast", fast_ns, 4_096),
             level("slow", slow_ns, 1 << 20),
@@ -64,8 +64,7 @@ fn main() {
     }) {
         t.row_owned(row);
     }
-    println!("{t}");
-    metrics.table("break_even", &t);
+    rep.table("break_even", t);
 
     // Check the arithmetic against a simulated stream: an item of 64
     // words used k times, with and without promotion, on the 200/2000
@@ -103,14 +102,13 @@ fn main() {
             winner.to_owned(),
         ]);
     }
-    println!("{t}");
-    metrics.table("simulated", &t);
-    dsa_bench::metrics::emit(&metrics);
-    println!(
+    rep.table("simulated", t);
+    outln!(rep,
         "the break-even count scales linearly with block size and shrinks\n\
          as the speed gap widens: promoting a 4K block into a scratchpad\n\
          only pays for items used thousands of times, which is why such\n\
          levels hold index words and descriptors (the B8500's 44-word\n\
          store) rather than data pages."
     );
+    Ok(())
 }

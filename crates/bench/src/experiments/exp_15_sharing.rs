@@ -13,12 +13,14 @@
 //!    added addressing cost (the check rides the descriptor access).
 
 use dsa_core::ids::{SegId, Words};
-use dsa_exec::{jobs_from_env, SimGrid};
+use dsa_exec::SimGrid;
 use dsa_freelist::freelist::{FreeListAllocator, Placement};
 use dsa_metrics::table::Table;
 use dsa_seg::sharing::{AccessMode, AccessType, SharedSegments};
 use dsa_seg::store::{SegReplacement, SegmentStore, StoreBackend};
 use dsa_trace::rng::Rng64;
+
+use crate::{Args, Failure, Report};
 
 const CORE: Words = 24_000;
 const LIB_SEGS: u32 = 6;
@@ -36,7 +38,7 @@ fn store() -> SegmentStore {
 
 /// Runs N programs over a shared library (if `share`) plus private data
 /// segments; returns (peak resident words, fetched words, seg faults).
-fn run(programs: u32, share: bool, rng: &mut Rng64) -> (Words, Words, u64) {
+fn simulate(programs: u32, share: bool, rng: &mut Rng64) -> (Words, Words, u64) {
     let mut s = SharedSegments::new(store());
     // The library: published once by program 0 and either granted to
     // everyone (sharing) or replicated per program (no sharing).
@@ -96,10 +98,8 @@ fn run(programs: u32, share: bool, rng: &mut Rng64) -> (Words, Words, u64) {
     (peak, st.fetched_words, st.seg_faults)
 }
 
-fn main() {
-    dsa_exec::cli::enforce_standard_flags("exp_15_sharing", &[]);
-    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_15_sharing");
-    println!("E15: segments as the unit of protection and sharing\n");
+pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
+    outln!(rep, "E15: segments as the unit of protection and sharing\n");
     let mut t = Table::new(&[
         "programs",
         "resident (shared)",
@@ -115,9 +115,9 @@ fn main() {
     // Each program count runs both regimes from the same fixed seed —
     // an independent cell.
     let grid = SimGrid::new(vec![1u32, 2, 4, 8, 16]);
-    for row in grid.run(jobs_from_env(), |_, &programs| {
-        let (rs, fs, qs) = run(programs, true, &mut Rng64::new(15));
-        let (rc, fc, qc) = run(programs, false, &mut Rng64::new(15));
+    for row in grid.run(args.jobs(), |_, &programs| {
+        let (rs, fs, qs) = simulate(programs, true, &mut Rng64::new(15));
+        let (rc, fc, qc) = simulate(programs, false, &mut Rng64::new(15));
         vec![
             programs.to_string(),
             rs.to_string(),
@@ -130,8 +130,7 @@ fn main() {
     }) {
         t.row_owned(row);
     }
-    println!("{t}");
-    metrics.table("sharing", &t);
+    rep.table("sharing", t);
 
     // Protection: a hostile program probes the library and others' data.
     let mut s = SharedSegments::new(store());
@@ -154,30 +153,30 @@ fn main() {
             refused += 1;
         }
     }
-    println!(
+    outln!(rep,
         "protection: {refused}/2000 hostile accesses refused \
          ({} capability checks, {} violations recorded)",
         s.stats().checks,
         s.stats().protection_violations
     );
-    metrics.counter(
+    rep.metrics.counter(
         "hostile_refused_total",
         "Hostile accesses the capability checks refused",
         &[],
         refused,
     );
-    metrics.counter(
+    rep.metrics.counter(
         "capability_checks_total",
         "Capability checks performed",
         &[],
         s.stats().checks,
     );
-    dsa_bench::metrics::emit(&metrics);
-    println!(
+    outln!(rep,
         "\nsharing keeps one resident copy of the library no matter how many\n\
          programs execute it: resident words and fetch traffic stay flat\n\
          while the per-copy alternative grows linearly until it no longer\n\
          fits in core and starts thrashing — and the same per-segment\n\
          capability that enables the sharing refuses every hostile access."
     );
+    Ok(())
 }

@@ -13,13 +13,15 @@
 //! integrated one runs in shifts.
 
 use dsa_core::clock::Cycles;
-use dsa_exec::{jobs_from_env, product2, SimGrid};
+use dsa_exec::{product2, SimGrid};
 use dsa_metrics::table::Table;
 use dsa_paging::replacement::ws::working_set_sim;
 use dsa_probe::NullProbe;
 use dsa_sched::{AdmissionPolicy, EventSim, LoadControlCfg, SimConfig, TenantSpec, TraceSpec};
 use dsa_trace::refstring::RefStringCfg;
 use dsa_trace::rng::Rng64;
+
+use crate::{Args, Failure, Report};
 
 const FRAMES: usize = 32;
 const REFS: usize = 6_000;
@@ -53,10 +55,8 @@ fn cfg() -> SimConfig {
     }
 }
 
-fn main() {
-    dsa_exec::cli::enforce_standard_flags("exp_16_load_control", &[]);
-    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_16_load_control");
-    println!("E16: independent vs integrated scheduling and storage allocation\n");
+pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
+    outln!(rep, "E16: independent vs integrated scheduling and storage allocation\n");
     let mut t = Table::new(&[
         "jobs",
         "policy",
@@ -83,7 +83,7 @@ fn main() {
         ..LoadControlCfg::default()
     };
     let grid = SimGrid::new(product2(&[2usize, 4, 8, 16], &policies));
-    for row in grid.run(jobs_from_env(), |_, &(n, (label, policy))| {
+    for row in grid.run(args.jobs(), |_, &(n, (label, policy))| {
         let r = EventSim::with_shared_pool(cfg(), FRAMES, policy, lc, job_specs(n))
             .run(&mut NullProbe)
             .expect("no pinning");
@@ -100,10 +100,8 @@ fn main() {
     }) {
         t.row_owned(row);
     }
-    println!("{t}");
-    metrics.table("load_control", &t);
-    dsa_bench::metrics::emit(&metrics);
-    println!(
+    rep.table("load_control", t);
+    outln!(rep,
         "below saturation (2-3 jobs' working sets fit in 32 frames) the two\n\
          policies are identical. past it, the independent scheduler's jobs\n\
          steal each other's pages: faults multiply, the single channel\n\
@@ -111,4 +109,5 @@ fn main() {
          the surplus jobs back and loses nothing — conclusion (i),\n\
          measured."
     );
+    Ok(())
 }

@@ -9,22 +9,22 @@
 //! one-channel table showed saturating multiprogramming's rescue.
 
 use dsa_core::clock::Cycles;
-use dsa_exec::{jobs_from_env, SimGrid};
+use dsa_exec::SimGrid;
 use dsa_metrics::sparkline::labelled_sparkline;
 use dsa_metrics::table::Table;
 use dsa_storage::drum::{DrumDiscipline, SectorDrum};
 use dsa_trace::rng::Rng64;
 
+use crate::{Args, Failure, Report};
+
 /// One grid cell: a queue depth and its pre-drawn request batches,
 /// each `(sector requests, queue-arrival instant)`.
 type DepthCell = (usize, Vec<(Vec<u64>, Cycles)>);
 
-fn main() {
-    dsa_exec::cli::enforce_standard_flags("exp_17_drum_queueing", &[]);
-    let mut metrics = dsa_telemetry::TelemetrySnapshot::new("exp_17_drum_queueing");
-    println!("E17: FIFO vs shortest-latency-first drum queueing\n");
+pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
+    outln!(rep, "E17: FIFO vs shortest-latency-first drum queueing\n");
     let drum = SectorDrum::atlas();
-    println!(
+    outln!(rep,
         "drum: {} sectors of {} words, {} per revolution ({} per sector)\n",
         drum.sectors(),
         drum.words_per_sector(),
@@ -61,7 +61,7 @@ fn main() {
         })
         .collect();
     let grid = SimGrid::new(cells);
-    for (speedup, row) in grid.run(jobs_from_env(), |_, (depth, batches)| {
+    for (speedup, row) in grid.run(args.jobs(), |_, (depth, batches)| {
         let mut fifo_wait = 0u64;
         let mut sltf_wait = 0u64;
         let mut fifo_span = 0u64;
@@ -98,18 +98,17 @@ fn main() {
         curve.push(speedup);
         t.row_owned(row);
     }
-    println!("{t}");
-    metrics.table("drum_queueing", &t);
-    dsa_bench::metrics::emit(&metrics);
-    println!(
+    rep.table("drum_queueing", t);
+    outln!(rep,
         "{}\n",
         labelled_sparkline("SLTF speedup vs queue depth", &curve)
     );
-    println!(
+    outln!(rep,
         "at depth 1 the disciplines are identical (half-revolution mean\n\
          latency, the paper's 6 ms); as the queue deepens, FIFO keeps\n\
          paying it per request while SLTF picks whatever sector comes\n\
          next and approaches one sector-time per page — queue depth, not\n\
          rotation speed, sets a loaded drum's effective latency."
     );
+    Ok(())
 }

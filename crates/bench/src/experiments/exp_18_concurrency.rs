@@ -23,12 +23,14 @@
 use std::time::Instant;
 
 use dsa_arena::{ArenaError, ArenaService, FixedSlab, ShardedArena};
-use dsa_exec::cli;
 use dsa_freelist::Placement;
 use dsa_metrics::table::Table;
 use dsa_probe::{CountingProbe, Stamp};
-use dsa_telemetry::{FlightRecorder, HeatFrame, HeatmapSampler, TelemetrySnapshot};
+use dsa_telemetry::{FlightRecorder, HeatFrame, HeatmapSampler};
 use dsa_trace::rng::Rng64;
+
+use crate::cli::{FlagSpec, FLIGHT_RECORDER, SHARDS};
+use crate::{Args, Failure, Report};
 
 /// Ops per worker stream (alloc/free mixed, plus the drain tail).
 const OPS_PER_WORKER: usize = 40_000;
@@ -40,6 +42,20 @@ const UNIT_WORDS: u64 = 64;
 
 /// Bits of an id below its worker's namespace.
 const LOCAL_BITS: u32 = 40;
+
+/// The `--jobs N` flag here: the client threads driving the service.
+pub(super) const WORKERS: FlagSpec = FlagSpec {
+    name: "--jobs",
+    value: Some("N"),
+    help: "worker threads driving the service, largest slab sweep point (default: 4)",
+};
+
+/// The sweep axis of the scaling sections: powers of two `1, 2, 4, …`
+/// below `max`, then `max` itself. Empty when `max` is zero.
+fn doubling_sweep(max: usize) -> Vec<usize> {
+    let powers = std::iter::successors(Some(1), |n| Some(n * 2)).take_while(|&n| n < max);
+    powers.chain((max > 0).then_some(max)).collect()
+}
 
 /// One request of a worker stream.
 #[derive(Clone, Copy)]
@@ -155,26 +171,24 @@ fn reconciled(svc: &ArenaService, t: &Tally) -> bool {
         && c.freed_words == t.alloc_words
 }
 
-fn main() {
-    cli::enforce_standard_flags("exp_18_concurrency", &[cli::FLIGHT_RECORDER, cli::SHARDS]);
-    let mut metrics = TelemetrySnapshot::new("exp_18_concurrency");
+pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
     // Workers are a workload parameter (clients of the service), not a
     // grid fan-out: default 4 even on narrow hosts, `--jobs` overrides.
-    let workers = cli::count_flag_from_env(cli::JOBS).unwrap_or(4);
-    let max_shards = cli::count_flag_from_env(cli::SHARDS).unwrap_or(8);
-    println!("E18: concurrent allocation service — scaling with shard count\n");
-    println!(
+    let workers = args.count(WORKERS).unwrap_or(4);
+    let max_shards = args.count(SHARDS).unwrap_or(8);
+    outln!(rep, "E18: concurrent allocation service — scaling with shard count\n");
+    outln!(rep,
         "{workers} workers x {OPS_PER_WORKER} ops; striped arena capacity \
          {TOTAL_WORDS} words total (constant across shard counts)"
     );
-    println!(
+    outln!(rep,
         "counts reconcile exactly at any thread count; Mops/s is wall-clock\n\
          (flat on a 1-CPU host) and the interleaving-shaped columns — mean\n\
          search, steals, cas retries — vary run to run\n"
     );
 
     // Part 1: variable units — the sharded free-list arena.
-    let shard_counts: Vec<u32> = cli::doubling_sweep(max_shards)
+    let shard_counts: Vec<u32> = doubling_sweep(max_shards)
         .into_iter()
         .map(|s| s as u32)
         .collect();
@@ -219,14 +233,12 @@ fn main() {
             format!("{:.2}", total_ops as f64 / elapsed / 1e6),
         ]);
     }
-    println!("{t}");
-    metrics.table("striped_sweep", &t);
+    rep.table("striped_sweep", t);
 
     // Part 1b: the always-on telemetry, inspected. One more service at
     // the largest shard count, driven for two rounds; between rounds
     // the shared probe's delta is the per-interval rate a production
-    // scraper would chart, and the metrics file is rewritten after
-    // every interval (periodic emission, not just end-of-run).
+    // scraper would chart.
     let shards = *shard_counts.last().expect("the sweep has a shard count");
     let svc = ArenaService::striped(shards, TOTAL_WORDS / u64::from(shards));
     let mut prev = CountingProbe::new();
@@ -236,32 +248,31 @@ fn main() {
         prev = svc.probe().snapshot();
         let label = round.to_string();
         let labels: &[(&str, &str)] = &[("round", &label)];
-        metrics.counter(
+        rep.metrics.counter(
             "interval_allocs_total",
             "Successful allocations in the scrape interval",
             labels,
             interval.allocs,
         );
-        metrics.counter(
+        rep.metrics.counter(
             "interval_frees_total",
             "Frees in the scrape interval",
             labels,
             interval.frees,
         );
-        metrics.gauge(
+        rep.metrics.gauge(
             "interval_alloc_rate_mops",
             "Allocation rate over the scrape interval (millions/s)",
             labels,
             interval.allocs as f64 / elapsed.max(1e-9) / 1e6,
         );
-        dsa_bench::metrics::emit(&metrics);
-        println!(
+        outln!(rep,
             "interval {round} ({shards} shards): {} allocs, {} frees, \
              {} searched holes",
             interval.allocs, interval.frees, interval.alloc_searched
         );
     }
-    println!();
+    outln!(rep);
 
     // Per-shard distributions from the service's sharded atomic
     // histograms: where the placement searches actually went.
@@ -293,9 +304,8 @@ fn main() {
             words.quantile(0.99).to_string(),
         ]);
     }
-    println!("{t}");
-    metrics.table("shard_telemetry", &t);
-    tel.export_into(&mut metrics);
+    rep.table("shard_telemetry", t);
+    tel.export_into(&mut rep.metrics);
 
     // Fragmentation heatmap: a deterministic single-threaded replay of
     // one worker's stream against a small 4-shard arena, the global
@@ -315,13 +325,13 @@ fn main() {
             ));
         }
     }
-    println!(
+    outln!(rep,
         "{}",
         sampler.render("striped arena fragmentation (1 worker, 4 shards x 8192 words)")
     );
     for frame in sampler.frames() {
         let vt = frame.vtime.to_string();
-        metrics.gauge(
+        rep.metrics.gauge(
             "heatmap_occupied_fraction",
             "Occupied fraction of the striped arena at the sampled instant",
             &[("vt", &vt)],
@@ -333,7 +343,7 @@ fn main() {
     // allocator returns Exhausted, with a flight recorder on the probe.
     // The recorder is always on here; `--flight-recorder N` resizes it.
     let recorder =
-        dsa_bench::metrics::flight_recorder_from_env().unwrap_or_else(|| FlightRecorder::new(64));
+        FlightRecorder::new(args.count(FLIGHT_RECORDER).unwrap_or(64));
     let mut handle = recorder.handle();
     let tiny = ShardedArena::new(2, 256, Placement::FirstFit);
     let mut id = 0u64;
@@ -344,8 +354,8 @@ fn main() {
             Err(e) => unreachable!("only exhaustion can stop the fill: {e}"),
         }
     };
-    println!("exhaustion postmortem ({exhausted}):");
-    println!("{}", recorder.postmortem(12));
+    outln!(rep, "exhaustion postmortem ({exhausted}):");
+    outln!(rep, "{}", recorder.postmortem(12));
 
     // Part 2: uniform units — the lock-free slab itself, swept over
     // workers. A worker keeps each live id's unit in a vector indexed by
@@ -363,7 +373,7 @@ fn main() {
     .with_title(&format!(
         "lock-free fixed-size slab ({SLAB_UNITS} units x {UNIT_WORDS} words)"
     ));
-    for w in cli::doubling_sweep(workers.max(1)) {
+    for w in doubling_sweep(workers.max(1)) {
         let slab_streams: Vec<Vec<Op>> = (0..w as u64)
             .map(|i| worker_stream(i, UNIT_WORDS - 8))
             .collect();
@@ -405,13 +415,26 @@ fn main() {
             format!("{:.2}", ops as f64 / elapsed / 1e6),
         ]);
     }
-    println!("{t}");
-    metrics.table("slab_sweep", &t);
-    dsa_bench::metrics::emit(&metrics);
-    println!(
+    rep.table("slab_sweep", t);
+    outln!(rep,
         "shards cut lock conflicts (home-shard hashing spreads ids), at the\n\
          price of steals once a shard fills; the slab needs no locks at all —\n\
          the uniform unit removes the placement search, so a version-tagged\n\
          CAS is the whole operation, and retries stand in for contention."
     );
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn doubling_sweep_covers_powers_of_two_and_the_max() {
+        assert_eq!(doubling_sweep(0), Vec::<usize>::new());
+        assert_eq!(doubling_sweep(1), vec![1]);
+        assert_eq!(doubling_sweep(8), vec![1, 2, 4, 8]);
+        assert_eq!(doubling_sweep(6), vec![1, 2, 4, 6]);
+        assert_eq!(doubling_sweep(13), vec![1, 2, 4, 8, 13]);
+    }
 }

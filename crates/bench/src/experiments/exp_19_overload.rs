@@ -23,12 +23,15 @@
 //! schedule that is a pure function of (seed, stream).
 
 use dsa_arena::{ArenaService, OverloadGuard, Priority};
-use dsa_exec::{cli, par_map, product2};
+use dsa_exec::{par_map, product2};
 use dsa_faults::{FaultConfig, SyncFaultInjector, WorkerInjector};
 use dsa_metrics::table::Table;
 use dsa_probe::NullProbe;
-use dsa_telemetry::{FlightRecorder, TelemetrySnapshot};
+use dsa_telemetry::FlightRecorder;
 use dsa_trace::rng::Rng64;
+
+use crate::cli::{CHAOS, FLIGHT_RECORDER, SHARDS};
+use crate::{Args, Failure, Report};
 
 /// Words per shard; the shard *count* comes from `--shards`
 /// (default 4, the golden configuration), derived once in `main` and
@@ -249,15 +252,11 @@ fn yes(b: bool) -> &'static str {
     }
 }
 
-fn main() {
-    cli::enforce_standard_flags(
-        "exp_19_overload",
-        &[cli::FLIGHT_RECORDER, cli::CHAOS, cli::SHARDS],
-    );
-    let chaos = cli::switch_from_env(cli::CHAOS);
-    let jobs = cli::jobs_from_env();
+pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
+    let chaos = args.switch(CHAOS);
+    let jobs = args.jobs();
     let geo = Geometry {
-        shards: cli::count_flag_from_env(cli::SHARDS).unwrap_or(4) as u32,
+        shards: args.count(SHARDS).unwrap_or(4) as u32,
         shard_words: SHARD_WORDS,
     };
     let (shards, shard_words, capacity, offered) = (
@@ -266,9 +265,8 @@ fn main() {
         geo.capacity(),
         geo.offered_target(),
     );
-    let mut metrics = TelemetrySnapshot::new("exp_19_overload");
-    println!("E19: overload-hardened service — collapse vs graceful saturation\n");
-    println!(
+    outln!(rep, "E19: overload-hardened service — collapse vs graceful saturation\n");
+    outln!(rep,
         "striped arena: {shards} shards x {shard_words} words = {capacity} words; every cell \
          offers {offered} words\n(2.2x capacity) from t tenants with priorities striped \
          low/normal/high and\nquotas of 1.2 x C/t (low/normal, live target 1.1 x C/t) — except \
@@ -315,9 +313,8 @@ fn main() {
             "exact".to_owned(),
         ]);
     }
-    println!("{t}");
-    metrics.table("overload_grid", &t);
-    println!(
+    rep.table("overload_grid", t);
+    outln!(rep,
         "bare: past the fill the arena answers Exhausted to every class alike —\n\
          the top class collapses with the bottom. guarded: low and normal are\n\
          refused at the watermarks and the shed rung evicts low-priority blocks,\n\
@@ -329,7 +326,7 @@ fn main() {
     // request arrives that only the ladder can serve. The flight
     // recorder rides the door and shows the ladder's actual steps.
     let recorder =
-        dsa_bench::metrics::flight_recorder_from_env().unwrap_or_else(|| FlightRecorder::new(64));
+        FlightRecorder::new(args.count(FLIGHT_RECORDER).unwrap_or(64));
     let mut handle = recorder.handle();
     let mut showcase = ArenaService::striped(2, 512).with_overload(64);
     let (low, high) = (0, 1);
@@ -347,10 +344,10 @@ fn main() {
         Err(error) => format!("failed ({error})"),
     };
     showcase.check_reconciliation();
-    println!("shed postmortem: low tenant fills 2x512 words, then one 160-word high alloc");
-    println!("high-priority alloc: {verdict}");
-    println!("{}", recorder.postmortem(14));
-    showcase.export_into(&mut metrics);
+    outln!(rep, "shed postmortem: low tenant fills 2x512 words, then one 160-word high alloc");
+    outln!(rep, "high-priority alloc: {verdict}");
+    outln!(rep, "{}", recorder.postmortem(14));
+    showcase.export_into(&mut rep.metrics);
 
     // Part 3: multithreaded reconciliation. Four workers (fixed — the
     // `--jobs` flag fans grid cells, never this traffic) churn one
@@ -367,10 +364,10 @@ fn main() {
     svc.check_reconciliation();
     let drained = svc.occupied() == 0;
     let quotas_zero = svc.tenant_occupancy().iter().all(|o| o.in_use == 0);
-    println!("## multithreaded reconciliation (4 workers, guarded, one tenant each)");
-    println!("books reconcile exactly after concurrent churn: yes");
-    println!("arena drained to zero: {}", yes(drained));
-    println!(
+    outln!(rep, "## multithreaded reconciliation (4 workers, guarded, one tenant each)");
+    outln!(rep, "books reconcile exactly after concurrent churn: yes");
+    outln!(rep, "arena drained to zero: {}", yes(drained));
+    outln!(rep,
         "every tenant's quota occupancy returned to zero: {}\n",
         yes(quotas_zero)
     );
@@ -380,7 +377,7 @@ fn main() {
     // stream) — rolled unconditionally per request — so the totals
     // below are byte-identical at any thread count and any --jobs.
     if chaos {
-        println!("## chaos injection (forced failures, delays, shard corruption)");
+        outln!(rep, "## chaos injection (forced failures, delays, shard corruption)");
         let mut t = Table::new(&[
             "workers",
             "faults",
@@ -429,13 +426,12 @@ fn main() {
                 yes(svc.occupied() == 0).to_owned(),
             ]);
         }
-        println!("{t}");
-        metrics.table("chaos_verdicts", &t);
-        println!(
+        rep.table("chaos_verdicts", t);
+        outln!(rep,
             "every corruption was quarantined, rebuilt from the live-allocation\n\
              book, audited and readmitted under traffic; the books reconcile\n\
              exactly through all of it.\n"
         );
     }
-    dsa_bench::metrics::emit(&metrics);
+    Ok(())
 }

@@ -24,23 +24,24 @@
 //! the deterministic fault counts and curve, pinned by the golden
 //! gauntlet at `--refs 200000`.
 
-use dsa_exec::cli;
 use dsa_metrics::table::Table;
 use dsa_paging::replacement::lru::LruRepl;
 use dsa_paging::PagedMemory;
 use dsa_stackdist::streaming::StreamingLru;
-use dsa_telemetry::TelemetrySnapshot;
 use dsa_trace::refstring::RefStringCfg;
 
+use crate::cli::FlagSpec;
+use crate::{Args, Failure, Report};
+
 /// The `--refs N` flag: how many references to stream (default 10⁷).
-const REFS: cli::FlagSpec = cli::FlagSpec {
+pub(super) const REFS: FlagSpec = FlagSpec {
     name: "--refs",
     value: Some("N"),
     help: "references to stream through the machine and the curve (default: 10000000)",
 };
 
 /// The `--max-rss-mb N` flag: fail if peak RSS exceeds N MB.
-const MAX_RSS_MB: cli::FlagSpec = cli::FlagSpec {
+pub(super) const MAX_RSS_MB: FlagSpec = FlagSpec {
     name: "--max-rss-mb",
     value: Some("N"),
     help: "exit 1 if peak RSS (VmHWM) exceeds N MB — the constant-memory assertion",
@@ -61,13 +62,11 @@ fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-fn main() {
-    cli::enforce_standard_flags("exp_20_trace_scale", &[REFS, MAX_RSS_MB]);
-    let refs = cli::count_flag_from_env(REFS).unwrap_or(10_000_000);
-    let max_rss_mb = cli::count_flag_from_env(MAX_RSS_MB);
-    let mut metrics = TelemetrySnapshot::new("exp_20_trace_scale");
-    println!("E20: trace scale — streamed references, constant memory\n");
-    println!(
+pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
+    let refs = args.count(REFS).unwrap_or(10_000_000);
+    let max_rss_mb = args.count(MAX_RSS_MB);
+    outln!(rep, "E20: trace scale — streamed references, constant memory\n");
+    outln!(rep,
         "{refs} references, hot/cold over {PAGES} pages (hot {HOT}), streamed —\n\
          never materialized — through an LRU machine of {FRAMES} frames and the\n\
          streaming Mattson engine; both consumers' state is bounded by the page\n\
@@ -112,14 +111,13 @@ fn main() {
             format!("{:.6}", success.fault_rate(frames)),
         ]);
     }
-    println!("{t}");
-    metrics.table("streamed_curve", &t);
+    rep.table("streamed_curve", t);
 
-    println!(
+    outln!(rep,
         "machine: {} faults at {FRAMES} frames — matches the curve exactly",
         stats.faults
     );
-    println!(
+    outln!(rep,
         "distinct pages: {} (compulsory faults {})",
         curve.distinct_pages(),
         success.compulsory()
@@ -132,12 +130,13 @@ fn main() {
             eprintln!("peak RSS (VmHWM): {} MB", kb / 1024);
             if let Some(limit) = max_rss_mb {
                 if kb > limit as u64 * 1024 {
-                    eprintln!(
-                        "peak RSS {} KB exceeds --max-rss-mb {limit} — streaming is not \
-                         constant-memory",
-                        kb
-                    );
-                    std::process::exit(1);
+                    return Err(Failure {
+                        code: 1,
+                        message: format!(
+                            "peak RSS {kb} KB exceeds --max-rss-mb {limit} — streaming is \
+                             not constant-memory"
+                        ),
+                    });
                 }
                 eprintln!("within --max-rss-mb {limit}: constant-memory assertion holds");
             }
@@ -145,10 +144,12 @@ fn main() {
         None => {
             eprintln!("peak RSS: unavailable (no /proc/self/status on this host)");
             if max_rss_mb.is_some() {
-                eprintln!("--max-rss-mb requires /proc/self/status");
-                std::process::exit(1);
+                return Err(Failure {
+                    code: 1,
+                    message: "--max-rss-mb requires /proc/self/status".to_owned(),
+                });
             }
         }
     }
-    dsa_bench::metrics::emit(&metrics);
+    Ok(())
 }

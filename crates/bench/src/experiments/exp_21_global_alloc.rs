@@ -30,13 +30,14 @@ use std::sync::mpsc;
 use std::time::Instant;
 
 use dsa_alloc::{DsaHeap, HeapConfig, ThreadCache, MAG_MAX};
-use dsa_exec::cli;
 use dsa_metrics::table::Table;
-use dsa_telemetry::TelemetrySnapshot;
 use dsa_trace::rng::Rng64;
 
+use crate::cli::FlagSpec;
+use crate::{Args, Failure, Report};
+
 /// The `--ops N` flag: churn operations per timed phase.
-const OPS: cli::FlagSpec = cli::FlagSpec {
+pub(super) const OPS: FlagSpec = FlagSpec {
     name: "--ops",
     value: Some("N"),
     help: "churn operations per timed phase (default: 2000000)",
@@ -159,7 +160,7 @@ unsafe impl Send for Parcel {}
 
 /// Producer/consumer: `count` objects allocated on one thread, freed
 /// on another, every one crossing caches through the depot.
-fn cross_thread_phase(heap: &DsaHeap, count: usize, metrics: &mut TelemetrySnapshot) {
+fn cross_thread_phase(heap: &DsaHeap, count: usize, rep: &mut Report) {
     std::thread::scope(|scope| {
         let (tx, rx) = mpsc::sync_channel::<Parcel>(64);
         scope.spawn(move || {
@@ -184,19 +185,19 @@ fn cross_thread_phase(heap: &DsaHeap, count: usize, metrics: &mut TelemetrySnaps
     heap.flush_depots();
     heap.check_reconciliation();
     let s = heap.stats();
-    println!(
+    outln!(rep,
         "cross-thread: {count} objects produced on one thread, consumed on another\n\
          magazine hits {} allocs / {} frees, depot exchanges {}, bad frees {}\n\
          books reconciled: telemetry ledger == backend-live words\n",
         s.magazine_allocs, s.magazine_frees, s.depot_exchanges, s.bad_frees
     );
-    metrics.counter(
+    rep.metrics.counter(
         "dsa_e21_depot_exchanges",
         "depot exchanges during the cross-thread phase",
         &[],
         s.depot_exchanges,
     );
-    metrics.counter(
+    rep.metrics.counter(
         "dsa_e21_bad_frees",
         "mis-routed frees during the cross-thread phase (must be 0)",
         &[],
@@ -205,12 +206,10 @@ fn cross_thread_phase(heap: &DsaHeap, count: usize, metrics: &mut TelemetrySnaps
     assert_eq!(s.bad_frees, 0, "every cross-thread free must route home");
 }
 
-fn main() {
-    cli::enforce_standard_flags("exp_21_global_alloc", &[OPS]);
-    let ops = cli::count_flag_from_env(OPS).unwrap_or(2_000_000) as u64;
-    let mut metrics = TelemetrySnapshot::new("exp_21_global_alloc");
-    println!("E21: a real allocator — slab classes, magazines, vs the system allocator\n");
-    println!(
+pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
+    let ops = args.count(OPS).unwrap_or(2_000_000) as u64;
+    outln!(rep, "E21: a real allocator — slab classes, magazines, vs the system allocator\n");
+    outln!(rep,
         "{ops} ops per phase, {WINDOW}-slot live window, jemalloc-ladder sizes\n\
          plus 1/{LARGE_EVERY} large blocks (4-32 KB); every phase ends with a full\n\
          ledger reconciliation (magazines included, no flush required)\n"
@@ -241,13 +240,12 @@ fn main() {
             format!("{:.2}x", ns / system_ns),
         ]);
     }
-    println!("{t}");
-    metrics.table("churn", &t);
-    println!(
+    rep.table("churn", t);
+    outln!(rep,
         "magazine speedup over the shared slab path: {:.2}x\n",
         direct_ns / magazine_ns
     );
-    metrics.gauge(
+    rep.metrics.gauge(
         "dsa_e21_magazine_speedup",
         "direct slab ns/op divided by magazine ns/op on mixed churn",
         &[],
@@ -255,7 +253,7 @@ fn main() {
     );
 
     // Phase 2: every object freed on a different thread than made it.
-    cross_thread_phase(&heap, 200_000, &mut metrics);
+    cross_thread_phase(&heap, 200_000, rep);
 
     // Phase 3: what magazine depth buys. Small objects only — depth
     // governs how often the depot lock is touched, and the large path
@@ -297,11 +295,10 @@ fn main() {
         ]);
     }
     heap.check_reconciliation();
-    println!("{t}");
-    metrics.table("depth_sweep", &t);
+    rep.table("depth_sweep", t);
 
     let s = heap.stats();
-    println!(
+    outln!(rep,
         "\nfinal books: {} magazine allocs, {} magazine frees, {} depot exchanges,\n\
          {} large allocs, {} slab exhaustions, {} bad frees — reconciled after every phase",
         s.magazine_allocs,
@@ -311,5 +308,5 @@ fn main() {
         s.slab_exhausted,
         s.bad_frees
     );
-    dsa_bench::metrics::emit(&metrics);
+    Ok(())
 }

@@ -25,14 +25,15 @@
 //! stdout.
 
 use dsa_core::clock::Cycles;
-use dsa_exec::{cli, jobs_from_env};
 use dsa_metrics::table::Table;
 use dsa_sched::admission::{estimate_ws, AdmissionPolicy, LoadControlCfg};
 use dsa_sched::sim::SimConfig;
 use dsa_sched::sweep::{tenant_sweep, SweepCell, SweepPoint};
 use dsa_sched::tenant::{TenantSpec, TraceSpec};
-use dsa_telemetry::TelemetrySnapshot;
 use dsa_trace::refstring::RefStringCfg;
+
+use crate::cli::FlagSpec;
+use crate::{Args, Failure, Report};
 
 /// References per tenant: short sessions, population-scale count.
 const REFS_PER_TENANT: u64 = 200;
@@ -43,7 +44,7 @@ const SET: u64 = 8;
 const QUOTA: usize = 16;
 
 /// The `--tenants N` flag: population at the largest sweep point.
-const TENANTS: cli::FlagSpec = cli::FlagSpec {
+pub(super) const TENANTS: FlagSpec = FlagSpec {
     name: "--tenants",
     value: Some("N"),
     help: "population at the largest sweep point (default 100000, min 100)",
@@ -94,14 +95,12 @@ fn policy_label(policy: AdmissionPolicy) -> &'static str {
     }
 }
 
-fn main() {
-    cli::enforce_standard_flags("exp_22_tenant_sweep", &[TENANTS]);
-    let max = cli::count_flag_from_env(TENANTS)
+pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
+    let max = args.count(TENANTS)
         .unwrap_or(100_000)
         .max(100);
-    let mut metrics = TelemetrySnapshot::new("exp_22_tenant_sweep");
-    println!("E22: population-scale multi-tenant scheduling\n");
-    println!(
+    outln!(rep, "E22: population-scale multi-tenant scheduling\n");
+    outln!(rep,
         "populations up to {max} tenants, ~{SET}-page working sets over\n\
          {PAGES} pages, {REFS_PER_TENANT} references each, eight transfer\n\
          channels; 'tight' pools hold one frame per tenant, 'ample' eight\n"
@@ -124,7 +123,7 @@ fn main() {
     }
 
     let cells: Vec<SweepCell> =
-        tenant_sweep(jobs_from_env(), points, sim_cfg(), load_cfg(), tenant_specs)
+        tenant_sweep(args.jobs(), points, sim_cfg(), load_cfg(), tenant_specs)
             .into_iter()
             .map(|r| r.expect("compact resident sets cannot fail"))
             .collect();
@@ -158,8 +157,7 @@ fn main() {
             format!("{:.0}", r.refs_per_second()),
         ]);
     }
-    println!("{t}");
-    metrics.table("tenant_sweep", &t);
+    rep.table("tenant_sweep", t);
 
     // Prometheus series: per-cell admission decisions, and a sampled
     // per-tenant cohort from the largest tight working-set cell.
@@ -173,37 +171,37 @@ fn main() {
             ("frames", frames.as_str()),
             ("policy", policy_label(p.policy)),
         ];
-        metrics.counter(
+        rep.metrics.counter(
             "dsa_sweep_admissions_total",
             "tenant activations (re-admissions included)",
             &labels,
             r.admissions,
         );
-        metrics.counter(
+        rep.metrics.counter(
             "dsa_sweep_admission_rejects_total",
             "tenants the working-set gate deferred at least once",
             &labels,
             r.admission_rejects,
         );
-        metrics.counter(
+        rep.metrics.counter(
             "dsa_sweep_deactivations_total",
             "swap-outs taken by the degradation ladder",
             &labels,
             r.deactivations,
         );
-        metrics.counter(
+        rep.metrics.counter(
             "dsa_sweep_faults_total",
             "demand faults across the population",
             &labels,
             r.faults,
         );
-        metrics.gauge(
+        rep.metrics.gauge(
             "dsa_sweep_mean_ws_estimate_pages",
             "mean working-set estimate over sampled tenants",
             &labels,
             r.mean_ws_estimate,
         );
-        metrics.gauge(
+        rep.metrics.gauge(
             "dsa_sweep_refs_per_second",
             "virtual throughput of the cell",
             &labels,
@@ -217,7 +215,7 @@ fn main() {
         for report in cohort.report.tenants.iter().take(8) {
             let id = report.id.to_string();
             let labels = [("tenant", id.as_str())];
-            metrics.counter(
+            rep.metrics.counter(
                 "dsa_tenant_faults_total",
                 "demand faults taken by the tenant",
                 &labels,
@@ -225,7 +223,7 @@ fn main() {
             );
             let spec = tenant_spec(report.id);
             let est = estimate_ws(&spec.trace.sample(lc.ws_sample), lc.ws_window);
-            metrics.gauge(
+            rep.metrics.gauge(
                 "dsa_tenant_ws_estimate_pages",
                 "windowed working-set estimate from the admission sample",
                 &labels,
@@ -233,9 +231,8 @@ fn main() {
             );
         }
     }
-    dsa_bench::metrics::emit(&metrics);
 
-    println!(
+    outln!(rep,
         "with one frame per tenant, open admission gives every tenant a\n\
          sliver of its working set: nearly every reference faults, the\n\
          eight channels queue, and throughput collapses — and the cliff\n\
@@ -245,4 +242,5 @@ fn main() {
          floor and saturation is graceful. conclusion (i), at population\n\
          scale."
     );
+    Ok(())
 }

@@ -1,4 +1,4 @@
-//! Shared workload builders for the experiment binaries.
+//! Shared workload builders for the experiments.
 
 use dsa_trace::allocstream::SizeDist;
 use dsa_trace::program::ProgramCfg;

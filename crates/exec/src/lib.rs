@@ -17,18 +17,14 @@
 //!   before the engine existed.
 //! * [`grid::SimGrid`] names the grid itself, with cartesian-product
 //!   builders for the common axes.
-//! * [`cli::jobs_from_env`] gives every `exp_*` binary the same
-//!   `--jobs N` flag (default: all hardware threads).
 //!
 //! What is *not* parallelized matters as much: a single simulated
 //! machine is always stepped by one thread, because virtual time is a
 //! serial dependency. The engine only ever runs *different* machines
 //! (or the same machine under different parameters) side by side.
 
-pub mod cli;
 pub mod grid;
 pub mod pool;
 
-pub use cli::jobs_from_env;
 pub use grid::{product2, SimGrid};
 pub use pool::par_map;

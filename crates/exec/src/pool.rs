@@ -13,9 +13,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of hardware threads available to this process, with a floor
-/// of one. The default for `--jobs`.
+/// of one: the default width of a grid.
 #[must_use]
-pub(crate) fn available_jobs() -> usize {
+pub fn available_jobs() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)

@@ -219,7 +219,7 @@ impl TelemetrySnapshot {
     /// no timestamps). Histograms carry count/sum/max, summary
     /// quantiles, and the non-empty `[bucket_low, count]` pairs.
     #[must_use]
-    pub(crate) fn render_json(&self) -> String {
+    pub fn render_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(

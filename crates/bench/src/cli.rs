@@ -36,12 +36,6 @@ pub(crate) const TRACE_OUT: FlagSpec = FlagSpec {
     help: "write the probe event stream to PATH as JSONL",
 };
 
-pub(crate) const SHARDS: FlagSpec = FlagSpec {
-    name: "--shards",
-    value: Some("N"),
-    help: "largest shard count in the scaling sweep (default: 8)",
-};
-
 pub(crate) const CHAOS: FlagSpec = FlagSpec {
     name: "--chaos",
     value: None,
@@ -185,7 +179,7 @@ mod tests {
     use super::*;
     use crate::experiments::experiment;
 
-    const ALL: [FlagSpec; 6] = [JOBS, TRACE_OUT, SHARDS, CHAOS, METRICS_OUT, FLIGHT_RECORDER];
+    const ALL: [FlagSpec; 5] = [JOBS, TRACE_OUT, CHAOS, METRICS_OUT, FLIGHT_RECORDER];
 
     fn strings(xs: &[&str]) -> Vec<String> {
         xs.iter().map(|s| (*s).to_owned()).collect()
@@ -194,11 +188,12 @@ mod tests {
     type Want = Result<Option<&'static str>, &'static str>;
 
     /// Checks each `(flag, args, want)` row against what an experiment
-    /// reads for `flag` when every flag is known: a count as its number,
-    /// a path as its text, a present switch as the empty value.
+    /// reads for `flag` when every flag, `flag` included, is known: a
+    /// count as its number, a path as its text, a present switch as the
+    /// empty value.
     fn check(cases: &[(FlagSpec, &[&str], Want)]) {
         for &(flag, args, want) in cases {
-            let got = match Args::parse(&strings(args), &ALL) {
+            let got = match Args::parse(&strings(args), &[&ALL[..], &[flag]].concat()) {
                 Ok(a) => Ok(match flag.value {
                     Some("N") => a.count(flag).map(|n| n.to_string()),
                     Some(_) => a.path(flag).map(|p| p.display().to_string()),
@@ -277,18 +272,22 @@ mod tests {
         ]);
     }
 
+    /// A count flag an experiment declares for itself, here exp_22's
+    /// `--tenants`, parses as the shared ones do.
     #[test]
-    fn shards_parse_like_jobs() {
+    fn an_experiments_own_count_parses_like_jobs() {
+        let tenants = experiment("exp_22_tenant_sweep").flags[1];
+        assert_eq!(tenants.name, "--tenants");
         check(&[
-            (SHARDS, &[], Ok(None)),
-            (SHARDS, &["--shards", "8"], Ok(Some("8"))),
-            (SHARDS, &["--shards=2"], Ok(Some("2"))),
+            (tenants, &[], Ok(None)),
+            (tenants, &["--tenants", "8"], Ok(Some("8"))),
+            (tenants, &["--tenants=2"], Ok(Some("2"))),
             (
-                SHARDS,
-                &["--shards", "0"],
-                Err("--shards must be at least 1"),
+                tenants,
+                &["--tenants", "0"],
+                Err("--tenants must be at least 1"),
             ),
-            (SHARDS, &["--shards"], Err("--shards requires a value")),
+            (tenants, &["--tenants"], Err("--tenants requires a value")),
         ]);
     }
 
@@ -389,10 +388,10 @@ mod tests {
 
     #[test]
     fn usage_lists_every_flag() {
-        let u = usage("exp_99_demo", &[JOBS, SHARDS]);
-        assert!(u.starts_with("usage: exp_99_demo [--jobs N] [--shards N]"));
+        let u = usage("exp_99_demo", &[JOBS, CHAOS]);
+        assert!(u.starts_with("usage: exp_99_demo [--jobs N] [--chaos]"));
         assert!(u.contains("worker threads"));
-        assert!(u.contains("shard count"));
+        assert!(u.contains("chaos-injection section"));
     }
 
     /// Only `--metrics-out` is universal; every other flag is accepted

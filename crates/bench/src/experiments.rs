@@ -8,7 +8,7 @@
 #![deny(clippy::print_stdout, clippy::exit)]
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
-use crate::cli::{FlagSpec, CHAOS, FLIGHT_RECORDER, JOBS, METRICS_OUT, SHARDS, TRACE_OUT};
+use crate::cli::{FlagSpec, CHAOS, FLIGHT_RECORDER, JOBS, METRICS_OUT, TRACE_OUT};
 use crate::{Args, Failure, Report};
 
 /// One experiment of the registry.
@@ -67,8 +67,8 @@ registry![
     exp_15_sharing: [JOBS],
     exp_16_load_control: [JOBS],
     exp_17_drum_queueing: [JOBS],
-    exp_18_concurrency: [exp_18_concurrency::WORKERS, FLIGHT_RECORDER, SHARDS],
-    exp_19_overload: [JOBS, FLIGHT_RECORDER, CHAOS, SHARDS],
+    exp_18_concurrency: [FLIGHT_RECORDER],
+    exp_19_overload: [JOBS, FLIGHT_RECORDER, CHAOS],
     exp_20_trace_scale: [exp_20_trace_scale::REFS, exp_20_trace_scale::MAX_RSS_MB],
     exp_21_global_alloc: [exp_21_global_alloc::OPS],
     exp_22_tenant_sweep: [JOBS, exp_22_tenant_sweep::TENANTS],

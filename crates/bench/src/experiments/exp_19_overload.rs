@@ -24,39 +24,34 @@
 
 use dsa_arena::{ArenaService, OverloadGuard, Priority};
 use dsa_exec::{par_map, product2};
-use dsa_faults::{FaultConfig, SyncFaultInjector, WorkerInjector};
+use dsa_faults::{FaultConfig, SyncFaultInjector};
 use dsa_metrics::table::Table;
-use dsa_probe::NullProbe;
 use dsa_telemetry::FlightRecorder;
 use dsa_trace::rng::Rng64;
 
-use crate::cli::{CHAOS, FLIGHT_RECORDER, SHARDS};
+use crate::cli::{CHAOS, FLIGHT_RECORDER};
+use crate::report::yes;
+use crate::workloads::{churn, drive, Churn};
 use crate::{Args, Failure, Report};
 
-/// Words per shard; the shard *count* comes from `--shards`
-/// (default 4, the golden configuration), derived once in `main` and
-/// threaded everywhere as [`Geometry`].
+/// The striped arena of the grid cells and the multithreaded sections:
+/// shards, and words per shard.
+const SHARDS: u32 = 4;
 const SHARD_WORDS: u64 = 4096;
+/// The arena's capacity in words.
+const CAPACITY: u64 = SHARDS as u64 * SHARD_WORDS;
+/// Offered load per cell, as words requested: past twice the capacity,
+/// so every cell runs deep into overload.
+const OFFERED: u64 = CAPACITY * 22 / 10;
 
-/// Striped-arena geometry for the grid cells — the one place capacity
-/// and offered load derive from the shard count.
-#[derive(Clone, Copy)]
-struct Geometry {
-    shards: u32,
-    shard_words: u64,
-}
-
-impl Geometry {
-    fn capacity(self) -> u64 {
-        u64::from(self.shards) * self.shard_words
-    }
-
-    /// Offered load per cell, as words requested: past twice the
-    /// capacity, so every cell runs deep into overload.
-    fn offered_target(self) -> u64 {
-        self.capacity() * 22 / 10
-    }
-}
+/// The multithreaded sections' streams (the chaos section's are 4000
+/// requests long).
+const MT_CHURN: Churn = Churn {
+    seed: 0xE19_C0DE,
+    ops: 5000,
+    live: 8..96,
+    words: 56,
+};
 
 /// The priority a tenant index allocates at: striped Low / Normal /
 /// High so every class is present (from three tenants up) and the
@@ -92,16 +87,16 @@ struct CellOut {
 /// clients with 3 × C ∕ t: more than the watermarks can ever clear, so
 /// serving them forces the guard all the way down the ladder to the
 /// shed rung. Guarded or bare.
-fn cell_service(geo: Geometry, tenants: u32, guarded: bool) -> ArenaService {
-    let mut svc = ArenaService::striped(geo.shards, geo.shard_words);
+fn cell_service(tenants: u32, guarded: bool) -> ArenaService {
+    let mut svc = ArenaService::striped(SHARDS, SHARD_WORDS);
     if guarded {
         svc = svc.with_overload(1024);
     }
     for i in 0..tenants {
         let p = tenant_priority(i);
         let quota = match p {
-            Priority::High => geo.capacity() * 30 / (10 * u64::from(tenants)),
-            _ => geo.capacity() * 12 / (10 * u64::from(tenants)),
+            Priority::High => CAPACITY * 30 / (10 * u64::from(tenants)),
+            _ => CAPACITY * 12 / (10 * u64::from(tenants)),
         };
         svc.register_tenant(i, p, quota);
     }
@@ -116,13 +111,13 @@ fn cell_service(geo: Geometry, tenants: u32, guarded: bool) -> ArenaService {
 /// keeps churn (and fragmentation for the coalesce/compact rungs) in
 /// the hole pattern. Single-threaded and seeded per cell — a pure
 /// function of the coordinates.
-fn drive_cell(svc: &ArenaService, geo: Geometry, tenants: u32) -> CellOut {
+fn drive_cell(svc: &ArenaService, tenants: u32) -> CellOut {
     let mut rng = Rng64::new(0xE19_0000 + u64::from(tenants));
     let mut live: Vec<Vec<(u64, u64)>> = vec![Vec::new(); tenants as usize];
     let mut live_words: Vec<u64> = vec![0; tenants as usize];
     let target_for = |t: u32| match tenant_priority(t) {
-        Priority::High => geo.capacity() * 28 / (10 * u64::from(tenants)),
-        _ => geo.capacity() * 11 / (10 * u64::from(tenants)),
+        Priority::High => CAPACITY * 28 / (10 * u64::from(tenants)),
+        _ => CAPACITY * 11 / (10 * u64::from(tenants)),
     };
     let mut next_id = 0u64;
     let mut offered = 0u64;
@@ -135,7 +130,7 @@ fn drive_cell(svc: &ArenaService, geo: Geometry, tenants: u32) -> CellOut {
     };
     'offer: loop {
         for t in 0..tenants {
-            if offered >= geo.offered_target() {
+            if offered >= OFFERED {
                 break 'offer;
             }
             let slot = t as usize;
@@ -177,98 +172,22 @@ fn pct(ok: u64, attempts: u64) -> String {
     }
 }
 
-/// One request of a churn stream.
-#[derive(Clone, Copy)]
-enum Op {
-    Alloc { id: u64, words: u64 },
-    Free { id: u64 },
-}
-
-/// A deterministic churn stream for the multithreaded sections: grow a
-/// bounded live set, free random members, drain at the end.
-/// Pre-generated, so a worker's requests (and with `--chaos` its
-/// injector rolls) never depend on what other workers did.
-fn churn_stream(worker: u64, ops: usize) -> Vec<Op> {
-    let mut rng = Rng64::new(0xE19_C0DE + worker);
-    let mut live: Vec<u64> = Vec::new();
-    let mut next = 0u64;
-    let mut out = Vec::with_capacity(ops + 128);
-    for _ in 0..ops {
-        let grow = live.len() < 8 || (live.len() < 96 && rng.next_u64() % 100 < 55);
-        if grow {
-            let id = (worker << 40) | next;
-            next += 1;
-            out.push(Op::Alloc {
-                id,
-                words: 8 + rng.next_u64() % 56,
-            });
-            live.push(id);
-        } else {
-            let i = (rng.next_u64() as usize) % live.len();
-            out.push(Op::Free {
-                id: live.swap_remove(i),
-            });
-        }
-    }
-    // Drain everything the stream ever allocated — frees of ids whose
-    // alloc failed (or that the ladder shed) answer UnknownUnit,
-    // harmlessly.
-    out.extend(live.into_iter().map(|id| Op::Free { id }));
-    out
-}
-
-/// Pushes `stream` through the service as `tenant`, rolling `chaos`'s
-/// hazards on every request when given.
-fn churn(
-    svc: &ArenaService,
-    tenant: u32,
-    stream: &[Op],
-    mut chaos: Option<&mut WorkerInjector<'_>>,
-) {
-    for &op in stream {
-        let _ = match op {
-            Op::Alloc { id, words } => svc
-                .alloc_probed(id, words, tenant, chaos.as_deref_mut(), &mut NullProbe)
-                .map(drop),
-            Op::Free { id } => svc.free_probed(id, chaos.as_deref_mut(), &mut NullProbe),
-        };
-    }
-}
-
 /// A guarded 4-tenant service for the multithreaded sections.
-fn mt_service(geo: Geometry, tenants: u32) -> ArenaService {
-    let mut svc = ArenaService::striped(geo.shards, geo.shard_words).with_overload(64);
+fn mt_service(tenants: u32) -> ArenaService {
+    let mut svc = ArenaService::striped(SHARDS, SHARD_WORDS).with_overload(64);
     for i in 0..tenants {
-        svc.register_tenant(i, tenant_priority(i), geo.capacity() / 3);
+        svc.register_tenant(i, tenant_priority(i), CAPACITY / 3);
     }
     svc
-}
-
-fn yes(b: bool) -> &'static str {
-    if b {
-        "yes"
-    } else {
-        "NO"
-    }
 }
 
 pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
     let chaos = args.switch(CHAOS);
     let jobs = args.jobs();
-    let geo = Geometry {
-        shards: args.count(SHARDS).unwrap_or(4) as u32,
-        shard_words: SHARD_WORDS,
-    };
-    let (shards, shard_words, capacity, offered) = (
-        geo.shards,
-        geo.shard_words,
-        geo.capacity(),
-        geo.offered_target(),
-    );
     outln!(rep, "E19: overload-hardened service — collapse vs graceful saturation\n");
     outln!(rep,
-        "striped arena: {shards} shards x {shard_words} words = {capacity} words; every cell \
-         offers {offered} words\n(2.2x capacity) from t tenants with priorities striped \
+        "striped arena: {SHARDS} shards x {SHARD_WORDS} words = {CAPACITY} words; every cell \
+         offers {OFFERED} words\n(2.2x capacity) from t tenants with priorities striped \
          low/normal/high and\nquotas of 1.2 x C/t (low/normal, live target 1.1 x C/t) — except \
          the high\nclass, surge clients at 3 x C/t whose appetite only the shed rung can\n\
          clear; cells are single-threaded deterministic replays (no high tenant\n\
@@ -278,8 +197,8 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
     // Part 1: the tenant grid, bare vs guarded.
     let cells: Vec<(u32, bool)> = product2(&[2u32, 4, 8, 16], &[false, true]);
     let outs = par_map(jobs, &cells, |_, &(tenants, guarded)| {
-        let svc = cell_service(geo, tenants, guarded);
-        drive_cell(&svc, geo, tenants)
+        let svc = cell_service(tenants, guarded);
+        drive_cell(&svc, tenants)
     });
     let mut t = Table::new(&[
         "tenants",
@@ -353,13 +272,9 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
     // `--jobs` flag fans grid cells, never this traffic) churn one
     // guarded service as four tenants; only interleaving-independent
     // verdicts are printed.
-    let svc = mt_service(geo, 4);
-    let streams: Vec<Vec<Op>> = (0..4u64).map(|w| churn_stream(w, 5000)).collect();
-    std::thread::scope(|scope| {
-        for (w, stream) in streams.iter().enumerate() {
-            let svc = &svc;
-            scope.spawn(move || churn(svc, w as u32, stream, None));
-        }
+    let svc = mt_service(4);
+    drive(&MT_CHURN.streams(4), |w, stream| {
+        churn(&svc, w as u32, stream.iter().copied(), None)
     });
     svc.check_reconciliation();
     let drained = svc.occupied() == 0;
@@ -390,7 +305,7 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         ])
         .with_title("fault schedule deterministic per stream; verdicts only");
         for &workers in &[1u64, 2, 8] {
-            let svc = mt_service(geo, 8);
+            let svc = mt_service(8);
             let inj = SyncFaultInjector::new(
                 0x19C4A05,
                 FaultConfig {
@@ -401,16 +316,10 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
                     ..FaultConfig::default()
                 },
             );
-            let streams: Vec<Vec<Op>> = (0..workers).map(|w| churn_stream(w, 4000)).collect();
-            std::thread::scope(|scope| {
-                for (w, stream) in streams.iter().enumerate() {
-                    let inj = &inj;
-                    let svc = &svc;
-                    scope.spawn(move || {
-                        let mut worker = inj.worker(w as u64);
-                        churn(svc, w as u32, stream, Some(&mut worker));
-                    });
-                }
+            let streams = Churn { ops: 4000, ..MT_CHURN }.streams(workers);
+            drive(&streams, |w, stream| {
+                let mut worker = inj.worker(w as u64);
+                churn(&svc, w as u32, stream.iter().copied(), Some(&mut worker))
             });
             let report = inj.report();
             svc.check_reconciliation();

@@ -55,6 +55,15 @@ impl Report {
     }
 }
 
+/// A verdict cell: `yes`, or a loud `NO`.
+pub(crate) fn yes(b: bool) -> &'static str {
+    if b {
+        "yes"
+    } else {
+        "NO"
+    }
+}
+
 /// An experiment run that failed a check it makes of its host: the
 /// message for stderr and the process exit code.
 #[derive(Debug)]

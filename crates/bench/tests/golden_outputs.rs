@@ -1,4 +1,4 @@
-//! The golden-output gauntlet: twenty-one experiments, plus exp_19's
+//! The golden-output gauntlet: all 23 experiments, plus exp_19's
 //! `--chaos` section, run in-process and held to their stdout under
 //! `tests/golden/`, byte for byte.
 //!
@@ -19,9 +19,8 @@
 //! golden_outputs -- --ignored regenerate` and commit them, so the diff
 //! is reviewable.
 //!
-//! A last test holds the lists complete: the registry, `GAUNTLET` plus
-//! `UNPINNED`, and the binaries under `src/bin/` name the same
-//! experiments.
+//! A last test holds the lists complete: the registry, `GAUNTLET` and
+//! the binaries under `src/bin/` name the same experiments.
 
 mod common;
 
@@ -60,8 +59,37 @@ fn sequential(name: &str, extra: &[&str]) -> (Report, &'static [&'static str]) {
     (run(name, &[widths, extra].concat()), widths)
 }
 
+/// Column `col` of table `name` in `report`, parsed as numbers.
+fn column(report: &Report, name: &str, col: usize) -> Vec<f64> {
+    let table = report.table_named(name).expect("the table is registered");
+    let cell = |row: &Vec<String>| row[col].parse().expect("a number");
+    table.rows().iter().map(cell).collect()
+}
+
 /// The paper's claims an experiment's tables must show, read as data.
 fn claims(name: &str, report: &Report) {
+    let falls = |xs: &[f64]| xs.windows(2).all(|w| w[1] < w[0]);
+    if name == "exp_18_concurrency" {
+        // Sharding divides the placement search: each doubling of the
+        // shards shortens the mean first-fit search, and the books
+        // reconcile at every shard count.
+        let search = column(report, "striped_sweep", 5);
+        assert!(
+            falls(&search),
+            "mean search {search:?} must fall with shards"
+        );
+        let sweep = report.table_named("striped_sweep").expect("the sweep");
+        assert!(sweep.rows().iter().all(|row| row[6] == "exact"), "books");
+    }
+    if name == "exp_21_global_alloc" {
+        // A deeper magazine meets the depot less often, at every
+        // doubling of depth.
+        let exchanges = column(report, "depth_sweep", 1);
+        assert!(
+            falls(&exchanges),
+            "depot exchanges {exchanges:?} must fall with depth"
+        );
+    }
     if name == "exp_04_replacement" {
         // MIN is the offline optimum: no policy faults less than it, on
         // any trace, at any core size.
@@ -87,9 +115,9 @@ fn claims(name: &str, report: &Report) {
 macro_rules! gauntlet {
     ($($name:ident [$($arg:literal),*],)*) => {
         /// The gauntlet, each entry with the extra arguments its golden
-        /// file was generated with (most need none; `exp_20` and
-        /// `exp_22` pin a short stream and a small population so the
-        /// gauntlet stays fast).
+        /// file was generated with (most need none; `exp_20`, `exp_21`
+        /// and `exp_22` pin a short stream, short churn and a small
+        /// population so the gauntlet stays fast).
         const GAUNTLET: &[(&str, &[&str])] = &[$((stringify!($name), &[$($arg),*])),*];
 
         $(
@@ -120,17 +148,12 @@ gauntlet! {
     exp_15_sharing [],
     exp_16_load_control [],
     exp_17_drum_queueing [],
+    exp_18_concurrency [],
     exp_19_overload [],
     exp_20_trace_scale ["--refs", "200000"],
+    exp_21_global_alloc ["--ops", "200000"],
     exp_22_tenant_sweep ["--tenants", "1000"],
 }
-
-/// The experiments the gauntlet leaves out, each with its reason.
-/// Pinning one takes splitting its stdout first.
-const UNPINNED: [(&str, &str); 2] = [
-    ("exp_18_concurrency", "wall-clock Mops/s columns on stdout"),
-    ("exp_21_global_alloc", "wall-clock ns/op columns on stdout"),
-];
 
 /// The `--chaos` section injects faults under live multithreaded
 /// traffic; its schedule is a pure function of (seed, stream), so it
@@ -153,11 +176,10 @@ fn regenerate() {
     }
 }
 
-/// An experiment is pinned here or named in `UNPINNED` with its reason
-/// — never neither, never both — and the registry and the binaries
+/// Every experiment is pinned here, and the registry and the binaries
 /// under `src/bin/` name the same experiments.
 #[test]
-fn every_experiment_binary_is_pinned_or_says_why() {
+fn every_experiment_binary_is_pinned() {
     let bin_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin");
     let mut stems: Vec<String> = std::fs::read_dir(bin_dir)
         .unwrap_or_else(|e| panic!("listing {bin_dir}: {e}"))
@@ -169,17 +191,13 @@ fn every_experiment_binary_is_pinned_or_says_why() {
         })
         .collect();
     stems.sort();
-    let mut accounted: Vec<&str> = GAUNTLET
-        .iter()
-        .map(|&(name, _)| name)
-        .chain(UNPINNED.iter().map(|&(name, _)| name))
-        .collect();
-    accounted.sort_unstable();
+    let mut pinned: Vec<&str> = GAUNTLET.iter().map(|&(name, _)| name).collect();
+    pinned.sort_unstable();
     let mut registered: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
     registered.sort_unstable();
     assert_eq!(
-        registered, accounted,
-        "the registry (left) must be exactly GAUNTLET plus UNPINNED (right)"
+        registered, pinned,
+        "the registry (left) must be exactly GAUNTLET (right)"
     );
     assert_eq!(
         stems, registered,

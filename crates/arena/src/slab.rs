@@ -306,6 +306,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_types)] // a test's set of seen addresses
     fn addresses_are_disjoint_unit_multiples() {
         let slab = FixedSlab::new(8, 64);
         let mut seen = std::collections::HashSet::new();

@@ -57,7 +57,6 @@ fn simulate(fetch: Cycles, jobs: usize, channels: Option<usize>) -> EventReport 
 
 pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
     let workers = args.jobs();
-    outln!(rep, "E2: storage utilization with demand paging (Figure 3)\n");
     let devices = [
         ("fast store (20 us)", Cycles::from_micros(20)),
         ("drum (8 ms)", Cycles::from_millis(8)),
@@ -112,12 +111,5 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         t.row_owned(row);
     }
     rep.table("channel_limits", t);
-    outln!(rep,
-        "reading the table: with a slow backing store a lone program's\n\
-         space-time is almost all wait (Figure 3's shaded area) and the\n\
-         processor idles; adding programs overlaps the waits and restores\n\
-         processor utilization, while a very fast store makes even the\n\
-         lone program's wait share small."
-    );
     Ok(())
 }

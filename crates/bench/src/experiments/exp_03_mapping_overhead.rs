@@ -44,7 +44,6 @@ fn build(tlb: usize, policy: AssocPolicy) -> TwoLevelMap {
 }
 
 pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
-    outln!(rep, "E3: two-level mapping overhead vs associative-memory size (Figure 4)\n");
 
     // Word-granular accesses with locality: an LRU-stack model over the
     // 64 (seg, page) pairs, each reference landing at a random offset.
@@ -106,11 +105,5 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         ]);
     }
     rep.table("mapping_overhead", t);
-    outln!(rep,
-        "without the associative memory every access pays two table\n\
-         references (segment table + page table); eight entries already\n\
-         capture most of the locality, which is why the 360/67 shipped\n\
-         with exactly eight."
-    );
     Ok(())
 }

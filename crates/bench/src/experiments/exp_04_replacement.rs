@@ -33,6 +33,7 @@ use dsa_telemetry::TelemetryProbe;
 use dsa_trace::refstring::RefStringCfg;
 use dsa_trace::rng::Rng64;
 
+use super::trace_out;
 use crate::cli::TRACE_OUT;
 use crate::{Args, Failure, Report};
 
@@ -57,9 +58,8 @@ enum Measured {
 }
 
 pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
-    let trace_out = args.path(TRACE_OUT);
+    let trace_path = args.path(TRACE_OUT);
     let jobs = args.jobs();
-    outln!(rep, "E4: replacement strategies — fault rate vs core size\n");
     let traces: Vec<(&str, RefStringCfg)> = vec![
         (
             "lru-stack th=0.9",
@@ -180,17 +180,11 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         // Dump one representative probed run (LRU on the first trace)
         // when asked; the recorder keeps the trace tail.
         if ti == 0 {
-            if let Some(path) = &trace_out {
+            if let Some(path) = &trace_path {
                 let mut rec = JsonlRecorder::new(200_000);
                 let mut mem = PagedMemory::new(PROBED_FRAMES, Box::new(LruRepl::new()));
                 mem.run_pages_probed(&trace, &mut rec).expect("no pinning");
-                rec.write_to(path).expect("writable --trace-out path");
-                outln!(rep,
-                    "trace-out: {} events ({} dropped) -> {}\n",
-                    rec.len(),
-                    rec.dropped(),
-                    path.display()
-                );
+                trace_out(rep, &rec, path);
             }
         }
         for (i, row_rates) in rates.iter().enumerate() {
@@ -201,12 +195,5 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         }
         rep.table(&format!("trace_{ti}"), t);
     }
-    outln!(rep,
-        "expected shape: MIN bounds everyone from below; LRU and Clock track\n\
-         each other on locality-bearing traces; the ATLAS learning program\n\
-         wins on the strict loop nest and the sweep (it predicts periodic\n\
-         reuse) but gives ground on irregular references; on uniform random\n\
-         every policy collapses to the same fault rate."
-    );
     Ok(())
 }

@@ -25,6 +25,7 @@ use dsa_telemetry::TelemetryProbe;
 use dsa_trace::allocstream::{AllocStreamCfg, SizeDist};
 use dsa_trace::rng::Rng64;
 
+use super::trace_out;
 use crate::cli::TRACE_OUT;
 use crate::{Args, Failure, Report};
 
@@ -209,9 +210,8 @@ fn row_for(kind: &RowKind, events: &[AllocEvent]) -> Vec<String> {
 }
 
 pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
-    let trace_out = args.path(TRACE_OUT);
+    let trace_path = args.path(TRACE_OUT);
     let jobs = args.jobs();
-    outln!(rep, "E5: placement strategies under steady allocation churn\n");
     for (di, (dist_name, sizes)) in [
         (
             "exponential mean 80",
@@ -242,16 +242,10 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
             // Dump one representative probed run (best-fit, first
             // distribution, highest load) when asked.
             if di == 0 && target == 0.95 {
-                if let Some(path) = &trace_out {
+                if let Some(path) = &trace_path {
                     let mut rec = JsonlRecorder::new(200_000);
                     drive_freelist(Placement::BestFit, &events, &mut rec);
-                    rec.write_to(path).expect("writable --trace-out path");
-                    outln!(rep,
-                        "trace-out: {} events ({} dropped) -> {}\n",
-                        rec.len(),
-                        rec.dropped(),
-                        path.display()
-                    );
+                    trace_out(rep, &rec, path);
                 }
             }
             let mut t = Table::new(&[
@@ -282,15 +276,5 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
             rep.table(&format!("dist_{di}_load_{}", (target * 100.0) as u32), t);
         }
     }
-    outln!(rep,
-        "best-fit and first-fit hold fragmentation down at the price of a\n\
-         longer search; two-ends buys a short search by keeping small and\n\
-         large blocks apart (its advantage grows on the bimodal stream);\n\
-         worst-fit destroys large holes and fails first; the Rice chain's\n\
-         deferred coalescing keeps more, smaller holes but searches only\n\
-         the inactive chain; segregated lists answer in one probe but pay\n\
-         with rounding waste and storage trapped in the wrong class —\n\
-         the 'number of different allocation units' trade, both ends."
-    );
     Ok(())
 }

@@ -126,14 +126,17 @@ fn run_one(name: &str, rate: f64, ops: &[ProgramOp]) -> Vec<String> {
 }
 
 pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
-    outln!(rep, "E6b: graceful degradation under injected storage faults\n");
     let mut rng = Rng64::new(6);
     let program = survey_program_cfg().generate(&mut rng);
-    outln!(rep,
-        "workload: {} touches; fault mix at transfer-error rate r: \
-         transfer errors r, bad frames r/10, channel stalls r (20 us)\n",
-        program.touch_count()
-    );
+    let mut t = Table::new(&["touches", "transfer errors", "bad frames", "channel stalls"])
+        .with_title("workload, and the fault mix at transfer-error rate r");
+    t.row_owned(vec![
+        program.touch_count().to_string(),
+        "r".to_owned(),
+        "r/10".to_owned(),
+        "r (20 us)".to_owned(),
+    ]);
+    rep.table("workload", t);
 
     let mut results = Table::new(&[
         "machine",
@@ -168,7 +171,8 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
     // worst injected cell with a recorder handle teed into the probe
     // and dump the tail of the event stream — exactly what a
     // production fault report would attach.
-    if let Some(recorder) = args.count(FLIGHT_RECORDER).map(FlightRecorder::new) {
+    if let Some(slots) = args.count(FLIGHT_RECORDER) {
+        let recorder = FlightRecorder::new(slots);
         let mut probe = TelemetryProbe::new();
         let mut sink = dsa_probe::Tee(&mut probe, recorder.handle());
         let report = atlas()
@@ -176,20 +180,16 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
             .run_with(&program.ops, &mut sink)
             .expect("degrades gracefully but completes");
         assert!(report.recovery.faults_injected > 0, "1e-2 always injects");
-        outln!(rep,
-            "\npostmortem of ATLAS @ 1e-2 ({} faults injected):\n{}",
-            report.recovery.faults_injected,
-            recorder.postmortem(16)
-        );
+        let mut t = Table::new(&["machine", "rate", "faults injected"])
+            .with_title("the replayed run, a flight recorder teed into its probe");
+        t.row_owned(vec![
+            "ATLAS".to_owned(),
+            "1e-2".to_owned(),
+            report.recovery.faults_injected.to_string(),
+        ]);
+        rep.table("replay", t);
+        let title = format!("postmortem (flight recorder, {slots} slots per thread)");
+        rep.table("postmortem", recorder.postmortem(16).with_title(&title));
     }
-    outln!(rep,
-        "things to see: at 1e-4 the retry machinery is invisible in\n\
-         throughput; at 1e-2 every machine still completes the workload —\n\
-         no panic, no abort — but pays for it in fault-service latency\n\
-         (each retry re-waits the transfer plus backoff) and, on the\n\
-         paged machines, in quarantined frames permanently shrinking\n\
-         working storage. every row reconciled its RecoveryReport\n\
-         against the probe's event totals exactly."
-    );
     Ok(())
 }

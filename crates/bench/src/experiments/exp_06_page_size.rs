@@ -21,7 +21,6 @@
 use dsa_core::ids::Words;
 use dsa_exec::SimGrid;
 use dsa_freelist::frag::{dual_size_waste, paged_overhead};
-use dsa_metrics::sparkline::labelled_sparkline;
 use dsa_metrics::table::Table;
 use dsa_paging::page_size::{frames_for, to_page_trace};
 use dsa_stackdist::lru_success;
@@ -31,7 +30,6 @@ use dsa_trace::rng::{Rng64, Zipf};
 use crate::{Args, Failure, Report};
 
 pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
-    outln!(rep, "E6: the page-size dilemma (paging obscures fragmentation)\n");
 
     // Part 1: space overhead across page sizes.
     let mut rng = Rng64::new(6);
@@ -112,40 +110,23 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         "total fetch time",
     ])
     .with_title("sequential 100-word runs over 2000 objects, 16K-word storage, LRU, drum timing");
-    let mut curve: Vec<f64> = Vec::new();
     let grid = SimGrid::new(vec![16u64, 64, 128, 256, 512, 1024, 2048, 4096]);
-    for (fetch_ms, row) in grid.run(args.jobs(), |_, &page| {
+    for row in grid.run(args.jobs(), |_, &page| {
         let trace = to_page_trace(&scaled, page);
         let frames = frames_for(memory, page);
         let success = lru_success(&trace);
         let faults = success.faults(frames);
         let fetch_ms = faults as f64 * (drum_latency_ns + word_ns * page) as f64 / 1e6;
-        (
-            fetch_ms,
-            vec![
-                page.to_string(),
-                frames.to_string(),
-                format!("{:.4}", success.fault_rate(frames)),
-                faults.to_string(),
-                format!("{fetch_ms:.0} ms"),
-            ],
-        )
+        vec![
+            page.to_string(),
+            frames.to_string(),
+            format!("{:.4}", success.fault_rate(frames)),
+            faults.to_string(),
+            format!("{fetch_ms:.0} ms"),
+        ]
     }) {
-        curve.push(fetch_ms);
         t.row_owned(row);
     }
     rep.table("fault_behaviour", t);
-    outln!(rep,
-        "{}\n",
-        labelled_sparkline("fetch time vs page size", &curve)
-    );
-    outln!(rep,
-        "space: overhead is U-shaped — table words dominate at tiny pages,\n\
-         in-page waste at huge ones; the MULTICS two-size mix undercuts\n\
-         every uniform size. time: with working storage fixed, total fetch\n\
-         time is U-shaped too — tiny pages pay the drum latency once per\n\
-         few dozen words of a sequential run, huge pages squander frames\n\
-         on unreferenced words until the working set no longer fits."
-    );
     Ok(())
 }

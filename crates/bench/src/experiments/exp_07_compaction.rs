@@ -90,7 +90,6 @@ fn replay(events: &[AllocEvent], compact_on_failure: bool) -> RunOut {
 }
 
 pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
-    outln!(rep, "E7: compaction — corrective data movement vs accepted fragmentation\n");
     let jobs = args.jobs();
     for mean_size in [80.0f64, 800.0] {
         let mut t = Table::new(&[
@@ -126,13 +125,5 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         }
         rep.table(&format!("mean_{}", mean_size as u64), t);
     }
-    outln!(rep,
-        "small requests (relative to storage): fragmentation rarely blocks\n\
-         anything and accepting it is free — Wald's observation. large\n\
-         requests at high load: only compaction sustains the allocation\n\
-         rate, and the autonomous packing channel (facility iii) cuts the\n\
-         CPU bill of each pass by an order of magnitude versus the\n\
-         programmed copy loop."
-    );
     Ok(())
 }

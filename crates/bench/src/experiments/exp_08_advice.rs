@@ -48,7 +48,6 @@ fn program(accuracy: Option<f64>, seed: u64) -> Vec<dsa_core::access::ProgramOp>
 }
 
 pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
-    outln!(rep, "E8: the value (and danger) of predictive information\n");
     let mut t = Table::new(&[
         "advice",
         "faults",
@@ -67,8 +66,6 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         ("75% accurate".to_owned(), Some(0.75)),
         ("100% accurate".to_owned(), Some(1.0)),
     ];
-    let mut none_rate = 0.0;
-    let mut best_rate = f64::MAX;
     const SEEDS: [u64; 5] = [8, 18, 28, 38, 48];
     let mut cases = cases;
     cases.push(("compiler (planned)".to_owned(), Some(-1.0)));
@@ -102,7 +99,7 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
             r.useful_prefetches,
         )
     });
-    for ((label, acc), replicates) in cases.into_iter().zip(measured.chunks(SEEDS.len())) {
+    for ((label, _), replicates) in cases.into_iter().zip(measured.chunks(SEEDS.len())) {
         let mut faults = 0u64;
         let mut rate = 0.0;
         let mut fetched = 0u64;
@@ -121,11 +118,6 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         }
         let n = SEEDS.len() as u64;
         rate /= SEEDS.len() as f64;
-        if acc.is_none() {
-            none_rate = rate;
-        }
-        let _ = &none_rate;
-        best_rate = best_rate.min(rate);
         t.row_owned(vec![
             label,
             (faults / n).to_string(),
@@ -137,15 +129,5 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         ]);
     }
     rep.table("advice", t);
-    outln!(rep,
-        "the measured trade: fault rate falls monotonically with advice\n\
-         accuracy (none {none_rate:.4} -> perfect {best_rate:.4}), but every\n\
-         advised regime pays ~30-60% more backing-store traffic, and wrong\n\
-         advice pays the traffic for nothing. the system already performs\n\
-         acceptably with no advice at all — the authors' requirement — and\n\
-         the compiler-planned row shows even exact whole-program analysis\n\
-         lands in the same band as good user advice: prediction tunes, it\n\
-         does not rescue."
-    );
     Ok(())
 }

@@ -15,17 +15,19 @@ use dsa_trace::rng::Rng64;
 use crate::{Args, Failure, Report};
 
 pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
-    outln!(rep, "E9: the seven appendix machines under one workload\n");
     let mut rng = Rng64::new(9);
     let mut cfg = survey_program_cfg();
     cfg.wild_touch_prob = 0.002;
     let program = cfg.generate(&mut rng);
-    outln!(rep,
-        "workload: {} segments, {} declared words, {} touches (0.2% wild)\n",
-        cfg.segments,
-        program.total_declared_words(),
-        program.touch_count()
-    );
+    let mut t = Table::new(&["segments", "declared words", "touches", "wild"])
+        .with_title("the survey workload");
+    t.row_owned(vec![
+        cfg.segments.to_string(),
+        program.total_declared_words().to_string(),
+        program.touch_count().to_string(),
+        format!("{:.1}%", cfg.wild_touch_prob * 100.0),
+    ]);
+    rep.table("workload", t);
 
     let mut chars = Table::new(&["machine", "name space", "predictive", "contiguity", "unit"])
         .with_title("the four characteristics (paper's classification)");
@@ -79,19 +81,7 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         chars.row_owned(chars_row);
         results.row_owned(results_row);
     }
-    outln!(rep, "{chars}");
+    rep.table("characteristics", chars);
     rep.table("survey", results);
-    outln!(rep,
-        "things to see: the segmented machines (B5000, Rice, B8500,\n\
-         MULTICS) intercept every wild subscript while the linear and\n\
-         packed-segment machines let them through; the Rice machine pays\n\
-         its tape latency on every segment fault; the B8500's associative\n\
-         memory undercuts the B5000's descriptor-access overhead; the big\n\
-         cores (M44, 360/67, MULTICS) fault only on first touch. the\n\
-         eighth row is the combination the authors themselves favoured —\n\
-         no 1967 machine built it, but the components compose it: symbolic\n\
-         segments with full bounds interception, advice accepted, cheap\n\
-         cached descriptor access, and large segments in separate blocks."
-    );
     Ok(())
 }

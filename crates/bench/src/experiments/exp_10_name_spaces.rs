@@ -25,7 +25,6 @@ const CAPACITY: u32 = 4096;
 const OPS: usize = 30_000;
 
 pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
-    outln!(rep, "E10: segment-name bookkeeping — symbolic vs linear dictionaries\n");
     let mut t = Table::new(&[
         "target occupancy",
         "dict",
@@ -95,12 +94,5 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         }
     }
     rep.table("name_spaces", t);
-    outln!(rep,
-        "at half occupancy the two differ only by the linear dictionary's\n\
-         range search; as the number space fills, the linear dictionary\n\
-         fragments and must renumber thousands of live names — and still\n\
-         refuses requests the symbolic dictionary would have satisfied.\n\
-         the bookkeeping gap is exactly the paper's 'far less'."
-    );
     Ok(())
 }

@@ -27,7 +27,6 @@ fn mix_pages(r: Words, small: Words, large: Words) -> u64 {
 }
 
 pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
-    outln!(rep, "E11: the MULTICS dual page size (64 + 1024 words)\n");
     let populations: Vec<(&str, SizeDist)> = vec![
         (
             "small segments (exp mean 200)",
@@ -91,13 +90,5 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
     {
         rep.table(&format!("population_{pi}"), table);
     }
-    outln!(rep,
-        "uniform 64 has tiny waste but an order of magnitude more page\n\
-         table entries to manage (and, per E6, more fetch latencies);\n\
-         uniform 1024 wastes half a kiloword per segment tail; the mix\n\
-         gets 64-level waste at nearly 1024-level table size — the added\n\
-         'complexity to the placement and replacement strategies' buys\n\
-         exactly what A.6 claims."
-    );
     Ok(())
 }

@@ -51,7 +51,6 @@ fn fault_rate(trace: &[PageNo], policy: Box<dyn dsa_paging::replacement::Replace
 }
 
 pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
-    outln!(rep, "E12: the ATLAS learning program vs period regularity\n");
     let jobs = args.jobs();
     let mut t = Table::new(&[
         "jitter",
@@ -132,14 +131,5 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         t.row_owned(row);
     }
     rep.table("vacant_reserve", t);
-    outln!(rep,
-        "at zero jitter the learning program tracks MIN exactly — the\n\
-         periods it learns are the truth — while LRU, fooled by cyclic\n\
-         reuse, faults on every outer page. as jitter grows the learned\n\
-         periods go stale and the advantage erodes toward parity. the\n\
-         vacant reserve costs a small, roughly constant fault-rate premium\n\
-         (one frame's worth) in exchange for zero allocation delay at\n\
-         fault time — the latency win is what mattered on the drum."
-    );
     Ok(())
 }

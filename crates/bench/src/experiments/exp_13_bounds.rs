@@ -18,7 +18,6 @@ use dsa_trace::rng::Rng64;
 use crate::{Args, Failure, Report};
 
 pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
-    outln!(rep, "E13: bounds checking across the seven machines\n");
     let mut cfg = survey_program_cfg();
     cfg.wild_touch_prob = 0.01; // 1% of touches are illegal subscripts
     cfg.touches = 20_000;
@@ -58,14 +57,5 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         t.row_owned(row);
     }
     rep.table("bounds", t);
-    outln!(rep,
-        "the per-object segmented machines intercept every violation; the\n\
-         linear machines (ATLAS, M44) intercept none — a wild subscript\n\
-         simply reads someone else's words; the 360/67, though segmented\n\
-         in hardware, packs objects into one big segment and so inherits\n\
-         the linear machines' blindness. the check itself costs nothing\n\
-         extra: it rides the same descriptor/limit access the mapping\n\
-         already performs."
-    );
     Ok(())
 }

@@ -31,7 +31,6 @@ fn level(name: &str, cycle_ns: u64, capacity: u64) -> LevelSpec {
 }
 
 pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
-    outln!(rep, "E14: promotion between directly addressable storage levels\n");
     let mut t = Table::new(&[
         "fast/slow cycle",
         "block 8",
@@ -103,12 +102,5 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         ]);
     }
     rep.table("simulated", t);
-    outln!(rep,
-        "the break-even count scales linearly with block size and shrinks\n\
-         as the speed gap widens: promoting a 4K block into a scratchpad\n\
-         only pays for items used thousands of times, which is why such\n\
-         levels hold index words and descriptors (the B8500's 44-word\n\
-         store) rather than data pages."
-    );
     Ok(())
 }

@@ -56,7 +56,6 @@ fn cfg() -> SimConfig {
 }
 
 pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
-    outln!(rep, "E16: independent vs integrated scheduling and storage allocation\n");
     let mut t = Table::new(&[
         "jobs",
         "policy",
@@ -101,13 +100,5 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         t.row_owned(row);
     }
     rep.table("load_control", t);
-    outln!(rep,
-        "below saturation (2-3 jobs' working sets fit in 32 frames) the two\n\
-         policies are identical. past it, the independent scheduler's jobs\n\
-         steal each other's pages: faults multiply, the single channel\n\
-         queues, and throughput collapses. the integrated scheduler holds\n\
-         the surplus jobs back and loses nothing — conclusion (i),\n\
-         measured."
-    );
     Ok(())
 }

@@ -10,7 +10,6 @@
 
 use dsa_core::clock::Cycles;
 use dsa_exec::SimGrid;
-use dsa_metrics::sparkline::labelled_sparkline;
 use dsa_metrics::table::Table;
 use dsa_storage::drum::{DrumDiscipline, SectorDrum};
 use dsa_trace::rng::Rng64;
@@ -22,15 +21,16 @@ use crate::{Args, Failure, Report};
 type DepthCell = (usize, Vec<(Vec<u64>, Cycles)>);
 
 pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
-    outln!(rep, "E17: FIFO vs shortest-latency-first drum queueing\n");
     let drum = SectorDrum::atlas();
-    outln!(rep,
-        "drum: {} sectors of {} words, {} per revolution ({} per sector)\n",
-        drum.sectors(),
-        drum.words_per_sector(),
-        Cycles::from_millis(12),
-        drum.sector_time()
-    );
+    let mut t = Table::new(&["sectors", "words per sector", "revolution", "sector time"])
+        .with_title("the drum");
+    t.row_owned(vec![
+        drum.sectors().to_string(),
+        drum.words_per_sector().to_string(),
+        Cycles::from_millis(12).to_string(),
+        drum.sector_time().to_string(),
+    ]);
+    rep.table("drum", t);
 
     let mut rng = Rng64::new(17);
     let mut t = Table::new(&[
@@ -42,7 +42,6 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         "SLTF speedup",
     ])
     .with_title("random page sectors, all requests queued at once (100 batches averaged)");
-    let mut curve = Vec::new();
     const BATCHES: u64 = 100;
     // The single RNG stream threads through the depths in order, so the
     // request batches are drawn sequentially (cheap); the drum
@@ -61,7 +60,7 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         })
         .collect();
     let grid = SimGrid::new(cells);
-    for (speedup, row) in grid.run(args.jobs(), |_, (depth, batches)| {
+    for row in grid.run(args.jobs(), |_, (depth, batches)| {
         let mut fifo_wait = 0u64;
         let mut sltf_wait = 0u64;
         let mut fifo_span = 0u64;
@@ -83,32 +82,17 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
                 .as_nanos();
         }
         let speedup = fifo_span as f64 / sltf_span as f64;
-        (
-            speedup,
-            vec![
-                depth.to_string(),
-                Cycles::from_nanos(fifo_wait / BATCHES).to_string(),
-                Cycles::from_nanos(sltf_wait / BATCHES).to_string(),
-                Cycles::from_nanos(fifo_span / BATCHES).to_string(),
-                Cycles::from_nanos(sltf_span / BATCHES).to_string(),
-                format!("{speedup:.2}x"),
-            ],
-        )
+        vec![
+            depth.to_string(),
+            Cycles::from_nanos(fifo_wait / BATCHES).to_string(),
+            Cycles::from_nanos(sltf_wait / BATCHES).to_string(),
+            Cycles::from_nanos(fifo_span / BATCHES).to_string(),
+            Cycles::from_nanos(sltf_span / BATCHES).to_string(),
+            format!("{speedup:.2}x"),
+        ]
     }) {
-        curve.push(speedup);
         t.row_owned(row);
     }
     rep.table("drum_queueing", t);
-    outln!(rep,
-        "{}\n",
-        labelled_sparkline("SLTF speedup vs queue depth", &curve)
-    );
-    outln!(rep,
-        "at depth 1 the disciplines are identical (half-revolution mean\n\
-         latency, the paper's 6 ms); as the queue deepens, FIFO keeps\n\
-         paying it per request while SLTF picks whatever sector comes\n\
-         next and approaches one sector-time per page — queue depth, not\n\
-         rotation speed, sets a loaded drum's effective latency."
-    );
     Ok(())
 }

@@ -89,17 +89,14 @@ fn drained(svc: &ArenaService) -> bool {
 }
 
 pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
-    outln!(rep, "E18: concurrent allocation service — scaling with shard count\n");
-    outln!(rep,
-        "{WORKERS} workers x {} ops; striped arena capacity \
-         {TOTAL_WORDS} words total (constant across shard counts)",
-        STRIPED.ops
-    );
-    outln!(rep,
-        "the shard sweep, the intervals and the per-shard telemetry replay the\n\
-         {WORKERS} streams on one thread, one request of each in turn; the concurrent\n\
-         runs print only what every interleaving prints\n"
-    );
+    let mut t = Table::new(&["workers", "ops each", "capacity words"])
+        .with_title("the streams, replayed on one thread a request of each in turn");
+    t.row_owned(vec![
+        WORKERS.to_string(),
+        STRIPED.ops.to_string(),
+        TOTAL_WORDS.to_string(),
+    ]);
+    rep.table("workload", t);
 
     // Part 1: variable units — the sharded free-list arena, replayed.
     let streams = STRIPED.streams(WORKERS);
@@ -138,31 +135,21 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
     let shards = SHARD_SWEEP[SHARD_SWEEP.len() - 1];
     let svc = ArenaService::striped(shards, TOTAL_WORDS / u64::from(shards));
     let mut prev = CountingProbe::new();
+    let mut t = Table::new(&["round", "shards", "allocs", "frees", "searched holes"])
+        .with_title("telemetry intervals (the shared probe's delta per round)");
     for round in 0..2u32 {
         churn(&svc, 0, interleaved(&streams), None);
         let interval = svc.probe().delta(&prev);
         prev = svc.probe().snapshot();
-        let label = round.to_string();
-        let labels: &[(&str, &str)] = &[("round", &label)];
-        rep.metrics.counter(
-            "interval_allocs_total",
-            "Successful allocations in the scrape interval",
-            labels,
-            interval.allocs,
-        );
-        rep.metrics.counter(
-            "interval_frees_total",
-            "Frees in the scrape interval",
-            labels,
-            interval.frees,
-        );
-        outln!(rep,
-            "interval {round} ({shards} shards): {} allocs, {} frees, \
-             {} searched holes",
-            interval.allocs, interval.frees, interval.alloc_searched
-        );
+        t.row_owned(vec![
+            round.to_string(),
+            shards.to_string(),
+            interval.allocs.to_string(),
+            interval.frees.to_string(),
+            interval.alloc_searched.to_string(),
+        ]);
     }
-    outln!(rep);
+    rep.table("interval", t);
 
     // Per-shard distributions from the service's sharded atomic
     // histograms: where the placement searches actually went.
@@ -215,37 +202,45 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
             ));
         }
     }
-    outln!(rep,
-        "{}",
-        sampler.render("striped arena fragmentation (1 worker, 4 shards x 8192 words)")
+    rep.table(
+        "heatmap",
+        sampler.table().with_title(
+            "striped arena fragmentation (1 worker, 4 shards x 8192 words, 64 buckets)",
+        ),
     );
-    for frame in sampler.frames() {
-        let vt = frame.vtime.to_string();
-        rep.metrics.gauge(
-            "heatmap_occupied_fraction",
-            "Occupied fraction of the striped arena at the sampled instant",
-            &[("vt", &vt)],
-            frame.occupied_fraction(),
-        );
-    }
 
     // Exhaustion postmortem: a deliberately tiny arena filled until the
     // allocator returns Exhausted, with a flight recorder on the probe.
     // The recorder is always on here; `--flight-recorder N` resizes it.
-    let recorder =
-        FlightRecorder::new(args.count(FLIGHT_RECORDER).unwrap_or(64));
+    let slots = args.count(FLIGHT_RECORDER).unwrap_or(64);
+    let recorder = FlightRecorder::new(slots);
     let mut handle = recorder.handle();
-    let tiny = ShardedArena::new(2, 256, Placement::FirstFit);
+    let (tiny_shards, tiny_words, words) = (2, 256, 48);
+    let tiny = ShardedArena::new(tiny_shards, tiny_words, Placement::FirstFit);
     let mut id = 0u64;
-    let exhausted = loop {
-        match tiny.alloc_probed(id, 48, Stamp::vtime(id), &mut handle) {
+    let (requested, per_shard) = loop {
+        match tiny.alloc_probed(id, words, Stamp::vtime(id), &mut handle) {
             Ok(_) => id += 1,
-            Err(e @ ArenaError::Exhausted { .. }) => break e,
+            Err(ArenaError::Exhausted {
+                requested,
+                per_shard,
+            }) => break (requested, per_shard),
             Err(e) => unreachable!("only exhaustion can stop the fill: {e}"),
         }
     };
-    outln!(rep, "exhaustion postmortem ({exhausted}):");
-    outln!(rep, "{}", recorder.postmortem(12));
+    let mut t = Table::new(&["shards exhausted", "requested words", "largest free"])
+        .with_title(&format!(
+            "exhaustion ({tiny_shards} shards x {tiny_words} words, \
+             filled with {words}-word allocs)"
+        ));
+    t.row_owned(vec![
+        per_shard.len().to_string(),
+        requested.to_string(),
+        per_shard.iter().map(|s| s.largest_free).max().unwrap_or(0).to_string(),
+    ]);
+    rep.table("exhaustion", t);
+    let title = format!("exhaustion postmortem (flight recorder, {slots} slots per thread)");
+    rep.table("postmortem", recorder.postmortem(12).with_title(&title));
 
     // Part 2: the same traffic on worker threads, one per stream. The
     // striped service runs at the largest shard count; the slab runs
@@ -302,11 +297,5 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         yes(slab.live_units() == 0).to_owned(),
     ]);
     rep.table("concurrent_verdicts", t);
-    outln!(rep,
-        "shards cut the placement search (home-shard hashing spreads ids), at\n\
-         the price of steals once a shard fills; the slab needs no locks at\n\
-         all — the uniform unit removes the placement search, so a\n\
-         version-tagged CAS is the whole operation."
-    );
     Ok(())
 }

@@ -184,15 +184,18 @@ fn mt_service(tenants: u32) -> ArenaService {
 pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
     let chaos = args.switch(CHAOS);
     let jobs = args.jobs();
-    outln!(rep, "E19: overload-hardened service — collapse vs graceful saturation\n");
-    outln!(rep,
-        "striped arena: {SHARDS} shards x {SHARD_WORDS} words = {CAPACITY} words; every cell \
-         offers {OFFERED} words\n(2.2x capacity) from t tenants with priorities striped \
-         low/normal/high and\nquotas of 1.2 x C/t (low/normal, live target 1.1 x C/t) — except \
-         the high\nclass, surge clients at 3 x C/t whose appetite only the shed rung can\n\
-         clear; cells are single-threaded deterministic replays (no high tenant\n\
-         exists below three tenants)\n"
+    let mut t = Table::new(&["shards", "shard words", "capacity", "offered", "load"]).with_title(
+        "the arena, and what every cell offers it (t tenants striped low/normal/high; \
+         quotas 1.2 x C/t, high surge clients 3 x C/t)",
     );
+    t.row_owned(vec![
+        SHARDS.to_string(),
+        SHARD_WORDS.to_string(),
+        CAPACITY.to_string(),
+        OFFERED.to_string(),
+        format!("{:.1}x", OFFERED as f64 / CAPACITY as f64),
+    ]);
+    rep.table("arena", t);
 
     // Part 1: the tenant grid, bare vs guarded.
     let cells: Vec<(u32, bool)> = product2(&[2u32, 4, 8, 16], &[false, true]);
@@ -233,21 +236,16 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         ]);
     }
     rep.table("overload_grid", t);
-    outln!(rep,
-        "bare: past the fill the arena answers Exhausted to every class alike —\n\
-         the top class collapses with the bottom. guarded: low and normal are\n\
-         refused at the watermarks and the shed rung evicts low-priority blocks,\n\
-         so the top class keeps landing while the books stay exact.\n"
-    );
 
     // Part 2: a shed postmortem. A tiny guarded arena is filled by a
     // low-priority tenant until admission closes, then one high-priority
     // request arrives that only the ladder can serve. The flight
     // recorder rides the door and shows the ladder's actual steps.
-    let recorder =
-        FlightRecorder::new(args.count(FLIGHT_RECORDER).unwrap_or(64));
+    let slots = args.count(FLIGHT_RECORDER).unwrap_or(64);
+    let recorder = FlightRecorder::new(slots);
     let mut handle = recorder.handle();
-    let mut showcase = ArenaService::striped(2, 512).with_overload(64);
+    let (shards, shard_words, high_words) = (2, 512, 160);
+    let mut showcase = ArenaService::striped(shards, shard_words).with_overload(64);
     let (low, high) = (0, 1);
     showcase.register_tenant(low, Priority::Low, 1024);
     showcase.register_tenant(high, Priority::High, 1024);
@@ -258,41 +256,54 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
     {
         id += 1;
     }
-    let verdict = match showcase.alloc_probed(1 << 20, 160, high, None, &mut handle) {
-        Ok(_) => "served — the ladder shed low-priority blocks".to_owned(),
+    let verdict = match showcase.alloc_probed(1 << 20, high_words, high, None, &mut handle) {
+        Ok(_) => "served".to_owned(),
         Err(error) => format!("failed ({error})"),
     };
     showcase.check_reconciliation();
-    outln!(rep, "shed postmortem: low tenant fills 2x512 words, then one 160-word high alloc");
-    outln!(rep, "high-priority alloc: {verdict}");
-    outln!(rep, "{}", recorder.postmortem(14));
+    let mut t = Table::new(&["shards", "shard words", "low allocs", "high words", "high alloc"])
+        .with_title("shed: a low-priority tenant fills the arena, then one high-priority alloc");
+    t.row_owned(vec![
+        shards.to_string(),
+        shard_words.to_string(),
+        id.to_string(),
+        high_words.to_string(),
+        verdict,
+    ]);
+    rep.table("shed", t);
+    let title = format!("shed postmortem (flight recorder, {slots} slots per thread)");
+    rep.table("postmortem", recorder.postmortem(14).with_title(&title));
     showcase.export_into(&mut rep.metrics);
 
     // Part 3: multithreaded reconciliation. Four workers (fixed — the
     // `--jobs` flag fans grid cells, never this traffic) churn one
     // guarded service as four tenants; only interleaving-independent
     // verdicts are printed.
-    let svc = mt_service(4);
-    drive(&MT_CHURN.streams(4), |w, stream| {
+    let workers = 4;
+    let svc = mt_service(workers);
+    drive(&MT_CHURN.streams(u64::from(workers)), |w, stream| {
         churn(&svc, w as u32, stream.iter().copied(), None)
     });
     svc.check_reconciliation();
     let drained = svc.occupied() == 0;
     let quotas_zero = svc.tenant_occupancy().iter().all(|o| o.in_use == 0);
-    outln!(rep, "## multithreaded reconciliation (4 workers, guarded, one tenant each)");
-    outln!(rep, "books reconcile exactly after concurrent churn: yes");
-    outln!(rep, "arena drained to zero: {}", yes(drained));
-    outln!(rep,
-        "every tenant's quota occupancy returned to zero: {}\n",
-        yes(quotas_zero)
-    );
+    let mut t = Table::new(&["workers", "books", "arena drained", "quotas at zero"])
+        .with_title(&format!(
+            "multithreaded reconciliation ({workers} workers, guarded, one tenant each)"
+        ));
+    t.row_owned(vec![
+        workers.to_string(),
+        "exact".to_owned(),
+        yes(drained).to_owned(),
+        yes(quotas_zero).to_owned(),
+    ]);
+    rep.table("reconciliation", t);
 
     // Part 4 (--chaos): the same churn under deterministic fault
     // injection. The injector's schedule is a pure function of (seed,
     // stream) — rolled unconditionally per request — so the totals
     // below are byte-identical at any thread count and any --jobs.
     if chaos {
-        outln!(rep, "## chaos injection (forced failures, delays, shard corruption)");
         let mut t = Table::new(&[
             "workers",
             "faults",
@@ -336,11 +347,6 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
             ]);
         }
         rep.table("chaos_verdicts", t);
-        outln!(rep,
-            "every corruption was quarantined, rebuilt from the live-allocation\n\
-             book, audited and readmitted under traffic; the books reconcile\n\
-             exactly through all of it.\n"
-        );
     }
     Ok(())
 }

@@ -65,13 +65,17 @@ fn peak_rss_kb() -> Option<u64> {
 pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
     let refs = args.count(REFS).unwrap_or(10_000_000);
     let max_rss_mb = args.count(MAX_RSS_MB);
-    outln!(rep, "E20: trace scale — streamed references, constant memory\n");
-    outln!(rep,
-        "{refs} references, hot/cold over {PAGES} pages (hot {HOT}), streamed —\n\
-         never materialized — through an LRU machine of {FRAMES} frames and the\n\
-         streaming Mattson engine; both consumers' state is bounded by the page\n\
-         universe, so peak RSS must not grow with --refs\n"
+    let mut t = Table::new(&["references", "pages", "hot pages", "frames"]).with_title(
+        "a hot/cold stream, never materialized, through an LRU machine and the streaming \
+         Mattson engine",
     );
+    t.row_owned(vec![
+        refs.to_string(),
+        PAGES.to_string(),
+        HOT.to_string(),
+        FRAMES.to_string(),
+    ]);
+    rep.table("stream", t);
 
     let cfg = RefStringCfg::HotCold {
         hot: HOT,
@@ -113,15 +117,22 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
     }
     rep.table("streamed_curve", t);
 
-    outln!(rep,
-        "machine: {} faults at {FRAMES} frames — matches the curve exactly",
-        stats.faults
-    );
-    outln!(rep,
-        "distinct pages: {} (compulsory faults {})",
-        curve.distinct_pages(),
-        success.compulsory()
-    );
+    let mut t = Table::new(&[
+        "frames",
+        "machine faults",
+        "curve faults",
+        "distinct pages",
+        "compulsory faults",
+    ])
+    .with_title("the two consumers, cross-checked");
+    t.row_owned(vec![
+        FRAMES.to_string(),
+        stats.faults.to_string(),
+        success.faults(FRAMES).to_string(),
+        curve.distinct_pages().to_string(),
+        success.compulsory().to_string(),
+    ]);
+    rep.table("cross_check", t);
 
     // The host's numbers go to stderr, so stdout stays the pinned,
     // deterministic accounting.

@@ -164,9 +164,9 @@ unsafe impl Send for Parcel {}
 /// Producer/consumer: `count` objects allocated on one thread, freed
 /// on another, every one crossing caches through the depot, on a heap
 /// of its own: how many frees the magazines absorb and how often they
-/// meet the depot depend on how the two threads interleave, so only
-/// the verdicts are printed.
-fn cross_thread_phase(count: usize, rep: &mut Report) {
+/// meet the depot depend on how the two threads interleave, so its
+/// table holds the verdicts only.
+fn cross_thread_phase(count: usize) -> Table {
     let heap = &DsaHeap::new(HeapConfig::DEFAULT);
     std::thread::scope(|scope| {
         let (tx, rx) = mpsc::sync_channel::<Parcel>(64);
@@ -192,21 +192,27 @@ fn cross_thread_phase(count: usize, rep: &mut Report) {
     heap.flush_depots();
     heap.check_reconciliation();
     assert_eq!(heap.stats().bad_frees, 0, "every cross-thread free must route home");
-    outln!(rep,
-        "cross-thread: {count} objects produced on one thread, consumed on another\n\
-         every free routed home (0 bad frees); books reconciled: telemetry\n\
-         ledger == backend-live words"
-    );
+    let mut t = Table::new(&["objects", "bad frees", "books"])
+        .with_title("phase 3, cross-thread frees: made on one thread, freed on another");
+    t.row_owned(vec![
+        count.to_string(),
+        heap.stats().bad_frees.to_string(),
+        "reconciled".to_owned(),
+    ]);
+    t
 }
 
 pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
     let ops = args.count(OPS).unwrap_or(2_000_000) as u64;
-    outln!(rep, "E21: a real allocator — slab classes and magazines, judged by their books\n");
-    outln!(rep,
-        "{ops} ops per phase, {WINDOW}-slot live window, jemalloc-ladder sizes\n\
-         plus 1/{LARGE_EVERY} large blocks (4-32 KB); every phase ends with a full\n\
-         ledger reconciliation (magazines included, no flush required)\n"
-    );
+    let mut t = Table::new(&["ops per phase", "live window", "large blocks", "large sizes"])
+        .with_title("the op sequence: jemalloc-ladder sizes plus a share of large blocks");
+    t.row_owned(vec![
+        ops.to_string(),
+        WINDOW.to_string(),
+        format!("1/{LARGE_EVERY}"),
+        "4-32 KB".to_owned(),
+    ]);
+    rep.table("ops", t);
 
     // Phase 1: churn, two backends, identical op sequences.
     let heap = DsaHeap::new(HeapConfig::DEFAULT);
@@ -248,6 +254,6 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
     rep.table("depth_sweep", depths);
 
     // Phase 3: every object freed on a different thread than made it.
-    cross_thread_phase(200_000, rep);
+    rep.table("cross_thread", cross_thread_phase(200_000));
     Ok(())
 }

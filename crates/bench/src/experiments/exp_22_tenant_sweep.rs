@@ -19,17 +19,18 @@
 //!
 //! Each grid cell is an independent simulation on the `dsa-exec`
 //! engine: stdout is byte-identical at any `--jobs` width (the golden
-//! gauntlet pins `--tenants 1000`). `--metrics-out` adds Prometheus
-//! series — per-cell admission decisions and per-tenant faults and
-//! working-set estimates for a sampled cohort — without touching
-//! stdout.
+//! gauntlet pins `--tenants 1000`). Per-cell admission decisions and
+//! a sampled cohort's faults and working-set estimates are tables too,
+//! so `--metrics-out` lifts them like every other cell.
 
 use dsa_core::clock::Cycles;
+use dsa_exec::SimGrid;
 use dsa_metrics::table::Table;
+use dsa_probe::NullProbe;
 use dsa_sched::admission::{estimate_ws, AdmissionPolicy, LoadControlCfg};
 use dsa_sched::sim::SimConfig;
-use dsa_sched::sweep::{tenant_sweep, SweepCell, SweepPoint};
 use dsa_sched::tenant::{TenantSpec, TraceSpec};
+use dsa_sched::EventSim;
 use dsa_trace::refstring::RefStringCfg;
 
 use crate::cli::FlagSpec;
@@ -64,10 +65,13 @@ fn load_cfg() -> LoadControlCfg {
     LoadControlCfg::default()
 }
 
-/// A point's tenant population — a pure function of the point, so the
-/// sweep is byte-identical at any worker count.
-fn tenant_specs(point: SweepPoint) -> Vec<TenantSpec> {
-    (0..point.tenants as u32).map(tenant_spec).collect()
+/// One point of the sweep: a population, its frame pool, and the
+/// admission policy that arbitrates between them.
+#[derive(Clone, Copy)]
+struct Point {
+    tenants: usize,
+    frames: usize,
+    policy: AdmissionPolicy,
 }
 
 fn tenant_spec(i: u32) -> TenantSpec {
@@ -99,12 +103,16 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
     let max = args.count(TENANTS)
         .unwrap_or(100_000)
         .max(100);
-    outln!(rep, "E22: population-scale multi-tenant scheduling\n");
-    outln!(rep,
-        "populations up to {max} tenants, ~{SET}-page working sets over\n\
-         {PAGES} pages, {REFS_PER_TENANT} references each, eight transfer\n\
-         channels; 'tight' pools hold one frame per tenant, 'ample' eight\n"
-    );
+    let mut t = Table::new(&["largest population", "pages", "working set", "refs each", "channels"])
+        .with_title("tenants ('tight' pools hold one frame per tenant, 'ample' eight)");
+    t.row_owned(vec![
+        max.to_string(),
+        PAGES.to_string(),
+        SET.to_string(),
+        REFS_PER_TENANT.to_string(),
+        "8".to_owned(),
+    ]);
+    rep.table("tenants", t);
 
     let populations = [max / 100, max / 10, max];
     let regimes = [("tight", 1usize), ("ample", 8usize)];
@@ -113,7 +121,7 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
     for &tenants in &populations {
         for &(_, per) in &regimes {
             for &policy in &policies {
-                points.push(SweepPoint {
+                points.push(Point {
                     tenants,
                     frames: tenants * per,
                     policy,
@@ -122,11 +130,15 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         }
     }
 
-    let cells: Vec<SweepCell> =
-        tenant_sweep(args.jobs(), points, sim_cfg(), load_cfg(), tenant_specs)
-            .into_iter()
-            .map(|r| r.expect("compact resident sets cannot fail"))
-            .collect();
+    // Each point is an independent simulation whose population is a
+    // pure function of the point, and cells merge in grid order, so
+    // the sweep is byte-identical at any worker count.
+    let cells = SimGrid::new(points).run(args.jobs(), |_, &point| {
+        let specs = (0..point.tenants as u32).map(tenant_spec).collect();
+        let sim = EventSim::new(sim_cfg(), point.frames, point.policy, load_cfg(), specs);
+        let report = sim.run(&mut NullProbe).expect("compact resident sets cannot fail");
+        (point, report)
+    });
 
     let mut t = Table::new(&[
         "tenants",
@@ -139,108 +151,53 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         "refs/s",
     ])
     .with_title("tenant-count x memory-size sweep");
-    for cell in &cells {
-        let p = cell.point;
-        let r = &cell.report;
+    let mut admission = Table::new(&["cell", "admissions", "deferred", "faults", "mean ws"])
+        .with_title("admission decisions per cell");
+    for (p, r) in &cells {
         let pool = regimes
             .iter()
             .find(|&&(_, per)| p.frames == p.tenants * per)
             .map_or("?", |&(label, _)| label);
+        let policy = policy_label(p.policy);
         t.row_owned(vec![
             p.tenants.to_string(),
             pool.to_owned(),
-            policy_label(p.policy).to_owned(),
+            policy.to_owned(),
             r.peak_active.to_string(),
             r.deactivations.to_string(),
             format!("{:.3}", r.fault_rate()),
             format!("{:.1}%", r.cpu_utilization() * 100.0),
             format!("{:.0}", r.refs_per_second()),
         ]);
+        admission.row_owned(vec![
+            format!("{} {pool} {policy}", p.tenants),
+            r.admissions.to_string(),
+            r.admission_rejects.to_string(),
+            r.faults.to_string(),
+            format!("{:.2}", r.mean_ws_estimate),
+        ]);
     }
     rep.table("tenant_sweep", t);
+    rep.table("admission", admission);
 
-    // Prometheus series: per-cell admission decisions, and a sampled
-    // per-tenant cohort from the largest tight working-set cell.
-    for cell in &cells {
-        let p = cell.point;
-        let r = &cell.report;
-        let tenants = p.tenants.to_string();
-        let frames = p.frames.to_string();
-        let labels = [
-            ("tenants", tenants.as_str()),
-            ("frames", frames.as_str()),
-            ("policy", policy_label(p.policy)),
-        ];
-        rep.metrics.counter(
-            "dsa_sweep_admissions_total",
-            "tenant activations (re-admissions included)",
-            &labels,
-            r.admissions,
-        );
-        rep.metrics.counter(
-            "dsa_sweep_admission_rejects_total",
-            "tenants the working-set gate deferred at least once",
-            &labels,
-            r.admission_rejects,
-        );
-        rep.metrics.counter(
-            "dsa_sweep_deactivations_total",
-            "swap-outs taken by the degradation ladder",
-            &labels,
-            r.deactivations,
-        );
-        rep.metrics.counter(
-            "dsa_sweep_faults_total",
-            "demand faults across the population",
-            &labels,
-            r.faults,
-        );
-        rep.metrics.gauge(
-            "dsa_sweep_mean_ws_estimate_pages",
-            "mean working-set estimate over sampled tenants",
-            &labels,
-            r.mean_ws_estimate,
-        );
-        rep.metrics.gauge(
-            "dsa_sweep_refs_per_second",
-            "virtual throughput of the cell",
-            &labels,
-            r.refs_per_second(),
-        );
+    // A sampled cohort of the largest tight working-set cell: what each
+    // tenant faulted, and the working set admission estimated for it.
+    let (_, cohort) = cells
+        .iter()
+        .rfind(|(p, _)| p.policy == AdmissionPolicy::WorkingSet && p.frames == p.tenants)
+        .expect("every population has a tight working-set cell");
+    let lc = load_cfg();
+    let mut t = Table::new(&["tenant", "faults", "ws estimate"])
+        .with_title("a cohort of the largest tight working-set cell");
+    for report in cohort.tenants.iter().take(8) {
+        let spec = tenant_spec(report.id);
+        let est = estimate_ws(&spec.trace.sample(lc.ws_sample), lc.ws_window);
+        t.row_owned(vec![
+            report.id.to_string(),
+            report.faults.to_string(),
+            est.to_string(),
+        ]);
     }
-    if let Some(cohort) = cells.iter().rfind(|c| {
-        c.point.policy == AdmissionPolicy::WorkingSet && c.point.frames == c.point.tenants
-    }) {
-        let lc = load_cfg();
-        for report in cohort.report.tenants.iter().take(8) {
-            let id = report.id.to_string();
-            let labels = [("tenant", id.as_str())];
-            rep.metrics.counter(
-                "dsa_tenant_faults_total",
-                "demand faults taken by the tenant",
-                &labels,
-                report.faults,
-            );
-            let spec = tenant_spec(report.id);
-            let est = estimate_ws(&spec.trace.sample(lc.ws_sample), lc.ws_window);
-            rep.metrics.gauge(
-                "dsa_tenant_ws_estimate_pages",
-                "windowed working-set estimate from the admission sample",
-                &labels,
-                est as f64,
-            );
-        }
-    }
-
-    outln!(rep,
-        "with one frame per tenant, open admission gives every tenant a\n\
-         sliver of its working set: nearly every reference faults, the\n\
-         eight channels queue, and throughput collapses — and the cliff\n\
-         deepens as the population grows. working-set admission runs the\n\
-         same pool in shifts: fewer tenants at a time, each with its\n\
-         estimated appetite, so the fault rate stays near the ample-pool\n\
-         floor and saturation is graceful. conclusion (i), at population\n\
-         scale."
-    );
+    rep.table("cohort", t);
     Ok(())
 }

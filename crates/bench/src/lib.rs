@@ -8,10 +8,9 @@
 //! in-process and reads its output as data. [`main`] is the one process
 //! edge; each `exp_*` binary in `src/bin/` is [`experiment_main!`].
 
-#[macro_use]
-mod report;
 mod cli;
 mod experiments;
+mod report;
 mod workloads;
 
 use std::process::ExitCode;
@@ -52,7 +51,7 @@ pub fn main(name: &str) -> ExitCode {
             return ExitCode::from(failure.code);
         }
     };
-    print!("{}", report.stdout());
+    print!("{report}");
     if let Some(path) = args.path(METRICS_OUT) {
         let metrics = &report.metrics;
         if let Err(e) = metrics.write(&path) {

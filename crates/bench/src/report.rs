@@ -1,23 +1,19 @@
-//! What an experiment returns: its stdout, its named tables and its
+//! What an experiment returns: its heading, its named tables and its
 //! end-of-run metrics, as data.
+
+use std::fmt;
 
 use dsa_metrics::table::Table;
 use dsa_telemetry::TelemetrySnapshot;
 
-/// `println!` into a [`Report`]'s stdout.
-macro_rules! outln {
-    ($r:expr $(, $($arg:tt)*)?) => {{
-        use std::fmt::Write as _;
-        // Writing to a `String` cannot fail.
-        let _ = writeln!($r.stdout $(, $($arg)*)?);
-    }};
-}
-
-/// One experiment run's result. Its stdout is what the experiment's
-/// binary prints, byte for byte; every table in it is also kept, by
-/// name, and lifted into the metrics.
+/// One experiment run's result: the experiment's `E…:` heading and
+/// every table it registered, by name, in order. Its [`Display`] is
+/// what the experiment's binary prints, byte for byte; every table is
+/// also lifted into the metrics.
+///
+/// [`Display`]: fmt::Display
 pub struct Report {
-    pub(crate) stdout: String,
+    heading: &'static str,
     tables: Vec<(String, Table)>,
     /// What `--metrics-out` writes: the tables' cells, and whatever
     /// series the experiment adds.
@@ -25,33 +21,39 @@ pub struct Report {
 }
 
 impl Report {
-    /// An empty report whose metrics are namespaced by `name`.
-    pub(crate) fn new(name: &str) -> Report {
+    /// An empty report under `heading` whose metrics are namespaced by
+    /// `name`.
+    pub(crate) fn new(name: &str, heading: &'static str) -> Report {
         Report {
-            stdout: String::new(),
+            heading,
             tables: Vec::new(),
             metrics: TelemetrySnapshot::new(name),
         }
     }
 
-    /// Renders `table` into the stdout, lifts its cells into the
-    /// metrics under `name`, and keeps it.
+    /// Lifts `table`'s cells into the metrics under `name`, and keeps
+    /// it for the output.
     pub(crate) fn table(&mut self, name: &str, table: Table) {
-        outln!(self, "{table}");
         self.metrics.table(name, &table);
         self.tables.push((name.to_owned(), table));
-    }
-
-    /// Everything the experiment printed.
-    #[must_use]
-    pub fn stdout(&self) -> &str {
-        &self.stdout
     }
 
     /// The table registered under `name`, if any.
     #[must_use]
     pub fn table_named(&self, name: &str) -> Option<&Table> {
         self.tables.iter().find(|(n, _)| n == name).map(|(_, t)| t)
+    }
+}
+
+/// The heading, then each registered table in order, a blank line
+/// before each.
+impl fmt::Display for Report {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "{}", self.heading)?;
+        for (_, table) in &self.tables {
+            write!(f, "\n{table}")?;
+        }
+        Ok(())
     }
 }
 

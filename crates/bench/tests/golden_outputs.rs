@@ -1,6 +1,7 @@
 //! The golden-output gauntlet: all 23 experiments, plus exp_19's
-//! `--chaos` section, run in-process and held to their stdout under
-//! `tests/golden/`, byte for byte.
+//! `--chaos` section, run in-process and held to their rendered
+//! reports (the heading and every table) under `tests/golden/`, byte
+//! for byte.
 //!
 //! Two invariants at once:
 //!
@@ -33,19 +34,20 @@ use dsa_bench::{experiment, Report, EXPERIMENTS};
 fn assert_golden(name: &str, golden_name: &str, extra: &[&str]) {
     let want = golden(&format!("{golden_name}.txt"));
     let (seq, widths) = sequential(name, extra);
+    let got = seq.to_string();
     assert!(
-        seq.stdout() == want,
+        got == want,
         "{name} {extra:?} {widths:?} drifted from tests/golden/{golden_name}.txt — {}\n\
          (if the change is intentional, regenerate the golden file)",
-        first_diff(seq.stdout(), &want)
+        first_diff(&got, &want)
     );
     if !widths.is_empty() {
-        let par = run(name, &[&["--jobs", "4"], extra].concat());
+        let par = run(name, &[&["--jobs", "4"], extra].concat()).to_string();
         assert!(
-            par.stdout() == seq.stdout(),
+            par == got,
             "{name} {extra:?}: --jobs 4 output differs from --jobs 1 — parallel merge \
              leaked scheduling into the output; {}",
-            first_diff(par.stdout(), seq.stdout())
+            first_diff(&par, &got)
         );
     }
     claims(name, &seq);
@@ -171,7 +173,7 @@ fn regenerate() {
     let pinned = GAUNTLET.iter().map(|&(name, extra)| (name, name, extra));
     for (name, golden_name, extra) in pinned.chain([chaos]) {
         let path = golden_path(&format!("{golden_name}.txt"));
-        std::fs::write(&path, sequential(name, extra).0.stdout())
+        std::fs::write(&path, sequential(name, extra).0.to_string())
             .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
     }
 }

@@ -13,8 +13,8 @@
 //!   split into *active* and *page-wait* components;
 //! * [`table::Table`] — fixed-width table rendering so every experiment
 //!   binary prints paper-style rows;
-//! * [`mod@sparkline`] — one-line curve rendering so sweep shapes (the
-//!   U-curves of E6) can be read at a glance.
+//! * [`mod@sparkline`] — one-line curve rendering so a heatmap row (the
+//!   heap shapes of E18) can be read at a glance.
 
 pub mod histogram;
 pub mod spacetime;

@@ -1,8 +1,8 @@
 //! One-line sparkline rendering for experiment curves.
 //!
-//! Several experiments sweep a parameter and produce a curve (the
-//! U-shapes of E6, the utilization ramp of E2); a sparkline under the
-//! table lets the shape be read at a glance in plain terminal output.
+//! A heatmap row (E18's fragmentation frames) is a curve over the
+//! address space; a sparkline lets its shape be read at a glance in a
+//! plain terminal table cell.
 
 /// Renders `values` as a one-line bar sparkline using eighth-block
 /// characters, scaled to the data range.
@@ -41,18 +41,6 @@ pub fn sparkline(values: &[f64]) -> String {
             BARS[idx.min(7)]
         })
         .collect()
-}
-
-/// Renders `values` with a label and the numeric range, e.g.
-/// `waste  ▁▂▅█▃  [12 .. 900]`.
-#[must_use]
-pub fn labelled_sparkline(label: &str, values: &[f64]) -> String {
-    if values.is_empty() {
-        return format!("{label}  (no data)");
-    }
-    let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    format!("{label}  {}  [{lo:.3} .. {hi:.3}]", sparkline(values))
 }
 
 #[cfg(test)]
@@ -97,13 +85,5 @@ mod tests {
         for w in s.windows(2) {
             assert!(w[0] <= w[1], "{s:?}");
         }
-    }
-
-    #[test]
-    fn labelled_includes_range() {
-        let s = labelled_sparkline("waste", &[1.0, 2.0]);
-        assert!(s.starts_with("waste"), "{s}");
-        assert!(s.contains("[1.000 .. 2.000]"), "{s}");
-        assert_eq!(labelled_sparkline("x", &[]), "x  (no data)");
     }
 }

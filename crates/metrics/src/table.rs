@@ -94,10 +94,12 @@ impl Table {
 impl fmt::Display for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let ncols = self.headers.len();
-        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
+        // Widths count chars, as `{:<width$}` pads by them.
+        let width = |s: &String| s.chars().count();
+        let mut widths: Vec<usize> = self.headers.iter().map(width).collect();
         for row in &self.rows {
             for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.len());
+                widths[i] = widths[i].max(width(cell));
             }
         }
         if let Some(title) = &self.title {

@@ -38,7 +38,6 @@
 pub mod admission;
 pub mod event;
 pub mod sim;
-pub mod sweep;
 pub mod tenant;
 pub mod vclock;
 mod wake;

@@ -18,6 +18,7 @@
 //! consecutively, as when segment numbers occupy fixed high-order
 //! address bits) and must renumber live programs when its number space
 //! fragments.
+#![allow(clippy::disallowed_types, reason = "E10's models, off the touch path")]
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -29,9 +30,8 @@ pub struct NameStats {
     /// Dictionary operations performed (searches, insertions,
     /// removals, renumberings — each touched entry counts one).
     pub bookkeeping_ops: u64,
-    /// Segment names that had to be *reallocated* (renumbered) because
-    /// the dictionary fragmented. Always zero for the symbolic
-    /// dictionary.
+    /// Segment names *reallocated* (renumbered) because the dictionary
+    /// fragmented; always zero for the symbolic dictionary.
     pub names_reallocated: u64,
     /// Attach requests refused for lack of name space.
     pub failures: u64,

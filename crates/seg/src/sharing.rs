@@ -12,6 +12,7 @@
 //! capability check. The payoff the paper names is measured directly:
 //! one resident copy serves every sharer, so the words saved versus
 //! private copies is `(sharers - 1) × size` per segment.
+#![allow(clippy::disallowed_types, reason = "E15's tables, off the touch path")]
 
 use std::collections::HashMap;
 
@@ -124,8 +125,7 @@ impl SharedSegments {
         self.stats
     }
 
-    /// The underlying store (for residency queries in tests and
-    /// experiments).
+    /// The underlying store, for residency queries.
     #[must_use]
     pub fn store(&self) -> &SegmentStore {
         &self.store

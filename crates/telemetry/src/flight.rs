@@ -37,6 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dsa_core::clock::Cycles;
+use dsa_metrics::Table;
 use dsa_probe::{Event, Probe};
 
 /// `u64` words per encoded event: sequence, tag, two payloads, cycles
@@ -206,6 +207,12 @@ impl FlightRecorder {
     /// joined; best-effort (never torn) while they are still running.
     #[must_use]
     pub fn drain(&self) -> Vec<Event> {
+        self.drain_numbered().into_iter().map(|(_, e)| e).collect()
+    }
+
+    /// [`FlightRecorder::drain`], each event with its 1-based place in
+    /// everything recorded.
+    fn drain_numbered(&self) -> Vec<(u64, Event)> {
         let rings = self
             .rings
             .lock()
@@ -216,33 +223,26 @@ impl FlightRecorder {
         }
         drop(rings);
         tagged.sort_by_key(|&(seq, _)| seq);
-        tagged.into_iter().map(|(_, e)| e).collect()
+        tagged
     }
 
-    /// The last `n` events across all threads, formatted one per line
-    /// for a postmortem dump: reference time, machine time, and the
-    /// decoded event.
+    /// The last `n` events across all threads as a postmortem table,
+    /// one row per event: its place in everything recorded (so the
+    /// last row's `seq` counts every event, overwritten ones too),
+    /// reference time, machine time, and the decoded event.
     #[must_use]
-    pub fn postmortem(&self, n: usize) -> String {
-        let events = self.drain();
-        let tail = &events[events.len().saturating_sub(n)..];
-        let mut out = String::new();
-        out.push_str(&format!(
-            "flight recorder: {} of {} recorded events (ring capacity {} per thread)\n",
-            tail.len(),
-            self.events_seen(),
-            self.capacity
-        ));
-        out.push_str("     vtime      cycles_ns  event\n");
-        for e in tail {
-            out.push_str(&format!(
-                "{:>10}  {:>13}  {:?}\n",
-                e.vtime,
-                e.cycles.as_nanos(),
-                e.kind
-            ));
+    pub fn postmortem(&self, n: usize) -> Table {
+        let events = self.drain_numbered();
+        let mut t = Table::new(&["seq", "vtime", "cycles_ns", "event"]);
+        for (seq, e) in &events[events.len().saturating_sub(n)..] {
+            t.row_owned(vec![
+                seq.to_string(),
+                e.vtime.to_string(),
+                e.cycles.as_nanos().to_string(),
+                format!("{:?}", e.kind),
+            ]);
         }
-        out
+        t
     }
 }
 
@@ -374,7 +374,8 @@ mod tests {
             h.emit(EventKind::Fault, Stamp::vtime(i));
         }
         let dump = rec.postmortem(3);
-        assert!(dump.contains("3 of 5 recorded events"), "{dump}");
-        assert_eq!(dump.matches("Fault").count(), 3, "{dump}");
+        let seqs: Vec<&str> = dump.rows().iter().map(|r| r[0].as_str()).collect();
+        assert_eq!(seqs, ["3", "4", "5"], "{dump}");
+        assert!(dump.rows().iter().all(|r| r[3] == "Fault"), "{dump}");
     }
 }

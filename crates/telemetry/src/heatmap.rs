@@ -9,12 +9,13 @@
 //! (largest free hole, hole count, free words) for the trend lines.
 //!
 //! [`HeatmapSampler`] collects frames every K virtual-time units and
-//! renders them one sparkline row per frame via
+//! tabulates them one sparkline row per frame via
 //! `dsa_metrics::sparkline()` — a terminal-friendly heatmap where time
 //! runs down the page and address runs across it.
 
 use dsa_core::ids::Words;
 use dsa_metrics::sparkline::sparkline;
+use dsa_metrics::Table;
 
 /// One snapshot of the heap's shape at a point in virtual time.
 #[derive(Clone, Debug)]
@@ -116,8 +117,9 @@ impl HeatFrame {
     }
 }
 
-/// Collects [`HeatFrame`]s every `every` virtual-time units and renders
-/// them as a heatmap — one row per frame, time running down the page.
+/// Collects [`HeatFrame`]s every `every` virtual-time units and
+/// tabulates them as a heatmap — one row per frame, time running down
+/// the page.
 ///
 /// The sampler is pull-based so it borrows nothing: callers ask
 /// [`HeatmapSampler::due`] inside their drive loop and capture a frame
@@ -135,7 +137,7 @@ impl HeatFrame {
 ///         sampler.push(HeatFrame::capture(vt, 1024, std::iter::empty(), 16));
 ///     }
 /// }
-/// assert_eq!(sampler.frames().len(), 3); // vt = 0, 100, 200
+/// assert_eq!(sampler.table().rows().len(), 3); // vt = 0, 100, 200
 /// ```
 #[derive(Clone, Debug)]
 pub struct HeatmapSampler {
@@ -183,36 +185,22 @@ impl HeatmapSampler {
         self.frames.push(frame);
     }
 
-    /// The frames collected so far, in capture order.
+    /// The collected frames as a heatmap table, one row per frame: its
+    /// occupancy sparkline (low addresses left, █ fully occupied) and
+    /// its scalars.
     #[must_use]
-    pub fn frames(&self) -> &[HeatFrame] {
-        &self.frames
-    }
-
-    /// Renders the collected frames as a heatmap: one sparkline row per
-    /// frame with its scalars alongside.
-    #[must_use]
-    pub fn render(&self, title: &str) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{title} (addr low→high, {} buckets; █ = fully occupied)\n",
-            self.buckets
-        ));
-        if self.frames.is_empty() {
-            out.push_str("  (no frames sampled)\n");
-            return out;
-        }
+    pub fn table(&self) -> Table {
+        let mut t = Table::new(&["vt", "occupancy", "occupied", "holes", "largest free"]);
         for f in &self.frames {
-            out.push_str(&format!(
-                "  vt={:>8}  {}  occ={:>5.1}% holes={:>4} largest={:>8}\n",
-                f.vtime,
+            t.row_owned(vec![
+                f.vtime.to_string(),
                 f.sparkline(),
-                f.occupied_fraction() * 100.0,
-                f.hole_count,
-                f.largest_free,
-            ));
+                format!("{:.1}%", f.occupied_fraction() * 100.0),
+                f.hole_count.to_string(),
+                f.largest_free.to_string(),
+            ]);
         }
-        out
+        t
     }
 }
 
@@ -274,18 +262,17 @@ mod tests {
             }
         }
         assert_eq!(sampled, vec![0, 50, 100, 150]);
-        assert_eq!(s.frames().len(), 4);
+        assert_eq!(s.table().rows().len(), 4);
     }
 
     #[test]
-    fn render_has_one_row_per_frame() {
+    fn table_has_one_row_per_frame() {
         let mut s = HeatmapSampler::new(10, 4);
         s.push(HeatFrame::capture(0, 64, std::iter::empty(), 4));
         s.push(HeatFrame::capture(10, 64, [(0u64, 64u64)].into_iter(), 4));
-        let out = s.render("heap shape");
-        assert!(out.contains("heap shape"), "{out}");
-        assert_eq!(out.matches("vt=").count(), 2, "{out}");
-        assert!(out.contains("occ=100.0%"), "{out}");
-        assert!(out.contains("occ=  0.0%"), "{out}");
+        let t = s.table();
+        assert_eq!(t.rows().len(), 2, "{t}");
+        assert_eq!(t.rows()[0][2], "100.0%", "{t}");
+        assert_eq!(t.rows()[1][2], "0.0%", "{t}");
     }
 }

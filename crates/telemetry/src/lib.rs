@@ -20,7 +20,7 @@
 //!   latency), safe for any number of emitting threads and, held by
 //!   `&mut`, the sequential distribution sink of a single run.
 //! * [`HeatmapSampler`] — periodic compact snapshots of the free-list
-//!   hole map, rendered as heap-shape-over-time heatmaps via
+//!   hole map, tabulated as heap-shape-over-time heatmaps via
 //!   `dsa-metrics::sparkline`.
 //! * [`TelemetrySnapshot`] — the exporter registry: counters, gauges
 //!   and histograms rendered as Prometheus text exposition format or

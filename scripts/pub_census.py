@@ -55,6 +55,7 @@ KEPT = {
     ("crates/stackdist/src/success.rs", "distances"): ("observer", "the per-reference distances fault_times reads; tests compare them with the explicit stack"),
     ("crates/stackdist/src/success.rs", "saturation_frames"): ("observer", "the length of the fault table; admission's whole-curve reference walk reads it"),
     ("crates/storage/src/drum.rs", "position"): ("reference", "the sector under the heads from first principles; rotational_delay is checked against it"),
+    ("crates/telemetry/src/flight.rs", "drain"): ("observer", "every ring's retained events, merged; the drain proptests check the merge with it"),
 }
 ITEMS = re.compile(r"`(\w+)`")
 ITEM = re.compile(r"^(\s*)pub ((?:unsafe |const |async )*(?:fn|struct|enum|trait|type|const|static|union)\b)")

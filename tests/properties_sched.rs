@@ -19,9 +19,9 @@
 //!   [`dsa::paging::paged::PagedMemory`] under [`dsa::paging::LruRepl`],
 //!   and the depth it reports for a hit is the reference's LRU stack
 //!   distance.
-//! * [`dsa::sched::sweep::tenant_sweep`] — admission decisions
-//!   included — is a pure function of its grid: byte-identical reports
-//!   at any worker count.
+//! * A tenant sweep — [`EventSim`] over a grid on
+//!   [`dsa::exec::SimGrid`], admission decisions included — is a pure
+//!   function of its grid: byte-identical reports at any worker count.
 //! * Working-set admission samples the head of each tenant's own trace
 //!   cursor, which then serves it: every tenant still executes exactly
 //!   its trace, in order, even when swapped out before its head is
@@ -35,12 +35,12 @@ use std::sync::{Arc, Mutex};
 
 use dsa::core::clock::{Cycles, VirtualTime};
 use dsa::core::ids::{FrameNo, PageNo};
+use dsa::exec::SimGrid;
 use dsa::metrics::SpaceTimeReport;
 use dsa::paging::paged::PagedMemory;
 use dsa::paging::replacement::registry::{policy_by_index, policy_count, policy_label};
 use dsa::paging::{CompactLru, Eligible, LruRepl, Replacer, Sensors};
 use dsa::probe::{CountingProbe, Event, EventKind, NullProbe, Probe};
-use dsa::sched::sweep::{tenant_sweep, SweepCell, SweepPoint};
 use dsa::sched::{
     AdmissionPolicy, EventReport, EventSim, LoadControlCfg, SimConfig, TenantSpec, TraceSpec,
 };
@@ -275,26 +275,26 @@ proptest! {
     }
 }
 
+/// A sweep point: tenants, frames, admission policy.
+type SweepPoint = (usize, usize, AdmissionPolicy);
+
 fn sweep_points() -> Vec<SweepPoint> {
     let mut points = Vec::new();
     for &tenants in &[4usize, 12] {
         for &frames in &[8usize, 48] {
             for &policy in &[AdmissionPolicy::Open, AdmissionPolicy::WorkingSet] {
-                points.push(SweepPoint {
-                    tenants,
-                    frames,
-                    policy,
-                });
+                points.push((tenants, frames, policy));
             }
         }
     }
     points
 }
 
-fn run_sweep(jobs: usize) -> Vec<SweepCell> {
+fn run_sweep(jobs: usize) -> Vec<(SweepPoint, EventReport)> {
     let cfg = sim_cfg(20, Some(2));
-    tenant_sweep(jobs, sweep_points(), cfg, LoadControlCfg::default(), |p| {
-        (0..p.tenants as u32)
+    SimGrid::new(sweep_points()).run(jobs, |_, &point| {
+        let (tenants, frames, policy) = point;
+        let specs = (0..tenants as u32)
             .map(|i| {
                 TenantSpec::new(
                     i,
@@ -311,11 +311,11 @@ fn run_sweep(jobs: usize) -> Vec<SweepCell> {
                     16,
                 )
             })
-            .collect()
+            .collect();
+        let sim = EventSim::new(cfg, frames, policy, LoadControlCfg::default(), specs);
+        let report = sim.run(&mut NullProbe).expect("compact sets cannot fail");
+        (point, report)
     })
-    .into_iter()
-    .map(|r| r.expect("compact sets cannot fail"))
-    .collect()
 }
 
 /// The tenant sweep — admission decisions, deactivations, and all — is
@@ -325,22 +325,19 @@ fn tenant_sweep_is_deterministic_across_worker_counts() {
     let serial = run_sweep(1);
     let parallel = run_sweep(4);
     assert_eq!(serial.len(), parallel.len());
-    for (a, b) in serial.iter().zip(parallel.iter()) {
-        assert_eq!(a.point, b.point);
-        assert_eq!(a.report.makespan, b.report.makespan);
-        assert_eq!(a.report.cpu_busy, b.report.cpu_busy);
-        assert_eq!(a.report.references, b.report.references);
-        assert_eq!(a.report.faults, b.report.faults);
-        assert_eq!(a.report.peak_active, b.report.peak_active);
-        assert_eq!(a.report.admissions, b.report.admissions);
-        assert_eq!(a.report.admission_rejects, b.report.admission_rejects);
-        assert_eq!(a.report.deactivations, b.report.deactivations);
-        assert_eq!(a.report.ladder_steps, b.report.ladder_steps);
-        assert_eq!(
-            a.report.mean_ws_estimate.to_bits(),
-            b.report.mean_ws_estimate.to_bits()
-        );
-        for (ta, tb) in a.report.tenants.iter().zip(b.report.tenants.iter()) {
+    for ((pa, a), (pb, b)) in serial.iter().zip(parallel.iter()) {
+        assert_eq!(pa, pb);
+        assert_eq!(a.makespan, b.makespan);
+        assert_eq!(a.cpu_busy, b.cpu_busy);
+        assert_eq!(a.references, b.references);
+        assert_eq!(a.faults, b.faults);
+        assert_eq!(a.peak_active, b.peak_active);
+        assert_eq!(a.admissions, b.admissions);
+        assert_eq!(a.admission_rejects, b.admission_rejects);
+        assert_eq!(a.deactivations, b.deactivations);
+        assert_eq!(a.ladder_steps, b.ladder_steps);
+        assert_eq!(a.mean_ws_estimate.to_bits(), b.mean_ws_estimate.to_bits());
+        for (ta, tb) in a.tenants.iter().zip(b.tenants.iter()) {
             assert_eq!(ta.id, tb.id);
             assert_eq!(ta.references, tb.references);
             assert_eq!(ta.faults, tb.faults);

@@ -185,8 +185,11 @@ unsafe impl GlobalAlloc for GlobalDsa {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if !enter() {
             // Nested frame: this is the heap allocating for itself.
-            // SAFETY: caller contract (non-zero layout).
-            return unsafe { System.alloc(layout) };
+            return match self.heap.get() {
+                Some(heap) => heap.system_alloc(layout),
+                // SAFETY: caller contract (non-zero layout).
+                None => unsafe { System.alloc(layout) },
+            };
         }
         let heap = self.static_heap();
         let p = with_cache(
@@ -203,16 +206,14 @@ unsafe impl GlobalAlloc for GlobalDsa {
             // Nested frees can only see `System` pointers (everything
             // allocated under the guard came from `System`), but route
             // defensively by address: region pointers must go home.
-            if let Some(heap) = self.heap.get() {
-                if heap.contains(ptr) {
-                    // SAFETY: caller contract.
-                    unsafe { heap.dealloc_direct(ptr, layout) };
-                    return;
-                }
+            match self.heap.get() {
+                // SAFETY: caller contract; the heap sends non-region
+                // pointers to `System`, counted.
+                Some(heap) => unsafe { heap.dealloc_direct(ptr, layout) },
+                // SAFETY: caller contract; with no heap yet, every
+                // pointer is `System`'s.
+                None => unsafe { System.dealloc(ptr, layout) },
             }
-            // SAFETY: caller contract; non-region pointers are
-            // `System`'s.
-            unsafe { System.dealloc(ptr, layout) };
             return;
         }
         let heap = self.static_heap();
@@ -228,7 +229,7 @@ unsafe impl GlobalAlloc for GlobalDsa {
             // Allocated before the heap existed, under the guard, or by
             // the exhaustion fallback.
             // SAFETY: caller contract.
-            unsafe { System.dealloc(ptr, layout) };
+            unsafe { heap.dealloc_outside_slab(ptr, layout) };
         }
         leave();
     }
@@ -303,6 +304,54 @@ mod tests {
         assert!(!HEAP.heap().contains(p));
         unsafe { HEAP.dealloc(p, l) };
         leave();
+    }
+
+    #[test]
+    fn system_traffic_is_counted_once_the_heap_exists() {
+        static OWN: GlobalDsa = GlobalDsa::new(HeapConfig::small());
+        let heap = OWN.heap();
+        let before = heap.stats();
+        let l = Layout::from_size_align(64, 8).unwrap();
+        // Two re-entrant allocations: one freed in its frame, one after.
+        assert!(enter());
+        let (p, q) = unsafe { (OWN.alloc(l), OWN.alloc(l)) };
+        assert!(!heap.contains(p) && !heap.contains(q));
+        unsafe { OWN.dealloc(p, l) };
+        leave();
+        let s = heap.stats();
+        assert_eq!(
+            s.system_allocs - s.system_frees,
+            before.system_allocs - before.system_frees + 1
+        );
+        unsafe { OWN.dealloc(q, l) };
+        let s = heap.stats();
+        assert_eq!(
+            (s.system_allocs, s.system_frees),
+            (before.system_allocs + 2, before.system_frees + 2)
+        );
+    }
+
+    #[test]
+    fn arena_class_blocks_parked_anywhere_keep_the_books() {
+        static OWN: GlobalDsa = GlobalDsa::new(HeapConfig::small());
+        let heap = OWN.heap();
+        let baseline = heap.live_words();
+        // 8 KiB: eight a magazine at this geometry's depth.
+        let l = Layout::from_size_align(8 << 10, 8).unwrap();
+        let ptrs: Vec<*mut u8> = (0..40).map(|_| unsafe { OWN.alloc(l) }).collect();
+        for p in ptrs {
+            unsafe { OWN.dealloc(p, l) };
+        }
+        // Sixteen in this thread's magazines, twenty-four in the depot,
+        // all of them arena-live.
+        assert_eq!(heap.depot_parked(), 24);
+        assert_eq!(heap.live_words(), baseline + 40 * 1024);
+        heap.check_reconciliation();
+        OWN.flush_current_thread();
+        heap.flush_depots();
+        heap.check_reconciliation();
+        assert_eq!(heap.live_words(), baseline);
+        assert_eq!(heap.stats().large_frees, 40);
     }
 
     #[test]

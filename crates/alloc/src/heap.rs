@@ -1,25 +1,29 @@
-//! The size-class slab heap: real memory behind the simulated books.
+//! The size-class heap: real memory behind the simulated books.
 //!
 //! A [`DsaHeap`] owns one contiguous region obtained from
 //! [`std::alloc::System`] (page-aligned, sized in words like every
-//! arena in this workspace) and splits it two ways:
+//! arena in this workspace) and splits it three ways:
 //!
-//! * **Slab pages.** At construction, one span per size class is carved
-//!   out of the backing [`ShardedArena`] and handed to a lock-free
-//!   [`FixedSlab`]. Each span's base is rounded up to a 4096-byte
-//!   boundary inside the region, so every power-of-two class is
-//!   naturally aligned — that is how over-aligned small requests are
-//!   served without headers.
-//! * **The large path.** Everything past the ladder (or overflowing an
-//!   exhausted slab) is allocated from the arena directly, named by the
-//!   word offset of the pointer handed out: the caller holds that
-//!   pointer until the free and the block never moves, so the arena's
-//!   own book is the only one kept.
+//! * **Slab pages.** At construction, one span per size class up to
+//!   2 KiB is carved out of the backing [`ShardedArena`] and handed to
+//!   a lock-free [`FixedSlab`]. Each span's base is rounded up to a
+//!   4096-byte boundary inside the region, so every power-of-two class
+//!   is naturally aligned — that is how over-aligned small requests
+//!   are served without headers.
+//! * **Arena classes.** The ladder goes on to 32 KiB with sixteen
+//!   classes that have no slab: each block is one arena block of
+//!   exactly the class size, parked and carried between threads by the
+//!   magazines and depots like a slab unit.
+//! * **The large path.** Everything past the ladder, over-aligned past
+//!   a word, or overflowing an exhausted slab is allocated from the
+//!   arena directly, named by the word offset of the pointer handed
+//!   out: the caller holds that pointer until the free and the block
+//!   never moves, so the arena's own book is the only one kept.
 //!
-//! Nothing in the region carries a header: small frees recompute the
-//! class from the caller's `Layout` and the slab's span answers "is
-//! this mine"; large frees say the address. A pointer outside the
-//! region belongs to [`System`] (the fallback of last resort, and the
+//! Nothing in the region carries a header: frees recompute the class
+//! from the caller's `Layout`, the slab's span answers "is this mine",
+//! and arena blocks say the address. A pointer outside the region
+//! belongs to [`System`] (the fallback of last resort, and the
 //! destination of the heap's own bookkeeping allocations when used
 //! through [`crate::GlobalDsa`]).
 //!
@@ -47,6 +51,11 @@ use crate::magazine::{Depot, MAG_MAX};
 
 /// Bytes per storage word, the unit the backing arena accounts in.
 pub(crate) const BYTES_PER_WORD: u64 = 8;
+
+/// The size-class ladder's top, and the largest class with a slab:
+/// the classes between are arena blocks of exactly the class size.
+const LADDER_MAX_BYTES: u64 = 32 << 10;
+const SLAB_MAX_BYTES: u64 = 2 << 10;
 
 /// Slab spans are based at multiples of this many words (4096 bytes),
 /// so power-of-two unit sizes are naturally aligned.
@@ -135,9 +144,9 @@ struct ClassSlab {
 /// they trail the instantaneous truth until then.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HeapStats {
-    /// Small allocations served from a thread's magazines (no atomics).
+    /// Allocations served from a thread's magazines (no atomics).
     pub magazine_allocs: u64,
-    /// Small frees absorbed by a thread's magazines (no atomics).
+    /// Frees absorbed by a thread's magazines (no atomics).
     pub magazine_frees: u64,
     /// Magazine exchanges with a per-class depot.
     pub depot_exchanges: u64,
@@ -235,7 +244,7 @@ impl DsaHeap {
             "magazine_depth must be 1..={MAG_MAX}"
         );
         assert!(config.class_units > 0, "need at least one unit per class");
-        let classes = SizeClasses::jemalloc(BYTES_PER_WORD, 2048);
+        let classes = SizeClasses::jemalloc(BYTES_PER_WORD, LADDER_MAX_BYTES);
 
         let bytes = usize::try_from(config.arena_words * BYTES_PER_WORD)
             .unwrap_or_else(|_| panic!("region too large for this platform"));
@@ -261,12 +270,15 @@ impl DsaHeap {
         arena.enable_quick_lists(QUICK_MAX_WORDS, QUICK_DEPTH);
         let telemetry = TelemetryProbe::new();
 
-        // Carve one span per class, with enough slack to round the base
-        // up to a page boundary. The carves stay live for the heap's
-        // lifetime and are part of the probe ledger.
-        let mut slabs = Vec::with_capacity(classes.count());
-        let mut depots = Vec::with_capacity(classes.count());
-        for (c, &class_bytes) in classes.classes().iter().enumerate() {
+        // Carve one span per slab class, with enough slack to round the
+        // base up to a page boundary. The carves stay live for the
+        // heap's lifetime and are part of the probe ledger.
+        let slab_classes = classes
+            .classes()
+            .iter()
+            .take_while(|&&b| b <= SLAB_MAX_BYTES);
+        let mut slabs = Vec::new();
+        for (c, &class_bytes) in slab_classes.enumerate() {
             let unit_words = class_bytes / BYTES_PER_WORD;
             let span_words = unit_words * u64::from(config.class_units);
             let carve = span_words + PAGE_ALIGN_WORDS;
@@ -288,8 +300,10 @@ impl DsaHeap {
                 base_words,
                 span_words,
             });
-            depots.push(Mutex::new(Depot::default()));
         }
+        let depots = (0..classes.count())
+            .map(|_| Mutex::new(Depot::default()))
+            .collect();
 
         DsaHeap {
             config,
@@ -374,8 +388,9 @@ impl DsaHeap {
     // ---- allocation paths -------------------------------------------------
 
     /// The size class a layout routes to, or `None` for the large path.
-    /// Over-aligned small requests map to the covering power-of-two
-    /// class (naturally aligned in the page-aligned spans).
+    /// Over-aligned requests map to the covering power-of-two slab
+    /// class (naturally aligned in the page-aligned spans), and past
+    /// the slabs to the large path.
     #[must_use]
     pub(crate) fn small_class(&self, layout: Layout) -> Option<usize> {
         let size = layout.size() as u64;
@@ -383,25 +398,37 @@ impl DsaHeap {
         if align <= BYTES_PER_WORD {
             self.classes.class_of(size)
         } else {
-            self.classes.aligned_class_of(size, align)
+            (self.classes.aligned_class_of(size, align)).filter(|&c| c < self.slabs.len())
         }
+    }
+
+    /// The first class with no slab: an arena class.
+    #[must_use]
+    pub(crate) fn first_arena_class(&self) -> usize {
+        self.slabs.len()
     }
 
     /// Does `ptr` fall inside class `c`'s slab span?
     #[must_use]
     pub(crate) fn in_class_slab(&self, c: usize, ptr: *const u8) -> bool {
-        let Some(off) = self.word_off_of(ptr) else {
+        let (Some(off), Some(cs)) = (self.word_off_of(ptr), self.slabs.get(c)) else {
             return false;
         };
-        let cs = &self.slabs[c];
         off >= cs.base_words && off < cs.base_words + cs.span_words
     }
 
+    /// Does a freed block of class `c` at `ptr` park in a magazine: a
+    /// unit of its slab, or an arena-class block (always its size)?
+    #[must_use]
+    pub(crate) fn parks(&self, c: usize, ptr: *const u8) -> bool {
+        self.in_class_slab(c, ptr) || (c >= self.slabs.len() && self.contains(ptr))
+    }
+
     /// Pops one unit from class `c`'s slab, emitting `Alloc` to the
-    /// probe. `None` when the slab is exhausted (caller falls to the
-    /// large path).
+    /// probe. `None` when the slab is exhausted or the class has none
+    /// (caller falls to the large path).
     pub(crate) fn slab_pop(&self, c: usize) -> Option<*mut u8> {
-        let cs = &self.slabs[c];
+        let cs = self.slabs.get(c)?;
         match cs.slab.alloc() {
             Ok(unit) => {
                 let mut probe = &self.telemetry;
@@ -451,13 +478,18 @@ impl DsaHeap {
     }
 
     /// Allocates via the arena's large path, the block named by the
-    /// word offset of the pointer returned. A full arena is asked again
-    /// if `make_room` says it returned something, and only then does the
-    /// request fall to [`System`]. Never returns null unless `System`
-    /// does.
+    /// word offset of the pointer returned. A request in the ladder's
+    /// range is rounded up to its class, so that whatever frees the
+    /// block may park it for the next request of that class. A full
+    /// arena is asked again if `make_room` says it returned something,
+    /// and only then does the request fall to [`System`]. Never returns
+    /// null unless `System` does.
     pub(crate) fn large_alloc(&self, layout: Layout, make_room: impl FnOnce() -> bool) -> *mut u8 {
-        let bytes = layout.size().max(1) as u64;
         let align = layout.align() as u64;
+        let mut bytes = layout.size().max(1) as u64;
+        if let (true, Some(c)) = (align <= BYTES_PER_WORD, self.classes.class_of(bytes)) {
+            bytes = self.classes.classes()[c];
+        }
         // Over-aligned blocks get `align` slack bytes so the aligned
         // pointer always fits (arena addresses are only word-aligned).
         let extra = if align > BYTES_PER_WORD { align } else { 0 };
@@ -486,12 +518,16 @@ impl DsaHeap {
                 side.large_allocs.fetch_add(1, Ordering::Relaxed);
                 self.ptr_at(handed_out(addr))
             }
-            Err(_) => {
-                side.system_allocs.fetch_add(1, Ordering::Relaxed);
-                // SAFETY: the layout is padded to non-zero size.
-                unsafe { System.alloc(nonzero(layout)) }
-            }
+            Err(_) => self.system_alloc(layout),
         }
+    }
+
+    /// Allocates from [`System`], counted in `system_allocs`.
+    pub(crate) fn system_alloc(&self, layout: Layout) -> *mut u8 {
+        let side = &self.counters.alloc_side;
+        side.system_allocs.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the layout is padded to non-zero size.
+        unsafe { System.alloc(nonzero(layout)) }
     }
 
     /// Returns large-path blocks to the arena by the names their
@@ -529,8 +565,24 @@ impl DsaHeap {
         }
     }
 
-    /// Allocates without a thread cache: slab pop for ladder sizes
-    /// (large-path overflow when exhausted), large path otherwise.
+    /// Returns blocks of class `c` to the backend: units to the class's
+    /// slab, arena-class blocks to the arena by name, in one batch.
+    pub(crate) fn release(&self, c: usize, ptrs: &[*mut u8]) {
+        if c < self.slabs.len() {
+            for &p in ptrs {
+                self.slab_push(c, p);
+            }
+        } else if !ptrs.is_empty() {
+            let mut names = [u64::MAX; MAG_MAX];
+            for (name, &p) in names.iter_mut().zip(ptrs) {
+                *name = self.word_off_of(p).unwrap_or(u64::MAX);
+            }
+            self.large_free(&mut names[..ptrs.len()]);
+        }
+    }
+
+    /// Allocates without a thread cache: slab pop for slab classes,
+    /// large path otherwise (and when the slab is exhausted).
     ///
     /// This is the "no-magazine" baseline the benchmarks compare the
     /// cached path against, and the fallback when thread-local storage
@@ -583,19 +635,30 @@ impl DsaHeap {
         c.depot_exchanges.fetch_add(exchanges, Ordering::Relaxed);
     }
 
-    /// Drains every depot's full magazines back to the slabs. Parked
-    /// *thread* magazines are untouched — flush those via their caches.
+    /// Drains every depot's full magazines back to the slabs and the
+    /// arena. Parked *thread* magazines are untouched — flush those via
+    /// their caches.
     pub fn flush_depots(&self) {
-        for c in 0..self.depots.len() {
+        // The arena's books may grow under the shard locks taken here:
+        // an installed `GlobalDsa` must not be asked for that memory.
+        let _guard = crate::global::DepthGuard::enter();
+        self.drain_depots(0);
+    }
+
+    /// Drains the depots of classes `from..` to the backend; `true` if
+    /// they held anything.
+    pub(crate) fn drain_depots(&self, from: usize) -> bool {
+        let mut drained = false;
+        for c in from..self.depots.len() {
             loop {
                 let mag = self.depot(c).full.pop();
                 let Some(mut mag) = mag else { break };
-                while let Some(p) = mag.pop() {
-                    self.slab_push(c, p);
-                }
+                self.release(c, mag.drain());
                 self.depot(c).empty.push(mag);
+                drained = true;
             }
         }
+        drained
     }
 
     // ---- verification -----------------------------------------------------
@@ -749,18 +812,42 @@ mod tests {
     #[test]
     fn large_sizes_take_the_arena_path() {
         let heap = DsaHeap::new(HeapConfig::small());
-        let l = layout(4096, 8);
-        assert!(heap.small_class(l).is_none());
-        let p = heap.alloc_direct(l);
-        assert!(heap.contains(p));
-        unsafe {
-            p.write_bytes(0xCD, 4096);
+        // An arena class (no slab) and a size past the ladder.
+        let arena_class = layout(4096, 8);
+        assert!(heap.small_class(arena_class) >= Some(heap.first_arena_class()));
+        assert!(heap.small_class(layout(40 << 10, 8)).is_none());
+        for (n, l) in [arena_class, layout(40 << 10, 8)].into_iter().enumerate() {
+            let p = heap.alloc_direct(l);
+            assert!(heap.contains(p));
+            unsafe {
+                p.write_bytes(0xCD, l.size());
+            }
+            assert_eq!(heap.stats().large_allocs, n as u64 + 1);
+            heap.check_reconciliation();
+            unsafe { heap.dealloc_direct(p, l) };
+            assert_eq!(heap.stats().large_frees, n as u64 + 1);
+            heap.check_reconciliation();
         }
-        assert_eq!(heap.stats().large_allocs, 1);
-        heap.check_reconciliation();
-        unsafe { heap.dealloc_direct(p, l) };
-        assert_eq!(heap.stats().large_frees, 1);
-        heap.check_reconciliation();
+    }
+
+    #[test]
+    fn a_class_range_block_reserves_its_whole_class() {
+        // Whoever frees it may park it for the next request of the
+        // class, however much that request asks for.
+        let heap = DsaHeap::new(HeapConfig::small());
+        let baseline = heap.live_words();
+        for (size, class) in [(2049usize, 2560u64), (5000, 5120), (32 << 10, 32 << 10)] {
+            let l = layout(size, 8);
+            let p = heap.alloc_direct(l);
+            assert_eq!(
+                heap.live_words(),
+                baseline + class / BYTES_PER_WORD,
+                "{size}"
+            );
+            heap.check_reconciliation();
+            unsafe { heap.dealloc_direct(p, l) };
+        }
+        assert_eq!(heap.live_words(), baseline);
     }
 
     #[test]

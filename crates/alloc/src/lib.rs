@@ -5,18 +5,20 @@
 //! experiments measure policies against each other. This crate closes
 //! the loop and runs the same machinery as an actual Rust heap:
 //!
-//! 1. **Size-class slab heap** ([`DsaHeap`]) — a ladder of lock-free
-//!    [`dsa_arena::FixedSlab`]s (one per jemalloc-style size class from
-//!    the shared [`dsa_core::sizeclass`] geometry, 8..=2048 bytes) over
-//!    pages carved from a backing [`dsa_arena::ShardedArena`]. Small
-//!    allocations are a single tagged-CAS pop; frees a single push.
+//! 1. **Size-class heap** ([`DsaHeap`]) — a jemalloc-style ladder from
+//!    the shared [`dsa_core::sizeclass`] geometry, 8..=32768 bytes. Up
+//!    to 2048 bytes each class is a lock-free
+//!    [`dsa_arena::FixedSlab`] over pages carved from a backing
+//!    [`dsa_arena::ShardedArena`]: an allocation is a single
+//!    tagged-CAS pop, a free a single push. The classes above have no
+//!    slab; each block is one arena block of exactly the class size.
 //! 2. **Per-thread magazine caches** ([`ThreadCache`]) — Bonwick's
 //!    two-magazine scheme: each thread holds a *loaded* and a
 //!    *previous* magazine per class, so the common alloc/free path
 //!    touches no shared state at all. When both run dry (or full) the
 //!    thread swaps a magazine with a per-class depot under a short
 //!    lock, amortizing one lock acquisition over a whole magazine of
-//!    operations.
+//!    operations. Every class rides them, the slabless ones included.
 //! 3. **Sharded large path** — requests past the ladder go through the
 //!    [`dsa_arena::ShardedArena`] proper (first-fit shards, overflow
 //!    stealing, quick lists), each block named by the address handed

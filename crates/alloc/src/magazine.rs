@@ -19,22 +19,25 @@
 //! to the slab), so parked memory per class is capped at
 //! `(DEPOT_MAX_FULL + 2 × threads) × depth` objects.
 //!
-//! Large blocks have no magazines, but a thread that frees many — the
-//! consumer end of a hand-off — sets up to [`LARGE_PARK_BLOCKS`] aside
-//! and returns them to the arena together, one shard lock per shard
-//! touched instead of one per block.
+//! The arena classes (2–32 KiB, no slab) ride the same magazines: a
+//! miss takes an arena block of exactly the class size, and overflow
+//! drains back to the arena by name, one batch per magazine. Their
+//! magazines hold at most 128 KiB each, so parked memory per arena
+//! class is capped at `(DEPOT_MAX_FULL + 2 × threads) × 128 KiB`. A
+//! full arena gets the calling thread's and the depots' arena-class
+//! blocks back before the system is asked.
 //!
 //! Accounting: magazine hits and depot exchanges are counted in plain
 //! (non-atomic) thread-local counters and folded into the heap's
 //! [`HeapStats`](crate::heap::HeapStats) on flush and thread exit. The
 //! telemetry probe never sees a magazine hit — it tracks backend
-//! traffic, and an object parked in a magazine, like a large block set
-//! aside, is still backend-live. That is what keeps
-//! [`DsaHeap::check_reconciliation`] exact without quiescing threads.
+//! traffic, and an object parked in a magazine is still backend-live.
+//! That is what keeps [`DsaHeap::check_reconciliation`] exact without
+//! quiescing threads.
 
 use std::alloc::Layout;
 
-use crate::heap::{DsaHeap, BYTES_PER_WORD};
+use crate::heap::DsaHeap;
 
 /// Hard capacity of a magazine; the runtime depth
 /// ([`crate::HeapConfig::magazine_depth`]) may be anything up to this.
@@ -44,13 +47,11 @@ pub const MAG_MAX: usize = 64;
 /// to the slab by the thread that brought it.
 const DEPOT_MAX_FULL: usize = 8;
 
-/// Freed large blocks a thread sets aside before returning the lot to
-/// the arena, and the words they may add up to (512 KiB): storage held
-/// this way is free to nobody.
-const LARGE_PARK_BLOCKS: usize = 16;
-const LARGE_PARK_WORDS: u64 = 1 << 16;
+/// Bytes one magazine may hold: caps the depth of the arena classes.
+const MAG_MAX_BYTES: u64 = 128 << 10;
 
 /// A fixed stack of cached object pointers for one size class.
+#[repr(C)]
 pub(crate) struct Magazine {
     ptrs: [*mut u8; MAG_MAX],
     len: usize,
@@ -85,6 +86,12 @@ impl Magazine {
     pub(crate) fn len(&self) -> usize {
         self.len
     }
+
+    /// Empties the magazine, handing back what it held.
+    pub(crate) fn drain(&mut self) -> &[*mut u8] {
+        let n = std::mem::take(&mut self.len);
+        &self.ptrs[..n]
+    }
 }
 
 /// The per-class exchange point: full magazines waiting for hungry
@@ -102,9 +109,13 @@ impl Depot {
     }
 }
 
-/// The loaded/previous pair for one size class.
+/// The loaded/previous pair for one size class, with the depth right
+/// after the loaded magazine's length: a free reads both.
+#[repr(C)]
 struct ClassMags {
     loaded: Magazine,
+    /// Objects a magazine of this class holds before it counts as full.
+    depth: usize,
     prev: Magazine,
 }
 
@@ -116,16 +127,10 @@ struct ClassMags {
 /// exit.
 pub struct ThreadCache<'h> {
     heap: &'h DsaHeap,
-    depth: usize,
     mags: Vec<ClassMags>,
     local_allocs: u64,
     local_frees: u64,
     local_exchanges: u64,
-    /// Names (word offsets) of the large blocks set aside, and the
-    /// words their layouts asked for.
-    large: [u64; LARGE_PARK_BLOCKS],
-    large_len: usize,
-    large_words: u64,
 }
 
 impl<'h> ThreadCache<'h> {
@@ -136,7 +141,8 @@ impl<'h> ThreadCache<'h> {
     }
 
     /// A cache with an explicit magazine depth (the depth-sweep
-    /// experiments use this).
+    /// experiments use this); an arena class's magazines hold at most
+    /// 128 KiB.
     ///
     /// # Panics
     ///
@@ -147,22 +153,19 @@ impl<'h> ThreadCache<'h> {
             (1..=MAG_MAX).contains(&depth),
             "depth must be 1..={MAG_MAX}"
         );
-        let mags = (0..heap.classes().count())
-            .map(|_| ClassMags {
+        let mags = (heap.classes().classes().iter())
+            .map(|&bytes| ClassMags {
                 loaded: Magazine::EMPTY,
                 prev: Magazine::EMPTY,
+                depth: depth.min((MAG_MAX_BYTES / bytes) as usize),
             })
             .collect();
         ThreadCache {
             heap,
-            depth,
             mags,
             local_allocs: 0,
             local_frees: 0,
             local_exchanges: 0,
-            large: [0; LARGE_PARK_BLOCKS],
-            large_len: 0,
-            large_words: 0,
         }
     }
 
@@ -173,9 +176,9 @@ impl<'h> ThreadCache<'h> {
     }
 
     /// Allocates a block for `layout`. Ladder sizes go through the
-    /// magazines; larger (or hyper-aligned) requests pass straight to
-    /// the heap's large path. Null only if the final `System` fallback
-    /// fails.
+    /// magazines; larger (or over-aligned past the slabs) requests pass
+    /// straight to the heap's large path. Null only if the final
+    /// `System` fallback fails.
     #[must_use]
     pub fn alloc(&mut self, layout: Layout) -> *mut u8 {
         let Some(class) = self.heap.small_class(layout) else {
@@ -204,9 +207,9 @@ impl<'h> ThreadCache<'h> {
     /// cache's heap (any thread) with the same `layout`.
     pub unsafe fn dealloc(&mut self, ptr: *mut u8, layout: Layout) {
         if let Some(class) = self.heap.small_class(layout) {
-            if self.heap.in_class_slab(class, ptr) {
+            if self.heap.parks(class, ptr) {
                 let m = &mut self.mags[class];
-                if m.loaded.len() < self.depth {
+                if m.loaded.len() < m.depth {
                     m.loaded.push(ptr);
                     self.local_frees += 1;
                     return;
@@ -221,56 +224,46 @@ impl<'h> ThreadCache<'h> {
                 return;
             }
         }
-        let Some(off) = self.heap.word_off_of(ptr) else {
-            // SAFETY: forwarded caller contract.
-            return unsafe { self.heap.dealloc_outside_slab(ptr, layout) };
-        };
-        self.large[self.large_len] = off;
-        self.large_len += 1;
-        self.large_words += (layout.size() as u64).div_ceil(BYTES_PER_WORD);
-        if self.large_len == LARGE_PARK_BLOCKS || self.large_words > LARGE_PARK_WORDS {
-            self.return_large();
+        // SAFETY: forwarded caller contract.
+        unsafe { self.heap.dealloc_outside_slab(ptr, layout) }
+    }
+
+    /// Returns the magazines of classes `from..` to the heap; `true` if
+    /// they held anything.
+    fn release_from(&mut self, from: usize) -> bool {
+        let mut released = false;
+        for (class, m) in self.mags.iter_mut().enumerate().skip(from) {
+            for mag in [&mut m.loaded, &mut m.prev] {
+                let ptrs = mag.drain();
+                released |= !ptrs.is_empty();
+                self.heap.release(class, ptrs);
+            }
         }
+        released
     }
 
-    /// Returns the large blocks set aside to the arena; `false` if there
-    /// were none.
-    fn return_large(&mut self) -> bool {
-        let parked = std::mem::take(&mut self.large_len);
-        self.heap.large_free(&mut self.large[..parked]);
-        self.large_words = 0;
-        parked > 0
-    }
-
-    /// The heap's large path; a full arena first gets back what this
-    /// thread has set aside — that may be the room it lacks, and the
-    /// system must not be asked while the heap holds it.
+    /// The heap's large path; a full arena first gets back the
+    /// arena-class blocks parked in this thread's magazines and in the
+    /// depots — that may be the room it lacks, and the system must not
+    /// be asked while the heap holds it.
     fn large_alloc(&mut self, layout: Layout) -> *mut u8 {
         let heap = self.heap;
-        heap.large_alloc(layout, || self.return_large())
+        let first = heap.first_arena_class();
+        heap.large_alloc(layout, || {
+            self.release_from(first) | heap.drain_depots(first)
+        })
     }
 
-    /// Returns every parked object and every large block set aside to
-    /// the heap and folds the hit counters into
-    /// [`HeapStats`](crate::heap::HeapStats). The
-    /// cache stays usable.
+    /// Returns every parked object to the heap and folds the hit
+    /// counters into [`HeapStats`](crate::heap::HeapStats). The cache
+    /// stays usable.
     pub(crate) fn flush(&mut self) {
         // Outside an allocator frame (thread exit, an explicit flush):
         // the arena's books may grow under the shard locks taken here,
         // and an installed `GlobalDsa` must not be asked for that
         // memory — it would come back for the same lock.
         let _guard = crate::global::DepthGuard::enter();
-        self.return_large();
-        for class in 0..self.mags.len() {
-            loop {
-                let p = {
-                    let m = &mut self.mags[class];
-                    m.loaded.pop().or_else(|| m.prev.pop())
-                };
-                let Some(p) = p else { break };
-                self.heap.slab_push(class, p);
-            }
-        }
+        self.release_from(0);
         self.heap.fold_magazine_counters(
             std::mem::take(&mut self.local_allocs),
             std::mem::take(&mut self.local_frees),
@@ -279,7 +272,7 @@ impl<'h> ThreadCache<'h> {
     }
 
     /// Cold alloc path: depot exchange, then the raw slab, then the
-    /// large path (slab exhausted).
+    /// large path (an arena class, or the slab exhausted).
     fn alloc_slow(&mut self, class: usize, layout: Layout) -> *mut u8 {
         let exchanged = {
             let mut depot = self.heap.depot(class);
@@ -298,9 +291,9 @@ impl<'h> ThreadCache<'h> {
                 return p;
             }
         }
-        // Depot dry: serve one object straight from the slab. Magazines
-        // fill on the free side — pre-filling here would just move the
-        // miss cost around.
+        // Depot dry: serve one object straight from the backend.
+        // Magazines fill on the free side — pre-filling here would just
+        // move the miss cost around.
         match self.heap.slab_pop(class) {
             Some(p) => p,
             None => self.large_alloc(layout),
@@ -309,8 +302,8 @@ impl<'h> ThreadCache<'h> {
 
     /// Cold free path: trade the full loaded magazine for an empty one
     /// at the depot, then push. A depot already at its bound declines
-    /// the full one under the same lock, and it is drained to the slab
-    /// here instead (bounding parked memory).
+    /// the full one under the same lock, and it is drained to the
+    /// backend here instead (bounding parked memory).
     fn dealloc_slow(&mut self, class: usize, ptr: *mut u8) {
         let surplus = {
             let mut depot = self.heap.depot(class);
@@ -325,9 +318,7 @@ impl<'h> ThreadCache<'h> {
         };
         self.local_exchanges += 1;
         if let Some(mut mag) = surplus {
-            while let Some(p) = mag.pop() {
-                self.heap.slab_push(class, p);
-            }
+            self.heap.release(class, mag.drain());
         }
         self.mags[class].loaded.push(ptr);
         self.local_frees += 1;
@@ -343,7 +334,7 @@ impl Drop for ThreadCache<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heap::HeapConfig;
+    use crate::heap::{HeapConfig, BYTES_PER_WORD};
 
     fn layout(size: usize) -> Layout {
         Layout::from_size_align(size, 8).unwrap()
@@ -434,8 +425,8 @@ mod tests {
         assert_eq!(heap.stats().bad_frees, 0);
     }
 
-    /// An 8 MiB region, so that a few hundred KiB of large blocks fit
-    /// beside the slab spans.
+    /// An 8 MiB region, so that a few hundred KiB of arena-class blocks
+    /// fit beside the slab spans.
     fn roomy() -> HeapConfig {
         HeapConfig {
             arena_words: 1 << 20,
@@ -445,30 +436,40 @@ mod tests {
 
     #[test]
     fn large_frees_are_gathered_up_to_a_bound_in_blocks_and_in_words() {
+        // An arena class's magazine holds `depth` blocks (8 here), or
+        // 128 KiB if that is fewer: 4 KiB blocks are bound by the
+        // depth, 32 KiB ones by the bytes.
         let heap = DsaHeap::new(roomy());
+        let baseline = heap.live_words();
         let mut cache = ThreadCache::new(&heap);
-        let l = layout(4096);
-        let ptrs: Vec<*mut u8> = (0..LARGE_PARK_BLOCKS).map(|_| cache.alloc(l)).collect();
-        let live = heap.live_words();
-        for (n, &p) in ptrs.iter().enumerate() {
-            // Set aside: still live in the arena, the books balanced
-            // with nothing flushed.
-            assert_eq!(heap.stats().large_frees, 0, "after {n} frees");
-            assert_eq!(heap.live_words(), live);
+        for (size, per_mag) in [(4096usize, 8usize), (32 << 10, 4)] {
+            let l = layout(size);
+            let (n, words) = (3 * per_mag, size as u64 / BYTES_PER_WORD);
+            let before = heap.stats();
+            let ptrs: Vec<*mut u8> = (0..n).map(|_| cache.alloc(l)).collect();
+            assert_eq!(heap.live_words(), baseline + n as u64 * words);
+            // Two magazines park in the thread, the third goes to the
+            // depot, and the arena sees none of them.
+            for &p in &ptrs {
+                unsafe { cache.dealloc(p, l) };
+            }
+            assert_eq!(heap.stats().large_frees, before.large_frees);
+            assert_eq!(heap.depot_parked(), per_mag as u64);
+            assert_eq!(heap.live_words(), baseline + n as u64 * words);
             heap.check_reconciliation();
-            unsafe { cache.dealloc(p, l) };
+            // The same blocks come back without an arena call.
+            let again: Vec<*mut u8> = (0..n).map(|_| cache.alloc(l)).collect();
+            assert_eq!(heap.stats().large_allocs, before.large_allocs + n as u64);
+            assert_eq!(heap.depot_parked(), 0);
+            for &p in &again {
+                assert!(ptrs.contains(&p));
+                unsafe { cache.dealloc(p, l) };
+            }
+            cache.flush();
+            heap.flush_depots();
+            assert_eq!(heap.stats().large_frees, before.large_frees + n as u64);
+            assert_eq!(heap.live_words(), baseline);
         }
-        assert_eq!(heap.stats().large_frees, LARGE_PARK_BLOCKS as u64);
-        assert_eq!(heap.live_words(), live - 512 * LARGE_PARK_BLOCKS as u64);
-        // Three blocks of 200 KiB pass the word bound at the third.
-        let big = layout(200 << 10);
-        let ptrs: Vec<*mut u8> = (0..3).map(|_| cache.alloc(big)).collect();
-        assert!(ptrs.iter().all(|&p| heap.contains(p)));
-        for (n, &p) in ptrs.iter().enumerate() {
-            assert_eq!(heap.stats().large_frees, 16, "after {n} big frees");
-            unsafe { cache.dealloc(p, big) };
-        }
-        assert_eq!(heap.stats().large_frees, 19);
         heap.check_reconciliation();
         assert_eq!(heap.stats().bad_frees, 0);
     }
@@ -486,53 +487,91 @@ mod tests {
         assert_eq!(heap.stats().large_frees, 0);
         cache.flush();
         assert_eq!(heap.stats().large_frees, 3);
-        // The second of these frees names a block already set aside:
-        // found out when the lot goes back, counted once, nothing freed.
-        for p in [ptrs[3], ptrs[3], ptrs[4]] {
+        for &p in &ptrs[3..] {
             unsafe { cache.dealloc(p, l) };
         }
+        assert_eq!(heap.stats().large_frees, 3);
         drop(cache);
         let s = heap.stats();
-        assert_eq!((s.large_allocs, s.large_frees, s.bad_frees), (5, 5, 1));
+        assert_eq!((s.large_allocs, s.large_frees, s.bad_frees), (5, 5, 0));
         assert_eq!(heap.live_words(), baseline);
         heap.check_reconciliation();
     }
 
     #[test]
+    fn over_aligned_blocks_and_blocks_past_the_ladder_never_park() {
+        let heap = DsaHeap::new(roomy());
+        let baseline = heap.live_words();
+        let mut cache = ThreadCache::new(&heap);
+        let sizes = [
+            (5000usize, 16usize),
+            (4096, 64),
+            (40 << 10, 8),
+            (1 << 20, 8),
+        ];
+        for (n, (size, align)) in sizes.into_iter().enumerate() {
+            let l = Layout::from_size_align(size, align).unwrap();
+            let p = cache.alloc(l);
+            assert!(heap.contains(p));
+            unsafe { cache.dealloc(p, l) };
+            assert_eq!(heap.stats().large_frees, n as u64 + 1, "{size}/{align}");
+        }
+        drop(cache);
+        let s = heap.stats();
+        assert_eq!(
+            (s.magazine_allocs, s.magazine_frees, s.depot_exchanges),
+            (0, 0, 0)
+        );
+        assert_eq!(heap.live_words(), baseline);
+    }
+
+    #[test]
     fn a_full_arena_gets_its_blocks_back_before_the_system_is_asked() {
+        let l = layout(32 << 10);
+        // How many 32 KiB blocks the arena holds, read off a heap of the
+        // same geometry filled until the system is asked.
+        let fits = {
+            let heap = DsaHeap::new(HeapConfig::small());
+            let mut held = Vec::new();
+            loop {
+                let p = heap.alloc_direct(l);
+                if !heap.contains(p) {
+                    unsafe { heap.dealloc_direct(p, l) };
+                    break;
+                }
+                held.push(p);
+            }
+            for p in held.drain(..).rev() {
+                unsafe { heap.dealloc_direct(p, l) };
+            }
+            heap.check_reconciliation();
+            heap.stats().large_allocs as usize
+        };
         let heap = DsaHeap::new(HeapConfig::small());
         let mut cache = ThreadCache::new(&heap);
-        let l = layout(64 << 10);
-        // Fill the arena: the first block it cannot hold is the system's.
-        let mut held = Vec::new();
-        let foreign = loop {
-            let p = cache.alloc(l);
-            if !heap.contains(p) {
-                break p;
-            }
-            held.push(p);
-        };
-        assert_eq!(heap.stats().system_allocs, 1);
-        unsafe { cache.dealloc(foreign, l) };
-        assert_eq!(heap.stats().system_frees, 1);
-        // Set two aside; the next two requests need exactly that room.
-        for _ in 0..2 {
-            unsafe { cache.dealloc(held.pop().unwrap(), l) };
-        }
-        assert_eq!(heap.stats().large_frees, 0);
-        for _ in 0..2 {
-            let p = cache.alloc(l);
-            assert!(
-                heap.contains(p),
-                "the system was asked while the heap had room"
-            );
-            held.push(p);
-        }
-        assert_eq!(heap.stats().large_frees, 2);
-        assert_eq!(heap.stats().system_allocs, 1);
-        for p in held {
+        let held: Vec<*mut u8> = (0..fits).map(|_| cache.alloc(l)).collect();
+        assert!(held.iter().all(|&p| heap.contains(p)));
+        // Every one parks, in the thread's two magazines and the depot.
+        for &p in &held {
             unsafe { cache.dealloc(p, l) };
         }
+        assert_eq!(
+            heap.stats().large_frees,
+            0,
+            "{fits} blocks overflowed the depot"
+        );
+        assert!(heap.depot_parked() > 0);
+        // A block past the ladder that only their room can hold.
+        let big = layout(128 << 10);
+        let p = cache.alloc(big);
+        assert!(
+            heap.contains(p),
+            "the system was asked while the heap had room"
+        );
+        let s = heap.stats();
+        assert_eq!((s.large_frees, s.system_allocs), (fits as u64, 0));
+        assert_eq!(heap.depot_parked(), 0);
+        unsafe { cache.dealloc(p, big) };
         drop(cache);
         heap.check_reconciliation();
         assert_eq!(heap.stats().bad_frees, 0);

@@ -51,7 +51,8 @@ const WINDOW: usize = 512;
 /// churn touches many classes without degenerating into one slab.
 const SMALL_SIZES: [usize; 12] = [16, 24, 32, 48, 64, 96, 128, 192, 256, 512, 1024, 2048];
 
-/// One in this many allocations takes the large path (4 KB–32 KB).
+/// One in this many allocations is a large block (4 KB–32 KB): an
+/// arena class, with no slab.
 const LARGE_EVERY: u64 = 32;
 
 /// An allocation backend under test: the churn driver is generic so
@@ -236,8 +237,8 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
     t.row_owned(books("mixed churn, magazines", &heap, before));
 
     // Phase 2: what magazine depth buys. Small objects only — depth
-    // governs how often the depot lock is touched, and the large path
-    // never sees a magazine.
+    // governs how often the depot lock is touched, and a 32 KiB
+    // class's magazine is capped at 128 KiB whatever the depth.
     let mut depths = Table::new(&["depth", "depot exchanges"])
         .with_title("magazine depth sweep (64-byte churn)");
     let sweep = heap.stats();

@@ -6,8 +6,8 @@
 //!   must render `tests/golden/exp_01_metrics.prom` and
 //!   `exp_19_metrics.prom` byte for byte, so neither the experiments'
 //!   numbers nor the exposition-format renderer can drift silently; in
-//!   both, every metric family's lines form one group, as the format
-//!   requires.
+//!   both, and in exp_16's, every metric family's lines form one group
+//!   and no series repeats, as the format requires.
 //! * **Jobs-width determinism** — exp_01's JSON export at `--jobs 1`
 //!   and `--jobs 4` must be identical bytes: the metrics ride the same
 //!   grid-ordered merge as stdout, so parallelism may not leak in.
@@ -77,6 +77,18 @@ fn assert_families_contiguous(what: &str, text: &str) {
     }
 }
 
+/// Panics if a series (a name and its labels) appears twice in `text`:
+/// Prometheus refuses the whole exposition.
+fn assert_series_distinct(what: &str, text: &str) {
+    let mut series: Vec<&str> = (text.lines())
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| l.rsplit_once(' ').map_or(l, |(s, _)| s))
+        .collect();
+    series.sort_unstable();
+    let repeated: Vec<&[&str]> = series.windows(2).filter(|w| w[0] == w[1]).collect();
+    assert!(repeated.is_empty(), "{what}: repeated series {repeated:?}");
+}
+
 /// Holds `name`'s Prometheus rendering at `--jobs 1` to
 /// `tests/golden/<file>`.
 fn assert_prometheus_golden(name: &str, file: &str) -> String {
@@ -84,6 +96,7 @@ fn assert_prometheus_golden(name: &str, file: &str) -> String {
     let got = run(name, &["--jobs", "1"]).metrics.render_prometheus();
     assert_families_contiguous(file, &golden);
     assert_families_contiguous(name, &got);
+    assert_series_distinct(file, &golden);
     assert!(
         got == golden,
         "{name} Prometheus export drifted from tests/golden/{file} — {}\n\
@@ -91,6 +104,16 @@ fn assert_prometheus_golden(name: &str, file: &str) -> String {
         first_diff(&got, &golden)
     );
     golden
+}
+
+/// exp_16's load-control table repeats each job count once per policy:
+/// the policy must label its rows too.
+#[test]
+fn exp_16_exports_each_series_once() {
+    let text = run("exp_16_load_control", &[]).metrics.render_prometheus();
+    assert_families_contiguous("exp_16_load_control", &text);
+    assert_series_distinct("exp_16_load_control", &text);
+    assert!(text.contains("policy=\"integrated\""), "{text}");
 }
 
 #[test]

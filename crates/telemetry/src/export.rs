@@ -93,32 +93,41 @@ impl TelemetrySnapshot {
     }
 
     /// Lifts a report [`Table`]'s numeric cells into labelled gauges:
-    /// one gauge per numeric column, labelled by the row's first-column
-    /// value. Non-numeric cells are skipped. This is how the experiment
-    /// binaries export their existing report tables without
+    /// one gauge per numeric column, labelled by as many leading cells
+    /// as it takes to tell the table's rows apart (the first alone, in
+    /// most tables). Non-numeric cells are skipped. This is how the
+    /// experiment binaries export their existing report tables without
     /// re-plumbing every figure by hand.
     pub fn table(&mut self, name: &str, table: &Table) {
         let headers = table.headers().to_vec();
         if headers.is_empty() {
             return;
         }
-        let key = sanitize(&headers[0]);
+        let rows = table.rows();
+        let distinct = |k: usize| {
+            let mut keys: Vec<&[String]> = rows.iter().map(|r| &r[..k.min(r.len())]).collect();
+            keys.sort_unstable();
+            keys.windows(2).all(|w| w[0] != w[1])
+        };
+        let k = (1..headers.len())
+            .find(|&k| distinct(k))
+            .unwrap_or(headers.len());
+        let keys: Vec<String> = headers[..k].iter().map(|h| sanitize(h)).collect();
         let help = table.title().unwrap_or("report table cell").to_string();
-        for row in table.rows().to_vec() {
-            let Some(row_key) = row.first() else { continue };
-            for (h, cell) in headers.iter().zip(&row).skip(1) {
+        for row in rows {
+            let labels: Vec<(&str, &str)> = keys
+                .iter()
+                .zip(row)
+                .map(|(h, c)| (h.as_str(), c.as_str()))
+                .collect();
+            for (h, cell) in headers.iter().zip(row).skip(k) {
                 // Accept plain numbers and %-suffixed percentages.
                 let numeric = cell.trim().trim_end_matches('%');
                 let Ok(v) = numeric.parse::<f64>() else {
                     continue;
                 };
                 let col = sanitize(h);
-                self.gauge(
-                    &format!("{name}_{col}"),
-                    &help,
-                    &[(key.as_str(), row_key.as_str())],
-                    v,
-                );
+                self.gauge(&format!("{name}_{col}"), &help, &labels, v);
             }
         }
     }
@@ -490,6 +499,40 @@ mod tests {
         );
         // The non-numeric "note" column is skipped.
         assert!(!text.contains("exp_note"), "{text}");
+    }
+
+    #[test]
+    fn repeated_first_cells_take_the_next_cell_as_a_label() {
+        let mut t = Table::new(&["jobs", "policy", "util"]);
+        for (jobs, policy, util) in [
+            ("8", "open", "0.5"),
+            ("8", "ws", "0.75"),
+            ("16", "open", "0.25"),
+        ] {
+            t.row_owned(vec![jobs.into(), policy.into(), util.into()]);
+        }
+        let mut snap = TelemetrySnapshot::new("dsa");
+        snap.table("lc", &t);
+        let text = snap.render_prometheus();
+        assert!(
+            text.contains("dsa_lc_util{jobs=\"8\",policy=\"open\"} 0.5"),
+            "{text}"
+        );
+        assert!(
+            text.contains("dsa_lc_util{jobs=\"8\",policy=\"ws\"} 0.75"),
+            "{text}"
+        );
+        assert!(
+            text.contains("dsa_lc_util{jobs=\"16\",policy=\"open\"} 0.25"),
+            "{text}"
+        );
+        // A labelling column is not a gauge.
+        assert!(!text.contains("dsa_lc_policy"), "{text}");
+        assert_eq!(
+            text.lines().filter(|l| !l.starts_with('#')).count(),
+            3,
+            "{text}"
+        );
     }
 
     #[test]

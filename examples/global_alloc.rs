@@ -77,8 +77,13 @@ fn phase(threads: usize, ops: usize) {
     println!(
         "{threads} thread(s) x {ops} ops (checksum {total}): books reconciled\n\
          cumulative: {} magazine allocs, {} depot exchanges, {} large allocs,\n\
-         {} system-path allocs, {} bad frees",
-        s.magazine_allocs, s.depot_exchanges, s.large_allocs, s.system_allocs, s.bad_frees
+         {} system-path allocs ({} live), {} bad frees",
+        s.magazine_allocs,
+        s.depot_exchanges,
+        s.large_allocs,
+        s.system_allocs,
+        s.system_allocs.saturating_sub(s.system_frees),
+        s.bad_frees
     );
 }
 

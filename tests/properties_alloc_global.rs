@@ -7,8 +7,8 @@
 //! telemetry ledger (backend ops only) must equal backend-live words
 //! exactly, with magazine- and depot-parked blocks counted as live.
 //! These tests drive that identity through randomized churn at 1, 2,
-//! and 8 threads, through cross-thread hand-offs (small blocks through
-//! the depots, large ones named to the arena by their address alone),
+//! and 8 threads, through cross-thread hand-offs (ladder blocks through
+//! the depots, larger ones named to the arena by their address alone),
 //! and through flush-on-thread-exit.
 
 use std::alloc::Layout;
@@ -20,7 +20,7 @@ use proptest::prelude::*;
 
 /// Ladder sizes the random streams draw from — spanning several
 /// classes so magazines, depots, and slabs all see traffic — plus one
-/// large-path size to keep the routing honest.
+/// arena class (no slab) to keep the routing honest.
 const SIZES: [usize; 7] = [16, 48, 64, 256, 1024, 2048, 5000];
 
 /// One step of a churn stream.
@@ -144,10 +144,10 @@ proptest! {
 
     /// A one-way hand-off: one thread only allocates, the other only
     /// frees, one block in eight large (of varying size and alignment),
-    /// so every large block is named to the arena by a thread that
-    /// never saw it allocated. The books balance at a mid-run pause
-    /// with nothing flushed — blocks still in flight, magazines loaded
-    /// — and again once both caches are gone.
+    /// so every large block is parked or named to the arena by a thread
+    /// that never saw it allocated. The books balance at a mid-run
+    /// pause with nothing flushed — blocks still in flight, magazines
+    /// loaded — and again once both caches are gone.
     #[test]
     fn one_way_handoff_reconciles_mid_run_and_after(
         picks in prop::collection::vec((0usize..SIZES.len() - 1, 0usize..4), 16..400),
@@ -155,8 +155,12 @@ proptest! {
     ) {
         let heap = DsaHeap::new(HeapConfig::small());
         let baseline = heap.live_words();
+        let carves = heap.telemetry().counters().allocs;
         let pause = picks.len() * pause / 16;
         let large = picks.iter().step_by(8).count() as u64;
+        // Over-aligned blocks keep the large path; the others are arena
+        // classes, which a magazine may serve.
+        let aligned = picks.iter().step_by(8).filter(|&&(_, align)| align > 0).count() as u64;
         let (tx, rx) = std::sync::mpsc::channel::<Parcel>();
         // Both threads stop here twice: once to let the books be read,
         // once to go on.
@@ -202,11 +206,16 @@ proptest! {
         heap.check_reconciliation();
         heap.flush_depots();
         heap.check_reconciliation();
-        // However far ahead the producer ran: what overflowed a slab
-        // went the large way too, what the arena could not hold went to
-        // the system, and all of it came back the way it went.
+        // However far ahead the producer ran: every block came from a
+        // magazine, the backend or the system, once; what overflowed a
+        // slab went the large way, as did every large block no magazine
+        // held; what the arena could not hold went to the system, and
+        // all of it came back the way it went.
         let stats = heap.stats();
-        prop_assert_eq!(stats.large_allocs + stats.system_allocs, large + stats.slab_exhausted);
+        let backend = heap.telemetry().counters().allocs - carves;
+        prop_assert_eq!(stats.magazine_allocs + backend + stats.system_allocs, picks.len() as u64);
+        let large_way = stats.large_allocs + stats.system_allocs - stats.slab_exhausted;
+        prop_assert!((aligned..=large).contains(&large_way), "{} large-way blocks", large_way);
         prop_assert_eq!(stats.large_frees, stats.large_allocs);
         prop_assert_eq!(stats.system_frees, stats.system_allocs);
         prop_assert_eq!(stats.bad_frees, 0);
@@ -266,4 +275,52 @@ proptest! {
         prop_assert_eq!(heap.live_words(), baseline);
         prop_assert_eq!(heap.stats().bad_frees, 0);
     }
+}
+
+/// An arena-class block freed on one thread serves another thread's
+/// next allocation of its class through the depot, with no arena call.
+#[test]
+fn an_arena_class_block_crosses_threads_through_the_depot() {
+    let heap = DsaHeap::new(HeapConfig::small());
+    let baseline = heap.live_words();
+    let l = Layout::from_size_align(8 << 10, 8).expect("valid layout");
+    // Three magazines' worth: the freeing thread keeps two and hands
+    // the third to the depot.
+    let count = 3 * HeapConfig::small().magazine_depth;
+    let (tx, rx) = std::sync::mpsc::channel::<Parcel>();
+    let (freed_tx, freed_rx) = std::sync::mpsc::channel::<()>();
+    std::thread::scope(|s| {
+        let heap = &heap;
+        s.spawn(move || {
+            let mut cache = ThreadCache::new(heap);
+            let made: Vec<*mut u8> = (0..count).map(|_| cache.alloc(l)).collect();
+            for &p in &made {
+                tx.send(Parcel(p, l)).expect("receiver alive");
+            }
+            drop(tx);
+            freed_rx.recv().expect("the freeing thread reports");
+            let before = heap.stats();
+            let p = cache.alloc(l);
+            assert!(made.contains(&p));
+            assert_eq!(heap.stats().large_allocs, before.large_allocs);
+            // SAFETY: `p` is live with layout `l`.
+            unsafe { cache.dealloc(p, l) };
+            drop(cache);
+            assert_eq!(heap.stats().depot_exchanges, before.depot_exchanges + 1);
+        });
+        s.spawn(move || {
+            let mut cache = ThreadCache::new(heap);
+            for Parcel(p, l) in rx {
+                // SAFETY: the parcel owns a live block with layout `l`.
+                unsafe { cache.dealloc(p, l) };
+            }
+            drop(cache);
+            freed_tx.send(()).expect("the allocating thread waits");
+        });
+    });
+    heap.check_reconciliation();
+    heap.flush_depots();
+    heap.check_reconciliation();
+    assert_eq!(heap.live_words(), baseline);
+    assert_eq!(heap.stats().bad_frees, 0);
 }

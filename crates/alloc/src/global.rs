@@ -12,7 +12,7 @@
 //! solved here rather than in the heap:
 //!
 //! * **Reentrancy.** The heap's own bookkeeping (shard books, hole
-//!   tables, depot vectors) allocates. If those allocations
+//!   tables, magazines) allocates. If those allocations
 //!   re-entered the heap they would deadlock on the locks already
 //!   held. A thread-local depth guard routes every nested allocation
 //!   to [`System`]; on the free side pointers route by address (region
@@ -32,7 +32,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::sync::OnceLock;
 
-use crate::heap::{DsaHeap, HeapConfig};
+use crate::heap::{DsaHeap, HeapConfig, HeapStats};
 use crate::magazine::ThreadCache;
 
 thread_local! {
@@ -96,6 +96,21 @@ impl GlobalDsa {
                 }
             }
         });
+    }
+
+    /// The heap's counters plus the calling thread's magazine hits and
+    /// depot exchanges not yet folded in; flushes nothing. Other
+    /// threads' counts still trail until they flush or exit.
+    pub fn stats(&self) -> HeapStats {
+        let heap = self.heap();
+        let mut stats = heap.stats();
+        let _ = CACHE.try_with(|slot| match slot.try_borrow().as_deref() {
+            Ok(Some(cache)) if std::ptr::eq(cache.heap_ptr(), heap) => {
+                cache.add_unfolded(&mut stats)
+            }
+            _ => {}
+        });
+        stats
     }
 
     /// The heap with its lifetime extended to `'static`.
@@ -352,6 +367,31 @@ mod tests {
         heap.check_reconciliation();
         assert_eq!(heap.live_words(), baseline);
         assert_eq!(heap.stats().large_frees, 40);
+    }
+
+    #[test]
+    fn stats_count_this_threads_magazines_before_any_flush() {
+        static OWN: GlobalDsa = GlobalDsa::new(HeapConfig::small());
+        // A thread of its own, so its cache fronts `OWN`.
+        std::thread::spawn(|| {
+            let l = Layout::from_size_align(64, 8).unwrap();
+            let p = unsafe { OWN.alloc(l) };
+            unsafe { OWN.dealloc(p, l) };
+            let q = unsafe { OWN.alloc(l) };
+            assert_eq!(p, q, "the magazine hands the block back");
+            unsafe { OWN.dealloc(q, l) };
+            let folded = OWN.heap().stats();
+            assert_eq!((folded.magazine_allocs, folded.magazine_frees), (0, 0));
+            let s = OWN.stats();
+            assert_eq!((s.magazine_allocs, s.magazine_frees), (1, 2));
+            // Reading folded nothing in.
+            assert_eq!(OWN.heap().stats(), folded);
+            OWN.flush_current_thread();
+            assert_eq!(OWN.stats(), OWN.heap().stats());
+            assert_eq!(OWN.heap().stats().magazine_frees, 2);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

@@ -38,7 +38,6 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
 use dsa_arena::{FixedSlab, ShardedArena};
 use dsa_core::ids::{PhysAddr, Words};
@@ -93,12 +92,15 @@ pub struct HeapConfig {
 
 impl HeapConfig {
     /// The default geometry: a 32 MiB region, 8 shards, 1024 units per
-    /// class (~13 MiB of slab pages), 32-object magazines.
+    /// class (~13 MiB of slab pages), magazines at their full depth
+    /// ([`MAG_MAX`]). A magazine changes hands by pointer, so a deeper
+    /// one costs an exchange nothing more, and a slab class meets the
+    /// depot half as often as at 32; it may also park twice as much.
     pub const DEFAULT: HeapConfig = HeapConfig {
         arena_words: 4 << 20,
         shards: 8,
         class_units: 1024,
-        magazine_depth: 32,
+        magazine_depth: MAG_MAX,
     };
 
     /// A small geometry for tests: a 2 MiB region, 4 shards, 64 units
@@ -198,8 +200,8 @@ struct Counters {
 
 /// The three-layer heap. See the [crate docs](crate) for the layout.
 ///
-/// All methods take `&self`; the slab layer is lock-free, the large
-/// path locks one arena shard, and the magazine depots lock per class.
+/// All methods take `&self`; the slab layer and the magazine depots are
+/// lock-free, and the large path locks one arena shard.
 /// [`crate::ThreadCache`] sits on top and removes even the atomics from
 /// the common path.
 pub struct DsaHeap {
@@ -208,7 +210,7 @@ pub struct DsaHeap {
     region: Region,
     arena: ShardedArena,
     slabs: Vec<ClassSlab>,
-    depots: Vec<Mutex<Depot>>,
+    depots: Vec<Depot>,
     telemetry: TelemetryProbe,
     counters: Counters,
 }
@@ -301,9 +303,7 @@ impl DsaHeap {
                 span_words,
             });
         }
-        let depots = (0..classes.count())
-            .map(|_| Mutex::new(Depot::default()))
-            .collect();
+        let depots = (0..classes.count()).map(|_| Depot::default()).collect();
 
         DsaHeap {
             config,
@@ -378,11 +378,12 @@ impl DsaHeap {
     }
 
     /// Objects currently parked in full depot magazines, per class sum.
+    /// Safe to call while other threads exchange: it reads the lengths
+    /// the depot slots carry, never a magazine. Each slot is read once,
+    /// so a class never reads past `DEPOT_MAX_FULL` magazines.
     #[must_use]
     pub fn depot_parked(&self) -> u64 {
-        (0..self.depots.len())
-            .map(|c| self.depot(c).parked() as u64)
-            .sum()
+        self.depots.iter().map(|d| d.full.parked() as u64).sum()
     }
 
     // ---- allocation paths -------------------------------------------------
@@ -617,13 +618,9 @@ impl DsaHeap {
 
     // ---- magazine support -------------------------------------------------
 
-    /// Locks class `c`'s depot (poison rides out — the books are
-    /// guarded by their own invariants, not by lock cleanliness).
-    pub(crate) fn depot(&self, c: usize) -> MutexGuard<'_, Depot> {
-        match self.depots[c].lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+    /// Class `c`'s depot.
+    pub(crate) fn depot(&self, c: usize) -> &Depot {
+        &self.depots[c]
     }
 
     /// Folds a cache's local magazine and depot counters into the
@@ -649,12 +646,10 @@ impl DsaHeap {
     /// they held anything.
     pub(crate) fn drain_depots(&self, from: usize) -> bool {
         let mut drained = false;
-        for c in from..self.depots.len() {
-            loop {
-                let mag = self.depot(c).full.pop();
-                let Some(mut mag) = mag else { break };
+        for (c, depot) in self.depots.iter().enumerate().skip(from) {
+            while let Some(mut mag) = depot.full.take() {
                 self.release(c, mag.drain());
-                self.depot(c).empty.push(mag);
+                let _ = depot.empty.put(mag);
                 drained = true;
             }
         }

@@ -16,8 +16,9 @@
 //!    two-magazine scheme: each thread holds a *loaded* and a
 //!    *previous* magazine per class, so the common alloc/free path
 //!    touches no shared state at all. When both run dry (or full) the
-//!    thread swaps a magazine with a per-class depot under a short
-//!    lock, amortizing one lock acquisition over a whole magazine of
+//!    thread trades a magazine with a per-class depot, by pointer,
+//!    through a lock-free array of slots: one atomic swap or
+//!    compare-exchange each way, amortized over a whole magazine of
 //!    operations. Every class rides them, the slabless ones included.
 //! 3. **Sharded large path** — requests past the ladder go through the
 //!    [`dsa_arena::ShardedArena`] proper (first-fit shards, overflow
@@ -28,7 +29,7 @@
 //! [`core::alloc::GlobalAlloc`], so the whole thing can be installed
 //! with `#[global_allocator]`; the `nightly` feature additionally
 //! implements the unstable `core::alloc::Allocator` trait. The heap's
-//! own bookkeeping (shard books, hole tables, depot vectors)
+//! own bookkeeping (shard books, hole tables, magazines)
 //! routes to [`std::alloc::System`] through a reentrancy guard, which
 //! is what makes self-hosting safe.
 //!
@@ -47,4 +48,4 @@ mod magazine;
 
 pub use global::GlobalDsa;
 pub use heap::{DsaHeap, HeapConfig, HeapStats};
-pub use magazine::{ThreadCache, MAG_MAX};
+pub use magazine::{ThreadCache, DEPOT_MAX_FULL, MAG_MAX};

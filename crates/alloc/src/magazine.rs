@@ -7,17 +7,24 @@
 //! common path. The protocol on exhaustion is Bonwick's:
 //!
 //! * **alloc, loaded empty**: if the previous magazine has objects,
-//!   swap the two and pop (still lock-free). Otherwise exchange an
-//!   empty magazine for a full one at the per-class *depot* under a
-//!   short lock; if the depot is dry, take one object straight from
-//!   the slab — magazines fill up on the free side.
+//!   swap the two and pop. Otherwise exchange the empty magazine for a
+//!   full one at the per-class *depot*; if the depot is dry, take one
+//!   object straight from the slab — magazines fill up on the free
+//!   side.
 //! * **free, loaded full**: if the previous magazine is empty, swap
-//!   and push. Otherwise hand a full magazine to the depot, take an
+//!   and push. Otherwise hand the full magazine to the depot, take an
 //!   empty one, and push.
 //!
-//! The depot bounds its stock (the freeing thread drains overflow back
-//! to the slab), so parked memory per class is capped at
-//! `(DEPOT_MAX_FULL + 2 × threads) × depth` objects.
+//! Magazines are boxed and change hands by pointer. A depot is
+//! lock-free: [`DEPOT_MAX_FULL`] slots for full magazines and as many
+//! for empty ones, each slot null or the sole owner of a magazine. A
+//! take swaps a slot to null; a put compare-exchanges a null slot to
+//! the magazine, so a slot only goes null ↔ owned and there is no ABA.
+//! A full magazine that finds no null slot is drained to the backend
+//! by the thread that brought it, and an empty one is freed, so parked
+//! memory per slab class is capped at `(DEPOT_MAX_FULL + 2 × threads)
+//! × depth` objects: at the default depth ([`MAG_MAX`]), twice what it
+//! was at 32.
 //!
 //! The arena classes (2–32 KiB, no slab) ride the same magazines: a
 //! miss takes an arena block of exactly the class size, and overflow
@@ -28,45 +35,51 @@
 //! blocks back before the system is asked.
 //!
 //! Accounting: magazine hits and depot exchanges are counted in plain
-//! (non-atomic) thread-local counters and folded into the heap's
-//! [`HeapStats`](crate::heap::HeapStats) on flush and thread exit. The
-//! telemetry probe never sees a magazine hit — it tracks backend
-//! traffic, and an object parked in a magazine is still backend-live.
-//! That is what keeps [`DsaHeap::check_reconciliation`] exact without
-//! quiescing threads.
+//! thread-local counters and folded into the heap's [`HeapStats`] on
+//! flush and thread exit. The telemetry probe never sees a magazine
+//! hit — it tracks backend traffic, and an object parked in a magazine
+//! is still backend-live. That is what keeps
+//! [`DsaHeap::check_reconciliation`] exact without quiescing threads.
 
 use std::alloc::Layout;
+use std::ptr;
+use std::sync::atomic::{AtomicPtr, Ordering};
 
-use crate::heap::DsaHeap;
+use crate::heap::{DsaHeap, HeapStats};
 
 /// Hard capacity of a magazine; the runtime depth
 /// ([`crate::HeapConfig::magazine_depth`]) may be anything up to this.
 pub const MAG_MAX: usize = 64;
 
-/// Full magazines a depot retains per class; one more is drained back
-/// to the slab by the thread that brought it.
-const DEPOT_MAX_FULL: usize = 8;
+/// Full magazines a depot parks per class, and empty ones.
+pub const DEPOT_MAX_FULL: usize = 8;
 
 /// Bytes one magazine may hold: caps the depth of the arena classes.
 const MAG_MAX_BYTES: u64 = 128 << 10;
 
-/// A fixed stack of cached object pointers for one size class.
-#[repr(C)]
+/// A fixed stack of cached object pointers for one size class. Aligned
+/// past [`MAG_MAX`], so a depot slot carries its magazine's length in
+/// the pointer's low bits.
+#[repr(align(128))]
 pub(crate) struct Magazine {
-    ptrs: [*mut u8; MAG_MAX],
     len: usize,
+    ptrs: [*mut u8; MAG_MAX],
 }
+
+const _: () = assert!(MAG_MAX < std::mem::align_of::<Magazine>());
 
 // SAFETY: the pointers are cached heap objects whose ownership moves
 // with the magazine; a magazine is only ever touched by one thread at
-// a time (its owner, or a depot holder under the depot lock).
+// a time (its owner, or whoever took it from a depot slot).
 unsafe impl Send for Magazine {}
 
 impl Magazine {
-    pub(crate) const EMPTY: Magazine = Magazine {
-        ptrs: [std::ptr::null_mut(); MAG_MAX],
-        len: 0,
-    };
+    pub(crate) fn boxed() -> Box<Magazine> {
+        Box::new(Magazine {
+            len: 0,
+            ptrs: [ptr::null_mut(); MAG_MAX],
+        })
+    }
 
     pub(crate) fn push(&mut self, p: *mut u8) {
         debug_assert!(self.len < MAG_MAX);
@@ -94,29 +107,85 @@ impl Magazine {
     }
 }
 
-/// The per-class exchange point: full magazines waiting for hungry
-/// threads, empty shells waiting for full ones.
-#[derive(Default)]
-pub(crate) struct Depot {
-    pub(crate) full: Vec<Magazine>,
-    pub(crate) empty: Vec<Magazine>,
+/// The length a slot's pointer carries.
+fn tag_of(p: *mut Magazine) -> usize {
+    p as usize % std::mem::align_of::<Magazine>()
 }
 
-impl Depot {
-    /// Objects parked in this depot's full magazines.
+/// One side of a depot: each slot is null or the sole owner of a boxed
+/// magazine, its pointer tagged with the magazine's length.
+#[derive(Default)]
+pub(crate) struct Slots([AtomicPtr<Magazine>; DEPOT_MAX_FULL]);
+
+impl Slots {
+    pub(crate) fn take(&self) -> Option<Box<Magazine>> {
+        self.0.iter().find_map(|slot| {
+            if slot.load(Ordering::Relaxed).is_null() {
+                return None;
+            }
+            let p = slot.swap(ptr::null_mut(), Ordering::Acquire);
+            let p = p.cast::<u8>().wrapping_sub(tag_of(p)).cast::<Magazine>();
+            // SAFETY: a non-null slot holds a pointer from `put`, which
+            // is `Box::into_raw`'s plus the tag just subtracted. Swapping
+            // in null makes this thread the magazine's only owner, and
+            // the acquire pairs with `put`'s release, so its pushes are
+            // visible here.
+            (!p.is_null()).then(|| unsafe { Box::from_raw(p) })
+        })
+    }
+
+    /// Parks `mag` in a null slot, or hands it back if there is none.
+    pub(crate) fn put(&self, mag: Box<Magazine>) -> Result<(), Box<Magazine>> {
+        let len = mag.len();
+        let p = Box::into_raw(mag)
+            .cast::<u8>()
+            .wrapping_add(len)
+            .cast::<Magazine>();
+        for slot in &self.0 {
+            if slot.load(Ordering::Relaxed).is_null()
+                && (slot.compare_exchange(ptr::null_mut(), p, Ordering::Release, Ordering::Relaxed))
+                    .is_ok()
+            {
+                return Ok(());
+            }
+        }
+        // SAFETY: no slot took `p`, so this thread still owns it.
+        Err(unsafe { Box::from_raw(p.cast::<u8>().wrapping_sub(len).cast()) })
+    }
+
+    /// Objects in the parked magazines, read off the tags: no magazine
+    /// is followed, and each slot is read once, so the sum never passes
+    /// `DEPOT_MAX_FULL` magazines.
     pub(crate) fn parked(&self) -> usize {
-        self.full.iter().map(Magazine::len).sum()
+        (self.0.iter())
+            .map(|slot| tag_of(slot.load(Ordering::Relaxed)))
+            .sum()
     }
 }
 
-/// The loaded/previous pair for one size class, with the depth right
-/// after the loaded magazine's length: a free reads both.
-#[repr(C)]
+impl Drop for Slots {
+    fn drop(&mut self) {
+        while self.take().is_some() {}
+    }
+}
+
+/// The per-class exchange point: full magazines waiting for hungry
+/// threads, empty ones waiting for full ones. On cache lines of its
+/// own.
+#[derive(Default)]
+#[repr(align(64))]
+pub(crate) struct Depot {
+    pub(crate) full: Slots,
+    pub(crate) empty: Slots,
+}
+
+/// The loaded/previous pair for one size class, and the depth a free
+/// reads beside them.
 struct ClassMags {
-    loaded: Magazine,
+    loaded: Box<Magazine>,
     /// Objects a magazine of this class holds before it counts as full.
     depth: usize,
-    prev: Magazine,
+    prev: Box<Magazine>,
 }
 
 /// A per-thread front-end for a [`DsaHeap`].
@@ -155,8 +224,8 @@ impl<'h> ThreadCache<'h> {
         );
         let mags = (heap.classes().classes().iter())
             .map(|&bytes| ClassMags {
-                loaded: Magazine::EMPTY,
-                prev: Magazine::EMPTY,
+                loaded: Magazine::boxed(),
+                prev: Magazine::boxed(),
                 depth: depth.min((MAG_MAX_BYTES / bytes) as usize),
             })
             .collect();
@@ -254,9 +323,16 @@ impl<'h> ThreadCache<'h> {
         })
     }
 
+    /// Adds the hit and exchange counts not yet folded into the heap's
+    /// books to `stats`.
+    pub(crate) fn add_unfolded(&self, stats: &mut HeapStats) {
+        stats.magazine_allocs += self.local_allocs;
+        stats.magazine_frees += self.local_frees;
+        stats.depot_exchanges += self.local_exchanges;
+    }
+
     /// Returns every parked object to the heap and folds the hit
-    /// counters into [`HeapStats`](crate::heap::HeapStats). The cache
-    /// stays usable.
+    /// counters into [`HeapStats`]. The cache stays usable.
     pub(crate) fn flush(&mut self) {
         // Outside an allocator frame (thread exit, an explicit flush):
         // the arena's books may grow under the shard locks taken here,
@@ -274,17 +350,10 @@ impl<'h> ThreadCache<'h> {
     /// Cold alloc path: depot exchange, then the raw slab, then the
     /// large path (an arena class, or the slab exhausted).
     fn alloc_slow(&mut self, class: usize, layout: Layout) -> *mut u8 {
-        let exchanged = {
-            let mut depot = self.heap.depot(class);
-            if let Some(full) = depot.full.pop() {
-                let shell = std::mem::replace(&mut self.mags[class].loaded, full);
-                depot.empty.push(shell);
-                true
-            } else {
-                false
-            }
-        };
-        if exchanged {
+        let depot = self.heap.depot(class);
+        if let Some(full) = depot.full.take() {
+            let empty = std::mem::replace(&mut self.mags[class].loaded, full);
+            let _ = depot.empty.put(empty);
             self.local_exchanges += 1;
             if let Some(p) = self.mags[class].loaded.pop() {
                 self.local_allocs += 1;
@@ -301,24 +370,17 @@ impl<'h> ThreadCache<'h> {
     }
 
     /// Cold free path: trade the full loaded magazine for an empty one
-    /// at the depot, then push. A depot already at its bound declines
-    /// the full one under the same lock, and it is drained to the
-    /// backend here instead (bounding parked memory).
+    /// at the depot, then push. A depot already at its bound hands the
+    /// full one back, and it is drained to the backend here instead
+    /// (bounding parked memory).
     fn dealloc_slow(&mut self, class: usize, ptr: *mut u8) {
-        let surplus = {
-            let mut depot = self.heap.depot(class);
-            let shell = depot.empty.pop().unwrap_or(Magazine::EMPTY);
-            let full = std::mem::replace(&mut self.mags[class].loaded, shell);
-            if depot.full.len() < DEPOT_MAX_FULL {
-                depot.full.push(full);
-                None
-            } else {
-                Some(full)
-            }
-        };
+        let depot = self.heap.depot(class);
+        let empty = depot.empty.take().unwrap_or_else(Magazine::boxed);
+        let full = std::mem::replace(&mut self.mags[class].loaded, empty);
         self.local_exchanges += 1;
-        if let Some(mut mag) = surplus {
-            self.heap.release(class, mag.drain());
+        if let Err(mut surplus) = depot.full.put(full) {
+            self.heap.release(class, surplus.drain());
+            let _ = depot.empty.put(surplus);
         }
         self.mags[class].loaded.push(ptr);
         self.local_frees += 1;
@@ -342,7 +404,7 @@ mod tests {
 
     #[test]
     fn magazine_is_a_lifo_stack() {
-        let mut m = Magazine::EMPTY;
+        let mut m = Magazine::boxed();
         assert_eq!(m.pop(), None);
         m.push(8 as *mut u8);
         m.push(16 as *mut u8);
@@ -600,6 +662,42 @@ mod tests {
         );
         cache.flush();
         assert_eq!(heap.stats().depot_exchanges, trips);
+        heap.flush_depots();
+        heap.check_reconciliation();
+    }
+
+    #[test]
+    fn magazines_change_hands_by_pointer() {
+        let heap = DsaHeap::new(HeapConfig::small());
+        let depth = heap.config().magazine_depth;
+        let l = layout(64);
+        let class = heap.small_class(l).unwrap();
+        let addr = |c: &ThreadCache<'_>| std::ptr::from_ref::<Magazine>(&c.mags[class].loaded);
+        let (mut consumer, mut producer) = (ThreadCache::new(&heap), ThreadCache::new(&heap));
+        // The consumer fills both its magazines; one more free sends
+        // the loaded one to the depot.
+        let ptrs: Vec<*mut u8> = (0..=2 * depth).map(|_| heap.alloc_direct(l)).collect();
+        for &p in &ptrs[..2 * depth] {
+            unsafe { consumer.dealloc(p, l) };
+        }
+        let handed_in = addr(&consumer);
+        unsafe { consumer.dealloc(ptrs[2 * depth], l) };
+        assert_eq!(heap.depot_parked(), depth as u64);
+        // The producer's empty magazine goes to the depot as the full
+        // one comes out: the same allocation, both ways.
+        let shell = addr(&producer);
+        let p = producer.alloc(l);
+        assert!(ptrs.contains(&p));
+        assert_eq!(addr(&producer), handed_in);
+        assert_eq!(heap.depot_parked(), 0);
+        // The consumer's next trip takes the producer's shell back.
+        let more: Vec<*mut u8> = (0..depth).map(|_| heap.alloc_direct(l)).collect();
+        for &q in &more {
+            unsafe { consumer.dealloc(q, l) };
+        }
+        assert_eq!(addr(&consumer), shell);
+        unsafe { producer.dealloc(p, l) };
+        drop((consumer, producer));
         heap.flush_depots();
         heap.check_reconciliation();
     }

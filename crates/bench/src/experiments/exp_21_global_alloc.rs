@@ -237,7 +237,7 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
     t.row_owned(books("mixed churn, magazines", &heap, before));
 
     // Phase 2: what magazine depth buys. Small objects only — depth
-    // governs how often the depot lock is touched, and a 32 KiB
+    // governs how often a thread meets the depot, and a 32 KiB
     // class's magazine is capped at 128 KiB whatever the depth.
     let mut depths = Table::new(&["depth", "depot exchanges"])
         .with_title("magazine depth sweep (64-byte churn)");

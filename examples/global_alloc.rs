@@ -73,7 +73,7 @@ fn phase(threads: usize, ops: usize) {
     ALLOC.flush_current_thread();
     ALLOC.heap().flush_depots();
     ALLOC.heap().check_reconciliation();
-    let s = ALLOC.heap().stats();
+    let s = ALLOC.stats();
     println!(
         "{threads} thread(s) x {ops} ops (checksum {total}): books reconciled\n\
          cumulative: {} magazine allocs, {} depot exchanges, {} large allocs,\n\

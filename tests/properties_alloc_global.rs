@@ -9,13 +9,15 @@
 //! These tests drive that identity through randomized churn at 1, 2,
 //! and 8 threads, through cross-thread hand-offs (ladder blocks through
 //! the depots, larger ones named to the arena by their address alone),
-//! and through flush-on-thread-exit.
+//! and through flush-on-thread-exit. Two plain tests hammer the
+//! lock-free depot itself: every op of a depth-1 ring of threads is an
+//! exchange, and its bound is read while magazines are in flight.
 
 use std::alloc::Layout;
 use std::collections::HashSet;
 use std::sync::Barrier;
 
-use dsa::alloc::{DsaHeap, HeapConfig, ThreadCache};
+use dsa::alloc::{DsaHeap, HeapConfig, ThreadCache, DEPOT_MAX_FULL};
 use proptest::prelude::*;
 
 /// Ladder sizes the random streams draw from — spanning several
@@ -322,5 +324,144 @@ fn an_arena_class_block_crosses_threads_through_the_depot() {
     heap.flush_depots();
     heap.check_reconciliation();
     assert_eq!(heap.live_words(), baseline);
+    assert_eq!(heap.stats().bad_frees, 0);
+}
+
+/// Room for a few hundred 64-byte units and a megabyte of 8 KiB blocks
+/// in flight, so the depot tests exchange rather than exhaust.
+fn roomy() -> HeapConfig {
+    HeapConfig {
+        arena_words: 1 << 20,
+        class_units: 256,
+        ..HeapConfig::small()
+    }
+}
+
+/// A block on its way to another thread, with the tag its maker wrote
+/// into its first word.
+struct Stamped(*mut u8, u64);
+
+// SAFETY: as for `Parcel`: the unique handle to a live block.
+unsafe impl Send for Stamped {}
+
+/// The slot protocol under stress: 2–4 threads in a ring, each with
+/// depth-1 magazines, so every alloc past the first and every free is
+/// a depot exchange. Each thread stamps what it makes with a tag no
+/// other block carries and sends it on; the next thread checks the tag
+/// and frees the block. A block handed out twice while live would have
+/// its tag overwritten; one lost would unbalance the books. While the
+/// ring runs and after, the depot never reads past its bound of
+/// `DEPOT_MAX_FULL` magazines.
+#[test]
+fn a_depth_one_ring_exchanges_every_op_and_loses_nothing() {
+    const ROUNDS: u64 = 400;
+    const BATCH: u64 = 16;
+    let depth = 1;
+    for size in [64usize, 8 << 10] {
+        for threads in 2..=4usize {
+            let heap = DsaHeap::new(roomy());
+            let baseline = heap.live_words();
+            let l = Layout::from_size_align(size, 8).expect("valid layout");
+            let (txs, rxs): (Vec<_>, Vec<_>) = (0..threads)
+                .map(|_| std::sync::mpsc::channel::<Stamped>())
+                .unzip();
+            let mut rxs: Vec<_> = rxs.into_iter().map(Some).collect();
+            std::thread::scope(|s| {
+                let heap = &heap;
+                let ring: Vec<_> = (0..threads)
+                    .map(|t| {
+                        let tx = txs[(t + 1) % threads].clone();
+                        let rx = rxs[t].take().expect("one receiver per thread");
+                        s.spawn(move || {
+                            let mut cache = ThreadCache::with_depth(heap, depth);
+                            for round in 0..ROUNDS {
+                                for j in 0..BATCH {
+                                    let tag = ((t as u64) << 56) | (round * BATCH + j);
+                                    let p = cache.alloc(l);
+                                    assert!(!p.is_null());
+                                    // SAFETY: `p` is a live block of `size` >= 8 bytes.
+                                    unsafe { p.cast::<u64>().write(tag) };
+                                    tx.send(Stamped(p, tag)).expect("ring alive");
+                                }
+                                for _ in 0..BATCH {
+                                    let Stamped(p, tag) = rx.recv().expect("ring alive");
+                                    // SAFETY: the stamp owns a live block.
+                                    let seen = unsafe { p.cast::<u64>().read() };
+                                    assert_eq!(seen, tag, "{size}: a block was handed out twice");
+                                    // SAFETY: as above; freed once, with its layout.
+                                    unsafe {
+                                        p.cast::<u64>().write(!tag);
+                                        cache.dealloc(p, l);
+                                    }
+                                }
+                            }
+                        })
+                    })
+                    .collect();
+                drop(txs);
+                let bound = (DEPOT_MAX_FULL * depth) as u64;
+                while !ring.iter().all(|h| h.is_finished()) {
+                    let parked = heap.depot_parked();
+                    assert!(parked <= bound, "{parked} parked past {bound}");
+                }
+            });
+            // Every cache has flushed on exit; what the depot holds is
+            // within its bound, and every block is back.
+            assert!(heap.depot_parked() <= (DEPOT_MAX_FULL * depth) as u64);
+            heap.check_reconciliation();
+            heap.flush_depots();
+            assert_eq!(heap.depot_parked(), 0);
+            heap.check_reconciliation();
+            assert_eq!(
+                heap.live_words(),
+                baseline,
+                "{size} x {threads}: blocks lost"
+            );
+            let s = heap.stats();
+            let ops = 2 * ROUNDS * BATCH * threads as u64;
+            assert!(s.depot_exchanges >= ops / 2, "{size} x {threads}: {s:?}");
+            assert_eq!((s.bad_frees, s.slab_exhausted, s.system_allocs), (0, 0, 0));
+        }
+    }
+}
+
+/// `depot_parked` never reads a magazine another thread may be freeing:
+/// read in a loop while a producer and a consumer trade one class's
+/// magazines through the depot, it races nothing (CI runs this file
+/// under TSan) and stays within the depot's bound.
+#[test]
+fn depot_parked_is_safe_to_read_during_exchanges() {
+    let heap = DsaHeap::new(roomy());
+    let depth = roomy().magazine_depth;
+    let l = Layout::from_size_align(64, 8).expect("valid layout");
+    let (tx, rx) = std::sync::mpsc::sync_channel::<Parcel>(32);
+    let mut reads = 0u64;
+    std::thread::scope(|s| {
+        let heap = &heap;
+        s.spawn(move || {
+            let mut cache = ThreadCache::new(heap);
+            for _ in 0..20_000 {
+                tx.send(Parcel(cache.alloc(l), l)).expect("receiver alive");
+            }
+        });
+        let consumer = s.spawn(move || {
+            let mut cache = ThreadCache::new(heap);
+            for Parcel(p, l) in rx {
+                // SAFETY: the parcel owns a live block with layout `l`.
+                unsafe { cache.dealloc(p, l) };
+            }
+        });
+        let bound = (DEPOT_MAX_FULL * depth) as u64;
+        while !consumer.is_finished() {
+            let parked = heap.depot_parked();
+            assert!(parked <= bound, "{parked} parked past {bound}");
+            reads += 1;
+        }
+    });
+    assert!(reads > 0);
+    assert!(heap.stats().depot_exchanges > 0);
+    heap.check_reconciliation();
+    heap.flush_depots();
+    heap.check_reconciliation();
     assert_eq!(heap.stats().bad_frees, 0);
 }

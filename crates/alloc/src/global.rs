@@ -193,7 +193,7 @@ fn with_cache<R>(
     }
 }
 
-// SAFETY: the three layers of `DsaHeap` uphold `GlobalAlloc`'s
+// SAFETY: `DsaHeap`'s arena and magazines uphold `GlobalAlloc`'s
 // contract — live blocks are disjoint, suitably aligned, and stable —
 // and the depth guard keeps the allocator's own footprint on `System`.
 unsafe impl GlobalAlloc for GlobalDsa {
@@ -244,7 +244,7 @@ unsafe impl GlobalAlloc for GlobalDsa {
             // Allocated before the heap existed, under the guard, or by
             // the exhaustion fallback.
             // SAFETY: caller contract.
-            unsafe { heap.dealloc_outside_slab(ptr, layout) };
+            unsafe { heap.dealloc_direct(ptr, layout) };
         }
         leave();
     }
@@ -351,15 +351,15 @@ mod tests {
         static OWN: GlobalDsa = GlobalDsa::new(HeapConfig::small());
         let heap = OWN.heap();
         let baseline = heap.live_words();
-        // 8 KiB: eight a magazine at this geometry's depth.
+        // 8 KiB: sixteen a magazine, 128 KiB.
         let l = Layout::from_size_align(8 << 10, 8).unwrap();
         let ptrs: Vec<*mut u8> = (0..40).map(|_| unsafe { OWN.alloc(l) }).collect();
         for p in ptrs {
             unsafe { OWN.dealloc(p, l) };
         }
-        // Sixteen in this thread's magazines, twenty-four in the depot,
+        // Twenty-four in this thread's magazines, sixteen in the depot,
         // all of them arena-live.
-        assert_eq!(heap.depot_parked(), 24);
+        assert_eq!(heap.depot_parked(), 16);
         assert_eq!(heap.live_words(), baseline + 40 * 1024);
         heap.check_reconciliation();
         OWN.flush_current_thread();

@@ -6,12 +6,11 @@
 //! the loop and runs the same machinery as an actual Rust heap:
 //!
 //! 1. **Size-class heap** ([`DsaHeap`]) — a jemalloc-style ladder from
-//!    the shared [`dsa_core::sizeclass`] geometry, 8..=32768 bytes. Up
-//!    to 2048 bytes each class is a lock-free
-//!    [`dsa_arena::FixedSlab`] over pages carved from a backing
-//!    [`dsa_arena::ShardedArena`]: an allocation is a single
-//!    tagged-CAS pop, a free a single push. The classes above have no
-//!    slab; each block is one arena block of exactly the class size.
+//!    the shared [`dsa_core::sizeclass`] geometry, 8..=32768 bytes, over
+//!    one [`dsa_arena::ShardedArena`] region (first-fit shards, overflow
+//!    stealing, quick lists). A block of a class is one arena block of
+//!    exactly the class size, named by the address handed out: one
+//!    shard lock each way, and no book but the shard's own.
 //! 2. **Per-thread magazine caches** ([`ThreadCache`]) — Bonwick's
 //!    two-magazine scheme: each thread holds a *loaded* and a
 //!    *previous* magazine per class, so the common alloc/free path
@@ -19,11 +18,11 @@
 //!    thread trades a magazine with a per-class depot, by pointer,
 //!    through a lock-free array of slots: one atomic swap or
 //!    compare-exchange each way, amortized over a whole magazine of
-//!    operations. Every class rides them, the slabless ones included.
-//! 3. **Sharded large path** — requests past the ladder go through the
-//!    [`dsa_arena::ShardedArena`] proper (first-fit shards, overflow
-//!    stealing, quick lists), each block named by the address handed
-//!    out: one shard lock each way, and no book but the shard's own.
+//!    operations. A magazine miss takes one arena block of the class
+//!    size; an overflow or a flush returns a magazine's blocks to the
+//!    arena in one batch.
+//! 3. **The large path** — requests past the ladder, or aligned past a
+//!    word, go to the arena and straight back, never parked.
 //!
 //! [`GlobalDsa`] packages the three layers behind
 //! [`core::alloc::GlobalAlloc`], so the whole thing can be installed
@@ -33,8 +32,8 @@
 //! routes to [`std::alloc::System`] through a reentrancy guard, which
 //! is what makes self-hosting safe.
 //!
-//! Telemetry is not bolted on: every backend operation (slab pop/push,
-//! arena alloc/free) flows through the crate's
+//! Telemetry is not bolted on: every backend operation (an arena alloc
+//! or free) flows through the crate's
 //! [`dsa_telemetry::TelemetryProbe`], and
 //! [`DsaHeap::check_reconciliation`] proves the probe's ledger equals
 //! the heap's — the same books-must-balance discipline the simulators

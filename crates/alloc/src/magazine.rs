@@ -9,8 +9,8 @@
 //! * **alloc, loaded empty**: if the previous magazine has objects,
 //!   swap the two and pop. Otherwise exchange the empty magazine for a
 //!   full one at the per-class *depot*; if the depot is dry, take one
-//!   object straight from the slab — magazines fill up on the free
-//!   side.
+//!   arena block of exactly the class size — magazines fill up on the
+//!   free side.
 //! * **free, loaded full**: if the previous magazine is empty, swap
 //!   and push. Otherwise hand the full magazine to the depot, take an
 //!   empty one, and push.
@@ -20,19 +20,13 @@
 //! for empty ones, each slot null or the sole owner of a magazine. A
 //! take swaps a slot to null; a put compare-exchanges a null slot to
 //! the magazine, so a slot only goes null ↔ owned and there is no ABA.
-//! A full magazine that finds no null slot is drained to the backend
-//! by the thread that brought it, and an empty one is freed, so parked
-//! memory per slab class is capped at `(DEPOT_MAX_FULL + 2 × threads)
-//! × depth` objects: at the default depth ([`MAG_MAX`]), twice what it
-//! was at 32.
-//!
-//! The arena classes (2–32 KiB, no slab) ride the same magazines: a
-//! miss takes an arena block of exactly the class size, and overflow
-//! drains back to the arena by name, one batch per magazine. Their
-//! magazines hold at most 128 KiB each, so parked memory per arena
-//! class is capped at `(DEPOT_MAX_FULL + 2 × threads) × 128 KiB`. A
-//! full arena gets the calling thread's and the depots' arena-class
-//! blocks back before the system is asked.
+//! A full magazine that finds no null slot is drained to the arena by
+//! name, one batch per magazine, by the thread that brought it, and an
+//! empty one is freed. A magazine holds at most [`MAG_MAX`] objects and
+//! at most 128 KiB, so parked memory per class is capped at
+//! `(DEPOT_MAX_FULL + 2 × threads)` magazines of that. A full arena
+//! gets the calling thread's and the depots' parked blocks back before
+//! the system is asked.
 //!
 //! Accounting: magazine hits and depot exchanges are counted in plain
 //! thread-local counters and folded into the heap's [`HeapStats`] on
@@ -47,14 +41,14 @@ use std::sync::atomic::{AtomicPtr, Ordering};
 
 use crate::heap::{DsaHeap, HeapStats};
 
-/// Hard capacity of a magazine; the runtime depth
-/// ([`crate::HeapConfig::magazine_depth`]) may be anything up to this.
+/// Hard capacity of a magazine, and the depth of
+/// [`ThreadCache::new`]'s; [`ThreadCache::with_depth`] may choose less.
 pub const MAG_MAX: usize = 64;
 
 /// Full magazines a depot parks per class, and empty ones.
 pub const DEPOT_MAX_FULL: usize = 8;
 
-/// Bytes one magazine may hold: caps the depth of the arena classes.
+/// Bytes one magazine may hold: caps the depth of the largest classes.
 const MAG_MAX_BYTES: u64 = 128 << 10;
 
 /// A fixed stack of cached object pointers for one size class. Aligned
@@ -190,9 +184,10 @@ struct ClassMags {
 
 /// A per-thread front-end for a [`DsaHeap`].
 ///
-/// Not `Send`/`Sync` (it owns raw cached pointers): create one per
-/// thread. Dropping the cache flushes every parked object back to the
-/// heap and folds the hit counters in, so books balance at thread
+/// `Send`, not `Sync`: a cache is the sole owner of the blocks in its
+/// magazines, so it may move to another thread, but one thread uses it
+/// at a time. Dropping the cache flushes every parked object back to
+/// the heap and folds the hit counters in, so books balance at thread
 /// exit.
 pub struct ThreadCache<'h> {
     heap: &'h DsaHeap,
@@ -203,15 +198,17 @@ pub struct ThreadCache<'h> {
 }
 
 impl<'h> ThreadCache<'h> {
-    /// A cache with the heap's configured magazine depth.
+    /// A cache with magazines [`MAG_MAX`] deep. A magazine changes
+    /// hands by pointer, so a deeper one costs an exchange nothing
+    /// more; it may park more.
     #[must_use]
     pub fn new(heap: &'h DsaHeap) -> ThreadCache<'h> {
-        ThreadCache::with_depth(heap, heap.config().magazine_depth)
+        ThreadCache::with_depth(heap, MAG_MAX)
     }
 
     /// A cache with an explicit magazine depth (the depth-sweep
-    /// experiments use this); an arena class's magazines hold at most
-    /// 128 KiB.
+    /// experiments use this); a magazine holds at most 128 KiB
+    /// whatever the depth.
     ///
     /// # Panics
     ///
@@ -245,9 +242,9 @@ impl<'h> ThreadCache<'h> {
     }
 
     /// Allocates a block for `layout`. Ladder sizes go through the
-    /// magazines; larger (or over-aligned past the slabs) requests pass
-    /// straight to the heap's large path. Null only if the final
-    /// `System` fallback fails.
+    /// magazines; larger (or over-aligned) requests pass straight to
+    /// the heap's large path. Null only if the final `System` fallback
+    /// fails.
     #[must_use]
     pub fn alloc(&mut self, layout: Layout) -> *mut u8 {
         let Some(class) = self.heap.small_class(layout) else {
@@ -276,7 +273,7 @@ impl<'h> ThreadCache<'h> {
     /// cache's heap (any thread) with the same `layout`.
     pub unsafe fn dealloc(&mut self, ptr: *mut u8, layout: Layout) {
         if let Some(class) = self.heap.small_class(layout) {
-            if self.heap.parks(class, ptr) {
+            if self.heap.contains(ptr) {
                 let m = &mut self.mags[class];
                 if m.loaded.len() < m.depth {
                     m.loaded.push(ptr);
@@ -294,33 +291,30 @@ impl<'h> ThreadCache<'h> {
             }
         }
         // SAFETY: forwarded caller contract.
-        unsafe { self.heap.dealloc_outside_slab(ptr, layout) }
+        unsafe { self.heap.dealloc_direct(ptr, layout) }
     }
 
-    /// Returns the magazines of classes `from..` to the heap; `true` if
-    /// they held anything.
-    fn release_from(&mut self, from: usize) -> bool {
+    /// Returns every magazine's blocks to the arena; `true` if they
+    /// held anything.
+    fn release_all(&mut self) -> bool {
         let mut released = false;
-        for (class, m) in self.mags.iter_mut().enumerate().skip(from) {
+        for m in &mut self.mags {
             for mag in [&mut m.loaded, &mut m.prev] {
                 let ptrs = mag.drain();
                 released |= !ptrs.is_empty();
-                self.heap.release(class, ptrs);
+                self.heap.release(ptrs);
             }
         }
         released
     }
 
-    /// The heap's large path; a full arena first gets back the
-    /// arena-class blocks parked in this thread's magazines and in the
-    /// depots — that may be the room it lacks, and the system must not
-    /// be asked while the heap holds it.
+    /// The heap's arena path; a full arena first gets back the blocks
+    /// parked in this thread's magazines and in the depots — that may
+    /// be the room it lacks, and the system must not be asked while the
+    /// heap holds it.
     fn large_alloc(&mut self, layout: Layout) -> *mut u8 {
         let heap = self.heap;
-        let first = heap.first_arena_class();
-        heap.large_alloc(layout, || {
-            self.release_from(first) | heap.drain_depots(first)
-        })
+        heap.large_alloc(layout, || self.release_all() | heap.drain_depots())
     }
 
     /// Adds the hit and exchange counts not yet folded into the heap's
@@ -339,7 +333,7 @@ impl<'h> ThreadCache<'h> {
         // and an installed `GlobalDsa` must not be asked for that
         // memory — it would come back for the same lock.
         let _guard = crate::global::DepthGuard::enter();
-        self.release_from(0);
+        self.release_all();
         self.heap.fold_magazine_counters(
             std::mem::take(&mut self.local_allocs),
             std::mem::take(&mut self.local_frees),
@@ -347,8 +341,8 @@ impl<'h> ThreadCache<'h> {
         );
     }
 
-    /// Cold alloc path: depot exchange, then the raw slab, then the
-    /// large path (an arena class, or the slab exhausted).
+    /// Cold alloc path: depot exchange, then one arena block of the
+    /// class size.
     fn alloc_slow(&mut self, class: usize, layout: Layout) -> *mut u8 {
         let depot = self.heap.depot(class);
         if let Some(full) = depot.full.take() {
@@ -360,13 +354,10 @@ impl<'h> ThreadCache<'h> {
                 return p;
             }
         }
-        // Depot dry: serve one object straight from the backend.
+        // Depot dry: serve one object straight from the arena.
         // Magazines fill on the free side — pre-filling here would just
         // move the miss cost around.
-        match self.heap.slab_pop(class) {
-            Some(p) => p,
-            None => self.large_alloc(layout),
-        }
+        self.large_alloc(layout)
     }
 
     /// Cold free path: trade the full loaded magazine for an empty one
@@ -379,7 +370,7 @@ impl<'h> ThreadCache<'h> {
         let full = std::mem::replace(&mut self.mags[class].loaded, empty);
         self.local_exchanges += 1;
         if let Err(mut surplus) = depot.full.put(full) {
-            self.heap.release(class, surplus.drain());
+            self.heap.release(surplus.drain());
             let _ = depot.empty.put(surplus);
         }
         self.mags[class].loaded.push(ptr);
@@ -487,8 +478,8 @@ mod tests {
         assert_eq!(heap.stats().bad_frees, 0);
     }
 
-    /// An 8 MiB region, so that a few hundred KiB of arena-class blocks
-    /// fit beside the slab spans.
+    /// An 8 MiB region, so that a few hundred KiB of the larger classes
+    /// fit with room to spare.
     fn roomy() -> HeapConfig {
         HeapConfig {
             arena_words: 1 << 20,
@@ -498,12 +489,12 @@ mod tests {
 
     #[test]
     fn large_frees_are_gathered_up_to_a_bound_in_blocks_and_in_words() {
-        // An arena class's magazine holds `depth` blocks (8 here), or
-        // 128 KiB if that is fewer: 4 KiB blocks are bound by the
-        // depth, 32 KiB ones by the bytes.
+        // A magazine holds `depth` blocks (8 here), or 128 KiB if that
+        // is fewer: 4 KiB blocks are bound by the depth, 32 KiB ones by
+        // the bytes.
         let heap = DsaHeap::new(roomy());
         let baseline = heap.live_words();
-        let mut cache = ThreadCache::new(&heap);
+        let mut cache = ThreadCache::with_depth(&heap, 8);
         for (size, per_mag) in [(4096usize, 8usize), (32 << 10, 4)] {
             let l = layout(size);
             let (n, words) = (3 * per_mag, size as u64 / BYTES_PER_WORD);
@@ -566,7 +557,9 @@ mod tests {
         let baseline = heap.live_words();
         let mut cache = ThreadCache::new(&heap);
         let sizes = [
-            (5000usize, 16usize),
+            (24usize, 16usize),
+            (100, 256),
+            (5000, 16),
             (4096, 64),
             (40 << 10, 8),
             (1 << 20, 8),
@@ -590,10 +583,16 @@ mod tests {
     #[test]
     fn a_full_arena_gets_its_blocks_back_before_the_system_is_asked() {
         let l = layout(32 << 10);
+        // A 1 MiB region: fewer 32 KiB blocks than the thread's two
+        // magazines and the depot park (40 at four a magazine).
+        let tight = HeapConfig {
+            arena_words: 1 << 17,
+            ..HeapConfig::small()
+        };
         // How many 32 KiB blocks the arena holds, read off a heap of the
         // same geometry filled until the system is asked.
         let fits = {
-            let heap = DsaHeap::new(HeapConfig::small());
+            let heap = DsaHeap::new(tight);
             let mut held = Vec::new();
             loop {
                 let p = heap.alloc_direct(l);
@@ -609,7 +608,7 @@ mod tests {
             heap.check_reconciliation();
             heap.stats().large_allocs as usize
         };
-        let heap = DsaHeap::new(HeapConfig::small());
+        let heap = DsaHeap::new(tight);
         let mut cache = ThreadCache::new(&heap);
         let held: Vec<*mut u8> = (0..fits).map(|_| cache.alloc(l)).collect();
         assert!(held.iter().all(|&p| heap.contains(p)));
@@ -645,14 +644,14 @@ mod tests {
         let depth = 4;
         let mut cache = ThreadCache::with_depth(&heap, depth);
         let l = layout(8);
-        // A whole slab freed through one cache: the two magazines fill,
-        // then every further magazine-full is one trip to the depot.
-        let units = heap.config().class_units as usize;
-        let ptrs: Vec<*mut u8> = (0..units).map(|_| heap.alloc_direct(l)).collect();
+        // Blocks freed through one cache: the two magazines fill, then
+        // every further magazine-full is one trip to the depot.
+        let blocks = 64;
+        let ptrs: Vec<*mut u8> = (0..blocks).map(|_| heap.alloc_direct(l)).collect();
         for p in ptrs {
             unsafe { cache.dealloc(p, l) };
         }
-        let trips = (units / depth - 2) as u64;
+        let trips = (blocks / depth - 2) as u64;
         assert!(trips > DEPOT_MAX_FULL as u64);
         assert_eq!(heap.depot_parked(), (DEPOT_MAX_FULL * depth) as u64);
         assert_eq!(
@@ -669,7 +668,7 @@ mod tests {
     #[test]
     fn magazines_change_hands_by_pointer() {
         let heap = DsaHeap::new(HeapConfig::small());
-        let depth = heap.config().magazine_depth;
+        let depth = MAG_MAX;
         let l = layout(64);
         let class = heap.small_class(l).unwrap();
         let addr = |c: &ThreadCache<'_>| std::ptr::from_ref::<Magazine>(&c.mags[class].loaded);
@@ -715,4 +714,11 @@ mod tests {
         heap.flush_depots();
         heap.check_reconciliation();
     }
+
+    // A cache owns its magazines' blocks outright, so it may move to
+    // another thread; naming `is_send` at it fails to compile if not.
+    const _: () = {
+        fn is_send<T: Send>() {}
+        let _ = is_send::<ThreadCache<'static>>;
+    };
 }

@@ -127,12 +127,6 @@ impl FixedSlab {
         }
     }
 
-    /// Words per unit.
-    #[must_use]
-    pub fn unit_words(&self) -> Words {
-        self.unit_words
-    }
-
     /// Units currently handed out.
     #[must_use]
     pub fn live_units(&self) -> u64 {

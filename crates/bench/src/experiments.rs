@@ -111,7 +111,7 @@ registry![
     exp_20_trace_scale: [exp_20_trace_scale::REFS, exp_20_trace_scale::MAX_RSS_MB]
         "E20: trace scale — streamed references, constant memory",
     exp_21_global_alloc: [exp_21_global_alloc::OPS]
-        "E21: a real allocator — slab classes and magazines, judged by their books",
+        "E21: a real allocator — size classes and magazines, judged by their books",
     exp_22_tenant_sweep: [JOBS, exp_22_tenant_sweep::TENANTS]
         "E22: population-scale multi-tenant scheduling",
 ];

@@ -1,19 +1,19 @@
-//! E21 — a real allocator: size-class slabs and per-thread magazines,
+//! E21 — a real allocator: size classes and per-thread magazines,
 //! judged by their books (extension).
 //!
 //! The seed experiments model allocation (probe counts, placement
 //! quality); this binary runs the *operational* allocator built on the
-//! same substrate — [`DsaHeap`]'s size-class slabs over a
-//! `ShardedArena` region, fronted by Bonwick-style per-thread
-//! magazine caches ([`ThreadCache`]) — on real churn, and reports what
-//! each phase did to the heap's books.
+//! same substrate — [`DsaHeap`]'s size classes over a `ShardedArena`
+//! region, fronted by Bonwick-style per-thread magazine caches
+//! ([`ThreadCache`]) — on real churn, and reports what each phase did
+//! to the heap's books.
 //!
 //! Three phases:
 //!
 //! 1. **Churn** — a sliding window of live objects, random alloc/free
 //!    with jemalloc-ladder sizes plus an occasional large block,
-//!    through the no-magazine slab path (`alloc_direct`) and the
-//!    magazine path. Same seed, same op sequence, per backend.
+//!    through the no-magazine path (`alloc_direct`, straight to the
+//!    arena) and the magazine path. Same seed, same op sequence, per backend.
 //! 2. **Depth sweep** — small-object churn at magazine depths 1..64,
 //!    counting the depot exchanges the depth saves.
 //! 3. **Producer/consumer** — one thread allocates, another frees, so
@@ -48,11 +48,11 @@ pub(super) const OPS: FlagSpec = FlagSpec {
 const WINDOW: usize = 512;
 
 /// The small-size menu: one representative per ladder region, so the
-/// churn touches many classes without degenerating into one slab.
+/// churn touches many classes without degenerating into one.
 const SMALL_SIZES: [usize; 12] = [16, 24, 32, 48, 64, 96, 128, 192, 256, 512, 1024, 2048];
 
-/// One in this many allocations is a large block (4 KB–32 KB): an
-/// arena class, with no slab.
+/// One in this many allocations is a large block (4 KB–32 KB): still a
+/// class of the ladder, whose top is 32 KiB.
 const LARGE_EVERY: u64 = 32;
 
 /// An allocation backend under test: the churn driver is generic so
@@ -65,7 +65,7 @@ trait Backend {
     unsafe fn dealloc(&mut self, ptr: *mut u8, layout: Layout);
 }
 
-/// The no-magazine slab path: every op takes the shared slab word.
+/// The no-magazine path: every op takes an arena shard lock.
 struct DirectBackend<'h>(&'h DsaHeap);
 
 impl Backend for DirectBackend<'_> {
@@ -147,7 +147,6 @@ fn books(phase: &str, heap: &DsaHeap, before: HeapStats) -> Vec<String> {
         s.magazine_frees - before.magazine_frees,
         s.depot_exchanges - before.depot_exchanges,
         s.large_allocs - before.large_allocs,
-        s.slab_exhausted - before.slab_exhausted,
         s.bad_frees - before.bad_frees,
     ];
     let counts = counts.iter().map(u64::to_string);
@@ -223,13 +222,12 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         "magazine frees",
         "depot exchanges",
         "large allocs",
-        "slab exhaustions",
         "bad frees",
     ])
     .with_title("books by phase (each reconciled: telemetry ledger == backend-live words)");
     let before = heap.stats();
     churn(&mut DirectBackend(&heap), ops, 0x21_0001, next_size);
-    t.row_owned(books("mixed churn, slab direct", &heap, before));
+    t.row_owned(books("mixed churn, direct", &heap, before));
     let before = heap.stats();
     let mut backend = MagazineBackend(ThreadCache::new(&heap));
     churn(&mut backend, ops, 0x21_0001, next_size);

@@ -167,19 +167,6 @@ impl SizeClasses {
         let slot = (size + (1 << self.quantum_shift) - 1) >> self.quantum_shift;
         Some(self.lut[slot as usize] as usize)
     }
-
-    /// The smallest *power-of-two* class holding both `size` and an
-    /// alignment of `align`, or `None` past the ladder. Power-of-two
-    /// classes are naturally aligned inside a page-aligned slab, which
-    /// is how the real heap serves over-aligned small requests.
-    #[must_use]
-    pub fn aligned_class_of(&self, size: Words, align: Words) -> Option<usize> {
-        let need = size.max(align).max(1).next_power_of_two();
-        if need > self.max {
-            return None;
-        }
-        self.class_of(need)
-    }
 }
 
 #[cfg(test)]
@@ -253,18 +240,6 @@ mod tests {
                 "waste too high at {size}: rounded {rounded}"
             );
         }
-    }
-
-    #[test]
-    fn aligned_class_is_a_power_of_two_covering_both() {
-        let l = SizeClasses::jemalloc(8, 2048);
-        let c = l.aligned_class_of(24, 16).unwrap();
-        assert_eq!(l.classes()[c], 32);
-        let c = l.aligned_class_of(100, 256).unwrap();
-        assert_eq!(l.classes()[c], 256);
-        assert_eq!(l.aligned_class_of(1, 4096), None);
-        let c = l.aligned_class_of(0, 1).unwrap();
-        assert_eq!(l.classes()[c], 8);
     }
 
     #[test]

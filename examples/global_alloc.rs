@@ -1,8 +1,8 @@
 //! The DSA heap as the process allocator: install [`GlobalDsa`] with
 //! `#[global_allocator]` and let ordinary `Vec`/`String`/`HashMap`
-//! code churn through it — size-class slabs under per-thread magazine
-//! caches, with the system allocator handling reentrant frames and
-//! whatever lives outside the region.
+//! code churn through it — size classes over one sharded arena, under
+//! per-thread magazine caches, with the system allocator handling
+//! reentrant frames and whatever lives outside the region.
 //!
 //! ```text
 //! cargo run --release --example global_alloc
@@ -88,7 +88,7 @@ fn phase(threads: usize, ops: usize) {
 }
 
 fn main() {
-    println!("global allocator: dsa-alloc (slab classes + per-thread magazines)\n");
+    println!("global allocator: dsa-alloc (size classes + per-thread magazines)\n");
     for threads in [1usize, 2, 8] {
         phase(threads, 200_000);
     }

@@ -1,7 +1,7 @@
 //! Property-based tests on the operational allocator's magazine
 //! accounting: whatever the op stream and thread count, no byte is
 //! lost or handed out twice across thread-local caches, the per-class
-//! depots, and the shared slabs.
+//! depots, and the shared arena.
 //!
 //! The load-bearing oracle is [`DsaHeap::check_reconciliation`]: the
 //! telemetry ledger (backend ops only) must equal backend-live words
@@ -17,12 +17,12 @@ use std::alloc::Layout;
 use std::collections::HashSet;
 use std::sync::Barrier;
 
-use dsa::alloc::{DsaHeap, HeapConfig, ThreadCache, DEPOT_MAX_FULL};
+use dsa::alloc::{DsaHeap, HeapConfig, ThreadCache, DEPOT_MAX_FULL, MAG_MAX};
 use proptest::prelude::*;
 
 /// Ladder sizes the random streams draw from — spanning several
-/// classes so magazines, depots, and slabs all see traffic — plus one
-/// arena class (no slab) to keep the routing honest.
+/// classes so magazines, depots, and the arena all see traffic, from
+/// the bottom of the ladder to past 4 KiB.
 const SIZES: [usize; 7] = [16, 48, 64, 256, 1024, 2048, 5000];
 
 /// One step of a churn stream.
@@ -88,7 +88,7 @@ proptest! {
     /// Conservation at 1, 2, and 8 threads: every thread churns the
     /// same random stream through its own cache and frees everything;
     /// after caches flush on exit and the depots drain, live words are
-    /// exactly the baseline carves and the ledger balances.
+    /// back at the baseline and the ledger balances.
     #[test]
     fn allocated_bytes_conserve_across_caches(ops in arb_ops(), t in 0usize..3) {
         let threads = [1usize, 2, 8][t];
@@ -157,11 +157,9 @@ proptest! {
     ) {
         let heap = DsaHeap::new(HeapConfig::small());
         let baseline = heap.live_words();
-        let carves = heap.telemetry().counters().allocs;
         let pause = picks.len() * pause / 16;
-        let large = picks.iter().step_by(8).count() as u64;
-        // Over-aligned blocks keep the large path; the others are arena
-        // classes, which a magazine may serve.
+        // Over-aligned blocks keep the large path; every other block is
+        // of a class, which a magazine may serve.
         let aligned = picks.iter().step_by(8).filter(|&&(_, align)| align > 0).count() as u64;
         let (tx, rx) = std::sync::mpsc::channel::<Parcel>();
         // Both threads stop here twice: once to let the books be read,
@@ -209,15 +207,18 @@ proptest! {
         heap.flush_depots();
         heap.check_reconciliation();
         // However far ahead the producer ran: every block came from a
-        // magazine, the backend or the system, once; what overflowed a
-        // slab went the large way, as did every large block no magazine
-        // held; what the arena could not hold went to the system, and
-        // all of it came back the way it went.
+        // magazine, the arena or the system, once, and the probe saw
+        // every arena one; no magazine held an over-aligned block; what
+        // the arena could not hold went to the system, and all of it
+        // came back the way it went.
         let stats = heap.stats();
-        let backend = heap.telemetry().counters().allocs - carves;
-        prop_assert_eq!(stats.magazine_allocs + backend + stats.system_allocs, picks.len() as u64);
-        let large_way = stats.large_allocs + stats.system_allocs - stats.slab_exhausted;
-        prop_assert!((aligned..=large).contains(&large_way), "{} large-way blocks", large_way);
+        prop_assert_eq!(heap.telemetry().counters().allocs, stats.large_allocs);
+        prop_assert_eq!(
+            stats.magazine_allocs + stats.large_allocs + stats.system_allocs,
+            picks.len() as u64
+        );
+        let parkable = picks.len() as u64 - aligned;
+        prop_assert!(stats.magazine_allocs.max(stats.magazine_frees) <= parkable);
         prop_assert_eq!(stats.large_frees, stats.large_allocs);
         prop_assert_eq!(stats.system_frees, stats.system_allocs);
         prop_assert_eq!(stats.bad_frees, 0);
@@ -286,9 +287,9 @@ fn an_arena_class_block_crosses_threads_through_the_depot() {
     let heap = DsaHeap::new(HeapConfig::small());
     let baseline = heap.live_words();
     let l = Layout::from_size_align(8 << 10, 8).expect("valid layout");
-    // Three magazines' worth: the freeing thread keeps two and hands
-    // the third to the depot.
-    let count = 3 * HeapConfig::small().magazine_depth;
+    // Three magazines' worth (sixteen blocks, 128 KiB, each): the
+    // freeing thread keeps two and hands the third to the depot.
+    let count = 3 * 16;
     let (tx, rx) = std::sync::mpsc::channel::<Parcel>();
     let (freed_tx, freed_rx) = std::sync::mpsc::channel::<()>();
     std::thread::scope(|s| {
@@ -327,12 +328,11 @@ fn an_arena_class_block_crosses_threads_through_the_depot() {
     assert_eq!(heap.stats().bad_frees, 0);
 }
 
-/// Room for a few hundred 64-byte units and a megabyte of 8 KiB blocks
-/// in flight, so the depot tests exchange rather than exhaust.
+/// An 8 MiB region: room for a megabyte of 8 KiB blocks in flight, so
+/// the depot tests exchange rather than exhaust.
 fn roomy() -> HeapConfig {
     HeapConfig {
         arena_words: 1 << 20,
-        class_units: 256,
         ..HeapConfig::small()
     }
 }
@@ -420,7 +420,7 @@ fn a_depth_one_ring_exchanges_every_op_and_loses_nothing() {
             let s = heap.stats();
             let ops = 2 * ROUNDS * BATCH * threads as u64;
             assert!(s.depot_exchanges >= ops / 2, "{size} x {threads}: {s:?}");
-            assert_eq!((s.bad_frees, s.slab_exhausted, s.system_allocs), (0, 0, 0));
+            assert_eq!((s.bad_frees, s.system_allocs), (0, 0));
         }
     }
 }
@@ -432,7 +432,7 @@ fn a_depth_one_ring_exchanges_every_op_and_loses_nothing() {
 #[test]
 fn depot_parked_is_safe_to_read_during_exchanges() {
     let heap = DsaHeap::new(roomy());
-    let depth = roomy().magazine_depth;
+    let depth = MAG_MAX;
     let l = Layout::from_size_align(64, 8).expect("valid layout");
     let (tx, rx) = std::sync::mpsc::sync_channel::<Parcel>(32);
     let mut reads = 0u64;

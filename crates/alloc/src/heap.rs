@@ -614,21 +614,28 @@ mod tests {
     }
 
     #[test]
+    fn small_sizes_hit_their_class_slab() {
+        // A class's blocks are arena blocks of the class size, taken
+        // from the heap's own region.
+        let heap = DsaHeap::new(HeapConfig::small());
+        for (size, class) in [(1usize, 8u64), (8, 8), (9, 16), (100, 112), (2048, 2048)] {
+            let l = layout(size, 8);
+            let c = heap.small_class(l).unwrap();
+            assert_eq!(heap.classes().classes()[c], class, "{size}");
+            let p = heap.alloc_direct(l);
+            assert!(heap.contains(p), "size {size} missed the arena");
+            assert_eq!(heap.live_words(), class / BYTES_PER_WORD, "{size}");
+            unsafe { heap.dealloc_direct(p, l) };
+        }
+        heap.check_reconciliation();
+    }
+
+    #[test]
     fn a_class_range_block_reserves_its_whole_class() {
         // Whoever frees it may park it for the next request of the
         // class, however much that request asks for.
         let heap = DsaHeap::new(HeapConfig::small());
-        let sizes = [
-            (1usize, 8u64),
-            (8, 8),
-            (9, 16),
-            (100, 112),
-            (2048, 2048),
-            (2049, 2560),
-            (5000, 5120),
-            (32 << 10, 32 << 10),
-        ];
-        for (size, class) in sizes {
+        for (size, class) in [(2049usize, 2560u64), (5000, 5120), (32 << 10, 32 << 10)] {
             let l = layout(size, 8);
             let c = heap.small_class(l).unwrap();
             assert_eq!(heap.classes().classes()[c], class, "{size}");

@@ -23,10 +23,6 @@
 //!   *during* teardown (or before TLS is ready) fall back to the
 //!   heap's direct path or to `System`, both of which are
 //!   TLS-independent.
-//!
-//! With the `nightly` feature, [`GlobalDsa`] also implements the
-//! unstable [`core::alloc::Allocator`] trait so it can back individual
-//! collections without being the global allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
@@ -55,10 +51,10 @@ thread_local! {
 ///
 /// # Safety contract
 ///
-/// A `GlobalDsa` used through [`GlobalAlloc`] (or the nightly
-/// `Allocator` impl) must live for the rest of the process — in
-/// practice: be a `static`, as the `#[global_allocator]` attribute
-/// requires. The thread caches borrow the heap at `'static`.
+/// A `GlobalDsa` used through [`GlobalAlloc`] must live for the rest
+/// of the process — in practice: be a `static`, as the
+/// `#[global_allocator]` attribute requires. The thread caches borrow
+/// the heap at `'static`.
 pub struct GlobalDsa {
     config: HeapConfig,
     heap: OnceLock<DsaHeap>,
@@ -247,36 +243,6 @@ unsafe impl GlobalAlloc for GlobalDsa {
             unsafe { heap.dealloc_direct(ptr, layout) };
         }
         leave();
-    }
-}
-
-#[cfg(feature = "nightly")]
-// SAFETY: blocks from `allocate` are valid for `deallocate` until
-// freed; clones of the (zero-sized borrow of the) allocator are
-// interchangeable.
-unsafe impl core::alloc::Allocator for &GlobalDsa {
-    fn allocate(&self, layout: Layout) -> Result<std::ptr::NonNull<[u8]>, std::alloc::AllocError> {
-        if layout.size() == 0 {
-            let dangling = layout.align() as *mut u8;
-            return match std::ptr::NonNull::new(dangling) {
-                Some(p) => Ok(std::ptr::NonNull::slice_from_raw_parts(p, 0)),
-                None => Err(std::alloc::AllocError),
-            };
-        }
-        // SAFETY: layout is non-zero.
-        let p = unsafe { GlobalAlloc::alloc(*self, layout) };
-        match std::ptr::NonNull::new(p) {
-            Some(p) => Ok(std::ptr::NonNull::slice_from_raw_parts(p, layout.size())),
-            None => Err(std::alloc::AllocError),
-        }
-    }
-
-    unsafe fn deallocate(&self, ptr: std::ptr::NonNull<u8>, layout: Layout) {
-        if layout.size() == 0 {
-            return;
-        }
-        // SAFETY: forwarded caller contract.
-        unsafe { GlobalAlloc::dealloc(*self, ptr.as_ptr(), layout) }
     }
 }
 

@@ -21,12 +21,12 @@
 //! last resort, and the destination of the heap's own bookkeeping
 //! allocations when used through [`crate::GlobalDsa`]).
 //!
-//! The probe discipline mirrors the simulators: every *backend*
-//! operation — an arena alloc or free — emits `Alloc { words, searched
-//! }` / `Free { words }` into the heap's [`TelemetryProbe`]. Magazine
-//! hits are invisible here by design (they are the fast path being
-//! fast); [`DsaHeap::check_reconciliation`] proves the probe's net
-//! ledger equals arena-live words, magazines included, because a
+//! One book counts the *backend* traffic — every arena alloc and free,
+//! in operations and in words — on the heap's per-side counters, the
+//! ones [`HeapStats`] reads. Magazine hits are invisible here by design
+//! (they are the fast path being fast);
+//! [`DsaHeap::check_reconciliation`] proves that book's net equals
+//! arena-live blocks and words, magazines included, because a
 //! magazine-parked object is backend-live.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -36,8 +36,7 @@ use dsa_arena::ShardedArena;
 use dsa_core::ids::{PhysAddr, Words};
 use dsa_core::sizeclass::SizeClasses;
 use dsa_freelist::freelist::Placement;
-use dsa_probe::Stamp;
-use dsa_telemetry::TelemetryProbe;
+use dsa_probe::{CountingProbe, NullProbe, Stamp};
 
 use crate::magazine::{Depot, MAG_MAX};
 
@@ -135,6 +134,8 @@ pub struct HeapStats {
 #[repr(align(64))]
 struct AllocSide {
     large_allocs: AtomicU64,
+    /// Words of those allocations, as the arena placed them.
+    alloc_words: AtomicU64,
     system_allocs: AtomicU64,
     /// Deals requests round the arena's shards.
     rotor: AtomicU64,
@@ -144,6 +145,8 @@ struct AllocSide {
 #[repr(align(64))]
 struct FreeSide {
     large_frees: AtomicU64,
+    /// Words of those frees, from the arena's own `Free` events.
+    freed_words: AtomicU64,
     system_frees: AtomicU64,
     bad_frees: AtomicU64,
 }
@@ -170,7 +173,6 @@ pub struct DsaHeap {
     region: Region,
     arena: ShardedArena,
     depots: Vec<Depot>,
-    telemetry: TelemetryProbe,
     counters: Counters,
 }
 
@@ -230,7 +232,6 @@ impl DsaHeap {
             region,
             arena,
             depots,
-            telemetry: TelemetryProbe::new(),
             counters: Counters::default(),
         }
     }
@@ -239,12 +240,6 @@ impl DsaHeap {
     #[must_use]
     pub(crate) fn classes(&self) -> &SizeClasses {
         &self.classes
-    }
-
-    /// The live telemetry probe every backend operation flows through.
-    #[must_use]
-    pub fn telemetry(&self) -> &TelemetryProbe {
-        &self.telemetry
     }
 
     /// Is `ptr` inside the heap's backing region?
@@ -334,8 +329,7 @@ impl DsaHeap {
         let place = || {
             let turn = side.rotor.fetch_add(1, Ordering::Relaxed);
             let home = (turn % u64::from(self.config.shards)) as u32;
-            let mut probe = &self.telemetry;
-            (self.arena).alloc_at_probed(home, words, handed_out, Stamp::default(), &mut probe)
+            (self.arena).alloc_at_probed(home, words, handed_out, Stamp::default(), &mut NullProbe)
         };
         let mut placed = place();
         if placed.is_err() && make_room() {
@@ -344,6 +338,7 @@ impl DsaHeap {
         match placed {
             Ok(addr) => {
                 side.large_allocs.fetch_add(1, Ordering::Relaxed);
+                side.alloc_words.fetch_add(words, Ordering::Relaxed);
                 self.ptr_at(handed_out(addr))
             }
             Err(_) => self.system_alloc(layout),
@@ -361,12 +356,14 @@ impl DsaHeap {
     /// Returns arena blocks by the names their addresses give them, one
     /// shard lock per shard touched. An interior, foreign or
     /// already-freed pointer names no live block and is counted, not
-    /// freed.
+    /// freed. The batch's frees and words, tallied from the arena's
+    /// `Free` events, reach the shared counters as one add each.
     fn large_free(&self, names: &mut [u64]) {
         let side = &self.counters.free_side;
-        let mut probe = &self.telemetry;
-        let freed = (self.arena).free_at_probed(names, Stamp::default(), &mut probe);
-        side.large_frees.fetch_add(freed as u64, Ordering::Relaxed);
+        let mut batch = CountingProbe::default();
+        let freed = (self.arena).free_at_probed(names, Stamp::default(), &mut batch);
+        side.large_frees.fetch_add(batch.frees, Ordering::Relaxed);
+        side.freed_words.fetch_add(batch.freed_words, Ordering::Relaxed);
         if freed < names.len() {
             let bad = (names.len() - freed) as u64;
             side.bad_frees.fetch_add(bad, Ordering::Relaxed);
@@ -457,9 +454,9 @@ impl DsaHeap {
 
     // ---- verification -----------------------------------------------------
 
-    /// Proves the books balance: the probe's net ledger (allocs minus
-    /// frees, in operations and in words) must equal what the arena
-    /// holds live. Objects parked in magazines or depots are
+    /// Proves the books balance: the heap's net ledger (arena allocs
+    /// minus arena frees, in operations and in words) must equal what
+    /// the arena holds live. Objects parked in magazines or depots are
     /// backend-live and therefore *included*; the identity holds at any
     /// quiescent point without flushing caches.
     ///
@@ -475,29 +472,28 @@ impl DsaHeap {
         // they went through an installed `GlobalDsa`. The depth guard
         // routes them to `System` so reading the books cannot move them.
         let _guard = crate::global::DepthGuard::enter();
-        let c = self.telemetry.counters();
+        let (a, f) = (&self.counters.alloc_side, &self.counters.free_side);
+        let allocs = a.large_allocs.load(Ordering::Relaxed);
+        let frees = f.large_frees.load(Ordering::Relaxed);
+        let alloc_words = a.alloc_words.load(Ordering::Relaxed);
+        let freed_words = f.freed_words.load(Ordering::Relaxed);
         let arena = self.arena.snapshot();
         let live_words = arena.allocated_words();
         let live_blocks: u64 = (arena.shards.iter())
             .map(|s| s.alloc.live_allocs as u64)
             .sum();
         assert_eq!(
-            c.alloc_words - c.freed_words,
+            alloc_words.wrapping_sub(freed_words),
             live_words,
-            "probe word ledger diverged from arena-live words \
-             (allocs {} frees {} alloc_words {} freed_words {} live blocks {live_blocks})",
-            c.allocs,
-            c.frees,
-            c.alloc_words,
-            c.freed_words,
+            "heap word ledger diverged from arena-live words \
+             (allocs {allocs} frees {frees} alloc_words {alloc_words} \
+             freed_words {freed_words} live blocks {live_blocks})",
         );
         assert_eq!(
-            c.allocs - c.frees,
+            allocs.wrapping_sub(frees),
             live_blocks,
-            "probe operation ledger diverged from arena-live blocks \
-             (allocs {} frees {})",
-            c.allocs,
-            c.frees,
+            "heap operation ledger diverged from arena-live blocks \
+             (allocs {allocs} frees {frees})",
         );
         self.arena.check_invariants();
     }
@@ -717,6 +713,28 @@ mod tests {
         assert_eq!((s.large_allocs, s.large_frees, s.bad_frees), (1, 1, 3));
         assert_eq!(heap.live_words(), freed);
         heap.check_reconciliation();
+    }
+
+    /// A quiescent heap holding one block, whose books `tear` then puts
+    /// one off the arena's.
+    fn torn(tear: impl FnOnce(&Counters)) {
+        let heap = DsaHeap::new(HeapConfig::small());
+        let _held = heap.alloc_direct(layout(64, 8));
+        heap.check_reconciliation();
+        tear(&heap.counters);
+        heap.check_reconciliation();
+    }
+
+    #[test]
+    #[should_panic(expected = "heap word ledger diverged from arena-live words")]
+    fn a_torn_word_ledger_fails_reconciliation() {
+        torn(|c| _ = c.alloc_side.alloc_words.fetch_add(1, Ordering::Relaxed));
+    }
+
+    #[test]
+    #[should_panic(expected = "heap operation ledger diverged from arena-live blocks")]
+    fn a_torn_operation_ledger_fails_reconciliation() {
+        torn(|c| _ = c.alloc_side.large_allocs.fetch_add(1, Ordering::Relaxed));
     }
 
     #[test]

@@ -26,20 +26,16 @@
 //!
 //! [`GlobalDsa`] packages the three layers behind
 //! [`core::alloc::GlobalAlloc`], so the whole thing can be installed
-//! with `#[global_allocator]`; the `nightly` feature additionally
-//! implements the unstable `core::alloc::Allocator` trait. The heap's
-//! own bookkeeping (shard books, hole tables, magazines)
-//! routes to [`std::alloc::System`] through a reentrancy guard, which
-//! is what makes self-hosting safe.
+//! with `#[global_allocator]`. The heap's own bookkeeping (shard
+//! books, hole tables, magazines) routes to [`std::alloc::System`]
+//! through a reentrancy guard, which is what makes self-hosting safe.
 //!
-//! Telemetry is not bolted on: every backend operation (an arena alloc
-//! or free) flows through the crate's
-//! [`dsa_telemetry::TelemetryProbe`], and
-//! [`DsaHeap::check_reconciliation`] proves the probe's ledger equals
-//! the heap's — the same books-must-balance discipline the simulators
-//! enforce, now over real memory.
-
-#![cfg_attr(feature = "nightly", feature(allocator_api))]
+//! The books are not bolted on: every backend operation (an arena
+//! alloc or free) is counted, in operations and in words, on the
+//! heap's own counters ([`HeapStats`]), and
+//! [`DsaHeap::check_reconciliation`] proves that ledger equals what the
+//! arena holds live — the same books-must-balance discipline the
+//! simulators enforce, now over real memory.
 
 mod global;
 mod heap;

@@ -30,9 +30,9 @@
 //!
 //! Accounting: magazine hits and depot exchanges are counted in plain
 //! thread-local counters and folded into the heap's [`HeapStats`] on
-//! flush and thread exit. The telemetry probe never sees a magazine
-//! hit — it tracks backend traffic, and an object parked in a magazine
-//! is still backend-live. That is what keeps
+//! flush and thread exit. The heap's arena ledger never sees a
+//! magazine hit — it tracks backend traffic, and an object parked in a
+//! magazine is still backend-live. That is what keeps
 //! [`DsaHeap::check_reconciliation`] exact without quiescing threads.
 
 use std::alloc::Layout;

@@ -22,8 +22,8 @@
 //!    on a heap of its own and prints verdicts only.
 //!
 //! After every phase the heap's books are reconciled
-//! ([`DsaHeap::check_reconciliation`]): the telemetry ledger must
-//! equal backend-live words exactly, magazines included. What the heap
+//! ([`DsaHeap::check_reconciliation`]): the heap ledger must equal
+//! backend-live blocks and words exactly, magazines included. What the heap
 //! costs in host time is `benchmark/`'s `alloc.*` metrics.
 
 use std::alloc::Layout;
@@ -224,7 +224,7 @@ pub(super) fn run(args: &Args, rep: &mut Report) -> Result<(), Failure> {
         "large allocs",
         "bad frees",
     ])
-    .with_title("books by phase (each reconciled: telemetry ledger == backend-live words)");
+    .with_title("books by phase (each reconciled: heap ledger == backend-live words)");
     let before = heap.stats();
     churn(&mut DirectBackend(&heap), ops, 0x21_0001, next_size);
     t.row_owned(books("mixed churn, direct", &heap, before));

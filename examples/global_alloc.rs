@@ -9,8 +9,8 @@
 //! ```
 //!
 //! The run churns standard-library collections at 1, 2, and 8 threads
-//! and reconciles the heap's books after every phase: the telemetry
-//! ledger (backend ops only) must equal backend-live words exactly,
+//! and reconciles the heap's books after every phase: its arena ledger
+//! (backend ops only) must equal backend-live blocks and words exactly,
 //! with magazine- and depot-parked blocks counted as live — so the
 //! identity holds without quiescing anything.
 

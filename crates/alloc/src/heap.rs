@@ -363,7 +363,8 @@ impl DsaHeap {
         let mut batch = CountingProbe::default();
         let freed = (self.arena).free_at_probed(names, Stamp::default(), &mut batch);
         side.large_frees.fetch_add(batch.frees, Ordering::Relaxed);
-        side.freed_words.fetch_add(batch.freed_words, Ordering::Relaxed);
+        side.freed_words
+            .fetch_add(batch.freed_words, Ordering::Relaxed);
         if freed < names.len() {
             let bad = (names.len() - freed) as u64;
             side.bad_frees.fetch_add(bad, Ordering::Relaxed);

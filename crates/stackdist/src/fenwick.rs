@@ -1,38 +1,55 @@
-//! A Fenwick (binary-indexed) tree used as an order-statistics
-//! structure over reference stamps.
+//! A rank bitmap: one bit per reference stamp, under a Fenwick
+//! (binary-indexed) tree of per-word mark counts.
 //!
 //! The LRU distance pass marks, for every currently-seen page, the
 //! position of its most recent reference; the stack depth of a
-//! re-reference is then a *range count* of marks between the previous
-//! and the current position. A Fenwick tree holds those marks and
-//! answers prefix counts in O(log n), which is what turns the
-//! per-reference distance into a one-pass O(n log n) sweep.
+//! re-reference is then a *rank*, a count of marks above a position.
+//! A prefix count is a walk over the words' tree plus one masked
+//! `count_ones`, six levels shorter than a tree of one count per
+//! position: a one-pass O(n log n) sweep with a small log.
 
-/// A binary-indexed tree over `n` positions holding small counts.
+/// A set of positions `0..n` that answers prefix counts.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Fenwick {
-    /// 1-based implicit tree; `tree[i]` covers `lowbit(i)` positions.
-    tree: Vec<u64>,
+    /// Number of positions.
+    n: usize,
+    /// Bit `pos % 64` of word `pos / 64` is set iff `pos` is marked.
+    bits: Vec<u64>,
+    /// 1-based implicit tree over the words; `tree[i]` counts the marks
+    /// in words `i − lowbit(i) .. i`.
+    tree: Vec<u32>,
+}
+
+/// The low `k` bits of a word, `k <= 64`.
+fn low_bits(k: usize) -> u64 {
+    u64::MAX.checked_shr(64 - k as u32).unwrap_or(0)
 }
 
 impl Fenwick {
-    /// An all-zero tree over positions `0..n`.
+    /// An unmarked set over positions `0..n`.
     #[must_use]
     pub fn new(n: usize) -> Fenwick {
         Fenwick {
-            tree: vec![0; n + 1],
+            n,
+            bits: vec![0; n.div_ceil(64)],
+            tree: vec![0; n.div_ceil(64) + 1],
         }
     }
 
-    /// Resizes the tree to positions `0..n` with exactly `0..live` marked,
-    /// as a fresh tree after `mark(0)` .. `mark(live - 1)`, in one linear
-    /// pass that reuses the buffer: `tree[i]` covers `i − lowbit(i) ..
-    /// i`, of which `min(i, live) − min(i − lowbit(i), live)` are marked.
+    /// Resizes the set to positions `0..n` with exactly `0..live` marked,
+    /// as a fresh set after `mark(0)` .. `mark(live - 1)`, in one linear
+    /// pass that reuses the buffers: `tree[i]` counts the positions of
+    /// words `i − lowbit(i) .. i` that lie below `live`.
     pub fn fill(&mut self, n: usize, live: usize) {
+        let words = n.div_ceil(64);
+        self.n = n;
+        self.bits.clear();
+        self.bits
+            .extend((0..words).map(|w| low_bits(live.saturating_sub(64 * w).min(64))));
         self.tree.clear();
-        self.tree.extend((0..=n).map(|i| {
+        self.tree.extend((0..=words).map(|i| {
             let low = i - (i & i.wrapping_neg());
-            (i.min(live) - low.min(live)) as u64
+            ((64 * i).min(live) - (64 * low).min(live)) as u32
         }));
     }
 
@@ -42,30 +59,37 @@ impl Fenwick {
     #[must_use]
     #[allow(clippy::len_without_is_empty)]
     pub(crate) fn len(&self) -> usize {
-        self.tree.len() - 1
+        self.n
     }
 
-    /// Marks position `pos` (increments its count).
+    /// Marks position `pos`, which must be unmarked.
     ///
     /// # Panics
     ///
-    /// Panics if `pos` is out of range.
+    /// Panics if `pos` is out of range, and in debug builds if it is
+    /// already marked: a position holds one mark or none.
     pub fn mark(&mut self, pos: usize) {
-        let mut i = pos + 1;
+        let (w, bit) = (pos / 64, 1u64 << (pos % 64));
+        debug_assert!(self.bits[w] & bit == 0, "{pos} marked twice");
+        self.bits[w] |= bit;
+        let mut i = w + 1;
         while i < self.tree.len() {
             self.tree[i] += 1;
             i += i & i.wrapping_neg();
         }
     }
 
-    /// Unmarks position `pos` (decrements its count).
+    /// Unmarks position `pos`, which must be marked.
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds, via underflow) if the position was not
+    /// Panics if `pos` is out of range, and in debug builds if it is not
     /// marked; callers only ever clear marks they set.
     pub fn clear(&mut self, pos: usize) {
-        let mut i = pos + 1;
+        let (w, bit) = (pos / 64, 1u64 << (pos % 64));
+        debug_assert!(self.bits[w] & bit != 0, "{pos} not marked");
+        self.bits[w] &= !bit;
+        let mut i = w + 1;
         while i < self.tree.len() {
             self.tree[i] -= 1;
             i += i & i.wrapping_neg();
@@ -75,23 +99,15 @@ impl Fenwick {
     /// Count of marks at positions `0..=pos`.
     #[must_use]
     pub fn prefix(&self, pos: usize) -> u64 {
-        let mut i = (pos + 1).min(self.tree.len() - 1);
-        let mut sum = 0;
+        let end = (pos + 1).min(self.n);
+        let mut i = end / 64;
+        let part = self.bits.get(i).map_or(0, |&w| w & low_bits(end % 64));
+        let mut sum = u64::from(part.count_ones());
         while i > 0 {
-            sum += self.tree[i];
+            sum += u64::from(self.tree[i]);
             i -= i & i.wrapping_neg();
         }
         sum
-    }
-
-    /// Count of marks at positions strictly between `lo` and `hi`
-    /// (exclusive on both ends).
-    #[must_use]
-    pub(crate) fn between(&self, lo: usize, hi: usize) -> u64 {
-        if hi <= lo + 1 {
-            return 0;
-        }
-        self.prefix(hi - 1) - self.prefix(lo)
     }
 }
 
@@ -116,18 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn between_is_exclusive_on_both_ends() {
-        let mut f = Fenwick::new(8);
-        for pos in 0..8 {
-            f.mark(pos);
-        }
-        assert_eq!(f.between(2, 6), 3); // positions 3, 4, 5
-        assert_eq!(f.between(2, 3), 0);
-        assert_eq!(f.between(2, 2), 0);
-        assert_eq!(f.between(0, 7), 6);
-    }
-
-    #[test]
     fn fill_replaces_marks_and_resizes_in_place() {
         let mut f = Fenwick::new(8);
         for pos in 0..8 {
@@ -139,7 +143,7 @@ mod tests {
         assert_eq!(f.prefix(15), 5);
         f.mark(12);
         assert_eq!(f.prefix(15), 6);
-        // Shrinking works too and behaves like a fresh tree.
+        // Shrinking works too and behaves like a fresh set.
         f.fill(4, 0);
         assert_eq!(f.len(), 4);
         assert_eq!(f.prefix(3), 0);

@@ -16,9 +16,10 @@
 //!
 //! * [`streaming::StreamingLru`] — LRU distance is the number of
 //!   distinct pages touched since the previous reference to the same
-//!   page, computed in O(log distinct pages) per reference with a
-//!   [`fenwick::Fenwick`] order-statistics tree over reference stamps
-//!   that compaction keeps as small as the page universe. It takes any
+//!   page, computed in O(log distinct pages) per reference as a rank in
+//!   a [`fenwick::Fenwick`] bitmap over reference stamps (one bit a
+//!   stamp, a tree of per-word counts above the bits) that compaction
+//!   keeps as small as the page universe. It takes any
 //!   page iterator, so traces too long to materialize stream through
 //!   it; [`lru::lru_distances`] is the same engine over a slice,
 //!   keeping every distance;

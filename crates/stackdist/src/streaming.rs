@@ -1,20 +1,21 @@
 //! LRU stack distances in memory bounded by the page universe, not the
 //! trace length: the one LRU pass of this crate.
 //!
-//! Each reference gets a stamp, and a [`Fenwick`] tree marks, for every
-//! distinct page, the stamp of its most recent reference; the depth of
-//! a re-reference is one plus the marks strictly between its previous
-//! stamp and its current one (Bennett & Kruskal). Were stamps permanent
-//! the tree would grow with the trace — a 10⁸-reference pass would cost
-//! 800 MB of tree before the distances were counted. But only the
-//! *most recent* stamp of each page is ever marked, so the live marks
-//! number at most the page universe. [`StreamingLru`] exploits this
-//! with periodic stamp **compaction**: when the stamp cursor reaches the
-//! tree's capacity, the live stamps are renumbered `0..live` in stamp
-//! order (preserving every between-count) and the tree is rebuilt at
-//! `max(128, 2 × live)` — so compaction amortizes to O(1) per reference
-//! and the whole engine is O(distinct pages) space. Each page gets a
-//! dense slot on first touch; a stamp `s` is live iff
+//! Each reference gets a stamp, and a [`Fenwick`] rank bitmap marks, for
+//! every distinct page, the stamp of its most recent reference; the
+//! depth of a re-reference is one plus the marks strictly between its
+//! previous stamp and its current one (Bennett & Kruskal): the `seen`
+//! marks less those up to the previous stamp, one prefix walk. Were
+//! stamps permanent the bitmap would grow with the trace — 19 MB of
+//! bits and counts for 10⁸ references. But only the *most recent* stamp
+//! of each page is ever marked, so the live marks number at most the
+//! page universe. [`StreamingLru`] exploits this with periodic stamp
+//! **compaction**: when the stamp cursor reaches the bitmap's capacity,
+//! the live stamps are renumbered `0..live` in stamp order (preserving
+//! every rank) and the bitmap is rebuilt at `max(128, 2 × live)` rounded
+//! up to whole 64-bit words — so compaction amortizes to O(1) per
+//! reference and the whole engine is O(distinct pages) space. Each page
+//! gets a dense slot on first touch; a stamp `s` is live iff
 //! `stamp_of[slot_at[s]] == s`, so compaction is one ascending scan plus
 //! [`Fenwick::fill`]: O(capacity), no sort, no hashing.
 //!
@@ -33,7 +34,7 @@ use dsa_core::ids::{IdMap, PageNo};
 use crate::fenwick::Fenwick;
 use crate::success::{SuccessFunction, INFINITE};
 
-/// Minimum Fenwick capacity, so tiny traces don't compact every few
+/// Minimum bitmap capacity, so tiny traces don't compact every few
 /// references.
 const MIN_CAPACITY: usize = 128;
 
@@ -61,7 +62,7 @@ pub struct StreamingLru {
     slots: IdMap<PageNo, usize>,
     /// Most recent stamp of each slot.
     stamp_of: Vec<usize>,
-    /// The slot each stamp went to, live or not; one per tree position.
+    /// The slot each stamp went to, live or not; one per bitmap position.
     slot_at: Vec<usize>,
     /// Next stamp to assign (== stamps consumed since last compaction).
     cursor: usize,
@@ -108,10 +109,11 @@ impl StreamingLru {
         let slot = *self.slots.entry(p).or_insert(seen);
         self.slot_at[i] = slot;
         let d = if slot < seen {
-            // Marks strictly between the previous and current stamps
-            // are the pages above `p` in the LRU stack.
+            // Each seen page has one mark, all below `i`, so the
+            // `seen − prefix(prev)` marks above `prev` are the pages
+            // above `p` in the LRU stack.
             let prev = std::mem::replace(&mut self.stamp_of[slot], i);
-            let d = self.marks.between(prev, i) + 1;
+            let d = seen as u64 - self.marks.prefix(prev) + 1;
             self.marks.clear(prev);
             if self.hist.len() <= d as usize {
                 self.hist.resize(d as usize + 1, 0);
@@ -128,9 +130,9 @@ impl StreamingLru {
     }
 
     /// Renumbers the live stamps `0..live` in stamp order and rebuilds
-    /// the tree at `max(128, 2 × live)`. Order-preserving renumbering
-    /// keeps every future between-count exact; doubling headroom makes
-    /// the rebuild amortized O(1) per reference.
+    /// the bitmap at `max(128, 2 × live)` rounded up to whole words.
+    /// Order-preserving renumbering keeps every future rank exact;
+    /// doubling headroom makes the rebuild amortized O(1) per reference.
     ///
     /// A live stamp `s` moves down to `live <= s`, an entry the scan has
     /// already read; steady-state compaction allocates nothing.
@@ -144,7 +146,7 @@ impl StreamingLru {
                 live += 1;
             }
         }
-        let capacity = MIN_CAPACITY.max(2 * live);
+        let capacity = MIN_CAPACITY.max(2 * live).next_multiple_of(64);
         self.slot_at.resize(capacity, 0);
         self.marks.fill(capacity, live);
         self.cursor = live;
@@ -177,7 +179,7 @@ mod tests {
         assert_eq!(s.distinct_pages(), 50);
         assert!(
             s.marks.len() <= MIN_CAPACITY.max(100),
-            "tree grew to {} stamps",
+            "bitmap grew to {} stamps",
             s.marks.len()
         );
         // Cyclic sweep of 50 pages: steady-state distance is 50.

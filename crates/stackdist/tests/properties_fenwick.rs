@@ -1,9 +1,10 @@
-//! The one LRU pass — `StreamingLru`'s Fenwick tree over compacted
+//! The one LRU pass — `StreamingLru`'s rank bitmap over compacted
 //! stamps, which `lru_distances` runs over a materialized trace —
 //! against a naive O(n²) explicit LRU stack, on random, regime-drawn,
-//! adversarial (cyclic-sweep) and growing-universe reference strings:
-//! the distance vector must agree element for element. Traces run past
-//! the tree's minimum of 128 stamps, so compaction is exercised.
+//! adversarial (cyclic-sweep), growing-universe and thousand-page
+//! reference strings: the distance vector must agree element for
+//! element. Traces run past the minimum of 128 stamps, so compaction is
+//! exercised; the rank bitmap itself is checked against a plain set.
 
 use dsa_core::ids::PageNo;
 use dsa_stackdist::{lru_distances, Fenwick, StreamingLru, INFINITE};
@@ -154,42 +155,56 @@ proptest! {
     }
 
     #[test]
-    fn fenwick_prefix_matches_a_counting_array(
-        ops in prop::collection::vec((0usize..64, any::<bool>()), 0..300),
+    fn fenwick_prefix_matches_a_set(
+        words in 3usize..8,
+        tail in 1usize..64,
+        ops in prop::collection::vec((0usize..1 << 20, any::<bool>()), 0..600),
     ) {
-        // Order-statistics bookkeeping against a plain array: marks and
-        // clears in arbitrary interleaving, prefix counts at every step.
-        let mut tree = Fenwick::new(64);
-        let mut marks = [0u64; 64];
-        for (pos, set) in ops {
-            if set {
+        // Rank bookkeeping against a plain set: a position is marked or
+        // not, so only unmarked positions are marked and only marked ones
+        // cleared, in arbitrary interleaving, over at least three words
+        // and a last word that is only partly in range. Every step reads
+        // the count up to the position it touched; the end reads all.
+        let n = words * 64 + tail;
+        let mut tree = Fenwick::new(n);
+        let mut marked = vec![false; n];
+        for (raw, set) in ops {
+            let pos = raw % n;
+            if set && !marked[pos] {
                 tree.mark(pos);
-                marks[pos] += 1;
-            } else if marks[pos] > 0 {
+            } else if !set && marked[pos] {
                 tree.clear(pos);
-                marks[pos] -= 1;
+            } else {
+                continue;
             }
+            marked[pos] = set;
+            let want = marked[..=pos].iter().filter(|&&m| m).count() as u64;
+            prop_assert_eq!(tree.prefix(pos), want, "prefix at {} after an op", pos);
         }
         let mut running = 0;
-        for (pos, &m) in marks.iter().enumerate() {
-            running += m;
+        for (pos, &m) in marked.iter().enumerate() {
+            running += u64::from(m);
             prop_assert_eq!(tree.prefix(pos), running, "prefix at {}", pos);
         }
+        prop_assert_eq!(tree.prefix(n + 100), running);
     }
 
     #[test]
     fn linear_fill_equals_marking_one_position_at_a_time(
-        old in prop::collection::vec(0usize..64, 0..100),
-        n in 0usize..300,
+        old in prop::collection::vec(0usize..200, 0..100),
+        n in 0usize..600,
         per_mille in 0usize..1001,
     ) {
-        // Whatever the tree held before, and whether it grows or
-        // shrinks, `fill` leaves exactly the tree a fresh one has after
+        // Whatever the set held before, and whether it grows or
+        // shrinks, `fill` leaves exactly the set a fresh one has after
         // marking `0..live` in turn.
         let live = n * per_mille / 1000;
-        let mut filled = Fenwick::new(64);
+        let mut filled = Fenwick::new(200);
+        let mut held = [false; 200];
         for pos in old {
-            filled.mark(pos);
+            if !std::mem::replace(&mut held[pos], true) {
+                filled.mark(pos);
+            }
         }
         filled.fill(n, live);
         let mut marked = Fenwick::new(n);
@@ -239,5 +254,37 @@ proptest! {
             }))
             .collect();
         prop_assert_eq!(streamed(&trace), naive_distances(&trace));
+    }
+
+    #[test]
+    fn streaming_distances_match_over_thousands_of_pages(
+        pages in 2_048u64..5_001,
+        seed in 0u64..1_000,
+    ) {
+        // Thousands of live stamps in a capacity of 64-157 words, so
+        // distances count through the upper levels of the word tree,
+        // which the small universes above never reach. A cold start touches every page
+        // once in scrambled order; then half the references go to any
+        // page, at depths up to the whole universe, and half to 16 hot
+        // pages. The three universes' worth of references after the
+        // cold start compact the stamps more than once at full size.
+        let mut rng = Rng64::new(seed);
+        let hot: Vec<u64> = (0..16).map(|_| rng.below(pages)).collect();
+        let trace: Vec<PageNo> = (0..pages)
+            .map(|i| PageNo(i * 2_654_435_761 % pages))
+            .chain((0..3 * pages).map(|_| {
+                PageNo(match rng.below(2) {
+                    0 => rng.below(pages),
+                    _ => hot[rng.below(16) as usize],
+                })
+            }))
+            .collect();
+        prop_assert_eq!(
+            streamed(&trace),
+            naive_distances(&trace),
+            "{} pages, seed {}",
+            pages,
+            seed
+        );
     }
 }
